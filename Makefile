@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint bench
+.PHONY: build test race vet lint bench serve-bench
 
 build:
 	$(GO) build ./...
@@ -10,8 +10,9 @@ build:
 test: build
 	$(GO) test ./...
 
+# race mirrors CI's race step.
 race:
-	$(GO) test -race ./internal/search/ ./internal/fragindex/ ./cmd/dashserve/
+	$(GO) test -race ./internal/search/ ./internal/fragindex/ ./internal/replic/ ./cmd/dashserve/
 
 vet:
 	$(GO) vet ./...
@@ -40,3 +41,12 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_search.json < BENCH_search.txt
 	@rm -f BENCH_search.txt
 	@echo wrote BENCH_search.json
+
+# serve-bench runs the acceptance gate BENCHMARK.json declares — dashload's
+# end-to-end serving benchmark — for one workload:
+#   make serve-bench W=write_durable SEED=3 TRACE=1
+W ?= search_uncached
+SEED ?= 1
+TRACE ?= 0
+serve-bench:
+	bash bench/run.sh --workload $(W) --seed $(SEED) --seconds 15 --trace $(TRACE)

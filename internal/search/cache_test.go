@@ -237,20 +237,19 @@ func TestResultCacheLeaderCancellation(t *testing.T) {
 	res := testResults(1)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	// The first call is the leader's: it announces itself by closing inFn
+	// (lossless however the goroutines interleave) and holds its flight
+	// until its context is cancelled — no timer to outrun on a loaded
+	// machine. Later calls are the follower's retry and succeed.
 	inFn := make(chan struct{})
 	var calls atomic.Int32
 	fn := func(ctx context.Context) ([]Result, error) {
-		calls.Add(1)
-		select {
-		case inFn <- struct{}{}:
-		default:
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(5 * time.Millisecond):
+		if calls.Add(1) > 1 {
 			return res, nil
 		}
+		close(inFn)
+		<-ctx.Done()
+		return nil, ctx.Err()
 	}
 
 	var wg sync.WaitGroup

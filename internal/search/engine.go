@@ -17,25 +17,38 @@
 //
 // # Performance
 //
-// The scoring core is allocation-free in steady state. Each query borrows
-// a searchScratch from a sync.Pool holding every transient structure
-// Algorithm 1 needs:
+// Per-posting work is an array index and per-seed work is one 24-byte heap
+// entry; the scoring core allocates nothing in steady state. Each query
+// borrows a searchScratch holding every transient structure Algorithm 1
+// needs:
 //
-//   - Candidate fragments get dense ordinals in discovery order; their
-//     per-keyword occurrence counts live in two flat arenas (numCandidates
-//     × numKeywords int64s) instead of a map of per-fragment slices. The
-//     seed arena keeps the pristine vectors expansion gain-lookups read;
-//     the candidate arena holds the vectors expansions mutate.
-//   - candidate structs are pooled in one backing slice; the priority
-//     queue is a hand-rolled typed heap over pointers into it, so there is
-//     no container/heap interface boxing and no per-push allocation.
+//   - Dense ref-indexed tables. Candidate fragments get dense ordinals in
+//     discovery order; ordOf maps a FragRef to its ordinal through a flat
+//     []int32 sized from Snapshot.NumRefs (and used marks accepted pages'
+//     fragments the same way), so seeding a posting and pricing an
+//     expansion neighbour are bounds-checked loads, not hash probes. The
+//     tables are un-set by walking the refs the query touched —
+//     O(candidates), never O(refs) — so a scratch moves between snapshots
+//     of any size without a sweep. Per-keyword occurrence counts live in a
+//     flat seed arena (numCandidates × numKeywords int64s).
+//   - A by-value heap. The priority queue holds {score, size, ord}
+//     entries, seeded in one pass and ordered by a single O(n) heapify;
+//     expanding the head rewrites it in place and sifts it down (no pop +
+//     push), and the comparator reads only the entries themselves unless
+//     two tie exactly on (score, size).
+//   - Lazy group paths. A candidate's path (members, weights, group key,
+//     interval) and its mutable occurrence vector are materialised on its
+//     first pop or first exact tie — a few hundred of the thousands of
+//     seeds a hot keyword produces. Seeds take their size from
+//     Snapshot.TermsOf; every ref is validated once (AliveRef) before
+//     that, which is what makes the unchecked accessors safe.
+//   - Scratch retention. Released scratches go to a small per-Engine free
+//     list (GOMAXPROCS entries) that, unlike the sync.Pool behind it,
+//     survives GC cycles, so a steady stream of misses re-uses its arenas
+//     instead of re-making them. A released scratch holds no pointer into
+//     the snapshot it served.
 //   - Page identity is a packed uint64 of the interval's endpoint refs
 //     (FragRefs are int32), not an fmt.Sprintf string.
-//   - Fragment refs are validated once when a candidate is seeded, and
-//     seeding captures the group path with its parallel node weights
-//     (fragindex.Snapshot.GroupPath); the expansion inner loop walks
-//     members and weights off the path itself, touching no fragment
-//     metadata and re-error-checking nothing per step.
 //
 // Only per-result work (URL formulation, the returned slice) allocates.
 //
@@ -62,13 +75,15 @@
 // ParallelSearch pins one snapshot for the entire batch, so a batch is
 // internally consistent too. Engines are safe for concurrent use by any
 // number of goroutines: the snapshot read path is lock-free and scratch
-// state is per-goroutine via the pool.
+// state is per-search: borrowed from the engine, returned when it ends.
 package search
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -98,7 +113,8 @@ type Source interface {
 type Engine struct {
 	src     Source
 	app     *webapp.Application // nil: results carry no URLs
-	scratch sync.Pool           // *searchScratch
+	free    chan *searchScratch // retained scratches; survives GC cycles
+	scratch sync.Pool           // *searchScratch overflow past the free list
 }
 
 // New creates an engine over an index source — a *fragindex.Index,
@@ -106,9 +122,38 @@ type Engine struct {
 // URL formulation is not needed (benchmarks measure pure search time that
 // way).
 func New(src Source, app *webapp.Application) *Engine {
-	e := &Engine{src: src, app: app}
-	e.scratch.New = func() any { return newScratch() }
+	// One retained scratch per processor: CPU-bound searches cannot run
+	// more than that at once, so a steady load never reaches the pool.
+	e := &Engine{src: src, app: app, free: make(chan *searchScratch, runtime.GOMAXPROCS(0))}
+	e.scratch.New = func() any { return &searchScratch{seen: make(map[uint64]struct{})} }
 	return e
+}
+
+// getScratch borrows a scratch, its dense tables covering numRefs refs.
+func (e *Engine) getScratch(numRefs int) *searchScratch {
+	var s *searchScratch
+	select {
+	case s = <-e.free:
+	default:
+		s = e.scratch.Get().(*searchScratch)
+	}
+	if len(s.ordOf) < numRefs {
+		// Headroom, so a writer appending refs does not re-size the tables
+		// of every scratch on every publish.
+		s.ordOf = make([]int32, numRefs+numRefs/4)
+		s.used = make([]bool, len(s.ordOf))
+	}
+	return s
+}
+
+// putScratch resets a scratch and retains it.
+func (e *Engine) putScratch(s *searchScratch) {
+	s.reset()
+	select {
+	case e.free <- s:
+	default:
+		e.scratch.Put(s)
+	}
 }
 
 // Source returns the engine's index source.
@@ -188,65 +233,81 @@ type Result struct {
 	EqKey string
 }
 
-// candidate is a pending db-page: a contiguous interval of one equality
-// group's members. weights mirrors members (the group path carries node
-// weights), so expansion reads neighbour sizes off the path itself. gkey
-// gives the priority queue a content-based identity for exact score ties:
-// the queue's order must match the canonical result order (compareResults)
-// so that truncating at K keeps the same pages a merge over shards would
-// keep.
+// candidate is the materialised part of a pending db-page: a contiguous
+// interval of one equality group's members. weights mirrors members (the
+// group path carries node weights), so expansion reads neighbour sizes off
+// the path itself. gkey gives the priority queue a content-based identity
+// for exact score ties: the queue's order must match the canonical result
+// order (compareResults) so that truncating at K keeps the same pages a
+// merge over shards would keep. A page's score and size live in its heap
+// entry, its occurrence vector in the candOcc arena.
 type candidate struct {
 	members []fragindex.FragRef // the full group, shared
 	weights []int64             // per member: total keyword count, shared
 	lo, hi  int                 // inclusive interval within members
-	occ     []int64             // per query keyword occurrences (arena slice)
-	ord     int32               // dense ordinal of the seeding fragment
-	size    int64
-	score   float64
-	gkey    string // the group's canonical equality key
+	gkey    string              // the group's canonical equality key
+}
+
+// heapEntry is a pending db-page as the priority queue sees it; ord is the
+// dense ordinal of the fragment that seeded it.
+type heapEntry struct {
+	score float64
+	size  int64
+	ord   int32
 }
 
 // searchScratch holds every transient structure one Search needs. It is
-// pooled so the scoring core allocates nothing in steady state; all
-// fields are reset (lengths zeroed, maps cleared) between queries but
-// keep their capacity.
+// retained between queries so the scoring core allocates nothing in steady
+// state; reset un-sets what the query wrote and keeps all capacity.
 type searchScratch struct {
+	idx      *fragindex.Snapshot // the pinned snapshot, for lazy paths
 	keywords []string
 	idf      []float64
-	refs     []fragindex.FragRef            // candidate ref per ordinal
-	ordOf    map[fragindex.FragRef]int32    // candidate ref → dense ordinal
-	seedOcc  []int64                        // pristine occ vectors, ord-major
-	candOcc  []int64                        // expansion-mutated occ vectors
-	cands    []candidate                    // one per ordinal
-	heap     []*candidate                   // typed priority queue
-	consumed []bool                         // per ordinal: absorbed by expansion
-	used     map[fragindex.FragRef]struct{} // fragments in accepted results
-	seen     map[uint64]struct{}            // emitted page signatures
-	limited  []fragindex.Posting            // CandidateLimit truncation buffer
+	refs     []fragindex.FragRef // candidate ref per ordinal
+	ordOf    []int32             // per ref: ordinal+1, 0 when not a candidate
+	used     []bool              // per ref: in an accepted result
+	usedRefs []fragindex.FragRef // the refs set in used
+	seedOcc  []int64             // pristine occ vectors, ord-major
+	heap     []heapEntry         // by-value priority queue
+	slotOf   []int32             // per ordinal: index+1 into cands, 0 when not materialised
+	consumed []bool              // per ordinal: absorbed by expansion
+	cands    []candidate         // materialised candidates, in first-use order
+	candOcc  []int64             // their expansion-mutated occ vectors, slot-major
+	seen     map[uint64]struct{} // emitted page signatures
+	limited  []fragindex.Posting // CandidateLimit truncation buffer
+	err      error               // first path materialisation failure
 }
 
-func newScratch() *searchScratch {
-	return &searchScratch{
-		ordOf: make(map[fragindex.FragRef]int32),
-		used:  make(map[fragindex.FragRef]struct{}),
-		seen:  make(map[uint64]struct{}),
-	}
-}
-
-// reset prepares the scratch for reuse, keeping capacity.
+// reset un-sets the dense tables by walking the refs the query wrote to
+// them and drops every pointer into the snapshot, keeping capacity.
 func (s *searchScratch) reset() {
+	for _, ref := range s.refs {
+		s.ordOf[ref] = 0
+	}
+	for _, ref := range s.usedRefs {
+		s.used[ref] = false
+	}
+	clear(s.cands)
+	clear(s.seen)
+	s.idx, s.err = nil, nil
 	s.keywords = s.keywords[:0]
 	s.idf = s.idf[:0]
 	s.refs = s.refs[:0]
+	s.usedRefs = s.usedRefs[:0]
 	s.seedOcc = s.seedOcc[:0]
-	s.candOcc = s.candOcc[:0]
-	s.cands = s.cands[:0]
 	s.heap = s.heap[:0]
-	s.consumed = s.consumed[:0]
-	s.limited = s.limited[:0]
-	clear(s.ordOf)
-	clear(s.used)
-	clear(s.seen)
+	s.cands = s.cands[:0]
+	s.candOcc = s.candOcc[:0]
+}
+
+// zeroed returns s resized to n zero elements, reusing its capacity.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // growZero extends a slice by n zeroed int64s without a temporary.
@@ -327,63 +388,87 @@ func selectSmallestRefs(band []fragindex.Posting, need int) {
 // consults ref numbering: when the K-th result slot falls inside a band of
 // exactly tied pages, the pages kept are a function of page content alone,
 // so a sharded scatter-gather (whose shards number refs independently)
-// truncates to the same top-k a single index does. The key comparison only
-// runs on exact (score, size) ties.
-func candLess(a, b *candidate) bool {
+// truncates to the same top-k a single index does. Only an exact
+// (score, size) tie reaches the key comparison, and with it the two
+// candidates' group paths. Entries that compare equal both ways cover the
+// same interval of the same group — the same page — so which of them
+// surfaces first never shows in the output.
+func (s *searchScratch) candLess(a, b heapEntry) bool {
 	if a.score != b.score {
 		return a.score > b.score
 	}
 	if a.size != b.size {
 		return a.size < b.size
 	}
-	if a.gkey != b.gkey {
-		return a.gkey < b.gkey
+	sa, sb := s.path(a.ord), s.path(b.ord)
+	ca, cb := &s.cands[sa], &s.cands[sb]
+	if ca.gkey != cb.gkey {
+		return ca.gkey < cb.gkey
 	}
-	if a.lo != b.lo {
-		return a.lo < b.lo
+	if ca.lo != cb.lo {
+		return ca.lo < cb.lo
 	}
-	return a.hi < b.hi
+	return ca.hi < cb.hi
 }
 
-// heapPush and heapPop implement a typed binary heap over s.heap —
-// identical ordering to container/heap but without interface boxing.
-func (s *searchScratch) heapPush(c *candidate) {
-	s.heap = append(s.heap, c)
-	i := len(s.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !candLess(s.heap[i], s.heap[parent]) {
-			break
-		}
-		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
-		i = parent
+// path returns the slot in cands of ord's candidate, materialising it on
+// first use: the seed's group path with the single-fragment interval, and
+// a mutable copy of its occurrence vector. Every ref was validated alive
+// on this snapshot before the queue was built, so GroupPath cannot fail;
+// were it to, the error sticks in s.err (which the assembly loop checks
+// before it walks any path) and the candidate stays an empty interval.
+func (s *searchScratch) path(ord int32) int {
+	if slot := s.slotOf[ord]; slot != 0 {
+		return int(slot) - 1
 	}
+	members, weights, gkey, pos, err := s.idx.GroupPath(s.refs[ord])
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	nk := len(s.idf)
+	s.cands = append(s.cands, candidate{members: members, weights: weights, lo: pos, hi: pos, gkey: gkey})
+	s.candOcc = append(s.candOcc, s.seedOcc[int(ord)*nk:int(ord+1)*nk]...)
+	s.slotOf[ord] = int32(len(s.cands))
+	return len(s.cands) - 1
 }
 
-func (s *searchScratch) heapPop() *candidate {
+// siftDown restores the heap order below position i — the one primitive
+// heapify, popTop and the expand-and-reinsert step share.
+func (s *searchScratch) siftDown(i int) {
 	h := s.heap
-	n := len(h) - 1
-	top := h[0]
-	h[0] = h[n]
-	h[n] = nil
-	s.heap = h[:n]
-	i := 0
+	e := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
+		child := 2*i + 1
+		if child >= len(h) {
 			break
 		}
-		child := l
-		if r < n && candLess(h[r], h[l]) {
+		if r := child + 1; r < len(h) && s.candLess(h[r], h[child]) {
 			child = r
 		}
-		if !candLess(h[child], h[i]) {
+		if !s.candLess(h[child], e) {
 			break
 		}
-		h[i], h[child] = h[child], h[i]
+		h[i] = h[child]
 		i = child
 	}
-	return top
+	h[i] = e
+}
+
+// heapify orders the seeded entries in O(n).
+func (s *searchScratch) heapify() {
+	for i := len(s.heap)/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
+}
+
+// popTop removes the queue's head.
+func (s *searchScratch) popTop() {
+	n := len(s.heap) - 1
+	s.heap[0] = s.heap[n]
+	s.heap = s.heap[:n]
+	if n > 1 {
+		s.siftDown(0)
+	}
 }
 
 // ctxCheckInterval is how many heap pops the assembly loop runs between
@@ -434,9 +519,9 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s := e.scratch.Get().(*searchScratch)
-	defer e.scratch.Put(s)
-	s.reset()
+	s := e.getScratch(idx.NumRefs())
+	defer e.putScratch(s)
+	s.idx = idx
 
 	s.keywords = normalizeKeywords(s.keywords, req.Keywords)
 	if len(s.keywords) == 0 {
@@ -473,74 +558,51 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 			ps = s.topTFPrefix(ps, req.CandidateLimit)
 		}
 		for _, p := range ps {
-			ord, ok := s.ordOf[p.Frag]
-			if !ok {
+			if uint(p.Frag) >= uint(len(s.ordOf)) {
+				return nil, fmt.Errorf("%w: posting ref %d", fragindex.ErrNoFragment, p.Frag)
+			}
+			ord := s.ordOf[p.Frag]
+			if ord == 0 {
+				s.refs = append(s.refs, p.Frag)
 				ord = int32(len(s.refs))
 				s.ordOf[p.Frag] = ord
-				s.refs = append(s.refs, p.Frag)
 				s.seedOcc = growZero(s.seedOcc, nk)
 			}
-			s.seedOcc[int(ord)*nk+i] += p.TF
+			s.seedOcc[int(ord-1)*nk+i] += p.TF
 		}
 	}
 	if len(s.refs) == 0 {
 		return nil, nil // no relevant fragments, empty result
 	}
 
-	// Validate every candidate ref once; after this the hot loop uses the
-	// index's unchecked accessors. Postings only hands out live refs, so a
-	// failure here means the index broke its own invariant — surfaced as
-	// an error rather than scored as a silent zero-weight page.
-	for _, ref := range s.refs {
+	// Line 2: seed the priority queue with single-fragment pages — one heap
+	// entry each, sized from the fragment's metadata; the group path waits
+	// until the page is popped or tied. Every candidate ref is validated
+	// here, once; after this the hot loop uses the index's unchecked
+	// accessors. Postings only hands out live refs, so a failure means the
+	// index broke its own invariant — surfaced as an error rather than
+	// scored as a silent zero-weight page.
+	s.slotOf = zeroed(s.slotOf, len(s.refs))
+	s.consumed = zeroed(s.consumed, len(s.refs))
+	for ord, ref := range s.refs {
 		if !idx.AliveRef(ref) {
 			return nil, fmt.Errorf("%w: posting ref %d", fragindex.ErrNoFragment, ref)
 		}
+		size := idx.TermsOf(ref)
+		s.heap = append(s.heap, heapEntry{
+			score: score(s.seedOcc[ord*nk:(ord+1)*nk], size, s.idf),
+			size:  size,
+			ord:   int32(ord),
+		})
 	}
-
-	// Line 2: seed the priority queue with single-fragment pages. The
-	// candidate backing slice is sized up front so heap pointers into it
-	// stay valid; candidate occ vectors are copies of the seed vectors
-	// (expansion mutates them, gain lookups need the originals).
-	numOrds := len(s.refs)
-	s.candOcc = growZero(s.candOcc, numOrds*nk)
-	copy(s.candOcc, s.seedOcc)
-	if cap(s.cands) < numOrds {
-		s.cands = make([]candidate, numOrds)
-	} else {
-		s.cands = s.cands[:numOrds]
-	}
-	if cap(s.consumed) >= numOrds {
-		s.consumed = s.consumed[:numOrds]
-		clear(s.consumed)
-	} else {
-		s.consumed = make([]bool, numOrds)
-	}
-	for ord, ref := range s.refs {
-		members, weights, gkey, pos, err := idx.GroupPath(ref)
-		if err != nil {
-			return nil, err
-		}
-		c := &s.cands[ord]
-		*c = candidate{
-			members: members,
-			weights: weights,
-			lo:      pos,
-			hi:      pos,
-			occ:     s.candOcc[ord*nk : (ord+1)*nk],
-			ord:     int32(ord),
-			size:    weights[pos],
-			gkey:    gkey,
-		}
-		c.score = score(c.occ, c.size, s.idf)
-		s.heapPush(c)
-	}
+	s.heapify()
 
 	var out []Result
 
 	// Lines 4-9: assemble pages best-first. The loop is where an expensive
-	// query spends its time (a pop either expands a page or emits one), so
-	// this is where cancellation is polled: once every ctxCheckInterval
-	// pops.
+	// query spends its time (a visit to the queue's head either expands a
+	// page or retires one), so this is where cancellation is polled: once
+	// every ctxCheckInterval visits.
 	pops := 0
 	for len(s.heap) > 0 && len(out) < req.K {
 		pops++
@@ -549,48 +611,65 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 				return nil, err
 			}
 		}
-		c := s.heapPop()
-		if c.lo == c.hi && s.consumed[c.ord] {
-			continue // seed absorbed into an earlier expansion (line 8)
+		top := s.heap[0]
+		slot := s.path(top.ord)
+		if s.err != nil {
+			return nil, s.err
 		}
-		if e.expandable(c, req.SizeThreshold) {
-			e.expand(c, s, nk)
-			s.heapPush(c)
+		c, occ := &s.cands[slot], s.candOcc[slot*nk:(slot+1)*nk]
+		if c.lo == c.hi && s.consumed[top.ord] {
+			s.popTop() // seed absorbed into an earlier expansion (line 8)
+			continue
+		}
+		if expandable(c, top.size, req.SizeThreshold) {
+			// Expand and reinsert: rewrite the head in place, sift it down.
+			size := top.size + s.expand(c, occ)
+			s.heap[0].size, s.heap[0].score = size, score(occ, size, s.idf)
+			s.siftDown(0)
 			continue
 		}
 		// Line 6-7: not expandable — emit.
-		sig := packRefs(c.members[c.lo], c.members[c.hi])
-		if _, ok := s.seen[sig]; ok {
-			continue
-		}
-		s.seen[sig] = struct{}{}
-		if req.RequireAll && !hasAll(c.occ) {
-			continue
-		}
-		if !req.AllowOverlap {
-			overlap := false
-			for i := c.lo; i <= c.hi; i++ {
-				if _, ok := s.used[c.members[i]]; ok {
-					overlap = true
-					break
-				}
+		if s.accept(c, occ, &req) {
+			res, err := e.resultFor(idx, c, top)
+			if err != nil {
+				return nil, err
 			}
-			if overlap {
-				continue
-			}
-			for i := c.lo; i <= c.hi; i++ {
-				s.used[c.members[i]] = struct{}{}
-			}
+			out = append(out, res)
 		}
-		res, err := e.resultFor(idx, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
+		s.popTop()
 	}
 
 	sortResults(out)
 	return out, nil
+}
+
+// accept reports whether the finished page c is a new result — not emitted
+// before, conjunctive when the request requires it, and (unless overlap is
+// allowed) sharing no fragment with an accepted page — and marks an
+// accepted page's fragments used.
+func (s *searchScratch) accept(c *candidate, occ []int64, req *Request) bool {
+	sig := packRefs(c.members[c.lo], c.members[c.hi])
+	if _, ok := s.seen[sig]; ok {
+		return false
+	}
+	s.seen[sig] = struct{}{}
+	if req.RequireAll && !hasAll(occ) {
+		return false
+	}
+	if req.AllowOverlap {
+		return true
+	}
+	page := c.members[c.lo : c.hi+1]
+	for _, ref := range page {
+		if s.used[ref] {
+			return false
+		}
+	}
+	for _, ref := range page {
+		s.used[ref] = true
+	}
+	s.usedRefs = append(s.usedRefs, page...)
+	return true
 }
 
 // compareResults is the canonical result order: score descending, then
@@ -633,13 +712,13 @@ func compareResults(a, b *Result) int {
 
 // sortResults orders results canonically (see compareResults).
 func sortResults(out []Result) {
-	sort.SliceStable(out, func(i, j int) bool { return compareResults(&out[i], &out[j]) < 0 })
+	slices.SortStableFunc(out, func(a, b Result) int { return compareResults(&a, &b) })
 }
 
-// expandable implements line 6's test:  is smaller than s and a neighbour
-// fragment exists.
-func (e *Engine) expandable(c *candidate, s int) bool {
-	if c.size >= int64(s) {
+// expandable implements line 6's test: the page is smaller than s and a
+// neighbour fragment exists.
+func expandable(c *candidate, size int64, s int) bool {
+	if size >= int64(s) {
 		return false
 	}
 	return c.lo > 0 || c.hi < len(c.members)-1
@@ -648,35 +727,36 @@ func (e *Engine) expandable(c *candidate, s int) bool {
 // gainOf returns a neighbour's weighted occurrence gain (0 when the
 // fragment carries none of the queried keywords) and its dense ordinal
 // (-1 when it is not a candidate).
-func (e *Engine) gainOf(ref fragindex.FragRef, s *searchScratch, nk int) (float64, int32) {
-	ord, ok := s.ordOf[ref]
-	if !ok {
+func (s *searchScratch) gainOf(ref fragindex.FragRef, nk int) (float64, int32) {
+	ord := s.ordOf[ref] - 1
+	if ord < 0 {
 		return 0, -1
 	}
 	return weighted(s.seedOcc[int(ord)*nk:int(ord+1)*nk], s.idf), ord
 }
 
-// expand grows the page by its best neighbour: relevant fragments are
-// favoured (highest added weighted occurrence), then smaller fragments.
+// expand grows the page by its best neighbour — relevant fragments are
+// favoured (highest added weighted occurrence), then smaller fragments —
+// folding the neighbour's occurrences into occ and returning its weight.
 // An absorbed relevant seed is marked consumed so its queue entry dies.
-// Neighbour refs and weights come straight off the candidate's group path
-// (seeded via GroupPath), so the inner loop never dereferences fragment
-// metadata.
-func (e *Engine) expand(c *candidate, s *searchScratch, nk int) {
+// Neighbour refs and weights come straight off the candidate's group path,
+// so the inner loop never dereferences fragment metadata.
+func (s *searchScratch) expand(c *candidate, occ []int64) int64 {
 	var (
 		bestOrd    int32
 		bestGain   float64
 		bestWeight int64
 		bestLeft   bool
 	)
+	nk := len(occ)
 	if c.lo > 0 {
-		bestGain, bestOrd = e.gainOf(c.members[c.lo-1], s, nk)
+		bestGain, bestOrd = s.gainOf(c.members[c.lo-1], nk)
 		bestWeight = c.weights[c.lo-1]
 		bestLeft = true
 	}
 	if c.hi < len(c.members)-1 {
 		w := c.weights[c.hi+1]
-		gain, ord := e.gainOf(c.members[c.hi+1], s, nk)
+		gain, ord := s.gainOf(c.members[c.hi+1], nk)
 		if !bestLeft || gain > bestGain || (gain == bestGain && w < bestWeight) {
 			bestOrd, bestGain, bestWeight, bestLeft = ord, gain, w, false
 		}
@@ -686,15 +766,14 @@ func (e *Engine) expand(c *candidate, s *searchScratch, nk int) {
 	} else {
 		c.hi++
 	}
-	c.size += bestWeight
 	if bestOrd >= 0 {
-		occ := s.seedOcc[int(bestOrd)*nk : int(bestOrd+1)*nk]
-		for i := range c.occ {
-			c.occ[i] += occ[i]
+		seed := s.seedOcc[int(bestOrd)*nk : int(bestOrd+1)*nk]
+		for i := range occ {
+			occ[i] += seed[i]
 		}
 		s.consumed[bestOrd] = true
 	}
-	c.score = score(c.occ, c.size, s.idf)
+	return bestWeight
 }
 
 // score computes Σ_w (occ_w / size) × IDF_w.
@@ -726,11 +805,8 @@ func weighted(occ []int64, idf []float64) float64 {
 }
 
 // resultFor formulates the page's parameter box and URL (line 10).
-func (e *Engine) resultFor(idx *fragindex.Snapshot, c *candidate) (Result, error) {
-	frags := make([]fragindex.FragRef, 0, c.hi-c.lo+1)
-	for i := c.lo; i <= c.hi; i++ {
-		frags = append(frags, c.members[i])
-	}
+func (e *Engine) resultFor(idx *fragindex.Snapshot, c *candidate, page heapEntry) (Result, error) {
+	frags := slices.Clone(c.members[c.lo : c.hi+1])
 	eqVals, err := idx.EqValues(frags[0])
 	if err != nil {
 		return Result{}, err
@@ -744,9 +820,9 @@ func (e *Engine) resultFor(idx *fragindex.Snapshot, c *candidate) (Result, error
 		return Result{}, err
 	}
 	res := Result{
-		Score:     c.score,
+		Score:     page.score,
 		Fragments: frags,
-		Size:      c.size,
+		Size:      page.size,
 		EqValues:  eqVals,
 		RangeLo:   lo,
 		RangeHi:   hi,
@@ -761,10 +837,7 @@ func (e *Engine) resultFor(idx *fragindex.Snapshot, c *candidate) (Result, error
 		if err != nil {
 			return Result{}, err
 		}
-		res.URL, err = e.app.FormatURL(params)
-		if err != nil {
-			return Result{}, err
-		}
+		res.URL = e.app.URLFor(res.QueryString)
 	}
 	return res, nil
 }

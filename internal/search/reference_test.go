@@ -1,0 +1,385 @@
+package search
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/fragindex"
+	"repro/internal/fragment"
+	"repro/internal/relation"
+)
+
+// refPage is the reference implementation's pending db-page: everything
+// about it held eagerly, in one place.
+type refPage struct {
+	members []fragindex.FragRef
+	weights []int64
+	gkey    string
+	lo, hi  int
+	seed    fragindex.FragRef
+	occ     []int64
+	size    int64
+	score   float64
+}
+
+// refLess is the queue order the engine documents on candLess, spelled out
+// over whole pages.
+func refLess(a, b *refPage) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	if a.size != b.size {
+		return a.size < b.size
+	}
+	if a.gkey != b.gkey {
+		return a.gkey < b.gkey
+	}
+	if a.lo != b.lo {
+		return a.lo < b.lo
+	}
+	return a.hi < b.hi
+}
+
+func refWeighted(occ []int64, idf []float64) float64 {
+	var sum float64
+	for i, n := range occ {
+		sum += float64(n) * idf[i]
+	}
+	return sum
+}
+
+func refScore(occ []int64, size int64, idf []float64) float64 {
+	if size == 0 {
+		return 0
+	}
+	return refWeighted(occ, idf) / float64(size)
+}
+
+// refSearch is a deliberately naive Algorithm 1 — maps for every lookup, a
+// slice scanned linearly for the queue's head, group paths fetched eagerly
+// for every seed — that shares no scoring-core code with the engine (only
+// keyword normalisation and the canonical result order). It answers valid
+// requests on engines without an application.
+func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
+	t.Helper()
+	kws := normalizeKeywords(nil, req.Keywords)
+	idf := make([]float64, len(kws))
+	seedOcc := map[fragindex.FragRef][]int64{}
+	for i, w := range kws {
+		idf[i] = snap.IDF(w)
+		ps := slices.Clone(snap.Postings(w))
+		if req.CandidateLimit > 0 && len(ps) > req.CandidateLimit {
+			sort.SliceStable(ps, func(a, b int) bool {
+				if ps[a].TF != ps[b].TF {
+					return ps[a].TF > ps[b].TF
+				}
+				return ps[a].Frag < ps[b].Frag
+			})
+			ps = ps[:req.CandidateLimit]
+		}
+		for _, p := range ps {
+			if seedOcc[p.Frag] == nil {
+				seedOcc[p.Frag] = make([]int64, len(kws))
+			}
+			seedOcc[p.Frag][i] += p.TF
+		}
+	}
+
+	var queue []*refPage
+	for ref, occ := range seedOcc {
+		members, weights, gkey, pos, err := snap.GroupPath(ref)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		p := &refPage{members: members, weights: weights, gkey: gkey, lo: pos, hi: pos,
+			seed: ref, occ: slices.Clone(occ), size: weights[pos]}
+		p.score = refScore(p.occ, p.size, idf)
+		queue = append(queue, p)
+	}
+
+	gain := func(ref fragindex.FragRef) float64 { return refWeighted(seedOcc[ref], idf) }
+	consumed := map[fragindex.FragRef]bool{}
+	used := map[fragindex.FragRef]bool{}
+	seen := map[[2]fragindex.FragRef]bool{}
+	var out []Result
+	for len(queue) > 0 && len(out) < req.K {
+		best := 0
+		for i := range queue {
+			if refLess(queue[i], queue[best]) {
+				best = i
+			}
+		}
+		p := queue[best]
+		queue = slices.Delete(queue, best, best+1)
+		if p.lo == p.hi && consumed[p.seed] {
+			continue
+		}
+		if p.size < int64(req.SizeThreshold) && (p.lo > 0 || p.hi < len(p.members)-1) {
+			// Best neighbour: highest gain, then smaller weight, then left.
+			left := p.lo > 0
+			if p.hi < len(p.members)-1 && left {
+				gl, gr := gain(p.members[p.lo-1]), gain(p.members[p.hi+1])
+				wl, wr := p.weights[p.lo-1], p.weights[p.hi+1]
+				left = !(gr > gl || (gr == gl && wr < wl))
+			}
+			at := p.hi + 1
+			if left {
+				at = p.lo - 1
+			}
+			p.lo, p.hi = min(p.lo, at), max(p.hi, at)
+			p.size += p.weights[at]
+			if occ, ok := seedOcc[p.members[at]]; ok {
+				for i := range p.occ {
+					p.occ[i] += occ[i]
+				}
+				consumed[p.members[at]] = true
+			}
+			p.score = refScore(p.occ, p.size, idf)
+			queue = append(queue, p)
+			continue
+		}
+		page := p.members[p.lo : p.hi+1]
+		sig := [2]fragindex.FragRef{page[0], page[len(page)-1]}
+		if seen[sig] {
+			continue
+		}
+		seen[sig] = true
+		if req.RequireAll && slices.Contains(p.occ, 0) {
+			continue
+		}
+		if !req.AllowOverlap {
+			if slices.ContainsFunc(page, func(ref fragindex.FragRef) bool { return used[ref] }) {
+				continue
+			}
+			for _, ref := range page {
+				used[ref] = true
+			}
+		}
+		res := Result{Score: p.score, Fragments: slices.Clone(page), Size: p.size, EqKey: p.gkey}
+		var err error
+		if res.EqValues, err = snap.EqValues(page[0]); err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		if res.RangeLo, err = snap.RangeValue(page[0]); err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		if res.RangeHi, err = snap.RangeValue(page[len(page)-1]); err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		out = append(out, res)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return compareResults(&out[i], &out[j]) < 0 })
+	return out
+}
+
+// tieSpec adds a third selection attribute beside the equality and range
+// attributes, so one group can hold several fragments with the same range
+// value — distinct pages that share a parameter box.
+var tieSpec = fragindex.Spec{SelAttrs: []string{"g", "v", "x"}, EqAttrs: []string{"g"}, RangeAttr: "v"}
+
+var tieVocab = []string{"ale", "bun", "cod", "dip"}
+
+// tieFragment draws a fragment of a tie-heavy corpus: TF 1 or 2 on each of
+// a few keywords, the same total size for every fragment, range values from
+// a small set (duplicates within a group are common).
+func tieFragment(r *rand.Rand, groups int, serial int) corpusChange {
+	counts := make(map[string]int64)
+	for _, kw := range tieVocab {
+		if r.Intn(2) == 0 {
+			counts[kw] = int64(1 + r.Intn(2))
+		}
+	}
+	return corpusChange{
+		id: fragment.ID{
+			relation.String(fmt.Sprintf("g%02d", r.Intn(groups))),
+			relation.Int(int64(r.Intn(6))),
+			relation.Int(int64(serial)),
+		},
+		counts: counts,
+		total:  8,
+	}
+}
+
+func tieRequest(r *rand.Rand) Request {
+	req := Request{
+		K:              []int{1, 3, 10, 1000}[r.Intn(4)],
+		SizeThreshold:  []int{1, 8, 20, 60, 10000}[r.Intn(5)],
+		CandidateLimit: []int{0, 0, 3, 10}[r.Intn(4)],
+		RequireAll:     r.Intn(3) == 0,
+		AllowOverlap:   r.Intn(3) == 0,
+	}
+	for n := 1 + r.Intn(3); n > 0; n-- {
+		req.Keywords = append(req.Keywords, tieVocab[r.Intn(len(tieVocab))])
+	}
+	return req
+}
+
+// checkAgainstReference runs req on the engine, pinned to snap, and on the
+// reference, and requires deeply equal answers; afterwards the scratch the
+// engine retained must be fully un-set.
+func checkAgainstReference(t *testing.T, e *Engine, snap *fragindex.Snapshot, req Request, when string) {
+	t.Helper()
+	got, err := e.SearchSnapshot(context.Background(), snap, req)
+	if err != nil {
+		t.Fatalf("%s: %+v: %v", when, req, err)
+	}
+	want := refSearch(t, snap, req)
+	if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("%s: %+v: engine and reference disagree\n engine    %+v\n reference %+v", when, req, got, want)
+	}
+	checkScratchClean(t, e, when)
+}
+
+// checkScratchClean inspects the scratch the last search returned to the
+// engine's free list: no dense-table entry may still be set and nothing may
+// still point into a snapshot.
+func checkScratchClean(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	var s *searchScratch
+	select {
+	case s = <-e.free:
+	default:
+		t.Fatalf("%s: no scratch was retained", when)
+	}
+	for ref, ord := range s.ordOf {
+		if ord != 0 {
+			t.Fatalf("%s: stale ordOf[%d] = %d", when, ref, ord)
+		}
+	}
+	for ref, u := range s.used {
+		if u {
+			t.Fatalf("%s: stale used[%d]", when, ref)
+		}
+	}
+	if s.idx != nil || s.err != nil || len(s.refs)+len(s.usedRefs)+len(s.heap)+len(s.seen) != 0 {
+		t.Fatalf("%s: released scratch still holds query state", when)
+	}
+	for _, c := range s.cands[:cap(s.cands)] {
+		if c.members != nil || c.weights != nil || c.gkey != "" {
+			t.Fatalf("%s: released scratch still points into a snapshot", when)
+		}
+	}
+	e.free <- s
+}
+
+// TestReferenceTieHeavy compares the engine with the naive reference on
+// random tie-heavy corpora: TF in {1,2}, equal fragment sizes, duplicate
+// range values, several equality groups — so exact (score, size) ties, the
+// content tie-break, page dedup and overlap exclusion all decide answers.
+func TestReferenceTieHeavy(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 8; trial++ {
+		idx, err := fragindex.New(tieSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := 2 + r.Intn(5)
+		for i, n := 0, 20+r.Intn(100); i < n; i++ {
+			ch := tieFragment(r, groups, i)
+			if _, err := idx.InsertFragment(ch.id, ch.counts, ch.total); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := New(idx, nil)
+		for q := 0; q < 60; q++ {
+			checkAgainstReference(t, e, idx.Snapshot(), tieRequest(r), fmt.Sprintf("trial %d query %d", trial, q))
+		}
+	}
+}
+
+// TestReferenceScratchReuse drives one Engine — and so one retained scratch
+// — across snapshots whose ref space grows (and whose fragments come and
+// go) between queries, interleaved with searches that end early: cancelled
+// during seeding, cancelled mid-assembly with pages already accepted, no
+// relevant fragments, an invalid request. Every following answer must
+// still equal the reference's, and the scratch must come back un-set.
+func TestReferenceScratchReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(67))
+	idx, err := fragindex.New(tieSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(idx, nil)
+	var live []fragment.ID
+	var snaps []*fragindex.Snapshot
+	serial := 0
+	for round := 0; round < 14; round++ {
+		// Grow by about a third (past the tables' headroom every round or
+		// two), then remove a few fragments.
+		for n := 6 + len(live)/3; n > 0; n-- {
+			ch := tieFragment(r, 2+round/3, serial)
+			serial++
+			if _, err := idx.InsertFragment(ch.id, ch.counts, ch.total); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, ch.id)
+		}
+		for n := r.Intn(4); n > 0 && len(live) > 1; n-- {
+			i := r.Intn(len(live))
+			if err := idx.RemoveFragment(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live = slices.Delete(live, i, i+1)
+		}
+		snap := idx.Freeze()
+		snaps = append(snaps, snap)
+		when := fmt.Sprintf("round %d (%d refs)", round, snap.NumRefs())
+
+		for q := 0; q < 6; q++ {
+			checkAgainstReference(t, e, snap, tieRequest(r), when)
+		}
+		// An older, smaller snapshot through the same, now larger, tables.
+		checkAgainstReference(t, e, snaps[r.Intn(len(snaps))], tieRequest(r), when+" old snapshot")
+
+		// Cancelled after the first keyword was seeded (polls: entry, then
+		// one per keyword).
+		req := tieRequest(r)
+		req.Keywords = []string{"ale", "bun"}
+		if _, err := e.SearchSnapshot(newErrAfter(2), snap, req); !errors.Is(err, errDeadline) {
+			t.Fatalf("%s: seeding cancel: err = %v", when, err)
+		}
+		checkScratchClean(t, e, when+" after seeding cancel")
+		checkAgainstReference(t, e, snap, tieRequest(r), when+" after seeding cancel")
+
+		// No relevant fragments, then an invalid request.
+		if res, err := e.SearchSnapshot(context.Background(), snap, Request{Keywords: []string{"zzz"}, K: 3, SizeThreshold: 20}); err != nil || len(res) != 0 {
+			t.Fatalf("%s: absent keyword: %v, %v", when, res, err)
+		}
+		checkScratchClean(t, e, when+" after empty answer")
+		checkAgainstReference(t, e, snap, tieRequest(r), when+" after empty answer")
+		if _, err := e.SearchSnapshot(context.Background(), snap, Request{Keywords: []string{"ale"}}); !errors.Is(err, ErrBadK) {
+			t.Fatalf("%s: K=0: err = %v", when, err)
+		}
+		checkAgainstReference(t, e, snap, tieRequest(r), when+" after invalid request")
+	}
+	if first, last := snaps[0].NumRefs(), snaps[len(snaps)-1].NumRefs(); last < 20*first {
+		t.Fatalf("ref space grew only %d -> %d", first, last)
+	}
+}
+
+// TestReferenceAfterMidAssemblyCancel cancels a search at its first
+// assembly-loop poll — ctxCheckInterval queue visits in, hundreds of pages
+// accepted and their fragments marked used — and requires the next answers
+// from the same engine to equal the reference's.
+func TestReferenceAfterMidAssemblyCancel(t *testing.T) {
+	e, req := bigExpansionEngine(t, 1500)
+	req.AllowOverlap = false
+	req.SizeThreshold = 4 // two-fragment pages: accepted from the first visits on
+	snap := e.Snapshot()
+
+	// Polls: Search entry, searchSnapshot entry, one keyword, then the loop.
+	if _, err := e.Search(newErrAfter(3), req); !errors.Is(err, errDeadline) {
+		t.Fatalf("err = %v, want the simulated deadline", err)
+	}
+	checkScratchClean(t, e, "after mid-assembly cancel")
+	for _, s := range []int{4, 6, 1} {
+		req.SizeThreshold = s
+		checkAgainstReference(t, e, snap, req, fmt.Sprintf("s=%d after mid-assembly cancel", s))
+	}
+}

@@ -127,7 +127,12 @@ func (a *Application) FormatURL(params map[string]relation.Value) (string, error
 	if err != nil {
 		return "", err
 	}
-	return a.BaseURL + "?" + qs, nil
+	return a.URLFor(qs), nil
+}
+
+// URLFor renders the db-page URL for an already formatted query string.
+func (a *Application) URLFor(queryString string) string {
+	return a.BaseURL + "?" + queryString
 }
 
 // PageParams converts a db-page description — one value per equality
