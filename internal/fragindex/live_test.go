@@ -198,6 +198,52 @@ func TestExplicitCompactPostings(t *testing.T) {
 	}
 }
 
+// TestPostingsIDFFiltersIntoCallerBuffer: a tombstoned list is filtered into
+// the caller's buffer, which a repeat call reuses without allocating; a
+// clean list is handed out by reference and leaves the buffer alone.
+func TestPostingsIDFFiltersIntoCallerBuffer(t *testing.T) {
+	spec := Spec{SelAttrs: []string{"g", "v"}, EqAttrs: []string{"g"}, RangeAttr: "v"}
+	idx, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		id := fragment.ID{relation.String("g"), relation.Int(int64(i))}
+		if _, err := idx.InsertFragment(id, map[string]int64{"w": int64(1 + i%3)}, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.RemoveFragment(fragment.ID{relation.String("g"), relation.Int(3)}); err != nil {
+		t.Fatal(err)
+	}
+	snap := idx.Snapshot()
+	want := snap.Postings("w")
+	if len(want) != 9 {
+		t.Fatalf("%d live postings, want 9", len(want))
+	}
+	buf := make([]Posting, 2, 3) // too small, and not empty
+	ps, idf := snap.PostingsIDF("w", &buf)
+	if !reflect.DeepEqual(ps, want) || idf != snap.IDF("w") {
+		t.Fatalf("PostingsIDF = %v, %v; want %v, %v", ps, idf, want, snap.IDF("w"))
+	}
+	if len(buf) != 9 || &buf[0] != &ps[0] {
+		t.Fatalf("the filtered postings are not the caller's (grown) buffer")
+	}
+	if n := testing.AllocsPerRun(20, func() { ps, _ = snap.PostingsIDF("w", &buf) }); n != 0 {
+		t.Errorf("a repeat call allocates %.0f times", n)
+	}
+	if !reflect.DeepEqual(ps, want) {
+		t.Errorf("repeat call = %v, want %v", ps, want)
+	}
+
+	idx.CompactPostings("w")
+	buf[0].TF = -1
+	ps, _ = idx.Snapshot().PostingsIDF("w", &buf)
+	if !reflect.DeepEqual(ps, want) || &ps[0] == &buf[0] || buf[0].TF != -1 {
+		t.Errorf("a clean list must come back by reference, the buffer untouched")
+	}
+}
+
 // TestKeywordsCacheInvalidation: the cached sorted Keywords slice is
 // reused while the index is unmutated and refreshed after any mutation.
 func TestKeywordsCacheInvalidation(t *testing.T) {

@@ -2,6 +2,7 @@ package fragindex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -321,20 +322,8 @@ func (s *Snapshot) Has(id fragment.ID) bool {
 // common case, since RemoveFragment compacts any list whose dead ratio
 // crosses the threshold — are returned by reference without scanning.
 func (s *Snapshot) Postings(keyword string) []Posting {
-	pl := s.list(keyword)
-	if pl == nil {
-		return nil
-	}
-	if pl.dead == 0 {
-		return pl.ps
-	}
-	out := make([]Posting, 0, pl.liveDF())
-	for _, p := range pl.ps {
-		if s.aliveAt(p.Frag) {
-			out = append(out, p)
-		}
-	}
-	return out
+	ps, _ := s.PostingsIDF(keyword, nil)
+	return ps
 }
 
 // DF returns the document frequency of a keyword: the number of live
@@ -360,8 +349,13 @@ func (s *Snapshot) IDF(keyword string) float64 {
 
 // PostingsIDF returns Postings(keyword) and IDF(keyword) with a single
 // list lookup — the form the search engine's seeding loop uses, so each
-// queried keyword costs one shard hash instead of two.
-func (s *Snapshot) PostingsIDF(keyword string) ([]Posting, float64) {
+// queried keyword costs one shard hash instead of two. A list with
+// tombstones is filtered into *buf's storage (overwritten from its start,
+// grown when too small) when buf is non-nil, and the result aliases it: a
+// caller that keeps *buf between calls, as the engine's scratch does, pays
+// no allocation per search on a list an update left tombstoned. The result
+// must not be modified when it is the snapshot's own list.
+func (s *Snapshot) PostingsIDF(keyword string, buf *[]Posting) ([]Posting, float64) {
 	pl := s.list(keyword)
 	if pl == nil {
 		return nil, 0
@@ -369,12 +363,16 @@ func (s *Snapshot) PostingsIDF(keyword string) ([]Posting, float64) {
 	if pl.dead == 0 {
 		return pl.ps, pl.idf
 	}
-	out := make([]Posting, 0, pl.liveDF())
+	if buf == nil {
+		buf = new([]Posting)
+	}
+	out := slices.Grow((*buf)[:0], pl.liveDF())
 	for _, p := range pl.ps {
 		if s.aliveAt(p.Frag) {
 			out = append(out, p)
 		}
 	}
+	*buf = out
 	return out, pl.idf
 }
 

@@ -17,10 +17,10 @@
 //
 // # Performance
 //
-// Per-posting work is an array index and per-seed work is one 24-byte heap
-// entry; the scoring core allocates nothing in steady state. Each query
-// borrows a searchScratch holding every transient structure Algorithm 1
-// needs:
+// Per-posting work is an array index, per-seed work is one 24-byte queue
+// entry written twice, and only the seeds that can surface are ever ordered;
+// the scoring core allocates nothing in steady state. Each query borrows a
+// searchScratch holding every transient structure Algorithm 1 needs:
 //
 //   - Dense ref-indexed tables. Candidate fragments get dense ordinals in
 //     discovery order; ordOf maps a FragRef to its ordinal through a flat
@@ -30,27 +30,49 @@
 //     tables are un-set by walking the refs the query touched —
 //     O(candidates), never O(refs) — so a scratch moves between snapshots
 //     of any size without a sweep. Per-keyword occurrence counts live in a
-//     flat seed arena (numCandidates × numKeywords int64s).
-//   - A by-value heap. The priority queue holds {score, size, ord}
-//     entries, seeded in one pass and ordered by a single O(n) heapify;
-//     expanding the head rewrites it in place and sifts it down (no pop +
-//     push), and the comparator reads only the entries themselves unless
-//     two tie exactly on (score, size).
+//     flat seed arena (numCandidates × numKeywords int64s) that is kept
+//     zero past its length, so a new candidate's vector is a re-slice.
+//   - A lazily bucketed queue. Algorithm 1 only ever needs the queue's
+//     head, and on a hot keyword a few percent of the seeds are visited
+//     before K pages are out. So the seeds are not heaped: the pass that
+//     validates and scores them records the smallest and largest score bit
+//     pattern, and one counting sort places them into at most 256 buckets
+//     that split that range evenly, best bucket first (scores are
+//     non-negative and finite, and such floats order like their bits). The
+//     by-value heap of {score, size, ord} entries holds only the buckets
+//     pulled so far. Before every visit of the head, refill pulls the next
+//     non-empty bucket — one sift-up per entry — unless the head's score
+//     lies strictly above that bucket's range, and so strictly above every
+//     seed not yet heaped: candLess ranks a strictly higher score first
+//     whatever the tie-break fields say, so such a head is the minimum over
+//     all seeds and the loop visits entries in exactly the order a heap
+//     over all of them would. Strictly, because on an equal score the
+//     tie-break decides; before every visit, because expansion rewrites
+//     the head in place (one sift-down, no pop + push) and can move its
+//     score either way. The loop ends at K results or when heap and buckets
+//     are both empty. This retired the queue that heaped every seed and
+//     ordered them with one O(n) heapify, whose comparisons — and the paths
+//     exact ties materialised — were spent on tail seeds that never
+//     surfaced.
 //   - Lazy group paths. A candidate's path (members, weights, group key,
 //     interval) and its mutable occurrence vector are materialised on its
-//     first pop or first exact tie — a few hundred of the thousands of
-//     seeds a hot keyword produces. Seeds take their size from
-//     Snapshot.TermsOf; every ref is validated once (AliveRef) before
-//     that, which is what makes the unchecked accessors safe.
+//     first visit or first exact (score, size) tie inside the heap — about
+//     as many as were pulled, a few percent of the seeds a hot keyword
+//     produces. Seeds take their size from Snapshot.TermsOf; every ref is
+//     validated once (AliveRef) before that, which is what makes the
+//     unchecked accessors safe.
 //   - Scratch retention. Released scratches go to a small per-Engine free
 //     list (GOMAXPROCS entries) that, unlike the sync.Pool behind it,
 //     survives GC cycles, so a steady stream of misses re-uses its arenas
 //     instead of re-making them. A released scratch holds no pointer into
-//     the snapshot it served.
+//     the snapshot it served. A posting list that an update left with
+//     tombstones is filtered into scratch storage too
+//     (Snapshot.PostingsIDF), not into a fresh slice per keyword.
 //   - Page identity is a packed uint64 of the interval's endpoint refs
 //     (FragRefs are int32), not an fmt.Sprintf string.
 //
-// Only per-result work (URL formulation, the returned slice) allocates.
+// Only per-result work (URL formulation, the returned slice) allocates, and
+// the returned slice's capacity never exceeds K.
 //
 // # Cancellation
 //
@@ -82,6 +104,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -256,6 +280,14 @@ type heapEntry struct {
 	ord   int32
 }
 
+// The seeds are counting-sorted into at most numBuckets score buckets (fewer
+// for fewer seeds) that split their range of score bit patterns evenly:
+// across a dozen binades one of 256 buckets spans a few percent of score.
+const (
+	bucketBits = 8
+	numBuckets = 1 << bucketBits
+)
+
 // searchScratch holds every transient structure one Search needs. It is
 // retained between queries so the scoring core allocates nothing in steady
 // state; reset un-sets what the query wrote and keeps all capacity.
@@ -267,13 +299,18 @@ type searchScratch struct {
 	ordOf    []int32             // per ref: ordinal+1, 0 when not a candidate
 	used     []bool              // per ref: in an accepted result
 	usedRefs []fragindex.FragRef // the refs set in used
-	seedOcc  []int64             // pristine occ vectors, ord-major
-	heap     []heapEntry         // by-value priority queue
+	seedOcc  []int64             // pristine occ vectors, ord-major; all zero past its length
+	pending  []heapEntry         // the seeds by score bucket, best bucket first
+	queued   int                 // pending[:queued] have entered the heap
+	minBits  uint64              // smallest seed score's bit pattern
+	shift    uint                // bucket = (score bits - minBits) >> shift
+	heap     []heapEntry         // by-value priority queue over the queued seeds
 	slotOf   []int32             // per ordinal: index+1 into cands, 0 when not materialised
 	consumed []bool              // per ordinal: absorbed by expansion
 	cands    []candidate         // materialised candidates, in first-use order
 	candOcc  []int64             // their expansion-mutated occ vectors, slot-major
 	seen     map[uint64]struct{} // emitted page signatures
+	live     []fragindex.Posting // a tombstoned list's live postings
 	limited  []fragindex.Posting // CandidateLimit truncation buffer
 	err      error               // first path materialisation failure
 }
@@ -294,7 +331,9 @@ func (s *searchScratch) reset() {
 	s.idf = s.idf[:0]
 	s.refs = s.refs[:0]
 	s.usedRefs = s.usedRefs[:0]
+	clear(s.seedOcc) // the arena stays all zero past its length
 	s.seedOcc = s.seedOcc[:0]
+	s.pending, s.queued = s.pending[:0], 0
 	s.heap = s.heap[:0]
 	s.cands = s.cands[:0]
 	s.candOcc = s.candOcc[:0]
@@ -307,20 +346,6 @@ func zeroed[T any](s []T, n int) []T {
 	}
 	s = s[:n]
 	clear(s)
-	return s
-}
-
-// growZero extends a slice by n zeroed int64s without a temporary.
-func growZero(s []int64, n int) []int64 {
-	if cap(s)-len(s) >= n {
-		l := len(s)
-		s = s[: l+n : cap(s)]
-		clear(s[l:])
-		return s
-	}
-	for i := 0; i < n; i++ {
-		s = append(s, 0)
-	}
 	return s
 }
 
@@ -433,7 +458,7 @@ func (s *searchScratch) path(ord int32) int {
 }
 
 // siftDown restores the heap order below position i — the one primitive
-// heapify, popTop and the expand-and-reinsert step share.
+// popTop and the expand-and-reinsert step share.
 func (s *searchScratch) siftDown(i int) {
 	h := s.heap
 	e := h[i]
@@ -454,11 +479,20 @@ func (s *searchScratch) siftDown(i int) {
 	h[i] = e
 }
 
-// heapify orders the seeded entries in O(n).
-func (s *searchScratch) heapify() {
-	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
+// push adds an entry to the heap and sifts it up.
+func (s *searchScratch) push(e heapEntry) {
+	s.heap = append(s.heap, e)
+	h := s.heap
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.candLess(e, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
+	h[i] = e
 }
 
 // popTop removes the queue's head.
@@ -468,6 +502,69 @@ func (s *searchScratch) popTop() {
 	s.heap = s.heap[:n]
 	if n > 1 {
 		s.siftDown(0)
+	}
+}
+
+// bucketOf maps a score to its bucket; a higher bucket holds strictly
+// higher scores. Scores are sums of count × IDF products over a positive
+// size — non-negative and finite — and such floats order like their bit
+// patterns. Seeds land in [0, numBuckets); a head that expansion rewrote
+// can fall outside the seeds' range: below it counts as bucket 0 (it beats
+// no seed), above it the bucket number just keeps growing.
+func (s *searchScratch) bucketOf(score float64) uint64 {
+	b := math.Float64bits(score)
+	if b < s.minBits {
+		return 0
+	}
+	return (b - s.minBits) >> s.shift
+}
+
+// bucketSeeds empties the heap, which holds every seed in ordinal order and
+// no order yet, into s.pending with one counting sort: grouped by bucket,
+// best bucket first, in ordinal order within a bucket. The seeds' score bit
+// patterns span [minBits, maxBits].
+func (s *searchScratch) bucketSeeds(minBits, maxBits uint64) {
+	// No more buckets than seeds (rounded up to a power of two): a cold
+	// keyword's handful of seeds does not pay for a 256-step prefix pass.
+	nb := min(bucketBits, bits.Len(uint(len(s.heap))))
+	s.minBits = minBits
+	s.shift = uint(max(0, bits.Len64(maxBits-minBits)-nb))
+	var next [numBuckets]int32 // per bucket: its seed count, then its next free slot
+	for i := range s.heap {
+		next[s.bucketOf(s.heap[i].score)]++
+	}
+	at := int32(0)
+	for b := 1<<nb - 1; b >= 0; b-- {
+		next[b], at = at, at+next[b]
+	}
+	if cap(s.pending) < len(s.heap) {
+		s.pending = make([]heapEntry, len(s.heap))
+	}
+	s.pending = s.pending[:len(s.heap)]
+	for _, e := range s.heap {
+		b := s.bucketOf(e.score)
+		s.pending[next[b]] = e
+		next[b]++
+	}
+	s.heap, s.queued = s.heap[:0], 0
+}
+
+// refill moves pending buckets into the heap, best first, until the head's
+// bucket lies above the next pending one — the head then strictly outscores
+// every seed still pending, so it is the candLess minimum over all seeds,
+// queued or not — or none is left. A head in the same bucket must pull it:
+// the scores may be equal, and then size and the group key decide. The
+// assembly loop calls this before every visit of the head.
+func (s *searchScratch) refill() {
+	for s.queued < len(s.pending) {
+		b := s.bucketOf(s.pending[s.queued].score)
+		if len(s.heap) > 0 && s.bucketOf(s.heap[0].score) > b {
+			return
+		}
+		for s.queued < len(s.pending) && s.bucketOf(s.pending[s.queued].score) == b {
+			s.push(s.pending[s.queued])
+			s.queued++
+		}
 	}
 }
 
@@ -544,7 +641,7 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ps, idf := idx.PostingsIDF(w)
+		ps, idf := idx.PostingsIDF(w, &s.live)
 		if globalIDF != nil {
 			idf = globalIDF[i]
 		}
@@ -557,6 +654,13 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 			// Request.CandidateLimit contract).
 			ps = s.topTFPrefix(ps, req.CandidateLimit)
 		}
+		// Room for every posting to seed a new candidate; the arena is zero
+		// past its length, so a new occurrence vector is a re-slice.
+		if need := len(s.seedOcc) + len(ps)*nk; cap(s.seedOcc) < need {
+			grown := make([]int64, len(s.seedOcc), need+need/4)
+			copy(grown, s.seedOcc)
+			s.seedOcc = grown
+		}
 		for _, p := range ps {
 			if uint(p.Frag) >= uint(len(s.ordOf)) {
 				return nil, fmt.Errorf("%w: posting ref %d", fragindex.ErrNoFragment, p.Frag)
@@ -566,7 +670,7 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 				s.refs = append(s.refs, p.Frag)
 				ord = int32(len(s.refs))
 				s.ordOf[p.Frag] = ord
-				s.seedOcc = growZero(s.seedOcc, nk)
+				s.seedOcc = s.seedOcc[:len(s.seedOcc)+nk]
 			}
 			s.seedOcc[int(ord-1)*nk+i] += p.TF
 		}
@@ -575,36 +679,42 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 		return nil, nil // no relevant fragments, empty result
 	}
 
-	// Line 2: seed the priority queue with single-fragment pages — one heap
+	// Line 2: the priority queue's seeds are single-fragment pages — one
 	// entry each, sized from the fragment's metadata; the group path waits
 	// until the page is popped or tied. Every candidate ref is validated
 	// here, once; after this the hot loop uses the index's unchecked
 	// accessors. Postings only hands out live refs, so a failure means the
 	// index broke its own invariant — surfaced as an error rather than
-	// scored as a silent zero-weight page.
+	// scored as a silent zero-weight page. The pass also records the range
+	// of score bit patterns the buckets will split.
 	s.slotOf = zeroed(s.slotOf, len(s.refs))
 	s.consumed = zeroed(s.consumed, len(s.refs))
+	minBits, maxBits := uint64(math.MaxUint64), uint64(0)
 	for ord, ref := range s.refs {
 		if !idx.AliveRef(ref) {
 			return nil, fmt.Errorf("%w: posting ref %d", fragindex.ErrNoFragment, ref)
 		}
 		size := idx.TermsOf(ref)
-		s.heap = append(s.heap, heapEntry{
-			score: score(s.seedOcc[ord*nk:(ord+1)*nk], size, s.idf),
-			size:  size,
-			ord:   int32(ord),
-		})
+		sc := score(s.seedOcc[ord*nk:(ord+1)*nk], size, s.idf)
+		b := math.Float64bits(sc)
+		minBits, maxBits = min(minBits, b), max(maxBits, b)
+		s.heap = append(s.heap, heapEntry{score: sc, size: size, ord: int32(ord)})
 	}
-	s.heapify()
+	s.bucketSeeds(minBits, maxBits)
 
 	var out []Result
 
 	// Lines 4-9: assemble pages best-first. The loop is where an expensive
 	// query spends its time (a visit to the queue's head either expands a
 	// page or retires one), so this is where cancellation is polled: once
-	// every ctxCheckInterval visits.
+	// every ctxCheckInterval visits. The heap running empty does not end
+	// it while seeds are pending: refill then queues the next bucket.
 	pops := 0
-	for len(s.heap) > 0 && len(out) < req.K {
+	for len(out) < req.K {
+		s.refill()
+		if len(s.heap) == 0 {
+			break
+		}
 		pops++
 		if pops%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -633,6 +743,14 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 			res, err := e.resultFor(idx, c, top)
 			if err != nil {
 				return nil, err
+			}
+			if len(out) == cap(out) {
+				// Grown by hand so the capacity never passes K: a cached
+				// answer keeps its whole backing array alive, and append
+				// would hand a 10-result answer 16 slots.
+				grown := make([]Result, len(out), min(req.K, max(16, 2*cap(out))))
+				copy(grown, out)
+				out = grown
 			}
 			out = append(out, res)
 		}

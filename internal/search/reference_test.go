@@ -236,17 +236,27 @@ func checkAgainstReference(t *testing.T, e *Engine, snap *fragindex.Snapshot, re
 	checkScratchClean(t, e, when)
 }
 
-// checkScratchClean inspects the scratch the last search returned to the
-// engine's free list: no dense-table entry may still be set and nothing may
-// still point into a snapshot.
-func checkScratchClean(t *testing.T, e *Engine, when string) {
+// retainedScratch returns the one scratch on the engine's free list without
+// taking it off: the next search on this goroutine borrows exactly it.
+func retainedScratch(t *testing.T, e *Engine, when string) *searchScratch {
 	t.Helper()
-	var s *searchScratch
 	select {
-	case s = <-e.free:
+	case s := <-e.free:
+		e.free <- s
+		return s
 	default:
 		t.Fatalf("%s: no scratch was retained", when)
+		return nil
 	}
+}
+
+// checkScratchClean inspects the scratch the last search returned to the
+// engine's free list: no dense-table entry may still be set, no seed may
+// still be queued or pending, the seed arena must be zero through its whole
+// capacity, and nothing may still point into a snapshot.
+func checkScratchClean(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	s := retainedScratch(t, e, when)
 	for ref, ord := range s.ordOf {
 		if ord != 0 {
 			t.Fatalf("%s: stale ordOf[%d] = %d", when, ref, ord)
@@ -257,15 +267,26 @@ func checkScratchClean(t *testing.T, e *Engine, when string) {
 			t.Fatalf("%s: stale used[%d]", when, ref)
 		}
 	}
-	if s.idx != nil || s.err != nil || len(s.refs)+len(s.usedRefs)+len(s.heap)+len(s.seen) != 0 {
+	if s.idx != nil || s.err != nil || len(s.refs)+len(s.usedRefs)+len(s.seen) != 0 {
 		t.Fatalf("%s: released scratch still holds query state", when)
+	}
+	if len(s.pending)+len(s.heap)+s.queued != 0 {
+		t.Fatalf("%s: released scratch still holds %d seeds bucketed (%d queued), %d heaped",
+			when, len(s.pending), s.queued, len(s.heap))
+	}
+	if len(s.seedOcc) != 0 {
+		t.Fatalf("%s: released scratch still holds %d seed occurrences", when, len(s.seedOcc))
+	}
+	for i, n := range s.seedOcc[:cap(s.seedOcc)] {
+		if n != 0 {
+			t.Fatalf("%s: seed arena not zero past its length: [%d] = %d", when, i, n)
+		}
 	}
 	for _, c := range s.cands[:cap(s.cands)] {
 		if c.members != nil || c.weights != nil || c.gkey != "" {
 			t.Fatalf("%s: released scratch still points into a snapshot", when)
 		}
 	}
-	e.free <- s
 }
 
 // TestReferenceTieHeavy compares the engine with the naive reference on
@@ -381,5 +402,100 @@ func TestReferenceAfterMidAssemblyCancel(t *testing.T) {
 	for _, s := range []int{4, 6, 1} {
 		req.SizeThreshold = s
 		checkAgainstReference(t, e, snap, req, fmt.Sprintf("s=%d after mid-assembly cancel", s))
+	}
+}
+
+// spreadEngine indexes one group of fragments that all carry "kw" once but
+// differ in size (2 … 98 keywords), so seed scores spread over five binades
+// and dozens of score buckets.
+func spreadEngine(t *testing.T, members int) *Engine {
+	t.Helper()
+	idx, err := fragindex.New(corpusSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < members; i++ {
+		id := fragment.ID{relation.String("g"), relation.Int(int64(i))}
+		if _, err := idx.InsertFragment(id, map[string]int64{"kw": 1}, int64(2+i*31%97)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return New(idx, nil)
+}
+
+// TestReferenceEveryBucketDrains asks for more results than there are
+// pages, so K is never reached and every score bucket must be queued before
+// the search may end — while the heap runs empty between buckets (at s = 1
+// nothing expands: the head beats the next bucket until it is popped).
+func TestReferenceEveryBucketDrains(t *testing.T) {
+	e := spreadEngine(t, 400)
+	snap := e.Snapshot()
+	all := Request{Keywords: []string{"kw"}, K: 1 << 30, SizeThreshold: 1, AllowOverlap: true}
+	got, err := e.SearchSnapshot(context.Background(), snap, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 400 {
+		t.Fatalf("%d results, want one single-fragment page per seed (400)", len(got))
+	}
+	checkAgainstReference(t, e, snap, all, "one page per seed")
+
+	r := rand.New(rand.NewSource(73))
+	idx := buildFrom(t, randomCorpus(r, 12, 40))
+	e = New(idx, nil)
+	for q := 0; q < 40; q++ {
+		req := tieRequest(r)
+		req.K = 1 << 30
+		req.Keywords = req.Keywords[:0]
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			req.Keywords = append(req.Keywords, corpusVocab[r.Intn(len(corpusVocab))])
+		}
+		checkAgainstReference(t, e, idx.Snapshot(), req, fmt.Sprintf("unreachable K, query %d", q))
+	}
+}
+
+// cancelProbe is a context whose Err() fails from the given poll on and, at
+// the first failing poll, records how much of a scratch's queue had been
+// built and consumed.
+type cancelProbe struct {
+	context.Context
+	polls, failAt   int
+	s               *searchScratch
+	pending, heaped int
+}
+
+func (c *cancelProbe) Err() error {
+	c.polls++
+	if c.polls < c.failAt {
+		return nil
+	}
+	if c.polls == c.failAt {
+		c.pending, c.heaped = len(c.s.pending)-c.s.queued, len(c.s.heap)
+	}
+	return errDeadline
+}
+
+// TestReferenceAfterMidRefillCancel cancels a search at its first
+// assembly-loop poll while most score buckets are still pending, and
+// requires the scratch to come back empty and the next answers to equal
+// the reference's.
+func TestReferenceAfterMidRefillCancel(t *testing.T) {
+	e := spreadEngine(t, 3000)
+	snap := e.Snapshot()
+	req := Request{Keywords: []string{"kw"}, K: 1 << 30, SizeThreshold: 1}
+	checkAgainstReference(t, e, snap, req, "warm-up")
+
+	// Polls: Search entry, searchSnapshot entry, one keyword, then the loop.
+	probe := &cancelProbe{Context: context.Background(), failAt: 4, s: retainedScratch(t, e, "warm-up")}
+	if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
+		t.Fatalf("err = %v, want the simulated deadline", err)
+	}
+	if probe.pending < 1000 || probe.heaped == 0 {
+		t.Fatalf("cancelled with %d seeds pending and %d heaped, want a part-built queue", probe.pending, probe.heaped)
+	}
+	checkScratchClean(t, e, "after mid-refill cancel")
+	for _, s := range []int{1, 40, 300} {
+		req.SizeThreshold = s
+		checkAgainstReference(t, e, snap, req, fmt.Sprintf("s=%d after mid-refill cancel", s))
 	}
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -157,7 +158,8 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 // by-value heap entry, a lazily materialised path) allocates nothing. Its
 // engine has no application, so the budget covers ten results' fragment
 // slices and equality-value maps; URL formulation is per result, not per
-// candidate, and the fooddb case pins it.
+// candidate, and the fooddb case pins it. The answer's own backing array
+// must not outgrow K either: a cached answer keeps all of it alive.
 func TestSearchAllocsRegression(t *testing.T) {
 	idx, _ := smallQ2Index(t)
 	hot := keywordsByDF(idx.Snapshot())[0]
@@ -174,8 +176,12 @@ func TestSearchAllocsRegression(t *testing.T) {
 	}
 	for _, tc := range cases {
 		// Warm the scratch.
-		if _, err := tc.e.Search(context.Background(), tc.req); err != nil {
+		res, err := tc.e.Search(context.Background(), tc.req)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if len(res) != tc.req.K || cap(res) > tc.req.K {
+			t.Errorf("%s: %d results in a %d-slot array, want K = %d of both", tc.name, len(res), cap(res), tc.req.K)
 		}
 		// Measure with a real cancellable context — the serving path always
 		// carries one — so the cooperative ctx polling is part of what the
@@ -192,5 +198,67 @@ func TestSearchAllocsRegression(t *testing.T) {
 			t.Errorf("%s: Search allocates %.1f/op, budget %d", tc.name, avg, budget)
 		}
 		t.Logf("%s: %.1f allocs/op", tc.name, avg)
+	}
+}
+
+// TestSearchAllocsOnTombstonedLists: a posting list that an update left
+// with tombstones (below the compaction threshold) is filtered into
+// scratch-owned storage, so searching it allocates exactly what searching
+// the compacted list does — with and without a CandidateLimit cut, which
+// applies to the live postings.
+func TestSearchAllocsOnTombstonedLists(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	changes := randomCorpus(r, 30, 40)
+	idx := buildFrom(t, changes)
+	for i := 0; i < len(changes); i += 10 {
+		if err := idx.RemoveFragment(changes[i].id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kws := []string{"ale", "bun"}
+	for _, kw := range kws {
+		// Postings hands out a filtered copy exactly when the list has
+		// tombstones.
+		if testing.AllocsPerRun(10, func() { idx.Postings(kw) }) == 0 {
+			t.Fatalf("list %q carries no tombstones", kw)
+		}
+	}
+	e := New(idx, nil)
+	reqs := []Request{
+		{Keywords: kws, K: 10, SizeThreshold: 20},
+		{Keywords: kws, K: 10, SizeThreshold: 20, CandidateLimit: 7},
+	}
+	measure := func(req Request) (float64, []Result) {
+		want, err := e.Search(context.Background(), req) // warms the scratch
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := e.Search(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		}), want
+	}
+	var tombstoned []float64
+	var answers [][]Result
+	for _, req := range reqs {
+		n, res := measure(req)
+		tombstoned, answers = append(tombstoned, n), append(answers, res)
+	}
+	for _, kw := range kws {
+		idx.CompactPostings(kw)
+		if testing.AllocsPerRun(10, func() { idx.Postings(kw) }) != 0 {
+			t.Fatalf("list %q still carries tombstones", kw)
+		}
+	}
+	for i, req := range reqs {
+		compacted, res := measure(req)
+		if !reflect.DeepEqual(res, answers[i]) {
+			t.Errorf("limit %d: answers differ across compaction", req.CandidateLimit)
+		}
+		if tombstoned[i] != compacted {
+			t.Errorf("limit %d: %.1f allocs/op on tombstoned lists, %.1f once compacted",
+				req.CandidateLimit, tombstoned[i], compacted)
+		}
 	}
 }
