@@ -25,6 +25,10 @@ import (
 
 // Serving-layer re-exports.
 type (
+	// Answer is one finished search as the result cache holds it: the
+	// result list plus a memo slot for one encoding of it (Answer.Encoded),
+	// shared by every caller the same search answered. Read-only.
+	Answer = search.Answer
 	// CacheStats reports the result cache's counters (EngineStats.Cache).
 	CacheStats = search.CacheStats
 	// AdmissionOptions configures WithAdmissionControl.
@@ -55,10 +59,19 @@ const (
 	CacheBypass CacheStatus = "bypass"
 )
 
+// NewAnswer wraps the results of a handle that has no result cache, so a
+// caller that writes responses from answers has one path for every handle.
+func NewAnswer(res []Result) *Answer { return search.NewAnswer(res) }
+
 // CachedSearcher is the status-reporting search surface of handles opened
 // with WithResultCache. Plain Search/SearchBatch remain the contract;
 // these variants additionally report how each call was answered.
 type CachedSearcher interface {
+	// SearchAnswer answers one query with the cache's own shared answer —
+	// the same *Answer for the miss that computed it, the waiters collapsed
+	// onto it and every later hit — plus the cache outcome. Search and
+	// SearchStatus are views of it.
+	SearchAnswer(ctx context.Context, req Request) (*Answer, CacheStatus, error)
 	// SearchStatus is Search plus the cache outcome.
 	SearchStatus(ctx context.Context, req Request) ([]Result, CacheStatus, error)
 	// SearchBatchStatus is SearchBatch plus the batch-aggregate outcome:
@@ -210,16 +223,26 @@ func orBackground(ctx context.Context) context.Context {
 	return ctx
 }
 
-// Search answers through the cache (see SearchStatus).
+// Search answers through the cache (see SearchAnswer).
 func (ch *cachedHandle) Search(ctx context.Context, req Request) ([]Result, error) {
 	res, _, err := ch.SearchStatus(ctx, req)
 	return res, err
 }
 
-// SearchStatus answers one top-k query through admission control and the
-// result cache, reporting how. The returned slice may be shared with
-// other cache readers: treat it as immutable.
+// SearchStatus is SearchAnswer reduced to the result list. The returned
+// slice may be shared with other cache readers: treat it as immutable.
 func (ch *cachedHandle) SearchStatus(ctx context.Context, req Request) ([]Result, CacheStatus, error) {
+	ans, status, err := ch.SearchAnswer(ctx, req)
+	if err != nil {
+		return nil, status, err
+	}
+	return ans.Results(), status, nil
+}
+
+// SearchAnswer answers one top-k query through admission control and the
+// result cache, reporting how. A handle without a cache (admission only)
+// returns a fresh answer nobody else shares.
+func (ch *cachedHandle) SearchAnswer(ctx context.Context, req Request) (*Answer, CacheStatus, error) {
 	ctx = orBackground(ctx)
 	if ch.ac != nil {
 		deadline, ok := ctx.Deadline()
@@ -232,24 +255,38 @@ func (ch *cachedHandle) SearchStatus(ctx context.Context, req Request) ([]Result
 	// Fill the handle default before normalizing: normalization folds the
 	// explicit-unlimited negative spelling to 0, which the fill must not
 	// then overwrite.
-	req = search.NormalizeRequest(fillCandidateLimit(req, ch.core.candLimit))
-	if ch.cache == nil {
-		res, err := ch.runObserved(ctx, ch.core.pin(), req)
-		return res, CacheBypass, err
-	}
+	norm := search.NormalizeRequest(fillCandidateLimit(req, ch.core.candLimit))
 	snaps := ch.core.pin()
-	pins := search.PinEpochs(nil, snaps, req.Keywords)
-	key := search.CacheKey(req, pins)
-	res, outcome, err := ch.cache.Do(ctx, key, pins, func(ctx context.Context) ([]Result, error) {
+	if ch.cache == nil {
+		res, err := ch.runObserved(ctx, snaps, norm)
+		if err != nil {
+			return nil, CacheBypass, err
+		}
+		return search.NewAnswer(res), CacheBypass, nil
+	}
+	// The pin vector stays on the stack for a hit; only a miss stores it.
+	var buf [4]search.EpochPin
+	pins := search.PinEpochs(buf[:0], snaps, norm.Keywords)
+	key := search.CacheKey(norm, pins)
+	if ans, ok := ch.cache.Lookup(key); ok {
+		return ans, CacheHit, nil
+	}
+	return ch.fill(ctx, key, append([]search.EpochPin(nil), pins...), snaps, norm)
+}
+
+// fill answers a lookup that missed: through the singleflight, running the
+// search if no identical one is in flight.
+func (ch *cachedHandle) fill(ctx context.Context, key string, pins []search.EpochPin, snaps []*Snapshot, req Request) (*Answer, CacheStatus, error) {
+	ans, outcome, err := ch.cache.Fill(ctx, key, pins, func(ctx context.Context) ([]Result, error) {
 		return ch.runObserved(ctx, snaps, req)
 	})
 	if err != nil {
 		return nil, CacheMiss, err
 	}
 	if outcome == search.CacheMiss {
-		return res, CacheMiss, nil
+		return ans, CacheMiss, nil
 	}
-	return res, CacheHit, nil
+	return ans, CacheHit, nil
 }
 
 // runObserved runs one uncached search and feeds its wall time to the
@@ -324,10 +361,12 @@ func (ch *cachedHandle) SearchBatchStatus(ctx context.Context, reqs []Request) (
 				req := search.NormalizeRequest(fillCandidateLimit(reqs[i], ch.core.candLimit))
 				pins := search.PinEpochs(nil, snaps, req.Keywords)
 				key := search.CacheKey(req, pins)
-				res, outcome, err := ch.cache.Do(ctx, key, pins, func(ctx context.Context) ([]Result, error) {
+				ans, outcome, err := ch.cache.Do(ctx, key, pins, func(ctx context.Context) ([]Result, error) {
 					return ch.runObserved(ctx, snaps, req)
 				})
-				out[i].Results, out[i].Err = res, err
+				if out[i].Err = err; err == nil {
+					out[i].Results = ans.Results()
+				}
 				if outcome == search.CacheMiss {
 					mu.Lock()
 					status = CacheMiss

@@ -404,3 +404,92 @@ func TestAdmissionControlHandle(t *testing.T) {
 		t.Error("admission-only handle reports a cache block")
 	}
 }
+
+// TestSearchAnswerShared: SearchAnswer hands out the cache's own answer —
+// the miss and every later hit get the same *Answer, so an encoding
+// memoized by one is what the next one reads — and Search/SearchStatus are
+// views of it. An admission-only handle (no cache) answers a fresh,
+// un-memoized answer with status bypass.
+func TestSearchAnswerShared(t *testing.T) {
+	_, app, build := fooddbIndex(t)
+	ctx := context.Background()
+	h, err := Open(ctx, build(), app, WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := h.(CachedSearcher)
+	req := Request{Keywords: []string{"burger"}, K: 3, SizeThreshold: 20}
+	encodes := 0
+	encode := func(res []Result) ([]byte, error) {
+		encodes++
+		return []byte(fmt.Sprint(len(res))), nil
+	}
+
+	miss, st, err := cs.SearchAnswer(ctx, req)
+	if err != nil || st != CacheMiss {
+		t.Fatalf("first SearchAnswer: %s, %v", st, err)
+	}
+	first, err := miss.Encoded(encode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An equal-meaning spelling of the request is the same entry.
+	hit, st, err := cs.SearchAnswer(ctx, Request{Keywords: []string{"Burger", "burger"}, K: 3, SizeThreshold: 20})
+	if err != nil || st != CacheHit {
+		t.Fatalf("repeat SearchAnswer: %s, %v", st, err)
+	}
+	if hit != miss {
+		t.Fatal("the hit got an answer of its own, want the one the miss stored")
+	}
+	if again, err := hit.Encoded(encode); err != nil || &again[0] != &first[0] || encodes != 1 {
+		t.Fatalf("hit re-encoded (%d encodes, err %v), want the memoized bytes", encodes, err)
+	}
+	res, st, err := cs.SearchStatus(ctx, req)
+	if err != nil || st != CacheHit || !reflect.DeepEqual(res, miss.Results()) {
+		t.Fatalf("SearchStatus is not a view of the shared answer: %s, %v", st, err)
+	}
+	if res, err := h.Search(ctx, req); err != nil || !reflect.DeepEqual(res, miss.Results()) {
+		t.Fatalf("Search is not a view of the shared answer: %v", err)
+	}
+
+	admitOnly, err := Open(ctx, build(), app, WithAdmissionControl(AdmissionOptions{MaxInFlight: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, st1, err1 := admitOnly.(CachedSearcher).SearchAnswer(ctx, req)
+	a2, st2, err2 := admitOnly.(CachedSearcher).SearchAnswer(ctx, req)
+	if err1 != nil || err2 != nil || st1 != CacheBypass || st2 != CacheBypass {
+		t.Fatalf("cache-less SearchAnswer: %s/%s, %v/%v", st1, st2, err1, err2)
+	}
+	if a1 == a2 || !reflect.DeepEqual(a1.Results(), a2.Results()) {
+		t.Fatal("cache-less handle must answer fresh, equal answers")
+	}
+}
+
+// TestSearchAnswerHitAllocs is the facade half of the hit-path floor: a
+// cached hit through SearchAnswer normalizes the request, pins the view,
+// builds the key and probes — 3 allocations measured (the normalized
+// keyword slice, the pinned-view slice and the key) — and never the miss
+// path's closure, pin copy or engine scratch.
+func TestSearchAnswerHitAllocs(t *testing.T) {
+	_, app, build := fooddbIndex(t)
+	ctx := context.Background()
+	h, err := Open(ctx, build(), app, WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := h.(CachedSearcher)
+	req := Request{Keywords: []string{"burger", "coffee"}, K: 10, SizeThreshold: 200}
+	if _, _, err := cs.SearchAnswer(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, st, err := cs.SearchAnswer(ctx, req); err != nil || st != CacheHit {
+			t.Fatalf("SearchAnswer: %s, %v", st, err)
+		}
+	})
+	t.Logf("facade hit: %.0f allocs", allocs)
+	if allocs > 3 {
+		t.Errorf("a cached hit through SearchAnswer costs %.0f allocations, budget 3", allocs)
+	}
+}

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -137,7 +138,7 @@ func TestPerClientCap(t *testing.T) {
 		}
 		w.WriteHeader(http.StatusOK)
 	})
-	h := withRequestMiddleware(inner, newClientLimiter(1), nil, nil)
+	h := withRequestMiddleware(inner, newLogSink(io.Discard), newClientLimiter(1), nil, nil)
 
 	do := func(url, client string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()

@@ -8,6 +8,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -238,7 +239,7 @@ func TestRetryAfterFromState(t *testing.T) {
 	if !limiter.acquire("10.0.0.1") { // saturate the client's single slot
 		t.Fatal("acquire failed")
 	}
-	h := withRequestMiddleware(blocked, limiter, nil, func() string { return "7" })
+	h := withRequestMiddleware(blocked, newLogSink(io.Discard), limiter, nil, func() string { return "7" })
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/v1/search?q=burger", nil)
 	req.Header.Set("X-Client-ID", "10.0.0.1")

@@ -34,9 +34,8 @@
 // the engine stops cooperatively when it fires, so a runaway hot-keyword
 // query cannot hold the connection past its budget.
 //
-// The pre-/v1 routes (/search, /batch, /admin/stats, /admin/apply) remain
-// as thin delegates to the same handlers and answer with a
-// "Deprecation: true" header plus a Link to their successor.
+// The pre-/v1 routes (/search, /batch, /admin/stats, /admin/apply) are
+// gone: like any unknown path they answer the structured 404 not_found.
 //
 // # Serving under load
 //
@@ -54,7 +53,10 @@
 //
 // Every request passes one middleware: an X-Request-ID response header, an
 // access-log line, and panic-to-500 recovery — a panicking handler answers
-// a structured 500 instead of killing the connection silently.
+// a structured 500 instead of killing the connection silently. Access
+// lines are buffered (written out every 100 ms, when the buffer fills, at
+// shutdown, and ahead of any other log line, so the log file stays in
+// order and errors are never held back).
 //
 // Every request pins immutable snapshots (one atomic load per shard), so
 // searches never block on or get torn by index maintenance. /v1/admin/apply
@@ -136,13 +138,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dashserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves until SIGINT/SIGTERM. Everything logged — the standard
+// logger's lines and the access log — goes to stderr through one sink,
+// flushed before run returns.
+func run(args []string, stderr io.Writer) error {
+	sink := newLogSink(stderr)
+	log.SetOutput(sink)
+	defer sink.Flush()
+
 	fs := flag.NewFlagSet("dashserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	dataset := fs.String("dataset", "fooddb", "fooddb | small | medium | large")
@@ -296,6 +305,7 @@ func run(args []string) error {
 		withPprof:         *pprofFlag,
 		searchTimeout:     *searchTimeout,
 		perClientInFlight: *perClient,
+		accessLog:         sink,
 	})
 
 	server := &http.Server{

@@ -198,7 +198,7 @@ func TestRequestContextClamp(t *testing.T) {
 	deadlineWithin := func(raw string, budget, max time.Duration) {
 		t.Helper()
 		r := httptest.NewRequest(http.MethodGet, "/v1/search?q=x"+raw, nil)
-		ctx, cancel, err := s.requestContext(r, budget)
+		ctx, cancel, err := s.requestContext(r, r.URL.Query(), budget)
 		if err != nil {
 			t.Fatalf("%s: %v", raw, err)
 		}
@@ -218,7 +218,7 @@ func TestRequestContextClamp(t *testing.T) {
 	// No budget (admin): the explicit value is honored.
 	deadlineWithin("&timeout_ms=3600000", 0, time.Hour)
 	r := httptest.NewRequest(http.MethodGet, "/v1/admin/apply", nil)
-	ctx, cancel, err := s.requestContext(r, 0)
+	ctx, cancel, err := s.requestContext(r, r.URL.Query(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,38 +228,31 @@ func TestRequestContextClamp(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesDelegate: the pre-/v1 routes answer byte-identical
-// payloads through the same handlers and carry the deprecation headers.
-func TestLegacyRoutesDelegate(t *testing.T) {
+// TestLegacyRoutesGone: the pre-/v1 routes were deleted — they answer the
+// structured 404 like any unknown path, with no deprecation headers left
+// behind, and the per-client cap no longer treats them as search routes.
+func TestLegacyRoutesGone(t *testing.T) {
 	mux, _ := testMux(t)
-	for _, route := range []struct{ legacy, v1 string }{
-		{"/search?q=burger&k=2&s=20", "/v1/search?q=burger&k=2&s=20"},
-		{"/batch?q=burger&q=coffee&k=3", "/v1/search:batch?q=burger&q=coffee&k=3"},
-		{"/admin/stats", "/v1/admin/stats"},
+	for _, url := range []string{
+		"/search?q=burger&k=2&s=20",
+		"/batch?q=burger&q=coffee&k=3",
+		"/admin/stats",
 	} {
-		legacy := get(t, mux, route.legacy)
-		v1 := get(t, mux, route.v1)
-		if legacy.Code != http.StatusOK || v1.Code != http.StatusOK {
-			t.Fatalf("%s/%s: status %d/%d", route.legacy, route.v1, legacy.Code, v1.Code)
+		rec := get(t, mux, url)
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", url, rec.Code)
+		} else if errorCode(t, rec) != "not_found" {
+			t.Errorf("%s: code %q, want not_found", url, errorCode(t, rec))
 		}
-		if legacy.Body.String() != v1.Body.String() {
-			t.Errorf("%s and %s disagree:\n%s\nvs\n%s",
-				route.legacy, route.v1, legacy.Body.String(), v1.Body.String())
-		}
-		if legacy.Header().Get("Deprecation") != "true" {
-			t.Errorf("%s: missing Deprecation header", route.legacy)
-		}
-		if link := legacy.Header().Get("Link"); !strings.Contains(link, "successor-version") {
-			t.Errorf("%s: Link header = %q", route.legacy, link)
-		}
-		if v1.Header().Get("Deprecation") != "" {
-			t.Errorf("%s: v1 route carries Deprecation", route.v1)
+		if rec.Header().Get("Deprecation") != "" || rec.Header().Get("Link") != "" {
+			t.Errorf("%s: deprecation headers on a deleted route: %v", url, rec.Header())
 		}
 	}
-	// The legacy apply route delegates too (checked separately: POST).
-	rec := postJSON(t, mux, "/admin/apply", "{}")
-	if rec.Code != http.StatusUnprocessableEntity || rec.Header().Get("Deprecation") != "true" {
-		t.Errorf("legacy apply: status %d, Deprecation %q", rec.Code, rec.Header().Get("Deprecation"))
+	if rec := postJSON(t, mux, "/admin/apply", "{}"); rec.Code != http.StatusNotFound {
+		t.Errorf("/admin/apply: status %d, want 404", rec.Code)
+	}
+	if isSearchRoute("/search") || isSearchRoute("/batch") || !isSearchRoute("/v1/search:batch") {
+		t.Error("isSearchRoute still knows the legacy paths (or lost /v1/search:batch)")
 	}
 }
 
@@ -420,7 +413,7 @@ func TestHomePage(t *testing.T) {
 func TestMiddlewareRecovery(t *testing.T) {
 	h := withRequestMiddleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("handler exploded")
-	}), nil, nil, nil)
+	}), newLogSink(io.Discard), nil, nil, nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/boom", nil))
 	if rec.Code != http.StatusInternalServerError {
@@ -547,8 +540,7 @@ func durableMux(t *testing.T) (http.Handler, dash.Handle) {
 }
 
 // TestV1StatsDurability: /v1/admin/stats grows a "durability" block only
-// when the serving handle is durable; the legacy payload stays
-// byte-identical otherwise.
+// when the serving handle is durable.
 func TestV1StatsDurability(t *testing.T) {
 	plain, _ := testMux(t)
 	if body := get(t, plain, "/v1/admin/stats").Body.String(); strings.Contains(body, "durability") {

@@ -2,9 +2,10 @@ package main
 
 // middleware.go is the one request-scoped middleware every dashserve
 // request passes: an X-Request-ID response header, a per-client in-flight
-// cap on search routes (429 + Retry-After past it), an access-log line,
-// and panic-to-500 recovery, so a panicking handler answers a structured
-// 500 instead of killing the connection silently.
+// cap on search routes (429 + Retry-After past it), an access-log line
+// (buffered by the log sink, see accesslog.go), and panic-to-500 recovery,
+// so a panicking handler answers a structured 500 instead of killing the
+// connection silently.
 
 import (
 	"crypto/rand"
@@ -39,6 +40,9 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	}
 	return sr.ResponseWriter.Write(b)
 }
+
+// Unwrap lets http.ResponseController reach the connection's own writer.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
 
 // clientLimiter caps concurrently served search requests per client — the
 // per-client half of overload protection (the process-wide half lives in
@@ -95,13 +99,12 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// isSearchRoute reports whether the path is a search endpoint (versioned
-// or legacy) — the per-client cap covers the query-serving routes only;
-// admin and demo routes stay uncapped so operators can always inspect an
-// overloaded server.
+// isSearchRoute reports whether the path is a search endpoint — the
+// per-client cap covers the query-serving routes only; admin and demo
+// routes stay uncapped so operators can always inspect an overloaded
+// server.
 func isSearchRoute(path string) bool {
-	return strings.HasPrefix(path, "/v1/search") ||
-		path == "/search" || path == "/batch"
+	return strings.HasPrefix(path, "/v1/search")
 }
 
 // newRequestID returns a 16-hex-char random identifier — unique enough to
@@ -111,23 +114,28 @@ func newRequestID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		return "0000000000000000" // degraded, never fatal
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // withRequestMiddleware wraps the whole mux. Ordering matters: the
 // recovery must see the panic before the connection unwinds, the log
 // line must record the status the handler (or the recovery) settled on,
 // and the per-client cap rejects before the handler allocates anything —
-// a capped-out client's requests cost map lookups, nothing more. limiter
-// may be nil (no per-client cap). durState feeds the access log's
-// durability field (an atomic read per line); retryAfter429 prices the
-// Retry-After hint for capped-out clients from the engine's observed
-// search latency — roughly when one of the client's own slots frees up —
-// instead of a made-up constant.
-func withRequestMiddleware(next http.Handler, limiter *clientLimiter, durState func() string, retryAfter429 func() string) http.Handler {
+// a capped-out client's requests cost map lookups, nothing more. sink
+// takes the access lines (and, as the standard logger's output, orders
+// them with everything else logged). limiter may be nil (no per-client
+// cap). durState feeds the access log's durability field (an atomic read
+// per line); retryAfter429 prices the Retry-After hint for capped-out
+// clients from the engine's observed search latency — roughly when one of
+// the client's own slots frees up — instead of a made-up constant.
+func withRequestMiddleware(next http.Handler, sink *logSink, limiter *clientLimiter, durState func() string, retryAfter429 func() string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := newRequestID()
-		w.Header().Set("X-Request-ID", id)
+		// The canonical spelling of X-Request-ID — what Set would store
+		// and the wire carries — without re-deriving it per request.
+		w.Header()["X-Request-Id"] = []string{id}
 		sr := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
 		defer func() {
@@ -155,9 +163,9 @@ func withRequestMiddleware(next http.Handler, limiter *clientLimiter, durState f
 			if durState != nil {
 				dur = durState()
 			}
-			log.Printf("%s %s -> %d (%s) id=%s cache=%s durability=%s",
-				r.Method, r.URL.RequestURI(), code,
-				time.Since(start).Round(time.Microsecond), id, cache, dur)
+			now := time.Now()
+			sink.access(now, r.Method, r.URL.RequestURI(), code,
+				now.Sub(start).Round(time.Microsecond), id, cache, dur)
 		}()
 		if limiter != nil && isSearchRoute(r.URL.Path) {
 			key := clientKey(r)

@@ -1,8 +1,7 @@
 package main
 
 // server.go is dashserve's HTTP surface: the versioned /v1 JSON API over
-// the dash.Handle contract, the deprecated unversioned delegates, and the
-// human-facing HTML demo page at /.
+// the dash.Handle contract and the human-facing HTML demo page at /.
 
 import (
 	"context"
@@ -14,8 +13,11 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
+	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,6 +40,9 @@ type serveConfig struct {
 	// client (X-Client-ID header, else remote host); 0 disables the cap.
 	// Excess requests answer 429 with Retry-After (see middleware.go).
 	perClientInFlight int
+	// accessLog takes the access lines; run passes the sink it made the
+	// standard logger's output. nil: a sink of its own on stderr.
+	accessLog *logSink
 }
 
 // server binds the handlers to the serving contract. Handlers only ever
@@ -90,33 +95,14 @@ func newMux(eng dash.Handle, app *webapp.Application, db *dash.Database, kinds [
 			http.StripPrefix(dash.ReplicationPrefix, rep.ReplicationHandler()))
 	}
 
-	// Pre-/v1 routes delegate to the same handlers under a deprecation
-	// header: existing JSON clients keep working byte-for-byte and see
-	// where to migrate. One deliberate break, per the API redesign:
-	// /search now answers the same JSON as /v1/search — the HTML demo it
-	// used to render lives at / instead — and /batch lost its top-level
-	// "elapsed" field (timing moved to the X-Elapsed header so bodies are
-	// deterministic).
-	mux.HandleFunc("/search", deprecated(s.v1Search, "/v1/search"))
-	mux.HandleFunc("/batch", deprecated(s.v1SearchBatch, "/v1/search:batch"))
-	mux.HandleFunc("/admin/stats", deprecated(s.v1AdminStats, "/v1/admin/stats"))
-	mux.HandleFunc("/admin/apply", deprecated(s.v1AdminApply, "/v1/admin/apply"))
-
-	// The human demo page.
+	// The human demo page; every other path answers the structured 404.
 	mux.HandleFunc("/", s.home)
 
-	return withRequestMiddleware(mux, newClientLimiter(cfg.perClientInFlight),
-		s.durabilityState, s.overloadRetryAfter), s
-}
-
-// deprecated marks a legacy route: same handler, plus the standard
-// deprecation headers pointing at the successor.
-func deprecated(h http.HandlerFunc, successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
+	if cfg.accessLog == nil {
+		cfg.accessLog = newLogSink(os.Stderr)
 	}
+	return withRequestMiddleware(mux, cfg.accessLog, newClientLimiter(cfg.perClientInFlight),
+		s.durabilityState, s.overloadRetryAfter), s
 }
 
 // errorBody is the /v1 structured error envelope.
@@ -193,7 +179,8 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 
 // requestContext derives the handler context: the client's own context
 // (so a dropped connection cancels the request) bounded by ?timeout_ms=
-// or, absent that, the given budget (0: no server-side deadline).
+// (read from q, the request's parsed query) or, absent that, the given
+// budget (0: no server-side deadline).
 // timeout_ms must be a positive integer when present, and when the
 // handler has a budget it is a ceiling — a client may shrink its own
 // deadline but never raise it past the server's, otherwise one query
@@ -203,9 +190,9 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 // the search budget on it would routinely abort applies mid-flight
 // (leaving sharded applies partially published, per the documented
 // per-shard atomicity).
-func (s *server) requestContext(r *http.Request, budget time.Duration) (context.Context, context.CancelFunc, error) {
+func (s *server) requestContext(r *http.Request, q url.Values, budget time.Duration) (context.Context, context.CancelFunc, error) {
 	timeout := budget
-	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
+	if raw := q.Get("timeout_ms"); raw != "" {
 		ms, err := strconv.Atoi(raw)
 		if err != nil || ms <= 0 {
 			return nil, nil, fmt.Errorf("invalid timeout_ms parameter %q: want a positive integer", raw)
@@ -240,32 +227,33 @@ func pagesJSON(results []dash.Result) []pageJSON {
 	return out
 }
 
-// searchParams parses the shared q/k/s/limit/min_epoch search parameters.
+// searchParams reads the shared q/k/s/limit/min_epoch search parameters
+// from q, the request's query parsed once by the handler.
 // k and s must be positive; limit accepts 0, the engine's documented
 // "read full posting lists" sentinel. min_epoch is the bounded-staleness
 // directive: the minimum published epoch the serving view must have
 // reached (routing layers forward a request the local view cannot
 // satisfy; 0, the default, accepts the configured staleness bound).
-func searchParams(r *http.Request) (queries []string, req dash.Request, err error) {
-	k, err := intParam(r, "k", 5, 1)
+func searchParams(q url.Values) (queries []string, req dash.Request, err error) {
+	k, err := intParam(q, "k", 5, 1)
 	if err != nil {
 		return nil, dash.Request{}, err
 	}
-	sz, err := intParam(r, "s", 100, 1)
+	sz, err := intParam(q, "s", 100, 1)
 	if err != nil {
 		return nil, dash.Request{}, err
 	}
-	limit, err := intParam(r, "limit", 0, 0)
+	limit, err := intParam(q, "limit", 0, 0)
 	if err != nil {
 		return nil, dash.Request{}, err
 	}
 	var minEpoch uint64
-	if raw := r.URL.Query().Get("min_epoch"); raw != "" {
+	if raw := q.Get("min_epoch"); raw != "" {
 		if minEpoch, err = strconv.ParseUint(raw, 10, 64); err != nil {
 			return nil, dash.Request{}, fmt.Errorf("invalid min_epoch parameter %q: want a non-negative integer", raw)
 		}
 	}
-	return r.URL.Query()["q"], dash.Request{K: k, SizeThreshold: sz, CandidateLimit: limit, MinEpoch: minEpoch}, nil
+	return q["q"], dash.Request{K: k, SizeThreshold: sz, CandidateLimit: limit, MinEpoch: minEpoch}, nil
 }
 
 // Forwarding headers for routed reads. A routed request is re-issued
@@ -330,10 +318,13 @@ func (s *server) forwardSearch(w http.ResponseWriter, r *http.Request, target st
 
 // v1Search answers GET /v1/search?q=…&k=…&s=…&limit=…&timeout_ms=….
 // The response body is deterministic for a given index state (timing goes
-// to the X-Elapsed header), so the legacy delegate answers byte-identical
-// payloads.
+// to the X-Elapsed header): {"count":N,"query":"…","results":[…]} and a
+// newline. The results array is the answer's memoized encoding, so a cache
+// hit re-encodes nothing: it costs the query parse, the key probe and one
+// Write.
 func (s *server) v1Search(w http.ResponseWriter, r *http.Request) {
-	queries, base, err := searchParams(r)
+	q := r.URL.Query()
+	queries, base, err := searchParams(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
@@ -342,7 +333,7 @@ func (s *server) v1Search(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_argument", "missing q parameter")
 		return
 	}
-	ctx, cancel, err := s.requestContext(r, s.cfg.searchTimeout)
+	ctx, cancel, err := s.requestContext(r, q, s.cfg.searchTimeout)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
@@ -353,30 +344,101 @@ func (s *server) v1Search(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	results, status, err := s.search(ctx, base)
-	w.Header().Set("X-Cache", string(status))
+	ans, status, err := s.search(ctx, base)
+	h := w.Header()
+	h["X-Cache"] = xCacheValues[status]
 	if err != nil {
 		s.writeEngineError(w, err)
 		return
 	}
-	w.Header().Set("X-Elapsed", time.Since(start).Round(time.Microsecond).String())
-	writeJSON(w, map[string]any{
-		"query":   queries[0],
-		"count":   len(results),
-		"results": pagesJSON(results),
-	})
+	pages, err := ans.Encoded(encodePages)
+	if err != nil {
+		log.Printf("encode: %v", err)
+		writeError(w, http.StatusInternalServerError, "internal", "internal server error")
+		return
+	}
+	h["X-Elapsed"] = []string{time.Since(start).Round(time.Microsecond).String()}
+	h["Content-Type"] = jsonContentType
+	buf := bodyPool.Get().(*[]byte)
+	*buf = appendSearchBody((*buf)[:0], queries[0], len(ans.Results()), pages)
+	if _, err := w.Write(*buf); err != nil {
+		log.Printf("write: %v", err)
+	}
+	bodyPool.Put(buf)
+}
+
+// Header values every search response repeats, shared read-only so a
+// response allocates none of them (the keys are in canonical form, as
+// Header.Set would store them).
+var (
+	xCacheValues = map[dash.CacheStatus][]string{
+		dash.CacheHit:    {string(dash.CacheHit)},
+		dash.CacheMiss:   {string(dash.CacheMiss)},
+		dash.CacheBypass: {string(dash.CacheBypass)},
+	}
+	jsonContentType = []string{"application/json"}
+)
+
+// bodyPool recycles the buffers search response bodies are assembled in.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodePages is the encoding v1Search memoizes on an answer: the JSON
+// array of its pages, exactly as encoding/json nests it in a response.
+func encodePages(results []dash.Result) ([]byte, error) {
+	return json.Marshal(pagesJSON(results))
+}
+
+// appendSearchBody assembles one /v1/search response body around the
+// already encoded pages array. The bytes are what
+// json.NewEncoder(w).Encode(map[string]any{"query", "count", "results"})
+// emits — keys sorted, HTML-escaped strings, trailing newline — which
+// TestSearchBodyMatchesEncoder holds it to.
+func appendSearchBody(dst []byte, query string, count int, pages []byte) []byte {
+	dst = append(dst, `{"count":`...)
+	dst = strconv.AppendInt(dst, int64(count), 10)
+	dst = append(dst, `,"query":`...)
+	dst = appendJSONString(dst, query)
+	dst = append(dst, `,"results":`...)
+	dst = append(dst, pages...)
+	return append(dst, '}', '\n')
+}
+
+// appendJSONString appends s as encoding/json writes a string. Printable
+// ASCII that JSON and the encoder's HTML escaping leave alone — nearly
+// every query — is quoted in place; anything else (quotes, backslashes,
+// <, >, &, control bytes, non-ASCII including U+2028/9 and invalid UTF-8)
+// goes through encoding/json itself, so the two cannot disagree.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			b, err := json.Marshal(s)
+			if err != nil {
+				// Unreachable: marshalling a string cannot fail.
+				panic(err)
+			}
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // search runs one query through the handle, reporting the cache outcome:
-// handles opened with a result cache answer hit/miss per request, others
-// always "bypass" — so the X-Cache header is present either way and a
-// client can tell "no cache configured" from "missed".
-func (s *server) search(ctx context.Context, req dash.Request) ([]dash.Result, dash.CacheStatus, error) {
+// handles opened with a result cache answer hit/miss per request with the
+// cache's shared answer, others always "bypass" with a fresh one — so the
+// X-Cache header is present either way, a client can tell "no cache
+// configured" from "missed", and v1Search writes every body the same way.
+func (s *server) search(ctx context.Context, req dash.Request) (*dash.Answer, dash.CacheStatus, error) {
 	if cs, ok := s.eng.(dash.CachedSearcher); ok {
-		return cs.SearchStatus(ctx, req)
+		return cs.SearchAnswer(ctx, req)
 	}
 	results, err := s.eng.Search(ctx, req)
-	return results, dash.CacheBypass, err
+	if err != nil {
+		return nil, dash.CacheBypass, err
+	}
+	return dash.NewAnswer(results), dash.CacheBypass, nil
 }
 
 // searchBatch is search's batch form; the aggregate status is "hit" only
@@ -393,7 +455,8 @@ func (s *server) searchBatch(ctx context.Context, reqs []dash.Request) ([]dash.B
 // engine failures are reported per entry; a request-level cancellation or
 // deadline fails the whole call with 499/504.
 func (s *server) v1SearchBatch(w http.ResponseWriter, r *http.Request) {
-	queries, base, err := searchParams(r)
+	q := r.URL.Query()
+	queries, base, err := searchParams(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
@@ -402,7 +465,7 @@ func (s *server) v1SearchBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_argument", "missing q parameters")
 		return
 	}
-	ctx, cancel, err := s.requestContext(r, s.cfg.searchTimeout)
+	ctx, cancel, err := s.requestContext(r, q, s.cfg.searchTimeout)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
@@ -455,8 +518,7 @@ func (s *server) v1SearchBatch(w http.ResponseWriter, r *http.Request) {
 // shape (topology, aggregate counters, per-shard detail when sharded).
 // Durable handles fill the "durability" block themselves — journal,
 // checkpoint, and recovery counters plus the health state machine — so
-// without -data-dir the field is omitted and legacy payloads stay
-// byte-identical.
+// without -data-dir the field is omitted.
 func (s *server) v1AdminStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.eng.Stats())
 }
@@ -472,7 +534,7 @@ func (s *server) v1AdminApply(w http.ResponseWriter, r *http.Request) {
 	}
 	// No default budget for maintenance: only an explicit ?timeout_ms=
 	// bounds an apply (see requestContext).
-	ctx, cancel, err := s.requestContext(r, 0)
+	ctx, cancel, err := s.requestContext(r, r.URL.Query(), 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
 		return
@@ -648,8 +710,8 @@ func parseID(raw []string, kinds []relation.Kind) (dash.FragmentID, error) {
 // naming the parameter, which handlers surface as HTTP 400 — silently
 // substituting the default would serve wrong-shaped results for a typo'd
 // request.
-func intParam(r *http.Request, name string, def, min int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func intParam(q url.Values, name string, def, min int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -700,7 +762,8 @@ func (s *server) home(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "no such route (JSON API lives under /v1)")
 		return
 	}
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if q == "" {
 		if err := homeTemplate.Execute(w, nil); err != nil {
@@ -708,12 +771,12 @@ func (s *server) home(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	queries, base, err := searchParams(r)
+	queries, base, err := searchParams(params)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ctx, cancel, err := s.requestContext(r, s.cfg.searchTimeout)
+	ctx, cancel, err := s.requestContext(r, params, s.cfg.searchTimeout)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

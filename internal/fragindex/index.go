@@ -197,12 +197,16 @@ func (s Spec) indices() (eqIdx []int, rangeIdx int, err error) {
 // a path in the fragment graph. weights mirrors members with each node's
 // total keyword count, so the search expansion loop reads neighbour
 // weights from the path it is already walking instead of dereferencing
-// fragment metadata chunks per step. key is the canonical encoding of
-// eqVals (relation.Key) — the directory key, the shard-routing input, and
-// the content-based identity search tie-breaks use.
+// fragment metadata chunks per step. key is the canonical encoding of the
+// group's equality values (relation.Key) — the directory key, the
+// shard-routing input, and the content-based identity search tie-breaks
+// use. eqVals holds the same values keyed by column: built once when the
+// group is created, shared by every copy-on-write clone of the group and
+// handed out read-only by Snapshot.EqValues, so the search path does not
+// build a map per result.
 type group struct {
 	key     string
-	eqVals  []relation.Value
+	eqVals  map[string]relation.Value
 	members []FragRef // sorted ascending by range value
 	weights []int64   // members[i]'s Meta.Terms
 }
@@ -546,7 +550,10 @@ func (idx *Index) groupFor(id fragment.ID, create bool) *group {
 		if !create {
 			return nil
 		}
-		g = &group{key: key, eqVals: eq}
+		g = &group{key: key, eqVals: make(map[string]relation.Value, len(eq))}
+		for i, v := range eq {
+			g.eqVals[s.spec.EqAttrs[i]] = v
+		}
 		idx.gshardForWrite(gi).groups[key] = g
 		if idx.cow {
 			idx.ownedGroups[key] = struct{}{}

@@ -398,16 +398,13 @@ func (s *Snapshot) Keywords() []string {
 }
 
 // EqValues returns a fragment's equality-attribute values keyed by column.
+// The map belongs to the fragment's equality group and is shared by every
+// caller and every snapshot version: it must not be modified.
 func (s *Snapshot) EqValues(ref FragRef) (map[string]relation.Value, error) {
-	m, err := s.Meta(ref)
-	if err != nil {
-		return nil, err
+	if int(ref) < 0 || int(ref) >= s.numRefs {
+		return nil, fmt.Errorf("%w: ref %d", ErrNoFragment, ref)
 	}
-	out := make(map[string]relation.Value, len(s.eqIdx))
-	for i, j := range s.eqIdx {
-		out[s.spec.EqAttrs[i]] = m.ID[j]
-	}
-	return out, nil
+	return s.groupAt(ref).eqVals, nil
 }
 
 // RangeValue returns a fragment's range-attribute value (NULL when the

@@ -1,6 +1,7 @@
 package fragindex
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -314,5 +315,88 @@ func TestLiveConcurrentReadersAndWriter(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// sameMap reports whether two maps are one map (not merely equal ones).
+func sameMap(a, b map[string]relation.Value) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// TestEqValuesSharedPerGroup: EqValues hands out the equality group's own
+// map — one map for every member of a group and for every snapshot version
+// the group lives through, including the copy-on-write clone a mutation
+// makes of it and a member tombstoned along the way — and an index rebuilt
+// by compaction or Load carries equal values on maps of its own.
+func TestEqValuesSharedPerGroup(t *testing.T) {
+	idx := fooddbIndex(t)
+	nine, twelve := refByName(t, idx, "(American,9)"), refByName(t, idx, "(American,12)")
+	frozen := idx.Freeze()
+	eq9, err := frozen.EqValues(nine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq12, err := frozen.EqValues(twelve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMap(eq9, eq12) {
+		t.Error("two members of one equality group got two maps")
+	}
+	thai, err := frozen.EqValues(refByName(t, idx, "(Thai,10)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameMap(eq9, thai) || !thai["cuisine"].Equal(relation.String("Thai")) {
+		t.Errorf("another group's values = %v", thai)
+	}
+
+	// Mutate the American group after the freeze: the builder clones the
+	// group, the clone keeps the map, and the removed member still answers.
+	m, _ := idx.Meta(twelve)
+	if err := idx.RemoveFragment(m.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.InsertFragment(fragment.ID{relation.String("American"), relation.Int(40)}, map[string]int64{"burger": 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	next := idx.Freeze()
+	for _, ref := range []FragRef{nine, twelve, refByName(t, idx, "(American,40)")} {
+		eq, err := next.EqValues(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMap(eq, eq9) {
+			t.Errorf("ref %d: the group's map was rebuilt across a copy-on-write clone", ref)
+		}
+	}
+	if _, err := next.EqValues(FragRef(next.NumRefs())); !errors.Is(err, ErrNoFragment) {
+		t.Errorf("out-of-range ref: err %v, want ErrNoFragment", err)
+	}
+
+	compacted, err := idx.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := idx.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rebuilt := range map[string]*Index{"compacted": compacted, "loaded": loaded} {
+		a, err := rebuilt.EqValues(refByName(t, rebuilt, "(American,9)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rebuilt.EqValues(refByName(t, rebuilt, "(American,40)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMap(a, b) || !reflect.DeepEqual(a, eq9) {
+			t.Errorf("%s index: group values %v / %v, want one map equal to %v", name, a, b, eq9)
+		}
 	}
 }

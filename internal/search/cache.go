@@ -26,16 +26,20 @@ package search
 // expansion loop once and share the one result (Do), so a thundering herd
 // on a hot query costs one search, not N.
 //
-// Cached result slices are shared between callers and MUST be treated as
-// immutable — exactly like the snapshots they were computed from.
+// A cached answer is shared between callers and MUST be treated as
+// immutable — exactly like the snapshots it was computed from. Beside its
+// results an Answer carries one memo slot for a caller-supplied encoding of
+// them (the HTTP layer's JSON), so a hit costs its caller a probe and a
+// Write instead of a re-encode; the memoized bytes are charged to the
+// entry like the results are (see Answer.Encoded).
 
 import (
 	"context"
 	"hash/maphash"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/fragindex"
 )
@@ -78,41 +82,35 @@ type EpochPin struct {
 // Distinct requests, and the same request over different pinned epochs,
 // map to distinct keys.
 func CacheKey(req Request, pins []EpochPin) string {
-	var b strings.Builder
-	n := 0
+	// Typical keys fit the stack scratch, so the key string is the one
+	// allocation; a longer key spills to the heap like any append.
+	var scratch [128]byte
+	b := scratch[:0]
 	for _, w := range req.Keywords {
-		n += len(w) + 1
+		b = append(b, w...)
+		b = append(b, 0)
 	}
-	b.Grow(n + 16*len(pins) + 32)
-	for _, w := range req.Keywords {
-		b.WriteString(w)
-		b.WriteByte(0)
-	}
-	b.WriteByte(1)
-	b.WriteString(strconv.Itoa(req.K))
-	b.WriteByte(1)
-	b.WriteString(strconv.Itoa(req.SizeThreshold))
-	b.WriteByte(1)
-	limit := req.CandidateLimit
-	if limit < 0 {
-		limit = 0
-	}
-	b.WriteString(strconv.Itoa(limit))
-	b.WriteByte(1)
+	b = append(b, 1)
+	b = strconv.AppendInt(b, int64(req.K), 10)
+	b = append(b, 1)
+	b = strconv.AppendInt(b, int64(req.SizeThreshold), 10)
+	b = append(b, 1)
+	b = strconv.AppendInt(b, int64(max(req.CandidateLimit, 0)), 10)
+	b = append(b, 1)
 	if req.AllowOverlap {
-		b.WriteByte('O')
+		b = append(b, 'O')
 	}
 	if req.RequireAll {
-		b.WriteByte('A')
+		b = append(b, 'A')
 	}
-	b.WriteByte(1)
+	b = append(b, 1)
 	for _, p := range pins {
-		b.WriteString(strconv.Itoa(p.Shard))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(p.Epoch, 10))
-		b.WriteByte(',')
+		b = strconv.AppendInt(b, int64(p.Shard), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, p.Epoch, 10)
+		b = append(b, ',')
 	}
-	return b.String()
+	return string(b)
 }
 
 // CacheOutcome classifies how one Do call was answered.
@@ -142,10 +140,58 @@ type CacheStats struct {
 	Capacity  int64  `json:"capacity_bytes"`
 }
 
-// cacheEntry is one stored result list on its shard's LRU list.
+// Answer is one finished search: the result list plus one memo slot for an
+// encoding of it. The hit, the miss that computed it and every
+// singleflight-collapsed waiter receive the same *Answer. Everything
+// reachable from it is shared and read-only.
+type Answer struct {
+	res  []Result
+	memo atomic.Pointer[[]byte]
+	// cache and key locate the entry the memo is charged to; cache is nil
+	// for an answer that was never stored (NewAnswer).
+	cache *ResultCache
+	key   string
+}
+
+// NewAnswer wraps a result list no cache holds: the memo slot works the
+// same and is charged to nobody. It is what a handle without a result
+// cache hands callers that speak in answers.
+func NewAnswer(res []Result) *Answer { return &Answer{res: res} }
+
+// Results returns the answer's result list. Shared: must not be modified.
+func (a *Answer) Results() []Result { return a.res }
+
+// Encoded returns the memoized encoding of the answer's results, calling
+// encode to produce it when the slot is empty. encode must be a pure
+// function of the results and the same function for every caller of one
+// cache: whichever caller fills the slot first decides the bytes all later
+// callers get. Callers racing on an empty slot may each run encode; one
+// result wins and is returned to all of them. The returned bytes are
+// shared and must not be modified. The winning bytes are charged to the
+// answer's cache entry if it is still stored; an answer already evicted
+// keeps its memo only as long as its holders keep the answer. An encode
+// error is returned and nothing is memoized.
+func (a *Answer) Encoded(encode func([]Result) ([]byte, error)) ([]byte, error) {
+	if b := a.memo.Load(); b != nil {
+		return *b, nil
+	}
+	b, err := encode(a.res)
+	if err != nil {
+		return nil, err
+	}
+	if !a.memo.CompareAndSwap(nil, &b) {
+		return *a.memo.Load(), nil
+	}
+	if a.cache != nil {
+		a.cache.charge(a, memoCost(b))
+	}
+	return b, nil
+}
+
+// cacheEntry is one stored answer on its shard's LRU list.
 type cacheEntry struct {
 	key        string
-	res        []Result
+	ans        *Answer
 	pins       []EpochPin
 	cost       int64
 	prev, next *cacheEntry // LRU links; head = most recently used
@@ -186,7 +232,7 @@ type ResultCache struct {
 // flightCall is one in-flight search other identical requests wait on.
 type flightCall struct {
 	done chan struct{}
-	res  []Result
+	ans  *Answer
 	err  error
 }
 
@@ -217,9 +263,20 @@ func (c *ResultCache) shardFor(key string) *cacheShard {
 	return &c.shards[maphash.String(c.seed, key)%numCacheShards]
 }
 
-// Get returns the entry stored under key, if any, marking it most
-// recently used. The returned slice is shared: callers must not mutate it.
-func (c *ResultCache) Get(key string) ([]Result, bool) {
+// Lookup returns the answer stored under key, if any, marking it most
+// recently used and counting the hit or miss.
+func (c *ResultCache) Lookup(key string) (*Answer, bool) {
+	a, ok := c.stored(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return a, ok
+}
+
+// stored is Lookup without the counters.
+func (c *ResultCache) stored(key string) (*Answer, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
@@ -227,37 +284,73 @@ func (c *ResultCache) Get(key string) ([]Result, bool) {
 		sh.moveToFront(e)
 	}
 	sh.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		return e.res, true
+	if !ok {
+		return nil, false
 	}
-	c.misses.Add(1)
-	return nil, false
+	return e.ans, true
+}
+
+// Get is Lookup for callers that want only the result list. The returned
+// slice is shared: callers must not mutate it.
+func (c *ResultCache) Get(key string) ([]Result, bool) {
+	a, ok := c.Lookup(key)
+	if !ok {
+		return nil, false
+	}
+	return a.res, true
 }
 
 // Put stores res under key, evicting least-recently-used entries to stay
 // within the shard's byte budget. An entry larger than the whole budget
 // is simply not stored.
 func (c *ResultCache) Put(key string, pins []EpochPin, res []Result) {
-	cost := entryCost(key, res)
+	c.put(key, pins, res)
+}
+
+// put wraps res in a fresh answer (no memo yet), stores it under key and
+// returns it — also when it is too large to store.
+func (c *ResultCache) put(key string, pins []EpochPin, res []Result) *Answer {
+	a := &Answer{res: res, cache: c, key: key}
+	cost := entryCost(key, pins, res)
 	sh := c.shardFor(key)
 	if cost > sh.max {
-		return
+		return a
 	}
 	sh.mu.Lock()
 	if old, ok := sh.entries[key]; ok {
 		sh.remove(old)
 	}
-	e := &cacheEntry{key: key, res: res, pins: pins, cost: cost}
+	e := &cacheEntry{key: key, ans: a, pins: pins, cost: cost}
 	sh.entries[key] = e
 	sh.pushFront(e)
 	sh.bytes += cost
+	evicted := sh.evictOver(e)
+	sh.mu.Unlock()
+	if evicted > 0 {
+		c.evictions.Add(uint64(evicted))
+	}
+	return a
+}
+
+// charge adds n bytes — a's freshly memoized encoding — to the cost of the
+// entry holding a, and evicts to stay within the shard's budget: the
+// entry itself when it alone no longer fits, else from the cold end. If a
+// is no longer stored (evicted, swept or replaced since the lookup that
+// returned it) nothing is charged: nothing the cache holds grew.
+func (c *ResultCache) charge(a *Answer, n int64) {
+	sh := c.shardFor(a.key)
+	sh.mu.Lock()
 	evicted := 0
-	for sh.bytes > sh.max && sh.tail != nil && sh.tail != e {
-		victim := sh.tail
-		sh.remove(victim)
-		delete(sh.entries, victim.key)
-		evicted++
+	if e, ok := sh.entries[a.key]; ok && e.ans == a {
+		e.cost += n
+		sh.bytes += n
+		if e.cost > sh.max {
+			sh.remove(e)
+			delete(sh.entries, e.key)
+			evicted = 1
+		} else {
+			evicted = sh.evictOver(e)
+		}
 	}
 	sh.mu.Unlock()
 	if evicted > 0 {
@@ -271,50 +364,67 @@ func (c *ResultCache) Put(key string, pins []EpochPin, res []Result) {
 // the caller's ctx; a waiter whose own ctx expires stops waiting with
 // ctx.Err(). A leader failure caused by the leader's *own* context does
 // not poison waiters — they retry (and typically become the next leader)
-// because their contexts may still be live. The returned slice is shared
-// and must not be mutated.
-func (c *ResultCache) Do(ctx context.Context, key string, pins []EpochPin, fn func(context.Context) ([]Result, error)) ([]Result, CacheOutcome, error) {
+// because their contexts may still be live. Every caller answered from one
+// search — the leader, its waiters and later hits — gets the same *Answer.
+func (c *ResultCache) Do(ctx context.Context, key string, pins []EpochPin, fn func(context.Context) ([]Result, error)) (*Answer, CacheOutcome, error) {
+	if a, ok := c.Lookup(key); ok {
+		return a, CacheHit, nil
+	}
+	return c.Fill(ctx, key, pins, fn)
+}
+
+// Fill is Do after the caller's own Lookup of key has missed: it goes
+// straight to the singleflight, so the miss is counted once and a caller
+// that probes first builds fn only when it is needed.
+func (c *ResultCache) Fill(ctx context.Context, key string, pins []EpochPin, fn func(context.Context) ([]Result, error)) (*Answer, CacheOutcome, error) {
 	for {
-		if res, ok := c.Get(key); ok {
-			return res, CacheHit, nil
-		}
 		c.flightMu.Lock()
-		if fc, ok := c.flight[key]; ok {
-			c.flightMu.Unlock()
-			select {
-			case <-fc.done:
-			case <-ctx.Done():
-				return nil, CacheMiss, ctx.Err()
-			}
-			if fc.err == nil {
+		fc, waiting := c.flight[key]
+		if !waiting {
+			// A leader stores its answer before it retires its flight, so
+			// with no flight registered either nobody is searching or the
+			// search that overlapped the caller's Lookup has just been
+			// stored: share it rather than search twice.
+			if a, ok := c.stored(key); ok {
+				c.flightMu.Unlock()
 				c.collapsed.Add(1)
-				return fc.res, CacheCollapsed, nil
+				return a, CacheCollapsed, nil
 			}
-			if fc.err == context.Canceled || fc.err == context.DeadlineExceeded {
-				// The leader's own deadline or client fired, not ours:
-				// retry under our (still live) context.
-				if ctx.Err() != nil {
-					return nil, CacheMiss, ctx.Err()
-				}
-				continue
+			fc = &flightCall{done: make(chan struct{})}
+			c.flight[key] = fc
+			c.flightMu.Unlock()
+
+			res, err := fn(ctx)
+			fc.err = err
+			if err == nil {
+				fc.ans = c.put(key, pins, res)
 			}
+			c.flightMu.Lock()
+			delete(c.flight, key)
+			c.flightMu.Unlock()
+			close(fc.done)
+			return fc.ans, CacheMiss, err
+		}
+		c.flightMu.Unlock()
+		select {
+		case <-fc.done:
+		case <-ctx.Done():
+			return nil, CacheMiss, ctx.Err()
+		}
+		if fc.err == nil {
+			c.collapsed.Add(1)
+			return fc.ans, CacheCollapsed, nil
+		}
+		if fc.err != context.Canceled && fc.err != context.DeadlineExceeded {
 			// A genuine engine failure is the same for every caller of
 			// this key (validation, index invariant): share it.
 			return nil, CacheMiss, fc.err
 		}
-		fc := &flightCall{done: make(chan struct{})}
-		c.flight[key] = fc
-		c.flightMu.Unlock()
-
-		fc.res, fc.err = fn(ctx)
-		c.flightMu.Lock()
-		delete(c.flight, key)
-		c.flightMu.Unlock()
-		if fc.err == nil {
-			c.Put(key, pins, fc.res)
+		// The leader's own deadline or client fired, not ours: retry under
+		// our (still live) context.
+		if ctx.Err() != nil {
+			return nil, CacheMiss, ctx.Err()
 		}
-		close(fc.done)
-		return fc.res, CacheMiss, fc.err
 	}
 }
 
@@ -415,22 +525,46 @@ func (sh *cacheShard) remove(e *cacheEntry) {
 	sh.bytes -= e.cost
 }
 
-// entryCost estimates an entry's resident bytes: the key, the fixed
-// Result struct, its strings, the fragment slice, and a flat allowance
-// per equality value. An estimate is all the budget needs — the point is
-// that N cached pages cost O(N × page), not that the sum matches the
-// allocator byte for byte.
-func entryCost(key string, res []Result) int64 {
-	cost := int64(len(key)) + 64
+// evictOver drops entries from the cold end, sparing keep, until the shard
+// is back within its budget, and returns how many it dropped.
+func (sh *cacheShard) evictOver(keep *cacheEntry) int {
+	evicted := 0
+	for sh.bytes > sh.max && sh.tail != nil && sh.tail != keep {
+		victim := sh.tail
+		sh.remove(victim)
+		delete(sh.entries, victim.key)
+		evicted++
+	}
+	return evicted
+}
+
+// entryCost is what one stored answer keeps alive on the heap and nothing
+// else references: the entry, answer and map-slot overhead, the key, the
+// pin vector, the result array and, per result, its URL, its query string
+// and its fragment list. A result's equality values, equality key and range
+// values are not charged — they belong to the index, which holds them
+// whether or not a result points at them. TestEntryCostTracksHeap pins the
+// sum to within 30 % of the measured heap.
+func entryCost(key string, pins []EpochPin, res []Result) int64 {
+	cost := entryOverhead + int64(len(key)) +
+		int64(cap(pins))*int64(unsafe.Sizeof(EpochPin{})) +
+		int64(cap(res))*int64(unsafe.Sizeof(Result{}))
 	for i := range res {
 		r := &res[i]
-		cost += 160 // struct, slice headers, map header
-		cost += int64(len(r.URL) + len(r.QueryString) + len(r.EqKey))
-		cost += int64(4 * len(r.Fragments))
-		cost += int64(48 * len(r.EqValues))
+		cost += int64(len(r.URL) + len(r.QueryString))
+		cost += int64(cap(r.Fragments)) * int64(unsafe.Sizeof(fragindex.FragRef(0)))
 	}
 	return cost
 }
+
+// entryOverhead is the fixed part of entryCost: the cacheEntry and Answer
+// structs plus one slot of the shard's map (key header, value pointer and
+// the table's slack at its load factor).
+const entryOverhead = int64(unsafe.Sizeof(cacheEntry{})+unsafe.Sizeof(Answer{})) + 64
+
+// memoCost is what a memoized encoding adds to its entry: the bytes and
+// the heap-allocated slice header the memo slot points at.
+func memoCost(b []byte) int64 { return int64(cap(b)) + int64(unsafe.Sizeof(b)) }
 
 // PinEpochs computes the epoch half of a request's cache key from its
 // pinned snapshot set: the pin vector holds, in ascending shard order,

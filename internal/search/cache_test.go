@@ -1,15 +1,20 @@
 package search
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/fragindex"
 )
 
 // TestNormalizeRequestCanonical: normalization is idempotent and folds
@@ -117,10 +122,12 @@ func testResults(n int) []Result {
 // eviction, Get refreshes recency, and an entry larger than a shard's
 // whole budget is not stored.
 func TestResultCacheLRU(t *testing.T) {
-	// One shard's budget is maxBytes/16; size entries so ~2 fit per shard.
-	c := NewResultCache(16 * 600)
+	// One shard's budget is maxBytes/16; size it so two entries fit per
+	// shard and a third does not.
 	pins := []EpochPin{{Shard: 0, Epoch: 1}}
-	res := testResults(1) // cost ≈ 64 + 160 + len(url) ≈ 236
+	res := testResults(1)
+	per := entryCost("key-0000", pins, res) // the longest key tried below
+	c := NewResultCache(16 * (2*per + per/2))
 
 	// Find three keys landing in the same shard so eviction is forced.
 	shard0 := c.shardFor("probe")
@@ -187,7 +194,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 	var wg sync.WaitGroup
 	outcomes := make([]CacheOutcome, waiters)
 	errs := make([]error, waiters)
-	got := make([][]Result, waiters)
+	got := make([]*Answer, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -208,8 +215,11 @@ func TestResultCacheSingleflight(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("waiter %d: %v", i, errs[i])
 		}
-		if !reflect.DeepEqual(got[i], res) {
-			t.Fatalf("waiter %d got %+v", i, got[i])
+		if !reflect.DeepEqual(got[i].Results(), res) {
+			t.Fatalf("waiter %d got %+v", i, got[i].Results())
+		}
+		if got[i] != got[0] {
+			t.Fatalf("waiter %d (outcome %v) got its own answer, want the shared one", i, outcomes[i])
 		}
 		switch outcomes[i] {
 		case CacheMiss:
@@ -222,9 +232,10 @@ func TestResultCacheSingleflight(t *testing.T) {
 		t.Errorf("outcomes: %d miss, %d shared; want 1 and %d", miss, shared, waiters-1)
 	}
 
-	// And the result is now cached: a later Do is a plain hit.
-	if _, outcome, err := c.Do(context.Background(), "hot", pins, fn); err != nil || outcome != CacheHit {
-		t.Errorf("post-flight Do = %v outcome %v, want cached hit", err, outcome)
+	// And the result is now cached: a later Do is a plain hit on the same
+	// answer the flight shared.
+	if a, outcome, err := c.Do(context.Background(), "hot", pins, fn); err != nil || outcome != CacheHit || a != got[0] {
+		t.Errorf("post-flight Do = %p, %v, outcome %v; want cached hit on %p", a, err, outcome, got[0])
 	}
 }
 
@@ -263,11 +274,11 @@ func TestResultCacheLeaderCancellation(t *testing.T) {
 	// The follower starts while the leader is in flight, then the leader's
 	// context is cancelled.
 	done := make(chan struct{})
-	var followerRes []Result
+	var followerAns *Answer
 	var followerErr error
 	go func() {
 		defer close(done)
-		followerRes, _, followerErr = c.Do(context.Background(), "k", pins, fn)
+		followerAns, _, followerErr = c.Do(context.Background(), "k", pins, fn)
 	}()
 	time.Sleep(2 * time.Millisecond)
 	cancelLeader()
@@ -280,8 +291,8 @@ func TestResultCacheLeaderCancellation(t *testing.T) {
 	if followerErr != nil {
 		t.Fatalf("follower err = %v, want retry success", followerErr)
 	}
-	if !reflect.DeepEqual(followerRes, res) {
-		t.Errorf("follower got %+v", followerRes)
+	if !reflect.DeepEqual(followerAns.Results(), res) {
+		t.Errorf("follower got %+v", followerAns.Results())
 	}
 }
 
@@ -310,6 +321,239 @@ func TestResultCacheSweep(t *testing.T) {
 	if st := c.Stats(); st.Swept != 2 || st.Entries != 1 {
 		t.Errorf("stats after sweep: %+v", st)
 	}
+}
+
+// encodeURLs is the tests' stand-in for the HTTP layer's encoder.
+func encodeURLs(res []Result) ([]byte, error) {
+	var b bytes.Buffer
+	for i := range res {
+		b.WriteString(res[i].URL)
+		b.WriteByte('\n')
+	}
+	return b.Bytes(), nil
+}
+
+// TestAnswerEncodedConcurrent (run with -race): N goroutines take the
+// first encoding of one stored answer at once. All of them get the same
+// bytes, the memo is charged to the entry exactly once, and an encode
+// error memoizes nothing.
+func TestAnswerEncodedConcurrent(t *testing.T) {
+	c := NewResultCache(1 << 20)
+	c.Put("k", []EpochPin{{Shard: 0, Epoch: 1}}, testResults(10))
+	ans, ok := c.Lookup("k")
+	if !ok {
+		t.Fatal("stored answer missing")
+	}
+	before := c.Stats().Bytes
+
+	boom := errors.New("boom")
+	if _, err := ans.Encoded(func([]Result) ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("failing encoder: err %v, want boom", err)
+	}
+	if got := c.Stats().Bytes; got != before {
+		t.Fatalf("failed encoding charged %d bytes", got-before)
+	}
+
+	const n = 16
+	got := make([][]byte, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			b, err := ans.Encoded(encodeURLs)
+			if err != nil {
+				t.Errorf("goroutine %d: %v", i, err)
+			}
+			got[i] = b
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	want, _ := encodeURLs(ans.Results())
+	for i := range got {
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("goroutine %d got %q, want %q", i, got[i], want)
+		}
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("goroutine %d got its own copy of the encoding, want the memoized one", i)
+		}
+	}
+	if charged := c.Stats().Bytes - before; charged != memoCost(got[0]) {
+		t.Errorf("memo charged %d bytes, want %d once", charged, memoCost(got[0]))
+	}
+	// A later caller's encoder is not consulted.
+	if b, err := ans.Encoded(func([]Result) ([]byte, error) { return nil, boom }); err != nil || &b[0] != &got[0][0] {
+		t.Errorf("memoized answer re-encoded: %q, %v", b, err)
+	}
+}
+
+// TestMemoChargeFollowsEntry: memoized bytes count against the byte budget
+// only while the entry that holds the answer is stored. An answer evicted,
+// swept or replaced between its lookup and its first encoding memoizes
+// without panicking and charges nothing, a charge that overfills the shard
+// evicts from the cold end, and after a sweep of everything the cache
+// accounts for zero bytes.
+func TestMemoChargeFollowsEntry(t *testing.T) {
+	pins := []EpochPin{{Shard: 0, Epoch: 1}}
+	res := testResults(4)
+	c := NewResultCache(1 << 20)
+
+	// Evicted by a sweep between lookup and memoization.
+	c.Put("swept", pins, res)
+	swept, _ := c.Lookup("swept")
+	c.Sweep([]uint64{2})
+	if b, err := swept.Encoded(encodeURLs); err != nil || len(b) == 0 {
+		t.Fatalf("encoding a swept answer: %q, %v", b, err)
+	}
+	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
+		t.Fatalf("swept answer's memo left %d bytes in %d entries", st.Bytes, st.Entries)
+	}
+
+	// Replaced under the same key: the old answer's memo must not be
+	// charged to the new entry.
+	c.Put("k", pins, res)
+	old, _ := c.Lookup("k")
+	c.Put("k", pins, res)
+	unmemoized := c.Stats().Bytes
+	if _, err := old.Encoded(encodeURLs); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Bytes; got != unmemoized {
+		t.Fatalf("replaced answer's memo charged %d bytes to its successor", got-unmemoized)
+	}
+	cur, _ := c.Lookup("k")
+	b, err := cur.Encoded(encodeURLs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Bytes; got != unmemoized+memoCost(b) {
+		t.Fatalf("stored answer's memo charged %d bytes, want %d", got-unmemoized, memoCost(b))
+	}
+	c.Sweep([]uint64{2})
+	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
+		t.Fatalf("after a full sweep: %d bytes in %d entries, want 0", st.Bytes, st.Entries)
+	}
+
+	// A charge that overfills the shard evicts its coldest entries; one
+	// that alone outgrows the shard evicts the entry itself.
+	per := entryCost("key-0000", pins, res)
+	small := NewResultCache(16 * (2*per + per/2))
+	shard0 := small.shardFor("probe")
+	var keys []string
+	for i := 0; len(keys) < 2 && i < 10000; i++ {
+		if k := fmt.Sprintf("key-%d", i); small.shardFor(k) == shard0 {
+			keys = append(keys, k)
+		}
+	}
+	small.Put(keys[0], pins, res)
+	small.Put(keys[1], pins, res)
+	hot, _ := small.Lookup(keys[1])
+	if _, err := hot.Encoded(func([]Result) ([]byte, error) { return make([]byte, per), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := small.Lookup(keys[0]); ok {
+		t.Error("cold entry survived a charge that overfilled the shard")
+	}
+	if _, ok := small.Lookup(keys[1]); !ok {
+		t.Error("charged entry was evicted though it still fits")
+	}
+	small.Put(keys[0], pins, res)
+	cold, _ := small.Lookup(keys[0])
+	if _, err := cold.Encoded(func([]Result) ([]byte, error) { return make([]byte, 4*per), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := small.Lookup(keys[0]); ok {
+		t.Error("entry whose memo alone exceeds the shard budget stayed stored")
+	}
+	if st := small.Stats(); st.Bytes > st.Capacity || st.Evictions == 0 {
+		t.Errorf("after over-budget charges: %+v", st)
+	}
+	small.Sweep([]uint64{2})
+	if st := small.Stats(); st.Bytes != 0 {
+		t.Errorf("after a full sweep: %d bytes, want 0", st.Bytes)
+	}
+}
+
+// TestEntryCostTracksHeap: what the cache charges for an answer (entryCost
+// plus the memoized encoding) is what the answer keeps alive. N answers of
+// the benchmark's request shape (K=10, s=200 on small/Q2) are stored and
+// encoded; the heap growth they cause must be within 30 % of Stats().Bytes.
+// An undercharge is not cosmetic: at 3.1 KB charged for 8.4 KB retained
+// (ten per-result equality-value maps) a "32 MiB" cache pinned ≈ 85 MiB.
+func TestEntryCostTracksHeap(t *testing.T) {
+	idx, app := smallQ2Index(t)
+	snap := idx.Freeze()
+	e := New(snap, app)
+	kws := keywordsByDF(snap)
+	const n = 400
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = NormalizeRequest(Request{Keywords: []string{kws[i]}, K: 10, SizeThreshold: 200})
+	}
+	encode := func(res []Result) ([]byte, error) {
+		type page struct {
+			URL   string  `json:"url"`
+			Query string  `json:"query_string"`
+			Score float64 `json:"score"`
+			Size  int64   `json:"size"`
+		}
+		pages := make([]page, len(res))
+		for i, r := range res {
+			pages[i] = page{r.URL, r.QueryString, r.Score, r.Size}
+		}
+		return json.Marshal(pages)
+	}
+	ctx := context.Background()
+	fill := func(c *ResultCache) {
+		var pins []EpochPin
+		for _, req := range reqs {
+			pins = PinEpochs(pins[:0], []*fragindex.Snapshot{snap}, req.Keywords)
+			ans, _, err := c.Do(ctx, CacheKey(req, pins), append([]EpochPin(nil), pins...), func(ctx context.Context) ([]Result, error) {
+				return e.SearchSnapshot(ctx, snap, req)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ans.Encoded(encode); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		// Twice: the first cycle moves the engine's pooled scratch to the
+		// pools' victim caches, the second frees it.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// The first pass pays whatever the engine allocates once; its cache
+	// stays reachable so the measured pass is charged only its own growth.
+	warm := NewResultCache(64 << 20)
+	fill(warm)
+	before := heap()
+	c := NewResultCache(64 << 20)
+	fill(c)
+	after := heap()
+	st := c.Stats()
+	if st.Entries != n {
+		t.Fatalf("%d entries stored, want %d", st.Entries, n)
+	}
+	retained := float64(after) - float64(before)
+	ratio := retained / float64(st.Bytes)
+	t.Logf("%d answers: charged %d B (%.0f B each), heap grew %.0f B (%.0f B each), heap/charge %.2f",
+		n, st.Bytes, float64(st.Bytes)/n, retained, retained/n, ratio)
+	if ratio < 0.7 || ratio > 1.3 {
+		t.Errorf("cache charges %d bytes for answers that retain %.0f: ratio %.2f outside [0.7, 1.3]", st.Bytes, retained, ratio)
+	}
+	// The engine's scratch must not become garbage between the two
+	// readings, or its release is booked against the cache.
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(warm)
 }
 
 // TestPinEpochs: single-snapshot sets always pin shard 0; sharded sets

@@ -249,6 +249,9 @@ type Result struct {
 	// Size is the page's total keyword count.
 	Size int64
 	// EqValues and RangeLo/RangeHi describe the page's parameter box.
+	// EqValues is the page's equality group's own map, shared with the
+	// index and with every other result of that group: read-only, like
+	// everything else reachable from a (possibly cached) result.
 	EqValues         map[string]relation.Value
 	RangeLo, RangeHi relation.Value
 	// EqKey is the canonical encoding of the page's equality values — the
@@ -989,8 +992,15 @@ func normalizeKeywords(dst []string, words []string) []string {
 
 func dedupKeywords(dst []string, words []string) []string {
 	var seen map[string]struct{}
+	var one [1]string
 	for _, w := range words {
-		for _, f := range strings.Fields(strings.ToLower(w)) {
+		fields := one[:]
+		if isLowerWord(w) {
+			one[0] = w
+		} else {
+			fields = strings.Fields(strings.ToLower(w))
+		}
+		for _, f := range fields {
 			if seen != nil {
 				if _, dup := seen[f]; !dup {
 					seen[f] = struct{}{}
@@ -1017,4 +1027,17 @@ func dedupKeywords(dst []string, words []string) []string {
 		}
 	}
 	return dst
+}
+
+// isLowerWord reports whether w is already the one field
+// strings.Fields(strings.ToLower(w)) would yield — non-empty ASCII with no
+// upper-case letter and no white space — which is what an already split,
+// already canonical keyword looks like; the check saves the field slice.
+func isLowerWord(w string) bool {
+	for i := 0; i < len(w); i++ {
+		if c := w[i]; c <= ' ' || c >= 0x7f || 'A' <= c && c <= 'Z' {
+			return false
+		}
+	}
+	return w != ""
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/crawl"
@@ -395,5 +397,28 @@ public class Listing extends HttpServlet {
 	}
 	if len(results) != 3 {
 		t.Errorf("deduped results = %d, want 3", len(results))
+	}
+}
+
+// TestIsLowerWordMatchesFields: the keyword normalizer's shortcut is taken
+// only for words strings.Fields(strings.ToLower(w)) would return unchanged
+// as their single field.
+func TestIsLowerWordMatchesFields(t *testing.T) {
+	for _, w := range []string{
+		"burger", "c=10", "x", "burger coffee", " burger", "burger\t", "Burger", "BURGER",
+		"", " ", "a b", "é", "É", "a\x00b", "a\x7fb", "日本", "a\nb", "~!@#$%^&*()_+",
+	} {
+		fields := strings.Fields(strings.ToLower(w))
+		unchanged := len(fields) == 1 && fields[0] == w
+		if isLowerWord(w) && !unchanged {
+			t.Errorf("isLowerWord(%q) = true, but Fields(ToLower) = %q", w, fields)
+		}
+		sort.Strings(fields)
+		if got := normalizeKeywords(nil, []string{w}); len(got)+len(fields) > 0 && !reflect.DeepEqual(got, fields) {
+			t.Errorf("normalizeKeywords(%q) = %q, want %q", w, got, fields)
+		}
+	}
+	if !isLowerWord("burger") || !isLowerWord("c=10") {
+		t.Error("plain lower-case words must take the shortcut")
 	}
 }
