@@ -44,6 +44,12 @@ func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
+	if len(d.b) > 0 && d.b[0] < 0x80 {
+		// One-byte fast path: string lengths and counts are mostly < 128.
+		v := uint64(d.b[0])
+		d.b = d.b[1:]
+		return v
+	}
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
 		d.fail()
@@ -53,19 +59,22 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) str() string {
+// raw consumes one length-prefixed string without copying it.
+func (d *decoder) raw() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.b)) {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	s := d.b[:n]
 	d.b = d.b[n:]
 	return s
 }
+
+func (d *decoder) str() string { return string(d.raw()) }
 
 func (d *decoder) strings() []string {
 	n := d.uvarint()
@@ -117,7 +126,18 @@ func appendDelta(dst []byte, del crawl.Delta) []byte {
 // decodeDelta decodes a journal delta payload, validating structure (ops,
 // identifier keys, exact consumption) but not index semantics — replay
 // against the index is the semantic check.
-func decodeDelta(b []byte) (crawl.Delta, error) {
+func decodeDelta(b []byte) (crawl.Delta, error) { return walkDelta(b, true) }
+
+// checkDelta runs every check decodeDelta runs without materializing the
+// delta's term-count maps and keyword strings — the decode check on
+// records the tail ships verbatim.
+func checkDelta(b []byte) error {
+	_, err := walkDelta(b, false)
+	return err
+}
+
+// walkDelta parses a delta payload, building it only when keep is set.
+func walkDelta(b []byte, keep bool) (crawl.Delta, error) {
 	d := &decoder{b: b}
 	var del crawl.Delta
 	del.SelAttrs = d.strings()
@@ -146,14 +166,14 @@ func decodeDelta(b []byte) (crawl.Delta, error) {
 			break
 		}
 		var counts map[string]int64
-		if nkw > 0 {
+		if keep && nkw > 0 {
 			counts = make(map[string]int64, nkw)
 		}
 		for j := uint64(0); j < nkw && d.err == nil; j++ {
-			kw := d.str()
+			kw := d.raw()
 			tf := d.uvarint()
-			if d.err == nil {
-				counts[kw] = int64(tf)
+			if keep && d.err == nil {
+				counts[string(kw)] = int64(tf)
 			}
 		}
 		if d.err != nil {
@@ -163,9 +183,11 @@ func decodeDelta(b []byte) (crawl.Delta, error) {
 		if err != nil {
 			return crawl.Delta{}, fmt.Errorf("bad fragment key: %v", err)
 		}
-		del.Changes = append(del.Changes, crawl.FragmentChange{
-			Op: op, ID: id, TermCounts: counts, TotalTerms: int64(total),
-		})
+		if keep {
+			del.Changes = append(del.Changes, crawl.FragmentChange{
+				Op: op, ID: id, TermCounts: counts, TotalTerms: int64(total),
+			})
+		}
 	}
 	if d.err != nil {
 		return crawl.Delta{}, d.err

@@ -27,7 +27,7 @@ func fid(g string, v int64) fragment.ID {
 }
 
 // smallIndex builds an n-fragment index with overlapping keywords.
-func smallIndex(t *testing.T, n int) *fragindex.Index {
+func smallIndex(t testing.TB, n int) *fragindex.Index {
 	t.Helper()
 	idx, err := fragindex.New(testSpec())
 	if err != nil {
@@ -201,7 +201,7 @@ func TestSnapshotUnsupportedVersion(t *testing.T) {
 // epochs and deltas intact.
 func TestJournalAppendReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.wal")
-	j, err := createJournal(faultfs.OS, path, 10)
+	j, err := createJournal(faultfs.OS, path, 10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestJournalAppendReplay(t *testing.T) {
 // mid-chain.
 func TestJournalTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.wal")
-	j, err := createJournal(faultfs.OS, path, 0)
+	j, err := createJournal(faultfs.OS, path, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestJournalTornTail(t *testing.T) {
 // corruption regardless of allowTorn — a torn write cannot produce it.
 func TestJournalMidFileCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.wal")
-	j, err := createJournal(faultfs.OS, path, 0)
+	j, err := createJournal(faultfs.OS, path, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

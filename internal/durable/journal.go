@@ -2,11 +2,13 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/crawl"
 	"repro/internal/faultfs"
@@ -47,9 +49,14 @@ type journal struct {
 	f         faultfs.File
 	path      string
 	baseEpoch uint64
-	size      int64  // bytes of acknowledged records (header + records)
-	records   uint64 // records in file
-	dirty     bool   // unsynced appends (interval policy)
+	size      int64 // bytes of acknowledged records (header + records)
+	// index locates every acknowledged record, one entry per record in
+	// file (= epoch) order: append extends it only once the record is
+	// acknowledged, so index and size always describe the same extent.
+	// Entries are never rewritten, so the tail server may search a slice
+	// header it sampled under the shard lock after releasing it.
+	index []walEntry
+	dirty bool // unsynced appends (interval policy)
 	// poisoned marks a journal whose failed append could not be truncated
 	// back to the acknowledged extent: bytes of unknown validity sit past
 	// size, so further appends would interleave with garbage. A poisoned
@@ -58,21 +65,33 @@ type journal struct {
 	poisoned bool
 }
 
-// createJournal writes a fresh journal file (truncating any uncommitted
-// predecessor at the same path) with a fsynced header, open for appends.
-// The caller fsyncs the directory.
-func createJournal(fsys faultfs.FS, path string, baseEpoch uint64) (*journal, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// walEntry locates one acknowledged journal record.
+type walEntry struct {
+	epoch uint64
+	off   int64 // file offset of the record's length field
+}
+
+// createJournal writes a fresh journal file, open for appends: a header,
+// then carry — verbatim records of the journal it replaces, located by
+// carried (offsets relative to carry[0]). The file is written and fsynced
+// under a temp name and renamed over path (replacing any uncommitted
+// predecessor), so a crash leaves either no new journal or a complete
+// one, never a journal holding half of what it must carry. The caller
+// fsyncs the directory.
+func createJournal(fsys faultfs.FS, path string, baseEpoch uint64, carry []byte, carried []walEntry) (*journal, error) {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 0, walHeaderSize)
-	hdr = append(hdr, walMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, walVersion)
-	hdr = binary.LittleEndian.AppendUint64(hdr, baseEpoch)
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
-	if _, err := f.Write(hdr); err != nil {
-		//lint:ignore droppederr already failing: the header-write error is returned; close is best-effort fd cleanup
+	b := make([]byte, 0, walHeaderSize+len(carry))
+	b = append(b, walMagic...)
+	b = binary.LittleEndian.AppendUint32(b, walVersion)
+	b = binary.LittleEndian.AppendUint64(b, baseEpoch)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	b = append(b, carry...)
+	if _, err := f.Write(b); err != nil {
+		//lint:ignore droppederr already failing: the write error is returned; close is best-effort fd cleanup
 		f.Close()
 		return nil, err
 	}
@@ -81,13 +100,22 @@ func createJournal(fsys faultfs.FS, path string, baseEpoch uint64) (*journal, er
 		f.Close()
 		return nil, err
 	}
-	return &journal{f: f, path: path, baseEpoch: baseEpoch, size: walHeaderSize}, nil
+	if err := fsys.Rename(tmp, path); err != nil {
+		//lint:ignore droppederr already failing: the rename error is returned; close is best-effort fd cleanup
+		f.Close()
+		return nil, err
+	}
+	index := make([]walEntry, len(carried))
+	for i, e := range carried {
+		index[i] = walEntry{epoch: e.epoch, off: walHeaderSize + e.off}
+	}
+	return &journal{f: f, path: path, baseEpoch: baseEpoch, size: int64(len(b)), index: index}, nil
 }
 
 // openJournal opens an existing, already-verified journal for appends at
-// the given size (replay reports the valid extent; anything past it has
-// been truncated away).
-func openJournal(fsys faultfs.FS, path string, baseEpoch uint64, size int64, records uint64) (*journal, error) {
+// the given size (replay reports the valid extent and the records in it;
+// anything past it has been truncated away).
+func openJournal(fsys faultfs.FS, path string, baseEpoch uint64, size int64, index []walEntry) (*journal, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
@@ -97,7 +125,21 @@ func openJournal(fsys faultfs.FS, path string, baseEpoch uint64, size int64, rec
 		f.Close()
 		return nil, err
 	}
-	return &journal{f: f, path: path, baseEpoch: baseEpoch, size: size, records: records}, nil
+	return &journal{f: f, path: path, baseEpoch: baseEpoch, size: size, index: index}, nil
+}
+
+// lastRecord is the epoch of the journal's last acknowledged record (0
+// when it holds none).
+func (j *journal) lastRecord() uint64 {
+	if n := len(j.index); n > 0 {
+		return j.index[n-1].epoch
+	}
+	return 0
+}
+
+// firstAfter returns the position of the first index entry with epoch > e.
+func firstAfter(index []walEntry, e uint64) int {
+	return sort.Search(len(index), func(i int) bool { return index[i].epoch > e })
 }
 
 // errPoisoned marks append failures on a journal whose tail could not be
@@ -118,12 +160,7 @@ func (j *journal) append(del crawl.Delta, epoch uint64, syncNow bool) error {
 	if j.poisoned {
 		return fmt.Errorf("durable: %s: %w", filepath.Base(j.path), errPoisoned)
 	}
-	payload := binary.LittleEndian.AppendUint64(nil, epoch)
-	payload = appendDelta(payload, del)
-	rec := make([]byte, 0, recHeaderSize+len(payload))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-	rec = append(rec, payload...)
+	rec := appendRecord(nil, epoch, del)
 	if _, err := j.f.Write(rec); err != nil {
 		j.repair()
 		return err
@@ -141,9 +178,23 @@ func (j *journal) append(del crawl.Delta, epoch uint64, syncNow bool) error {
 	} else {
 		j.dirty = true
 	}
+	j.index = append(j.index, walEntry{epoch: epoch, off: j.size})
 	j.size += int64(len(rec))
-	j.records++
 	return nil
+}
+
+// appendRecord appends one record in the journal record codec — length,
+// payload CRC, then the epoch-stamped encoded delta. The codec doubles as
+// the replication tail frame, so journal bytes ship to replicas verbatim.
+func appendRecord(buf []byte, epoch uint64, del crawl.Delta) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, recHeaderSize)...)
+	buf = binary.LittleEndian.AppendUint64(buf, epoch)
+	buf = appendDelta(buf, del)
+	payload := buf[start+recHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
 // repair restores the file to the acknowledged extent after a failed
@@ -201,6 +252,7 @@ func (j *journal) close() error {
 // walRecord is one decoded journal record.
 type walRecord struct {
 	epoch uint64
+	off   int64 // file offset of the record
 	delta crawl.Delta
 }
 
@@ -210,6 +262,15 @@ type walScan struct {
 	records   []walRecord
 	validSize int64 // bytes up to and including the last valid record
 	torn      bool  // file extends past validSize with a torn suffix
+}
+
+// index returns the scan's records as a journal offset index.
+func (s *walScan) index() []walEntry {
+	out := make([]walEntry, len(s.records))
+	for i, r := range s.records {
+		out[i] = walEntry{epoch: r.epoch, off: r.off}
+	}
+	return out
 }
 
 // readJournal reads and verifies one journal file.
@@ -229,75 +290,93 @@ func readJournal(fsys faultfs.FS, path string, allowTorn bool) (*walScan, error)
 	return parseJournal(b, filepath.Base(path), allowTorn)
 }
 
-// parseJournal verifies and decodes journal bytes already in memory. The
-// tail server uses it directly on a size-capped read of the open journal
-// (capped at the acknowledged extent, so unacknowledged bytes past a
-// failed append are never parsed, let alone replicated).
+// journalBase verifies a journal's header and returns its base epoch.
+func journalBase(b []byte, name string) (uint64, error) {
+	if len(b) < walHeaderSize || string(b[:8]) != walMagic ||
+		crc32.ChecksumIEEE(b[:walHeaderSize-4]) != binary.LittleEndian.Uint32(b[walHeaderSize-4:walHeaderSize]) {
+		return 0, fmt.Errorf("%w: %s: bad header", ErrCorruptJournal, name)
+	}
+	if v := binary.LittleEndian.Uint32(b[8:12]); v != walVersion {
+		return 0, fmt.Errorf("durable: journal %s: unsupported format version %d", name, v)
+	}
+	return binary.LittleEndian.Uint64(b[12:20]), nil
+}
+
+// parseJournal verifies and decodes journal bytes already in memory.
 func parseJournal(b []byte, name string, allowTorn bool) (*walScan, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s: %s", ErrCorruptJournal, name, fmt.Sprintf(format, args...))
 	}
-	headerOK := len(b) >= walHeaderSize &&
-		string(b[:8]) == walMagic &&
-		crc32.ChecksumIEEE(b[:walHeaderSize-4]) == binary.LittleEndian.Uint32(b[walHeaderSize-4:walHeaderSize])
-	if !headerOK {
+	base, err := journalBase(b, name)
+	if err != nil {
 		// A header can only be torn by a crash during journal creation, in
 		// which case nothing follows it.
-		if allowTorn && len(b) <= walHeaderSize {
+		if allowTorn && len(b) <= walHeaderSize && errors.Is(err, ErrCorruptJournal) {
 			return &walScan{validSize: 0, torn: true}, nil
 		}
-		return nil, corrupt("bad header")
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint32(b[8:12]); v != walVersion {
-		return nil, fmt.Errorf("durable: journal %s: unsupported format version %d", name, v)
-	}
-	scan := &walScan{
-		baseEpoch: binary.LittleEndian.Uint64(b[12:20]),
-		validSize: walHeaderSize,
-	}
-	off := int64(walHeaderSize)
-	total := int64(len(b))
-	torn := func(format string, args ...any) (*walScan, error) {
-		if !allowTorn {
-			return nil, corrupt("torn record mid-chain: "+format, args...)
-		}
-		scan.torn = true
-		return scan, nil
-	}
-	for off < total {
-		if total-off < recHeaderSize {
-			return torn("partial record header at %d", off)
-		}
-		length := int64(binary.LittleEndian.Uint32(b[off:]))
-		crc := binary.LittleEndian.Uint32(b[off+4:])
-		if length > maxRecordSize {
-			return nil, corrupt("implausible record length %d at %d", length, off)
-		}
-		if total-off-recHeaderSize < length {
-			return torn("partial record payload at %d", off)
-		}
-		payload := b[off+recHeaderSize : off+recHeaderSize+length]
-		if crc32.ChecksumIEEE(payload) != crc {
-			if off+recHeaderSize+length == total {
-				return torn("checksum mismatch in final record at %d", off)
+	scan := &walScan{baseEpoch: base, validSize: walHeaderSize}
+	prev := base
+	for off := int64(walHeaderSize); off < int64(len(b)); {
+		epoch, payload, next, ferr := readFrame(b, off)
+		if ferr != nil {
+			// Only a crash-torn suffix is tolerable: a short final frame,
+			// or a final frame failing its CRC.
+			final := errors.Is(ferr, errFrameShort) || (errors.Is(ferr, errFrameCRC) && next == int64(len(b)))
+			if !final {
+				return nil, corrupt("%v", ferr)
 			}
-			return nil, corrupt("checksum mismatch at %d with valid data after it", off)
+			if !allowTorn {
+				return nil, corrupt("torn record mid-chain: %v", ferr)
+			}
+			scan.torn = true
+			return scan, nil
 		}
-		if length < 8 {
-			return nil, corrupt("record at %d too short for an epoch", off)
-		}
-		epoch := binary.LittleEndian.Uint64(payload[:8])
-		del, derr := decodeDelta(payload[8:])
+		del, derr := decodeDelta(payload)
 		if derr != nil {
 			return nil, corrupt("record at %d: %v", off, derr)
 		}
-		if n := len(scan.records); (n == 0 && epoch <= scan.baseEpoch) ||
-			(n > 0 && epoch <= scan.records[n-1].epoch) {
+		if epoch <= prev {
 			return nil, corrupt("non-monotonic epoch %d at %d", epoch, off)
 		}
-		scan.records = append(scan.records, walRecord{epoch: epoch, delta: del})
-		off += recHeaderSize + length
+		scan.records = append(scan.records, walRecord{epoch: epoch, off: off, delta: del})
+		prev, off = epoch, next
 		scan.validSize = off
 	}
 	return scan, nil
+}
+
+var (
+	errFrameShort = errors.New("partial record")
+	errFrameCRC   = errors.New("checksum mismatch")
+)
+
+// readFrame checks the record frame at b[off:] — a complete header, a
+// plausible length, a payload that matches its CRC and holds an epoch —
+// and returns the epoch, the encoded delta and the offset just past the
+// frame (also on a CRC failure, so callers can tell a torn final frame
+// from mid-file damage). A frame cut short by the end of b is
+// errFrameShort, a CRC failure errFrameCRC.
+func readFrame(b []byte, off int64) (epoch uint64, delta []byte, next int64, err error) {
+	total := int64(len(b))
+	if total-off < recHeaderSize {
+		return 0, nil, 0, fmt.Errorf("%w header at %d", errFrameShort, off)
+	}
+	length := int64(binary.LittleEndian.Uint32(b[off:]))
+	if length > maxRecordSize {
+		return 0, nil, 0, fmt.Errorf("implausible record length %d at %d", length, off)
+	}
+	if total-off-recHeaderSize < length {
+		return 0, nil, 0, fmt.Errorf("%w payload at %d", errFrameShort, off)
+	}
+	next = off + recHeaderSize + length
+	payload := b[off+recHeaderSize : next]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[off+4:]) {
+		return 0, nil, next, fmt.Errorf("%w at %d", errFrameCRC, off)
+	}
+	if length < 8 {
+		return 0, nil, 0, fmt.Errorf("record at %d too short for an epoch", off)
+	}
+	return binary.LittleEndian.Uint64(payload), payload[8:], next, nil
 }

@@ -241,6 +241,23 @@ type shardStore struct {
 	// guarded by mu.
 	lastEpoch uint64
 	tailWatch chan struct{}
+
+	// sealed lists the retained journals that no longer take appends,
+	// oldest first — what a tail cursor behind the open journal reads.
+	// Guarded by mu.
+	sealed []sealedJournal
+}
+
+// sealedJournal is a retained journal rotated out by a checkpoint, with
+// the epoch of its last record (0 when it holds none). A checkpoint
+// carries every record past its dump into the new journal, so a sealed
+// journal's records past its successor's base are duplicates — but one
+// written before that rule (or by a crash between snapshot and rotation)
+// may hold the only copy, so the tail skips a sealed journal only by its
+// last epoch, never by its successor's base.
+type sealedJournal struct {
+	base, last uint64
+	path       string
 }
 
 // advanceEpochLocked moves the shard's durable epoch forward (never back)
@@ -397,7 +414,7 @@ func (s *Store) Init(ctx context.Context, dumps []*fragindex.Dump) error {
 		if err := writeSnapshot(ctx, s.fs, filepath.Join(sd, snapName(d.Epoch)), d); err != nil {
 			return err
 		}
-		j, err := createJournal(s.fs, filepath.Join(sd, walName(d.Epoch)), d.Epoch)
+		j, err := createJournal(s.fs, filepath.Join(sd, walName(d.Epoch)), d.Epoch, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -613,6 +630,11 @@ func (s *Store) recoverShard(ctx context.Context, i int) (*fragindex.Index, Reco
 			info.ReplayedRecords++
 		}
 		if !newest {
+			var last uint64
+			if n := len(scan.records); n > 0 {
+				last = scan.records[n-1].epoch
+			}
+			ss.sealed = append(ss.sealed, sealedJournal{base: scan.baseEpoch, last: last, path: w.path})
 			continue
 		}
 		// Seal the tail: cut a torn suffix, then reopen for appends.
@@ -621,7 +643,7 @@ func (s *Store) recoverShard(ctx context.Context, i int) (*fragindex.Index, Reco
 		}
 		if scan.validSize < walHeaderSize {
 			// Torn during creation — recreate with the epoch from its name.
-			j, jerr := createJournal(s.fs, w.path, w.epoch)
+			j, jerr := createJournal(s.fs, w.path, w.epoch, nil, nil)
 			if jerr != nil {
 				return nil, info, jerr
 			}
@@ -632,7 +654,7 @@ func (s *Store) recoverShard(ctx context.Context, i int) (*fragindex.Index, Reco
 					return nil, info, terr
 				}
 			}
-			j, jerr := openJournal(s.fs, w.path, scan.baseEpoch, scan.validSize, uint64(len(scan.records)))
+			j, jerr := openJournal(s.fs, w.path, scan.baseEpoch, scan.validSize, scan.index())
 			if jerr != nil {
 				return nil, info, jerr
 			}
@@ -649,7 +671,7 @@ func (s *Store) recoverShard(ctx context.Context, i int) (*fragindex.Index, Reco
 	if ss.j == nil {
 		// No journal survived (possible only through external deletion);
 		// open a fresh one at the recovered epoch so appends can proceed.
-		j, jerr := createJournal(s.fs, filepath.Join(ss.dir, walName(cur)), cur)
+		j, jerr := createJournal(s.fs, filepath.Join(ss.dir, walName(cur)), cur, nil, nil)
 		if jerr != nil {
 			return nil, info, jerr
 		}
@@ -723,8 +745,14 @@ func (s *Store) Append(ctx context.Context, shard int, del crawl.Delta, epoch ui
 
 // Checkpoint writes a shard's current state as a new snapshot generation,
 // rotates its journal, and prunes generations beyond the retained two.
-// A checkpoint at the journal's own base epoch (nothing published since
-// the last one) is a no-op.
+// A dump no newer than the open journal's base is a no-op: that state, or
+// a newer one, is already a snapshot generation.
+//
+// The dump may lag the journal: a publish can land between the caller's
+// Dump and this call. Such records (epoch > d.Epoch) are carried, verbatim,
+// into the new journal, which therefore holds every record past its base —
+// the invariant both the tail's open-journal seek and the fallback
+// recovery chain rely on.
 //
 // Appends for the shard block for the duration; the write-ahead contract
 // is never relaxed mid-checkpoint. Crash-safe at every step: the snapshot
@@ -756,15 +784,19 @@ func (s *Store) Checkpoint(ctx context.Context, shard int, d *fragindex.Dump) er
 // even at an unchanged epoch, and tolerates close failures on the
 // outgoing journal — the snapshot just written supersedes its records.
 func (s *Store) checkpointLocked(ctx context.Context, ss *shardStore, d *fragindex.Dump, force bool) error {
-	if !force && d.Epoch <= ss.j.baseEpoch && ss.j.records == 0 {
+	if !force && d.Epoch <= ss.j.baseEpoch {
 		return nil
+	}
+	old := ss.j
+	carry, carried, err := s.carryOver(old, d.Epoch)
+	if err != nil {
+		return err
 	}
 	if err := writeSnapshot(ctx, s.fs, filepath.Join(ss.dir, snapName(d.Epoch)), d); err != nil {
 		return err
 	}
 	crashPoint("checkpoint.after-snapshot")
 	walPath := filepath.Join(ss.dir, walName(d.Epoch))
-	old := ss.j
 	if force && walPath == old.path {
 		// Nothing was acknowledged past the last checkpoint, so the fresh
 		// journal reuses the old one's name: close the old fd before
@@ -775,7 +807,7 @@ func (s *Store) checkpointLocked(ctx context.Context, ss *shardStore, d *fragind
 		old.close()
 		old = nil
 	}
-	nj, err := createJournal(s.fs, walPath, d.Epoch)
+	nj, err := createJournal(s.fs, walPath, d.Epoch, carry, carried)
 	if err != nil {
 		return err
 	}
@@ -786,6 +818,7 @@ func (s *Store) checkpointLocked(ctx context.Context, ss *shardStore, d *fragind
 	}
 	ss.j = nj
 	if old != nil {
+		ss.sealed = append(ss.sealed, sealedJournal{base: old.baseEpoch, last: old.lastRecord(), path: old.path})
 		if cerr := old.close(); cerr != nil {
 			if !force {
 				return cerr
@@ -794,8 +827,12 @@ func (s *Store) checkpointLocked(ctx context.Context, ss *shardStore, d *fragind
 		}
 	}
 	crashPoint("checkpoint.before-prune")
-	if err := pruneGenerations(s.fs, ss.dir); err != nil {
+	oldestWal, err := pruneGenerations(s.fs, ss.dir)
+	if err != nil {
 		return err
+	}
+	for len(ss.sealed) > 0 && ss.sealed[0].base < oldestWal {
+		ss.sealed = ss.sealed[1:]
 	}
 	ss.advanceEpochLocked(d.Epoch)
 	s.checkpoints.Add(1)
@@ -808,36 +845,69 @@ func (s *Store) checkpointLocked(ctx context.Context, ss *shardStore, d *fragind
 	return nil
 }
 
+// carryOver returns the journal's records past epoch — verbatim, verified,
+// and located by index entries relative to the returned bytes — for a
+// checkpoint at that epoch to carry into its new journal.
+func (s *Store) carryOver(j *journal, epoch uint64) ([]byte, []walEntry, error) {
+	i := firstAfter(j.index, epoch)
+	if i == len(j.index) {
+		return nil, nil, nil
+	}
+	start := j.index[i].off
+	b, err := readRange(s.fs, j.path, start, j.size)
+	if err != nil {
+		return nil, nil, err
+	}
+	prev := j.baseEpoch
+	if i > 0 {
+		prev = j.index[i-1].epoch
+	}
+	c := TailChunk{Next: epoch}
+	if err := c.add(b, prev, len(b)); err != nil || c.Records != len(j.index)-i {
+		return nil, nil, fmt.Errorf("%w: %s: carrying records past %d: %v", ErrCorruptJournal, filepath.Base(j.path), epoch, err)
+	}
+	carried := make([]walEntry, 0, c.Records)
+	for _, e := range j.index[i:] {
+		carried = append(carried, walEntry{epoch: e.epoch, off: e.off - start})
+	}
+	return b, carried, nil
+}
+
 // pruneGenerations removes snapshot generations beyond the newest
-// keepSnapshots and every journal older than the oldest retained
-// snapshot (the journal chain must reach back to any snapshot recovery
-// may fall back to).
-func pruneGenerations(fsys faultfs.FS, dir string) error {
+// keepSnapshots and every journal whose successor starts at or before the
+// oldest retained snapshot — the journal chain must reach back to any
+// snapshot recovery may fall back to, and a journal with a later
+// successor may hold records that snapshot lacks. Returns the base epoch
+// of the oldest journal kept (0 when there was nothing to prune).
+func pruneGenerations(fsys faultfs.FS, dir string) (uint64, error) {
 	snaps, err := listGens(fsys, dir, snapPrefix, snapSuffix)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if len(snaps) <= keepSnapshots {
-		return nil
+		return 0, nil
 	}
 	oldestKept := snaps[len(snaps)-keepSnapshots].epoch
 	for _, g := range snaps[:len(snaps)-keepSnapshots] {
 		if err := fsys.Remove(g.path); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	wals, err := listGens(fsys, dir, walPrefix, walSuffix)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	for _, g := range wals {
-		if g.epoch < oldestKept {
-			if err := fsys.Remove(g.path); err != nil {
-				return err
-			}
+	k := 0
+	for ; k+1 < len(wals) && wals[k+1].epoch <= oldestKept; k++ {
+		if err := fsys.Remove(wals[k].path); err != nil {
+			return 0, err
 		}
 	}
-	return syncDir(fsys, dir)
+	var oldest uint64
+	if k < len(wals) {
+		oldest = wals[k].epoch
+	}
+	return oldest, syncDir(fsys, dir)
 }
 
 // Sync flushes every shard's unsynced journal appends — the interval
@@ -933,7 +1003,7 @@ func (s *Store) Stats() Stats {
 		ss.mu.Lock()
 		if ss.j != nil {
 			st.JournalBytes += ss.j.size
-			st.JournalRecords += ss.j.records
+			st.JournalRecords += uint64(len(ss.j.index))
 		}
 		ss.mu.Unlock()
 		st.PerShard = append(st.PerShard, s.ShardDurability(i))

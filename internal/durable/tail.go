@@ -8,9 +8,10 @@ package durable
 //   - The durable epoch of a shard is the epoch of its last acknowledged
 //     journal record (or the journal base right after a checkpoint). It
 //     advances under the shard lock and wakes long-poll tail waiters.
-//   - TailFrom reads journal records strictly after a cursor epoch and
-//     re-frames them with the journal record codec. The open journal is
-//     read capped at its acknowledged extent, so bytes from a failed
+//   - TailFrom ships journal records strictly after a cursor epoch as the
+//     journal's own bytes (the record codec is the frame codec), found
+//     through the open journal's in-memory offset index. The open journal
+//     is read capped at its acknowledged extent, so bytes from a failed
 //     (unacknowledged, possibly poisoned) append are never replicated.
 //   - A cursor older than the oldest retained journal's base epoch is
 //     unservable — pruning ate the history — and returns ErrTailTruncated
@@ -18,11 +19,12 @@ package durable
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
+	"io/fs"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"repro/internal/crawl"
@@ -225,9 +227,16 @@ func (s *Store) OpenSnapshot(shard int, epoch uint64) (faultfs.File, int64, erro
 }
 
 // TailFrom cuts one tail chunk: every acknowledged journal record with
-// epoch strictly greater than from, oldest first, re-framed with the
-// record codec, up to roughly maxBytes (at least one record always fits).
-// A cursor older than the retained chain returns ErrTailTruncated.
+// epoch strictly greater than from, oldest first, up to roughly maxBytes
+// (at least one record always fits). A cursor older than the retained
+// chain returns ErrTailTruncated.
+//
+// A poll costs O(records shipped), not O(journal): the open journal's
+// offset index seeks straight to the first record past the cursor, only
+// the shipped bytes are read, and they ship verbatim — the journal record
+// codec is the tail frame codec — after each is length-, CRC-, epoch- and
+// decode-checked. Sealed journals are read only while they still hold a
+// record past the cursor, which a caught-up replica never needs.
 //
 // The open journal is read capped at its acknowledged extent as sampled
 // under the shard lock, so a poisoned journal's garbage suffix and any
@@ -245,71 +254,163 @@ func (s *Store) TailFrom(ctx context.Context, shard int, from uint64, maxBytes i
 	}
 	ss := s.shards[shard]
 
-	// Sample a consistent view under the shard lock: the segment listing,
-	// the open journal's identity, and its acknowledged extent. Records
+	// Sample a consistent view under the shard lock: the durable epoch, the
+	// sealed journals still holding records past the cursor, and the open
+	// journal's identity, acknowledged extent and offset index. Records
 	// appended after the sample ride the next poll.
 	ss.mu.Lock()
+	j := ss.j
+	if j == nil {
+		ss.mu.Unlock()
+		return nil, fmt.Errorf("%w: tail of shard %d", ErrClosed, shard)
+	}
 	durable := ss.lastEpoch
-	var openPath string
-	var openSize int64
-	if ss.j != nil {
-		openPath = ss.j.path
-		openSize = ss.j.size
+	oldest, top := j.baseEpoch, j.lastRecord()
+	if len(ss.sealed) > 0 {
+		oldest = ss.sealed[0].base
 	}
-	wals, err := listGens(s.fs, ss.dir, walPrefix, walSuffix)
+	var sealed []sealedJournal
+	for _, sj := range ss.sealed {
+		top = max(top, sj.last)
+		if sj.last > from {
+			sealed = append(sealed, sj)
+		}
+	}
+	openPath, openBase, openSize, index := j.path, j.baseEpoch, j.size, j.index
 	ss.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if len(wals) == 0 {
-		return nil, fmt.Errorf("durable: shard %d has no journals", shard)
-	}
-	if from < wals[0].epoch {
-		return nil, fmt.Errorf("%w (cursor %d, oldest retained base %d)", ErrTailTruncated, from, wals[0].epoch)
-	}
 
+	if from < oldest {
+		return nil, fmt.Errorf("%w (cursor %d, oldest retained base %d)", ErrTailTruncated, from, oldest)
+	}
 	chunk := &TailChunk{Next: from, DurableEpoch: durable}
-	for k, w := range wals {
-		// A journal with base b holds records in (b, nextBase]; skip any
-		// the cursor already covers.
-		if k+1 < len(wals) && wals[k+1].epoch <= from {
-			continue
+	for _, sj := range sealed {
+		if chunk.full(maxBytes) {
+			return chunk, nil
 		}
-		b, rerr := s.fs.ReadFile(w.path)
-		if rerr != nil {
-			return nil, rerr
+		b, err := s.fs.ReadFile(sj.path)
+		if errors.Is(err, fs.ErrNotExist) {
+			// A checkpoint pruned it after the sample: the history the
+			// cursor needs is gone.
+			return nil, fmt.Errorf("%w (cursor %d, %s pruned)", ErrTailTruncated, from, filepath.Base(sj.path))
 		}
-		if w.path == openPath && int64(len(b)) > openSize {
-			b = b[:openSize]
+		if err != nil {
+			return nil, err
 		}
-		scan, perr := parseJournal(b, filepath.Base(w.path), false)
-		if perr != nil {
-			return nil, perr
+		if err := chunk.addJournal(b, filepath.Base(sj.path), maxBytes); err != nil {
+			return nil, err
 		}
-		for _, rec := range scan.records {
-			if rec.epoch <= chunk.Next {
-				continue
-			}
-			if chunk.Records > 0 && len(chunk.Frames) >= maxBytes {
-				return chunk, nil
-			}
-			chunk.Frames = AppendTailFrame(chunk.Frames, rec.epoch, rec.delta)
-			chunk.Records++
-			chunk.Next = rec.epoch
+	}
+	if i := firstAfter(index, chunk.Next); i < len(index) && !chunk.full(maxBytes) {
+		// Read only what can ship: up to the first record boundary at
+		// which the chunk is full, else the acknowledged extent.
+		start, end := index[i].off, openSize
+		room := int64(maxBytes - len(chunk.Frames))
+		if k := sort.Search(len(index)-i-1, func(k int) bool { return index[i+1+k].off-start >= room }); i+1+k < len(index) {
+			end = index[i+1+k].off
 		}
+		b, err := readRange(s.fs, openPath, start, end)
+		if err != nil {
+			return nil, err
+		}
+		prev := openBase
+		if i > 0 {
+			prev = index[i-1].epoch
+		}
+		if err := chunk.add(b, prev, maxBytes); err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrCorruptJournal, filepath.Base(openPath), err)
+		}
+	}
+	if chunk.Records == 0 && top > from {
+		// Never report a record-free advance past a record the shard
+		// holds: the replica would stamp the epoch without the delta.
+		return nil, fmt.Errorf("%w: shard %d holds epoch %d past cursor %d but the tail shipped none",
+			ErrCorruptJournal, shard, top, from)
 	}
 	return chunk, nil
 }
 
-// AppendTailFrame appends one record in the journal record codec: length,
-// payload CRC, then epoch-stamped encoded delta — byte-compatible with
-// what journal appends write after the file header.
-func AppendTailFrame(buf []byte, epoch uint64, del crawl.Delta) []byte {
-	payload := binary.LittleEndian.AppendUint64(nil, epoch)
-	payload = appendDelta(payload, del)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+// addJournal verifies a whole sealed journal file and ships its records
+// past the chunk's cursor.
+func (c *TailChunk) addJournal(b []byte, name string, maxBytes int) error {
+	base, err := journalBase(b, name)
+	if err != nil {
+		return err
+	}
+	if err := c.add(b[walHeaderSize:], base, maxBytes); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorruptJournal, name, err)
+	}
+	return nil
+}
+
+// add verifies a run of journal record frames and ships, verbatim, the
+// ones past the chunk's cursor until the chunk holds maxBytes (it always
+// takes at least one record). Every frame is length- and CRC-checked and
+// its epoch must rise strictly from prev; a shipped frame is also
+// decode-checked. Shipped frames form one contiguous run — epochs rise —
+// so a chunk cut from one journal aliases b instead of copying it.
+func (c *TailChunk) add(b []byte, prev uint64, maxBytes int) error {
+	var start, end int64
+	n := 0
+	for off := int64(0); off < int64(len(b)); {
+		epoch, payload, next, err := readFrame(b, off)
+		if err != nil {
+			return err
+		}
+		if epoch <= prev {
+			return fmt.Errorf("non-monotonic epoch %d at %d", epoch, off)
+		}
+		prev = epoch
+		if epoch > c.Next {
+			if n == 0 {
+				start = off
+			}
+			if c.Records+n > 0 && len(c.Frames)+int(off-start) >= maxBytes {
+				break // full
+			}
+			if err := checkDelta(payload); err != nil {
+				return fmt.Errorf("record at %d: %v", off, err)
+			}
+			n++
+			c.Next = epoch
+			end = next
+		}
+		off = next
+	}
+	if n == 0 {
+		return nil
+	}
+	if c.Frames == nil {
+		c.Frames = b[start:end:end]
+	} else {
+		c.Frames = append(c.Frames, b[start:end]...)
+	}
+	c.Records += n
+	return nil
+}
+
+// full reports whether the chunk takes no further record: it holds one
+// and has reached maxBytes.
+func (c *TailChunk) full(maxBytes int) bool {
+	return c.Records > 0 && len(c.Frames) >= maxBytes
+}
+
+// readRange reads bytes [start, end) of a file through the filesystem seam.
+func readRange(fsys faultfs.FS, path string, start, end int64) ([]byte, error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, end-start)
+	if _, err = f.Seek(start, io.SeekStart); err == nil {
+		_, err = io.ReadFull(f, b)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // ParseTailFrames decodes a chunk of tail frames. Strict: a short, torn,
@@ -317,29 +418,12 @@ func AppendTailFrame(buf []byte, epoch uint64, del crawl.Delta) []byte {
 // chunks or nothing, so every defect is corruption, not a crash artifact.
 func ParseTailFrames(b []byte) ([]TailRecord, error) {
 	var out []TailRecord
-	off := int64(0)
-	total := int64(len(b))
-	for off < total {
-		if total-off < recHeaderSize {
-			return nil, fmt.Errorf("%w: tail frame: partial header at %d", ErrCorruptJournal, off)
+	for off := int64(0); off < int64(len(b)); {
+		epoch, payload, next, err := readFrame(b, off)
+		if err != nil {
+			return nil, fmt.Errorf("%w: tail frame: %v", ErrCorruptJournal, err)
 		}
-		length := int64(binary.LittleEndian.Uint32(b[off:]))
-		crc := binary.LittleEndian.Uint32(b[off+4:])
-		if length > maxRecordSize {
-			return nil, fmt.Errorf("%w: tail frame: implausible length %d at %d", ErrCorruptJournal, length, off)
-		}
-		if total-off-recHeaderSize < length {
-			return nil, fmt.Errorf("%w: tail frame: partial payload at %d", ErrCorruptJournal, off)
-		}
-		payload := b[off+recHeaderSize : off+recHeaderSize+length]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return nil, fmt.Errorf("%w: tail frame: checksum mismatch at %d", ErrCorruptJournal, off)
-		}
-		if length < 8 {
-			return nil, fmt.Errorf("%w: tail frame: too short for an epoch at %d", ErrCorruptJournal, off)
-		}
-		epoch := binary.LittleEndian.Uint64(payload[:8])
-		del, derr := decodeDelta(payload[8:])
+		del, derr := decodeDelta(payload)
 		if derr != nil {
 			return nil, fmt.Errorf("%w: tail frame at %d: %v", ErrCorruptJournal, off, derr)
 		}
@@ -347,7 +431,7 @@ func ParseTailFrames(b []byte) ([]TailRecord, error) {
 			return nil, fmt.Errorf("%w: tail frame: non-monotonic epoch %d at %d", ErrCorruptJournal, epoch, off)
 		}
 		out = append(out, TailRecord{Epoch: epoch, Delta: del})
-		off += recHeaderSize + length
+		off = next
 	}
 	return out, nil
 }

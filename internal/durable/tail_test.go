@@ -402,9 +402,9 @@ func TestOpenSnapshotServesBytes(t *testing.T) {
 // never a silent partial decode.
 func TestParseTailFramesRejectsDamage(t *testing.T) {
 	var buf []byte
-	buf = AppendTailFrame(buf, 10, insDelta(fid("a", 1), map[string]int64{"x": 2}, 2))
+	buf = appendRecord(buf, 10, insDelta(fid("a", 1), map[string]int64{"x": 2}, 2))
 	frameBoundary := len(buf) // a cut exactly here is a valid 1-frame stream
-	buf = AppendTailFrame(buf, 12, rmDelta(fid("a", 1)))
+	buf = appendRecord(buf, 12, rmDelta(fid("a", 1)))
 
 	if recs, err := ParseTailFrames(buf); err != nil || len(recs) != 2 {
 		t.Fatalf("clean parse = %d recs, %v", len(recs), err)
@@ -430,9 +430,114 @@ func TestParseTailFramesRejectsDamage(t *testing.T) {
 
 	// Non-monotonic epochs: two individually valid frames out of order.
 	var rev []byte
-	rev = AppendTailFrame(rev, 12, rmDelta(fid("a", 1)))
-	rev = AppendTailFrame(rev, 10, insDelta(fid("a", 1), map[string]int64{"x": 2}, 2))
+	rev = appendRecord(rev, 12, rmDelta(fid("a", 1)))
+	rev = appendRecord(rev, 10, insDelta(fid("a", 1), map[string]int64{"x": 2}, 2))
 	if _, err := ParseTailFrames(rev); !errors.Is(err, ErrCorruptJournal) {
 		t.Fatalf("epoch regression parsed: %v", err)
+	}
+}
+
+// TestCheckpointDumpRaceKeepsLateRecord: the checkpoint dump/rotation
+// race. The facade cuts a shard's Dump and only then calls Checkpoint, so
+// a publish can land in between — journaled in the old journal with an
+// epoch past the new journal's base. The new journal must carry that
+// record: a cursor at the dump epoch tails it (not a record-free advance
+// the replica would stamp without the delta), and after the old journal
+// is pruned the fallback recovery chain still replays it.
+func TestCheckpointDumpRaceKeepsLateRecord(t *testing.T) {
+	dir := t.TempDir()
+	idx := smallIndex(t, 4)
+	track := cloneIndex(t, idx)
+	st, _ := openStore(t, dir, SyncPolicy{})
+	if err := st.Init(context.Background(), []*fragindex.Dump{idx.Dump()}); err != nil {
+		t.Fatal(err)
+	}
+	appendTracked := func(d crawl.Delta) uint64 {
+		t.Helper()
+		e := applyTracked(t, track, d)
+		if err := st.Append(context.Background(), 0, d, e); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	appendTracked(insDelta(fid("race", 1), map[string]int64{"early": 1}, 1))
+
+	// Dump, Append, Checkpoint(dump).
+	dump := track.Dump()
+	late := insDelta(fid("race", 2), map[string]int64{"late": 1}, 1)
+	lateEpoch := appendTracked(late)
+	if err := st.Checkpoint(context.Background(), 0, dump); err != nil {
+		t.Fatal(err)
+	}
+
+	chunk, err := st.TailFrom(context.Background(), 0, dump.Epoch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunk.Records != 1 || chunk.Next != lateEpoch || chunk.DurableEpoch != lateEpoch {
+		t.Fatalf("tail from the dump epoch = %d records, next %d, durable %d; want the late record %d",
+			chunk.Records, chunk.Next, chunk.DurableEpoch, lateEpoch)
+	}
+	recs, err := ParseTailFrames(chunk.Frames)
+	if err != nil || !reflect.DeepEqual(recs[0].Delta, late) {
+		t.Fatalf("late record = %+v, %v", recs, err)
+	}
+
+	// One more checkpoint prunes the journal the race wrote to; the
+	// fallback chain (snapshot at the dump epoch + its journal) must still
+	// hold the late record.
+	appendTracked(insDelta(fid("race", 3), map[string]int64{"after": 1}, 1))
+	if err := st.Checkpoint(context.Background(), 0, track.Dump()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	newest := filepath.Join(dir, "shard-0000", snapName(track.Dump().Epoch))
+	if err := os.WriteFile(newest, []byte("corrupt"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2, idxs := openStore(t, dir, SyncPolicy{})
+	defer st2.Close()
+	if ri := st2.Recovery(); !ri[0].Fallback || ri[0].SnapshotEpoch != dump.Epoch {
+		t.Fatalf("recovery %+v, want a fallback to the dump-epoch snapshot", ri[0])
+	}
+	if !reflect.DeepEqual(idxs[0].Dump(), track.Dump()) {
+		t.Error("fallback recovery lost the record journaled during the checkpoint race")
+	}
+}
+
+// BenchmarkTailFrom measures one tail poll by a replica one record behind
+// the leader — the steady-state poll of a caught-up replica — against open
+// journals of growing length. The offset index makes the poll
+// O(records shipped), so the cost must stay flat in journal length.
+func BenchmarkTailFrom(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			idx := smallIndex(b, 4)
+			st, err := Open(context.Background(), b.TempDir(), SyncPolicy{Mode: SyncInterval, Interval: time.Hour})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			if err := st.Init(context.Background(), []*fragindex.Dump{idx.Dump()}); err != nil {
+				b.Fatal(err)
+			}
+			epoch := idx.Dump().Epoch
+			for i := 0; i < n; i++ {
+				epoch++
+				d := insDelta(fid("bench", int64(i)), map[string]int64{"alpha": 2, "beta": 1, fmt.Sprintf("k%d", i%50): 3}, 6)
+				if err := st.Append(context.Background(), 0, d, epoch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				chunk, err := st.TailFrom(context.Background(), 0, epoch-1, 64<<10)
+				if err != nil || chunk.Records != 1 {
+					b.Fatalf("chunk %+v, %v", chunk, err)
+				}
+			}
+		})
 	}
 }

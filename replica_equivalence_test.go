@@ -321,3 +321,50 @@ func TestReplicaHandleContract(t *testing.T) {
 		t.Errorf("batch staleness split = %+v", batch)
 	}
 }
+
+// TestCheckpointDumpRaceReplicates is the checkpoint dump/rotation race at
+// the facade: durableHandle.Checkpoint cuts the live index's Dump and then
+// rotates the journal, so an apply can land in between. A replica that
+// bootstraps from the new snapshot must still receive that apply's record
+// — on the parent it was stamped past as a record-free advance and the
+// replica silently lacked the delta.
+func TestCheckpointDumpRaceReplicates(t *testing.T) {
+	ctx := context.Background()
+	_, app, build := fooddbIndex(t)
+	h, err := Open(ctx, build(), app, WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.(io.Closer).Close()
+	dh := h.(*durableHandle)
+	m := &equivMutator{rng: rand.New(rand.NewSource(41)), next: 1000}
+	for i := 0; i < 3; i++ {
+		if _, err := h.Apply(ctx, m.delta()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The interleaving durableHandle.Checkpoint admits: Dump, Apply,
+	// then the store checkpoint of the (now stale) dump.
+	dump := dh.live.Dump()
+	if _, err := h.Apply(ctx, m.delta()); err != nil {
+		t.Fatal(err)
+	}
+	if err := dh.store.Checkpoint(ctx, 0, dump); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := OpenReplica(ctx, serveReplication(t, h), app,
+		WithReplicaPoll(100*time.Millisecond, 5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	waitReplicaConverged(t, h, rep)
+	if got, want := replicaDumps(rep), dumpsOf(t, h); !reflect.DeepEqual(got, want) {
+		t.Fatal("replica converged on the leader's epoch without the apply journaled during the checkpoint")
+	}
+	if got, want := searchAll(t, rep, equivQueries...), searchAll(t, h, equivQueries...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replica answers diverged from leader\n got %+v\nwant %+v", got, want)
+	}
+}
