@@ -1,10 +1,9 @@
 package dash
 
 // This file is the public serving contract: the Searcher/Maintainer
-// interfaces every topology implements, and dash.Open — the one entry
-// point that picks a topology (static, live, or sharded) from functional
-// options, so call sites depend on the contract and swap topologies
-// without rewrites.
+// interfaces, the functional options, and dash.Open — the one entry point
+// that assembles a serving handle from them, so call sites depend on the
+// contract and change shape (shards, layers) without rewrites.
 
 import (
 	"context"
@@ -12,16 +11,19 @@ import (
 	"fmt"
 
 	"repro/internal/faultfs"
+	"repro/internal/fragindex"
+	"repro/internal/replic"
 	"repro/internal/search"
 )
 
-// Searcher is the read contract every serving topology implements:
-// Engine, MultiEngine, LiveEngine, and ShardedLiveEngine all answer the
-// same three calls, so callers written against Searcher swap topologies
-// freely. Every search takes a context first; an already-cancelled ctx
-// returns ctx.Err() without touching a snapshot, and a cancellation or
-// deadline arriving mid-search is honored cooperatively (a bounded number
-// of heap pops after the signal — see the search package docs).
+// Searcher is the read contract of every handle Open and OpenReplica
+// return, whatever its shape, and of the bare *Engine and *MultiEngine.
+// Every search takes a context first; an already-cancelled ctx returns
+// ctx.Err() without touching a snapshot, and a cancellation or deadline
+// arriving mid-search is honored cooperatively (a bounded number of heap
+// pops after the signal — see the search package docs). The serving report
+// (Stats) is part of Handle, not Searcher: a handle's EngineStats carries
+// layer blocks the bare engines' search.Stats does not.
 type Searcher interface {
 	// Search answers one top-k query against the current index state.
 	Search(ctx context.Context, req Request) ([]Result, error)
@@ -29,16 +31,14 @@ type Searcher interface {
 	// one consistent index state; out[i] answers reqs[i]. Slots abandoned
 	// by a cancellation carry ctx.Err().
 	SearchBatch(ctx context.Context, reqs []Request) []BatchResult
-	// Stats summarizes the serving index in the unified shape.
-	Stats() EngineStats
 }
 
-// Maintainer is the write contract of the live topologies (LiveEngine and
-// ShardedLiveEngine — the handles Open returns): fold database changes
-// into the serving index while searches keep running. Every method takes a
-// context and every apply is transactional per publish cycle — a
-// cancellation, like any other error, publishes nothing in the failing
-// cycle (see ShardedLiveIndex for the cross-shard contract).
+// Maintainer is the write contract: fold database changes into the
+// serving index while searches keep running. Every method takes a context
+// and every apply is transactional per publish cycle — a cancellation,
+// like any other error, publishes nothing in the failing cycle (see
+// ShardedLiveIndex for the cross-shard contract). Read-only handles and
+// replicas refuse every write with their typed error.
 type Maintainer interface {
 	// Apply folds one delta into the index and publishes atomically.
 	Apply(ctx context.Context, d Delta) (ApplyReport, error)
@@ -59,42 +59,67 @@ type Maintainer interface {
 	CompactIfNeeded(ctx context.Context, maxDeadRatio float64) (int, error)
 }
 
-// Handle is the full serving contract Open returns: searches and
-// maintenance over one index, whatever topology the options picked.
+// Handle is the full serving contract Open and OpenReplica return:
+// searches, maintenance and the serving report over one index. The value
+// behind it is always a *ServingEngine, so every capability interface of
+// this package (Queuer, Checkpointer, DurabilityHealth, CachedSearcher,
+// Replicable, SearchRouter, ...) is one type assertion away and never
+// fails; which layers are configured is what Stats reports.
 type Handle interface {
 	Searcher
 	Maintainer
+	// Stats summarizes the serving index in the unified shape, with one
+	// block per configured layer.
+	Stats() EngineStats
 }
 
-// ErrReadOnly is returned by every Maintainer method of a handle opened
-// with WithReadOnly.
+// ErrReadOnly is returned by every write method of a handle opened with
+// WithReadOnly.
 var ErrReadOnly = errors.New("dash: read-only handle: maintenance not supported")
 
 // openConfig accumulates functional options; zero values are the
 // defaults.
 type openConfig struct {
-	shards     int // 0 or 1: single live index; > 1: sharded
-	workers    int // <= 0: GOMAXPROCS (the clampWorkers convention)
-	compactNum int // posting-compaction threshold; 0/0: keep the default
-	compactDen int
-	candLimit  int // default Request.CandidateLimit when a request has none
-	readOnly   bool
-	dataDir    string // non-empty: durable serving rooted here
-	syncPolicy SyncPolicy
-	retry      DurabilityRetryPolicy    // zero value: durable defaults
-	fsys       faultfs.FS               // nil: the real os package
-	cacheBytes int64                    // > 0: epoch-keyed result cache budget
-	admission  *search.AdmissionOptions // non-nil: deadline-aware shedding
-	replicaURLs    []string             // non-empty: bounded-staleness read routing
-	stalenessBound int64                // routing default bound; < 0: unbounded
+	shards      int // 0 or 1: single live index; > 1: sharded
+	workers     int // <= 0: GOMAXPROCS (the clampWorkers convention)
+	compactNum  int // posting-compaction threshold; 0/0: keep the default
+	compactDen  int
+	candLimit   int // default Request.CandidateLimit when a request has none
+	readOnly    bool
+	dataDir     string // non-empty: durable serving rooted here
+	syncPolicy  SyncPolicy
+	retry       DurabilityRetryPolicy    // zero value: durable defaults
+	fsys        faultfs.FS               // nil: the real os package
+	cacheBytes  int64                    // > 0: epoch-keyed result cache budget
+	admission   *search.AdmissionOptions // non-nil: deadline-aware shedding
+	replicaURLs []string                 // non-empty: bounded-staleness read routing
+	staleness   int64                    // bounded-staleness contract; < 0: unbounded
+	tail        replic.Options           // OpenReplica's bootstrap and tail loops
 }
 
-// Option configures Open.
+// storeTuned reports whether an option tuning the durable store is set;
+// each is meaningless without WithDataDir.
+func (c openConfig) storeTuned() bool {
+	return c.syncPolicy != (SyncPolicy{}) || c.retry != (DurabilityRetryPolicy{}) || c.fsys != nil
+}
+
+// configure applies opts over the defaults.
+func configure(opts []Option) (openConfig, error) {
+	cfg := openConfig{staleness: DefaultStalenessBound}
+	for _, opt := range opts {
+		if err := opt(&cfg); err != nil {
+			return openConfig{}, err
+		}
+	}
+	return cfg, nil
+}
+
+// Option configures Open and OpenReplica.
 type Option func(*openConfig) error
 
 // WithShards partitions the index across n independent publish cycles
-// (n > 1 selects the sharded topology; n == 1, the default, a single live
-// index). See ARCHITECTURE.md for the routing and equivalence contract.
+// (default 1, a single live index). See ARCHITECTURE.md for the routing
+// and equivalence contract.
 func WithShards(n int) Option {
 	return func(c *openConfig) error {
 		if n < 1 {
@@ -144,9 +169,8 @@ func WithCandidateLimit(n int) Option {
 }
 
 // WithReadOnly opens the static topology: searches run against the index
-// frozen at Open time and every Maintainer method returns ErrReadOnly.
-// The cheapest choice when the corpus never changes (no publish machinery
-// at all). Incompatible with WithShards > 1.
+// as built and every write method returns ErrReadOnly. Incompatible with
+// WithShards > 1.
 func WithReadOnly() Option {
 	return func(c *openConfig) error {
 		c.readOnly = true
@@ -160,8 +184,7 @@ func WithReadOnly() Option {
 // state. A fresh directory is seeded from the index passed to Open; an
 // initialized one is recovered, idx must be nil, and the committed shard
 // count pins the topology (see IsInitialized). Incompatible with
-// WithReadOnly. The returned handle additionally implements Checkpointer,
-// DurabilityReporter, and io.Closer.
+// WithReadOnly. Checkpoint, DurabilityStats and Close act on the store.
 func WithDataDir(dir string) Option {
 	return func(c *openConfig) error {
 		if dir == "" {
@@ -209,8 +232,9 @@ func WithDurableFS(fsys faultfs.FS) Option {
 // WithReplicas layers bounded-staleness read routing over a durable
 // leader handle: the handle polls each replica's readiness report and its
 // RouteSearch (see SearchRouter) places reads with no explicit MinEpoch on
-// any replica within DefaultStalenessBound epochs of the leader's current
-// epoch, falling back to serving locally when none qualifies. Requires
+// any replica within the staleness bound (WithStalenessBound) of the
+// leader's current epoch, falling back to serving locally when none
+// qualifies. Requires
 // WithDataDir (replicas bootstrap from the leader's snapshots and tail its
 // journal). urls are replica base URLs (dashserve processes started with
 // -replica-of pointing back at this leader).
@@ -220,40 +244,34 @@ func WithReplicas(urls ...string) Option {
 			return fmt.Errorf("dash: WithReplicas: no replica URLs")
 		}
 		c.replicaURLs = urls
-		if c.stalenessBound == 0 {
-			c.stalenessBound = DefaultStalenessBound
-		}
 		return nil
 	}
 }
 
-// WithStalenessBound overrides the default routing bound WithReplicas
-// applies to requests that carry no explicit MinEpoch: a replica must be
-// within `epochs` epochs of the leader's current epoch to serve them.
-// Negative means unbounded — any healthy replica qualifies.
+// WithStalenessBound overrides DefaultStalenessBound, the bounded-staleness
+// contract for reads that carry no explicit MinEpoch. On a routing leader
+// (WithReplicas) a replica must be within `epochs` epochs of the leader's
+// current epoch to serve them; a replica (OpenReplica) that lags its
+// leader by more sends them back. Negative means unbounded: any healthy
+// replica qualifies, and a replica serves however stale it is.
 func WithStalenessBound(epochs int) Option {
 	return func(c *openConfig) error {
 		if epochs == 0 {
 			return fmt.Errorf("dash: WithStalenessBound(0): a zero bound would route nothing; use a positive bound or negative for unbounded")
 		}
-		c.stalenessBound = int64(epochs)
+		c.staleness = int64(epochs)
 		return nil
 	}
 }
 
-// Open wraps a built index for serving behind the one public contract,
-// picking the topology from the options:
-//
-//   - WithReadOnly: a static engine over the index frozen at Open time.
-//   - default (or WithShards(1)): a single LiveEngine — epoch-swap
-//     snapshots, one publish cycle.
-//   - WithShards(n > 1): a ShardedLiveEngine — the fragment space
-//     partitioned by equality-group key, scatter-gather searches,
-//     per-shard publish cycles.
-//
-// Every topology answers Search/SearchBatch/Stats identically (byte-equal
-// results for the same corpus — the equivalence tests pin this down), so
-// the choice is purely operational: write rate and core count.
+// Open wraps a built index for serving behind the one public contract.
+// The handle is a search engine over the index partitioned into
+// WithShards publish cycles (default one) with the layers the options
+// add: WithReadOnly (every write refused), WithDataDir (journaled,
+// recoverable publishes), WithResultCache, WithAdmissionControl and
+// WithReplicas. Every shape answers byte-identical results for the same
+// corpus — the equivalence tests pin this down — so the choice is purely
+// operational: write rate, core count, durability, read load.
 //
 // Open takes ownership of idx: all further access must go through the
 // returned Handle. app may be nil when URL formulation is not needed.
@@ -262,146 +280,52 @@ func WithStalenessBound(epochs int) Option {
 // read and replay on-disk state shard by shard. A nil ctx is tolerated and
 // degrades to "not cancellable". ctx is not retained by the handle.
 func Open(ctx context.Context, idx *Index, app *Application, opts ...Option) (Handle, error) {
-	ctx = orBackground(ctx)
-	var cfg openConfig
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := configure(opts)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.readOnly && cfg.shards > 1 {
-		return nil, fmt.Errorf("dash: WithReadOnly is incompatible with WithShards(%d)", cfg.shards)
-	}
-	if cfg.dataDir != "" {
-		if cfg.readOnly {
-			return nil, fmt.Errorf("dash: WithDataDir is incompatible with WithReadOnly")
-		}
-		if cfg.compactNum > 0 && idx != nil {
-			if err := idx.SetPostingCompaction(cfg.compactNum, cfg.compactDen); err != nil {
-				return nil, err
-			}
-		}
-		h, err := openDurable(ctx, idx, app, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if h, err = wrapServing(h, cfg); err != nil {
-			return nil, err
-		}
-		if len(cfg.replicaURLs) > 0 {
-			return wrapReplicas(h, cfg)
-		}
-		return h, nil
-	}
-	if len(cfg.replicaURLs) > 0 {
-		return nil, fmt.Errorf("dash: WithReplicas requires WithDataDir (replicas tail the durable journal)")
-	}
-	if idx == nil {
-		return nil, fmt.Errorf("dash: Open with a nil index (only a durable reopen serves without one)")
-	}
-	if cfg.compactNum > 0 {
-		if err := idx.SetPostingCompaction(cfg.compactNum, cfg.compactDen); err != nil {
-			return nil, err
-		}
-	}
-	var h Handle
 	switch {
-	case cfg.readOnly:
-		h = &staticHandle{
-			engine:    search.New(idx.Freeze(), app),
-			workers:   cfg.workers,
-			candLimit: cfg.candLimit,
-		}
-	case cfg.shards > 1:
-		se, err := NewShardedLiveEngine(idx, app, cfg.shards)
-		if err != nil {
-			return nil, err
-		}
-		se.engine.MaxFanout = cfg.workers
-		se.workers = cfg.workers
-		se.candLimit = cfg.candLimit
-		h = se
-	default:
-		le := NewLiveEngine(idx, app)
-		le.workers = cfg.workers
-		le.candLimit = cfg.candLimit
-		h = le
+	case cfg.tail.HTTPClient != nil || cfg.tail.PollWait > 0 || cfg.tail.Logf != nil:
+		return nil, errors.New("dash: WithReplicaPoll, WithReplicaTransport and WithReplicaLog configure OpenReplica, not Open")
+	case cfg.readOnly && cfg.shards > 1:
+		return nil, fmt.Errorf("dash: WithReadOnly is incompatible with WithShards(%d)", cfg.shards)
+	case cfg.readOnly && cfg.dataDir != "":
+		return nil, errors.New("dash: WithDataDir is incompatible with WithReadOnly")
+	case len(cfg.replicaURLs) > 0 && cfg.dataDir == "":
+		return nil, errors.New("dash: WithReplicas requires WithDataDir (replicas tail the durable journal)")
+	case cfg.storeTuned() && cfg.dataDir == "":
+		return nil, errors.New("dash: WithSyncPolicy, WithDurabilityRetry and WithDurableFS require WithDataDir")
+	case idx == nil && cfg.dataDir == "":
+		return nil, errors.New("dash: Open with a nil index (only a durable reopen serves without one)")
 	}
-	return wrapServing(h, cfg)
-}
-
-// fillCandidateLimit applies a handle-level default CandidateLimit to
-// requests that leave the field at 0. A negative request value is the
-// explicit opt-out — it passes through untouched, and the engine reads
-// full posting lists for any non-positive limit.
-func fillCandidateLimit(req Request, limit int) Request {
-	if req.CandidateLimit == 0 && limit > 0 {
-		req.CandidateLimit = limit
+	e := newEngine(cfg, app)
+	var sl *fragindex.ShardedLiveIndex
+	if cfg.dataDir != "" {
+		sl, e.store, err = openDurable(orBackground(ctx), idx, cfg)
+	} else {
+		sl, err = fragindex.NewShardedLive(idx, max(cfg.shards, 1))
 	}
-	return req
-}
-
-// fillCandidateLimits is fillCandidateLimit over a batch; it copies only
-// when a request actually changes, so the common no-default path passes
-// the caller's slice through untouched.
-func fillCandidateLimits(reqs []Request, limit int) []Request {
-	if limit <= 0 {
-		return reqs
+	if err == nil && cfg.compactNum > 0 {
+		err = sl.SetPostingCompaction(cfg.compactNum, cfg.compactDen)
 	}
-	out := reqs
-	copied := false
-	for i, req := range reqs {
-		if req.CandidateLimit != 0 {
-			continue
+	if err != nil {
+		if e.store != nil {
+			e.store.Close()
 		}
-		if !copied {
-			out = append([]Request(nil), reqs...)
-			copied = true
-		}
-		out[i].CandidateLimit = limit
+		return nil, err
 	}
-	return out
+	e.serve(sl)
+	if len(cfg.replicaURLs) > 0 {
+		e.router = replic.NewRouter(cfg.replicaURLs, replic.RouterOptions{})
+	}
+	return e, nil
 }
 
-// staticHandle is the read-only topology behind Open(WithReadOnly): a
-// plain engine over one frozen snapshot, with every Maintainer method
-// refusing.
-type staticHandle struct {
-	engine    *Engine
-	workers   int
-	candLimit int
-}
-
-func (h *staticHandle) Search(ctx context.Context, req Request) ([]Result, error) {
-	return h.engine.Search(ctx, fillCandidateLimit(req, h.candLimit))
-}
-
-func (h *staticHandle) SearchBatch(ctx context.Context, reqs []Request) []BatchResult {
-	return h.engine.ParallelSearch(ctx, fillCandidateLimits(reqs, h.candLimit), h.workers)
-}
-
-func (h *staticHandle) Stats() EngineStats { return h.engine.Stats() }
-
-func (h *staticHandle) Apply(context.Context, Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReadOnly
-}
-
-func (h *staticHandle) ApplyBatch(context.Context, []Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReadOnly
-}
-
-func (h *staticHandle) Recrawl(context.Context, *Database, []FragmentID) (ApplyReport, error) {
-	return ApplyReport{}, ErrReadOnly
-}
-
-func (h *staticHandle) RecrawlWith(context.Context, *Database, []FragmentID, Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReadOnly
-}
-
-func (h *staticHandle) RecrawlBatch(context.Context, *Database, []FragmentID, []Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReadOnly
-}
-
-func (h *staticHandle) CompactIfNeeded(context.Context, float64) (int, error) {
-	return 0, ErrReadOnly
+// orBackground tolerates a nil context at the API boundary so a forgotten
+// ctx degrades to "not cancellable" instead of a panic inside the layers.
+func orBackground(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
 }

@@ -2,8 +2,7 @@ package dash
 
 // Tests for the serving-layer result cache and admission control: cached
 // responses are byte-identical to uncached ones on every topology, a
-// publish is never served stale results, the wrapper preserves exactly
-// the inner handle's capability set, and shed requests surface
+// publish is never served stale results, and shed requests surface
 // ErrOverloaded.
 
 import (
@@ -16,20 +15,6 @@ import (
 	"time"
 
 	"repro/internal/relation"
-)
-
-// Compile-time capability coverage for the cached wrappers.
-var (
-	_ Handle         = (*cachedHandle)(nil)
-	_ CachedSearcher = (*cachedHandle)(nil)
-	_ Handle         = (*cachedQueuer)(nil)
-	_ Queuer         = (*cachedQueuer)(nil)
-	_ Handle         = (*cachedDurable)(nil)
-	_ Queuer         = (*cachedDurable)(nil)
-	_ Checkpointer   = (*cachedDurable)(nil)
-	_ io.Closer      = (*cachedDurable)(nil)
-
-	_ DurabilityReporter = (*cachedDurable)(nil)
 )
 
 // stripFragRefs blanks the snapshot-internal fragment identifiers so
@@ -291,78 +276,89 @@ func TestCachePerShardPrecision(t *testing.T) {
 	}
 }
 
-// TestCachedHandleCapabilities: the wrapper claims exactly the inner
-// handle's optional interfaces — no Queuer on static, the full durable
-// set on durable — and plain Open (no cache, no admission) keeps
-// returning the unwrapped concrete types.
+// TestCachedHandleCapabilities: the result cache changes what searches
+// answer (miss, then hit) and nothing else — a cached static handle still
+// refuses every write with ErrReadOnly, a cached live handle still queues
+// and flushes, and a cached durable handle still checkpoints and reports
+// its store. Without the option, searches bypass and Stats has no cache.
 func TestCachedHandleCapabilities(t *testing.T) {
 	_, app, build := fooddbIndex(t)
-
-	plain, err := Open(context.Background(), build(), app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plain.(CachedSearcher); ok {
-		t.Error("uncached handle claims CachedSearcher")
-	}
-	if _, ok := plain.(*LiveEngine); !ok {
-		t.Errorf("default Open = %T, want unwrapped *LiveEngine", plain)
-	}
-
-	static, err := Open(context.Background(), build(), app, WithReadOnly(), WithResultCache(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := static.(Queuer); ok {
-		t.Error("cached static handle claims Queuer")
-	}
-	if _, ok := static.(CachedSearcher); !ok {
-		t.Error("cached static handle lacks CachedSearcher")
-	}
-	if _, err := static.Apply(context.Background(), Delta{}); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("cached static Apply err = %v, want ErrReadOnly", err)
-	}
-
-	live, err := Open(context.Background(), build(), app, WithResultCache(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := live.(Queuer); !ok {
-		t.Error("cached live handle lost Queuer")
-	}
-	if _, ok := live.(Checkpointer); ok {
-		t.Error("cached in-memory handle claims Checkpointer")
-	}
-
-	dir := t.TempDir()
-	durable, err := Open(context.Background(), build(), app, WithDataDir(dir), WithShards(2), WithResultCache(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := durable.(Queuer); !ok {
-		t.Error("cached durable handle lost Queuer")
-	}
-	if _, ok := durable.(Checkpointer); !ok {
-		t.Error("cached durable handle lost Checkpointer")
-	}
-	dr, ok := durable.(DurabilityReporter)
-	if !ok {
-		t.Fatal("cached durable handle lost DurabilityReporter")
-	}
-	if ds := dr.DurabilityStats(); ds.Shards != 2 {
-		t.Errorf("durability stats through the wrapper: %+v", ds)
-	}
-	cs, ok := durable.(CachedSearcher)
-	if !ok {
-		t.Fatal("cached durable handle lacks CachedSearcher")
-	}
 	ctx := context.Background()
 	req := Request{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20}
-	if _, st, err := cs.SearchStatus(ctx, req); err != nil || st != CacheMiss {
-		t.Fatalf("durable cached search: %s, %v", st, err)
+	missThenHit := func(name string, h Handle) {
+		t.Helper()
+		cs := h.(CachedSearcher)
+		if _, st, err := cs.SearchStatus(ctx, req); err != nil || st != CacheMiss {
+			t.Errorf("%s: first search %s, %v; want miss", name, st, err)
+		}
+		if _, st, err := cs.SearchStatus(ctx, req); err != nil || st != CacheHit {
+			t.Errorf("%s: repeat search %s, %v; want hit", name, st, err)
+		}
+		if h.Stats().Cache == nil {
+			t.Errorf("%s: cached handle reports no cache block", name)
+		}
 	}
-	if _, st, err := cs.SearchStatus(ctx, req); err != nil || st != CacheHit {
-		t.Fatalf("durable cached repeat: %s, %v", st, err)
+
+	plain, err := Open(ctx, build(), app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st, err := plain.(CachedSearcher).SearchStatus(ctx, req); err != nil || st != CacheBypass {
+		t.Errorf("uncached search %s, %v; want bypass", st, err)
+	}
+	if plain.Stats().Cache != nil {
+		t.Error("uncached handle reports a cache block")
+	}
+
+	static, err := Open(ctx, build(), app, WithReadOnly(), WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	missThenHit("static", static)
+	if _, err := static.Apply(ctx, Delta{}); !errors.Is(err, ErrReadOnly) {
+		t.Errorf("cached static Apply err = %v, want ErrReadOnly", err)
+	}
+	if _, err := static.(Queuer).Queue(Delta{}); !errors.Is(err, ErrReadOnly) {
+		t.Errorf("cached static Queue err = %v, want ErrReadOnly", err)
+	}
+
+	live, err := Open(ctx, build(), app, WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	missThenHit("live", live)
+	if n, err := live.(Queuer).Queue(burgerDelta()); err != nil || n != 1 {
+		t.Errorf("cached live Queue = %d, %v; want 1 queued", n, err)
+	}
+	if _, err := live.(Queuer).Flush(ctx); err != nil {
+		t.Errorf("cached live Flush: %v", err)
+	}
+	if _, st, err := live.(CachedSearcher).SearchStatus(ctx, req); err != nil || st != CacheMiss {
+		t.Errorf("search after flush %s, %v; want miss", st, err)
+	}
+	if err := live.(Checkpointer).Checkpoint(ctx); err != nil {
+		t.Errorf("cached in-memory Checkpoint: %v", err)
+	}
+	if ds := live.(DurabilityReporter).DurabilityStats(); ds.Shards != 0 {
+		t.Errorf("cached in-memory handle reports a store: %+v", ds)
+	}
+
+	durable, err := Open(ctx, build(), app, WithDataDir(t.TempDir()), WithShards(2), WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	missThenHit("durable", durable)
+	if n, err := durable.(Queuer).Queue(burgerDelta()); err != nil || n != 1 {
+		t.Errorf("cached durable Queue = %d, %v; want 1 queued", n, err)
+	}
+	if _, err := durable.(Queuer).Flush(ctx); err != nil {
+		t.Errorf("cached durable Flush: %v", err)
+	}
+	if err := durable.(Checkpointer).Checkpoint(ctx); err != nil {
+		t.Errorf("cached durable Checkpoint: %v", err)
+	}
+	if ds := durable.(DurabilityReporter).DurabilityStats(); ds.Shards != 2 || ds.Checkpoints == 0 {
+		t.Errorf("durability stats through the cache: %+v", ds)
 	}
 	if err := durable.(io.Closer).Close(); err != nil {
 		t.Fatal(err)

@@ -36,10 +36,10 @@ func (s *server) v1Readyz(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"status": "shutting_down"})
 		return
 	}
-	if s.health != nil && s.health.DurabilityState() == dash.DurabilityDegraded {
+	if s.eng.DurabilityState() == dash.DurabilityDegraded {
 		writeJSON(w, map[string]any{
 			"status":           "degraded",
-			"next_probe_in_ms": s.health.DurabilityProbeIn().Milliseconds(),
+			"next_probe_in_ms": s.eng.DurabilityProbeIn().Milliseconds(),
 		})
 		return
 	}
@@ -48,8 +48,8 @@ func (s *server) v1Readyz(w http.ResponseWriter, r *http.Request) {
 	// "degraded" but still 200: the replica keeps serving its last applied
 	// (stale but consistent) view, which is exactly the bounded-staleness
 	// contract's degraded mode.
-	if rr, ok := s.eng.(dash.ReplicationReporter); ok {
-		rs := rr.ReplicationStats()
+	if s.replica {
+		rs := s.eng.ReplicationStats()
 		status := "ready"
 		if rs.State != "tailing" {
 			status = "degraded"
@@ -65,13 +65,13 @@ func (s *server) v1Readyz(w http.ResponseWriter, r *http.Request) {
 func (s *server) markDraining() { s.draining.Store(true) }
 
 // durabilityState names the serving handle's durability state for the
-// access log: "-" for non-durable handles (an atomic read either way —
-// never a per-shard lock on the request path).
+// access log: "-" for non-durable handles, whose state is empty (an atomic
+// read either way — never a per-shard lock on the request path).
 func (s *server) durabilityState() string {
-	if s.health == nil {
-		return "-"
+	if st := s.eng.DurabilityState(); st != "" {
+		return string(st)
 	}
-	return string(s.health.DurabilityState())
+	return "-"
 }
 
 // retryAfterSeconds renders a duration as a whole-second Retry-After
@@ -92,10 +92,8 @@ func retryAfterSeconds(d time.Duration) string {
 // prober's next data-dir test — before that fires, recovery cannot have
 // happened, so retrying sooner is guaranteed wasted work.
 func (s *server) degradedRetryAfter() string {
-	if s.health != nil {
-		if d := s.health.DurabilityProbeIn(); d > 0 {
-			return retryAfterSeconds(d)
-		}
+	if d := s.eng.DurabilityProbeIn(); d > 0 {
+		return retryAfterSeconds(d)
 	}
 	return "1"
 }

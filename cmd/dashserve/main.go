@@ -40,9 +40,10 @@
 // # Serving under load
 //
 // -cache-bytes (default 32 MiB) puts an epoch-keyed result cache in front
-// of the engine: hot queries are answered without re-running the search,
-// responses are byte-identical to uncached ones (the cache key pins the
-// exact snapshot epochs), and a publish invalidates only the entries it
+// of the engine, on leaders and -replica-of processes alike: hot queries
+// are answered without re-running the search, responses are byte-identical
+// to uncached ones (the cache key pins the exact snapshot epochs), and a
+// publish — local or replicated — invalidates only the entries it
 // supersedes. Search responses carry X-Cache: hit|miss|bypass, the
 // access log records it, and /v1/admin/stats grows a "cache" block.
 // -max-inflight adds deadline-aware admission control (searches that
@@ -66,10 +67,11 @@
 // goroutine periodically garbage-collects tombstoned refs by publishing a
 // compacted snapshot once enough removals accumulate.
 //
-// The index is served through dash.Open — the engine behind the handlers is
-// the portable Searcher/Maintainer contract, so the handlers never name a
-// topology: -shards N picks the sharded engine (default 1, the single live
-// index), and /v1/admin/stats reports whichever shape is serving.
+// The index is served through dash.Open (dash.OpenReplica with
+// -replica-of) — one serving engine whichever shape the flags pick, so the
+// handlers never name a topology: -shards N partitions the index (default
+// 1, the single live index), and /v1/admin/stats reports whichever shape
+// and layers are serving.
 //
 // # Durable serving
 //
@@ -205,6 +207,16 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 
+	// The handlers only ever see the serving contract; shape and layers
+	// are construction-time concerns. A replica takes the same serving
+	// options as a leader.
+	opts := []dash.Option{dash.WithStalenessBound(*stalenessEpochs)}
+	if *cacheBytes > 0 {
+		opts = append(opts, dash.WithResultCache(*cacheBytes))
+	}
+	if *maxInflight > 0 {
+		opts = append(opts, dash.WithAdmissionControl(dash.AdmissionOptions{MaxInFlight: *maxInflight}))
+	}
 	var engine dash.Handle
 	if *replicaOf != "" {
 		// Replica mode: no crawl, no local durability — the serving state
@@ -219,19 +231,15 @@ func run(args []string, stderr io.Writer) error {
 			return fmt.Errorf("-replicas is a leader-side flag; a -replica-of process routes unsatisfiable reads back to its leader already")
 		}
 		log.Printf("bootstrapping replica of %s…", *replicaOf)
-		engine, err = dash.OpenReplica(context.Background(), *replicaOf, app,
-			dash.WithReplicaStaleness(*stalenessEpochs),
-			dash.WithReplicaLog(log.Printf))
+		engine, err = dash.OpenReplica(context.Background(), *replicaOf, app, append(opts, dash.WithReplicaLog(log.Printf))...)
 		if err != nil {
 			return err
 		}
 	} else {
-		// The handlers only ever see the Searcher/Maintainer contract; the
-		// shard count is a construction-time concern. With -data-dir an
-		// initialized directory recovers the persisted index — no crawl at all,
-		// and its committed shard count pins the topology unless -shards
-		// explicitly disagrees (which is an error, not a silent repartition).
-		var opts []dash.Option
+		// With -data-dir an initialized directory recovers the persisted
+		// index — no crawl at all, and its committed shard count pins the
+		// topology unless -shards explicitly disagrees (which is an error,
+		// not a silent repartition).
 		recovering := *dataDir != "" && dash.IsInitialized(*dataDir)
 		if !recovering || shardsSet {
 			opts = append(opts, dash.WithShards(*shards))
@@ -246,15 +254,8 @@ func run(args []string, stderr io.Writer) error {
 					ProbeInterval:    *durProbe,
 				}))
 		}
-		if *cacheBytes > 0 {
-			opts = append(opts, dash.WithResultCache(*cacheBytes))
-		}
-		if *maxInflight > 0 {
-			opts = append(opts, dash.WithAdmissionControl(dash.AdmissionOptions{MaxInFlight: *maxInflight}))
-		}
 		if *replicas != "" {
-			urls := strings.Split(*replicas, ",")
-			opts = append(opts, dash.WithReplicas(urls...), dash.WithStalenessBound(*stalenessEpochs))
+			opts = append(opts, dash.WithReplicas(strings.Split(*replicas, ",")...))
 		}
 		var idx *dash.Index
 		if recovering {
@@ -276,20 +277,10 @@ func run(args []string, stderr io.Writer) error {
 			return err
 		}
 	}
-	if closer, ok := engine.(io.Closer); ok {
-		// Closing a durable engine flushes unsynced journal appends; an
-		// error here means acknowledged applies may not have reached disk.
-		defer func() {
-			if err := closer.Close(); err != nil {
-				log.Printf("engine close: %v", err)
-			}
-		}()
-	}
 	st := engine.Stats()
 	log.Printf("index ready: %d fragments, topology %s over %d shard(s)",
 		st.Fragments, st.Topology, st.Shards)
-	if dr, ok := engine.(dash.DurabilityReporter); ok {
-		ds := dr.DurabilityStats()
+	if ds := st.Durability; ds != nil {
 		if ds.Recovered {
 			for _, ri := range ds.Recovery {
 				log.Printf("recovery: shard %d at epoch %d (snapshot %d, %d journal records replayed, fallback=%v, truncated_tail=%v)",
@@ -307,6 +298,13 @@ func run(args []string, stderr io.Writer) error {
 		perClientInFlight: *perClient,
 		accessLog:         sink,
 	})
+	// Closing a durable engine flushes unsynced journal appends; an error
+	// here means acknowledged applies may not have reached disk.
+	defer func() {
+		if err := srv.eng.Close(); err != nil {
+			log.Printf("engine close: %v", err)
+		}
+	}()
 
 	server := &http.Server{
 		Addr:              *addr,

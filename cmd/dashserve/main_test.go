@@ -360,7 +360,7 @@ func TestV1ApplyHandler(t *testing.T) {
 	if after.Publishes != mid.Publishes+1 {
 		t.Errorf("batch publishes %d -> %d, want +1", mid.Publishes, after.Publishes)
 	}
-	if engine.(*dash.ShardedLiveEngine).Live().Has(dash.FragmentID{relation.String("Nordic"), relation.Int(3)}) {
+	if engine.(*dash.ServingEngine).Live().Has(dash.FragmentID{relation.String("Nordic"), relation.Int(3)}) {
 		t.Error("cancelled insert reached the index")
 	}
 }
@@ -478,7 +478,7 @@ func TestV1ApplyQueueFlush(t *testing.T) {
 	if mid.Publishes != before.Publishes || mid.Queued != 2 {
 		t.Errorf("after queueing: publishes %d->%d, queued %d", before.Publishes, mid.Publishes, mid.Queued)
 	}
-	if engine.(*dash.ShardedLiveEngine).Live().Has(dash.FragmentID{relation.String("Nordic"), relation.Int(3)}) {
+	if engine.(*dash.ServingEngine).Live().Has(dash.FragmentID{relation.String("Nordic"), relation.Int(3)}) {
 		t.Error("queued insert reached the served index before flush")
 	}
 
@@ -510,7 +510,7 @@ func TestV1ApplyQueueFlush(t *testing.T) {
 	if after.Queued != 0 {
 		t.Errorf("post-flush queued = %d, want 0", after.Queued)
 	}
-	if !engine.(*dash.ShardedLiveEngine).Live().Has(dash.FragmentID{relation.String("Nordic"), relation.Int(3)}) {
+	if !engine.(*dash.ServingEngine).Live().Has(dash.FragmentID{relation.String("Nordic"), relation.Int(3)}) {
 		t.Error("flushed insert missing from the served index")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -49,7 +50,7 @@ func leaderAndReplicaMux(t *testing.T, shards int) (leaderMux http.Handler, repl
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rep.Close() })
+	t.Cleanup(func() { rep.(io.Closer).Close() })
 	bound, err := app.Bound()
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +206,23 @@ func TestReplicaServing(t *testing.T) {
 	}
 	if ready.Status != "ready" || ready.Replication == nil || ready.Replication.State != "tailing" {
 		t.Errorf("replica readyz = %+v (replication %+v)", ready, ready.Replication)
+	}
+}
+
+// TestReplicaRefusesQueuedWrites: the deferred write modes are writes
+// like any other, so a replica answers them 421 not_leader too.
+func TestReplicaRefusesQueuedWrites(t *testing.T) {
+	_, replicaMux, _ := leaderAndReplicaMux(t, 1)
+	for name, body := range map[string]string{
+		"queue": `{"mode":"queue","changes":[{"op":"update","id":["American","10"],"terms":{"burger":1},"total":1}]}`,
+		"flush": `{"mode":"flush"}`,
+	} {
+		rec := postJSON(t, replicaMux, "/v1/admin/apply", body)
+		if rec.Code != http.StatusMisdirectedRequest {
+			t.Errorf("replica %s: status %d, want 421 (body %q)", name, rec.Code, rec.Body.String())
+		} else if code := errorCode(t, rec); code != "not_leader" {
+			t.Errorf("replica %s: code %q, want not_leader", name, code)
+		}
 	}
 }
 

@@ -45,31 +45,31 @@ type serveConfig struct {
 	accessLog *logSink
 }
 
-// server binds the handlers to the serving contract. Handlers only ever
-// use dash.Handle — Searcher for reads, Maintainer for admin writes — so
-// the surface is identical whatever topology Open picked. health is the
-// handle's cheap durability-state surface (nil for non-durable handles);
-// draining flips readiness off for the graceful-shutdown window.
+// server binds the handlers to the serving handle, so the surface is
+// identical whatever shape Open picked. replica records whether the handle
+// tails a leader (its readiness advertises the tail); draining flips
+// readiness off for the graceful-shutdown window.
 type server struct {
-	eng      dash.Handle
+	eng      *dash.ServingEngine
 	app      *webapp.Application
 	db       *dash.Database
 	kinds    []relation.Kind
 	cfg      serveConfig
-	health   dash.DurabilityHealth
+	replica  bool
 	draining atomic.Bool
 }
 
 // newMux assembles the full HTTP surface over a serving handle and wraps
 // it in the request middleware (X-Request-ID, access log, panic-to-500).
 // Split out of run so handler tests can drive it with httptest against a
-// small dataset. The returned server carries the readiness state main
-// flips when shutdown begins.
-func newMux(eng dash.Handle, app *webapp.Application, db *dash.Database, kinds []relation.Kind, cfg serveConfig) (http.Handler, *server) {
-	s := &server{eng: eng, app: app, db: db, kinds: kinds, cfg: cfg}
-	if dh, ok := eng.(dash.DurabilityHealth); ok {
-		s.health = dh
-	}
+// small dataset. The returned server carries the handle and the readiness
+// state main flips when shutdown begins. dash.Open and dash.OpenReplica
+// return one handle type; which layers it carries (cache, durability,
+// replica tail) is read from its Stats, never from its type.
+func newMux(h dash.Handle, app *webapp.Application, db *dash.Database, kinds []relation.Kind, cfg serveConfig) (http.Handler, *server) {
+	eng := h.(*dash.ServingEngine)
+	st := eng.Stats()
+	s := &server{eng: eng, app: app, db: db, kinds: kinds, cfg: cfg, replica: st.Replication != nil}
 	mux := http.NewServeMux()
 	mux.Handle("/app", app.Handler())
 	if cfg.withPprof {
@@ -90,9 +90,9 @@ func newMux(eng dash.Handle, app *webapp.Application, db *dash.Database, kinds [
 
 	// Durable handles expose the replication transport replicas bootstrap
 	// from and tail (snapshot manifest + ranged fetch + journal long-poll).
-	if rep, ok := eng.(dash.Replicable); ok {
+	if st.Durability != nil {
 		mux.Handle(dash.ReplicationPrefix+"/",
-			http.StripPrefix(dash.ReplicationPrefix, rep.ReplicationHandler()))
+			http.StripPrefix(dash.ReplicationPrefix, eng.ReplicationHandler()))
 	}
 
 	// The human demo page; every other path answers the structured 404.
@@ -275,11 +275,10 @@ var proxyClient = &http.Client{}
 // leader, routing leaders place eligible reads on a qualifying replica.
 // Requests already forwarded once are always served locally.
 func (s *server) routeSearch(r *http.Request, req dash.Request) (string, bool) {
-	rt, ok := s.eng.(dash.SearchRouter)
-	if !ok || r.Header.Get(hdrForwarded) != "" {
+	if r.Header.Get(hdrForwarded) != "" {
 		return "", false
 	}
-	return rt.RouteSearch(req)
+	return s.eng.RouteSearch(req)
 }
 
 // forwardSearch re-issues the request against target and streams the
@@ -344,7 +343,7 @@ func (s *server) v1Search(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	ans, status, err := s.search(ctx, base)
+	ans, status, err := s.eng.SearchAnswer(ctx, base)
 	h := w.Header()
 	h["X-Cache"] = xCacheValues[status]
 	if err != nil {
@@ -425,31 +424,6 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// search runs one query through the handle, reporting the cache outcome:
-// handles opened with a result cache answer hit/miss per request with the
-// cache's shared answer, others always "bypass" with a fresh one — so the
-// X-Cache header is present either way, a client can tell "no cache
-// configured" from "missed", and v1Search writes every body the same way.
-func (s *server) search(ctx context.Context, req dash.Request) (*dash.Answer, dash.CacheStatus, error) {
-	if cs, ok := s.eng.(dash.CachedSearcher); ok {
-		return cs.SearchAnswer(ctx, req)
-	}
-	results, err := s.eng.Search(ctx, req)
-	if err != nil {
-		return nil, dash.CacheBypass, err
-	}
-	return dash.NewAnswer(results), dash.CacheBypass, nil
-}
-
-// searchBatch is search's batch form; the aggregate status is "hit" only
-// when every entry was answered from the cache.
-func (s *server) searchBatch(ctx context.Context, reqs []dash.Request) ([]dash.BatchResult, dash.CacheStatus) {
-	if cs, ok := s.eng.(dash.CachedSearcher); ok {
-		return cs.SearchBatchStatus(ctx, reqs)
-	}
-	return s.eng.SearchBatch(ctx, reqs), dash.CacheBypass
-}
-
 // v1SearchBatch answers GET /v1/search:batch?q=…&q=…&k=…&s=… — every q is
 // one search, all pinned to the same index state via SearchBatch. Per-query
 // engine failures are reported per entry; a request-level cancellation or
@@ -480,7 +454,7 @@ func (s *server) v1SearchBatch(w http.ResponseWriter, r *http.Request) {
 		reqs[i].Keywords = strings.Fields(q)
 	}
 	start := time.Now()
-	batch, status := s.searchBatch(ctx, reqs)
+	batch, status := s.eng.SearchBatchStatus(ctx, reqs)
 	w.Header().Set("X-Cache", string(status))
 	// A deadline or disconnect that actually cost results shows up in the
 	// per-entry errors (abandoned slots carry ctx.Err()); a deadline that
@@ -590,9 +564,9 @@ type applyRequest struct {
 
 // handleApply validates, derives, and applies one admin maintenance
 // request through the Maintainer contract. The whole request — derivation
-// included — runs under the engine's maintenance serialization. The
-// deferred modes ("queue"/"flush") require a topology implementing
-// dash.Queuer — both live topologies do.
+// included — runs under the engine's maintenance serialization. A replica
+// or read-only handle refuses every mode, the deferred ones included, with
+// its typed error.
 func (s *server) handleApply(ctx context.Context, req applyRequest) (any, error) {
 	entries := append([]deltaRequest{req.deltaRequest}, req.Batch...)
 	var (
@@ -623,10 +597,6 @@ func (s *server) handleApply(ctx context.Context, req applyRequest) (any, error)
 	switch req.Mode {
 	case "", "apply":
 	case "queue":
-		q, ok := s.eng.(dash.Queuer)
-		if !ok {
-			return nil, errors.New("serving topology does not support queued deltas")
-		}
 		if len(ids) > 0 {
 			return nil, errors.New(`"mode":"queue" takes explicit changes only: a recrawl derives against the current index, which defeats deferral`)
 		}
@@ -635,18 +605,17 @@ func (s *server) handleApply(ctx context.Context, req applyRequest) (any, error)
 		}
 		n := 0
 		for _, d := range deltas {
-			n = q.Queue(d)
+			var err error
+			if n, err = s.eng.Queue(d); err != nil {
+				return nil, err
+			}
 		}
 		return map[string]any{"queued": len(deltas), "pending": n}, nil
 	case "flush":
-		q, ok := s.eng.(dash.Queuer)
-		if !ok {
-			return nil, errors.New("serving topology does not support queued deltas")
-		}
 		if !empty {
 			return nil, errors.New(`"mode":"flush" takes no deltas: it publishes what is already queued`)
 		}
-		return q.Flush(ctx)
+		return s.eng.Flush(ctx)
 	default:
 		return nil, fmt.Errorf("unknown mode %q: want apply, queue, or flush", req.Mode)
 	}

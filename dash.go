@@ -25,26 +25,27 @@
 //	    fmt.Println(r.URL) // e.g. http://example.com/Search?c=American&l=10&u=12
 //	}
 //
-// # One contract, three topologies
+// # One contract, one engine
 //
-// Open returns a Handle — the Searcher + Maintainer contract — and picks
-// the serving topology from its options: a read-only engine over a frozen
-// snapshot (WithReadOnly), a single live index absorbing deltas under
-// query traffic (the default), or a sharded index scattering searches and
-// routing writes across independent publish cycles (WithShards(n)). Call
-// sites written against the contract swap topologies without rewrites,
-// and every topology returns byte-identical results for the same corpus.
+// Open returns a Handle — the Searcher + Maintainer contract — backed by
+// one serving engine whose shape the options pick: the index partitioned
+// into WithShards(n) independent publish cycles (one by default), plus
+// optional layers — WithReadOnly, WithDataDir (durability), WithResultCache,
+// WithAdmissionControl, WithReplicas (read routing). OpenReplica returns
+// the same engine over a journal-tailing replica of a durable leader. Call
+// sites written against the contract change shape without rewrites, and
+// every shape returns byte-identical results for the same corpus.
 // Every method takes a context.Context first: searches honor cancellation
 // cooperatively mid-assembly, batch fan-outs abandon queued work, and a
 // cancelled apply publishes nothing in the failing cycle.
 //
 // # Serving while the database changes
 //
-// A db-page index is only useful while it tracks the database, so the
-// default topology serves lock-free searches against immutable epoch-swap
-// snapshots while a writer folds database changes into the next snapshot
-// and publishes it atomically. Searches in flight keep their pinned
-// snapshot; new searches see the new version.
+// A db-page index is only useful while it tracks the database, so a
+// handle serves lock-free searches against immutable epoch-swap snapshots
+// while a writer folds database changes into the next snapshot and
+// publishes it atomically. Searches in flight keep their pinned snapshot;
+// new searches see the new version.
 //
 //	live, _ := dash.Open(ctx, idx, app) // takes ownership of idx
 //	go serve(live)                 // live.Search from any goroutine
@@ -66,7 +67,7 @@
 // one published snapshot, paying a single publish — and a single
 // copy-on-write pass over each touched fragment — for the whole batch.
 //
-// # Scaling across cores: sharded serving
+// # Scaling across cores: shards
 //
 // When one index can no longer absorb the write rate — or one snapshot
 // walk per query leaves cores idle — partition it:
@@ -78,14 +79,13 @@
 // per shard with corpus-wide IDF and gather a global top-k identical to
 // the single-index answer, while deltas route to their shards and apply
 // concurrently with no global write lock. See ARCHITECTURE.md's "Public
-// API" section for the full topology-selection rules.
+// API" section for the full option rules.
 package dash
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/crawl"
@@ -122,24 +122,14 @@ type (
 	// MultiResult pairs a Result with the application that produced it
 	// (MultiEngine.SearchApps).
 	MultiResult = search.MultiResult
-	// EngineStats is the unified serving-stats shape every topology's
-	// Stats() answers.
-	EngineStats = search.Stats
 	// FragRef identifies a fragment within an Index.
 	FragRef = fragindex.FragRef
 	// Snapshot is one immutable version of a fragment index; the whole
 	// search read path runs against it lock-free.
 	Snapshot = fragindex.Snapshot
-	// LiveIndex serves snapshots while absorbing deltas (epoch swap).
-	LiveIndex = fragindex.LiveIndex
 	// ShardedLiveIndex partitions the fragment space across independent
 	// LiveIndex shards (group-key routing, per-shard publish cycles).
 	ShardedLiveIndex = fragindex.ShardedLiveIndex
-	// ShardedApplyStats reports a routed apply: summed totals plus what
-	// each touched shard published.
-	ShardedApplyStats = fragindex.ShardedApplyStats
-	// ShardedLiveStats aggregates per-shard serving statistics.
-	ShardedLiveStats = fragindex.ShardedLiveStats
 	// FragmentID identifies a fragment: its selection-attribute values.
 	FragmentID = fragment.ID
 	// Delta is a batch of fragment changes derived from database updates.
@@ -149,8 +139,8 @@ type (
 	// ApplyStats reports what one delta application did and cost.
 	ApplyStats = fragindex.ApplyStats
 	// ApplyReport is the Maintainer contract's uniform apply result:
-	// summed totals plus, for sharded topologies, what each touched shard
-	// published (PerShard is nil for a single publish cycle).
+	// summed totals plus, with more than one shard, what each touched
+	// shard published (PerShard is nil for a single publish cycle).
 	ApplyReport = fragindex.ShardedApplyStats
 	// LiveStats summarizes a serving index and its maintenance history.
 	LiveStats = fragindex.LiveStats
@@ -281,432 +271,6 @@ func NewEngine(idx *Index, app *Application) *Engine {
 // database) with duplicate-content elimination.
 func NewMultiEngine(engines ...*Engine) *MultiEngine {
 	return search.NewMulti(engines...)
-}
-
-// report lifts a single-cycle ApplyStats into the Maintainer contract's
-// uniform shape (no per-shard breakdown: there is one publish cycle).
-func report(st ApplyStats) ApplyReport { return ApplyReport{Total: st} }
-
-// LiveEngine pairs a LiveIndex with a search engine: lock-free top-k
-// searches against the current published snapshot, plus the single-writer
-// maintenance API that folds database changes into the next snapshot. All
-// methods are safe for concurrent use: Apply, Recrawl, and RecrawlWith
-// serialize among themselves, including Recrawl's delta derivation — two
-// concurrent recrawls of the same partition cannot misclassify each
-// other's in-flight inserts or removals.
-type LiveEngine struct {
-	// mu serializes the whole maintenance cycle (derive + apply), so delta
-	// classification always runs against the latest published snapshot.
-	mu     sync.Mutex
-	live   *fragindex.LiveIndex
-	engine *search.Engine
-	app    *Application
-	// workers and candLimit carry Open's WithWorkers/WithCandidateLimit
-	// defaults (zero: runtime-chosen workers, full posting lists).
-	workers   int
-	candLimit int
-}
-
-// NewLiveEngine wraps a built index for online serving. It takes ownership
-// of idx: all further access must go through the LiveEngine. app may be
-// nil when URL formulation is not needed.
-//
-// Deprecated: construct through Open, which picks this topology by
-// default and configures it with functional options.
-func NewLiveEngine(idx *Index, app *Application) *LiveEngine {
-	live := fragindex.NewLive(idx)
-	return &LiveEngine{live: live, engine: search.New(live, app), app: app}
-}
-
-// Search answers a top-k query against the current snapshot.
-func (le *LiveEngine) Search(ctx context.Context, req Request) ([]Result, error) {
-	return le.engine.Search(ctx, fillCandidateLimit(req, le.candLimit))
-}
-
-// SearchBatch evaluates a batch of requests concurrently over the
-// handle's worker pool, all pinned to one snapshot.
-func (le *LiveEngine) SearchBatch(ctx context.Context, reqs []Request) []BatchResult {
-	return le.engine.ParallelSearch(ctx, fillCandidateLimits(reqs, le.candLimit), le.workers)
-}
-
-// ParallelSearch evaluates a batch of requests concurrently over an
-// explicit worker count, all pinned to one snapshot.
-func (le *LiveEngine) ParallelSearch(ctx context.Context, reqs []Request, workers int) []BatchResult {
-	return le.engine.ParallelSearch(ctx, fillCandidateLimits(reqs, le.candLimit), workers)
-}
-
-// Engine returns the underlying search engine (for MultiEngine federation
-// or snapshot-pinned searches via SearchSnapshot).
-func (le *LiveEngine) Engine() *Engine { return le.engine }
-
-// Live returns the underlying live index (stats, explicit snapshots,
-// compaction).
-func (le *LiveEngine) Live() *LiveIndex { return le.live }
-
-// Snapshot returns the current published index version.
-func (le *LiveEngine) Snapshot() *Snapshot { return le.live.Snapshot() }
-
-// Apply folds a delta into the index and atomically publishes the result.
-// A cancelled ctx publishes nothing and returns ctx.Err().
-func (le *LiveEngine) Apply(ctx context.Context, d Delta) (ApplyReport, error) {
-	le.mu.Lock()
-	defer le.mu.Unlock()
-	st, err := le.live.Apply(ctx, d)
-	if err != nil {
-		return ApplyReport{}, err
-	}
-	return report(st), nil
-}
-
-// ApplyBatch coalesces a sequence of deltas and publishes their net effect
-// as one snapshot — one publish for the whole batch instead of one per
-// delta (see fragindex.LiveIndex.ApplyBatch for the folding rules).
-func (le *LiveEngine) ApplyBatch(ctx context.Context, ds []Delta) (ApplyReport, error) {
-	le.mu.Lock()
-	defer le.mu.Unlock()
-	st, err := le.live.ApplyBatch(ctx, ds)
-	if err != nil {
-		return ApplyReport{}, err
-	}
-	return report(st), nil
-}
-
-// Queue buffers a delta for a later batched publish without applying it,
-// returning the queue length. Flush drains the queue as one publish.
-func (le *LiveEngine) Queue(d Delta) int { return le.live.Queue(d) }
-
-// Flush applies every queued delta as one batched publish.
-func (le *LiveEngine) Flush(ctx context.Context) (ApplyReport, error) {
-	le.mu.Lock()
-	defer le.mu.Unlock()
-	st, err := le.live.Flush(ctx)
-	if err != nil {
-		return ApplyReport{}, err
-	}
-	return report(st), nil
-}
-
-// Stats summarizes the serving index and its maintenance history in the
-// unified shape; LiveStats has the single-index report.
-func (le *LiveEngine) Stats() EngineStats { return le.engine.Stats() }
-
-// LiveStats is the single-index maintenance report (the unified Stats
-// carries the same numbers).
-func (le *LiveEngine) LiveStats() LiveStats { return le.live.Stats() }
-
-// CompactIfNeeded runs the snapshot garbage collector, returning 1 when
-// the publish cycle compacted.
-func (le *LiveEngine) CompactIfNeeded(ctx context.Context, maxDeadRatio float64) (int, error) {
-	ran, err := le.live.CompactIfNeeded(ctx, maxDeadRatio)
-	if err != nil {
-		return 0, err
-	}
-	if ran {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// SetPostingCompaction tunes the posting-list compaction threshold (see
-// fragindex.Index.SetPostingCompaction).
-func (le *LiveEngine) SetPostingCompaction(num, den int) error {
-	return le.live.SetPostingCompaction(num, den)
-}
-
-// Recrawl re-executes the application query for the given fragment
-// partitions only — not the whole database — derives the resulting Delta
-// (inserts, removals, updates), and publishes it. This is the paper's
-// §VIII "efficient update mechanism" end to end: after database rows
-// change, pass every fragment identifier whose partition is affected.
-func (le *LiveEngine) Recrawl(ctx context.Context, db *Database, ids []FragmentID) (ApplyReport, error) {
-	return le.RecrawlWith(ctx, db, ids, Delta{})
-}
-
-// RecrawlWith combines a targeted re-crawl with explicit extra changes and
-// applies everything as one transactional delta. Derivation runs under the
-// same lock as the apply and classifies against the latest published
-// snapshot, so concurrent maintenance calls observe each other's results
-// instead of racing. A ctx cancelled during derivation or apply publishes
-// nothing.
-func (le *LiveEngine) RecrawlWith(ctx context.Context, db *Database, ids []FragmentID, extra Delta) (ApplyReport, error) {
-	if len(ids) > 0 && le.app == nil {
-		return ApplyReport{}, fmt.Errorf("dash: Recrawl needs an application bound to the engine")
-	}
-	le.mu.Lock()
-	defer le.mu.Unlock()
-	d := Delta{
-		SelAttrs: extra.SelAttrs,
-		Changes:  append([]FragmentChange(nil), extra.Changes...),
-	}
-	if len(ids) > 0 {
-		derived, err := le.deriveLocked(ctx, db, ids)
-		if err != nil {
-			return ApplyReport{}, err
-		}
-		if d.SelAttrs == nil {
-			d.SelAttrs = derived.SelAttrs
-		}
-		d.Changes = append(d.Changes, derived.Changes...)
-	}
-	st, err := le.live.Apply(ctx, d)
-	if err != nil {
-		return ApplyReport{}, err
-	}
-	return report(st), nil
-}
-
-// RecrawlBatch combines a targeted re-crawl with a batch of explicit
-// deltas and publishes everything as one coalesced snapshot: the derived
-// re-crawl delta joins ds and the whole batch pays a single publish.
-// Unlike sequential Apply calls, changes to the same fragment across the
-// batch are folded first (an insert a later delta removes never touches
-// the index). Derivation runs under the maintenance lock like RecrawlWith.
-func (le *LiveEngine) RecrawlBatch(ctx context.Context, db *Database, ids []FragmentID, ds []Delta) (ApplyReport, error) {
-	if len(ids) > 0 && le.app == nil {
-		return ApplyReport{}, fmt.Errorf("dash: Recrawl needs an application bound to the engine")
-	}
-	le.mu.Lock()
-	defer le.mu.Unlock()
-	batch := append([]Delta(nil), ds...)
-	if len(ids) > 0 {
-		derived, err := le.deriveLocked(ctx, db, ids)
-		if err != nil {
-			return ApplyReport{}, err
-		}
-		batch = append(batch, derived)
-	}
-	st, err := le.live.ApplyBatch(ctx, batch)
-	if err != nil {
-		return ApplyReport{}, err
-	}
-	return report(st), nil
-}
-
-// deriveLocked re-crawls the given partitions against the latest published
-// snapshot. Caller holds le.mu.
-func (le *LiveEngine) deriveLocked(ctx context.Context, db *Database, ids []FragmentID) (Delta, error) {
-	bound, err := le.app.Bound()
-	if err != nil {
-		return Delta{}, err
-	}
-	return crawl.DeriveDelta(ctx, db, bound, ids, le.live.Snapshot().Has)
-}
-
-// ShardedLiveEngine is the partitioned serving path: the fragment space is
-// split across independent LiveIndex shards (hash of the equality-group
-// key, so db-page assembly never crosses shards), searches scatter-gather
-// over one pinned snapshot per shard with corpus-wide IDF, and maintenance
-// deltas route to their shards and apply concurrently — no global write
-// lock. With shards == 1 it behaves like a LiveEngine; with more it scales
-// both reads and writes across cores. Like LiveEngine, maintenance calls
-// serialize among themselves so delta classification always runs against
-// the latest published state.
-type ShardedLiveEngine struct {
-	mu     sync.Mutex
-	live   *fragindex.ShardedLiveIndex
-	engine *search.ShardedEngine
-	app    *Application
-	// workers and candLimit carry Open's WithWorkers/WithCandidateLimit
-	// defaults (zero: runtime-chosen workers, full posting lists).
-	workers   int
-	candLimit int
-	// pendMu guards the engine-level delta queue (Queue/Flush); deltas are
-	// buffered unrouted and partition across shards only at Flush.
-	pendMu  sync.Mutex
-	pending []Delta
-}
-
-// NewShardedLiveEngine partitions a built index across the given number of
-// shards for online serving. It takes ownership of idx: all further access
-// must go through the ShardedLiveEngine. app may be nil when URL
-// formulation is not needed.
-//
-// Deprecated: construct through Open(idx, app, WithShards(n)).
-func NewShardedLiveEngine(idx *Index, app *Application, shards int) (*ShardedLiveEngine, error) {
-	live, err := fragindex.NewShardedLive(idx, shards)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedLiveEngine{live: live, engine: search.NewSharded(live, app), app: app}, nil
-}
-
-// Search answers a top-k query against the shards' current snapshots.
-func (se *ShardedLiveEngine) Search(ctx context.Context, req Request) ([]Result, error) {
-	return se.engine.Search(ctx, fillCandidateLimit(req, se.candLimit))
-}
-
-// Pin resolves one snapshot per shard; SearchPinned runs a request against
-// such a pinned set for repeatable reads.
-func (se *ShardedLiveEngine) Pin() []*Snapshot { return se.engine.Pin() }
-
-// SearchPinned answers a top-k query against an explicitly pinned shard
-// snapshot set (from Pin).
-func (se *ShardedLiveEngine) SearchPinned(ctx context.Context, snaps []*Snapshot, req Request) ([]Result, error) {
-	return se.engine.SearchPinned(ctx, snaps, fillCandidateLimit(req, se.candLimit))
-}
-
-// SearchBatch evaluates a batch of requests concurrently over the
-// handle's worker pool, all pinned to one shard snapshot set.
-func (se *ShardedLiveEngine) SearchBatch(ctx context.Context, reqs []Request) []BatchResult {
-	return se.engine.ParallelSearch(ctx, fillCandidateLimits(reqs, se.candLimit), se.workers)
-}
-
-// ParallelSearch evaluates a batch of requests concurrently over an
-// explicit worker count, all pinned to one shard snapshot set.
-func (se *ShardedLiveEngine) ParallelSearch(ctx context.Context, reqs []Request, workers int) []BatchResult {
-	return se.engine.ParallelSearch(ctx, fillCandidateLimits(reqs, se.candLimit), workers)
-}
-
-// Engine returns the underlying scatter-gather engine.
-func (se *ShardedLiveEngine) Engine() *search.ShardedEngine { return se.engine }
-
-// Live returns the underlying sharded index (per-shard access, stats,
-// compaction).
-func (se *ShardedLiveEngine) Live() *ShardedLiveIndex { return se.live }
-
-// NumShards returns the shard count.
-func (se *ShardedLiveEngine) NumShards() int { return se.live.NumShards() }
-
-// Stats aggregates the per-shard serving statistics in the unified shape
-// (PerShard carries each shard's own report). Queued includes the
-// engine-level queue, which buffers unrouted deltas until Flush.
-func (se *ShardedLiveEngine) Stats() EngineStats {
-	st := se.engine.Stats()
-	st.Queued += se.Pending()
-	return st
-}
-
-// ShardStats is the sharded-index maintenance report (the unified Stats
-// carries the same numbers).
-func (se *ShardedLiveEngine) ShardStats() ShardedLiveStats { return se.live.Stats() }
-
-// Apply routes a delta's changes to their shards and applies them
-// concurrently (transactional per shard; see
-// fragindex.ShardedLiveIndex.Apply for the cross-shard contract).
-func (se *ShardedLiveEngine) Apply(ctx context.Context, d Delta) (ApplyReport, error) {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return se.live.Apply(ctx, d)
-}
-
-// ApplyBatch coalesces a sequence of deltas and applies the net changes
-// concurrently across shards — one publish per touched shard for the whole
-// batch.
-func (se *ShardedLiveEngine) ApplyBatch(ctx context.Context, ds []Delta) (ApplyReport, error) {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return se.live.ApplyBatch(ctx, ds)
-}
-
-// Queue buffers a delta for a later batched publish without applying it,
-// returning the queue length. Like LiveEngine.Queue it never blocks on
-// the writer — only the short queue lock — so producers can enqueue while
-// an earlier Flush is still publishing.
-func (se *ShardedLiveEngine) Queue(d Delta) int {
-	se.pendMu.Lock()
-	defer se.pendMu.Unlock()
-	se.pending = append(se.pending, d)
-	return len(se.pending)
-}
-
-// Pending returns the number of queued deltas awaiting Flush.
-func (se *ShardedLiveEngine) Pending() int {
-	se.pendMu.Lock()
-	defer se.pendMu.Unlock()
-	return len(se.pending)
-}
-
-// Flush drains the queue and applies everything as one coalesced, routed
-// batch — each touched shard pays one publish. An already-cancelled ctx
-// fails before the drain, leaving the queue intact; after the drain the
-// batch is gone whether or not the apply succeeds (the LiveIndex.Flush
-// contract).
-func (se *ShardedLiveEngine) Flush(ctx context.Context) (ApplyReport, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return ApplyReport{}, err
-		}
-	}
-	se.pendMu.Lock()
-	batch := se.pending
-	se.pending = nil
-	se.pendMu.Unlock()
-	return se.ApplyBatch(ctx, batch)
-}
-
-// CompactIfNeeded runs the snapshot garbage collector on every shard,
-// returning how many compacted.
-func (se *ShardedLiveEngine) CompactIfNeeded(ctx context.Context, maxDeadRatio float64) (int, error) {
-	return se.live.CompactIfNeeded(ctx, maxDeadRatio)
-}
-
-// SetPostingCompaction tunes every shard's posting-list compaction
-// threshold (see fragindex.Index.SetPostingCompaction).
-func (se *ShardedLiveEngine) SetPostingCompaction(num, den int) error {
-	return se.live.SetPostingCompaction(num, den)
-}
-
-// Recrawl re-executes the application query for the given fragment
-// partitions, derives the delta, and applies it routed across shards.
-func (se *ShardedLiveEngine) Recrawl(ctx context.Context, db *Database, ids []FragmentID) (ApplyReport, error) {
-	return se.RecrawlWith(ctx, db, ids, Delta{})
-}
-
-// RecrawlWith combines a targeted re-crawl with explicit extra changes and
-// applies everything as one routed delta. Derivation runs under the
-// maintenance lock and classifies against the latest published shard
-// snapshots.
-func (se *ShardedLiveEngine) RecrawlWith(ctx context.Context, db *Database, ids []FragmentID, extra Delta) (ApplyReport, error) {
-	if len(ids) > 0 && se.app == nil {
-		return ApplyReport{}, fmt.Errorf("dash: Recrawl needs an application bound to the engine")
-	}
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	d := Delta{
-		SelAttrs: extra.SelAttrs,
-		Changes:  append([]FragmentChange(nil), extra.Changes...),
-	}
-	if len(ids) > 0 {
-		derived, err := se.deriveLocked(ctx, db, ids)
-		if err != nil {
-			return ApplyReport{}, err
-		}
-		if d.SelAttrs == nil {
-			d.SelAttrs = derived.SelAttrs
-		}
-		d.Changes = append(d.Changes, derived.Changes...)
-	}
-	return se.live.Apply(ctx, d)
-}
-
-// RecrawlBatch combines a targeted re-crawl with a batch of explicit
-// deltas; the whole batch coalesces and each touched shard pays one
-// publish.
-func (se *ShardedLiveEngine) RecrawlBatch(ctx context.Context, db *Database, ids []FragmentID, ds []Delta) (ApplyReport, error) {
-	if len(ids) > 0 && se.app == nil {
-		return ApplyReport{}, fmt.Errorf("dash: Recrawl needs an application bound to the engine")
-	}
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	batch := append([]Delta(nil), ds...)
-	if len(ids) > 0 {
-		derived, err := se.deriveLocked(ctx, db, ids)
-		if err != nil {
-			return ApplyReport{}, err
-		}
-		batch = append(batch, derived)
-	}
-	return se.live.ApplyBatch(ctx, batch)
-}
-
-// deriveLocked re-crawls the given partitions against the latest published
-// shard snapshots. Caller holds se.mu.
-func (se *ShardedLiveEngine) deriveLocked(ctx context.Context, db *Database, ids []FragmentID) (Delta, error) {
-	bound, err := se.app.Bound()
-	if err != nil {
-		return Delta{}, err
-	}
-	return crawl.DeriveDelta(ctx, db, bound, ids, se.live.Has)
 }
 
 // SaveIndex serializes an index (gob encoding).

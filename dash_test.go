@@ -139,28 +139,25 @@ func TestFacadeMultiEngine(t *testing.T) {
 
 // TestFacadeShardedLiveEngine drives the partitioned serving path through
 // the facade: build, shard, search (matching the single-index answer),
-// recrawl after a database change, batch-apply, and per-shard stats.
+// batch-apply, batch-search, and per-shard stats.
 func TestFacadeShardedLiveEngine(t *testing.T) {
 	db := fooddb.New()
 	app, _ := Analyze(fooddb.ServletSource, fooddb.BaseURL)
 	if err := app.Bind(db); err != nil {
 		t.Fatal(err)
 	}
-	build := func() *Index {
+	open := func(opts ...Option) Handle {
 		idx, _, err := Build(context.Background(), db, app, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return idx
+		h, err := Open(context.Background(), idx, app, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-	single := NewLiveEngine(build(), app)
-	sharded, err := NewShardedLiveEngine(build(), app, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.NumShards() != 3 {
-		t.Fatalf("NumShards = %d", sharded.NumShards())
-	}
+	single, sharded := open(), open(WithShards(3))
 	req := Request{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20}
 	want, err := single.Search(context.Background(), req)
 	if err != nil {
@@ -192,7 +189,7 @@ func TestFacadeShardedLiveEngine(t *testing.T) {
 	if st.Total.Inserted != 1 || len(st.PerShard) != 1 {
 		t.Errorf("apply stats = %+v", st)
 	}
-	if !sharded.Live().Has(id) {
+	if !sharded.(*ServingEngine).Live().Has(id) {
 		t.Error("inserted fragment not visible")
 	}
 	stats := sharded.Stats()
@@ -200,9 +197,8 @@ func TestFacadeShardedLiveEngine(t *testing.T) {
 		t.Errorf("stats = %+v", stats)
 	}
 
-	// ParallelSearch through the facade, pinned to one shard-snapshot set.
-	batch := sharded.ParallelSearch(context.Background(), []Request{req, req}, 0)
-	for _, br := range batch {
+	// A batch search through the facade, pinned to one shard-snapshot set.
+	for _, br := range sharded.SearchBatch(context.Background(), []Request{req, req}) {
 		if br.Err != nil {
 			t.Fatal(br.Err)
 		}

@@ -1,7 +1,7 @@
 package dash
 
-// Durable serving: dash.Open(..., WithDataDir(dir)) layers the
-// internal/durable store under the live topologies. Every publish journals
+// Durable serving: dash.Open(..., WithDataDir(dir)) puts the
+// internal/durable store under the served index. Every publish journals
 // its folded delta before the snapshot swap (the fragindex.PublishHook
 // seam), CompactIfNeeded doubles as a checkpoint, and reopening the same
 // directory recovers exactly the last acknowledged durable publish.
@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/fragindex"
-	"repro/internal/search"
 )
 
 // Durability re-exports: the public surface of the durable layer.
@@ -74,35 +73,34 @@ const (
 // (fresh directory) or a nil one (recover the persisted state).
 func IsInitialized(dir string) bool { return durable.IsInitialized(dir) }
 
-// Queuer is the deferred-apply surface of the live topologies: Queue
-// buffers a delta without applying it and Flush publishes the whole queue
-// as one coalesced batch. LiveEngine, ShardedLiveEngine, and the durable
-// handles implement it; flushed batches flow through the same journaled
-// publish path as Apply.
+// Queuer is the deferred-apply surface: Queue buffers a delta without
+// applying it and Flush publishes the whole queue as one coalesced batch,
+// through the same (journaled, when durable) publish path as Apply. Both
+// refuse on read-only handles and replicas with the handle's typed error.
 type Queuer interface {
-	Queue(d Delta) int
+	Queue(d Delta) (int, error)
 	Flush(ctx context.Context) (ApplyReport, error)
 }
 
-// Checkpointer is implemented by durable handles: Checkpoint persists the
-// current state as a fresh snapshot generation and truncates the journal
-// (per shard). CompactIfNeeded on a durable handle checkpoints implicitly.
+// Checkpointer persists the current state as a fresh snapshot generation
+// and truncates the journal (per shard). CompactIfNeeded on a durable
+// handle checkpoints implicitly.
 type Checkpointer interface {
 	Checkpoint(ctx context.Context) error
 }
 
-// DurabilityReporter is implemented by durable handles; non-durable
-// handles simply do not satisfy it.
+// DurabilityReporter reports the durable store's counters; a handle
+// without a data dir answers the zero report.
 type DurabilityReporter interface {
 	DurabilityStats() DurabilityStats
 }
 
-// DurabilityHealth is the cheap health surface of durable handles: both
-// methods are atomic reads, safe on every request path (readiness
-// probes, Retry-After hints, access logging) — unlike DurabilityStats,
-// which takes every shard lock. Non-durable handles do not satisfy it.
+// DurabilityHealth is the cheap health surface: both methods are atomic
+// reads, safe on every request path (readiness probes, Retry-After hints,
+// access logging) — unlike DurabilityStats, which takes every shard lock.
 type DurabilityHealth interface {
-	// DurabilityState reports the durability state machine's state.
+	// DurabilityState reports the durability state machine's state; empty
+	// for a handle without a data dir.
 	DurabilityState() DurabilityState
 	// DurabilityProbeIn reports how long until the degraded-mode prober
 	// next re-tests the data dir (zero while healthy) — what serving
@@ -111,248 +109,106 @@ type DurabilityHealth interface {
 }
 
 // openDurable is Open's WithDataDir branch. A fresh directory is seeded
-// from the caller's built index (after topology partitioning, so each
-// shard persists exactly what it serves); an initialized directory is
-// recovered — the persisted state wins, and a non-nil idx is rejected
-// rather than silently discarded.
-func openDurable(ctx context.Context, idx *Index, app *Application, cfg openConfig) (h Handle, err error) {
-	st, err := durable.OpenWith(ctx, cfg.dataDir, cfg.syncPolicy,
-		durable.Options{FS: cfg.fsys, Retry: cfg.retry})
+// from the caller's built index after partitioning, so each shard persists
+// exactly what it serves; an initialized directory is recovered — the
+// persisted state wins, and a non-nil idx is rejected rather than silently
+// discarded. Every shard's publish hook then journals to its own log.
+func openDurable(ctx context.Context, idx *Index, cfg openConfig) (_ *fragindex.ShardedLiveIndex, _ *durable.Store, err error) {
+	st, err := durable.OpenWith(ctx, cfg.dataDir, cfg.syncPolicy, durable.Options{FS: cfg.fsys, Retry: cfg.retry})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer func() {
 		if err != nil {
 			st.Close()
 		}
 	}()
-	if st.Fresh() {
-		return seedDurable(ctx, st, idx, app, cfg)
-	}
-	if idx != nil {
-		return nil, fmt.Errorf("dash: WithDataDir(%q): directory is already initialized; pass a nil index to serve its recovered state", cfg.dataDir)
-	}
-	if cfg.shards != 0 && cfg.shards != st.NumShards() {
-		return nil, fmt.Errorf("dash: WithShards(%d) disagrees with the data dir's committed %d shards", cfg.shards, st.NumShards())
-	}
-	builders, _, err := st.Recover(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.compactNum > 0 {
-		for _, b := range builders {
-			if err := b.SetPostingCompaction(cfg.compactNum, cfg.compactDen); err != nil {
-				return nil, err
-			}
+	var sl *fragindex.ShardedLiveIndex
+	switch {
+	case st.Fresh() && idx == nil:
+		return nil, nil, fmt.Errorf("dash: WithDataDir(%q): a fresh data dir needs a built index to seed", cfg.dataDir)
+	case st.Fresh():
+		if sl, err = fragindex.NewShardedLive(idx, max(cfg.shards, 1)); err != nil {
+			return nil, nil, err
 		}
-	}
-	if len(builders) > 1 {
-		sl, err := fragindex.NewShardedLiveFrom(builders)
-		if err != nil {
-			return nil, err
-		}
-		se := &ShardedLiveEngine{live: sl, engine: search.NewSharded(sl, app), app: app}
-		se.engine.MaxFanout = cfg.workers
-		se.workers = cfg.workers
-		se.candLimit = cfg.candLimit
-		installHooks(st, nil, sl)
-		return &durableHandle{Handle: se, queuer: se, store: st, sharded: sl}, nil
-	}
-	live := fragindex.NewLive(builders[0])
-	le := &LiveEngine{live: live, engine: search.New(live, app), app: app,
-		workers: cfg.workers, candLimit: cfg.candLimit}
-	installHooks(st, live, nil)
-	return &durableHandle{Handle: le, queuer: le, store: st, live: live}, nil
-}
-
-// seedDurable initializes a fresh data directory from a built index: the
-// serving topology is constructed first (sharded partitioning included),
-// each publish cycle's canonical dump is written as its shard's first
-// snapshot generation, and only then does the MANIFEST commit the
-// directory.
-func seedDurable(ctx context.Context, st *durable.Store, idx *Index, app *Application, cfg openConfig) (Handle, error) {
-	if idx == nil {
-		return nil, fmt.Errorf("dash: WithDataDir(%q): a fresh data dir needs a built index to seed", cfg.dataDir)
-	}
-	if cfg.shards > 1 {
-		se, err := NewShardedLiveEngine(idx, app, cfg.shards)
-		if err != nil {
-			return nil, err
-		}
-		se.engine.MaxFanout = cfg.workers
-		se.workers = cfg.workers
-		se.candLimit = cfg.candLimit
-		sl := se.live
 		dumps := make([]*fragindex.Dump, sl.NumShards())
 		for i := range dumps {
 			dumps[i] = sl.Shard(i).Dump()
 		}
-		if err := st.Init(ctx, dumps); err != nil {
-			return nil, err
+		if err = st.Init(ctx, dumps); err != nil {
+			return nil, nil, err
 		}
-		installHooks(st, nil, sl)
-		return &durableHandle{Handle: se, queuer: se, store: st, sharded: sl}, nil
-	}
-	le := NewLiveEngine(idx, app)
-	le.workers = cfg.workers
-	le.candLimit = cfg.candLimit
-	if err := st.Init(ctx, []*fragindex.Dump{le.live.Dump()}); err != nil {
-		return nil, err
-	}
-	installHooks(st, le.live, nil)
-	return &durableHandle{Handle: le, queuer: le, store: st, live: le.live}, nil
-}
-
-// installHooks wires every publish cycle's write-ahead hook to its shard's
-// journal: the folded delta is appended (and, policy permitting, fsynced)
-// before the snapshot swap acknowledges the publish. It also installs the
-// degraded-recovery baseline: the builder rolls failed publishes back, so
-// a shard's Dump is always exactly its last acknowledged state — what the
-// prober's fresh checkpoint must re-establish past a poisoned journal.
-func installHooks(st *durable.Store, live *fragindex.LiveIndex, sl *fragindex.ShardedLiveIndex) {
-	if live != nil {
-		live.SetPublishHook(func(ctx context.Context, d Delta, epoch uint64) error {
-			return st.Append(ctx, 0, d, epoch)
-		})
-		st.SetBaseline(func(context.Context, int) (*fragindex.Dump, error) {
-			return live.Dump(), nil
-		})
-	}
-	if sl != nil {
-		for i := 0; i < sl.NumShards(); i++ {
-			shard := i
-			sl.Shard(shard).SetPublishHook(func(ctx context.Context, d Delta, epoch uint64) error {
-				return st.Append(ctx, shard, d, epoch)
-			})
+	case idx != nil:
+		return nil, nil, fmt.Errorf("dash: WithDataDir(%q): directory is already initialized; pass a nil index to serve its recovered state", cfg.dataDir)
+	case cfg.shards != 0 && cfg.shards != st.NumShards():
+		return nil, nil, fmt.Errorf("dash: WithShards(%d) disagrees with the data dir's committed %d shards", cfg.shards, st.NumShards())
+	default:
+		builders, _, rerr := st.Recover(ctx)
+		if rerr != nil {
+			return nil, nil, rerr
 		}
-		st.SetBaseline(func(_ context.Context, shard int) (*fragindex.Dump, error) {
-			return sl.Shard(shard).Dump(), nil
+		if sl, err = fragindex.NewShardedLiveFrom(builders); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Write-ahead: each shard's folded delta is appended (and, policy
+	// permitting, fsynced) before the swap acknowledges the publish. The
+	// baseline is the degraded-recovery checkpoint source: a shard's Dump
+	// is always exactly its last acknowledged state, because the builder
+	// rolls failed publishes back.
+	for i := 0; i < sl.NumShards(); i++ {
+		shard := i
+		sl.Shard(shard).SetPublishHook(func(ctx context.Context, d Delta, epoch uint64) error {
+			return st.Append(ctx, shard, d, epoch)
 		})
 	}
-}
-
-// durableHandle wraps a live topology with its durable store: maintenance
-// flows through the wrapped handle (journaled via the publish hooks),
-// CompactIfNeeded additionally checkpoints, and Close flushes and releases
-// the journals. Exactly one of live/sharded is non-nil.
-type durableHandle struct {
-	Handle
-	queuer  Queuer
-	store   *durable.Store
-	live    *fragindex.LiveIndex
-	sharded *fragindex.ShardedLiveIndex
-}
-
-// Durable mutations fail fast while degraded: the store just proved the
-// disk unreliable, so no publish cycle is started that could not be made
-// durable. The same typed error would surface from the publish hook, but
-// failing before the fold/publish machinery runs keeps degraded writes
-// cheap and their errors unwrapped. Searches are never gated.
-
-func (h *durableHandle) Apply(ctx context.Context, d Delta) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.Handle.Apply(ctx, d)
-}
-
-func (h *durableHandle) ApplyBatch(ctx context.Context, ds []Delta) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.Handle.ApplyBatch(ctx, ds)
-}
-
-func (h *durableHandle) Recrawl(ctx context.Context, db *Database, ids []FragmentID) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.Handle.Recrawl(ctx, db, ids)
-}
-
-func (h *durableHandle) RecrawlWith(ctx context.Context, db *Database, ids []FragmentID, extra Delta) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.Handle.RecrawlWith(ctx, db, ids, extra)
-}
-
-func (h *durableHandle) RecrawlBatch(ctx context.Context, db *Database, ids []FragmentID, ds []Delta) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.Handle.RecrawlBatch(ctx, db, ids, ds)
-}
-
-// CompactIfNeeded runs the snapshot garbage collector and then checkpoints
-// every publish cycle — compacted or not — so the journal is truncated and
-// the on-disk generation reflects the served state (the durable layer's
-// "compaction doubles as checkpoint" contract).
-func (h *durableHandle) CompactIfNeeded(ctx context.Context, maxDeadRatio float64) (int, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return 0, err
-	}
-	n, err := h.Handle.CompactIfNeeded(ctx, maxDeadRatio)
-	if err != nil {
-		return n, err
-	}
-	return n, h.Checkpoint(ctx)
+	st.SetBaseline(func(_ context.Context, shard int) (*fragindex.Dump, error) {
+		return sl.Shard(shard).Dump(), nil
+	})
+	return sl, st, nil
 }
 
 // Checkpoint writes each shard's current state as a new snapshot
-// generation and rotates its journal. Concurrent applies keep their
-// write-ahead guarantee throughout.
-func (h *durableHandle) Checkpoint(ctx context.Context) error {
-	if h.live != nil {
-		return h.store.Checkpoint(ctx, 0, h.live.Dump())
+// generation and rotates its journal; concurrent applies keep their
+// write-ahead guarantee throughout. Without a data dir there is nothing to
+// persist and it returns nil.
+func (e *ServingEngine) Checkpoint(ctx context.Context) error {
+	if err := e.refuse(); err != nil || e.store == nil {
+		return err
 	}
-	for i := 0; i < h.sharded.NumShards(); i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	for i := 0; i < e.live.NumShards(); i++ {
+		if err := orBackground(ctx).Err(); err != nil {
+			return err
 		}
-		if err := h.store.Checkpoint(ctx, i, h.sharded.Shard(i).Dump()); err != nil {
+		if err := e.store.Checkpoint(ctx, i, e.live.Shard(i).Dump()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Queue buffers a delta for a later batched, journaled publish.
-func (h *durableHandle) Queue(d Delta) int { return h.queuer.Queue(d) }
-
-// Flush publishes the queued deltas as one coalesced batch through the
-// journaled publish path. Queued deltas survive a degraded rejection: the
-// queue is untouched until the publish machinery runs.
-func (h *durableHandle) Flush(ctx context.Context) (ApplyReport, error) {
-	if err := h.store.DegradedErr(); err != nil {
-		return ApplyReport{}, err
-	}
-	return h.queuer.Flush(ctx)
-}
-
 // DurabilityStats reports the store's journal, checkpoint, and recovery
 // counters plus the durability state machine's health block.
-func (h *durableHandle) DurabilityStats() DurabilityStats { return h.store.Stats() }
-
-// DurabilityState reports the state machine's state (atomic read).
-func (h *durableHandle) DurabilityState() DurabilityState { return h.store.State() }
-
-// DurabilityProbeIn reports the time until the prober's next data-dir
-// test (atomic read; zero while healthy).
-func (h *durableHandle) DurabilityProbeIn() time.Duration { return h.store.NextProbeIn() }
-
-// Stats attaches the durability block to the wrapped topology's unified
-// serving stats.
-func (h *durableHandle) Stats() EngineStats {
-	st := h.Handle.Stats()
-	ds := h.store.Stats()
-	st.Durability = &ds
-	return st
+func (e *ServingEngine) DurabilityStats() DurabilityStats {
+	if e.store == nil {
+		return DurabilityStats{}
+	}
+	return e.store.Stats()
 }
 
-// Close flushes unsynced journal appends and releases the data directory.
-// The handle keeps serving searches afterwards, but further applies fail:
-// close it last.
-func (h *durableHandle) Close() error { return h.store.Close() }
+// DurabilityState reports the state machine's state (atomic read).
+func (e *ServingEngine) DurabilityState() DurabilityState {
+	if e.store == nil {
+		return ""
+	}
+	return e.store.State()
+}
+
+// DurabilityProbeIn reports the time until the prober's next data-dir test
+// (atomic read; zero while healthy).
+func (e *ServingEngine) DurabilityProbeIn() time.Duration {
+	if e.store == nil {
+		return 0
+	}
+	return e.store.NextProbeIn()
+}

@@ -2,7 +2,6 @@ package dash
 
 import (
 	"context"
-	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -45,33 +44,17 @@ func searchAll(t *testing.T, s Searcher, queries ...[]string) [][]Result {
 	return out
 }
 
-// dumpsOf captures the canonical per-cycle dumps of any live handle —
-// durable or in-memory — so recovered state can be compared byte-for-byte
-// against a replica that applied the same deltas without ever persisting.
+// dumpsOf captures a handle's canonical per-shard dumps — leader or
+// replica, durable or in-memory — so recovered or replicated state can be
+// compared byte-for-byte against a twin that applied the same deltas.
 func dumpsOf(t *testing.T, h Handle) []*fragindex.Dump {
 	t.Helper()
-	switch v := h.(type) {
-	case *durableHandle:
-		if v.live != nil {
-			return []*fragindex.Dump{v.live.Dump()}
-		}
-		out := make([]*fragindex.Dump, v.sharded.NumShards())
-		for i := range out {
-			out[i] = v.sharded.Shard(i).Dump()
-		}
-		return out
-	case *LiveEngine:
-		return []*fragindex.Dump{v.live.Dump()}
-	case *ShardedLiveEngine:
-		out := make([]*fragindex.Dump, v.live.NumShards())
-		for i := range out {
-			out[i] = v.live.Shard(i).Dump()
-		}
-		return out
-	default:
-		t.Fatalf("handle %T has no canonical dump", h)
-		return nil
+	live := h.(*ServingEngine).Live()
+	out := make([]*fragindex.Dump, live.NumShards())
+	for i := range out {
+		out[i] = live.Shard(i).Dump()
 	}
+	return out
 }
 
 func durableDeltas() []Delta {
@@ -200,8 +183,7 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h2.(io.Closer).Close()
-	want := twin.(*LiveEngine).live.Dump()
-	if got := dumpsOf(t, h2)[0]; !reflect.DeepEqual(got, want) {
+	if got, want := dumpsOf(t, h2), dumpsOf(t, twin); !reflect.DeepEqual(got, want) {
 		t.Error("recovered state diverged from the in-memory twin")
 	}
 	if got, want := searchAll(t, h2), searchAll(t, twin); !reflect.DeepEqual(got, want) {
@@ -218,14 +200,11 @@ func TestDurableQueueFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, ok := h.(Queuer)
-	if !ok {
-		t.Fatal("durable handle does not implement Queuer")
-	}
+	q := h.(Queuer)
 	before := h.(DurabilityReporter).DurabilityStats().JournalRecords
 	for i, d := range durableDeltas()[:3] {
-		if got := q.Queue(d); got != i+1 {
-			t.Errorf("Queue #%d returned %d", i+1, got)
+		if got, err := q.Queue(d); err != nil || got != i+1 {
+			t.Errorf("Queue #%d returned %d, %v", i+1, got, err)
 		}
 	}
 	if got := h.(DurabilityReporter).DurabilityStats().JournalRecords; got != before {
@@ -291,9 +270,6 @@ func TestDurableCompactCheckpoints(t *testing.T) {
 		}
 	}
 	// An explicit Checkpoint is available too.
-	if _, ok := h2.(Checkpointer); !ok {
-		t.Error("durable handle does not implement Checkpointer")
-	}
 	if err := h2.(Checkpointer).Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -340,36 +316,56 @@ func TestDurableOpenErrors(t *testing.T) {
 	}
 }
 
-// TestDurableInterfaceSurface: durable handles expose the durability
-// contracts; plain in-memory handles do not.
+// TestDurableInterfaceSurface: a durable handle answers the durability
+// contracts with its store — healthy state, per-shard stats, checkpoints
+// that count, a clean Close — while a plain in-memory handle answers them
+// empty (no state, zero stats, a no-op Checkpoint) and still queues.
 func TestDurableInterfaceSurface(t *testing.T) {
 	_, app, build := fooddbIndex(t)
-	h, err := Open(context.Background(), build(), app, WithDataDir(t.TempDir()))
+	ctx := context.Background()
+	h, err := Open(ctx, build(), app, WithDataDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.(io.Closer).Close()
-	for name, ok := range map[string]bool{
-		"Queuer":             func() bool { _, ok := h.(Queuer); return ok }(),
-		"Checkpointer":       func() bool { _, ok := h.(Checkpointer); return ok }(),
-		"DurabilityReporter": func() bool { _, ok := h.(DurabilityReporter); return ok }(),
-		"io.Closer":          func() bool { _, ok := h.(io.Closer); return ok }(),
-	} {
-		if !ok {
-			t.Errorf("durable handle missing %s", name)
-		}
+	if st := h.(DurabilityHealth).DurabilityState(); st != DurabilityHealthy {
+		t.Errorf("durable state = %q, want %q", st, DurabilityHealthy)
 	}
-	plain, err := Open(context.Background(), build(), app)
+	if n, err := h.(Queuer).Queue(burgerDelta()); err != nil || n != 1 {
+		t.Errorf("durable Queue = %d, %v; want 1 queued", n, err)
+	}
+	if _, err := h.(Queuer).Flush(ctx); err != nil {
+		t.Errorf("durable Flush: %v", err)
+	}
+	if err := h.(Checkpointer).Checkpoint(ctx); err != nil {
+		t.Errorf("durable Checkpoint: %v", err)
+	}
+	if ds := h.(DurabilityReporter).DurabilityStats(); ds.Shards != 1 || ds.Checkpoints == 0 {
+		t.Errorf("durable stats = %+v", ds)
+	}
+	if h.Stats().Durability == nil {
+		t.Error("durable handle reports no durability block")
+	}
+	if err := h.(io.Closer).Close(); err != nil {
+		t.Errorf("durable Close: %v", err)
+	}
+
+	plain, err := Open(ctx, build(), app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := plain.(DurabilityReporter); ok {
-		t.Error("in-memory handle claims DurabilityReporter")
+	if st := plain.(DurabilityHealth).DurabilityState(); st != "" {
+		t.Errorf("in-memory state = %q, want none", st)
 	}
-	if _, ok := plain.(Queuer); !ok {
-		t.Error("live handle lost its Queuer surface")
+	if ds := plain.(DurabilityReporter).DurabilityStats(); ds.Shards != 0 || ds.Checkpoints != 0 {
+		t.Errorf("in-memory handle reports a store: %+v", ds)
 	}
-	if errors.Is(err, nil) && plain == nil {
-		t.Fatal("unreachable")
+	if err := plain.(Checkpointer).Checkpoint(ctx); err != nil {
+		t.Errorf("in-memory Checkpoint: %v", err)
+	}
+	if plain.Stats().Durability != nil {
+		t.Error("in-memory handle reports a durability block")
+	}
+	if n, err := plain.(Queuer).Queue(Delta{}); err != nil || n != 1 {
+		t.Errorf("in-memory Queue = %d, %v; want 1 queued", n, err)
 	}
 }

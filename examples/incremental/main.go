@@ -3,7 +3,7 @@
 // efficiently update (affected portions of) a fragment index are
 // desirable") — under live query traffic.
 //
-// The index is served through a dash.LiveEngine built on epoch-swap
+// The index is served through dash.Open's handle, built on epoch-swap
 // snapshots: searcher goroutines stream top-k queries, each pinned to an
 // immutable snapshot resolved with one atomic load, while the writer
 // mutates the fooddb database and calls Recrawl, which re-executes the
@@ -48,14 +48,14 @@ func run() error {
 	fmt.Printf("initial index: %d fragments, %d keywords\n", stats.Fragments, stats.Keywords)
 
 	ctx := context.Background()
-	// Open picks the live (epoch-swap) topology by default; the concrete
-	// type is asserted because this example also demonstrates explicit
-	// snapshot pinning, which is outside the portable Handle contract.
+	// Open serves one epoch-swap index by default; the concrete type is
+	// asserted because this example also demonstrates explicit snapshot
+	// pinning, which is outside the portable Handle contract.
 	opened, err := dash.Open(ctx, idx, app)
 	if err != nil {
 		return err
 	}
-	engine := opened.(*dash.LiveEngine)
+	engine := opened.(*dash.ServingEngine)
 	froyo := dash.Request{Keywords: []string{"froyo"}, K: 5, SizeThreshold: 5}
 
 	before, err := engine.Search(ctx, froyo)
@@ -66,7 +66,7 @@ func run() error {
 
 	// Pin the pre-update version: everything searched through it stays
 	// byte-identical no matter what is published later.
-	pinned := engine.Snapshot()
+	pinned := engine.Pin()
 
 	// Query traffic keeps flowing while the index is maintained: searcher
 	// goroutines hammer the live engine and count how many of their
@@ -137,12 +137,12 @@ func run() error {
 
 	// …while the pinned pre-update snapshot still answers with the old
 	// contents (repeatable reads across index versions).
-	old, err := engine.Engine().SearchSnapshot(ctx, pinned, froyo)
+	old, err := engine.SearchPinned(ctx, pinned, froyo)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("pinned pre-update snapshot (epoch %d) still returns %d results\n",
-		pinned.Epoch(), len(old))
+		pinned[0].Epoch(), len(old))
 
 	// And the suggested URL serves the fresh comment.
 	page, err := app.Execute(after[0].QueryString)

@@ -7,9 +7,10 @@
 //
 //  1. Open a durable leader over fooddb and mount its replication
 //     handler (snapshot bootstrap + journal tail) under /v1/replication.
-//  2. Boot two replicas with dash.OpenReplica. Each bootstraps from the
-//     leader's newest checkpoint, tails the journal, and serves searches
-//     byte-identical to the leader at the same epoch.
+//  2. Boot two replicas with dash.OpenReplica — the same handle type Open
+//     returns, read-only. Each bootstraps from the leader's newest
+//     checkpoint, tails the journal, and serves searches byte-identical to
+//     the leader at the same epoch.
 //  3. Apply mutations on the leader and watch both replicas converge.
 //  4. The lagging-replica scenario: sever replica B's transport, keep
 //     mutating, and watch the leader's router stop placing reads on B
@@ -24,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -97,7 +99,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer leader.(interface{ Close() error }).Close()
+	defer leader.(io.Closer).Close()
 
 	leaderMux := http.NewServeMux()
 	leaderMux.Handle(dash.ReplicationPrefix+"/",
@@ -117,14 +119,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer repA.Close()
+	defer repA.(io.Closer).Close()
 	repB, err := dash.OpenReplica(ctx, leaderURL, app,
 		dash.WithReplicaPoll(200*time.Millisecond, 20*time.Millisecond),
 		dash.WithReplicaTransport(&http.Client{Transport: bTransport}))
 	if err != nil {
 		return err
 	}
-	defer repB.Close()
+	defer repB.(io.Closer).Close()
 	srvA := serveReadyz(lnA, repA)
 	defer srvA.Close()
 	srvB := serveReadyz(lnB, repB)
@@ -165,7 +167,7 @@ func run() error {
 	// nobody qualifies, and the router reports fallback — the leader
 	// serves its own reads.
 	srvA.Close()
-	repA.Close()
+	repA.(io.Closer).Close()
 	waitUnhealthy(leader, urlA)
 	showRouting(leader, "no replica qualifies: bounded-staleness falls back to the leader", false)
 
@@ -181,13 +183,13 @@ func run() error {
 // /v1/readyz does — the shape the leader-side router polls. Returns the
 // server so the demo can take the endpoint down (Close also severs
 // keep-alive connections, which closing the listener alone would not).
-func serveReadyz(ln net.Listener, rep *dash.ReplicaEngine) *http.Server {
+func serveReadyz(ln net.Listener, rep dash.Handle) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{
 			"status":      "ready",
-			"replication": rep.ReplicationStats(),
+			"replication": rep.Stats().Replication,
 		})
 	})
 	srv := &http.Server{Handler: mux}
@@ -204,16 +206,16 @@ func insertDelta(i int) dash.Delta {
 	}}}
 }
 
-func waitConverged(name string, rep *dash.ReplicaEngine, leader dash.Handle) {
-	lead := leader.(dash.DurabilityReporter).DurabilityStats().PerShard[0].DurableEpoch
-	for rep.ReplicationStats().MinApplied < lead {
+func waitConverged(name string, rep, leader dash.Handle) {
+	lead := leader.Stats().Durability.PerShard[0].DurableEpoch
+	for rep.Stats().Replication.MinApplied < lead {
 		time.Sleep(20 * time.Millisecond)
 	}
-	fmt.Printf("replica %s converged at epoch %d\n", name, rep.ReplicationStats().MinApplied)
+	fmt.Printf("replica %s converged at epoch %d\n", name, rep.Stats().Replication.MinApplied)
 }
 
-func waitSevered(rep *dash.ReplicaEngine) {
-	for rep.ReplicationStats().State != "severed" {
+func waitSevered(rep dash.Handle) {
+	for rep.Stats().Replication.State != "severed" {
 		time.Sleep(20 * time.Millisecond)
 	}
 }

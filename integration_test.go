@@ -328,7 +328,11 @@ func TestIntegrationStaleDeriveApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := NewLiveEngine(idx, app)
+	h, err := Open(context.Background(), idx, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := h.(*ServingEngine).Live().Shard(0)
 	bound, err := app.Bound()
 	if err != nil {
 		t.Fatal(err)
@@ -344,13 +348,13 @@ func TestIntegrationStaleDeriveApply(t *testing.T) {
 		t.Fatalf("derived delta = %+v, want one update", stale.Changes)
 	}
 	// Concurrent maintenance deletes the fragment before the apply lands.
-	if _, err := live.Apply(context.Background(), Delta{Changes: []FragmentChange{
+	if _, err := h.Apply(context.Background(), Delta{Changes: []FragmentChange{
 		{Op: OpRemoveFragment, ID: id},
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	s1 := live.Snapshot()
-	if _, err := live.Apply(context.Background(), stale); !errors.Is(err, fragindex.ErrNoFragment) {
+	if _, err := h.Apply(context.Background(), stale); !errors.Is(err, fragindex.ErrNoFragment) {
 		t.Fatalf("stale apply err = %v, want ErrNoFragment", err)
 	}
 	if live.Snapshot() != s1 {
@@ -358,7 +362,7 @@ func TestIntegrationStaleDeriveApply(t *testing.T) {
 	}
 	// Recrawl derives under the maintenance lock against the latest
 	// snapshot: the same partition now classifies as insert and applies.
-	st, err := live.Recrawl(context.Background(), db, []FragmentID{id})
+	st, err := h.Recrawl(context.Background(), db, []FragmentID{id})
 	if err != nil {
 		t.Fatal(err)
 	}

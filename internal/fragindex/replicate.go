@@ -92,7 +92,8 @@ func (l *LiveIndex) ApplyReplicated(ctx context.Context, d crawl.Delta, epoch ui
 // replica re-bootstrap path after its tail cursor fell off the leader's
 // retained journal chain (ErrTailTruncated). The new index must be at or
 // past the published epoch: a replica never moves a reader-visible epoch
-// backwards. Takes ownership of idx.
+// backwards. The posting-compaction threshold (SetPostingCompaction) is a
+// setting of the serving index, so it carries over. Takes ownership of idx.
 func (l *LiveIndex) ResetTo(idx *Index) error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
@@ -100,6 +101,7 @@ func (l *LiveIndex) ResetTo(idx *Index) error {
 	if e := idx.s.epoch; e < published.epoch {
 		return fmt.Errorf("%w: reset to epoch %d behind published %d", ErrStaleEpoch, e, published.epoch)
 	}
+	idx.compactNum, idx.compactDen = l.builder.compactNum, l.builder.compactDen
 	l.builder = idx
 	l.cur.Store(idx.Freeze())
 	l.publishes.Add(1)

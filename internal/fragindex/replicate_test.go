@@ -161,12 +161,18 @@ func TestResetTo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := replica.SetPostingCompaction(1, 8); err != nil {
+		t.Fatal(err)
+	}
 	if err := replica.ResetTo(fresh); err != nil {
 		t.Fatal(err)
 	}
 	ls, rs := leader.Snapshot(), replica.Snapshot()
 	if ls.Epoch() != rs.Epoch() || !reflect.DeepEqual(logicalState(ls), logicalState(rs)) {
 		t.Fatal("ResetTo did not converge to the leader state")
+	}
+	if b := replica.builder; b.compactNum != 1 || b.compactDen != 8 {
+		t.Errorf("ResetTo dropped the compaction threshold: %d/%d", b.compactNum, b.compactDen)
 	}
 
 	// Going backwards is refused: restore the original fooddb state (a

@@ -175,6 +175,15 @@ func (sl *ShardedLiveIndex) PinAll() []*Snapshot {
 	return out
 }
 
+// Epochs returns every shard's published epoch, in shard order.
+func (sl *ShardedLiveIndex) Epochs() []uint64 {
+	out := make([]uint64, len(sl.shards))
+	for i, sh := range sl.shards {
+		out[i] = sh.Snapshot().epoch
+	}
+	return out
+}
+
 // Has reports whether a live fragment with the given identifier exists in
 // its routed shard's current snapshot.
 func (sl *ShardedLiveIndex) Has(id fragment.ID) bool {
@@ -282,17 +291,28 @@ func (sl *ShardedLiveIndex) applyRouted(ctx context.Context, selAttrs []string, 
 	}
 	stats := make([]ApplyStats, len(sl.shards))
 	errs := make([]error, len(sl.shards))
-	var wg sync.WaitGroup
-	for si, chs := range per {
-		if len(chs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(si int, chs []crawl.FragmentChange) {
-			defer wg.Done()
-			stats[si], errs[si] = sl.shards[si].Apply(ctx, crawl.Delta{SelAttrs: selAttrs, Changes: chs})
-		}(si, chs)
+	apply := func(si int) {
+		stats[si], errs[si] = sl.shards[si].Apply(ctx, crawl.Delta{SelAttrs: selAttrs, Changes: per[si]})
 	}
+	// The first touched shard applies on the calling goroutine, the rest
+	// concurrently beside it: a one-shard apply (every S=1 apply) spawns
+	// nothing.
+	var wg sync.WaitGroup
+	first := -1
+	for si, chs := range per {
+		switch {
+		case len(chs) == 0:
+		case first < 0:
+			first = si
+		default:
+			wg.Add(1)
+			go func(si int) {
+				defer wg.Done()
+				apply(si)
+			}(si)
+		}
+	}
+	apply(first)
 	wg.Wait()
 	for si, err := range errs {
 		if err != nil {

@@ -147,7 +147,7 @@ func TestBootstrapAndTailConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	if rep.NumShards() != 1 || rep.Single() == nil {
+	if rep.NumShards() != 1 || rep.Index().NumShards() != 1 {
 		t.Fatalf("replica shape: shards=%d", rep.NumShards())
 	}
 	waitFor(t, "pre-bootstrap record", func() bool { return rep.MinApplied() >= preEpoch })
@@ -163,7 +163,7 @@ func TestBootstrapAndTailConvergence(t *testing.T) {
 	}
 	waitFor(t, "tail convergence", func() bool { return rep.MinApplied() == last })
 
-	if got, want := rep.Single().Dump(), h.live.Dump(); !reflect.DeepEqual(got, want) {
+	if got, want := rep.Index().Shard(0).Dump(), h.live.Dump(); !reflect.DeepEqual(got, want) {
 		t.Error("converged replica dump diverged from leader")
 	}
 	st := rep.Stats()
@@ -252,7 +252,7 @@ func TestDuplicateDeliveryDropped(t *testing.T) {
 		return rep.Stats().PerShard[0].DuplicatesDropped > 0
 	})
 
-	if got, want := rep.Single().Dump(), h.live.Dump(); !reflect.DeepEqual(got, want) {
+	if got, want := rep.Index().Shard(0).Dump(), h.live.Dump(); !reflect.DeepEqual(got, want) {
 		t.Error("duplicate delivery corrupted the replica state")
 	}
 }
@@ -299,7 +299,7 @@ func TestSeverHealReconverges(t *testing.T) {
 	if rep.MinApplied() != first {
 		t.Fatalf("severed replica moved to %d", rep.MinApplied())
 	}
-	if got := rep.Single().Snapshot().Epoch(); got != first {
+	if got := rep.Index().Shard(0).Snapshot().Epoch(); got != first {
 		t.Fatalf("severed replica serves epoch %d, want %d", got, first)
 	}
 	st := rep.Stats()
@@ -311,7 +311,7 @@ func TestSeverHealReconverges(t *testing.T) {
 	waitFor(t, "heal convergence", func() bool {
 		return !rep.Severed() && rep.MinApplied() == last
 	})
-	if got, want := rep.Single().Dump(), h.live.Dump(); !reflect.DeepEqual(got, want) {
+	if got, want := rep.Index().Shard(0).Dump(), h.live.Dump(); !reflect.DeepEqual(got, want) {
 		t.Error("healed replica diverged from leader")
 	}
 }
@@ -354,7 +354,7 @@ func TestTailTruncatedRebootstraps(t *testing.T) {
 	if got := rep.Stats().PerShard[0].Rebootstraps; got < 1 {
 		t.Errorf("rebootstraps = %d, want >= 1", got)
 	}
-	if got, want := rep.Single().Dump(), h.live.Dump(); !reflect.DeepEqual(got, want) {
+	if got, want := rep.Index().Shard(0).Dump(), h.live.Dump(); !reflect.DeepEqual(got, want) {
 		t.Error("re-bootstrapped replica diverged from leader")
 	}
 }

@@ -31,6 +31,10 @@ type Options struct {
 	MaxBackoff time.Duration
 	// Logf, when set, receives replication lifecycle events.
 	Logf func(format string, args ...any)
+	// OnPublish, when set, runs after a tail loop has published a new
+	// epoch on its shard, with every shard's serving epoch (the facade
+	// sweeps its result cache here).
+	OnPublish func(epochs []uint64)
 }
 
 func (o Options) withDefaults() Options {
@@ -45,6 +49,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
+	}
+	if o.OnPublish == nil {
+		o.OnPublish = func([]uint64) {}
 	}
 	return o
 }
@@ -67,17 +74,15 @@ type shardTail struct {
 
 // Replica is a journal-tailing read replica of one leader: per-shard live
 // indexes bootstrapped from the leader's snapshots and kept converged by
-// tail loops. Reads go through Single/Sharded exactly like a local index;
-// writes have no path — replicas are read-only by construction.
+// tail loops. Reads go through Index exactly like a local index; writes
+// have no path — replicas are read-only by construction.
 type Replica struct {
 	leader string
 	client *Client
 	opts   Options
 
-	spec    fragindex.Spec
-	single  *fragindex.LiveIndex        // nil when sharded
-	sharded *fragindex.ShardedLiveIndex // nil when single-shard
-	shards  []*shardTail
+	index  *fragindex.ShardedLiveIndex
+	shards []*shardTail
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -109,21 +114,13 @@ func Bootstrap(ctx context.Context, leaderURL string, opts Options) (*Replica, e
 		builders[i] = idx
 		epochs[i] = dump.Epoch
 	}
-	if man.Shards == 1 {
-		r.single = fragindex.NewLive(builders[0])
-		r.spec = builders[0].Spec()
-	} else {
-		sl, serr := fragindex.NewShardedLiveFrom(builders)
-		if serr != nil {
-			return nil, fmt.Errorf("replic: assembling sharded replica: %w", serr)
-		}
-		r.sharded = sl
-		r.spec = sl.Spec()
+	if r.index, err = fragindex.NewShardedLiveFrom(builders); err != nil {
+		return nil, fmt.Errorf("replic: assembling replica: %w", err)
 	}
 	tailCtx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
 	for i := 0; i < man.Shards; i++ {
-		t := &shardTail{shard: i, live: r.liveShard(i)}
+		t := &shardTail{shard: i, live: r.index.Shard(i)}
 		t.applied.Store(epochs[i])
 		t.leaderEpoch.Store(man.PerShard[i].DurableEpoch)
 		r.shards = append(r.shards, t)
@@ -159,19 +156,17 @@ func fetchNewestSnapshot(ctx context.Context, client *Client, man *Manifest, sha
 	return nil, fmt.Errorf("replic: shard %d: every snapshot generation failed to fetch: %w", shard, errors.Join(errs...))
 }
 
-func (r *Replica) liveShard(i int) *fragindex.LiveIndex {
-	if r.single != nil {
-		return r.single
-	}
-	return r.sharded.Shard(i)
-}
-
 // tailLoop keeps one shard converged: poll, apply, and on failure degrade
 // to stale-but-serving with exponential backoff — reads never block on the
 // stream. A truncated cursor re-bootstraps the shard in place.
 func (r *Replica) tailLoop(ctx context.Context, t *shardTail) {
 	backoff := r.opts.Backoff
+	published := t.applied.Load()
 	for ctx.Err() == nil {
+		if a := t.applied.Load(); a != published {
+			published = a
+			r.opts.OnPublish(r.index.Epochs())
+		}
 		res, err := r.client.Tail(ctx, t.shard, t.applied.Load(), r.opts.PollWait, r.opts.MaxBytes)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -297,16 +292,13 @@ func (r *Replica) rebootstrapShard(ctx context.Context, t *shardTail) error {
 func (r *Replica) Leader() string { return r.leader }
 
 // Spec returns the replicated index spec.
-func (r *Replica) Spec() fragindex.Spec { return r.spec }
+func (r *Replica) Spec() fragindex.Spec { return r.index.Spec() }
 
 // NumShards returns the replicated shard count.
 func (r *Replica) NumShards() int { return len(r.shards) }
 
-// Single returns the live index of a single-shard replica (nil when
-// sharded); Sharded the sharded index (nil when single). Exactly one is
-// non-nil — the facade builds its search engine over whichever exists.
-func (r *Replica) Single() *fragindex.LiveIndex          { return r.single }
-func (r *Replica) Sharded() *fragindex.ShardedLiveIndex  { return r.sharded }
+// Index returns the replicated index the facade serves searches from.
+func (r *Replica) Index() *fragindex.ShardedLiveIndex { return r.index }
 
 // AppliedEpoch returns one shard's applied (published) epoch.
 func (r *Replica) AppliedEpoch(shard int) uint64 {

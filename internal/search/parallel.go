@@ -59,6 +59,10 @@ func runPool(n, workers int, run func(int)) {
 	wg.Wait()
 }
 
+// RunPool is runPool for callers outside the package, with the worker
+// knob resolved by clampWorkers (<= 0 means GOMAXPROCS).
+func RunPool(n, workers int, run func(int)) { runPool(n, clampWorkers(workers), run) }
+
 // SearchBatch evaluates a batch of requests concurrently with a
 // runtime-chosen worker count — the Searcher-contract form of
 // ParallelSearch. out[i] answers reqs[i]; the whole batch is pinned to one

@@ -138,15 +138,22 @@ func (se *ShardedEngine) Search(ctx context.Context, req Request) ([]Result, err
 // the shards still queued — in-flight shard runs stop at their next
 // cooperative check — and the call returns ctx.Err().
 func (se *ShardedEngine) SearchPinned(ctx context.Context, snaps []*fragindex.Snapshot, req Request) ([]Result, error) {
-	return se.searchPinned(orBackground(ctx), snaps, req, clampWorkers(se.MaxFanout))
+	return se.searchPinned(orBackground(ctx), snaps, req, se.MaxFanout)
 }
 
+// searchPinned is SearchPinned with an explicit scatter worker knob (<= 0:
+// GOMAXPROCS, resolved only when there is more than one shard to scatter).
 func (se *ShardedEngine) searchPinned(ctx context.Context, snaps []*fragindex.Snapshot, req Request, workers int) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if len(snaps) != len(se.engines) {
 		return nil, fmt.Errorf("search: pinned %d snapshots for %d shards", len(snaps), len(se.engines))
+	}
+	if len(snaps) == 1 {
+		// One shard is the whole corpus: its own IDF is the global one and
+		// there is nothing to scatter or merge.
+		return se.engines[0].SearchSnapshot(ctx, snaps[0], req)
 	}
 	s := se.scratch.Get().(*shardedScratch)
 	defer func() {
@@ -215,7 +222,7 @@ func (se *ShardedEngine) searchPinned(ctx context.Context, snaps []*fragindex.Sn
 		errs = errs[:n]
 	}
 	s.errs = errs
-	runPool(n, workers, func(i int) {
+	runPool(n, clampWorkers(workers), func(i int) {
 		if err := ctx.Err(); err != nil {
 			errs[i] = err // abandoned: this shard was queued behind the cancellation
 			return

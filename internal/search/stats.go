@@ -1,10 +1,6 @@
 package search
 
-import (
-	"repro/internal/durable"
-	"repro/internal/fragindex"
-	"repro/internal/replic"
-)
+import "repro/internal/fragindex"
 
 // Topology names reported by Stats — which serving shape answered.
 const (
@@ -14,8 +10,8 @@ const (
 	TopologyMulti   = "multi"   // a MultiEngine federating applications
 )
 
-// Stats is the one serving-stats report every topology answers — the
-// Searcher contract's Stats() shape. Fields that only one topology can
+// Stats is the one serving-stats report every topology answers (the
+// facade's EngineStats embeds it). Fields that only one topology can
 // fill stay at their zero value elsewhere: a static engine has no
 // maintenance history, a multi engine no tombstones of its own. Counters
 // are sums across shards (Keywords counts posting lists, so a keyword
@@ -46,17 +42,6 @@ type Stats struct {
 	// (dash.WithResultCache / WithAdmissionControl); nil otherwise.
 	Cache     *CacheStats     `json:"cache,omitempty"`
 	Admission *AdmissionStats `json:"admission,omitempty"`
-	// Durability reports the durable store's journal/checkpoint counters
-	// and health state for handles opened with dash.WithDataDir; nil for
-	// purely in-memory topologies.
-	Durability *durable.Stats `json:"durability,omitempty"`
-	// Replication reports a replica handle's tail state (applied epochs,
-	// lag, sever/reconnect counters); nil on leaders and standalone
-	// handles.
-	Replication *replic.Stats `json:"replication,omitempty"`
-	// Replicas reports a routing leader's per-replica placement state
-	// (dash.WithReplicas); nil elsewhere.
-	Replicas *replic.RouterStats `json:"replicas,omitempty"`
 }
 
 // statsFromLive maps a LiveIndex report onto the unified shape.

@@ -3,20 +3,21 @@ package dash
 // Replicated serving: the public facade over internal/replic. A durable
 // leader exposes its replication transport through ReplicationHandler
 // (mounted under dash.ReplicationPrefix); OpenReplica builds a read-only
-// serving handle that bootstraps from a leader's snapshots and tails its
-// journal; WithReplicas turns a leader handle into a bounded-staleness
-// read router over a replica fleet. See ARCHITECTURE.md "Replicated
-// serving" for the protocol and failure matrix.
+// handle that bootstraps from a leader's snapshots and tails its journal;
+// WithReplicas turns a leader handle into a bounded-staleness read router
+// over a replica fleet. See ARCHITECTURE.md "Replicated serving" for the
+// protocol and failure matrix.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/replic"
-	"repro/internal/search"
 )
 
 // Replication re-exports.
@@ -41,9 +42,9 @@ const ReplicationPrefix = replic.Prefix
 const DefaultStalenessBound = 1024
 
 var (
-	// ErrReplicaReadOnly is returned by every Maintainer method of a
-	// replica handle: writes belong to the leader. The /v1 layer maps it
-	// to 421 so clients redirect their writes.
+	// ErrReplicaReadOnly is returned by every write method of a replica
+	// handle: writes belong to the leader. The /v1 layer maps it to 421 so
+	// clients redirect their writes.
 	ErrReplicaReadOnly = errors.New("dash: replica is read-only: send writes to the leader")
 	// ErrReplicaBehind is returned by a replica's Search when the request
 	// demands an epoch (Request.MinEpoch) the replica has not applied yet
@@ -51,21 +52,20 @@ var (
 	ErrReplicaBehind = errors.New("dash: replica has not applied the requested epoch")
 )
 
-// Replicable is the capability of leader handles that can serve the
-// replication transport — handles opened with WithDataDir. Mount the
-// handler under ReplicationPrefix with http.StripPrefix.
+// Replicable serves the replication transport — meaningful on handles
+// opened with WithDataDir. Mount the handler under ReplicationPrefix with
+// http.StripPrefix.
 type Replicable interface {
 	ReplicationHandler() http.Handler
 }
 
-// ReplicationReporter is the capability of replica handles: the tail
-// report routers consume.
+// ReplicationReporter reports a replica's tail, the block routers consume;
+// a handle that is not a replica answers the zero report.
 type ReplicationReporter interface {
 	ReplicationStats() ReplicationStats
 }
 
-// SearchRouter is the read-placement capability: handles that may want a
-// request served elsewhere implement it, and HTTP layers consult it before
+// SearchRouter is the read-placement decision HTTP layers consult before
 // running a search locally. When proxy is true the request should be
 // forwarded byte-for-byte to target (a base URL) — forwarding at the HTTP
 // layer keeps routed responses byte-identical to locally served ones.
@@ -73,368 +73,138 @@ type SearchRouter interface {
 	RouteSearch(req Request) (target string, proxy bool)
 }
 
-// ReplicationHandler serves the /v1/replication surface from the durable
-// store (satisfies Replicable).
-func (h *durableHandle) ReplicationHandler() http.Handler { return replic.NewLeader(h.store) }
-
-// ReplicationHandler passes through the cache wrapper (satisfies
-// Replicable): replication reads the store, not the result cache.
-func (cd *cachedDurable) ReplicationHandler() http.Handler { return cd.d.ReplicationHandler() }
-
-// replicaConfig accumulates OpenReplica options.
-type replicaConfig struct {
-	opts      replic.Options
-	staleness int64 // lag bound in epochs; < 0 disables lag-based proxying
-	workers   int
-	candLimit int
-}
-
-// ReplicaOption configures OpenReplica.
-type ReplicaOption func(*replicaConfig) error
-
-// WithReplicaTransport substitutes the HTTP client carrying replication
-// traffic — the chaos seam for severing and healing the stream in tests.
-func WithReplicaTransport(hc *http.Client) ReplicaOption {
-	return func(c *replicaConfig) error {
-		c.opts.HTTPClient = hc
+// WithReplicaTransport substitutes the HTTP client carrying a replica's
+// replication traffic — the chaos seam for severing and healing the stream
+// in tests. OpenReplica only.
+func WithReplicaTransport(hc *http.Client) Option {
+	return func(c *openConfig) error {
+		c.tail.HTTPClient = hc
 		return nil
 	}
 }
 
-// WithReplicaPoll sets the tail long-poll duration (default 10s) and the
-// initial reconnect backoff (default 100ms).
-func WithReplicaPoll(wait, backoff time.Duration) ReplicaOption {
-	return func(c *replicaConfig) error {
+// WithReplicaPoll sets a replica's tail long-poll duration (default 10s)
+// and initial reconnect backoff (default 100ms). OpenReplica only.
+func WithReplicaPoll(wait, backoff time.Duration) Option {
+	return func(c *openConfig) error {
 		if wait <= 0 || backoff <= 0 {
 			return fmt.Errorf("dash: WithReplicaPoll(%v, %v): durations must be > 0", wait, backoff)
 		}
-		c.opts.PollWait = wait
-		c.opts.Backoff = backoff
+		c.tail.PollWait = wait
+		c.tail.Backoff = backoff
 		return nil
 	}
 }
 
-// WithReplicaStaleness sets the replica's lag bound in epochs (default
-// DefaultStalenessBound): when the replica lags the leader by more than
-// the bound, RouteSearch sends reads back to the leader. Negative
-// disables lag-based forwarding — the replica serves however stale it is.
-func WithReplicaStaleness(epochs int) ReplicaOption {
-	return func(c *replicaConfig) error {
-		c.staleness = int64(epochs)
+// WithReplicaLog directs a replica's lifecycle events (sever, heal,
+// re-bootstrap) to logf. OpenReplica only.
+func WithReplicaLog(logf func(format string, args ...any)) Option {
+	return func(c *openConfig) error {
+		c.tail.Logf = logf
 		return nil
 	}
 }
 
-// WithReplicaLog directs replication lifecycle events (sever, heal,
-// re-bootstrap) to logf.
-func WithReplicaLog(logf func(format string, args ...any)) ReplicaOption {
-	return func(c *replicaConfig) error {
-		c.opts.Logf = logf
-		return nil
-	}
-}
-
-// WithReplicaWorkers bounds the replica's batch-search fan-out (like
-// WithWorkers on Open).
-func WithReplicaWorkers(n int) ReplicaOption {
-	return func(c *replicaConfig) error {
-		c.workers = n
-		return nil
-	}
-}
-
-// WithReplicaCandidateLimit is WithCandidateLimit for replica handles.
-func WithReplicaCandidateLimit(n int) ReplicaOption {
-	return func(c *replicaConfig) error {
-		if n < 0 {
-			return fmt.Errorf("dash: WithReplicaCandidateLimit(%d): limit must be >= 0", n)
-		}
-		c.candLimit = n
-		return nil
-	}
-}
-
-// ReplicaEngine is the read-only serving handle of a journal-tailing
-// replica: it bootstraps from the leader's newest snapshot generation,
-// applies tailed records through the replay fold, and publishes via the
-// epoch-swap path — searches are byte-identical to the leader at the same
-// epoch. Maintainer methods return ErrReplicaReadOnly; RouteSearch sends
-// reads the replica cannot satisfy (MinEpoch ahead of the applied epoch,
-// or lag past the staleness bound) back to the leader. Close stops the
-// tail loops; the last applied state keeps serving.
-type ReplicaEngine struct {
-	rep       *replic.Replica
-	engine    *search.Engine        // single-shard
-	sharded   *search.ShardedEngine // multi-shard
-	leader    string
-	staleness int64
-	workers   int
-	candLimit int
-}
-
-// OpenReplica bootstraps a read replica of the leader at leaderURL. The
-// ctx bounds the bootstrap (manifest + snapshot fetch + restore); the tail
-// loops run until Close. app may be nil when URL formulation is not
-// needed; it must match the leader's application for URLs to agree.
-func OpenReplica(ctx context.Context, leaderURL string, app *Application, opts ...ReplicaOption) (*ReplicaEngine, error) {
-	ctx = orBackground(ctx)
-	cfg := replicaConfig{staleness: DefaultStalenessBound}
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
-	}
-	rep, err := replic.Bootstrap(ctx, leaderURL, cfg.opts)
+// OpenReplica bootstraps a read replica of the leader at leaderURL: the
+// same serving engine as Open's, over an index restored from the leader's
+// newest snapshot generations and kept converged by tailing its journal,
+// with every write refused (ErrReplicaReadOnly). Searches are
+// byte-identical to the leader at the same epoch; replicated publishes
+// sweep the result cache like a leader's maintenance does. RouteSearch
+// sends back to the leader the reads the replica cannot satisfy (MinEpoch
+// ahead of its applied epoch, or lag past WithStalenessBound). Close stops
+// the tail; the last applied state keeps serving.
+//
+// Besides the replica options it takes WithWorkers, WithCandidateLimit,
+// WithPostingCompaction, WithStalenessBound, WithResultCache and
+// WithAdmissionControl; the leader-side options (WithShards, WithReadOnly,
+// WithReplicas, and WithDataDir with the store options that tune it) are
+// rejected. The ctx bounds the bootstrap only. app may be nil when URL
+// formulation is not needed; it must match the leader's application for
+// URLs to agree.
+func OpenReplica(ctx context.Context, leaderURL string, app *Application, opts ...Option) (Handle, error) {
+	cfg, err := configure(opts)
 	if err != nil {
 		return nil, err
 	}
-	e := &ReplicaEngine{
-		rep:       rep,
-		leader:    leaderURL,
-		staleness: cfg.staleness,
-		workers:   cfg.workers,
-		candLimit: cfg.candLimit,
+	if cfg.shards != 0 || cfg.readOnly || len(cfg.replicaURLs) > 0 || cfg.dataDir != "" || cfg.storeTuned() {
+		return nil, errors.New("dash: OpenReplica takes no leader-side options (WithShards, WithReadOnly, WithReplicas, WithDataDir, WithSyncPolicy, WithDurabilityRetry, WithDurableFS): the leader's shape and durability are replicated")
 	}
-	if single := rep.Single(); single != nil {
-		e.engine = search.New(single, app)
-	} else {
-		e.sharded = search.NewSharded(rep.Sharded(), app)
-		e.sharded.MaxFanout = cfg.workers
+	e := newEngine(cfg, app)
+	if cache := e.cache; cache != nil {
+		cfg.tail.OnPublish = func(epochs []uint64) { cache.Sweep(epochs) }
 	}
+	if e.replica, err = replic.Bootstrap(orBackground(ctx), leaderURL, cfg.tail); err != nil {
+		return nil, err
+	}
+	if cfg.compactNum > 0 {
+		if err := e.replica.Index().SetPostingCompaction(cfg.compactNum, cfg.compactDen); err != nil {
+			e.replica.Close()
+			return nil, err
+		}
+	}
+	e.serve(e.replica.Index())
 	return e, nil
 }
 
-// Search answers one query from the replica's current applied state. A
-// request whose MinEpoch the replica has not reached fails with
-// ErrReplicaBehind (the HTTP layer forwards such requests to the leader
-// before they get here; direct library callers handle the error).
-func (e *ReplicaEngine) Search(ctx context.Context, req Request) ([]Result, error) {
-	if req.MinEpoch > 0 && e.rep.MinApplied() < req.MinEpoch {
-		return nil, fmt.Errorf("%w: want epoch %d, applied %d", ErrReplicaBehind, req.MinEpoch, e.rep.MinApplied())
+// applied is the epoch a view pinned after this call is guaranteed to be
+// at: on a replica its minimum applied epoch, which a tail records only
+// after publishing, so read it before the pin, never after; elsewhere
+// unbounded (leaders serve MinEpoch through RouteSearch instead).
+func (e *ServingEngine) applied() uint64 {
+	if e.replica == nil {
+		return math.MaxUint64
 	}
-	req = fillCandidateLimit(req, e.candLimit)
-	if e.engine != nil {
-		return e.engine.Search(ctx, req)
-	}
-	return e.sharded.Search(ctx, req)
+	return e.replica.MinApplied()
 }
 
-// SearchBatch answers a batch against one pinned view; slots whose
-// MinEpoch the replica has not reached carry ErrReplicaBehind.
-func (e *ReplicaEngine) SearchBatch(ctx context.Context, reqs []Request) []BatchResult {
-	applied := e.rep.MinApplied()
-	runnable := reqs
-	var behind []int
-	for i, req := range reqs {
-		if req.MinEpoch > 0 && applied < req.MinEpoch {
-			behind = append(behind, i)
-		}
+// behind refuses a request whose MinEpoch is past applied.
+func behind(req Request, applied uint64) error {
+	if req.MinEpoch > applied {
+		return fmt.Errorf("%w: want epoch %d, applied %d", ErrReplicaBehind, req.MinEpoch, applied)
 	}
-	out := make([]BatchResult, len(reqs))
-	if len(behind) > 0 {
-		keep := make([]Request, 0, len(reqs)-len(behind))
-		for i, req := range reqs {
-			if req.MinEpoch > 0 && applied < req.MinEpoch {
-				out[i].Err = fmt.Errorf("%w: want epoch %d, applied %d", ErrReplicaBehind, req.MinEpoch, applied)
-				continue
-			}
-			keep = append(keep, req)
-		}
-		runnable = keep
-	}
-	var res []BatchResult
-	runnable = fillCandidateLimits(runnable, e.candLimit)
-	if e.engine != nil {
-		res = e.engine.ParallelSearch(ctx, runnable, e.workers)
-	} else {
-		res = e.sharded.SearchBatch(ctx, runnable)
-	}
-	if len(behind) == 0 {
-		return res
-	}
-	k := 0
-	for i := range out {
-		if out[i].Err == nil {
-			out[i] = res[k]
-			k++
-		}
-	}
-	return out
+	return nil
 }
 
-// Stats reports the replica's serving stats with the replication block
-// attached (EngineStats.Replication).
-func (e *ReplicaEngine) Stats() EngineStats {
-	var st EngineStats
-	if e.engine != nil {
-		st = e.engine.Stats()
-	} else {
-		st = e.sharded.Stats()
+// ReplicationHandler serves the /v1/replication surface from the durable
+// store; without a data dir there is nothing to replicate and every
+// request answers 404.
+func (e *ServingEngine) ReplicationHandler() http.Handler {
+	if e.store == nil {
+		return http.NotFoundHandler()
 	}
-	rs := e.rep.Stats()
-	st.Replication = &rs
-	return st
+	return replic.NewLeader(e.store)
 }
 
-// ReplicationStats returns the tail report (satisfies
-// ReplicationReporter).
-func (e *ReplicaEngine) ReplicationStats() ReplicationStats { return e.rep.Stats() }
-
-// RouteSearch sends a read to the leader when the replica cannot satisfy
-// it: MinEpoch ahead of the applied epoch, or lag beyond the staleness
-// bound (satisfies SearchRouter).
-func (e *ReplicaEngine) RouteSearch(req Request) (string, bool) {
-	if req.MinEpoch > 0 && e.rep.MinApplied() < req.MinEpoch {
-		return e.leader, true
+// ReplicationStats returns a replica's tail report (zero elsewhere).
+func (e *ServingEngine) ReplicationStats() ReplicationStats {
+	if e.replica == nil {
+		return ReplicationStats{}
 	}
-	if e.staleness >= 0 && e.rep.MaxLag() > uint64(e.staleness) {
-		return e.leader, true
+	return e.replica.Stats()
+}
+
+// RouteSearch places one read. A replica sends it to the leader when it
+// cannot satisfy it: MinEpoch ahead of the applied epoch, or lag beyond
+// the staleness bound. A routing leader places it on a replica within the
+// effective minimum epoch — the explicit MinEpoch, else the current epoch
+// minus the staleness bound — falling back to serving locally. Every other
+// handle serves every read itself.
+func (e *ServingEngine) RouteSearch(req Request) (string, bool) {
+	switch {
+	case e.replica != nil:
+		if req.MinEpoch > 0 && e.replica.MinApplied() < req.MinEpoch ||
+			e.staleness >= 0 && e.replica.MaxLag() > uint64(e.staleness) {
+			return e.replica.Leader(), true
+		}
+	case e.router != nil:
+		if req.MinEpoch > 0 || e.staleness < 0 {
+			return e.router.Pick(req.MinEpoch) // unbounded staleness: any healthy replica
+		}
+		if cur := slices.Max(e.live.Epochs()); cur > uint64(e.staleness) {
+			return e.router.Pick(cur - uint64(e.staleness))
+		}
+		return e.router.Pick(0)
 	}
 	return "", false
-}
-
-// Leader returns the leader URL this replica tails.
-func (e *ReplicaEngine) Leader() string { return e.leader }
-
-// Converged reports whether every shard has applied the leader's last
-// reported durable epoch.
-func (e *ReplicaEngine) Converged() bool { return e.rep.MaxLag() == 0 && !e.rep.Severed() }
-
-// Close stops the tail loops. The last applied state keeps serving.
-func (e *ReplicaEngine) Close() error { return e.rep.Close() }
-
-// Maintainer surface: a replica has no write path.
-
-func (e *ReplicaEngine) Apply(context.Context, Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReplicaReadOnly
-}
-
-func (e *ReplicaEngine) ApplyBatch(context.Context, []Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReplicaReadOnly
-}
-
-func (e *ReplicaEngine) Recrawl(context.Context, *Database, []FragmentID) (ApplyReport, error) {
-	return ApplyReport{}, ErrReplicaReadOnly
-}
-
-func (e *ReplicaEngine) RecrawlWith(context.Context, *Database, []FragmentID, Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReplicaReadOnly
-}
-
-func (e *ReplicaEngine) RecrawlBatch(context.Context, *Database, []FragmentID, []Delta) (ApplyReport, error) {
-	return ApplyReport{}, ErrReplicaReadOnly
-}
-
-// CompactIfNeeded refuses: a local compaction would advance the replica's
-// epoch outside the leader's epoch sequence and collide with tailed
-// records — replicas inherit compaction through re-bootstrap instead.
-func (e *ReplicaEngine) CompactIfNeeded(context.Context, float64) (int, error) {
-	return 0, ErrReplicaReadOnly
-}
-
-var (
-	_ Handle              = (*ReplicaEngine)(nil)
-	_ SearchRouter        = (*ReplicaEngine)(nil)
-	_ ReplicationReporter = (*ReplicaEngine)(nil)
-)
-
-// readRouter is the leader-side placement decision shared by the routed
-// wrappers: effective minimum epoch (explicit MinEpoch, else current epoch
-// minus the staleness bound) against the router's polled replica epochs.
-type readRouter struct {
-	router *replic.Router
-	epoch  func() uint64 // current max epoch — atomic snapshot loads
-	bound  int64
-}
-
-func (r *readRouter) route(req Request) (string, bool) {
-	minEpoch := req.MinEpoch
-	if minEpoch == 0 {
-		if r.bound < 0 {
-			// Unbounded staleness: any healthy replica qualifies.
-			return r.router.Pick(0)
-		}
-		if cur := r.epoch(); cur > uint64(r.bound) {
-			minEpoch = cur - uint64(r.bound)
-		}
-	}
-	return r.router.Pick(minEpoch)
-}
-
-// routedDurable is a durable leader handle with bounded-staleness read
-// routing (dash.Open with WithReplicas): reads the HTTP layer offers it
-// are placed on a qualifying replica or kept local; everything else is the
-// wrapped durable handle.
-type routedDurable struct {
-	*durableHandle
-	rt readRouter
-}
-
-func (h *routedDurable) RouteSearch(req Request) (string, bool) { return h.rt.route(req) }
-
-func (h *routedDurable) Stats() EngineStats {
-	st := h.durableHandle.Stats()
-	rs := h.rt.router.Stats()
-	st.Replicas = &rs
-	return st
-}
-
-// Close stops the replica poller, then the durable store.
-func (h *routedDurable) Close() error {
-	h.rt.router.Stop()
-	return h.durableHandle.Close()
-}
-
-// routedCached is routedDurable over a cache/admission-wrapped leader.
-type routedCached struct {
-	*cachedDurable
-	rt readRouter
-}
-
-func (h *routedCached) RouteSearch(req Request) (string, bool) { return h.rt.route(req) }
-
-func (h *routedCached) Stats() EngineStats {
-	st := h.cachedDurable.Stats()
-	rs := h.rt.router.Stats()
-	st.Replicas = &rs
-	return st
-}
-
-func (h *routedCached) Close() error {
-	h.rt.router.Stop()
-	return h.cachedDurable.Close()
-}
-
-// wrapReplicas layers the read router over a freshly opened durable
-// leader handle. Called by Open when WithReplicas was given.
-func wrapReplicas(h Handle, cfg openConfig) (Handle, error) {
-	if cfg.dataDir == "" {
-		return nil, fmt.Errorf("dash: WithReplicas requires WithDataDir (replicas tail the durable journal)")
-	}
-	router := replic.NewRouter(cfg.replicaURLs, replic.RouterOptions{})
-	var d *durableHandle
-	switch t := h.(type) {
-	case *durableHandle:
-		d = t
-	case *cachedDurable:
-		d = t.d
-	default:
-		router.Stop()
-		return nil, fmt.Errorf("dash: cannot route reads over %T", h)
-	}
-	epoch := func() uint64 {
-		if d.live != nil {
-			return d.live.Snapshot().Epoch()
-		}
-		var m uint64
-		for _, s := range d.sharded.PinAll() {
-			m = max(m, s.Epoch())
-		}
-		return m
-	}
-	rt := readRouter{router: router, epoch: epoch, bound: cfg.stalenessBound}
-	if c, ok := h.(*cachedDurable); ok {
-		return &routedCached{cachedDurable: c, rt: rt}, nil
-	}
-	return &routedDurable{durableHandle: d, rt: rt}, nil
 }

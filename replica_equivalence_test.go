@@ -10,16 +10,17 @@ package dash
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/fragindex"
 	"repro/internal/relation"
 )
 
@@ -103,12 +104,12 @@ func serveReplication(t *testing.T, h Handle) string {
 
 // waitReplicaConverged blocks until every shard's applied epoch equals the
 // leader's durable epoch for that shard.
-func waitReplicaConverged(t *testing.T, leader Handle, rep *ReplicaEngine) {
+func waitReplicaConverged(t *testing.T, leader, rep Handle) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		ds := leader.(DurabilityReporter).DurabilityStats()
-		rs := rep.ReplicationStats()
+		rs := rep.(ReplicationReporter).ReplicationStats()
 		converged := len(ds.PerShard) == len(rs.PerShard) && len(ds.PerShard) > 0
 		for i := range ds.PerShard {
 			if !converged || rs.PerShard[i].AppliedEpoch != ds.PerShard[i].DurableEpoch {
@@ -124,21 +125,6 @@ func waitReplicaConverged(t *testing.T, leader Handle, rep *ReplicaEngine) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// replicaDumps captures the replica's canonical per-shard state for exact
-// comparison against the leader's dumpsOf.
-func replicaDumps(rep *ReplicaEngine) []*fragindex.Dump {
-	r := rep.rep
-	if s := r.Single(); s != nil {
-		return []*fragindex.Dump{s.Dump()}
-	}
-	sh := r.Sharded()
-	out := make([]*fragindex.Dump, sh.NumShards())
-	for i := range out {
-		out[i] = sh.Shard(i).Dump()
-	}
-	return out
 }
 
 // TestReplicaLeaderEquivalenceProperty drives a reproducible random
@@ -159,12 +145,14 @@ func TestReplicaLeaderEquivalenceProperty(t *testing.T) {
 			defer h.(io.Closer).Close()
 			leaderURL := serveReplication(t, h)
 
+			// The replica rewrites posting lists on its own threshold: a
+			// physical setting, invisible in answers and canonical dumps.
 			rep, err := OpenReplica(context.Background(), leaderURL, app,
-				WithReplicaPoll(100*time.Millisecond, 5*time.Millisecond))
+				WithReplicaPoll(100*time.Millisecond, 5*time.Millisecond), WithPostingCompaction(1, 8))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer rep.Close()
+			defer rep.(io.Closer).Close()
 
 			// next starts past the seed corpus's version numbers so random
 			// inserts never collide with fooddb's own fragments.
@@ -196,24 +184,22 @@ func TestReplicaLeaderEquivalenceProperty(t *testing.T) {
 				if got, want := searchAll(t, rep, equivQueries...), searchAll(t, h, equivQueries...); !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d: replica answers diverged from leader\n got %+v\nwant %+v", round, got, want)
 				}
-				if got, want := replicaDumps(rep), dumpsOf(t, h); !reflect.DeepEqual(got, want) {
+				if got, want := dumpsOf(t, rep), dumpsOf(t, h); !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d: canonical replica state diverged", round)
 				}
 			}
-			if !rep.Converged() {
-				t.Error("replica not Converged() after final round")
-			}
 			rs := rep.Stats()
-			if rs.Replication == nil || rs.Replication.State != "tailing" {
-				t.Errorf("replication stats block = %+v", rs.Replication)
+			if rs.Replication == nil || rs.Replication.State != "tailing" || rs.Replication.MaxLag != 0 {
+				t.Errorf("replication stats block after the final round = %+v", rs.Replication)
 			}
 		})
 	}
 }
 
 // TestWithReplicasOptionSurface: option validation and the routing
-// leader's shape — WithReplicas needs a durable handle, the routed handle
-// keeps its capability set, and Stats grows the router block.
+// leader's shape — WithReplicas needs a durable handle, placement falls
+// back to the leader while no replica qualifies, and Stats grows the
+// router block.
 func TestWithReplicasOptionSurface(t *testing.T) {
 	_, app, build := fooddbIndex(t)
 
@@ -234,20 +220,7 @@ func TestWithReplicasOptionSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.(io.Closer).Close()
-	// The routed wrapper keeps the durable capability set.
-	if _, ok := h.(Checkpointer); !ok {
-		t.Error("routed handle lost Checkpointer")
-	}
-	if _, ok := h.(DurabilityReporter); !ok {
-		t.Error("routed handle lost DurabilityReporter")
-	}
-	if _, ok := h.(Replicable); !ok {
-		t.Error("routed handle lost Replicable")
-	}
-	sr, ok := h.(SearchRouter)
-	if !ok {
-		t.Fatal("routing handle does not implement SearchRouter")
-	}
+	sr := h.(SearchRouter)
 	// The only configured replica is unreachable, so every placement falls
 	// back to serving locally.
 	if target, proxy := sr.RouteSearch(Request{MinEpoch: 1}); proxy {
@@ -277,7 +250,7 @@ func TestReplicaHandleContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rep.Close()
+	defer rep.(io.Closer).Close()
 	waitReplicaConverged(t, h, rep)
 
 	d := Delta{Changes: []FragmentChange{{
@@ -294,12 +267,12 @@ func TestReplicaHandleContract(t *testing.T) {
 		t.Errorf("CompactIfNeeded on replica = %v, want ErrReplicaReadOnly", err)
 	}
 
-	applied := rep.ReplicationStats().MinApplied
+	applied := rep.(ReplicationReporter).ReplicationStats().MinApplied
 	// Satisfiable MinEpoch: served locally, no routing.
 	if _, err := rep.Search(context.Background(), Request{Keywords: []string{"burger"}, K: 3, SizeThreshold: 25, MinEpoch: applied}); err != nil {
 		t.Errorf("satisfiable MinEpoch search: %v", err)
 	}
-	if target, proxy := rep.RouteSearch(Request{MinEpoch: applied}); proxy {
+	if target, proxy := rep.(SearchRouter).RouteSearch(Request{MinEpoch: applied}); proxy {
 		t.Errorf("RouteSearch proxied a satisfiable read to %q", target)
 	}
 	// Unsatisfiable MinEpoch: Search refuses, RouteSearch points at the
@@ -308,7 +281,7 @@ func TestReplicaHandleContract(t *testing.T) {
 	if _, err := rep.Search(context.Background(), Request{Keywords: []string{"burger"}, K: 3, SizeThreshold: 25, MinEpoch: future}); err == nil {
 		t.Error("future MinEpoch search served stale data")
 	}
-	target, proxy := rep.RouteSearch(Request{MinEpoch: future})
+	target, proxy := rep.(SearchRouter).RouteSearch(Request{MinEpoch: future})
 	if !proxy || target != leaderURL {
 		t.Errorf("RouteSearch(future) = %q, %v, want leader", target, proxy)
 	}
@@ -322,9 +295,67 @@ func TestReplicaHandleContract(t *testing.T) {
 	}
 }
 
+// TestReplicaMinEpochPinnedView: a replica checks MinEpoch against the
+// epoch it had applied before it pinned, so a replicated publish landing
+// right after the pin cannot let a read that demands the new epoch be
+// answered from the older pinned view. Each read either refuses with
+// ErrReplicaBehind or sees the demanded epoch's insert — through Search and
+// through SearchBatch.
+func TestReplicaMinEpochPinnedView(t *testing.T) {
+	ctx := context.Background()
+	_, app, build := fooddbIndex(t)
+	h, err := Open(ctx, build(), app, WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.(io.Closer).Close()
+	rep, err := OpenReplica(ctx, serveReplication(t, h), app,
+		WithReplicaPoll(100*time.Millisecond, 5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.(io.Closer).Close()
+	waitReplicaConverged(t, h, rep)
+	e := rep.(*ServingEngine)
+
+	for round, kw := range []string{"zanzibar", "quokka"} {
+		var once sync.Once
+		publish := func() {
+			once.Do(func() {
+				if _, err := h.Apply(ctx, Delta{Changes: []FragmentChange{{
+					Op: OpInsertFragment, ID: FragmentID{relation.String("Nordic"), relation.Int(int64(200 + round))},
+					TermCounts: map[string]int64{kw: 1}, TotalTerms: 1,
+				}}}); err != nil {
+					t.Fatal(err)
+				}
+				waitReplicaConverged(t, h, rep)
+			})
+		}
+		// The insert is the next epoch; the replica applies it between the
+		// read's pin and the rest of its search path.
+		req := Request{Keywords: []string{kw}, K: 1, SizeThreshold: 20, MinEpoch: e.applied() + 1}
+		e.pinned = publish
+		var res []Result
+		if round == 0 {
+			res, err = rep.Search(ctx, req)
+		} else {
+			out := rep.SearchBatch(ctx, []Request{req})
+			res, err = out[0].Results, out[0].Err
+		}
+		e.pinned = nil
+		if err != nil && !errors.Is(err, ErrReplicaBehind) || err == nil && len(res) == 0 {
+			t.Fatalf("round %d: MinEpoch %d read = %d results, %v: answered from a view older than the epoch it demanded",
+				round, req.MinEpoch, len(res), err)
+		}
+		publish()
+		if res, err = rep.Search(ctx, req); err != nil || len(res) == 0 {
+			t.Fatalf("round %d: MinEpoch %d read after the publish = %d results, %v", round, req.MinEpoch, len(res), err)
+		}
+	}
+}
+
 // TestCheckpointDumpRaceReplicates is the checkpoint dump/rotation race at
-// the facade: durableHandle.Checkpoint cuts the live index's Dump and then
-// rotates the journal, so an apply can land in between. A replica that
+// the facade: Checkpoint cuts a shard's Dump and then rotates the journal, so an apply can land in between. A replica that
 // bootstraps from the new snapshot must still receive that apply's record
 // — on the parent it was stamped past as a record-free advance and the
 // replica silently lacked the delta.
@@ -336,7 +367,7 @@ func TestCheckpointDumpRaceReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.(io.Closer).Close()
-	dh := h.(*durableHandle)
+	e := h.(*ServingEngine)
 	m := &equivMutator{rng: rand.New(rand.NewSource(41)), next: 1000}
 	for i := 0; i < 3; i++ {
 		if _, err := h.Apply(ctx, m.delta()); err != nil {
@@ -344,13 +375,13 @@ func TestCheckpointDumpRaceReplicates(t *testing.T) {
 		}
 	}
 
-	// The interleaving durableHandle.Checkpoint admits: Dump, Apply,
-	// then the store checkpoint of the (now stale) dump.
-	dump := dh.live.Dump()
+	// The interleaving Checkpoint admits: Dump, Apply, then the store
+	// checkpoint of the (now stale) dump.
+	dump := e.live.Shard(0).Dump()
 	if _, err := h.Apply(ctx, m.delta()); err != nil {
 		t.Fatal(err)
 	}
-	if err := dh.store.Checkpoint(ctx, 0, dump); err != nil {
+	if err := e.store.Checkpoint(ctx, 0, dump); err != nil {
 		t.Fatal(err)
 	}
 
@@ -359,12 +390,56 @@ func TestCheckpointDumpRaceReplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rep.Close()
+	defer rep.(io.Closer).Close()
 	waitReplicaConverged(t, h, rep)
-	if got, want := replicaDumps(rep), dumpsOf(t, h); !reflect.DeepEqual(got, want) {
+	if got, want := dumpsOf(t, rep), dumpsOf(t, h); !reflect.DeepEqual(got, want) {
 		t.Fatal("replica converged on the leader's epoch without the apply journaled during the checkpoint")
 	}
 	if got, want := searchAll(t, rep, equivQueries...), searchAll(t, h, equivQueries...); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replica answers diverged from leader\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReplicaCacheSwept: a replica's replicated publishes sweep its result
+// cache as a leader's maintenance calls do. Each round publishes on the
+// leader and reads at the replica's new epoch; every publish must drop the
+// previous round's entry, so the cache only ever holds the current epoch.
+func TestReplicaCacheSwept(t *testing.T) {
+	ctx := context.Background()
+	_, app, build := fooddbIndex(t)
+	h, err := Open(ctx, build(), app, WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.(io.Closer).Close()
+	rep, err := OpenReplica(ctx, serveReplication(t, h), app,
+		WithReplicaPoll(100*time.Millisecond, 5*time.Millisecond), WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.(io.Closer).Close()
+	cacheOf := func() CacheStats { return *rep.Stats().Cache }
+	req := Request{Keywords: []string{"burger"}, K: 3, SizeThreshold: 20}
+	const rounds = 6
+	for i := 0; i < rounds; i++ {
+		if _, err := h.Apply(ctx, Delta{Changes: []FragmentChange{{
+			Op: OpUpdateFragment, ID: FragmentID{relation.String("American"), relation.Int(10)},
+			TermCounts: map[string]int64{"burger": int64(i + 2)}, TotalTerms: int64(i + 2),
+		}}}); err != nil {
+			t.Fatal(err)
+		}
+		waitReplicaConverged(t, h, rep)
+		for deadline := time.Now().Add(5 * time.Second); cacheOf().Entries != 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the replicated publish left %+v in the cache", i, cacheOf())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if _, st, err := rep.(CachedSearcher).SearchStatus(ctx, req); err != nil || st != CacheMiss {
+			t.Fatalf("round %d: read at the new epoch = %s, %v, want a miss", i, st, err)
+		}
+	}
+	if c := cacheOf(); c.Entries != 1 || c.Swept != rounds-1 || c.Bytes <= 0 {
+		t.Errorf("cache after %d replicated publishes = %+v, want the current epoch's one entry", rounds, c)
 	}
 }
