@@ -12,7 +12,7 @@ test: build
 
 # race mirrors CI's race step.
 race:
-	$(GO) test -race ./internal/search/ ./internal/fragindex/ ./internal/replic/ ./cmd/dashserve/
+	$(GO) test -race ./internal/search/ ./internal/fragindex/ ./internal/replic/ ./cmd/dashserve/ ./internal/relation/ ./internal/psj/ ./internal/crawl/
 
 vet:
 	$(GO) vet ./...

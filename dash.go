@@ -62,6 +62,14 @@
 // a Delta built by any other means. Both are transactional: on error —
 // a cancelled context included — the serving snapshot is unchanged.
 //
+// Recrawl reads the partition's rows through hash indexes the Database
+// keeps, which rely on rows never changing once appended. Change the
+// database between recrawls in one of two ways: Table.Append new rows, or,
+// to update or delete rows, assign the table a new Rows slice (or register
+// a new table with Database.AddTable). Never edit a row's values in place
+// (t.Rows[i][j] = v): the indexes cannot see it, and later recrawls and
+// db-pages would answer from stale row positions.
+//
 // When changes arrive faster than they must become visible, batch them:
 // ApplyBatch (or the Queue/Flush pair) coalesces any number of deltas into
 // one published snapshot, paying a single publish — and a single
@@ -167,7 +175,9 @@ const (
 )
 
 // Database is the relational substrate Dash crawls; construct one with the
-// relation package or a generator like internal/tpch.
+// relation package or a generator like internal/tpch. Its tables are
+// append-only: to update or delete rows, assign a table a new Rows slice
+// or register a new table (see "Serving while the database changes").
 type Database = relation.Database
 
 // BuildOptions configures Build.

@@ -300,19 +300,22 @@ func (e *ServingEngine) ApplyBatch(ctx context.Context, ds []Delta) (ApplyReport
 }
 
 // Recrawl re-executes the application query for the given partitions only,
-// derives the delta, and publishes it.
+// derives the delta, and publishes it. db must follow Database's rule:
+// rows are appended, or a table's Rows replaced by a new slice, never
+// edited in place (see the package doc).
 func (e *ServingEngine) Recrawl(ctx context.Context, db *Database, ids []FragmentID) (ApplyReport, error) {
 	return e.RecrawlWith(ctx, db, ids, Delta{})
 }
 
 // RecrawlWith combines a targeted re-crawl with explicit extra changes in
-// one delta.
+// one delta; db follows the same rule as for Recrawl.
 func (e *ServingEngine) RecrawlWith(ctx context.Context, db *Database, ids []FragmentID, extra Delta) (ApplyReport, error) {
 	return e.maintain(ctx, db, ids, []Delta{extra}, false)
 }
 
 // RecrawlBatch combines a targeted re-crawl with a batch of explicit deltas;
-// everything coalesces into one publish per touched shard.
+// everything coalesces into one publish per touched shard. db follows the
+// same rule as for Recrawl.
 func (e *ServingEngine) RecrawlBatch(ctx context.Context, db *Database, ids []FragmentID, ds []Delta) (ApplyReport, error) {
 	return e.maintain(ctx, db, ids, ds, true)
 }

@@ -178,6 +178,8 @@ func PinParams(b *psj.Bound, id fragment.ID) (map[string]relation.Value, error) 
 // database. exists is false when the partition currently selects no rows
 // (the fragment no longer exists). The counts match what a full crawl
 // (Reference or the MR algorithms) would derive for the same fragment.
+// psj.Bound.Execute looks the partition's rows up through the database's
+// indexes, so the cost follows the partition's size, not the tables'.
 func RecrawlFragment(db *relation.Database, b *psj.Bound, id fragment.ID) (counts map[string]int64, total int64, exists bool, err error) {
 	params, err := PinParams(b, id)
 	if err != nil {
@@ -205,8 +207,6 @@ func RecrawlFragment(db *relation.Database, b *psj.Bound, id fragment.ID) (count
 	return counts, total, true, nil
 }
 
-// DeriveDelta re-crawls the partitions of the candidate fragment
-// identifiers (typically: every fragment whose underlying rows changed,
 // orBackground tolerates a nil context at the API boundary so a forgotten
 // ctx degrades to "not cancellable" instead of a panic between partitions.
 func orBackground(ctx context.Context) context.Context {
@@ -216,6 +216,8 @@ func orBackground(ctx context.Context) context.Context {
 	return ctx
 }
 
+// DeriveDelta re-crawls the partitions of the candidate fragment
+// identifiers (typically: every fragment whose underlying rows changed,
 // plus any identifiers newly introduced by inserted rows) and classifies
 // each against the serving index via have, which reports whether a live
 // fragment with that identifier currently exists. Identifiers whose

@@ -22,49 +22,6 @@ func boundFooddb(t *testing.T) (*relation.Database, *psj.Bound) {
 	return db, b
 }
 
-// TestRecrawlMatchesReference: re-crawling any single partition yields
-// byte-identical keyword statistics to what the full crawl derives for
-// that fragment — the property that lets a delta patch an index built by
-// Reference or the MR algorithms without drift.
-func TestRecrawlMatchesReference(t *testing.T) {
-	db, b := boundFooddb(t)
-	out, err := Reference(db, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full-crawl per-fragment counts from the inverted lists.
-	want := make(map[string]map[string]int64)
-	for kw, ps := range out.Inverted {
-		for _, p := range ps {
-			m, ok := want[p.FragKey]
-			if !ok {
-				m = make(map[string]int64)
-				want[p.FragKey] = m
-			}
-			m[kw] = p.TF
-		}
-	}
-	ids, err := out.Fragments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		counts, total, exists, err := RecrawlFragment(db, b, id)
-		if err != nil {
-			t.Fatalf("RecrawlFragment(%s): %v", id, err)
-		}
-		if !exists {
-			t.Fatalf("fragment %s vanished on recrawl", id)
-		}
-		if total != out.FragmentTerms[id.Key()] {
-			t.Errorf("%s total = %d, full crawl %d", id, total, out.FragmentTerms[id.Key()])
-		}
-		if !reflect.DeepEqual(counts, want[id.Key()]) {
-			t.Errorf("%s counts = %v, full crawl %v", id, counts, want[id.Key()])
-		}
-	}
-}
-
 // TestRecrawlMissingPartition: an identifier selecting no rows reports
 // exists=false.
 func TestRecrawlMissingPartition(t *testing.T) {

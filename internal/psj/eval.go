@@ -20,82 +20,145 @@ func (b *Bound) JoinAll(db *relation.Database) (*relation.Table, error) {
 
 // Execute evaluates the full parameterized query for concrete parameter
 // values, pushing selections down to the owning leaf relations before
-// joining. This is how a web application generates one db-page's content.
+// joining. This is how a web application generates one db-page's content,
+// and how a recrawl re-derives one fragment.
+//
+// Its cost follows the rows selected, not the table sizes: a leaf with an
+// equality condition is looked up through the database's hash index, and
+// a join against a base relation probes that relation's index on the join
+// columns with the rows already selected (relation.Database.ProbeJoin).
+// The answer — rows and their order — is the same as filtering every leaf
+// by a scan and hash-joining the results.
 func (b *Bound) Execute(db *relation.Database, params map[string]relation.Value) (*relation.Table, error) {
 	for _, p := range b.Query.Params() {
 		if _, ok := params[p]; !ok {
 			return nil, fmt.Errorf("%w: $%s", ErrNoParam, p)
 		}
 	}
-	// Group conditions per owning relation.
-	perLeaf := make(map[string][]BoundCond, len(b.Conds))
+	x := &pushdown{db: db, params: params, conds: make(map[string][]BoundCond, len(b.Conds))}
 	for _, c := range b.Conds {
-		perLeaf[c.Relation] = append(perLeaf[c.Relation], c)
+		x.conds[c.Relation] = append(x.conds[c.Relation], c)
 	}
-	filter := func(leaf string, t *relation.Table) *relation.Table {
-		conds := perLeaf[leaf]
-		if len(conds) == 0 {
-			return t
-		}
-		idx := make([]int, len(conds))
-		for i, c := range conds {
-			idx[i] = t.Schema.ColumnIndex(c.Attr.Col)
-		}
-		return t.Select(func(row relation.Row) bool {
-			for i, c := range conds {
-				v := row[idx[i]]
-				if v.IsNull() {
-					return false
-				}
-				cmp := v.Compare(params[c.Param])
-				switch c.Op {
-				case OpEQ:
-					if cmp != 0 {
-						return false
-					}
-				case OpGE:
-					if cmp < 0 {
-						return false
-					}
-				case OpLE:
-					if cmp > 0 {
-						return false
-					}
-				}
-			}
-			return true
-		})
-	}
-	joined, err := b.evalJoin(b.Query.From, db, filter)
+	joined, err := b.evalJoin(b.Query.From, db, x)
 	if err != nil {
 		return nil, err
 	}
 	return joined.Project(b.Projections)
 }
 
-// evalJoin walks the join tree; filter (optional) is applied to each leaf
-// before joining.
-func (b *Bound) evalJoin(node *JoinExpr, db *relation.Database,
-	filter func(string, *relation.Table) *relation.Table) (*relation.Table, error) {
+// evalJoin walks the join tree. With x nil (JoinAll) every leaf is its whole
+// table and every join a hash join; otherwise x filters the leaves, and a
+// join whose right side is a base relation probes it instead of hashing it.
+func (b *Bound) evalJoin(node *JoinExpr, db *relation.Database, x *pushdown) (*relation.Table, error) {
 	if node.IsLeaf() {
-		t, err := db.Table(node.Relation)
-		if err != nil {
-			return nil, err
+		if x == nil {
+			return db.Table(node.Relation)
 		}
-		if filter != nil {
-			t = filter(node.Relation, t)
-		}
-		return t, nil
+		return x.leaf(node.Relation)
 	}
-	left, err := b.evalJoin(node.Left, db, filter)
+	left, err := b.evalJoin(node.Left, db, x)
 	if err != nil {
 		return nil, err
 	}
-	right, err := b.evalJoin(node.Right, db, filter)
+	if x != nil && node.Right.IsLeaf() {
+		keep, err := x.filter(node.Right.Relation)
+		if err != nil {
+			return nil, err
+		}
+		return db.ProbeJoin(left, node.Right.Relation, b.nodeOn[node], node.Kind, keep)
+	}
+	right, err := b.evalJoin(node.Right, db, x)
 	if err != nil {
 		return nil, err
 	}
 	return relation.Join(left, right, b.nodeOn[node], node.Kind)
+}
+
+// pushdown is one Execute call's view of the leaves: the conditions each
+// owns and the parameter values they compare against.
+type pushdown struct {
+	db     *relation.Database
+	params map[string]relation.Value
+	conds  map[string][]BoundCond // owning relation -> its conditions
+}
+
+// leaf returns the rows of the leaf relation its conditions select, in
+// table order: looked up through the index on the first of its equality
+// conditions the index can answer, else scanned. An equality is an =
+// condition, or a >= and a <= condition on one column pinned to the same
+// value (a recrawl's point range).
+func (x *pushdown) leaf(leaf string) (*relation.Table, error) {
+	keep, err := x.filter(leaf)
+	if err != nil {
+		return nil, err
+	}
+	conds := x.conds[leaf]
+	for _, c := range conds {
+		v := x.params[c.Param]
+		if c.Op == OpEQ || c.Op == OpGE && pinnedAbove(conds, c.Attr.Col, v, x.params) {
+			t, ok, err := x.db.SelectEqual(leaf, c.Attr.Col, v, keep)
+			if err != nil || ok {
+				return t, err
+			}
+		}
+	}
+	t, err := x.db.Table(leaf)
+	if err != nil || keep == nil {
+		return t, err
+	}
+	return t.Select(keep), nil
+}
+
+// pinnedAbove reports whether a <= condition bounds col by the value v.
+func pinnedAbove(conds []BoundCond, col string, v relation.Value, params map[string]relation.Value) bool {
+	for _, c := range conds {
+		if c.Op == OpLE && c.Attr.Col == col && params[c.Param] == v {
+			return true
+		}
+	}
+	return false
+}
+
+// filter returns the conjunction of the leaf's conditions as a row
+// predicate, or nil when the leaf has none. A NULL never satisfies one.
+func (x *pushdown) filter(leaf string) (func(relation.Row) bool, error) {
+	conds := x.conds[leaf]
+	if len(conds) == 0 {
+		return nil, nil
+	}
+	t, err := x.db.Table(leaf)
+	if err != nil {
+		return nil, err
+	}
+	idx := make([]int, len(conds))
+	for i, c := range conds {
+		idx[i] = t.Schema.ColumnIndex(c.Attr.Col)
+	}
+	params := x.params
+	return func(row relation.Row) bool {
+		for i, c := range conds {
+			v := row[idx[i]]
+			if v.IsNull() {
+				return false
+			}
+			cmp := v.Compare(params[c.Param])
+			switch c.Op {
+			case OpEQ:
+				if cmp != 0 {
+					return false
+				}
+			case OpGE:
+				if cmp < 0 {
+					return false
+				}
+			case OpLE:
+				if cmp > 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}, nil
 }
 
 // CrawlProjection returns the column list of the crawling query: the

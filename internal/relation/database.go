@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // ErrNoTable is returned when a database lookup misses.
@@ -21,11 +22,21 @@ type ForeignKey struct {
 }
 
 // Database is a named collection of tables plus referential metadata.
+//
+// It also keeps the hash indexes SelectEqual and ProbeJoin look rows up
+// through, one per (table, column set), built on first use and kept current
+// with the tables; concurrent readers may share them. Registering a table or
+// appending rows must not run concurrently with readers, as for any Table.
+// The indexes rely on Table's rule that appended rows never change: update
+// or delete rows by assigning a new Rows slice or registering a new table.
 type Database struct {
 	Name   string
 	tables map[string]*Table
 	order  []string // insertion order, for deterministic iteration
 	fks    []ForeignKey
+
+	mu      sync.Mutex // guards indexes
+	indexes map[indexKey]*hashIndex
 }
 
 // NewDatabase creates an empty database.

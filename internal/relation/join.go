@@ -50,102 +50,116 @@ func SharedColumns(a, b *Schema) []string {
 // For JoinLeftOuter, left rows with no match are emitted once with the right
 // side's non-join columns set to NULL.
 func Join(left, right *Table, on []string, kind JoinKind) (*Table, error) {
-	if len(on) == 0 {
-		on = SharedColumns(left.Schema, right.Schema)
-		if len(on) == 0 {
-			return nil, fmt.Errorf("%w: %s and %s", ErrNoJoinCols,
-				left.Schema.Name, right.Schema.Name)
-		}
-	}
-	leftIdx := make([]int, len(on))
-	rightIdx := make([]int, len(on))
-	for i, name := range on {
-		li, ri := left.Schema.ColumnIndex(name), right.Schema.ColumnIndex(name)
-		if li < 0 {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, left.Schema.Name, name)
-		}
-		if ri < 0 {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, right.Schema.Name, name)
-		}
-		leftIdx[i] = li
-		rightIdx[i] = ri
-	}
-
-	// Right columns that survive into the output (non-join columns).
-	rightKeep := make([]int, 0, len(right.Schema.Columns))
-	outCols := make([]Column, 0, len(left.Schema.Columns)+len(right.Schema.Columns))
-	outCols = append(outCols, left.Schema.Columns...)
-	for j, c := range right.Schema.Columns {
-		isJoin := false
-		for _, ri := range rightIdx {
-			if ri == j {
-				isJoin = true
-				break
-			}
-		}
-		if !isJoin {
-			rightKeep = append(rightKeep, j)
-			outCols = append(outCols, c)
-		}
-	}
-	schema, err := NewSchema(left.Schema.Name+"⨝"+right.Schema.Name, outCols...)
+	p, err := planJoin(left.Schema, right.Schema, on)
 	if err != nil {
 		return nil, err
 	}
 
 	// Build phase: hash the right side on its join key.
 	build := make(map[string][]Row, len(right.Rows))
-	keyBuf := make([]Value, len(rightIdx))
+	var key []byte
 	for _, r := range right.Rows {
-		skip := false
-		for i, j := range rightIdx {
-			if r[j].IsNull() {
-				skip = true // NULL never matches in an equi-join
-				break
-			}
-			keyBuf[i] = r[j]
+		var ok bool
+		if key, ok = appendJoinKey(key[:0], r, p.rightIdx); ok {
+			build[string(key)] = append(build[string(key)], r)
 		}
-		if skip {
-			continue
-		}
-		k := Key(keyBuf)
-		build[k] = append(build[k], r)
 	}
 
-	out := &Table{Schema: schema, Rows: make([]Row, 0, len(left.Rows))}
-	probeBuf := make([]Value, len(leftIdx))
+	out := &Table{Schema: p.schema, Rows: make([]Row, 0, len(left.Rows))}
 	for _, l := range left.Rows {
-		nullKey := false
-		for i, j := range leftIdx {
-			if l[j].IsNull() {
-				nullKey = true
-				break
-			}
-			probeBuf[i] = l[j]
-		}
 		var matches []Row
-		if !nullKey {
-			matches = build[Key(probeBuf)]
-		}
-		if len(matches) == 0 {
-			if kind == JoinLeftOuter {
-				row := make(Row, 0, len(outCols))
-				row = append(row, l...)
-				for range rightKeep {
-					row = append(row, Null())
-				}
-				out.Rows = append(out.Rows, row)
-			}
-			continue
+		var ok bool
+		if key, ok = appendJoinKey(key[:0], l, p.leftIdx); ok {
+			matches = build[string(key)]
 		}
 		for _, r := range matches {
-			row := make(Row, 0, len(outCols))
-			row = append(row, l...)
-			for _, j := range rightKeep {
-				row = append(row, r[j])
-			}
-			out.Rows = append(out.Rows, row)
+			out.Rows = append(out.Rows, p.row(l, r))
+		}
+		if len(matches) == 0 && kind == JoinLeftOuter {
+			out.Rows = append(out.Rows, p.row(l, nil))
 		}
 	}
 	return out, nil
+}
+
+// joinPlan is the column bookkeeping one equi-join needs, shared by the
+// hash join (Join) and the index probe (Database.ProbeJoin) so that both
+// produce the same schema and the same row layout.
+type joinPlan struct {
+	schema    *Schema
+	on        []string
+	leftIdx   []int // join columns in the left schema, in on order
+	rightIdx  []int // join columns in the right schema, in on order
+	rightKeep []int // right columns that survive into the output
+}
+
+func planJoin(left, right *Schema, on []string) (*joinPlan, error) {
+	if len(on) == 0 {
+		on = SharedColumns(left, right)
+		if len(on) == 0 {
+			return nil, fmt.Errorf("%w: %s and %s", ErrNoJoinCols, left.Name, right.Name)
+		}
+	}
+	p := &joinPlan{on: on, leftIdx: make([]int, len(on)), rightIdx: make([]int, len(on))}
+	for i, name := range on {
+		li, ri := left.ColumnIndex(name), right.ColumnIndex(name)
+		if li < 0 {
+			return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, left.Name, name)
+		}
+		if ri < 0 {
+			return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, right.Name, name)
+		}
+		p.leftIdx[i] = li
+		p.rightIdx[i] = ri
+	}
+
+	p.rightKeep = make([]int, 0, len(right.Columns))
+	outCols := make([]Column, 0, len(left.Columns)+len(right.Columns))
+	outCols = append(outCols, left.Columns...)
+	for j, c := range right.Columns {
+		isJoin := false
+		for _, ri := range p.rightIdx {
+			if ri == j {
+				isJoin = true
+				break
+			}
+		}
+		if !isJoin {
+			p.rightKeep = append(p.rightKeep, j)
+			outCols = append(outCols, c)
+		}
+	}
+	schema, err := NewSchema(left.Name+"⨝"+right.Name, outCols...)
+	if err != nil {
+		return nil, err
+	}
+	p.schema = schema
+	return p, nil
+}
+
+// row concatenates a left row with a right row's surviving columns; a nil
+// r null-extends (the left-outer case).
+func (p *joinPlan) row(l, r Row) Row {
+	row := make(Row, 0, len(p.schema.Columns))
+	row = append(row, l...)
+	for _, j := range p.rightKeep {
+		if r == nil {
+			row = append(row, Null())
+		} else {
+			row = append(row, r[j])
+		}
+	}
+	return row
+}
+
+// appendJoinKey appends the Key encoding of r's columns idx to dst. ok is
+// false if any of them is NULL: NULL never matches in an equi-join.
+func appendJoinKey(dst []byte, r Row, idx []int) (key []byte, ok bool) {
+	for _, j := range idx {
+		if r[j].IsNull() {
+			return dst, false
+		}
+		dst = AppendValue(dst, r[j])
+	}
+	return dst, true
 }

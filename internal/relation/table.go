@@ -3,6 +3,7 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -82,6 +83,16 @@ func (s *Schema) ColumnKind(name string) (Kind, error) {
 
 // Table is a schema plus rows. The zero Table is unusable; construct with
 // NewTable.
+//
+// Rows are immutable once appended: neither a row's values nor its position
+// in Rows change afterwards. Select and Join share row storage with their
+// inputs, and a Database's indexes remember row positions, on that promise.
+// To change a table, append to it, or replace Rows (or the whole table) with
+// a new slice: to update or delete a row, build the new slice and assign
+// it. An index notices an append and a replaced slice, and a delete or
+// insert in place that moves the last row, but not a value edited in place
+// (t.Rows[i][j] = v) or a row swapped at another position; after one of
+// those its answers are stale.
 type Table struct {
 	Schema *Schema
 	Rows   []Row
@@ -145,7 +156,9 @@ func (t *Table) Project(cols []string) (*Table, error) {
 	return out, nil
 }
 
-// SortBy sorts rows in place by the named columns ascending.
+// SortBy sorts rows by the named columns ascending. It sorts a copy and
+// replaces Rows with it, so rows keep their positions in any slice shared
+// before the call.
 func (t *Table) SortBy(cols ...string) error {
 	idx := make([]int, len(cols))
 	for i, name := range cols {
@@ -155,8 +168,9 @@ func (t *Table) SortBy(cols ...string) error {
 		}
 		idx[i] = j
 	}
-	sort.SliceStable(t.Rows, func(a, b int) bool {
-		ra, rb := t.Rows[a], t.Rows[b]
+	rows := slices.Clone(t.Rows)
+	sort.SliceStable(rows, func(a, b int) bool {
+		ra, rb := rows[a], rows[b]
 		for _, j := range idx {
 			if c := ra[j].Compare(rb[j]); c != 0 {
 				return c < 0
@@ -164,6 +178,7 @@ func (t *Table) SortBy(cols ...string) error {
 		}
 		return false
 	})
+	t.Rows = rows
 	return nil
 }
 

@@ -4,9 +4,13 @@
 //
 // It is the database substrate Dash crawls. The engine is deliberately
 // minimal — it supports exactly what parameterized project-select-join (PSJ)
-// queries (see internal/psj) need — but it is a real evaluator: joins are
-// hash joins, predicates are pushed down by callers, and all values are
-// typed.
+// queries (see internal/psj) need — but it is a real evaluator with typed
+// values and two access paths. Join is a hash join and Select a scan, for
+// whole-table work such as the crawling query. For one db-page's partition,
+// a Database also answers equality selections (SelectEqual) and joins
+// against a base table (ProbeJoin) through persistent hash indexes, so the
+// cost follows the rows selected rather than the table sizes. Callers push
+// predicates down to the leaves and choose the path (internal/psj).
 package relation
 
 import (
