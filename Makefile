@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint bench serve-bench
+.PHONY: build test race vet lint loc bench serve-bench
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,13 @@ vet:
 # stock go vet suite. Any finding fails the target.
 lint:
 	$(GO) run ./cmd/dashvet ./...
+
+# loc prints the non-test Go line counts of the root package and of the
+# whole repo: tracked .go files, leaving out _test.go files and testdata/.
+GOSRC = git ls-files '*.go' | grep -v -e '_test\.go$$' -e 'testdata/'
+loc:
+	@echo "root $$($(GOSRC) | grep -v / | xargs cat | wc -l)"
+	@echo "repo $$($(GOSRC) | xargs cat | wc -l)"
 
 # bench regenerates the tracked search-path performance snapshot: the
 # Fig. 11 top-k sweep, the context-overhead guard (the cooperative

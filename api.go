@@ -17,7 +17,7 @@ import (
 )
 
 // Searcher is the read contract of every handle Open and OpenReplica
-// return, whatever its shape, and of the bare *Engine and *MultiEngine.
+// return, whatever its shape, and of the bare *Engine.
 // Every search takes a context first; an already-cancelled ctx returns
 // ctx.Err() without touching a snapshot, and a cancellation or deadline
 // arriving mid-search is honored cooperatively (a bounded number of heap
@@ -61,10 +61,11 @@ type Maintainer interface {
 
 // Handle is the full serving contract Open and OpenReplica return:
 // searches, maintenance and the serving report over one index. The value
-// behind it is always a *ServingEngine, so every capability interface of
-// this package (Queuer, Checkpointer, DurabilityHealth, CachedSearcher,
-// Replicable, SearchRouter, ...) is one type assertion away and never
-// fails; which layers are configured is what Stats reports.
+// behind it is always a *ServingEngine; call the methods beyond the
+// contract (Queue, Flush, Checkpoint, DurabilityState, RouteSearch, ...)
+// on that type, and read which layers are configured from Stats. Open
+// returns Handle rather than the concrete type only because callers
+// already type-assert CachedSearcher and Replicable on its result.
 type Handle interface {
 	Searcher
 	Maintainer
@@ -184,7 +185,7 @@ func WithReadOnly() Option {
 // state. A fresh directory is seeded from the index passed to Open; an
 // initialized one is recovered, idx must be nil, and the committed shard
 // count pins the topology (see IsInitialized). Incompatible with
-// WithReadOnly. Checkpoint, DurabilityStats and Close act on the store.
+// WithReadOnly. Checkpoint, Stats().Durability and Close act on the store.
 func WithDataDir(dir string) Option {
 	return func(c *openConfig) error {
 		if dir == "" {
@@ -231,10 +232,9 @@ func WithDurableFS(fsys faultfs.FS) Option {
 
 // WithReplicas layers bounded-staleness read routing over a durable
 // leader handle: the handle polls each replica's readiness report and its
-// RouteSearch (see SearchRouter) places reads with no explicit MinEpoch on
-// any replica within the staleness bound (WithStalenessBound) of the
-// leader's current epoch, falling back to serving locally when none
-// qualifies. Requires
+// RouteSearch places reads with no explicit MinEpoch on any replica within
+// the staleness bound (WithStalenessBound) of the leader's current epoch,
+// falling back to serving locally when none qualifies. Requires
 // WithDataDir (replicas bootstrap from the leader's snapshots and tail its
 // journal). urls are replica base URLs (dashserve processes started with
 // -replica-of pointing back at this leader).

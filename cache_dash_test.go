@@ -318,7 +318,7 @@ func TestCachedHandleCapabilities(t *testing.T) {
 	if _, err := static.Apply(ctx, Delta{}); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("cached static Apply err = %v, want ErrReadOnly", err)
 	}
-	if _, err := static.(Queuer).Queue(Delta{}); !errors.Is(err, ErrReadOnly) {
+	if _, err := static.(*ServingEngine).Queue(Delta{}); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("cached static Queue err = %v, want ErrReadOnly", err)
 	}
 
@@ -327,19 +327,19 @@ func TestCachedHandleCapabilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	missThenHit("live", live)
-	if n, err := live.(Queuer).Queue(burgerDelta()); err != nil || n != 1 {
+	if n, err := live.(*ServingEngine).Queue(burgerDelta()); err != nil || n != 1 {
 		t.Errorf("cached live Queue = %d, %v; want 1 queued", n, err)
 	}
-	if _, err := live.(Queuer).Flush(ctx); err != nil {
+	if _, err := live.(*ServingEngine).Flush(ctx); err != nil {
 		t.Errorf("cached live Flush: %v", err)
 	}
 	if _, st, err := live.(CachedSearcher).SearchStatus(ctx, req); err != nil || st != CacheMiss {
 		t.Errorf("search after flush %s, %v; want miss", st, err)
 	}
-	if err := live.(Checkpointer).Checkpoint(ctx); err != nil {
+	if err := live.(*ServingEngine).Checkpoint(ctx); err != nil {
 		t.Errorf("cached in-memory Checkpoint: %v", err)
 	}
-	if ds := live.(DurabilityReporter).DurabilityStats(); ds.Shards != 0 {
+	if ds := live.Stats().Durability; ds != nil {
 		t.Errorf("cached in-memory handle reports a store: %+v", ds)
 	}
 
@@ -348,16 +348,16 @@ func TestCachedHandleCapabilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	missThenHit("durable", durable)
-	if n, err := durable.(Queuer).Queue(burgerDelta()); err != nil || n != 1 {
+	if n, err := durable.(*ServingEngine).Queue(burgerDelta()); err != nil || n != 1 {
 		t.Errorf("cached durable Queue = %d, %v; want 1 queued", n, err)
 	}
-	if _, err := durable.(Queuer).Flush(ctx); err != nil {
+	if _, err := durable.(*ServingEngine).Flush(ctx); err != nil {
 		t.Errorf("cached durable Flush: %v", err)
 	}
-	if err := durable.(Checkpointer).Checkpoint(ctx); err != nil {
+	if err := durable.(*ServingEngine).Checkpoint(ctx); err != nil {
 		t.Errorf("cached durable Checkpoint: %v", err)
 	}
-	if ds := durable.(DurabilityReporter).DurabilityStats(); ds.Shards != 2 || ds.Checkpoints == 0 {
+	if ds := durabilityOf(t, durable); ds.Shards != 2 || ds.Checkpoints == 0 {
 		t.Errorf("durability stats through the cache: %+v", ds)
 	}
 	if err := durable.(io.Closer).Close(); err != nil {

@@ -25,7 +25,7 @@ import (
 // engine writing through a fault injector, returning the pieces the
 // health tests drive: the handler, the server (for draining and the
 // Retry-After helpers), the engine handle, and the injector.
-func testFaultServer(t *testing.T, extra ...dash.Option) (http.Handler, *server, dash.Handle, *faultfs.Injector) {
+func testFaultServer(t *testing.T, extra ...dash.Option) (http.Handler, *server, *dash.ServingEngine, *faultfs.Injector) {
 	t.Helper()
 	db, app, err := harness.Fooddb()
 	if err != nil {
@@ -60,20 +60,19 @@ func testFaultServer(t *testing.T, extra ...dash.Option) (http.Handler, *server,
 		t.Fatal(err)
 	}
 	mux, srv := newMux(engine, app, db, bound.SelAttrKinds(), serveConfig{searchTimeout: 5 * time.Second})
-	return mux, srv, engine, inj
+	return mux, srv, engine.(*dash.ServingEngine), inj
 }
 
 // degradeEngine breaks the injected disk and applies writes until the
 // engine trips to degraded.
-func degradeEngine(t *testing.T, h dash.Handle, inj *faultfs.Injector) {
+func degradeEngine(t *testing.T, h *dash.ServingEngine, inj *faultfs.Injector) {
 	t.Helper()
-	health := h.(dash.DurabilityHealth)
 	inj.Break(nil)
 	d := dash.Delta{Changes: []dash.FragmentChange{{
 		Op: dash.OpUpdateFragment, ID: dash.FragmentID{relation.String("American"), relation.Int(10)},
 		TermCounts: map[string]int64{"burger": 9}, TotalTerms: 9,
 	}}}
-	for i := 0; health.DurabilityState() != dash.DurabilityDegraded; i++ {
+	for i := 0; h.DurabilityState() != dash.DurabilityDegraded; i++ {
 		if _, err := h.Apply(context.Background(), d); err == nil {
 			t.Fatal("apply succeeded on a broken disk")
 		}
@@ -100,7 +99,6 @@ func bodyStatus(t *testing.T, rec *httptest.ResponseRecorder) string {
 // ready again after recovery, and 503 shutting_down once draining.
 func TestHealthzReadyzLifecycle(t *testing.T) {
 	mux, srv, engine, inj := testFaultServer(t)
-	health := engine.(dash.DurabilityHealth)
 
 	if rec := get(t, mux, "/v1/healthz"); rec.Code != http.StatusOK || bodyStatus(t, rec) != "ok" {
 		t.Fatalf("healthz: %d %q", rec.Code, rec.Body.String())
@@ -127,7 +125,7 @@ func TestHealthzReadyzLifecycle(t *testing.T) {
 
 	inj.Heal()
 	deadline := time.Now().Add(5 * time.Second)
-	for health.DurabilityState() != dash.DurabilityHealthy {
+	for engine.DurabilityState() != dash.DurabilityHealthy {
 		if time.Now().After(deadline) {
 			t.Fatal("engine did not recover")
 		}
@@ -155,7 +153,6 @@ func TestHealthzReadyzLifecycle(t *testing.T) {
 // recovery restores the write path.
 func TestDegradedWritesOverHTTP(t *testing.T) {
 	mux, _, engine, inj := testFaultServer(t)
-	health := engine.(dash.DurabilityHealth)
 	degradeEngine(t, engine, inj)
 
 	// Reads keep serving from published snapshots.
@@ -194,7 +191,7 @@ func TestDegradedWritesOverHTTP(t *testing.T) {
 
 	inj.Heal()
 	deadline := time.Now().Add(5 * time.Second)
-	for health.DurabilityState() != dash.DurabilityHealthy {
+	for engine.DurabilityState() != dash.DurabilityHealthy {
 		if time.Now().After(deadline) {
 			t.Fatal("engine did not recover")
 		}

@@ -370,6 +370,39 @@ func TestV1SearchHitAllocs(t *testing.T) {
 	}
 }
 
+// TestRequestIDsDistinct: 10 000 request IDs drawn concurrently are
+// pairwise distinct, 16 lower-case hex chars each, and share the process
+// prefix.
+func TestRequestIDsDistinct(t *testing.T) {
+	const goroutines, each = 8, 1250
+	ids := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range ids {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ids[g] = append(ids[g], newRequestID())
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[string]bool, goroutines*each)
+	prefix := ids[0][0][:8]
+	for _, batch := range ids {
+		for _, id := range batch {
+			if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" || id[:8] != prefix {
+				t.Fatalf("request id %q: want 16 lower-case hex chars starting %q", id, prefix)
+			}
+			if seen[id] {
+				t.Fatalf("request id %q issued twice", id)
+			}
+			seen[id] = true
+		}
+	}
+}
+
 // discardResponse is a ResponseWriter that costs the measured handler
 // nothing of its own.
 type discardResponse struct {

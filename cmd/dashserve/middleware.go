@@ -9,6 +9,7 @@ package main
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"log"
 	"net"
@@ -16,6 +17,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -107,13 +109,25 @@ func isSearchRoute(path string) bool {
 	return strings.HasPrefix(path, "/v1/search")
 }
 
-// newRequestID returns a 16-hex-char random identifier — unique enough to
-// correlate one access-log line with one client-reported failure.
+// requestIDPrefix is the random upper half of every request ID this
+// process issues, read once: IDs from two processes differ in their first
+// eight hex chars, and IDs within one differ in the counter below it.
+var (
+	requestIDPrefix = func() uint64 {
+		var b [4]byte
+		//lint:ignore droppederr never fails since Go 1.24; before, a failure leaves a zero prefix and IDs stay unique within the process
+		rand.Read(b[:])
+		return uint64(binary.BigEndian.Uint32(b[:])) << 32
+	}()
+	requestIDSeq atomic.Uint32
+)
+
+// newRequestID returns a 16-hex-char identifier — the process prefix and a
+// per-request counter, with no system call — unique enough to correlate one
+// access-log line with one client-reported failure.
 func newRequestID() string {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000" // degraded, never fatal
-	}
+	binary.BigEndian.PutUint64(b[:], requestIDPrefix|uint64(requestIDSeq.Add(1)))
 	var id [16]byte
 	hex.Encode(id[:], b[:])
 	return string(id[:])

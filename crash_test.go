@@ -151,7 +151,7 @@ func TestCrashWorkloadChild(t *testing.T) {
 			t.Fatalf("child ack sync %d: %v", i, err)
 		}
 		if i%crashCheckpointEvery == crashCheckpointEvery-1 {
-			if err := h.(Checkpointer).Checkpoint(context.Background()); err != nil && inj == nil {
+			if err := h.(*ServingEngine).Checkpoint(context.Background()); err != nil && inj == nil {
 				t.Fatalf("child checkpoint after %d: %v", i, err)
 			}
 		}

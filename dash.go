@@ -34,7 +34,12 @@
 // WithAdmissionControl, WithReplicas (read routing). OpenReplica returns
 // the same engine over a journal-tailing replica of a durable leader. Call
 // sites written against the contract change shape without rewrites, and
-// every shape returns byte-identical results for the same corpus.
+// every shape returns byte-identical results for the same corpus. The
+// value behind every Handle is a *ServingEngine: what lies beyond the
+// contract (Queue/Flush, Checkpoint, the durability and replication
+// reports, RouteSearch) is a method of it, reached with
+// h.(*dash.ServingEngine), and a method whose layer is absent answers the
+// handle mode's typed error or an empty report.
 // Every method takes a context.Context first: searches honor cancellation
 // cooperatively mid-assembly, batch fan-outs abandon queued work, and a
 // cancelled apply publishes nothing in the failing cycle.
@@ -117,9 +122,6 @@ type (
 	Index = fragindex.Index
 	// Engine answers top-k db-page searches.
 	Engine = search.Engine
-	// MultiEngine federates search across applications sharing a
-	// database.
-	MultiEngine = search.MultiEngine
 	// Request parameterizes one search: keywords W, result count k, and
 	// db-page size threshold s.
 	Request = search.Request
@@ -127,9 +129,6 @@ type (
 	Result = search.Result
 	// BatchResult is one request's outcome within a SearchBatch.
 	BatchResult = search.BatchResult
-	// MultiResult pairs a Result with the application that produced it
-	// (MultiEngine.SearchApps).
-	MultiResult = search.MultiResult
 	// FragRef identifies a fragment within an Index.
 	FragRef = fragindex.FragRef
 	// Snapshot is one immutable version of a fragment index; the whole
@@ -275,12 +274,6 @@ func Build(ctx context.Context, db *Database, app *Application, opts BuildOption
 // that need the concrete type.
 func NewEngine(idx *Index, app *Application) *Engine {
 	return search.New(idx, app)
-}
-
-// NewMultiEngine federates several engines (applications sharing a
-// database) with duplicate-content elimination.
-func NewMultiEngine(engines ...*Engine) *MultiEngine {
-	return search.NewMulti(engines...)
 }
 
 // SaveIndex serializes an index (gob encoding).

@@ -104,39 +104,6 @@ func TestFacadeSaveLoad(t *testing.T) {
 	}
 }
 
-func TestFacadeMultiEngine(t *testing.T) {
-	db := fooddb.New()
-	app, _ := Analyze(fooddb.ServletSource, fooddb.BaseURL)
-	if err := app.Bind(db); err != nil {
-		t.Fatal(err)
-	}
-	idx, _, err := Build(context.Background(), db, app, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMultiEngine(NewEngine(idx, app))
-	results, err := m.SearchApps(context.Background(), Request{Keywords: []string{"burger"}, K: 3, SizeThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Errorf("multi results = %d, want 3", len(results))
-	}
-	if results[0].AppName != "Search" {
-		t.Errorf("app name = %q", results[0].AppName)
-	}
-	// The Searcher-contract form answers the same pages without the
-	// attribution.
-	plain, err := m.Search(context.Background(), Request{Keywords: []string{"burger"}, K: 3, SizeThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(results) || plain[0].URL != results[0].URL {
-		t.Errorf("Search = %d results (top %q), SearchApps = %d (top %q)",
-			len(plain), plain[0].URL, len(results), results[0].URL)
-	}
-}
-
 // TestFacadeShardedLiveEngine drives the partitioned serving path through
 // the facade: build, shard, search (matching the single-index answer),
 // batch-apply, batch-search, and per-shard stats.

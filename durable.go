@@ -23,7 +23,7 @@ type (
 	// SyncMode names a journal sync discipline.
 	SyncMode = durable.SyncMode
 	// DurabilityStats is the journal/checkpoint/recovery report a durable
-	// handle answers (DurabilityReporter).
+	// handle answers (EngineStats.Durability).
 	DurabilityStats = durable.Stats
 	// RecoveryInfo reports what recovering one shard took.
 	RecoveryInfo = durable.RecoveryInfo
@@ -72,41 +72,6 @@ const (
 // directory. Callers use it to decide whether Open needs a built index
 // (fresh directory) or a nil one (recover the persisted state).
 func IsInitialized(dir string) bool { return durable.IsInitialized(dir) }
-
-// Queuer is the deferred-apply surface: Queue buffers a delta without
-// applying it and Flush publishes the whole queue as one coalesced batch,
-// through the same (journaled, when durable) publish path as Apply. Both
-// refuse on read-only handles and replicas with the handle's typed error.
-type Queuer interface {
-	Queue(d Delta) (int, error)
-	Flush(ctx context.Context) (ApplyReport, error)
-}
-
-// Checkpointer persists the current state as a fresh snapshot generation
-// and truncates the journal (per shard). CompactIfNeeded on a durable
-// handle checkpoints implicitly.
-type Checkpointer interface {
-	Checkpoint(ctx context.Context) error
-}
-
-// DurabilityReporter reports the durable store's counters; a handle
-// without a data dir answers the zero report.
-type DurabilityReporter interface {
-	DurabilityStats() DurabilityStats
-}
-
-// DurabilityHealth is the cheap health surface: both methods are atomic
-// reads, safe on every request path (readiness probes, Retry-After hints,
-// access logging) — unlike DurabilityStats, which takes every shard lock.
-type DurabilityHealth interface {
-	// DurabilityState reports the durability state machine's state; empty
-	// for a handle without a data dir.
-	DurabilityState() DurabilityState
-	// DurabilityProbeIn reports how long until the degraded-mode prober
-	// next re-tests the data dir (zero while healthy) — what serving
-	// layers derive Retry-After from for degraded writes.
-	DurabilityProbeIn() time.Duration
-}
 
 // openDurable is Open's WithDataDir branch. A fresh directory is seeded
 // from the caller's built index after partitioning, so each shard persists
@@ -170,8 +135,9 @@ func openDurable(ctx context.Context, idx *Index, cfg openConfig) (_ *fragindex.
 
 // Checkpoint writes each shard's current state as a new snapshot
 // generation and rotates its journal; concurrent applies keep their
-// write-ahead guarantee throughout. Without a data dir there is nothing to
-// persist and it returns nil.
+// write-ahead guarantee throughout. CompactIfNeeded on a durable handle
+// checkpoints implicitly. Without a data dir there is nothing to persist
+// and it returns nil.
 func (e *ServingEngine) Checkpoint(ctx context.Context) error {
 	if err := e.refuse(); err != nil || e.store == nil {
 		return err
@@ -187,16 +153,9 @@ func (e *ServingEngine) Checkpoint(ctx context.Context) error {
 	return nil
 }
 
-// DurabilityStats reports the store's journal, checkpoint, and recovery
-// counters plus the durability state machine's health block.
-func (e *ServingEngine) DurabilityStats() DurabilityStats {
-	if e.store == nil {
-		return DurabilityStats{}
-	}
-	return e.store.Stats()
-}
-
-// DurabilityState reports the state machine's state (atomic read).
+// DurabilityState reports the state machine's state; empty without a data
+// dir. An atomic read, safe on every request path (readiness probes,
+// access logging), unlike Stats, which takes every shard lock.
 func (e *ServingEngine) DurabilityState() DurabilityState {
 	if e.store == nil {
 		return ""
@@ -205,7 +164,8 @@ func (e *ServingEngine) DurabilityState() DurabilityState {
 }
 
 // DurabilityProbeIn reports the time until the prober's next data-dir test
-// (atomic read; zero while healthy).
+// (atomic read; zero while healthy): what serving layers derive
+// Retry-After from for degraded writes.
 func (e *ServingEngine) DurabilityProbeIn() time.Duration {
 	if e.store == nil {
 		return 0

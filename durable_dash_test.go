@@ -57,6 +57,16 @@ func dumpsOf(t *testing.T, h Handle) []*fragindex.Dump {
 	return out
 }
 
+// durabilityOf returns a durable handle's store report.
+func durabilityOf(t *testing.T, h Handle) DurabilityStats {
+	t.Helper()
+	ds := h.Stats().Durability
+	if ds == nil {
+		t.Fatal("handle reports no durability block")
+	}
+	return *ds
+}
+
 func durableDeltas() []Delta {
 	mk := func(op crawl.ChangeOp, c string, v int64, counts map[string]int64, total int64) Delta {
 		return Delta{Changes: []FragmentChange{{
@@ -94,7 +104,7 @@ func TestDurableSeedApplyReopen(t *testing.T) {
 			want := searchAll(t, h)
 			wantDumps := dumpsOf(t, h)
 			wantStats := h.Stats()
-			ds := h.(DurabilityReporter).DurabilityStats()
+			ds := durabilityOf(t, h)
 			if ds.Recovered || ds.Shards != shards || ds.JournalRecords == 0 {
 				t.Errorf("pre-close durability stats %+v", ds)
 			}
@@ -120,7 +130,7 @@ func TestDurableSeedApplyReopen(t *testing.T) {
 			if st.Fragments != wantStats.Fragments || st.Shards != shards || st.MaxEpoch != wantStats.MaxEpoch {
 				t.Errorf("recovered stats %+v, want fragments/shards/epoch of %+v", st, wantStats)
 			}
-			ds2 := h2.(DurabilityReporter).DurabilityStats()
+			ds2 := durabilityOf(t, h2)
 			if !ds2.Recovered || len(ds2.Recovery) != shards {
 				t.Errorf("recovery stats %+v", ds2)
 			}
@@ -200,14 +210,14 @@ func TestDurableQueueFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := h.(Queuer)
-	before := h.(DurabilityReporter).DurabilityStats().JournalRecords
+	q := h.(*ServingEngine)
+	before := durabilityOf(t, h).JournalRecords
 	for i, d := range durableDeltas()[:3] {
 		if got, err := q.Queue(d); err != nil || got != i+1 {
 			t.Errorf("Queue #%d returned %d, %v", i+1, got, err)
 		}
 	}
-	if got := h.(DurabilityReporter).DurabilityStats().JournalRecords; got != before {
+	if got := durabilityOf(t, h).JournalRecords; got != before {
 		t.Errorf("queueing journaled: %d -> %d records", before, got)
 	}
 	rep, err := q.Flush(context.Background())
@@ -217,7 +227,7 @@ func TestDurableQueueFlush(t *testing.T) {
 	if rep.Total.Deltas != 3 {
 		t.Errorf("flush report %+v", rep)
 	}
-	if got := h.(DurabilityReporter).DurabilityStats().JournalRecords; got != before+1 {
+	if got := durabilityOf(t, h).JournalRecords; got != before+1 {
 		t.Errorf("flush journaled %d records, want 1 coalesced", got-before)
 	}
 	want := dumpsOf(t, h)
@@ -250,7 +260,7 @@ func TestDurableCompactCheckpoints(t *testing.T) {
 	if _, err := h.CompactIfNeeded(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	ds := h.(DurabilityReporter).DurabilityStats()
+	ds := durabilityOf(t, h)
 	if ds.Checkpoints == 0 || ds.JournalRecords != 0 {
 		t.Errorf("post-compact durability stats %+v", ds)
 	}
@@ -264,13 +274,13 @@ func TestDurableCompactCheckpoints(t *testing.T) {
 	if got := dumpsOf(t, h2); !reflect.DeepEqual(got, want) {
 		t.Error("post-checkpoint recovery diverged")
 	}
-	for _, ri := range h2.(DurabilityReporter).DurabilityStats().Recovery {
+	for _, ri := range durabilityOf(t, h2).Recovery {
 		if ri.ReplayedRecords != 0 {
 			t.Errorf("recovery replayed %d records after a checkpoint", ri.ReplayedRecords)
 		}
 	}
 	// An explicit Checkpoint is available too.
-	if err := h2.(Checkpointer).Checkpoint(context.Background()); err != nil {
+	if err := h2.(*ServingEngine).Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -317,55 +327,52 @@ func TestDurableOpenErrors(t *testing.T) {
 }
 
 // TestDurableInterfaceSurface: a durable handle answers the durability
-// contracts with its store — healthy state, per-shard stats, checkpoints
+// methods with its store — healthy state, per-shard stats, checkpoints
 // that count, a clean Close — while a plain in-memory handle answers them
-// empty (no state, zero stats, a no-op Checkpoint) and still queues.
+// empty (no state, no durability block, a no-op Checkpoint) and still
+// queues.
 func TestDurableInterfaceSurface(t *testing.T) {
 	_, app, build := fooddbIndex(t)
 	ctx := context.Background()
-	h, err := Open(ctx, build(), app, WithDataDir(t.TempDir()))
+	opened, err := Open(ctx, build(), app, WithDataDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := h.(DurabilityHealth).DurabilityState(); st != DurabilityHealthy {
+	h := opened.(*ServingEngine)
+	if st := h.DurabilityState(); st != DurabilityHealthy {
 		t.Errorf("durable state = %q, want %q", st, DurabilityHealthy)
 	}
-	if n, err := h.(Queuer).Queue(burgerDelta()); err != nil || n != 1 {
+	if n, err := h.Queue(burgerDelta()); err != nil || n != 1 {
 		t.Errorf("durable Queue = %d, %v; want 1 queued", n, err)
 	}
-	if _, err := h.(Queuer).Flush(ctx); err != nil {
+	if _, err := h.Flush(ctx); err != nil {
 		t.Errorf("durable Flush: %v", err)
 	}
-	if err := h.(Checkpointer).Checkpoint(ctx); err != nil {
+	if err := h.Checkpoint(ctx); err != nil {
 		t.Errorf("durable Checkpoint: %v", err)
 	}
-	if ds := h.(DurabilityReporter).DurabilityStats(); ds.Shards != 1 || ds.Checkpoints == 0 {
+	if ds := durabilityOf(t, h); ds.Shards != 1 || ds.Checkpoints == 0 {
 		t.Errorf("durable stats = %+v", ds)
 	}
-	if h.Stats().Durability == nil {
-		t.Error("durable handle reports no durability block")
-	}
-	if err := h.(io.Closer).Close(); err != nil {
+	if err := h.Close(); err != nil {
 		t.Errorf("durable Close: %v", err)
 	}
 
-	plain, err := Open(ctx, build(), app)
+	opened, err = Open(ctx, build(), app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := plain.(DurabilityHealth).DurabilityState(); st != "" {
+	plain := opened.(*ServingEngine)
+	if st := plain.DurabilityState(); st != "" {
 		t.Errorf("in-memory state = %q, want none", st)
 	}
-	if ds := plain.(DurabilityReporter).DurabilityStats(); ds.Shards != 0 || ds.Checkpoints != 0 {
-		t.Errorf("in-memory handle reports a store: %+v", ds)
-	}
-	if err := plain.(Checkpointer).Checkpoint(ctx); err != nil {
+	if err := plain.Checkpoint(ctx); err != nil {
 		t.Errorf("in-memory Checkpoint: %v", err)
 	}
-	if plain.Stats().Durability != nil {
-		t.Error("in-memory handle reports a durability block")
+	if ds := plain.Stats().Durability; ds != nil {
+		t.Errorf("in-memory handle reports a store: %+v", ds)
 	}
-	if n, err := plain.(Queuer).Queue(Delta{}); err != nil || n != 1 {
+	if n, err := plain.Queue(Delta{}); err != nil || n != 1 {
 		t.Errorf("in-memory Queue = %d, %v; want 1 queued", n, err)
 	}
 }

@@ -37,10 +37,9 @@ type EngineStats struct {
 	Replicas *ReplicaRouterStats `json:"replicas,omitempty"`
 }
 
-// ServingEngine is the concrete handle Open and OpenReplica return. Every
-// capability interface in this package is a method of it; a method whose
-// layer is absent answers the typed error of the handle's mode, or the
-// zero report. All methods are safe for concurrent use.
+// ServingEngine is the concrete handle Open and OpenReplica return. A
+// method whose layer is absent answers the typed error of the handle's
+// mode, or the zero report. All methods are safe for concurrent use.
 type ServingEngine struct {
 	live      *fragindex.ShardedLiveIndex
 	engine    *search.ShardedEngine
@@ -92,7 +91,7 @@ func (e *ServingEngine) serve(sl *fragindex.ShardedLiveIndex) {
 
 // Live returns the served index for reads (per-shard snapshots, stats,
 // routing). Write through the handle: a write on the index itself skips
-// the handle's refusals and cache sweep.
+// the handle's refusals, degraded guard and maintenance lock.
 func (e *ServingEngine) Live() *ShardedLiveIndex { return e.live }
 
 // Pin resolves one snapshot per shard: a read view SearchPinned can answer
@@ -320,7 +319,7 @@ func (e *ServingEngine) RecrawlBatch(ctx context.Context, db *Database, ids []Fr
 	return e.maintain(ctx, db, ids, ds, true)
 }
 
-// maintain is the one maintenance path: refuse, lock, derive, apply, sweep.
+// maintain is the one maintenance path: refuse, lock, derive, apply.
 // Derivation runs under the same lock as the apply and classifies against
 // the latest published state, so concurrent maintenance calls observe each
 // other instead of racing. Unbatched, the derived changes join ds[0] (one
@@ -335,9 +334,6 @@ func (e *ServingEngine) maintain(ctx context.Context, db *Database, ids []Fragme
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// The sweep runs whether or not the apply succeeded: a routed apply can
-	// publish on some shards before failing on another.
-	defer e.sweep()
 	if len(ids) > 0 {
 		bound, err := e.app.Bound()
 		if err != nil {
@@ -371,15 +367,6 @@ func (e *ServingEngine) maintain(ctx context.Context, db *Database, ids []Fragme
 		rep.PerShard = nil // one publish cycle: the total is the whole story
 	}
 	return rep, err
-}
-
-// sweep drops cache entries pinning epochs the served view has superseded.
-// Correctness never depends on it (a superseded epoch never reappears in a
-// lookup key); it returns the capacity early.
-func (e *ServingEngine) sweep() {
-	if e.cache != nil {
-		e.cache.Sweep(e.live.Epochs())
-	}
 }
 
 // Queue buffers a delta for a later Flush without publishing, returning the
@@ -422,7 +409,6 @@ func (e *ServingEngine) CompactIfNeeded(ctx context.Context, maxDeadRatio float6
 		return 0, err
 	}
 	n, err := e.live.CompactIfNeeded(ctx, maxDeadRatio)
-	e.sweep()
 	if err != nil || e.store == nil {
 		return n, err
 	}

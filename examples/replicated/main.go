@@ -252,7 +252,7 @@ func showSearch(name string, s dash.Searcher) {
 // ~500ms readiness poll catches up with the world and the decision takes
 // the expected shape, then prints where a default-bound read would run.
 func showRouting(leader dash.Handle, caption string, expectProxy bool) {
-	router := leader.(dash.SearchRouter)
+	router := leader.(*dash.ServingEngine)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		target, proxy := router.RouteSearch(dash.Request{})

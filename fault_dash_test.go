@@ -36,7 +36,7 @@ func fastFaultRetry() DurabilityRetryPolicy {
 
 // waitHealthy polls the handle's durability state until it reports
 // healthy or the deadline passes.
-func waitHealthy(t *testing.T, h DurabilityHealth, within time.Duration) {
+func waitHealthy(t *testing.T, h *ServingEngine, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for h.DurabilityState() != DurabilityHealthy {
@@ -63,10 +63,7 @@ func TestDegradedServingFullCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.(io.Closer).Close()
-	health, ok := h.(DurabilityHealth)
-	if !ok {
-		t.Fatal("durable handle does not implement DurabilityHealth")
-	}
+	health := h.(*ServingEngine)
 	// A twin that never persists applies exactly the acknowledged deltas:
 	// the oracle for what the recovered handle must hold.
 	twin, err := Open(context.Background(), build(), app)
@@ -172,7 +169,7 @@ func TestDurableDiskFlapStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	health := h.(DurabilityHealth)
+	health := h.(*ServingEngine)
 
 	// Disk flapper: healthy -> broken -> healthy, several cycles.
 	flaps := 6

@@ -31,10 +31,6 @@ type Options struct {
 	MaxBackoff time.Duration
 	// Logf, when set, receives replication lifecycle events.
 	Logf func(format string, args ...any)
-	// OnPublish, when set, runs after a tail loop has published a new
-	// epoch on its shard, with every shard's serving epoch (the facade
-	// sweeps its result cache here).
-	OnPublish func(epochs []uint64)
 }
 
 func (o Options) withDefaults() Options {
@@ -49,9 +45,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
-	}
-	if o.OnPublish == nil {
-		o.OnPublish = func([]uint64) {}
 	}
 	return o
 }
@@ -161,12 +154,7 @@ func fetchNewestSnapshot(ctx context.Context, client *Client, man *Manifest, sha
 // stream. A truncated cursor re-bootstraps the shard in place.
 func (r *Replica) tailLoop(ctx context.Context, t *shardTail) {
 	backoff := r.opts.Backoff
-	published := t.applied.Load()
 	for ctx.Err() == nil {
-		if a := t.applied.Load(); a != published {
-			published = a
-			r.opts.OnPublish(r.index.Epochs())
-		}
 		res, err := r.client.Tail(ctx, t.shard, t.applied.Load(), r.opts.PollWait, r.opts.MaxBytes)
 		if err != nil {
 			if ctx.Err() != nil {

@@ -18,9 +18,14 @@ package search
 //     lookup computes, which changes the key the same way — entries are
 //     never explicitly invalidated, and no lookup can observe a
 //     pre-publish result under a post-publish epoch.
-//   - Stale entries are reclaimed by capacity eviction (sharded bounded
-//     LRU) plus an explicit post-publish Sweep that drops every entry
-//     pinning a superseded epoch.
+//   - Stale entries are reclaimed by the cache alone. Each cache shard
+//     remembers the newest epoch it has seen per index shard, taken from
+//     the pins it stores, and every put first drops entries from its LRU
+//     cold end while they pin an older epoch (counted as swept); capacity
+//     eviction does the rest. Epochs only rise per index shard, so such an
+//     entry's key can never be produced again: the drop returns capacity
+//     early and correctness never depends on it. Nobody outside the cache
+//     has to tell it that a publish happened.
 //
 // Singleflight rides on top: N concurrent identical misses run the
 // expansion loop once and share the one result (Do), so a thundering herd
@@ -70,7 +75,7 @@ func NormalizeRequest(req Request) Request {
 
 // EpochPin records that a query's pinned view included one shard at one
 // epoch. The pin vector of a request is the cache key's epoch half and
-// what Sweep checks entries against.
+// what the cache's stale-entry drop checks entries against.
 type EpochPin struct {
 	Shard int
 	Epoch uint64
@@ -205,6 +210,11 @@ type cacheShard struct {
 	bytes      int64
 	entries    map[string]*cacheEntry
 	head, tail *cacheEntry
+	// newest[s] is the newest epoch of index shard s that any entry stored
+	// here has pinned. Every stored entry's pins have been recorded, so an
+	// entry pinning an older epoch of s is dead: a lookup can only pin s at
+	// newest[s] or later.
+	newest []uint64
 }
 
 // numCacheShards spreads hot-key lock traffic; 16 keeps contention
@@ -300,9 +310,11 @@ func (c *ResultCache) Get(key string) ([]Result, bool) {
 	return a.res, true
 }
 
-// Put stores res under key, evicting least-recently-used entries to stay
-// within the shard's byte budget. An entry larger than the whole budget
-// is simply not stored.
+// Put stores res under key, first dropping the shard's cold-end entries
+// that pin an epoch older than one it has now seen, then evicting
+// least-recently-used entries to stay within the shard's byte budget. The
+// entry being stored is never dropped. An entry larger than the whole
+// budget is simply not stored.
 func (c *ResultCache) Put(key string, pins []EpochPin, res []Result) {
 	c.put(key, pins, res)
 }
@@ -324,8 +336,12 @@ func (c *ResultCache) put(key string, pins []EpochPin, res []Result) *Answer {
 	sh.entries[key] = e
 	sh.pushFront(e)
 	sh.bytes += cost
+	swept := sh.dropStale(e)
 	evicted := sh.evictOver(e)
 	sh.mu.Unlock()
+	if swept > 0 {
+		c.swept.Add(uint64(swept))
+	}
 	if evicted > 0 {
 		c.evictions.Add(uint64(evicted))
 	}
@@ -428,37 +444,6 @@ func (c *ResultCache) Fill(ctx context.Context, key string, pins []EpochPin, fn 
 	}
 }
 
-// Sweep removes every entry pinning a superseded epoch: current[i] is
-// shard i's serving epoch, and an entry survives only if each of its pins
-// still matches. Run after a publish — such entries' keys can never be
-// produced by a lookup again, so this is pure capacity hygiene, not a
-// correctness requirement. Returns how many entries were dropped.
-func (c *ResultCache) Sweep(current []uint64) int {
-	if c == nil {
-		return 0
-	}
-	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			for _, p := range e.pins {
-				if p.Shard < len(current) && p.Epoch != current[p.Shard] {
-					sh.remove(e)
-					delete(sh.entries, e.key)
-					total++
-					break
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if total > 0 {
-		c.swept.Add(uint64(total))
-	}
-	return total
-}
-
 // Stats snapshots the cache's counters and occupancy.
 func (c *ResultCache) Stats() CacheStats {
 	if c == nil {
@@ -525,17 +510,52 @@ func (sh *cacheShard) remove(e *cacheEntry) {
 	sh.bytes -= e.cost
 }
 
+// dropTail removes the cold-end entry.
+func (sh *cacheShard) dropTail() {
+	victim := sh.tail
+	sh.remove(victim)
+	delete(sh.entries, victim.key)
+}
+
 // evictOver drops entries from the cold end, sparing keep, until the shard
 // is back within its budget, and returns how many it dropped.
 func (sh *cacheShard) evictOver(keep *cacheEntry) int {
 	evicted := 0
 	for sh.bytes > sh.max && sh.tail != nil && sh.tail != keep {
-		victim := sh.tail
-		sh.remove(victim)
-		delete(sh.entries, victim.key)
+		sh.dropTail()
 		evicted++
 	}
 	return evicted
+}
+
+// dropStale records keep's pins in newest, then drops entries from the
+// cold end, sparing keep, while they pin an epoch older than newest, and
+// returns how many it dropped. It stops at the first live entry, so each
+// put pays for the entries it drops and one check.
+func (sh *cacheShard) dropStale(keep *cacheEntry) int {
+	for _, p := range keep.pins {
+		for len(sh.newest) <= p.Shard {
+			sh.newest = append(sh.newest, 0)
+		}
+		sh.newest[p.Shard] = max(sh.newest[p.Shard], p.Epoch)
+	}
+	dropped := 0
+	for sh.tail != nil && sh.tail != keep && sh.stale(sh.tail) {
+		sh.dropTail()
+		dropped++
+	}
+	return dropped
+}
+
+// stale reports whether e pins an epoch older than the newest the shard
+// has seen for that index shard.
+func (sh *cacheShard) stale(e *cacheEntry) bool {
+	for _, p := range e.pins {
+		if p.Epoch < sh.newest[p.Shard] {
+			return true
+		}
+	}
+	return false
 }
 
 // entryCost is what one stored answer keeps alive on the heap and nothing

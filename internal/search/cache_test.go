@@ -118,6 +118,23 @@ func testResults(n int) []Result {
 	return out
 }
 
+// keysInShard returns n distinct keys that c stores in one shard, so a
+// test can drive that shard's LRU order. No key is longer than "key-0000".
+func keysInShard(t *testing.T, c *ResultCache, n int) []string {
+	t.Helper()
+	shard := c.shardFor("probe")
+	var keys []string
+	for i := 0; len(keys) < n && i < 10000; i++ {
+		if k := fmt.Sprintf("key-%d", i); c.shardFor(k) == shard {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) < n {
+		t.Fatalf("found %d keys sharing a cache shard, want %d", len(keys), n)
+	}
+	return keys
+}
+
 // TestResultCacheLRU: capacity is enforced by least-recently-used
 // eviction, Get refreshes recency, and an entry larger than a shard's
 // whole budget is not stored.
@@ -126,21 +143,9 @@ func TestResultCacheLRU(t *testing.T) {
 	// shard and a third does not.
 	pins := []EpochPin{{Shard: 0, Epoch: 1}}
 	res := testResults(1)
-	per := entryCost("key-0000", pins, res) // the longest key tried below
+	per := entryCost("key-0000", pins, res) // the longest key keysInShard returns
 	c := NewResultCache(16 * (2*per + per/2))
-
-	// Find three keys landing in the same shard so eviction is forced.
-	shard0 := c.shardFor("probe")
-	var keys []string
-	for i := 0; len(keys) < 3 && i < 10000; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shardFor(k) == shard0 {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) < 3 {
-		t.Fatal("could not find colliding shard keys")
-	}
+	keys := keysInShard(t, c, 3) // one shard, so eviction is forced
 
 	c.Put(keys[0], pins, res)
 	c.Put(keys[1], pins, res)
@@ -296,30 +301,55 @@ func TestResultCacheLeaderCancellation(t *testing.T) {
 	}
 }
 
-// TestResultCacheSweep: entries pinning superseded epochs are reclaimed;
-// entries whose pins all match the current vector survive.
+// TestResultCacheSweep: a put drops its shard's cold-end entries while they
+// pin an epoch older than one the shard has seen, and stops at the first
+// live entry. An entry pinning only an index shard that has not moved
+// survives, and the entry being stored is never dropped, even when it is
+// already stale. Drops count as swept, never as evictions.
 func TestResultCacheSweep(t *testing.T) {
 	c := NewResultCache(1 << 20)
+	keys := keysInShard(t, c, 6)
 	res := testResults(1)
-	c.Put("fresh", []EpochPin{{Shard: 0, Epoch: 2}, {Shard: 2, Epoch: 5}}, res)
-	c.Put("stale", []EpochPin{{Shard: 1, Epoch: 3}}, res)
-	c.Put("mixed", []EpochPin{{Shard: 0, Epoch: 2}, {Shard: 1, Epoch: 3}}, res)
+	// LRU order, coldest first.
+	c.Put(keys[0], []EpochPin{{Shard: 1, Epoch: 3}}, res)
+	c.Put(keys[1], []EpochPin{{Shard: 0, Epoch: 2}, {Shard: 1, Epoch: 3}}, res)
+	c.Put(keys[2], []EpochPin{{Shard: 0, Epoch: 2}}, res) // index shard 0 never moves
+	c.Put(keys[3], []EpochPin{{Shard: 1, Epoch: 3}}, res)
+	if st := c.Stats(); st.Swept != 0 || st.Entries != 4 {
+		t.Fatalf("before index shard 1 moves: %+v", st)
+	}
 
-	// Current epochs: shard 1 has advanced past 3.
-	if n := c.Sweep([]uint64{2, 4, 5}); n != 2 {
-		t.Errorf("swept %d entries, want 2", n)
+	// Index shard 1 moves to epoch 4: the next put drops keys[0] and keys[1]
+	// and stops at the live keys[2], leaving keys[3] for a later put.
+	c.Put(keys[4], []EpochPin{{Shard: 1, Epoch: 4}}, res)
+	// Once keys[2] is used, keys[3] is the cold end, and the next put drops
+	// it and stops at the live keys[4].
+	if _, ok := c.Lookup(keys[2]); !ok {
+		t.Fatal("entry pinning an unmoved index shard was dropped")
 	}
-	if _, ok := c.Get("fresh"); !ok {
-		t.Error("current-epoch entry swept")
+	c.Put(keys[5], []EpochPin{{Shard: 0, Epoch: 2}}, res)
+
+	for i, want := range []bool{false, false, true, false, true, true} {
+		if _, ok := c.stored(keys[i]); ok != want {
+			t.Errorf("keys[%d] stored = %v, want %v", i, ok, want)
+		}
 	}
-	if _, ok := c.Get("stale"); ok {
-		t.Error("superseded entry survived sweep")
+	if st := c.Stats(); st.Swept != 3 || st.Evictions != 0 || st.Entries != 3 {
+		t.Errorf("stats after the drops: %+v, want 3 swept, 0 evictions, 3 entries", st)
 	}
-	if _, ok := c.Get("mixed"); ok {
-		t.Error("partially superseded entry survived sweep")
+
+	// A late answer, stale as it is stored, is stored all the same, even
+	// when the put drops every colder entry before reaching it.
+	c = NewResultCache(1 << 20)
+	keys = keysInShard(t, c, 2)
+	c.Put(keys[0], []EpochPin{{Shard: 0, Epoch: 3}}, res)
+	c.Put(keys[0], []EpochPin{{Shard: 1, Epoch: 3}}, res) // the shard has still seen index shard 0 at 3
+	c.Put(keys[1], []EpochPin{{Shard: 0, Epoch: 2}, {Shard: 1, Epoch: 4}}, res)
+	if _, ok := c.stored(keys[1]); !ok {
+		t.Error("the entry being stored was dropped as stale")
 	}
-	if st := c.Stats(); st.Swept != 2 || st.Entries != 1 {
-		t.Errorf("stats after sweep: %+v", st)
+	if st := c.Stats(); st.Swept != 1 || st.Entries != 1 {
+		t.Errorf("stats after storing a stale answer: %+v, want 1 swept, 1 entry", st)
 	}
 }
 
@@ -392,31 +422,36 @@ func TestAnswerEncodedConcurrent(t *testing.T) {
 
 // TestMemoChargeFollowsEntry: memoized bytes count against the byte budget
 // only while the entry that holds the answer is stored. An answer evicted,
-// swept or replaced between its lookup and its first encoding memoizes
-// without panicking and charges nothing, a charge that overfills the shard
-// evicts from the cold end, and after a sweep of everything the cache
-// accounts for zero bytes.
+// dropped as stale or replaced between its lookup and its first encoding
+// memoizes without panicking and charges nothing, a charge that overfills
+// the shard evicts from the cold end, and dropping a memoized entry
+// releases its memo's bytes with it.
 func TestMemoChargeFollowsEntry(t *testing.T) {
 	pins := []EpochPin{{Shard: 0, Epoch: 1}}
+	next := []EpochPin{{Shard: 0, Epoch: 2}}
+	last := []EpochPin{{Shard: 0, Epoch: 3}}
 	res := testResults(4)
 	c := NewResultCache(1 << 20)
+	keys := keysInShard(t, c, 4)
 
-	// Evicted by a sweep between lookup and memoization.
-	c.Put("swept", pins, res)
-	swept, _ := c.Lookup("swept")
-	c.Sweep([]uint64{2})
-	if b, err := swept.Encoded(encodeURLs); err != nil || len(b) == 0 {
-		t.Fatalf("encoding a swept answer: %q, %v", b, err)
+	// Dropped as stale between lookup and memoization: the put of a newer
+	// epoch into the same shard drops it.
+	c.Put(keys[0], pins, res)
+	stale, _ := c.Lookup(keys[0])
+	c.Put(keys[1], next, res)
+	if b, err := stale.Encoded(encodeURLs); err != nil || len(b) == 0 {
+		t.Fatalf("encoding a stale answer: %q, %v", b, err)
 	}
-	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
-		t.Fatalf("swept answer's memo left %d bytes in %d entries", st.Bytes, st.Entries)
+	if st := c.Stats(); st.Swept != 1 || st.Entries != 1 || st.Bytes != entryCost(keys[1], next, res) {
+		t.Fatalf("stale answer's memo charged: %d bytes in %d entries (%d swept), want only keys[1]'s %d",
+			st.Bytes, st.Entries, st.Swept, entryCost(keys[1], next, res))
 	}
 
 	// Replaced under the same key: the old answer's memo must not be
 	// charged to the new entry.
-	c.Put("k", pins, res)
-	old, _ := c.Lookup("k")
-	c.Put("k", pins, res)
+	c.Put(keys[2], next, res)
+	old, _ := c.Lookup(keys[2])
+	c.Put(keys[2], next, res)
 	unmemoized := c.Stats().Bytes
 	if _, err := old.Encoded(encodeURLs); err != nil {
 		t.Fatal(err)
@@ -424,7 +459,7 @@ func TestMemoChargeFollowsEntry(t *testing.T) {
 	if got := c.Stats().Bytes; got != unmemoized {
 		t.Fatalf("replaced answer's memo charged %d bytes to its successor", got-unmemoized)
 	}
-	cur, _ := c.Lookup("k")
+	cur, _ := c.Lookup(keys[2])
 	b, err := cur.Encoded(encodeURLs)
 	if err != nil {
 		t.Fatal(err)
@@ -432,22 +467,18 @@ func TestMemoChargeFollowsEntry(t *testing.T) {
 	if got := c.Stats().Bytes; got != unmemoized+memoCost(b) {
 		t.Fatalf("stored answer's memo charged %d bytes, want %d", got-unmemoized, memoCost(b))
 	}
-	c.Sweep([]uint64{2})
-	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
-		t.Fatalf("after a full sweep: %d bytes in %d entries, want 0", st.Bytes, st.Entries)
+	// A newer epoch drops both epoch-2 entries, memo and all.
+	c.Put(keys[3], last, res)
+	if st := c.Stats(); st.Bytes != entryCost(keys[3], last, res) || st.Entries != 1 {
+		t.Fatalf("after the stale drops: %d bytes in %d entries, want only keys[3]'s %d",
+			st.Bytes, st.Entries, entryCost(keys[3], last, res))
 	}
 
 	// A charge that overfills the shard evicts its coldest entries; one
 	// that alone outgrows the shard evicts the entry itself.
 	per := entryCost("key-0000", pins, res)
 	small := NewResultCache(16 * (2*per + per/2))
-	shard0 := small.shardFor("probe")
-	var keys []string
-	for i := 0; len(keys) < 2 && i < 10000; i++ {
-		if k := fmt.Sprintf("key-%d", i); small.shardFor(k) == shard0 {
-			keys = append(keys, k)
-		}
-	}
+	keys = keysInShard(t, small, 2)
 	small.Put(keys[0], pins, res)
 	small.Put(keys[1], pins, res)
 	hot, _ := small.Lookup(keys[1])
@@ -471,9 +502,10 @@ func TestMemoChargeFollowsEntry(t *testing.T) {
 	if st := small.Stats(); st.Bytes > st.Capacity || st.Evictions == 0 {
 		t.Errorf("after over-budget charges: %+v", st)
 	}
-	small.Sweep([]uint64{2})
-	if st := small.Stats(); st.Bytes != 0 {
-		t.Errorf("after a full sweep: %d bytes, want 0", st.Bytes)
+	// Dropping the memoized keys[1] as stale releases its charge.
+	small.Put(keys[0], next, res)
+	if st := small.Stats(); st.Bytes != entryCost(keys[0], next, res) {
+		t.Errorf("after the stale drop: %d bytes, want only keys[0]'s %d", st.Bytes, entryCost(keys[0], next, res))
 	}
 }
 

@@ -197,21 +197,6 @@ func TestShardedSearchCancelled(t *testing.T) {
 	}
 }
 
-// TestMultiEngineCancelled: the federated fan-out fails fast too.
-func TestMultiEngineCancelled(t *testing.T) {
-	m := NewMulti(fooddbEngine(t), fooddbEngine(t))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.Search(ctx, Request{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Search err = %v, want context.Canceled", err)
-	}
-	for _, br := range m.SearchBatch(ctx, make([]Request, 3)) {
-		if !errors.Is(br.Err, context.Canceled) {
-			t.Fatalf("batch slot err = %v, want context.Canceled", br.Err)
-		}
-	}
-}
-
 // TestNilContextTolerated: a nil ctx degrades to Background everywhere
 // instead of panicking deep in the loop.
 func TestNilContextTolerated(t *testing.T) {

@@ -15,8 +15,8 @@ type BatchResult struct {
 
 // clampWorkers resolves a worker-count knob to an effective pool size:
 // zero and negative values mean "let the runtime decide" (GOMAXPROCS).
-// Every concurrency entry point — ParallelSearch, MultiEngine.Search, the
-// ShardedEngine scatter — resolves its knob through this one helper, so
+// Every concurrency entry point — ParallelSearch, the ShardedEngine
+// scatter — resolves its knob through this one helper, so
 // the <= 0 convention cannot drift between call sites.
 func clampWorkers(n int) int {
 	if n <= 0 {
@@ -27,8 +27,8 @@ func clampWorkers(n int) int {
 
 // runPool runs run(0) … run(n-1) over at most `workers` goroutines:
 // exactly the classic shared-counter worker pool, extracted once so every
-// fan-out in this package (request batches, the federated engine scatter,
-// the sharded scatter) keeps identical scheduling and the single-worker
+// fan-out in this package (request batches, the sharded scatter) keeps
+// identical scheduling and the single-worker
 // fast path stays goroutine-free. Callers own per-index cancellation
 // checks inside run — the pool itself always drains all n indices.
 func runPool(n, workers int, run func(int)) {

@@ -338,68 +338,6 @@ func mustID(t *testing.T, e *Engine, name string) (id []relation.Value) {
 	}
 }
 
-// TestMultiEngineDeduplicates: two applications over fooddb with the same
-// selection attributes produce content-duplicate pages; the multi engine
-// keeps one.
-func TestMultiEngineDeduplicates(t *testing.T) {
-	e1 := fooddbEngine(t)
-
-	// A second application: same query shape, different projections/URL.
-	db := fooddb.New()
-	src := `
-public class Listing extends HttpServlet {
-  public void doGet(HttpServletRequest q, HttpServletResponse p) {
-    String cuisine = q.getParameter("cui");
-    String lo = q.getParameter("from");
-    String hi = q.getParameter("to");
-    Query = "SELECT name, comment FROM (restaurant LEFT JOIN comment) LEFT JOIN customer " +
-        "WHERE (cuisine = '" + cuisine + "') AND (budget BETWEEN " + lo + " AND " + hi + ")";
-    output(p, cn.createStatement().executeQuery(Query));
-  }
-}`
-	app2, err := webapp.Analyze(src, "http://www.example.com/Listing")
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	if err := app2.Bind(db); err != nil {
-		t.Fatal(err)
-	}
-	bound2, _ := app2.Bound()
-	out2, err := crawl.Reference(db, bound2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec2, _ := fragindex.SpecFromBound(bound2)
-	idx2, err := fragindex.Build(out2, spec2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := New(idx2, app2)
-
-	m := NewMulti(e1, e2)
-	if len(m.Engines()) != 2 {
-		t.Fatal("engines not registered")
-	}
-	results, err := m.Search(context.Background(), Request{Keywords: []string{"burger"}, K: 10, SizeThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without dedup each app returns 3 pages for "burger"; identical
-	// (cuisine, budget-interval) compositions collapse.
-	sigs := make(map[string]int)
-	for _, r := range results {
-		sigs[r.EqValues["cuisine"].Text()+r.RangeLo.Text()+r.RangeHi.Text()]++
-	}
-	for sig, n := range sigs {
-		if n > 1 {
-			t.Errorf("content %s appears %d times", sig, n)
-		}
-	}
-	if len(results) != 3 {
-		t.Errorf("deduped results = %d, want 3", len(results))
-	}
-}
-
 // TestIsLowerWordMatchesFields: the keyword normalizer's shortcut is taken
 // only for words strings.Fields(strings.ToLower(w)) would return unchanged
 // as their single field.

@@ -7,20 +7,18 @@ const (
 	TopologyStatic  = "static"  // a plain Engine over a built or pinned index
 	TopologyLive    = "live"    // an Engine over a LiveIndex (epoch-swap serving)
 	TopologySharded = "sharded" // a ShardedEngine scatter-gathering over shards
-	TopologyMulti   = "multi"   // a MultiEngine federating applications
 )
 
 // Stats is the one serving-stats report every topology answers (the
 // facade's EngineStats embeds it). Fields that only one topology can
 // fill stay at their zero value elsewhere: a static engine has no
-// maintenance history, a multi engine no tombstones of its own. Counters
+// maintenance history. Counters
 // are sums across shards (Keywords counts posting lists, so a keyword
 // spanning k shards contributes k); MaxEpoch is the highest per-shard
 // epoch, since shards advance independently.
 type Stats struct {
 	Topology       string  `json:"topology"`
 	Shards         int     `json:"shards"`
-	Engines        int     `json:"engines,omitempty"` // multi: federated applications
 	Fragments      int     `json:"fragments"`
 	Keywords       int     `json:"keywords"`
 	TombstonedRefs int     `json:"tombstoned_refs"`
@@ -103,34 +101,4 @@ func (se *ShardedEngine) Stats() Stats {
 		Compactions:    ss.Compactions,
 		PerShard:       ss.PerShard,
 	}
-}
-
-// Stats sums the federated engines' reports: fragment and keyword counts
-// add up (applications index disjoint fragment spaces), MaxEpoch is the
-// highest across engines, and AvgTerms is the fragment-weighted mean.
-func (m *MultiEngine) Stats() Stats {
-	out := Stats{Topology: TopologyMulti, Engines: len(m.engines)}
-	var terms float64
-	for _, e := range m.engines {
-		st := e.Stats()
-		out.Shards += st.Shards
-		out.Fragments += st.Fragments
-		out.Keywords += st.Keywords
-		out.TombstonedRefs += st.TombstonedRefs
-		terms += st.AvgTerms * float64(st.Fragments)
-		if st.MaxEpoch > out.MaxEpoch {
-			out.MaxEpoch = st.MaxEpoch
-		}
-		out.DeltasApplied += st.DeltasApplied
-		out.Publishes += st.Publishes
-		out.Queued += st.Queued
-		out.Inserted += st.Inserted
-		out.Removed += st.Removed
-		out.Updated += st.Updated
-		out.Compactions += st.Compactions
-	}
-	if out.Fragments > 0 {
-		out.AvgTerms = terms / float64(out.Fragments)
-	}
-	return out
 }

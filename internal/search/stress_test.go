@@ -73,44 +73,6 @@ func TestConcurrentSearchStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentMultiEngineStress drives the federated engine's concurrent
-// fan-out from 32 goroutines and checks the deterministic merge: every
-// call returns exactly the same result list.
-func TestConcurrentMultiEngineStress(t *testing.T) {
-	m := NewMulti(fooddbEngine(t), fooddbEngine(t))
-	req := Request{Keywords: []string{"burger"}, K: 10, SizeThreshold: 1}
-	want, err := m.Search(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const goroutines = 32
-	var wg sync.WaitGroup
-	errc := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for it := 0; it < 25; it++ {
-				rs, err := m.Search(context.Background(), req)
-				if err != nil {
-					errc <- fmt.Errorf("goroutine %d: %v", g, err)
-					return
-				}
-				if !reflect.DeepEqual(rs, want) {
-					errc <- fmt.Errorf("goroutine %d: nondeterministic merge", g)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-}
-
 // TestParallelSearchMatchesSerial: the batch API returns positionally what
 // serial Search returns, at every worker count.
 func TestParallelSearchMatchesSerial(t *testing.T) {
@@ -149,11 +111,11 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 }
 
 // TestSearchAllocsRegression pins the steady-state allocation budget of the
-// scoring core. The seed implementation spent ~90 allocs on the fooddb
-// query; the retained-scratch core must stay under half that. The budget
-// has slack over the measured value (~20: per-result URL formulation plus
-// the returned slice). The hot-keyword case holds the same budget against a
-// posting list of at least 1 000 fragments on the benchmark corpus:
+// scoring core, per case: the measured value plus two (the seed
+// implementation spent ~90 allocs on the fooddb query). The fooddb case is
+// per-result URL formulation plus the returned slice. The hot-keyword case
+// holds its budget against a posting list of at least 1 000 fragments on
+// the benchmark corpus:
 // allocations must not grow with the candidate count — per-seed work (a
 // by-value heap entry, a lazily materialised path) allocates nothing. Its
 // engine has no application, so the budget covers ten results' fragment
@@ -167,12 +129,13 @@ func TestSearchAllocsRegression(t *testing.T) {
 		t.Fatalf("hottest small/Q2 keyword %q has DF %d, want >= 1000", hot, df)
 	}
 	cases := []struct {
-		name string
-		e    *Engine
-		req  Request
+		name   string
+		e      *Engine
+		req    Request
+		budget float64 // measured 14.0 and 11.0 allocs/op, plus two
 	}{
-		{"fooddb", fooddbEngine(t), Request{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20}},
-		{"hot keyword", New(idx, nil), Request{Keywords: []string{hot}, K: 10, SizeThreshold: 200}},
+		{"fooddb", fooddbEngine(t), Request{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20}, 16},
+		{"hot keyword", New(idx, nil), Request{Keywords: []string{hot}, K: 10, SizeThreshold: 200}, 13},
 	}
 	for _, tc := range cases {
 		// Warm the scratch.
@@ -193,9 +156,8 @@ func TestSearchAllocsRegression(t *testing.T) {
 			}
 		})
 		cancel()
-		const budget = 45 // seed: ~90 allocs for the fooddb query
-		if avg > budget {
-			t.Errorf("%s: Search allocates %.1f/op, budget %d", tc.name, avg, budget)
+		if avg > tc.budget {
+			t.Errorf("%s: Search allocates %.1f/op, budget %.0f", tc.name, avg, tc.budget)
 		}
 		t.Logf("%s: %.1f allocs/op", tc.name, avg)
 	}

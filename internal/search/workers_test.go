@@ -8,8 +8,8 @@ import (
 
 // TestClampWorkers: the one shared helper behind every worker-count knob —
 // zero and negatives resolve to GOMAXPROCS, positives pass through. The
-// regression this pins: ParallelSearch, MultiEngine.Search, and the
-// ShardedEngine scatter/batch paths all route through clampWorkers, so a
+// regression this pins: ParallelSearch and the ShardedEngine scatter/batch
+// paths all route through clampWorkers, so a
 // <= 0 knob can never reach a pool-size computation as "no workers".
 func TestClampWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
@@ -48,18 +48,5 @@ func TestParallelSearchNegativeWorkers(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMultiEngineNegativeFanout: MultiEngine shares the same clamp.
-func TestMultiEngineNegativeFanout(t *testing.T) {
-	m := NewMulti(fooddbEngine(t), fooddbEngine(t))
-	m.MaxFanout = -3
-	results, err := m.Search(context.Background(), Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) == 0 {
-		t.Fatal("no results through negative fanout")
 	}
 }

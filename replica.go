@@ -59,20 +59,6 @@ type Replicable interface {
 	ReplicationHandler() http.Handler
 }
 
-// ReplicationReporter reports a replica's tail, the block routers consume;
-// a handle that is not a replica answers the zero report.
-type ReplicationReporter interface {
-	ReplicationStats() ReplicationStats
-}
-
-// SearchRouter is the read-placement decision HTTP layers consult before
-// running a search locally. When proxy is true the request should be
-// forwarded byte-for-byte to target (a base URL) — forwarding at the HTTP
-// layer keeps routed responses byte-identical to locally served ones.
-type SearchRouter interface {
-	RouteSearch(req Request) (target string, proxy bool)
-}
-
 // WithReplicaTransport substitutes the HTTP client carrying a replica's
 // replication traffic — the chaos seam for severing and healing the stream
 // in tests. OpenReplica only.
@@ -109,8 +95,8 @@ func WithReplicaLog(logf func(format string, args ...any)) Option {
 // same serving engine as Open's, over an index restored from the leader's
 // newest snapshot generations and kept converged by tailing its journal,
 // with every write refused (ErrReplicaReadOnly). Searches are
-// byte-identical to the leader at the same epoch; replicated publishes
-// sweep the result cache like a leader's maintenance does. RouteSearch
+// byte-identical to the leader at the same epoch, and the result cache
+// retires entries of superseded epochs itself, as on a leader. RouteSearch
 // sends back to the leader the reads the replica cannot satisfy (MinEpoch
 // ahead of its applied epoch, or lag past WithStalenessBound). Close stops
 // the tail; the last applied state keeps serving.
@@ -131,9 +117,6 @@ func OpenReplica(ctx context.Context, leaderURL string, app *Application, opts .
 		return nil, errors.New("dash: OpenReplica takes no leader-side options (WithShards, WithReadOnly, WithReplicas, WithDataDir, WithSyncPolicy, WithDurabilityRetry, WithDurableFS): the leader's shape and durability are replicated")
 	}
 	e := newEngine(cfg, app)
-	if cache := e.cache; cache != nil {
-		cfg.tail.OnPublish = func(epochs []uint64) { cache.Sweep(epochs) }
-	}
 	if e.replica, err = replic.Bootstrap(orBackground(ctx), leaderURL, cfg.tail); err != nil {
 		return nil, err
 	}
@@ -184,12 +167,15 @@ func (e *ServingEngine) ReplicationStats() ReplicationStats {
 	return e.replica.Stats()
 }
 
-// RouteSearch places one read. A replica sends it to the leader when it
-// cannot satisfy it: MinEpoch ahead of the applied epoch, or lag beyond
-// the staleness bound. A routing leader places it on a replica within the
-// effective minimum epoch — the explicit MinEpoch, else the current epoch
-// minus the staleness bound — falling back to serving locally. Every other
-// handle serves every read itself.
+// RouteSearch places one read: the decision HTTP layers consult before
+// running a search locally. When proxy is true the request should be
+// forwarded byte-for-byte to target (a base URL), which keeps routed
+// responses byte-identical to locally served ones. A replica sends the
+// read to the leader when it cannot satisfy it: MinEpoch ahead of the
+// applied epoch, or lag beyond the staleness bound. A routing leader
+// places it on a replica within the effective minimum epoch — the explicit
+// MinEpoch, else the current epoch minus the staleness bound — falling
+// back to serving locally. Every other handle serves every read itself.
 func (e *ServingEngine) RouteSearch(req Request) (string, bool) {
 	switch {
 	case e.replica != nil:
