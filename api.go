@@ -82,7 +82,6 @@ var ErrReadOnly = errors.New("dash: read-only handle: maintenance not supported"
 // defaults.
 type openConfig struct {
 	shards      int // 0 or 1: single live index; > 1: sharded
-	workers     int // <= 0: GOMAXPROCS (the clampWorkers convention)
 	compactNum  int // posting-compaction threshold; 0/0: keep the default
 	compactDen  int
 	candLimit   int // default Request.CandidateLimit when a request has none
@@ -127,15 +126,6 @@ func WithShards(n int) Option {
 			return fmt.Errorf("dash: WithShards(%d): shard count must be >= 1", n)
 		}
 		c.shards = n
-		return nil
-	}
-}
-
-// WithWorkers bounds the worker pool batch searches and the sharded
-// scatter fan out over (n <= 0 means GOMAXPROCS, the default).
-func WithWorkers(n int) Option {
-	return func(c *openConfig) error {
-		c.workers = n
 		return nil
 	}
 }

@@ -53,7 +53,7 @@ func TestOpenTopologySelection(t *testing.T) {
 	}{
 		{nil, "live", 1},
 		{[]Option{WithShards(1)}, "live", 1},
-		{[]Option{WithShards(4), WithWorkers(2), WithPostingCompaction(1, 8)}, "sharded", 4},
+		{[]Option{WithShards(4), WithPostingCompaction(1, 8)}, "sharded", 4},
 		{[]Option{WithReadOnly()}, "static", 1},
 	} {
 		h, err := Open(context.Background(), build(), app, tc.opts...)

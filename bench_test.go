@@ -503,13 +503,13 @@ func shardedBenchEngine(b *testing.B, st *benchState, shards int) *search.Sharde
 
 // BenchmarkShardedSearchThroughput measures partitioned serving reads: the
 // band request mix against a single-index engine (the baseline) and
-// against scatter-gather engines at S = 1/4/16. mode=latency runs one
-// query per op (per-query latency: S=1 should sit at parity with single,
-// since the scatter degenerates to one pinned snapshot); mode=batch runs
-// the whole mix through ParallelSearch and reports aggregate searches/s.
-// On a single-core host higher shard counts pay the fan-out (every
-// relevant shard re-runs seeding) with no cores to spread it over; on
-// multi-core the scatter parallelizes per query.
+// against sharded engines at S = 1/4/16. mode=latency runs one query per
+// op (per-query latency: S=1 should sit at parity with single, since the
+// pinned set is one snapshot); mode=batch runs the whole mix through
+// ParallelSearch and reports aggregate searches/s. One query runs one queue
+// over all S snapshots, so higher shard counts pay only the per-shard
+// posting-list lookups and the wider dense tables; concurrency comes from
+// the batch, not from inside one query.
 func BenchmarkShardedSearchThroughput(b *testing.B) {
 	st := workloadState(b, "Q2")
 	var reqs []search.Request

@@ -7,7 +7,7 @@
 //	dashbench -experiment table4   # fragment graph build stats
 //	dashbench -experiment fig11    # top-k search latency sweep
 //	dashbench -experiment parallel # concurrent search throughput scaling
-//	dashbench -experiment sharded  # partitioned serving: scatter-gather + routed applies
+//	dashbench -experiment sharded  # partitioned serving: one queue over the shards + routed applies
 //	dashbench -experiment ablation # naive page index vs fragment index
 //	dashbench -experiment all      # everything above
 //
@@ -320,8 +320,8 @@ func parallelThroughput(ctx context.Context, cfg config) error {
 }
 
 // shardedThroughput measures partitioned serving (Q2): the same request
-// batch evaluated by a single-index engine and by sharded scatter-gather
-// engines at growing shard counts, plus routed apply throughput — the
+// batch evaluated by a single-index engine and by sharded engines at
+// growing shard counts, plus routed apply throughput — the
 // multi-core scaling story in one table. On a single-core host the shard
 // counts land near parity; the structure (per-shard publish cycles, no
 // global write lock) is what scales on real hardware.

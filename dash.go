@@ -82,16 +82,15 @@
 //
 // # Scaling across cores: shards
 //
-// When one index can no longer absorb the write rate — or one snapshot
-// walk per query leaves cores idle — partition it:
+// When one index can no longer absorb the write rate, partition it:
 //
 //	sharded, _ := dash.Open(ctx, idx, app, dash.WithShards(8))
 //
 // Fragments are routed to shards by their equality-group key, so db-page
-// assembly never crosses shards; searches scatter over one pinned snapshot
-// per shard with corpus-wide IDF and gather a global top-k identical to
-// the single-index answer, while deltas route to their shards and apply
-// concurrently with no global write lock. See ARCHITECTURE.md's "Public
+// assembly never crosses shards; a search runs one queue over one pinned
+// snapshot per shard and answers exactly what the single index would,
+// while deltas route to their shards and apply concurrently with no global
+// write lock. See ARCHITECTURE.md's "Public
 // API" section for the full option rules.
 package dash
 

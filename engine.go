@@ -1,7 +1,7 @@
 package dash
 
 // The one serving handle. Open and OpenReplica both return a
-// *ServingEngine: a scatter-gather search engine over a sharded live index
+// *ServingEngine: a search engine over a sharded live index
 // (one shard is the single-index topology) with optional layers hanging
 // off it as fields — result cache, admission control, durable store,
 // leader-side read router, replica tail — and exactly one search path and
@@ -45,7 +45,6 @@ type ServingEngine struct {
 	engine    *search.ShardedEngine
 	app       *Application
 	readOnly  bool // WithReadOnly: every write answers ErrReadOnly
-	workers   int
 	candLimit int
 
 	// mu serializes the maintenance cycle (derive + apply), so delta
@@ -72,8 +71,8 @@ type ServingEngine struct {
 // newEngine builds a handle's serving layers from its configuration; serve
 // attaches the index.
 func newEngine(cfg openConfig, app *Application) *ServingEngine {
-	e := &ServingEngine{app: app, readOnly: cfg.readOnly, workers: cfg.workers,
-		candLimit: cfg.candLimit, staleness: cfg.staleness}
+	e := &ServingEngine{app: app, readOnly: cfg.readOnly, candLimit: cfg.candLimit,
+		staleness: cfg.staleness}
 	if cfg.cacheBytes > 0 {
 		e.cache = search.NewResultCache(cfg.cacheBytes)
 	}
@@ -86,7 +85,6 @@ func newEngine(cfg openConfig, app *Application) *ServingEngine {
 func (e *ServingEngine) serve(sl *fragindex.ShardedLiveIndex) {
 	e.live = sl
 	e.engine = search.NewSharded(sl, e.app)
-	e.engine.MaxFanout = e.workers
 }
 
 // Live returns the served index for reads (per-shard snapshots, stats,
@@ -242,7 +240,7 @@ func (e *ServingEngine) SearchBatchStatus(ctx context.Context, reqs []Request) (
 		e.pinned()
 	}
 	var missed atomic.Bool
-	search.RunPool(len(reqs), e.workers, func(i int) {
+	search.RunPool(len(reqs), 0, func(i int) {
 		if err := ctx.Err(); err != nil {
 			out[i].Err = err // abandoned: queued behind the cancellation
 			return

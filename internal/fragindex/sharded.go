@@ -13,10 +13,10 @@ import (
 )
 
 // ShardedLiveIndex partitions the fragment space across S independent
-// LiveIndex shards so the serving path scales with cores: every shard owns
+// LiveIndex shards so writes scale with cores: every shard owns
 // its own freeze-and-swap publish cycle (an apply touching one shard clones
-// and publishes only there), and a scatter-gather search pins one snapshot
-// per shard and runs the read path on all of them concurrently.
+// and publishes only there), and a search pins one snapshot per shard and
+// runs one query over the pinned set.
 //
 // # Routing
 //
@@ -24,9 +24,8 @@ import (
 // fragment identifier's equality-attribute values) modulo the shard count.
 // Hashing the group key — not the whole identifier — guarantees an equality
 // group never straddles shards, so the fragment graph's paths stay intact:
-// every db-page a search can assemble lives wholly inside one shard, and
-// per-shard top-k results merge into a global top-k without cross-shard
-// page stitching. (A query with no equality attributes has a single group
+// every db-page a search can assemble lives wholly inside one shard, with
+// no cross-shard page stitching. (A query with no equality attributes has a single group
 // and therefore degenerates to one busy shard; sharding pays off in
 // proportion to group-key cardinality.)
 //
@@ -44,7 +43,7 @@ import (
 // Each per-shard apply is transactional (a failing shard publishes
 // nothing), but cross-shard atomicity is intentionally not provided: when
 // one shard's changes fail, other shards' publishes stand, and the error
-// names the failing shard. A scatter-gather search is likewise internally
+// names the failing shard. A sharded search is likewise internally
 // consistent per shard — each pinned snapshot is immutable — while the
 // pinned set as a whole is an exact point-in-time cut only between
 // publishes.
@@ -166,7 +165,7 @@ func (sl *ShardedLiveIndex) ShardFor(id fragment.ID) (int, error) {
 
 // PinAll resolves the current published snapshot of every shard — one
 // atomic load each, no locks. Each snapshot is immutable; the set is the
-// read view a scatter-gather search runs against.
+// read view a sharded search runs against.
 func (sl *ShardedLiveIndex) PinAll() []*Snapshot {
 	out := make([]*Snapshot, len(sl.shards))
 	for i, sh := range sl.shards {

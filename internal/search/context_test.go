@@ -3,7 +3,7 @@ package search
 // Cancellation semantics of the context-first serving API: pre-cancelled
 // contexts fail fast without touching a snapshot, mid-search
 // cancellations are observed within the cooperative-check bound, batch
-// and scatter fan-outs abandon queued work, and a -race stress mixes
+// fan-outs abandon queued work, and a -race stress mixes
 // cancelled searchers with a publishing writer.
 
 import (
@@ -177,7 +177,7 @@ func TestParallelSearchCancelledAbandonsQueue(t *testing.T) {
 	}
 }
 
-// TestShardedSearchCancelled: the scatter-gather front door fails fast on
+// TestShardedSearchCancelled: the sharded front door fails fast on
 // a pre-cancelled ctx and returns the caller's own error unwrapped.
 func TestShardedSearchCancelled(t *testing.T) {
 	_, sharded := fooddbSharded(t, 3)

@@ -11,9 +11,9 @@
 // of fractions, so a page's score stays bounded by the densest fragment it
 // absorbs — but absorbing a denser neighbour can raise it, so Algorithm
 // 1's early termination is greedy: the first k pages emitted are not
-// always the k best the full enumeration would produce (see the
-// ShardedEngine notes on how the scatter-gather merge interacts with
-// this).
+// always the k best the full enumeration would produce. The emission order
+// depends on content alone, so a sharded engine, which runs the same one
+// queue over its pinned shard set, makes the same greedy choice.
 //
 // # Performance
 //
@@ -23,10 +23,11 @@
 // searchScratch holding every transient structure Algorithm 1 needs:
 //
 //   - Dense ref-indexed tables. Candidate fragments get dense ordinals in
-//     discovery order; ordOf maps a FragRef to its ordinal through a flat
-//     []int32 sized from Snapshot.NumRefs (and used marks accepted pages'
-//     fragments the same way), so seeding a posting and pricing an
-//     expansion neighbour are bounds-checked loads, not hash probes. The
+//     discovery order; ordOf maps a global ref (a shard's base plus its
+//     FragRef) to its ordinal through a flat []int32 sized from the pinned
+//     set's Σ Snapshot.NumRefs (used marks accepted pages' fragments the
+//     same way), so seeding a posting and pricing an expansion neighbour
+//     are bounds-checked loads, not hash probes. The
 //     tables are un-set by walking the refs the query touched —
 //     O(candidates), never O(refs) — so a scratch moves between snapshots
 //     of any size without a sweep. Per-keyword occurrence counts live in a
@@ -35,7 +36,7 @@
 //   - A lazily bucketed queue. Algorithm 1 only ever needs the queue's
 //     head, and on a hot keyword a few percent of the seeds are visited
 //     before K pages are out. So the seeds are not heaped: the pass that
-//     validates and scores them records the smallest and largest score bit
+//     scores them records the smallest and largest score bit
 //     pattern, and one counting sort places them into at most 256 buckets
 //     that split that range evenly, best bucket first (scores are
 //     non-negative and finite, and such floats order like their bits). The
@@ -50,10 +51,7 @@
 //     tie-break decides; before every visit, because expansion rewrites
 //     the head in place (one sift-down, no pop + push) and can move its
 //     score either way. The loop ends at K results or when heap and buckets
-//     are both empty. This retired the queue that heaped every seed and
-//     ordered them with one O(n) heapify, whose comparisons — and the paths
-//     exact ties materialised — were spent on tail seeds that never
-//     surfaced.
+//     are both empty.
 //   - Lazy group paths. A candidate's path (members, weights, group key,
 //     interval) and its mutable occurrence vector are materialised on its
 //     first visit or first exact (score, size) tie inside the heap — about
@@ -65,7 +63,7 @@
 //     list (GOMAXPROCS entries) that, unlike the sync.Pool behind it,
 //     survives GC cycles, so a steady stream of misses re-uses its arenas
 //     instead of re-making them. A released scratch holds no pointer into
-//     the snapshot it served. A posting list that an update left with
+//     the snapshots it served. A posting list that an update left with
 //     tombstones is filtered into scratch storage too
 //     (Snapshot.PostingsIDF), not into a fresh slice per keyword.
 //   - Page identity is a packed uint64 of the interval's endpoint refs
@@ -113,6 +111,7 @@ import (
 	"sync"
 
 	"repro/internal/fragindex"
+	"repro/internal/fragment"
 	"repro/internal/relation"
 	"repro/internal/webapp"
 )
@@ -135,10 +134,18 @@ type Source interface {
 // Engine answers top-k searches over one application's fragment index.
 // It is safe for concurrent use (see the package Snapshot pinning notes).
 type Engine struct {
-	src     Source
-	app     *webapp.Application // nil: results carry no URLs
-	free    chan *searchScratch // retained scratches; survives GC cycles
-	scratch sync.Pool           // *searchScratch overflow past the free list
+	src Source
+	core
+}
+
+// core is what Engine and ShardedEngine share: Algorithm 1 over a pinned
+// snapshot set, the batch path, the application results are formulated
+// through, and the retained scratches.
+type core struct {
+	app     *webapp.Application          // nil: results carry no URLs
+	pinSet  func() []*fragindex.Snapshot // the set a batch runs against
+	free    chan *searchScratch          // retained scratches; survives GC cycles
+	scratch sync.Pool                    // *searchScratch overflow past the free list
 }
 
 // New creates an engine over an index source — a *fragindex.Index,
@@ -146,32 +153,32 @@ type Engine struct {
 // URL formulation is not needed (benchmarks measure pure search time that
 // way).
 func New(src Source, app *webapp.Application) *Engine {
-	// One retained scratch per processor: CPU-bound searches cannot run
-	// more than that at once, so a steady load never reaches the pool.
-	e := &Engine{src: src, app: app, free: make(chan *searchScratch, runtime.GOMAXPROCS(0))}
-	e.scratch.New = func() any { return &searchScratch{seen: make(map[uint64]struct{})} }
+	e := &Engine{src: src}
+	e.init(app, func() []*fragindex.Snapshot { return []*fragindex.Snapshot{src.Snapshot()} })
 	return e
 }
 
-// getScratch borrows a scratch, its dense tables covering numRefs refs.
-func (e *Engine) getScratch(numRefs int) *searchScratch {
+func (e *core) init(app *webapp.Application, pinSet func() []*fragindex.Snapshot) {
+	// One retained scratch per processor: CPU-bound searches cannot run
+	// more than that at once, so a steady load never reaches the pool.
+	e.app, e.pinSet, e.free = app, pinSet, make(chan *searchScratch, runtime.GOMAXPROCS(0))
+	e.scratch.New = func() any { return &searchScratch{seen: make(map[uint64]struct{})} }
+}
+
+// getScratch borrows a scratch and pins snaps on it.
+func (e *core) getScratch(snaps []*fragindex.Snapshot) *searchScratch {
 	var s *searchScratch
 	select {
 	case s = <-e.free:
 	default:
 		s = e.scratch.Get().(*searchScratch)
 	}
-	if len(s.ordOf) < numRefs {
-		// Headroom, so a writer appending refs does not re-size the tables
-		// of every scratch on every publish.
-		s.ordOf = make([]int32, numRefs+numRefs/4)
-		s.used = make([]bool, len(s.ordOf))
-	}
+	s.pin(snaps)
 	return s
 }
 
 // putScratch resets a scratch and retains it.
-func (e *Engine) putScratch(s *searchScratch) {
+func (e *core) putScratch(s *searchScratch) {
 	s.reset()
 	select {
 	case e.free <- s:
@@ -194,7 +201,7 @@ func (e *Engine) Index() *fragindex.Index {
 }
 
 // App returns the engine's application (may be nil).
-func (e *Engine) App() *webapp.Application { return e.app }
+func (e *core) App() *webapp.Application { return e.app }
 
 // Request is one top-k search invocation.
 type Request struct {
@@ -216,11 +223,12 @@ type Request struct {
 	// "initial part of Lw" (paper §II) trades a bounded amount of recall
 	// for latency on hot keywords. IDF still uses the full DF.
 	//
-	// Contract: the kept prefix is exactly the CandidateLimit postings
-	// that sort highest by (TF descending, ref ascending). The ref
-	// tie-break makes the cut deterministic when many postings share the
-	// cutoff TF — the same snapshot and request always seed the same
-	// candidates, so repeated searches return identical results.
+	// Contract: the kept prefix is exactly the CandidateLimit postings of
+	// the whole corpus — every shard's, for a sharded engine — that sort
+	// highest by (TF descending, fragment identifier ascending). The
+	// identifier tie-break makes the cut a function of content when many
+	// postings share the cutoff TF: repeated searches, compactions and
+	// shard layouts all seed the same candidates.
 	CandidateLimit int
 	// RequireAll keeps only pages containing every queried keyword
 	// (conjunctive semantics); the default scores any matching keyword.
@@ -244,7 +252,8 @@ type Result struct {
 	QueryString string
 	// Score is the page's TF/IDF relevance.
 	Score float64
-	// Fragments lists the page's fragments in range order.
+	// Fragments lists the page's fragments in range order, as refs of the
+	// snapshot that holds the page (its shard's, for a sharded engine).
 	Fragments []fragindex.FragRef
 	// Size is the page's total keyword count.
 	Size int64
@@ -261,18 +270,20 @@ type Result struct {
 }
 
 // candidate is the materialised part of a pending db-page: a contiguous
-// interval of one equality group's members. weights mirrors members (the
-// group path carries node weights), so expansion reads neighbour sizes off
-// the path itself. gkey gives the priority queue a content-based identity
-// for exact score ties: the queue's order must match the canonical result
-// order (compareResults) so that truncating at K keeps the same pages a
-// merge over shards would keep. A page's score and size live in its heap
-// entry, its occurrence vector in the candOcc arena.
+// interval of one equality group's members, which are refs of the pinned
+// snapshot shard (groups never straddle shards). weights mirrors members
+// (the group path carries node weights), so expansion reads neighbour sizes
+// off the path itself. gkey gives the priority queue a content-based
+// identity for exact score ties: the queue's order must match the canonical
+// result order (compareResults), so that truncating at K keeps the same
+// pages whatever the ref numbering. A page's score and size live in its
+// heap entry, its occurrence vector in the candOcc arena.
 type candidate struct {
 	members []fragindex.FragRef // the full group, shared
 	weights []int64             // per member: total keyword count, shared
 	lo, hi  int                 // inclusive interval within members
 	gkey    string              // the group's canonical equality key
+	shard   int                 // index of the group's snapshot in the pinned set
 }
 
 // heapEntry is a pending db-page as the priority queue sees it; ord is the
@@ -295,13 +306,17 @@ const (
 // retained between queries so the scoring core allocates nothing in steady
 // state; reset un-sets what the query wrote and keeps all capacity.
 type searchScratch struct {
-	idx      *fragindex.Snapshot // the pinned snapshot, for lazy paths
+	snaps    []*fragindex.Snapshot // the pinned set
+	base     []fragindex.FragRef   // per pinned snapshot: its first global ref
+	lists    [][]fragindex.Posting // per pinned snapshot: one keyword's live postings
+	live     [][]fragindex.Posting // per pinned snapshot: a tombstoned list's live postings
+	band     []bandEntry           // CandidateLimit's tie band over the pinned set
 	keywords []string
 	idf      []float64
-	refs     []fragindex.FragRef // candidate ref per ordinal
-	ordOf    []int32             // per ref: ordinal+1, 0 when not a candidate
-	used     []bool              // per ref: in an accepted result
-	usedRefs []fragindex.FragRef // the refs set in used
+	refs     []fragindex.FragRef // candidate global ref per ordinal
+	ordOf    []int32             // per global ref: ordinal+1, 0 when not a candidate
+	used     []bool              // per global ref: in an accepted result
+	usedRefs []fragindex.FragRef // the global refs set in used
 	seedOcc  []int64             // pristine occ vectors, ord-major; all zero past its length
 	pending  []heapEntry         // the seeds by score bucket, best bucket first
 	queued   int                 // pending[:queued] have entered the heap
@@ -312,14 +327,50 @@ type searchScratch struct {
 	consumed []bool              // per ordinal: absorbed by expansion
 	cands    []candidate         // materialised candidates, in first-use order
 	candOcc  []int64             // their expansion-mutated occ vectors, slot-major
-	seen     map[uint64]struct{} // emitted page signatures
-	live     []fragindex.Posting // a tombstoned list's live postings
-	limited  []fragindex.Posting // CandidateLimit truncation buffer
+	seen     map[uint64]struct{} // emitted page signatures (global refs)
 	err      error               // first path materialisation failure
 }
 
+// bandEntry is one posting of CandidateLimit's tie band: the shard it came
+// from, and the fragment identifier the band is cut by.
+type bandEntry struct {
+	id    fragment.ID
+	shard int
+	p     fragindex.Posting
+}
+
+// pin installs the pinned set — each snapshot's first global ref, and
+// dense tables covering every snapshot's refs.
+func (s *searchScratch) pin(snaps []*fragindex.Snapshot) {
+	n := 0
+	for _, snap := range snaps {
+		s.base = append(s.base, fragindex.FragRef(n))
+		n += snap.NumRefs()
+	}
+	s.snaps = append(s.snaps, snaps...)
+	for len(s.live) < len(snaps) {
+		s.live = append(s.live, nil)
+	}
+	if len(s.ordOf) < n {
+		// Headroom, so a writer appending refs does not re-size the tables
+		// of every scratch on every publish.
+		s.ordOf = make([]int32, n+n/4)
+		s.used = make([]bool, len(s.ordOf))
+	}
+}
+
+// shardOf returns the index of the pinned snapshot that holds global ref g:
+// the last one whose base does not exceed it.
+func (s *searchScratch) shardOf(g fragindex.FragRef) int {
+	i := len(s.base) - 1
+	for s.base[i] > g {
+		i--
+	}
+	return i
+}
+
 // reset un-sets the dense tables by walking the refs the query wrote to
-// them and drops every pointer into the snapshot, keeping capacity.
+// them and drops every pointer into the pinned set, keeping capacity.
 func (s *searchScratch) reset() {
 	for _, ref := range s.refs {
 		s.ordOf[ref] = 0
@@ -329,7 +380,11 @@ func (s *searchScratch) reset() {
 	}
 	clear(s.cands)
 	clear(s.seen)
-	s.idx, s.err = nil, nil
+	clear(s.snaps)
+	clear(s.lists[:cap(s.lists)])
+	clear(s.band) // kept zero past its length: seedTop clears what it used
+	s.snaps, s.base, s.lists, s.band = s.snaps[:0], s.base[:0], s.lists[:0], s.band[:0]
+	s.err = nil
 	s.keywords = s.keywords[:0]
 	s.idf = s.idf[:0]
 	s.refs = s.refs[:0]
@@ -352,43 +407,156 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// topTFPrefix returns the limit postings that sort highest by
-// (TF descending, ref ascending) from a TF-descending list, without
-// modifying ps (it may be a posting list shared with the snapshot). When
-// the entries tied at the cutoff TF all fit, this is the plain prefix and
-// costs nothing; otherwise the tie band is copied into the reusable
-// scratch buffer and the band's smallest refs are selected (expected
-// O(band), not a sort — the band on a hot keyword can dwarf the limit),
-// so identical snapshots always seed identical candidate sets. Within the
-// tie band the returned order is unspecified; the selected set is what
-// the contract fixes. The result is valid until the next topTFPrefix call
-// on the same scratch.
-func (s *searchScratch) topTFPrefix(ps []fragindex.Posting, limit int) []fragindex.Posting {
-	cut := ps[limit-1].TF
-	// [a, b) is the band of postings tied at the cutoff TF.
-	a := sort.Search(len(ps), func(i int) bool { return ps[i].TF <= cut })
-	b := sort.Search(len(ps), func(i int) bool { return ps[i].TF < cut })
-	if b <= limit {
-		return ps[:limit] // no excess ties; the prefix is already exact
+// seedKeyword is Algorithm 1's line 1 for keyword i: it folds every pinned
+// snapshot's live postings of w into the seed arena (all of them, or the
+// CandidateLimit cut over their union) and records w's IDF, 1/ΣDF.
+func (s *searchScratch) seedKeyword(i int, w string, limit int) error {
+	df := 0
+	s.lists = s.lists[:0]
+	for si, snap := range s.snaps {
+		ps, _ := snap.PostingsIDF(w, &s.live[si])
+		s.lists = append(s.lists, ps)
+		df += len(ps)
 	}
-	s.limited = append(s.limited[:0], ps[:b]...)
-	selectSmallestRefs(s.limited[a:], limit-a)
-	return s.limited[:limit]
+	idf := 0.0
+	if df > 0 {
+		idf = 1 / float64(df)
+	}
+	s.idf = append(s.idf, idf)
+	seeds := df
+	if limit > 0 {
+		seeds = min(df, limit)
+	}
+	// Room for every posting to seed a new candidate; the arena is zero
+	// past its length, so a new occurrence vector is a re-slice.
+	if need := len(s.seedOcc) + seeds*len(s.keywords); cap(s.seedOcc) < need {
+		grown := make([]int64, len(s.seedOcc), need+need/4)
+		copy(grown, s.seedOcc)
+		s.seedOcc = grown
+	}
+	if seeds < df {
+		return s.seedTop(i, limit)
+	}
+	for si, ps := range s.lists {
+		if err := s.seedPostings(si, i, ps); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// selectSmallestRefs partially partitions band (all entries tied on TF) so
-// its first need entries are the ones with the smallest refs — Hoare
-// quickselect, expected O(len(band)).
-func selectSmallestRefs(band []fragindex.Posting, need int) {
+// seedPostings folds pinned snapshot si's postings of keyword i into the
+// seed arena. A fragment seen first becomes a candidate: its global ref
+// gets the next ordinal and a queue entry sized from its metadata. Each
+// candidate ref is validated here, once (AliveRef), which makes the hot
+// loop's unchecked accessors safe. Postings only hands out live refs, so a
+// failure means the index broke its own invariant: an error, not a silent
+// zero-weight page.
+func (s *searchScratch) seedPostings(si, i int, ps []fragindex.Posting) error {
+	snap, base, nk := s.snaps[si], s.base[si], len(s.keywords)
+	n := uint(snap.NumRefs())
+	for _, p := range ps {
+		if uint(p.Frag) >= n {
+			return fmt.Errorf("%w: posting ref %d", fragindex.ErrNoFragment, p.Frag)
+		}
+		g := base + p.Frag
+		ord := s.ordOf[g]
+		if ord == 0 {
+			if !snap.AliveRef(p.Frag) {
+				return fmt.Errorf("%w: posting ref %d", fragindex.ErrNoFragment, p.Frag)
+			}
+			s.refs = append(s.refs, g)
+			ord = int32(len(s.refs))
+			s.ordOf[g] = ord
+			s.seedOcc = s.seedOcc[:len(s.seedOcc)+nk]
+			s.heap = append(s.heap, heapEntry{size: snap.TermsOf(p.Frag), ord: ord - 1})
+		}
+		s.seedOcc[int(ord-1)*nk+i] += p.TF
+	}
+	return nil
+}
+
+// seedTop seeds the limit postings of keyword i that sort highest over the
+// union of the pinned lists by (TF descending, fragment identifier
+// ascending) — the paper's partial inverted-list read (§II), exactly as a
+// single index over the union reads it. Everything above the cutoff TF is
+// seeded straight from the lists; of the band tied at the cutoff, the
+// entries with the smallest identifiers are selected (expected O(band), not
+// a sort — the band on a hot keyword can dwarf the limit). Identifiers,
+// unlike refs, do not move under compaction or a shard layout.
+func (s *searchScratch) seedTop(i, limit int) error {
+	cut := cutoffTF(s.lists, limit)
+	need := limit
+	for si, ps := range s.lists {
+		// [a, b) is the band of postings tied at the cutoff TF.
+		a := sort.Search(len(ps), func(j int) bool { return ps[j].TF <= cut })
+		b := sort.Search(len(ps), func(j int) bool { return ps[j].TF < cut })
+		if err := s.seedPostings(si, i, ps[:a]); err != nil {
+			return err
+		}
+		need -= a
+		for _, p := range ps[a:b] {
+			s.band = append(s.band, bandEntry{shard: si, p: p})
+		}
+	}
+	if need < len(s.band) {
+		for j := range s.band {
+			m, err := s.snaps[s.band[j].shard].Meta(s.band[j].p.Frag)
+			if err != nil {
+				return err
+			}
+			s.band[j].id = m.ID
+		}
+		selectSmallestIDs(s.band, need)
+	}
+	for _, e := range s.band[:need] {
+		if err := s.seedPostings(e.shard, i, []fragindex.Posting{e.p}); err != nil {
+			return err
+		}
+	}
+	clear(s.band)
+	s.band = s.band[:0]
+	return nil
+}
+
+// cutoffTF returns the TF of the limit-th posting of the TF-descending
+// lists' union in TF order; the union holds more than limit postings.
+func cutoffTF(lists [][]fragindex.Posting, limit int) int64 {
+	// Binary search for the largest TF that at least limit postings reach:
+	// every posting reaches lo, none reaches hi.
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, ps := range lists {
+		if len(ps) > 0 {
+			lo, hi = min(lo, ps[len(ps)-1].TF), max(hi, ps[0].TF+1)
+		}
+	}
+	for hi-lo > 1 {
+		mid, reach := lo+(hi-lo)/2, 0
+		for _, ps := range lists {
+			reach += sort.Search(len(ps), func(j int) bool { return ps[j].TF < mid })
+		}
+		if reach >= limit {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// selectSmallestIDs partially partitions band (all entries tied on TF) so
+// its first need entries are the ones with the smallest identifiers —
+// Hoare quickselect, expected O(len(band)). Identifiers are unique.
+func selectSmallestIDs(band []bandEntry, need int) {
 	lo, hi := 0, len(band)-1
 	for lo < hi {
-		pivot := band[(lo+hi)/2].Frag
+		pivot := band[(lo+hi)/2].id
 		i, j := lo, hi
 		for i <= j {
-			for band[i].Frag < pivot {
+			for band[i].id.Compare(pivot) < 0 {
 				i++
 			}
-			for band[j].Frag > pivot {
+			for band[j].id.Compare(pivot) > 0 {
 				j--
 			}
 			if i <= j {
@@ -413,10 +581,10 @@ func selectSmallestRefs(band []fragindex.Posting, need int) {
 // canonical equality key, then the page's interval position on the group
 // path. The tie-break deliberately mirrors compareResults (group members
 // are range-ordered, so path positions order like range values) and never
-// consults ref numbering: when the K-th result slot falls inside a band of
-// exactly tied pages, the pages kept are a function of page content alone,
-// so a sharded scatter-gather (whose shards number refs independently)
-// truncates to the same top-k a single index does. Only an exact
+// consults ref numbering: the queue visits pages in an order that is a
+// function of page content alone, so a sharded engine (whose global refs
+// follow the shard layout) emits — and truncates at K — exactly what a
+// single index does. Only an exact
 // (score, size) tie reaches the key comparison, and with it the two
 // candidates' group paths. Entries that compare equal both ways cover the
 // same interval of the same group — the same page — so which of them
@@ -440,21 +608,24 @@ func (s *searchScratch) candLess(a, b heapEntry) bool {
 }
 
 // path returns the slot in cands of ord's candidate, materialising it on
-// first use: the seed's group path with the single-fragment interval, and
-// a mutable copy of its occurrence vector. Every ref was validated alive
-// on this snapshot before the queue was built, so GroupPath cannot fail;
-// were it to, the error sticks in s.err (which the assembly loop checks
-// before it walks any path) and the candidate stays an empty interval.
+// first use: the seed's group path in its shard's snapshot with the
+// single-fragment interval, and a mutable copy of its occurrence vector.
+// Every ref was validated alive before the queue was built, so GroupPath
+// cannot fail; were it to, the error sticks in s.err (which the assembly
+// loop checks before it walks any path) and the candidate stays an empty
+// interval.
 func (s *searchScratch) path(ord int32) int {
 	if slot := s.slotOf[ord]; slot != 0 {
 		return int(slot) - 1
 	}
-	members, weights, gkey, pos, err := s.idx.GroupPath(s.refs[ord])
+	g := s.refs[ord]
+	si := s.shardOf(g)
+	members, weights, gkey, pos, err := s.snaps[si].GroupPath(g - s.base[si])
 	if err != nil && s.err == nil {
 		s.err = err
 	}
 	nk := len(s.idf)
-	s.cands = append(s.cands, candidate{members: members, weights: weights, lo: pos, hi: pos, gkey: gkey})
+	s.cands = append(s.cands, candidate{members: members, weights: weights, lo: pos, hi: pos, gkey: gkey, shard: si})
 	s.candOcc = append(s.candOcc, s.seedOcc[int(ord)*nk:int(ord+1)*nk]...)
 	s.slotOf[ord] = int32(len(s.cands))
 	return len(s.cands) - 1
@@ -598,7 +769,7 @@ func (e *Engine) Search(ctx context.Context, req Request) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.searchSnapshot(ctx, e.src.Snapshot(), req, nil)
+	return e.search(ctx, req, e.src.Snapshot())
 }
 
 // SearchSnapshot runs Algorithm 1 pinned to an explicit snapshot — the
@@ -606,22 +777,20 @@ func (e *Engine) Search(ctx context.Context, req Request) ([]Result, error) {
 // and callers can hold a snapshot across calls for repeatable reads while
 // later versions are published. Cancellation behaves as in Search.
 func (e *Engine) SearchSnapshot(ctx context.Context, idx *fragindex.Snapshot, req Request) ([]Result, error) {
-	return e.searchSnapshot(orBackground(ctx), idx, req, nil)
+	return e.search(orBackground(ctx), req, idx)
 }
 
-// searchSnapshot is SearchSnapshot with an optional IDF override:
-// globalIDF, when non-nil, supplies the IDF per normalized keyword —
-// aligned with normalizeKeywords(req.Keywords) order — in place of the
-// snapshot's own 1/DF. The sharded scatter-gather passes corpus-wide IDF
-// aggregated over the pinned shard snapshots here, so per-shard scores are
-// byte-identical to a single-index run over the union of the shards.
-func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, req Request, globalIDF []float64) ([]Result, error) {
+// search runs Algorithm 1 once over the pinned set snaps — one snapshot,
+// or one per shard. Every fragment of the set is a candidate under its
+// global ref, IDF is 1/DF over the whole set, and each page is assembled
+// inside the shard that holds its group, so the answer is a function of
+// the set's content, not of how it is split.
+func (e *core) search(ctx context.Context, req Request, snaps ...*fragindex.Snapshot) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s := e.getScratch(idx.NumRefs())
+	s := e.getScratch(snaps)
 	defer e.putScratch(s)
-	s.idx = idx
 
 	s.keywords = normalizeKeywords(s.keywords, req.Keywords)
 	if len(s.keywords) == 0 {
@@ -630,78 +799,36 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 	if req.K <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadK, req.K)
 	}
-	if globalIDF != nil && len(globalIDF) != len(s.keywords) {
-		return nil, fmt.Errorf("search: %d IDF overrides for %d normalized keywords",
-			len(globalIDF), len(s.keywords))
-	}
 	nk := len(s.keywords)
 
-	// Line 1: fragments relevant to W, with precomputed IDF weights and
-	// per-fragment occurrence vectors in the flat seed arena. Seeding a hot
-	// keyword walks its whole posting list, so the ctx is polled once per
-	// keyword here too.
+	// Line 1: fragments relevant to W, with IDF weights and per-fragment
+	// occurrence vectors in the flat seed arena; line 2's seeds — single-
+	// fragment pages, one queue entry each, sized from the fragment's
+	// metadata — are appended in ordinal order as they are found. The group
+	// path waits until the page is popped or tied. Seeding a hot keyword
+	// walks its whole posting list, so the ctx is polled once per keyword.
 	for i, w := range s.keywords {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ps, idf := idx.PostingsIDF(w, &s.live)
-		if globalIDF != nil {
-			idf = globalIDF[i]
-		}
-		s.idf = append(s.idf, idf)
-		if req.CandidateLimit > 0 && len(ps) > req.CandidateLimit {
-			// TF-descending lists make the prefix the highest-TF
-			// fragments — the paper's partial inverted-list read. Ties at
-			// the cutoff TF are broken by ascending ref so the kept set
-			// is a deterministic function of the snapshot (see the
-			// Request.CandidateLimit contract).
-			ps = s.topTFPrefix(ps, req.CandidateLimit)
-		}
-		// Room for every posting to seed a new candidate; the arena is zero
-		// past its length, so a new occurrence vector is a re-slice.
-		if need := len(s.seedOcc) + len(ps)*nk; cap(s.seedOcc) < need {
-			grown := make([]int64, len(s.seedOcc), need+need/4)
-			copy(grown, s.seedOcc)
-			s.seedOcc = grown
-		}
-		for _, p := range ps {
-			if uint(p.Frag) >= uint(len(s.ordOf)) {
-				return nil, fmt.Errorf("%w: posting ref %d", fragindex.ErrNoFragment, p.Frag)
-			}
-			ord := s.ordOf[p.Frag]
-			if ord == 0 {
-				s.refs = append(s.refs, p.Frag)
-				ord = int32(len(s.refs))
-				s.ordOf[p.Frag] = ord
-				s.seedOcc = s.seedOcc[:len(s.seedOcc)+nk]
-			}
-			s.seedOcc[int(ord-1)*nk+i] += p.TF
+		if err := s.seedKeyword(i, w, req.CandidateLimit); err != nil {
+			return nil, err
 		}
 	}
 	if len(s.refs) == 0 {
 		return nil, nil // no relevant fragments, empty result
 	}
 
-	// Line 2: the priority queue's seeds are single-fragment pages — one
-	// entry each, sized from the fragment's metadata; the group path waits
-	// until the page is popped or tied. Every candidate ref is validated
-	// here, once; after this the hot loop uses the index's unchecked
-	// accessors. Postings only hands out live refs, so a failure means the
-	// index broke its own invariant — surfaced as an error rather than
-	// scored as a silent zero-weight page. The pass also records the range
-	// of score bit patterns the buckets will split.
+	// Line 2: score the seeds, recording the range of score bit patterns
+	// the buckets will split.
 	s.slotOf = zeroed(s.slotOf, len(s.refs))
 	s.consumed = zeroed(s.consumed, len(s.refs))
 	minBits, maxBits := uint64(math.MaxUint64), uint64(0)
-	for ord, ref := range s.refs {
-		if !idx.AliveRef(ref) {
-			return nil, fmt.Errorf("%w: posting ref %d", fragindex.ErrNoFragment, ref)
-		}
-		size := idx.TermsOf(ref)
-		sc := score(s.seedOcc[ord*nk:(ord+1)*nk], size, s.idf)
-		b := math.Float64bits(sc)
+	for ord := range s.heap {
+		h := &s.heap[ord]
+		h.score = score(s.seedOcc[ord*nk:(ord+1)*nk], h.size, s.idf)
+		b := math.Float64bits(h.score)
 		minBits, maxBits = min(minBits, b), max(maxBits, b)
-		s.heap = append(s.heap, heapEntry{score: sc, size: size, ord: int32(ord)})
 	}
 	s.bucketSeeds(minBits, maxBits)
 
@@ -743,7 +870,7 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 		}
 		// Line 6-7: not expandable — emit.
 		if s.accept(c, occ, &req) {
-			res, err := e.resultFor(idx, c, top)
+			res, err := e.resultFor(s.snaps[c.shard], c, top)
 			if err != nil {
 				return nil, err
 			}
@@ -769,7 +896,8 @@ func (e *Engine) searchSnapshot(ctx context.Context, idx *fragindex.Snapshot, re
 // allowed) sharing no fragment with an accepted page — and marks an
 // accepted page's fragments used.
 func (s *searchScratch) accept(c *candidate, occ []int64, req *Request) bool {
-	sig := packRefs(c.members[c.lo], c.members[c.hi])
+	base := s.base[c.shard]
+	sig := packRefs(base+c.members[c.lo], base+c.members[c.hi])
 	if _, ok := s.seen[sig]; ok {
 		return false
 	}
@@ -782,14 +910,14 @@ func (s *searchScratch) accept(c *candidate, occ []int64, req *Request) bool {
 	}
 	page := c.members[c.lo : c.hi+1]
 	for _, ref := range page {
-		if s.used[ref] {
+		if s.used[base+ref] {
 			return false
 		}
 	}
 	for _, ref := range page {
-		s.used[ref] = true
+		s.used[base+ref] = true
+		s.usedRefs = append(s.usedRefs, base+ref)
 	}
-	s.usedRefs = append(s.usedRefs, page...)
 	return true
 }
 
@@ -799,13 +927,10 @@ func (s *searchScratch) accept(c *candidate, occ []int64, req *Request) bool {
 // range-ordered, so candLess's path positions order like the interval here
 // — and is a total order over distinct pages that depends only on page
 // content, never on internal ref numbering, so the order is identical
-// across snapshots, compactions, and shard layouts. The sharded
-// scatter-gather relies on this: per-shard top-k lists sorted this way
-// merge into exactly the list a single-index engine over the union of the
-// shards returns. (The one unordered case: distinct intervals over
-// duplicate range values can share a parameter box — but such pages
-// regenerate the same URL, so their relative order is immaterial at the
-// API surface.)
+// across snapshots, compactions, and shard layouts. (The one unordered
+// case: distinct intervals over duplicate range values can share a
+// parameter box — but such pages regenerate the same URL, so their
+// relative order is immaterial at the API surface.)
 func compareResults(a, b *Result) int {
 	switch {
 	case a.Score > b.Score:
@@ -847,7 +972,7 @@ func expandable(c *candidate, size int64, s int) bool {
 
 // gainOf returns a neighbour's weighted occurrence gain (0 when the
 // fragment carries none of the queried keywords) and its dense ordinal
-// (-1 when it is not a candidate).
+// (-1 when it is not a candidate); ref is global.
 func (s *searchScratch) gainOf(ref fragindex.FragRef, nk int) (float64, int32) {
 	ord := s.ordOf[ref] - 1
 	if ord < 0 {
@@ -869,15 +994,15 @@ func (s *searchScratch) expand(c *candidate, occ []int64) int64 {
 		bestWeight int64
 		bestLeft   bool
 	)
-	nk := len(occ)
+	nk, base := len(occ), s.base[c.shard]
 	if c.lo > 0 {
-		bestGain, bestOrd = s.gainOf(c.members[c.lo-1], nk)
+		bestGain, bestOrd = s.gainOf(base+c.members[c.lo-1], nk)
 		bestWeight = c.weights[c.lo-1]
 		bestLeft = true
 	}
 	if c.hi < len(c.members)-1 {
 		w := c.weights[c.hi+1]
-		gain, ord := s.gainOf(c.members[c.hi+1], nk)
+		gain, ord := s.gainOf(base+c.members[c.hi+1], nk)
 		if !bestLeft || gain > bestGain || (gain == bestGain && w < bestWeight) {
 			bestOrd, bestGain, bestWeight, bestLeft = ord, gain, w, false
 		}
@@ -925,8 +1050,9 @@ func weighted(occ []int64, idf []float64) float64 {
 	return sum
 }
 
-// resultFor formulates the page's parameter box and URL (line 10).
-func (e *Engine) resultFor(idx *fragindex.Snapshot, c *candidate, page heapEntry) (Result, error) {
+// resultFor formulates the page's parameter box and URL (line 10) from
+// idx, the snapshot that holds the page.
+func (e *core) resultFor(idx *fragindex.Snapshot, c *candidate, page heapEntry) (Result, error) {
 	frags := slices.Clone(c.members[c.lo : c.hi+1])
 	eqVals, err := idx.EqValues(frags[0])
 	if err != nil {
@@ -964,8 +1090,8 @@ func (e *Engine) resultFor(idx *fragindex.Snapshot, c *candidate, page heapEntry
 }
 
 // packRefs identifies a page by its fragment interval endpoints packed
-// into one uint64 (frag refs are int32 and globally unique, so the pair
-// pins the page down without an fmt.Sprintf key).
+// into one uint64 (global refs are int32 and unique over the pinned set,
+// so the pair pins the page down without an fmt.Sprintf key).
 func packRefs(lo, hi fragindex.FragRef) uint64 {
 	return uint64(uint32(lo))<<32 | uint64(uint32(hi))
 }

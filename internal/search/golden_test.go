@@ -104,29 +104,37 @@ func goldenLabel(p Request) string {
 // goldenPerSet requests per parameter set: 144 sets × 40 = 5 760 requests.
 const goldenPerSet = 40
 
-// goldenDigest runs one parameter set's seeded requests — 1–3 keywords,
+// goldenRequests draws one parameter set's seeded requests: 1–3 keywords,
 // each drawn from the 200 hottest terms with probability 0.7 and from the
-// whole vocabulary otherwise — and hashes every answer: per request the
-// keywords and result count, per result the URL, score bits, size and
-// fragment refs.
-func goldenDigest(t *testing.T, e *Engine, kws []string, set int, p Request) string {
+// whole vocabulary otherwise.
+func goldenRequests(kws []string, set int, p Request) []Request {
 	r := rand.New(rand.NewSource(int64(1000 + set)))
 	hot := kws[:min(200, len(kws))]
+	out := make([]Request, goldenPerSet)
+	for q := range out {
+		out[q] = p
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			pool := kws
+			if r.Float64() < 0.7 {
+				pool = hot
+			}
+			out[q].Keywords = append(out[q].Keywords, pool[r.Intn(len(pool))])
+		}
+	}
+	return out
+}
+
+// goldenDigest runs one parameter set's requests and hashes every answer:
+// per request the keywords and result count, per result the URL, score
+// bits, size and fragment refs.
+func goldenDigest(t *testing.T, e *Engine, kws []string, set int, p Request) string {
 	h := sha256.New()
 	var num [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(num[:], v)
 		h.Write(num[:])
 	}
-	for q := 0; q < goldenPerSet; q++ {
-		req := p
-		for n := 1 + r.Intn(3); n > 0; n-- {
-			pool := kws
-			if r.Float64() < 0.7 {
-				pool = hot
-			}
-			req.Keywords = append(req.Keywords, pool[r.Intn(len(pool))])
-		}
+	for _, req := range goldenRequests(kws, set, p) {
 		res, err := e.Search(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%s %v: %v", goldenLabel(p), req.Keywords, err)
@@ -183,6 +191,48 @@ func TestGoldenAnswers(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("answers changed:\n  got  %s\n  want %s", got[i], want[i])
+		}
+	}
+}
+
+// TestGoldenShardedMatchesSingle replays the golden requests — 144
+// parameter sets, 5 760 requests, truncating K and CandidateLimit included
+// — over the benchmark corpus split into S ∈ {2, 4} shards. Every answer
+// must equal the single index's (whose digests the golden file pins)
+// request by request on URL, score bits, size and fragment count.
+func TestGoldenShardedMatchesSingle(t *testing.T) {
+	idx, app := smallQ2Index(t)
+	single := New(idx, app)
+	kws := keywordsByDF(idx.Snapshot())
+	for _, shards := range []int{2, 4} {
+		live, err := fragindex.NewShardedLive(idx, shards) // reads idx, builds new shards
+		if err != nil {
+			t.Fatal(err)
+		}
+		se := NewSharded(live, app)
+		for set, p := range goldenParams() {
+			for _, req := range goldenRequests(kws, set, p) {
+				want, err := single.Search(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := se.Search(context.Background(), req)
+				if err != nil {
+					t.Fatalf("S=%d %s %v: %v", shards, goldenLabel(p), req.Keywords, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("S=%d %s %v: %d results, want %d", shards, goldenLabel(p), req.Keywords, len(got), len(want))
+				}
+				for i := range want {
+					w, g := want[i], got[i]
+					if g.URL != w.URL || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
+						g.Size != w.Size || len(g.Fragments) != len(w.Fragments) {
+						t.Fatalf("S=%d %s %v result %d: got %s %v size %d frags %d, want %s %v size %d frags %d",
+							shards, goldenLabel(p), req.Keywords, i, g.URL, g.Score, g.Size, len(g.Fragments),
+							w.URL, w.Score, w.Size, len(w.Fragments))
+					}
+				}
+			}
 		}
 	}
 }

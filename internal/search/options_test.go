@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/crawl"
 	"repro/internal/fragindex"
 	"repro/internal/fragment"
 	"repro/internal/relation"
@@ -65,11 +67,11 @@ func TestCandidateLimitLargerThanListIsNoop(t *testing.T) {
 
 // TestCandidateLimitDeterministicTies: when the cutoff TF is tied across
 // more postings than the limit admits, the kept prefix is the documented
-// (TF desc, ref asc) total order — not whatever order the tie band happens
-// to sit in — so truncated searches are a deterministic function of the
-// snapshot. The index is built with insertion order deliberately opposed
-// to ref order at equal TF (posting lists tie-break on identifier, so the
-// tie band's ID order is ref-descending here).
+// (TF desc, identifier asc) total order — not whatever order the tie band
+// happens to sit in, and not ref order — so truncated searches are a
+// function of content. The index is built with insertion order
+// deliberately opposed to identifier order, so the tie band's smallest
+// identifiers hold its largest refs.
 func TestCandidateLimitDeterministicTies(t *testing.T) {
 	idx, err := fragindex.New(fragindex.Spec{
 		SelAttrs: []string{"g", "v"}, EqAttrs: []string{"g"}, RangeAttr: "v",
@@ -101,8 +103,9 @@ func TestCandidateLimitDeterministicTies(t *testing.T) {
 			seeded[ref] = true
 		}
 	}
-	// The contract keeps the smallest refs of the tie band.
-	for ref := fragindex.FragRef(0); ref < 3; ref++ {
+	// The contract keeps the smallest identifiers of the tie band: g0, g1
+	// and g2, inserted last.
+	for ref := fragindex.FragRef(n - 3); ref < n; ref++ {
 		if !seeded[ref] {
 			t.Errorf("ref %d missing from the truncated candidate set: %v", ref, seeded)
 		}
@@ -116,7 +119,8 @@ func TestCandidateLimitDeterministicTies(t *testing.T) {
 		t.Errorf("truncated search not repeatable:\nfirst %+v\nagain %+v", results, again)
 	}
 	// A partial tie band — cutoff TF tied but some higher-TF postings
-	// above it — keeps all higher-TF postings plus the smallest tied refs.
+	// above it — keeps all higher-TF postings plus the smallest tied
+	// identifiers.
 	top := fragment.ID{relation.String("zz-top"), relation.Int(0)}
 	if _, err := idx.InsertFragment(top, map[string]int64{"w": 5}, 1); err != nil {
 		t.Fatal(err)
@@ -132,44 +136,91 @@ func TestCandidateLimitDeterministicTies(t *testing.T) {
 			seeded[ref] = true
 		}
 	}
-	if !seeded[topRef] || !seeded[0] || !seeded[1] {
-		t.Errorf("partial band kept %v, want {%d, 0, 1}", seeded, topRef)
+	if !seeded[topRef] || !seeded[n-1] || !seeded[n-2] {
+		t.Errorf("partial band kept %v, want {%d, %d, %d}", seeded, topRef, n-1, n-2)
 	}
 }
 
-// TestSelectSmallestRefsProperty: quickselect keeps exactly the need
-// smallest refs for random bands, matching a reference sort.
-func TestSelectSmallestRefsProperty(t *testing.T) {
+// TestCandidateLimitStableUnderCompaction: the tie band is cut by
+// identifier, so renumbering refs cannot move the cut. A fragment inserted
+// after the build gets the highest ref although its identifier sorts
+// first in the band; compaction renumbers refs in identifier order. The
+// truncated answer must be the same before and after.
+func TestCandidateLimitStableUnderCompaction(t *testing.T) {
+	var changes []corpusChange
+	for g := 1; g <= 9; g++ {
+		changes = append(changes, corpusChange{
+			id:     fragment.ID{relation.String(fmt.Sprintf("g%02d", g)), relation.Int(0)},
+			counts: map[string]int64{"w": 1},
+			total:  2,
+		})
+	}
+	live := fragindex.NewLive(buildFrom(t, changes))
+	ctx := context.Background()
+	first := fragment.ID{relation.String("g00"), relation.Int(0)}
+	if _, err := live.Apply(ctx, crawl.Delta{Changes: []crawl.FragmentChange{{
+		Op: crawl.OpInsertFragment, ID: first, TermCounts: map[string]int64{"w": 1}, TotalTerms: 2,
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	e := New(live, nil)
+	req := Request{Keywords: []string{"w"}, K: 10, SizeThreshold: 1, CandidateLimit: 3}
+	before, err := e.Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := live.CompactIfNeeded(ctx, 0); err != nil || !ok {
+		t.Fatalf("CompactIfNeeded = %v, %v; want a compaction", ok, err)
+	}
+	after, err := e.Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffResults(before, after); d != "" {
+		t.Fatalf("truncated answer moved under compaction: %s", d)
+	}
+	var kept []string
+	for _, r := range before {
+		kept = append(kept, r.EqValues["g"].Text())
+	}
+	if got := strings.Join(kept, " "); got != "g00 g01 g02" {
+		t.Errorf("kept the pages of %s, want g00 g01 g02", got)
+	}
+}
+
+// TestSelectSmallestIDsProperty: quickselect keeps exactly the need
+// smallest identifiers for random bands, matching a reference sort.
+func TestSelectSmallestIDsProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		m := 1 + r.Intn(60)
-		band := make([]fragindex.Posting, m)
-		seen := map[fragindex.FragRef]bool{}
+		band := make([]bandEntry, m)
+		seen := map[int]bool{}
 		for i := range band {
-			ref := fragindex.FragRef(r.Intn(1000))
-			for seen[ref] {
-				ref = fragindex.FragRef(r.Intn(1000))
+			v := r.Intn(1000)
+			for seen[v] {
+				v = r.Intn(1000)
 			}
-			seen[ref] = true
-			band[i] = fragindex.Posting{Frag: ref, TF: 1}
+			seen[v] = true
+			band[i] = bandEntry{id: fragment.ID{relation.String("g"), relation.Int(int64(v))}, p: fragindex.Posting{Frag: fragindex.FragRef(i), TF: 1}}
 		}
 		need := 1 + r.Intn(m)
-		sorted := append([]fragindex.Posting(nil), band...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Frag < sorted[j].Frag })
+		sorted := append([]bandEntry(nil), band...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].id.Compare(sorted[j].id) < 0 })
 		want := map[fragindex.FragRef]bool{}
-		for _, p := range sorted[:need] {
-			want[p.Frag] = true
+		for _, e := range sorted[:need] {
+			want[e.p.Frag] = true
 		}
-		selectSmallestRefs(band, need)
-		for _, p := range band[:need] {
-			if !want[p.Frag] {
-				t.Fatalf("trial %d (m=%d need=%d): ref %d kept, not among smallest",
-					trial, m, need, p.Frag)
+		selectSmallestIDs(band, need)
+		for _, e := range band[:need] {
+			if !want[e.p.Frag] {
+				t.Fatalf("trial %d (m=%d need=%d): %v kept, not among smallest",
+					trial, m, need, e.id)
 			}
-			delete(want, p.Frag)
+			delete(want, e.p.Frag)
 		}
 		if len(want) != 0 {
-			t.Fatalf("trial %d: smallest refs missing: %v", trial, want)
+			t.Fatalf("trial %d: smallest identifiers missing: %v", trial, want)
 		}
 	}
 }

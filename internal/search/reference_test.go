@@ -75,11 +75,18 @@ func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
 		idf[i] = snap.IDF(w)
 		ps := slices.Clone(snap.Postings(w))
 		if req.CandidateLimit > 0 && len(ps) > req.CandidateLimit {
+			id := func(ref fragindex.FragRef) fragment.ID {
+				m, err := snap.Meta(ref)
+				if err != nil {
+					t.Fatalf("reference: %v", err)
+				}
+				return m.ID
+			}
 			sort.SliceStable(ps, func(a, b int) bool {
 				if ps[a].TF != ps[b].TF {
 					return ps[a].TF > ps[b].TF
 				}
-				return ps[a].Frag < ps[b].Frag
+				return id(ps[a].Frag).Compare(id(ps[b].Frag)) < 0
 			})
 			ps = ps[:req.CandidateLimit]
 		}
@@ -233,12 +240,12 @@ func checkAgainstReference(t *testing.T, e *Engine, snap *fragindex.Snapshot, re
 	if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 		t.Fatalf("%s: %+v: engine and reference disagree\n engine    %+v\n reference %+v", when, req, got, want)
 	}
-	checkScratchClean(t, e, when)
+	checkScratchClean(t, &e.core, when)
 }
 
 // retainedScratch returns the one scratch on the engine's free list without
 // taking it off: the next search on this goroutine borrows exactly it.
-func retainedScratch(t *testing.T, e *Engine, when string) *searchScratch {
+func retainedScratch(t *testing.T, e *core, when string) *searchScratch {
 	t.Helper()
 	select {
 	case s := <-e.free:
@@ -251,10 +258,12 @@ func retainedScratch(t *testing.T, e *Engine, when string) *searchScratch {
 }
 
 // checkScratchClean inspects the scratch the last search returned to the
-// engine's free list: no dense-table entry may still be set, no seed may
-// still be queued or pending, the seed arena must be zero through its whole
-// capacity, and nothing may still point into a snapshot.
-func checkScratchClean(t *testing.T, e *Engine, when string) {
+// engine's free list (either engine's): no global dense-table entry may
+// still be set, no seed may still be queued or pending, the seed arena must
+// be zero through its whole capacity, and nothing may still point into a
+// snapshot — neither the pinned set, nor a posting list, nor a tie band's
+// identifiers, nor a group path.
+func checkScratchClean(t *testing.T, e *core, when string) {
 	t.Helper()
 	s := retainedScratch(t, e, when)
 	for ref, ord := range s.ordOf {
@@ -267,8 +276,26 @@ func checkScratchClean(t *testing.T, e *Engine, when string) {
 			t.Fatalf("%s: stale used[%d]", when, ref)
 		}
 	}
-	if s.idx != nil || s.err != nil || len(s.refs)+len(s.usedRefs)+len(s.seen) != 0 {
+	if s.err != nil || len(s.refs)+len(s.usedRefs)+len(s.seen) != 0 {
 		t.Fatalf("%s: released scratch still holds query state", when)
+	}
+	if len(s.snaps)+len(s.base)+len(s.lists)+len(s.band) != 0 {
+		t.Fatalf("%s: released scratch still holds a pinned set", when)
+	}
+	for _, snap := range s.snaps[:cap(s.snaps)] {
+		if snap != nil {
+			t.Fatalf("%s: released scratch still points to a pinned snapshot", when)
+		}
+	}
+	for _, ps := range s.lists[:cap(s.lists)] {
+		if ps != nil {
+			t.Fatalf("%s: released scratch still points to a posting list", when)
+		}
+	}
+	for _, b := range s.band[:cap(s.band)] {
+		if b.id != nil {
+			t.Fatalf("%s: released scratch still points to a band identifier", when)
+		}
 	}
 	if len(s.pending)+len(s.heap)+s.queued != 0 {
 		t.Fatalf("%s: released scratch still holds %d seeds bucketed (%d queued), %d heaped",
@@ -365,14 +392,14 @@ func TestReferenceScratchReuse(t *testing.T) {
 		if _, err := e.SearchSnapshot(newErrAfter(2), snap, req); !errors.Is(err, errDeadline) {
 			t.Fatalf("%s: seeding cancel: err = %v", when, err)
 		}
-		checkScratchClean(t, e, when+" after seeding cancel")
+		checkScratchClean(t, &e.core, when+" after seeding cancel")
 		checkAgainstReference(t, e, snap, tieRequest(r), when+" after seeding cancel")
 
 		// No relevant fragments, then an invalid request.
 		if res, err := e.SearchSnapshot(context.Background(), snap, Request{Keywords: []string{"zzz"}, K: 3, SizeThreshold: 20}); err != nil || len(res) != 0 {
 			t.Fatalf("%s: absent keyword: %v, %v", when, res, err)
 		}
-		checkScratchClean(t, e, when+" after empty answer")
+		checkScratchClean(t, &e.core, when+" after empty answer")
 		checkAgainstReference(t, e, snap, tieRequest(r), when+" after empty answer")
 		if _, err := e.SearchSnapshot(context.Background(), snap, Request{Keywords: []string{"ale"}}); !errors.Is(err, ErrBadK) {
 			t.Fatalf("%s: K=0: err = %v", when, err)
@@ -398,7 +425,7 @@ func TestReferenceAfterMidAssemblyCancel(t *testing.T) {
 	if _, err := e.Search(newErrAfter(3), req); !errors.Is(err, errDeadline) {
 		t.Fatalf("err = %v, want the simulated deadline", err)
 	}
-	checkScratchClean(t, e, "after mid-assembly cancel")
+	checkScratchClean(t, &e.core, "after mid-assembly cancel")
 	for _, s := range []int{4, 6, 1} {
 		req.SizeThreshold = s
 		checkAgainstReference(t, e, snap, req, fmt.Sprintf("s=%d after mid-assembly cancel", s))
@@ -486,16 +513,109 @@ func TestReferenceAfterMidRefillCancel(t *testing.T) {
 	checkAgainstReference(t, e, snap, req, "warm-up")
 
 	// Polls: Search entry, searchSnapshot entry, one keyword, then the loop.
-	probe := &cancelProbe{Context: context.Background(), failAt: 4, s: retainedScratch(t, e, "warm-up")}
+	probe := &cancelProbe{Context: context.Background(), failAt: 4, s: retainedScratch(t, &e.core, "warm-up")}
 	if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
 		t.Fatalf("err = %v, want the simulated deadline", err)
 	}
 	if probe.pending < 1000 || probe.heaped == 0 {
 		t.Fatalf("cancelled with %d seeds pending and %d heaped, want a part-built queue", probe.pending, probe.heaped)
 	}
-	checkScratchClean(t, e, "after mid-refill cancel")
+	checkScratchClean(t, &e.core, "after mid-refill cancel")
 	for _, s := range []int{1, 40, 300} {
 		req.SizeThreshold = s
 		checkAgainstReference(t, e, snap, req, fmt.Sprintf("s=%d after mid-refill cancel", s))
+	}
+}
+
+// TestShardedScratchHygiene runs the scratch checks over a pinned shard
+// set: after a normal sharded search, a mid-assembly cancel and a seeding
+// cancel, the retained scratch holds no global table entry and no pointer
+// into the pinned set, and the next answers still equal the single
+// index's.
+func TestShardedScratchHygiene(t *testing.T) {
+	// 60 groups of 30 members, every member carrying "kw" and "ale": two-
+	// fragment pages are accepted from the first visits on, and the loop
+	// crosses the ctx poll interval.
+	var changes []corpusChange
+	for g := 0; g < 60; g++ {
+		for v := 0; v < 30; v++ {
+			changes = append(changes, corpusChange{
+				id:     fragment.ID{relation.String(fmt.Sprintf("g%03d", g)), relation.Int(int64(v))},
+				counts: map[string]int64{"kw": 1, "ale": int64(1 + (g+v)%3)},
+				total:  2 + int64(v%4),
+			})
+		}
+	}
+	single := New(buildFrom(t, changes), nil)
+	live, err := fragindex.NewShardedLive(buildFrom(t, changes), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := NewSharded(live, nil)
+	check := func(req Request, when string) {
+		t.Helper()
+		want, err := single.Search(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := se.Search(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if d := diffResults(want, got); d != "" {
+			t.Fatalf("%s: %+v: sharded diverges: %s", when, req, d)
+		}
+		checkScratchClean(t, &se.core, when)
+	}
+	req := Request{Keywords: []string{"kw"}, K: 1 << 20, SizeThreshold: 4}
+	check(req, "normal search")
+	check(Request{Keywords: []string{"kw", "ale"}, K: 7, SizeThreshold: 6, CandidateLimit: 50}, "truncated band")
+
+	// Polls: Search entry, the core's entry, one keyword, then the loop.
+	if _, err := se.Search(newErrAfter(3), req); !errors.Is(err, errDeadline) {
+		t.Fatalf("mid-assembly cancel: err = %v", err)
+	}
+	checkScratchClean(t, &se.core, "after mid-assembly cancel")
+	check(req, "after mid-assembly cancel")
+
+	// Polls: the core's entry, the first keyword, then the second fails.
+	req.Keywords = []string{"ale", "kw"}
+	if _, err := se.SearchPinned(newErrAfter(2), se.Pin(), req); !errors.Is(err, errDeadline) {
+		t.Fatalf("seeding cancel: err = %v", err)
+	}
+	checkScratchClean(t, &se.core, "after seeding cancel")
+	check(req, "after seeding cancel")
+}
+
+// TestShardedSameLocalRefs: every shard numbers its refs from 0, so pages
+// in different shards share local (lo, hi) refs. Both must be emitted — a
+// dedup or overlap table keyed by local refs would drop one.
+func TestShardedSameLocalRefs(t *testing.T) {
+	var changes []corpusChange
+	for g := 0; g < 8; g++ {
+		changes = append(changes, corpusChange{
+			id:     fragment.ID{relation.String(fmt.Sprintf("g%03d", g)), relation.Int(0)},
+			counts: map[string]int64{"w": 1},
+			total:  2,
+		})
+	}
+	live, err := fragindex.NewShardedLive(buildFrom(t, changes), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if live.Shard(i).Snapshot().NumFragments() == 0 {
+			t.Fatalf("shard %d is empty: no two pages share local refs", i)
+		}
+	}
+	for _, overlap := range []bool{false, true} {
+		got, err := NewSharded(live, nil).Search(context.Background(),
+			Request{Keywords: []string{"w"}, K: 8, SizeThreshold: 1, AllowOverlap: overlap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(changes) {
+			t.Fatalf("overlap=%t: %d results, want one page per fragment (%d)", overlap, len(got), len(changes))
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestConcurrentShardedSearchWithWriters is the sharded serving path under
-// fire (run with -race in CI): 32 searcher goroutines scatter-gather over a
+// fire (run with -race in CI): 32 searcher goroutines search across a
 // ShardedLiveIndex while four writers stream routed update deltas over
 // disjoint fragment sets and a garbage collector runs per-shard
 // compactions. Every search must succeed, and — the per-shard pinning
@@ -70,7 +70,7 @@ func TestConcurrentShardedSearchWithWriters(t *testing.T) {
 		}(wr)
 	}
 
-	// Searchers: scatter-gather plus pinned-set repeatability.
+	// Searchers: sharded searches plus pinned-set repeatability.
 	for g := 0; g < searchers; g++ {
 		wg.Add(1)
 		go func(g int) {

@@ -6,7 +6,7 @@ import "repro/internal/fragindex"
 const (
 	TopologyStatic  = "static"  // a plain Engine over a built or pinned index
 	TopologyLive    = "live"    // an Engine over a LiveIndex (epoch-swap serving)
-	TopologySharded = "sharded" // a ShardedEngine scatter-gathering over shards
+	TopologySharded = "sharded" // a ShardedEngine: one queue over its pinned shard set
 )
 
 // Stats is the one serving-stats report every topology answers (the

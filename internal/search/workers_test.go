@@ -8,9 +8,9 @@ import (
 
 // TestClampWorkers: the one shared helper behind every worker-count knob —
 // zero and negatives resolve to GOMAXPROCS, positives pass through. The
-// regression this pins: ParallelSearch and the ShardedEngine scatter/batch
-// paths all route through clampWorkers, so a
-// <= 0 knob can never reach a pool-size computation as "no workers".
+// regression this pins: every batch path routes through clampWorkers (in
+// runPool), so a <= 0 knob can never reach a pool-size computation as
+// "no workers".
 func TestClampWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct{ in, want int }{

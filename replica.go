@@ -101,7 +101,7 @@ func WithReplicaLog(logf func(format string, args ...any)) Option {
 // ahead of its applied epoch, or lag past WithStalenessBound). Close stops
 // the tail; the last applied state keeps serving.
 //
-// Besides the replica options it takes WithWorkers, WithCandidateLimit,
+// Besides the replica options it takes WithCandidateLimit,
 // WithPostingCompaction, WithStalenessBound, WithResultCache and
 // WithAdmissionControl; the leader-side options (WithShards, WithReadOnly,
 // WithReplicas, and WithDataDir with the store options that tune it) are
