@@ -36,9 +36,10 @@ loc:
 # cancellation poll must sit within noise of a background-ctx run), the
 # parallel-throughput scaling benchmark, the live-mutation-under-load
 # benchmark, the snapshot-publish-cost benchmark (chunked metadata +
-# batched applies), the sharded serving benchmarks (scatter-gather
-# search + routed applies at S = 1/4/16 vs the single-index baseline),
-# the durable apply benchmark (journal off vs interval vs always), and
+# batched applies), the sharded serving benchmarks (one-queue search
+# over the pinned shard set + routed applies at S = 1/4/16 vs the
+# single-index baseline), the durable apply benchmark (journal off vs
+# interval vs always), and
 # the serving-under-load benchmark (result-cache hit-rate sweep, cached
 # vs uncached hot path, open-loop 2x-overload shedding percentiles),
 # with allocation counts, converted to BENCH_search.json so the perf

@@ -37,8 +37,8 @@ type Searcher interface {
 // serving index while searches keep running. Every method takes a context
 // and every apply is transactional per publish cycle — a cancellation,
 // like any other error, publishes nothing in the failing cycle (see
-// ShardedLiveIndex for the cross-shard contract). Read-only handles and
-// replicas refuse every write with their typed error.
+// ShardedLiveIndex for the cross-shard contract). Replicas refuse every
+// write with ErrReplicaReadOnly.
 type Maintainer interface {
 	// Apply folds one delta into the index and publishes atomically.
 	Apply(ctx context.Context, d Delta) (ApplyReport, error)
@@ -74,18 +74,10 @@ type Handle interface {
 	Stats() EngineStats
 }
 
-// ErrReadOnly is returned by every write method of a handle opened with
-// WithReadOnly.
-var ErrReadOnly = errors.New("dash: read-only handle: maintenance not supported")
-
 // openConfig accumulates functional options; zero values are the
 // defaults.
 type openConfig struct {
-	shards      int // 0 or 1: single live index; > 1: sharded
-	compactNum  int // posting-compaction threshold; 0/0: keep the default
-	compactDen  int
-	candLimit   int // default Request.CandidateLimit when a request has none
-	readOnly    bool
+	shards      int    // 0 or 1: single live index; > 1: sharded
 	dataDir     string // non-empty: durable serving rooted here
 	syncPolicy  SyncPolicy
 	retry       DurabilityRetryPolicy    // zero value: durable defaults
@@ -130,52 +122,13 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithPostingCompaction tunes the lazy posting-list compaction threshold
-// to num/den (default 1/4): a posting list is rewritten once at least
-// num/den of its entries are dead. See Index.SetPostingCompaction.
-func WithPostingCompaction(num, den int) Option {
-	return func(c *openConfig) error {
-		if num < 1 || den < 1 || num > den {
-			return fmt.Errorf("dash: WithPostingCompaction(%d, %d): want 0 < num <= den", num, den)
-		}
-		c.compactNum, c.compactDen = num, den
-		return nil
-	}
-}
-
-// WithCandidateLimit caps postings read per keyword for every request that
-// leaves Request.CandidateLimit at 0 (which otherwise means "read full
-// lists"). A server-side guard against hot-keyword latency. A request can
-// override the handle default either way: any positive CandidateLimit
-// replaces it, and a negative one explicitly requests full posting lists
-// (the engine treats every non-positive limit as unlimited).
-func WithCandidateLimit(n int) Option {
-	return func(c *openConfig) error {
-		if n < 0 {
-			return fmt.Errorf("dash: WithCandidateLimit(%d): limit must be >= 0", n)
-		}
-		c.candLimit = n
-		return nil
-	}
-}
-
-// WithReadOnly opens the static topology: searches run against the index
-// as built and every write method returns ErrReadOnly. Incompatible with
-// WithShards > 1.
-func WithReadOnly() Option {
-	return func(c *openConfig) error {
-		c.readOnly = true
-		return nil
-	}
-}
-
 // WithDataDir makes the handle durable, rooted at dir: every publish
 // journals its delta to disk before the swap that acknowledges it, and
 // reopening the same directory recovers exactly the last acknowledged
 // state. A fresh directory is seeded from the index passed to Open; an
 // initialized one is recovered, idx must be nil, and the committed shard
-// count pins the topology (see IsInitialized). Incompatible with
-// WithReadOnly. Checkpoint, Stats().Durability and Close act on the store.
+// count pins the topology (see IsInitialized). Checkpoint,
+// Stats().Durability and Close act on the store.
 func WithDataDir(dir string) Option {
 	return func(c *openConfig) error {
 		if dir == "" {
@@ -257,11 +210,11 @@ func WithStalenessBound(epochs int) Option {
 // Open wraps a built index for serving behind the one public contract.
 // The handle is a search engine over the index partitioned into
 // WithShards publish cycles (default one) with the layers the options
-// add: WithReadOnly (every write refused), WithDataDir (journaled,
-// recoverable publishes), WithResultCache, WithAdmissionControl and
-// WithReplicas. Every shape answers byte-identical results for the same
-// corpus — the equivalence tests pin this down — so the choice is purely
-// operational: write rate, core count, durability, read load.
+// add: WithDataDir (journaled, recoverable publishes), WithResultCache,
+// WithAdmissionControl and WithReplicas. Every shape answers
+// byte-identical results for the same corpus — the equivalence tests pin
+// this down — so the choice is purely operational: write rate, core
+// count, durability, read load.
 //
 // Open takes ownership of idx: all further access must go through the
 // returned Handle. app may be nil when URL formulation is not needed.
@@ -277,10 +230,6 @@ func Open(ctx context.Context, idx *Index, app *Application, opts ...Option) (Ha
 	switch {
 	case cfg.tail.HTTPClient != nil || cfg.tail.PollWait > 0 || cfg.tail.Logf != nil:
 		return nil, errors.New("dash: WithReplicaPoll, WithReplicaTransport and WithReplicaLog configure OpenReplica, not Open")
-	case cfg.readOnly && cfg.shards > 1:
-		return nil, fmt.Errorf("dash: WithReadOnly is incompatible with WithShards(%d)", cfg.shards)
-	case cfg.readOnly && cfg.dataDir != "":
-		return nil, errors.New("dash: WithDataDir is incompatible with WithReadOnly")
 	case len(cfg.replicaURLs) > 0 && cfg.dataDir == "":
 		return nil, errors.New("dash: WithReplicas requires WithDataDir (replicas tail the durable journal)")
 	case cfg.storeTuned() && cfg.dataDir == "":
@@ -295,13 +244,7 @@ func Open(ctx context.Context, idx *Index, app *Application, opts ...Option) (Ha
 	} else {
 		sl, err = fragindex.NewShardedLive(idx, max(cfg.shards, 1))
 	}
-	if err == nil && cfg.compactNum > 0 {
-		err = sl.SetPostingCompaction(cfg.compactNum, cfg.compactDen)
-	}
 	if err != nil {
-		if e.store != nil {
-			e.store.Close()
-		}
 		return nil, err
 	}
 	e.serve(sl)

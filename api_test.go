@@ -19,6 +19,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/fooddb"
 	"repro/internal/relation"
+	"repro/internal/search"
 )
 
 // fooddbIndex builds one fresh fooddb index (each serving engine takes
@@ -53,8 +54,7 @@ func TestOpenTopologySelection(t *testing.T) {
 	}{
 		{nil, "live", 1},
 		{[]Option{WithShards(1)}, "live", 1},
-		{[]Option{WithShards(4), WithPostingCompaction(1, 8)}, "sharded", 4},
-		{[]Option{WithReadOnly()}, "static", 1},
+		{[]Option{WithShards(4)}, "sharded", 4},
 	} {
 		h, err := Open(context.Background(), build(), app, tc.opts...)
 		if err != nil {
@@ -80,10 +80,6 @@ func TestOpenOptionValidation(t *testing.T) {
 	for name, opts := range map[string][]Option{
 		"shards=0":                 {WithShards(0)},
 		"shards=-3":                {WithShards(-3)},
-		"candidate limit < 0":      {WithCandidateLimit(-1)},
-		"compaction 0/4":           {WithPostingCompaction(0, 4)},
-		"compaction 5/4":           {WithPostingCompaction(5, 4)},
-		"readonly+sharded":         {WithReadOnly(), WithShards(3)},
 		"staleness 0":              {WithStalenessBound(0)},
 		"replica poll on Open":     {WithReplicaPoll(time.Second, time.Millisecond)},
 		"replica log on Open":      {WithReplicaLog(t.Logf)},
@@ -97,7 +93,6 @@ func TestOpenOptionValidation(t *testing.T) {
 	}
 	for name, opt := range map[string]Option{
 		"shards":           WithShards(2),
-		"read-only":        WithReadOnly(),
 		"replicas":         WithReplicas("http://127.0.0.1:1"),
 		"data dir":         WithDataDir(t.TempDir()),
 		"sync policy":      WithSyncPolicy(SyncPolicy{Mode: SyncInterval}),
@@ -112,22 +107,21 @@ func TestOpenOptionValidation(t *testing.T) {
 }
 
 // TestOpenEquivalence is the cross-topology contract: every Open
-// configuration — one shard or three, read-only, cached — returns results
+// configuration — one shard or three, cached or not — returns results
 // byte-identical to a plain engine over the same index on the fooddb
 // corpus for a full keyword × k × s sweep.
 func TestOpenEquivalence(t *testing.T) {
 	_, app, build := fooddbIndex(t)
 
 	ctx := context.Background()
-	reference := NewEngine(build(), app)
+	reference := search.New(build(), app)
 	searchers := map[string]Searcher{}
 	for name, opts := range map[string][]Option{
 		"default":             nil,
 		"WithShards(1)":       {WithShards(1)},
 		"WithShards(3)":       {WithShards(3)},
-		"WithReadOnly":        {WithReadOnly()},
 		"WithShards(3)+cache": {WithShards(3), WithResultCache(1 << 20)},
-		"WithReadOnly+cache":  {WithReadOnly(), WithResultCache(1 << 20)},
+		"WithResultCache":     {WithResultCache(1 << 20)},
 	} {
 		h, err := Open(context.Background(), build(), app, opts...)
 		if err != nil {
@@ -167,7 +161,7 @@ func TestOpenEquivalence(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					if !reflect.DeepEqual(stripRefs(got), want) {
-						t.Fatalf("%s diverges from NewEngine on %q k=%d s=%d:\n%+v\nvs\n%+v",
+						t.Fatalf("%s diverges from the plain engine on %q k=%d s=%d:\n%+v\nvs\n%+v",
 							name, kw, k, s, got, rawWant)
 					}
 					// The batch form answers each slot identically.
@@ -181,60 +175,6 @@ func TestOpenEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestOpenCandidateLimitDefault: WithCandidateLimit is exactly a default
-// for Request.CandidateLimit — the handle answers what an explicit
-// per-request limit answers, and an explicit request limit overrides the
-// handle default.
-func TestOpenCandidateLimitDefault(t *testing.T) {
-	_, app, build := fooddbIndex(t)
-	ctx := context.Background()
-	explicit := NewEngine(build(), app)
-	limited, err := Open(context.Background(), build(), app, WithCandidateLimit(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20}
-
-	want, err := explicit.Search(ctx, Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20, CandidateLimit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := limited.Search(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("handle default limit diverges from explicit request limit:\n%+v\nvs\n%+v", got, want)
-	}
-
-	// An explicit request-level limit wins over the handle default.
-	full, err := explicit.Search(ctx, Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20, CandidateLimit: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	override, err := limited.Search(ctx, Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20, CandidateLimit: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(override, full) {
-		t.Errorf("request-level limit did not override the handle default")
-	}
-
-	// A negative request limit is the explicit opt-out: full posting
-	// lists despite the handle default.
-	unlimited, err := explicit.Search(ctx, Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	optOut, err := limited.Search(ctx, Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20, CandidateLimit: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(optOut, unlimited) {
-		t.Errorf("CandidateLimit=-1 did not opt out of the handle default:\n%+v\nvs\n%+v", optOut, unlimited)
 	}
 }
 
@@ -273,17 +213,74 @@ func TestHandleMaintenanceCancellation(t *testing.T) {
 	}
 }
 
+// TestQueueFlush: queued deltas accumulate without publishing, a
+// pre-cancelled Flush leaves the queue intact, and one Flush folds the
+// whole queue into a single publish, with one shard or several.
+func TestQueueFlush(t *testing.T) {
+	_, app, build := fooddbIndex(t)
+	id := FragmentID{relation.String("American"), relation.Int(10)}
+	for _, shards := range []int{1, 3} {
+		opened, err := Open(context.Background(), build(), app, WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := opened.(*ServingEngine)
+		before := h.Stats()
+		for i := 1; i <= 3; i++ {
+			d := Delta{Changes: []FragmentChange{{Op: OpUpdateFragment, ID: id,
+				TermCounts: map[string]int64{"burger": int64(i)}, TotalTerms: int64(i)}}}
+			if n, err := h.Queue(d); err != nil || n != i {
+				t.Errorf("shards=%d: Queue = %d, %v, want %d", shards, n, err, i)
+			}
+		}
+		if st := h.Stats(); st.Publishes != before.Publishes || st.Queued != 3 {
+			t.Errorf("shards=%d: after queueing: publishes %d->%d, queued %d", shards, before.Publishes, st.Publishes, st.Queued)
+		}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := h.Flush(cancelled); !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: pre-cancelled Flush err = %v", shards, err)
+		}
+		if st := h.Stats(); st.Queued != 3 || st.Publishes != before.Publishes {
+			t.Fatalf("shards=%d: pre-cancelled Flush drained or published: %+v", shards, st)
+		}
+		rep, err := h.Flush(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Total.Deltas != 3 || rep.Total.Updated != 1 {
+			t.Errorf("shards=%d: flush report %+v, want 3 deltas folded to 1 update", shards, rep.Total)
+		}
+		if st := h.Stats(); st.Publishes != before.Publishes+1 || st.DeltasApplied != before.DeltasApplied+3 || st.Queued != 0 {
+			t.Errorf("shards=%d: after flush %+v", shards, st)
+		}
+		// The folded update carries the last queued statistics.
+		si, err := h.Live().ShardFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := h.Live().Shard(si).Snapshot()
+		if ref, ok := snap.Lookup(id); !ok || snap.TermsOf(ref) != 3 {
+			t.Errorf("shards=%d: folded update lost the last queued statistics", shards)
+		}
+		// Flushing an empty queue publishes nothing.
+		if _, err := h.Flush(context.Background()); err != nil || h.Stats().Publishes != before.Publishes+1 {
+			t.Errorf("shards=%d: empty flush: %v, publishes %d", shards, err, h.Stats().Publishes)
+		}
+	}
+}
+
 // The bare engine stays a Searcher; the one handle type is the full
 // contract plus the interfaces callers assert on Open's result.
 var (
-	_ Searcher       = (*Engine)(nil)
+	_ Searcher       = (*search.Engine)(nil)
 	_ Handle         = (*ServingEngine)(nil)
 	_ CachedSearcher = (*ServingEngine)(nil)
 	_ Replicable     = (*ServingEngine)(nil)
 	_ io.Closer      = (*ServingEngine)(nil)
 )
 
-// TestHandleCapabilityTable: over {static, live, sharded} × {cache, none} ×
+// TestHandleCapabilityTable: over {live, sharded} × {cache, none} ×
 // {durable, none}, plus a degraded durable handle and a cached replica,
 // every method of the handle answers either a result or the typed error of
 // the handle's mode — the configured layers change the answers, never the
@@ -298,16 +295,12 @@ func TestHandleCapabilityTable(t *testing.T) {
 		cache, durable, replica bool
 	}
 	var shapes []shape
-	for _, topo := range []string{"static", "live", "sharded"} {
+	for _, topo := range []string{"live", "sharded"} {
 		for _, cache := range []bool{false, true} {
 			for _, durable := range []bool{false, true} {
 				name := fmt.Sprintf("%s cache=%v durable=%v", topo, cache, durable)
 				var opts []Option
-				var refusal error
-				switch topo {
-				case "static":
-					opts, refusal = append(opts, WithReadOnly()), ErrReadOnly
-				case "sharded":
+				if topo == "sharded" {
 					opts = append(opts, WithShards(2))
 				}
 				if cache {
@@ -317,16 +310,10 @@ func TestHandleCapabilityTable(t *testing.T) {
 					opts = append(opts, WithDataDir(t.TempDir()))
 				}
 				h, err := Open(ctx, build(), app, opts...)
-				if topo == "static" && durable {
-					if err == nil {
-						t.Errorf("%s: Open accepted a durable read-only handle", name)
-					}
-					continue
-				}
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				shapes = append(shapes, shape{name: name, h: h, refusal: refusal, cache: cache, durable: durable})
+				shapes = append(shapes, shape{name: name, h: h, cache: cache, durable: durable})
 			}
 		}
 	}

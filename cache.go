@@ -73,8 +73,8 @@ type CachedSearcher interface {
 	// SearchStatus is Search plus the cache outcome.
 	SearchStatus(ctx context.Context, req Request) ([]Result, CacheStatus, error)
 	// SearchBatchStatus is SearchBatch plus the batch-aggregate outcome:
-	// CacheHit when every request was answered from the cache, CacheMiss
-	// when any request ran a search.
+	// CacheMiss when any request ran a search, CacheHit when none did and
+	// at least one was answered from the cache, CacheBypass otherwise.
 	SearchBatchStatus(ctx context.Context, reqs []Request) ([]BatchResult, CacheStatus)
 }
 

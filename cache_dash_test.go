@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/relation"
+	"repro/internal/search"
 )
 
 // stripFragRefs blanks the snapshot-internal fragment identifiers so
@@ -35,12 +36,11 @@ func stripFragRefs(rs []Result) []Result {
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	_, app, build := fooddbIndex(t)
 	ctx := context.Background()
-	reference := NewEngine(build(), app)
+	reference := search.New(build(), app)
 
 	for name, opts := range map[string][]Option{
 		"live":    nil,
 		"sharded": {WithShards(3)},
-		"static":  {WithReadOnly()},
 	} {
 		h, err := Open(context.Background(), build(), app, append([]Option{WithResultCache(1 << 20)}, opts...)...)
 		if err != nil {
@@ -277,8 +277,7 @@ func TestCachePerShardPrecision(t *testing.T) {
 }
 
 // TestCachedHandleCapabilities: the result cache changes what searches
-// answer (miss, then hit) and nothing else — a cached static handle still
-// refuses every write with ErrReadOnly, a cached live handle still queues
+// answer (miss, then hit) and nothing else — a cached live handle still queues
 // and flushes, and a cached durable handle still checkpoints and reports
 // its store. Without the option, searches bypass and Stats has no cache.
 func TestCachedHandleCapabilities(t *testing.T) {
@@ -308,18 +307,6 @@ func TestCachedHandleCapabilities(t *testing.T) {
 	}
 	if plain.Stats().Cache != nil {
 		t.Error("uncached handle reports a cache block")
-	}
-
-	static, err := Open(ctx, build(), app, WithReadOnly(), WithResultCache(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	missThenHit("static", static)
-	if _, err := static.Apply(ctx, Delta{}); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("cached static Apply err = %v, want ErrReadOnly", err)
-	}
-	if _, err := static.(*ServingEngine).Queue(Delta{}); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("cached static Queue err = %v, want ErrReadOnly", err)
 	}
 
 	live, err := Open(ctx, build(), app, WithResultCache(1<<20))
@@ -362,6 +349,50 @@ func TestCachedHandleCapabilities(t *testing.T) {
 	}
 	if err := durable.(io.Closer).Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSearchBatchStatusBypass: a batch in which no slot reaches the cache
+// reports CacheBypass, not a hit — every slot abandoned by a cancelled
+// ctx on a cached leader, or refused with ErrReplicaBehind on a cached
+// replica.
+func TestSearchBatchStatusBypass(t *testing.T) {
+	_, app, build := fooddbIndex(t)
+	ctx := context.Background()
+	reqs := []Request{
+		{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20},
+		{Keywords: []string{"coffee"}, K: 2, SizeThreshold: 20},
+	}
+	leader, err := Open(ctx, build(), app, WithDataDir(t.TempDir()), WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.(io.Closer).Close()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	out, st := leader.(CachedSearcher).SearchBatchStatus(cancelled, reqs)
+	if st != CacheBypass || !errors.Is(out[0].Err, context.Canceled) {
+		t.Errorf("cancelled batch: status %s, slot err %v; want bypass, canceled", st, out[0].Err)
+	}
+
+	rep, err := OpenReplica(ctx, serveReplication(t, leader), app,
+		WithReplicaPoll(100*time.Millisecond, 5*time.Millisecond), WithResultCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.(io.Closer).Close()
+	ahead := append([]Request(nil), reqs...)
+	for i := range ahead {
+		ahead[i].MinEpoch = 1 << 40
+	}
+	out, st = rep.(CachedSearcher).SearchBatchStatus(ctx, ahead)
+	if st != CacheBypass || !errors.Is(out[0].Err, ErrReplicaBehind) {
+		t.Errorf("refused batch: status %s, slot err %v; want bypass, ErrReplicaBehind", st, out[0].Err)
+	}
+	// The same replica reports hits once its slots do reach the cache.
+	rep.SearchBatch(ctx, reqs)
+	if _, st := rep.(CachedSearcher).SearchBatchStatus(ctx, reqs); st != CacheHit {
+		t.Errorf("repeat batch status %s, want hit", st)
 	}
 }
 

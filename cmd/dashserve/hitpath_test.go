@@ -94,6 +94,39 @@ func TestSearchBodyMatchesEncoder(t *testing.T) {
 	}
 }
 
+// FuzzAppendSearchBody: on arbitrary query strings appendJSONString writes
+// exactly what encoding/json writes for the string, and appendSearchBody
+// exactly the reference encoder's body around an empty and a one-page
+// answer. The seeds are awkwardQueries plus the corpus in
+// testdata/fuzz/FuzzAppendSearchBody.
+func FuzzAppendSearchBody(f *testing.F) {
+	for _, q := range awkwardQueries {
+		f.Add(q)
+	}
+	answers := [][]dash.Result{nil, {{URL: "http://x/?a=<1>", QueryString: "a=<1>", Score: 0.5, Size: 3}}}
+	pages := make([][]byte, len(answers))
+	for i, res := range answers {
+		var err error
+		if pages[i], err = encodePages(res); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		want, err := json.Marshal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, q); !bytes.Equal(got, want) {
+			t.Fatalf("appendJSONString(%q) = %q, encoding/json %q", q, got, want)
+		}
+		for i, res := range answers {
+			if got, want := appendSearchBody(nil, q, len(res), pages[i]), referenceBody(t, q, res); !bytes.Equal(got, want) {
+				t.Fatalf("query %q, %d results:\n got %q\nwant %q", q, len(res), got, want)
+			}
+		}
+	})
+}
+
 // TestSearchBodySameForEveryOutcome: the same request answered as a miss,
 // as hits and by concurrent callers racing on a cold key (leader, collapsed
 // waiters, late hits — whichever each turns out to be) yields the same

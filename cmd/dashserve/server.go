@@ -565,8 +565,7 @@ type applyRequest struct {
 // handleApply validates, derives, and applies one admin maintenance
 // request through the Maintainer contract. The whole request — derivation
 // included — runs under the engine's maintenance serialization. A replica
-// or read-only handle refuses every mode, the deferred ones included, with
-// its typed error.
+// refuses every mode, the deferred ones included, with its typed error.
 func (s *server) handleApply(ctx context.Context, req applyRequest) (any, error) {
 	entries := append([]deltaRequest{req.deltaRequest}, req.Batch...)
 	var (

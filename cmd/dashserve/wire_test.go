@@ -139,13 +139,6 @@ func TestWireShape(t *testing.T) {
 			refusal:  http.StatusMisdirectedRequest,
 			readyz:   []string{"replication", "status"},
 		},
-		{
-			name:     "static",
-			mux:      func(t *testing.T) http.Handler { return wireMux(t, dash.WithReadOnly()) },
-			topology: "static",
-			refusal:  http.StatusUnprocessableEntity,
-			readyz:   []string{"status"},
-		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mux := tc.mux(t)

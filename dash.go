@@ -9,7 +9,7 @@
 // its parameterized project-select-join query from servlet-style source;
 // Build crawls the database with MapReduce-based algorithms, deriving
 // disjoint db-page fragments and a fragment index (inverted fragment index
-// + fragment graph); and Engine.Search assembles fragments into the k most
+// + fragment graph); and Handle.Search assembles fragments into the k most
 // relevant db-pages, returning the URLs that regenerate them.
 //
 // Quickstart:
@@ -30,7 +30,7 @@
 // Open returns a Handle — the Searcher + Maintainer contract — backed by
 // one serving engine whose shape the options pick: the index partitioned
 // into WithShards(n) independent publish cycles (one by default), plus
-// optional layers — WithReadOnly, WithDataDir (durability), WithResultCache,
+// optional layers — WithDataDir (durability), WithResultCache,
 // WithAdmissionControl, WithReplicas (read routing). OpenReplica returns
 // the same engine over a journal-tailing replica of a durable leader. Call
 // sites written against the contract change shape without rewrites, and
@@ -119,8 +119,6 @@ type (
 	// Index is the fragment index (inverted fragment index + fragment
 	// graph).
 	Index = fragindex.Index
-	// Engine answers top-k db-page searches.
-	Engine = search.Engine
 	// Request parameterizes one search: keywords W, result count k, and
 	// db-page size threshold s.
 	Request = search.Request
@@ -263,16 +261,6 @@ func Build(ctx context.Context, db *Database, app *Application, opts BuildOption
 		IndexTime:  time.Since(idxStart),
 	}
 	return idx, stats, nil
-}
-
-// NewEngine creates a search engine over a built index. app may be nil when
-// URL formulation is not needed.
-//
-// Deprecated: construct serving engines through Open — NewEngine remains
-// for direct, mutable-index use (tests, offline tooling) and for callers
-// that need the concrete type.
-func NewEngine(idx *Index, app *Application) *Engine {
-	return search.New(idx, app)
 }
 
 // SaveIndex serializes an index (gob encoding).

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fooddb"
 	"repro/internal/relation"
+	"repro/internal/search"
 )
 
 // TestFacadeEndToEnd runs the package-doc quickstart for every algorithm:
@@ -43,7 +44,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			}
 		}
 
-		engine := NewEngine(idx, app)
+		engine := search.New(idx, app)
 		results, err := engine.Search(context.Background(), Request{Keywords: []string{"burger"}, K: 2, SizeThreshold: 20})
 		if err != nil {
 			t.Fatalf("%s: Search: %v", alg, err)
@@ -94,7 +95,7 @@ func TestFacadeSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadIndex: %v", err)
 	}
-	engine := NewEngine(loaded, app)
+	engine := search.New(loaded, app)
 	results, err := engine.Search(context.Background(), Request{Keywords: []string{"coffee"}, K: 1, SizeThreshold: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -293,9 +293,6 @@ func TestDurableOpenErrors(t *testing.T) {
 	if _, err := Open(context.Background(), build(), app, WithDataDir("")); err == nil {
 		t.Error("empty data dir accepted")
 	}
-	if _, err := Open(context.Background(), build(), app, WithDataDir(dir), WithReadOnly()); err == nil {
-		t.Error("read-only durable handle accepted")
-	}
 	if _, err := Open(context.Background(), nil, app, WithDataDir(dir)); err == nil {
 		t.Error("nil index accepted for a fresh data dir")
 	}

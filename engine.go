@@ -41,11 +41,9 @@ type EngineStats struct {
 // method whose layer is absent answers the typed error of the handle's
 // mode, or the zero report. All methods are safe for concurrent use.
 type ServingEngine struct {
-	live      *fragindex.ShardedLiveIndex
-	engine    *search.ShardedEngine
-	app       *Application
-	readOnly  bool // WithReadOnly: every write answers ErrReadOnly
-	candLimit int
+	live   *fragindex.ShardedLiveIndex
+	engine *search.ShardedEngine
+	app    *Application
 
 	// mu serializes the maintenance cycle (derive + apply), so delta
 	// classification always runs against the latest published state.
@@ -71,8 +69,7 @@ type ServingEngine struct {
 // newEngine builds a handle's serving layers from its configuration; serve
 // attaches the index.
 func newEngine(cfg openConfig, app *Application) *ServingEngine {
-	e := &ServingEngine{app: app, readOnly: cfg.readOnly, candLimit: cfg.candLimit,
-		staleness: cfg.staleness}
+	e := &ServingEngine{app: app, staleness: cfg.staleness}
 	if cfg.cacheBytes > 0 {
 		e.cache = search.NewResultCache(cfg.cacheBytes)
 	}
@@ -99,18 +96,7 @@ func (e *ServingEngine) Pin() []*Snapshot { return e.engine.Pin() }
 // SearchPinned answers a request against a view from Pin, bypassing the
 // result cache and admission control.
 func (e *ServingEngine) SearchPinned(ctx context.Context, snaps []*Snapshot, req Request) ([]Result, error) {
-	return e.engine.SearchPinned(ctx, snaps, fillCandidateLimit(req, e.candLimit))
-}
-
-// fillCandidateLimit applies the handle's default CandidateLimit to a
-// request that leaves it at 0. A negative request value is the explicit
-// opt-out and passes through (the engine reads full lists for any
-// non-positive limit).
-func fillCandidateLimit(req Request, limit int) Request {
-	if req.CandidateLimit == 0 && limit > 0 {
-		req.CandidateLimit = limit
-	}
-	return req
+	return e.engine.SearchPinned(ctx, snaps, req)
 }
 
 // Search answers one query (see SearchAnswer).
@@ -154,10 +140,6 @@ func (e *ServingEngine) SearchAnswer(ctx context.Context, req Request) (*Answer,
 
 // answer runs one request against a pinned view.
 func (e *ServingEngine) answer(ctx context.Context, snaps []*Snapshot, req Request) (*Answer, CacheStatus, error) {
-	// Fill the handle default before normalizing: normalization folds the
-	// explicit-unlimited negative spelling to 0, which the fill must not
-	// then overwrite.
-	req = fillCandidateLimit(req, e.candLimit)
 	if e.cache == nil {
 		res, err := e.run(ctx, snaps, req)
 		if err != nil {
@@ -211,18 +193,15 @@ func (e *ServingEngine) SearchBatch(ctx context.Context, reqs []Request) []Batch
 // SearchBatchStatus answers a batch against one pinned view (every request
 // observes the same index state) over the handle's worker pool, each
 // request through the one search path. Admission is per batch: a shed
-// batch fails every slot with ErrOverloaded. The status is CacheHit when
-// every request was answered from the cache, CacheMiss when any ran a
-// search, and CacheBypass without a cache.
+// batch fails every slot with ErrOverloaded. The status is CacheMiss when
+// any request ran a search, CacheHit when none did but at least one was
+// answered from the cache, and CacheBypass when no slot reached the cache
+// (none configured, or every slot refused or abandoned).
 func (e *ServingEngine) SearchBatchStatus(ctx context.Context, reqs []Request) ([]BatchResult, CacheStatus) {
 	ctx = orBackground(ctx)
 	out := make([]BatchResult, len(reqs))
-	status := CacheBypass
-	if e.cache != nil {
-		status = CacheHit
-	}
 	if len(reqs) == 0 {
-		return out, status
+		return out, CacheBypass
 	}
 	if e.admission != nil {
 		release, err := e.admission.Admit(ctx.Deadline())
@@ -239,7 +218,7 @@ func (e *ServingEngine) SearchBatchStatus(ctx context.Context, reqs []Request) (
 	if e.pinned != nil {
 		e.pinned()
 	}
-	var missed atomic.Bool
+	var hit, missed atomic.Bool
 	search.RunPool(len(reqs), 0, func(i int) {
 		if err := ctx.Err(); err != nil {
 			out[i].Err = err // abandoned: queued behind the cancellation
@@ -252,24 +231,26 @@ func (e *ServingEngine) SearchBatchStatus(ctx context.Context, reqs []Request) (
 		if out[i].Err = err; err == nil {
 			out[i].Results = ans.Results()
 		}
-		if st == CacheMiss {
+		switch st {
+		case CacheHit:
+			hit.Store(true)
+		case CacheMiss:
 			missed.Store(true)
 		}
 	})
-	if missed.Load() {
-		status = CacheMiss
+	switch {
+	case missed.Load():
+		return out, CacheMiss
+	case hit.Load():
+		return out, CacheHit
 	}
-	return out, status
+	return out, CacheBypass
 }
 
-// refuse is the write gate: a read-only handle or a replica refuses every
-// write with its typed error.
+// refuse is the write gate: a replica refuses every write.
 func (e *ServingEngine) refuse() error {
-	switch {
-	case e.replica != nil:
+	if e.replica != nil {
 		return ErrReplicaReadOnly
-	case e.readOnly:
-		return ErrReadOnly
 	}
 	return nil
 }
@@ -414,20 +395,13 @@ func (e *ServingEngine) CompactIfNeeded(ctx context.Context, maxDeadRatio float6
 }
 
 // Stats reports the served index with one block per configured layer.
-// Topology names the shape: "static" for a read-only handle, "live" for
-// one shard, "sharded" beyond; per-shard detail appears only with more
-// than one shard.
+// Topology names the shape: "live" for one shard, "sharded" beyond;
+// per-shard detail appears only with more than one shard.
 func (e *ServingEngine) Stats() EngineStats {
 	st := EngineStats{Stats: e.engine.Stats()}
 	e.pendMu.Lock()
-	st.Queued += len(e.pending)
+	st.Queued = len(e.pending)
 	e.pendMu.Unlock()
-	if e.live.NumShards() == 1 {
-		st.Topology, st.PerShard = search.TopologyLive, nil
-		if e.readOnly {
-			st.Topology = search.TopologyStatic
-		}
-	}
 	if e.cache != nil {
 		cs := e.cache.Stats()
 		st.Cache = &cs

@@ -59,7 +59,10 @@ func run() error {
 	}
 
 	// 3. Top-k search (paper §VI, Example 7): keyword "burger", k=2, s=20.
-	engine := dash.NewEngine(idx, app)
+	engine, err := dash.Open(context.Background(), idx, app) // takes ownership of idx
+	if err != nil {
+		return err
+	}
 	results, err := engine.Search(context.Background(), dash.Request{
 		Keywords: []string{"burger"}, K: 2, SizeThreshold: 20,
 	})

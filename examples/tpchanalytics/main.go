@@ -59,8 +59,14 @@ func run() error {
 	}
 
 	// Keyword temperature sweep (Fig. 11 at one cell).
-	engine := dash.NewEngine(idx, app)
-	bands := harness.KeywordBands(idx.Snapshot(), 10)
+	// The snapshot is immutable, so it stays readable after Open takes
+	// ownership of idx.
+	snap := idx.Snapshot()
+	bands := harness.KeywordBands(snap, 10)
+	engine, err := dash.Open(ctx, idx, app)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("\nsearch latency by keyword temperature (k=10, s=200):\n")
 	for _, band := range []struct {
 		name string
@@ -82,7 +88,7 @@ func run() error {
 		fmt.Printf("  %-5s avg %10v  (%d keywords, %.1f results each; example %q df=%d)\n",
 			band.name, (total / time.Duration(len(band.kws))).Round(time.Microsecond),
 			len(band.kws), float64(results)/float64(len(band.kws)),
-			band.kws[0], idx.DF(band.kws[0]))
+			band.kws[0], snap.DF(band.kws[0]))
 	}
 
 	// One concrete search, URLs included.

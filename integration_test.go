@@ -46,7 +46,7 @@ func TestIntegrationTPCHAllQueriesAllAlgorithms(t *testing.T) {
 				if stats.Fragments == 0 {
 					t.Fatal("no fragments")
 				}
-				engine := NewEngine(idx, app)
+				engine := search.New(idx, app)
 				bands := harness.KeywordBands(idx.Snapshot(), 3)
 				for _, kw := range bands.Warm {
 					results, err := engine.Search(context.Background(), Request{
@@ -102,7 +102,7 @@ func TestIntegrationSearchResultsConsistentAcrossAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eSW, eINT := NewEngine(idxSW, app), NewEngine(idxINT, app)
+	eSW, eINT := search.New(idxSW, app), search.New(idxINT, app)
 	bands := harness.KeywordBands(idxINT.Snapshot(), 5)
 	all := append(append(append([]string{}, bands.Hot...), bands.Warm...), bands.Cold...)
 	for _, kw := range all {
@@ -156,7 +156,7 @@ func TestIntegrationSaveLoadServeRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(app.Handler())
 	defer srv.Close()
 
-	engine := NewEngine(loaded, app)
+	engine := search.New(loaded, app)
 	bands := harness.KeywordBands(loaded.Snapshot(), 2)
 	kw := bands.Hot[0]
 	results, err := engine.Search(context.Background(), Request{Keywords: []string{kw}, K: 2, SizeThreshold: 100})
@@ -228,7 +228,7 @@ func TestIntegrationUpdateFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := NewEngine(idx, app)
+	engine := search.New(idx, app)
 
 	// No results for a made-up keyword yet.
 	if rs, err := engine.Search(context.Background(), Request{Keywords: []string{"xyzzynew"}, K: 3, SizeThreshold: 10}); err != nil || len(rs) != 0 {

@@ -34,8 +34,7 @@ func orBackground(ctx context.Context) context.Context {
 // Publishing has a fixed floor (the snapshot struct and its pointer
 // tables), so the cheapest way to absorb a stream of small deltas is to
 // batch them: ApplyBatch coalesces any number of deltas into one
-// freeze-and-swap, and the Queue/Flush pair buffers deltas between
-// publishes so N queued single-change deltas pay one publish instead
+// freeze-and-swap, so N single-change deltas pay one publish instead
 // of N.
 //
 // Apply and ApplyBatch are transactional: a delta that fails part-way
@@ -43,7 +42,7 @@ func orBackground(ctx context.Context) context.Context {
 // the serving snapshot is exactly what it was before the call.
 //
 // Any number of goroutines may call Snapshot and Stats concurrently with
-// each other and with the writer. Apply, ApplyBatch, Flush, and
+// each other and with the writer. Apply, ApplyBatch, ApplyReplicated and
 // CompactIfNeeded serialize among themselves internally, but the index is
 // designed for one logical writer: concurrent writers make per-delta
 // validation (insert vs update) racy at the application level even though
@@ -57,10 +56,6 @@ type LiveIndex struct {
 	// publish swap (see SetPublishHook) — the durable layer's write-ahead
 	// seam.
 	hook PublishHook
-
-	// pending buffers queued deltas between publishes (Queue/Flush).
-	pendMu  sync.Mutex
-	pending []crawl.Delta
 
 	deltas      atomic.Uint64
 	publishes   atomic.Uint64
@@ -123,7 +118,7 @@ func (l *LiveIndex) Dump() *Dump {
 // ApplyStats reports what one publish did and what it physically cost.
 type ApplyStats struct {
 	// Deltas is how many deltas were folded into this publish (1 for
-	// Apply; the batch size for ApplyBatch/Flush).
+	// Apply; the batch size for ApplyBatch).
 	Deltas   int `json:"deltas"`
 	Inserted int `json:"inserted"`
 	Removed  int `json:"removed"`
@@ -175,7 +170,7 @@ func (l *LiveIndex) Apply(ctx context.Context, d crawl.Delta) (ApplyStats, error
 	if len(d.Changes) == 0 {
 		return ApplyStats{Epoch: l.cur.Load().epoch}, nil
 	}
-	return l.applyLocked(ctx, d.SelAttrs, d.Changes, 1)
+	return l.applyLocked(ctx, d.SelAttrs, d.Changes, 1, 0)
 }
 
 // ApplyBatch coalesces a sequence of deltas (crawl.Coalesce) and publishes
@@ -204,14 +199,17 @@ func (l *LiveIndex) ApplyBatch(ctx context.Context, ds []crawl.Delta) (ApplyStat
 	if len(folded.Changes) == 0 {
 		return ApplyStats{Deltas: len(ds), Epoch: l.cur.Load().epoch}, nil
 	}
-	return l.applyLocked(ctx, folded.SelAttrs, folded.Changes, len(ds))
+	return l.applyLocked(ctx, folded.SelAttrs, folded.Changes, len(ds), 0)
 }
 
 // applyLocked folds changes into the next version and publishes it.
-// Caller holds writeMu and guarantees len(changes) > 0. A cancellation
-// observed between changes rolls back and publishes nothing; so does a
-// publish-hook failure after the fold.
-func (l *LiveIndex) applyLocked(ctx context.Context, selAttrs []string, changes []crawl.FragmentChange, deltas int) (ApplyStats, error) {
+// Caller holds writeMu. With stamp 0 the publish takes the builder's own
+// mutation epoch and runs the publish hook (Apply, ApplyBatch: changes is
+// non-empty); a replicated record passes the leader's epoch as stamp,
+// which the new snapshot carries instead, and skips the hook. A
+// cancellation observed between changes rolls back and publishes nothing;
+// so does a publish-hook failure after the fold.
+func (l *LiveIndex) applyLocked(ctx context.Context, selAttrs []string, changes []crawl.FragmentChange, deltas int, stamp uint64) (ApplyStats, error) {
 	published := l.cur.Load()
 	st := ApplyStats{Deltas: deltas}
 	for _, ch := range changes {
@@ -239,9 +237,16 @@ func (l *LiveIndex) applyLocked(ctx context.Context, selAttrs []string, changes 
 		}
 	}
 	st.ClonedChunks, st.ClonedShards, st.ClonedLists, st.ClonedGroups = l.builder.pendingClones()
+	if stamp > 0 {
+		// beginWrite first: with an empty delta the builder still shares
+		// the published snapshot struct, and the stamp must never mutate a
+		// version readers already hold.
+		l.builder.beginWrite()
+		l.builder.SetEpoch(stamp)
+	}
 	snap := l.builder.Freeze()
 	st.Epoch = snap.epoch
-	if l.hook != nil {
+	if l.hook != nil && stamp == 0 {
 		// Write-ahead: the journal record must be durable before the swap
 		// makes the publish visible (and acknowledgeable). A hook failure
 		// aborts the publish — the frozen-but-unpublished snapshot is
@@ -258,52 +263,6 @@ func (l *LiveIndex) applyLocked(ctx context.Context, selAttrs []string, changes 
 	l.removed.Add(uint64(st.Removed))
 	l.updated.Add(uint64(st.Updated))
 	return st, nil
-}
-
-// Queue buffers a delta for a later batched publish without applying it,
-// and returns the queue length. Queue never blocks on the writer: it only
-// takes the short queue lock, so producers (crawlers, change-data-capture
-// feeds) can enqueue while an earlier Flush is still publishing.
-func (l *LiveIndex) Queue(d crawl.Delta) int {
-	l.pendMu.Lock()
-	defer l.pendMu.Unlock()
-	l.pending = append(l.pending, d)
-	return len(l.pending)
-}
-
-// Pending returns the number of queued deltas awaiting Flush.
-func (l *LiveIndex) Pending() int {
-	l.pendMu.Lock()
-	defer l.pendMu.Unlock()
-	return len(l.pending)
-}
-
-// Flush drains the queue and applies everything as one batched publish
-// (see ApplyBatch). With an empty queue it is a no-op returning the
-// current epoch. An already-cancelled ctx fails before the drain, so the
-// queue survives intact for a later Flush. On an error after the drain —
-// a cancellation landing mid-apply included — the drained batch is
-// discarded: nothing was published, and the queue holds only deltas
-// enqueued after the drain — so the caller decides whether to re-derive
-// or re-queue.
-func (l *LiveIndex) Flush(ctx context.Context) (ApplyStats, error) {
-	if err := orBackground(ctx).Err(); err != nil {
-		return ApplyStats{}, err
-	}
-	l.pendMu.Lock()
-	batch := l.pending
-	l.pending = nil
-	l.pendMu.Unlock()
-	return l.ApplyBatch(ctx, batch)
-}
-
-// SetPostingCompaction tunes the builder's lazy posting-list compaction
-// threshold (see Index.SetPostingCompaction); it serializes with the
-// writer, so it may be called while the index is serving.
-func (l *LiveIndex) SetPostingCompaction(num, den int) error {
-	l.writeMu.Lock()
-	defer l.writeMu.Unlock()
-	return l.builder.SetPostingCompaction(num, den)
 }
 
 // CompactIfNeeded is the snapshot garbage collector: removals leave
@@ -352,7 +311,6 @@ type LiveStats struct {
 	// Publishes counts snapshot swaps; with batching it lags
 	// DeltasApplied by the deltas amortized per publish.
 	Publishes   uint64 `json:"publishes"`
-	Queued      int    `json:"queued_deltas"`
 	Inserted    uint64 `json:"fragments_inserted"`
 	Removed     uint64 `json:"fragments_removed"`
 	Updated     uint64 `json:"fragments_updated"`
@@ -371,7 +329,6 @@ func (l *LiveIndex) Stats() LiveStats {
 		AvgTerms:       s.AvgTermsPerFragment(),
 		DeltasApplied:  l.deltas.Load(),
 		Publishes:      l.publishes.Load(),
-		Queued:         l.Pending(),
 		Inserted:       l.inserted.Load(),
 		Removed:        l.removed.Load(),
 		Updated:        l.updated.Load(),

@@ -83,12 +83,9 @@ func NewShardedLive(idx *Index, n int) (*ShardedLiveIndex, error) {
 	}
 	builders := make([]*Index, n)
 	for i := range builders {
-		b, err := New(s.spec)
-		if err != nil {
+		if builders[i], err = New(s.spec); err != nil {
 			return nil, err
 		}
-		b.compactNum, b.compactDen = idx.compactNum, idx.compactDen
-		builders[i] = b
 	}
 	// Re-insert the live fragments into their routed shards, in the same
 	// identifier-ordered reconstruction Compact rebuilds from.
@@ -138,7 +135,7 @@ func NewShardedLiveFrom(builders []*Index) (*ShardedLiveIndex, error) {
 func (sl *ShardedLiveIndex) NumShards() int { return len(sl.shards) }
 
 // Shard returns shard i's LiveIndex for direct access (per-shard stats,
-// queueing, explicit snapshots).
+// explicit snapshots).
 func (sl *ShardedLiveIndex) Shard(i int) *LiveIndex { return sl.shards[i] }
 
 // Spec returns the index's selection-attribute structure.
@@ -368,68 +365,15 @@ func (sl *ShardedLiveIndex) CompactIfNeeded(ctx context.Context, maxDeadRatio fl
 	return n, nil
 }
 
-// SetPostingCompaction tunes every shard's posting-list compaction
-// threshold (see Index.SetPostingCompaction).
-func (sl *ShardedLiveIndex) SetPostingCompaction(num, den int) error {
-	for _, sh := range sl.shards {
-		if err := sh.SetPostingCompaction(num, den); err != nil {
-			return err
-		}
+// Stats reads every shard's current snapshot and maintenance counters, in
+// shard order, plus the logical deltas routed through Apply/ApplyBatch
+// that published somewhere — the count a single LiveIndex reports, while
+// each row's DeltasApplied counts that shard's own applies (one per routed
+// publish). Safe to call concurrently with searches and applies.
+func (sl *ShardedLiveIndex) Stats() (perShard []LiveStats, deltas uint64) {
+	perShard = make([]LiveStats, len(sl.shards))
+	for i, sh := range sl.shards {
+		perShard[i] = sh.Stats()
 	}
-	return nil
-}
-
-// ShardedLiveStats aggregates the per-shard serving statistics. Counters
-// are sums across shards, except DeltasApplied, which counts logical
-// deltas routed through Apply/ApplyBatch — the same meaning a single
-// LiveIndex reports — while each PerShard row's DeltasApplied counts that
-// shard's own applies (one per routed publish). MaxEpoch is the highest
-// per-shard epoch (shards advance independently). KeywordLists counts
-// posting lists across shards — a keyword whose fragments span k shards
-// contributes k lists.
-type ShardedLiveStats struct {
-	Shards         int     `json:"shards"`
-	Fragments      int     `json:"fragments"`
-	KeywordLists   int     `json:"keyword_lists"`
-	TombstonedRefs int     `json:"tombstoned_refs"`
-	AvgTerms       float64 `json:"avg_terms_per_fragment"`
-	MaxEpoch       uint64  `json:"max_epoch"`
-	DeltasApplied  uint64  `json:"deltas_applied"`
-	Publishes      uint64  `json:"publishes"`
-	Queued         int     `json:"queued_deltas"`
-	Inserted       uint64  `json:"fragments_inserted"`
-	Removed        uint64  `json:"fragments_removed"`
-	Updated        uint64  `json:"fragments_updated"`
-	Compactions    uint64  `json:"compactions"`
-	// PerShard carries each shard's own stats (epoch, pending queue,
-	// publish counters) in shard order.
-	PerShard []LiveStats `json:"per_shard"`
-}
-
-// Stats reads every shard's current snapshot and maintenance counters.
-// Safe to call concurrently with searches and applies.
-func (sl *ShardedLiveIndex) Stats() ShardedLiveStats {
-	out := ShardedLiveStats{Shards: len(sl.shards), DeltasApplied: sl.deltas.Load()}
-	var terms float64
-	for _, sh := range sl.shards {
-		st := sh.Stats()
-		out.Fragments += st.Fragments
-		out.KeywordLists += st.Keywords
-		out.TombstonedRefs += st.TombstonedRefs
-		terms += st.AvgTerms * float64(st.Fragments)
-		if st.Epoch > out.MaxEpoch {
-			out.MaxEpoch = st.Epoch
-		}
-		out.Publishes += st.Publishes
-		out.Queued += st.Queued
-		out.Inserted += st.Inserted
-		out.Removed += st.Removed
-		out.Updated += st.Updated
-		out.Compactions += st.Compactions
-		out.PerShard = append(out.PerShard, st)
-	}
-	if out.Fragments > 0 {
-		out.AvgTerms = terms / float64(out.Fragments)
-	}
-	return out
+	return perShard, sl.deltas.Load()
 }

@@ -129,7 +129,7 @@ func TestConcurrentShardedSearchWithWriters(t *testing.T) {
 
 	// The structure must still be coherent: the update-only churn never
 	// changed the population, and a fresh search works.
-	if st := live.Stats(); st.Fragments != len(changes) {
+	if st := se.Stats(); st.Fragments != len(changes) {
 		t.Errorf("fragments after stress = %d, want %d", st.Fragments, len(changes))
 	}
 	if _, err := se.Search(context.Background(), queries[0]); err != nil {

@@ -101,11 +101,10 @@ func WithReplicaLog(logf func(format string, args ...any)) Option {
 // ahead of its applied epoch, or lag past WithStalenessBound). Close stops
 // the tail; the last applied state keeps serving.
 //
-// Besides the replica options it takes WithCandidateLimit,
-// WithPostingCompaction, WithStalenessBound, WithResultCache and
-// WithAdmissionControl; the leader-side options (WithShards, WithReadOnly,
-// WithReplicas, and WithDataDir with the store options that tune it) are
-// rejected. The ctx bounds the bootstrap only. app may be nil when URL
+// Besides the replica options it takes WithStalenessBound,
+// WithResultCache and WithAdmissionControl; the leader-side options
+// (WithShards, WithReplicas, and WithDataDir with the store options that
+// tune it) are rejected. The ctx bounds the bootstrap only. app may be nil when URL
 // formulation is not needed; it must match the leader's application for
 // URLs to agree.
 func OpenReplica(ctx context.Context, leaderURL string, app *Application, opts ...Option) (Handle, error) {
@@ -113,18 +112,12 @@ func OpenReplica(ctx context.Context, leaderURL string, app *Application, opts .
 	if err != nil {
 		return nil, err
 	}
-	if cfg.shards != 0 || cfg.readOnly || len(cfg.replicaURLs) > 0 || cfg.dataDir != "" || cfg.storeTuned() {
-		return nil, errors.New("dash: OpenReplica takes no leader-side options (WithShards, WithReadOnly, WithReplicas, WithDataDir, WithSyncPolicy, WithDurabilityRetry, WithDurableFS): the leader's shape and durability are replicated")
+	if cfg.shards != 0 || len(cfg.replicaURLs) > 0 || cfg.dataDir != "" || cfg.storeTuned() {
+		return nil, errors.New("dash: OpenReplica takes no leader-side options (WithShards, WithReplicas, WithDataDir, WithSyncPolicy, WithDurabilityRetry, WithDurableFS): the leader's shape and durability are replicated")
 	}
 	e := newEngine(cfg, app)
 	if e.replica, err = replic.Bootstrap(orBackground(ctx), leaderURL, cfg.tail); err != nil {
 		return nil, err
-	}
-	if cfg.compactNum > 0 {
-		if err := e.replica.Index().SetPostingCompaction(cfg.compactNum, cfg.compactDen); err != nil {
-			e.replica.Close()
-			return nil, err
-		}
 	}
 	e.serve(e.replica.Index())
 	return e, nil

@@ -145,10 +145,8 @@ func TestReplicaLeaderEquivalenceProperty(t *testing.T) {
 			defer h.(io.Closer).Close()
 			leaderURL := serveReplication(t, h)
 
-			// The replica rewrites posting lists on its own threshold: a
-			// physical setting, invisible in answers and canonical dumps.
 			rep, err := OpenReplica(context.Background(), leaderURL, app,
-				WithReplicaPoll(100*time.Millisecond, 5*time.Millisecond), WithPostingCompaction(1, 8))
+				WithReplicaPoll(100*time.Millisecond, 5*time.Millisecond))
 			if err != nil {
 				t.Fatal(err)
 			}
