@@ -127,8 +127,9 @@ func (pl *postingList) recompute() {
 // num/den, default compactDeadNum/compactDeadDen) are compacted on the
 // spot; below the threshold Postings filters a copy. Each compaction is
 // O(list) after Ω(list) removals, so tombstone reclamation is amortized
-// O(1) per removal. The threshold is tunable per index via
-// SetPostingCompaction: a lower ratio keeps lists cleaner (cheaper
+// O(1) per removal. Every serving index runs at the default; only the
+// package's own tests and threshold micro-benchmark vary it (through
+// setPostingCompaction): a lower ratio keeps lists cleaner (cheaper
 // Postings reads while tombstones linger) at the cost of more frequent
 // O(list) rewrites on removal-heavy churn.
 const (
@@ -218,7 +219,7 @@ type Index struct {
 	s *Snapshot
 
 	// compactNum/compactDen is the posting-list compaction threshold
-	// (see SetPostingCompaction); defaults to compactDeadNum/Den.
+	// (see setPostingCompaction); defaults to compactDeadNum/Den.
 	compactNum, compactDen int
 
 	// cow is set once Freeze has published a snapshot: from then on every
@@ -254,14 +255,14 @@ func New(spec Spec) (*Index, error) {
 	}, nil
 }
 
-// SetPostingCompaction tunes the lazy posting-list compaction threshold:
+// setPostingCompaction tunes the lazy posting-list compaction threshold:
 // a list is rewritten without its tombstones once dead entries reach
 // num/den of its length. Lower ratios compact more eagerly (cleaner lists
 // for the read path, more O(list) rewrites under removal churn); higher
 // ratios defer the rewrite but make Postings pay a filtered copy while
 // tombstones linger. The default is 1/4. Requires 0 < num <= den. Like any
 // mutation, it must not race with other builder calls.
-func (idx *Index) SetPostingCompaction(num, den int) error {
+func (idx *Index) setPostingCompaction(num, den int) error {
 	if num <= 0 || den <= 0 || num > den {
 		return fmt.Errorf("fragindex: invalid posting compaction threshold %d/%d", num, den)
 	}

@@ -407,11 +407,11 @@ func TestShardedBadShardCount(t *testing.T) {
 func TestSetPostingCompaction(t *testing.T) {
 	idx := buildSynthIndex(t, 4, 2)
 	for _, bad := range [][2]int{{0, 4}, {1, 0}, {3, 2}, {-1, -1}} {
-		if err := idx.SetPostingCompaction(bad[0], bad[1]); err == nil {
-			t.Errorf("SetPostingCompaction(%d,%d) accepted", bad[0], bad[1])
+		if err := idx.setPostingCompaction(bad[0], bad[1]); err == nil {
+			t.Errorf("setPostingCompaction(%d,%d) accepted", bad[0], bad[1])
 		}
 	}
-	if err := idx.SetPostingCompaction(1, 2); err != nil {
+	if err := idx.setPostingCompaction(1, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Compact propagates the tuned threshold to the rebuilt index.
@@ -433,7 +433,7 @@ func TestCompactionThresholdBehavior(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := idx.SetPostingCompaction(num, den); err != nil {
+		if err := idx.setPostingCompaction(num, den); err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < 8; v++ {

@@ -25,7 +25,7 @@ func BenchmarkPostingCompactionThreshold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := idx.SetPostingCompaction(th.num, th.den); err != nil {
+			if err := idx.setPostingCompaction(th.num, th.den); err != nil {
 				b.Fatal(err)
 			}
 			counts := func(i, bump int) map[string]int64 {

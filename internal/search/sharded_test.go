@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/crawl"
@@ -373,5 +374,96 @@ func TestShardedParallelSearchMatchesSearch(t *testing.T) {
 				t.Fatalf("workers=%d req %d diverges: %s", workers, i, d)
 			}
 		}
+	}
+}
+
+// TestShardedStatsFold: Stats folds the per-shard rows into one report —
+// counters are sums, MaxEpoch is the highest shard epoch (not the last
+// row's), AvgTerms is weighted by fragments — and one shard reports the
+// "live" topology without per-shard rows.
+func TestShardedStatsFold(t *testing.T) {
+	ctx := context.Background()
+	corpus := randomCorpus(rand.New(rand.NewSource(9)), 24, 4)
+	live, err := fragindex.NewShardedLive(buildFrom(t, corpus), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, last []fragment.ID
+	for _, ch := range corpus {
+		si, err := live.ShardFor(ch.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch si {
+		case 0:
+			first = append(first, ch.id)
+		case live.NumShards() - 1:
+			last = append(last, ch.id)
+		}
+	}
+	if len(first) < 3 || len(last) < 1 {
+		t.Fatalf("routing left %d fragments on shard 0 and %d on the last, want >= 3 and >= 1", len(first), len(last))
+	}
+	apply := func(chs ...crawl.FragmentChange) {
+		t.Helper()
+		if _, err := live.Apply(ctx, crawl.Delta{Changes: chs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Churn shard 0 more often than the last shard, so shard 0 ends with
+	// the strictly highest epoch and the last row does not carry it.
+	apply(crawl.FragmentChange{Op: crawl.OpUpdateFragment, ID: first[0], TermCounts: map[string]int64{"ale": 5}, TotalTerms: 9})
+	apply(crawl.FragmentChange{Op: crawl.OpRemoveFragment, ID: first[1]})
+	apply(crawl.FragmentChange{Op: crawl.OpInsertFragment, ID: fragment.ID{first[0][0], relation.Int(99)}, TermCounts: map[string]int64{"bun": 1}, TotalTerms: 3})
+	apply(crawl.FragmentChange{Op: crawl.OpRemoveFragment, ID: last[0]})
+	if n, err := live.CompactIfNeeded(ctx, 0.01); err != nil || n == 0 {
+		t.Fatalf("compaction: %d shards, %v", n, err)
+	}
+	apply(crawl.FragmentChange{Op: crawl.OpRemoveFragment, ID: first[2]})
+
+	got := NewSharded(live, nil).Stats()
+	rows, deltas := live.Stats()
+	if rows[0].Epoch <= rows[len(rows)-1].Epoch {
+		t.Fatalf("shard 0 epoch %d not above the last shard's %d", rows[0].Epoch, rows[len(rows)-1].Epoch)
+	}
+	want := Stats{Topology: TopologySharded, Shards: len(rows), DeltasApplied: deltas, PerShard: rows}
+	var terms float64
+	for _, r := range rows {
+		want.Fragments += r.Fragments
+		want.Keywords += r.Keywords
+		want.TombstonedRefs += r.TombstonedRefs
+		terms += r.AvgTerms * float64(r.Fragments)
+		want.MaxEpoch = max(want.MaxEpoch, r.Epoch)
+		want.Publishes += r.Publishes
+		want.Inserted += r.Inserted
+		want.Removed += r.Removed
+		want.Updated += r.Updated
+		want.Compactions += r.Compactions
+	}
+	want.AvgTerms = terms / float64(want.Fragments)
+	if math.Abs(got.AvgTerms-want.AvgTerms) > 1e-12 {
+		t.Errorf("avg terms = %v, want fragment-weighted %v", got.AvgTerms, want.AvgTerms)
+	}
+	got.AvgTerms = want.AvgTerms
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stats = %+v\nwant %+v", got, want)
+	}
+	// The fold must see real activity on every counter it sums.
+	if want.Fragments != len(corpus)-2 || want.Inserted != 1 || want.Removed != 3 || want.Updated != 1 ||
+		want.TombstonedRefs == 0 || want.Compactions == 0 || want.Publishes < 5 || deltas != 5 {
+		t.Errorf("activity not reflected: %+v (logical deltas %d)", want, deltas)
+	}
+
+	single, err := fragindex.NewShardedLive(buildFrom(t, corpus), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = NewSharded(single, nil).Stats()
+	rows, _ = single.Stats()
+	r := rows[0]
+	if got.Topology != TopologyLive || got.PerShard != nil || got.Shards != 1 ||
+		got.Fragments != r.Fragments || got.Keywords != r.Keywords || got.MaxEpoch != r.Epoch ||
+		math.Abs(got.AvgTerms-r.AvgTerms) > 1e-12 {
+		t.Errorf("one-shard stats = %+v, row %+v", got, r)
 	}
 }
