@@ -12,6 +12,8 @@ package dash
 //	BenchmarkFig11_TopKSearch         — Fig. 11 search latency sweep
 //	BenchmarkApplyPublishCost         — snapshot publish cost vs index size,
 //	                                    single vs batched delta applies
+//	BenchmarkFoldQ2                   — a serving writer's fold and publish
+//	                                    on the Q2 corpus, two shards
 //	BenchmarkAblation_*               — naive vs fragments, reduce tasks,
 //	                                    incremental vs batch graph
 //	BenchmarkExample7_Fooddb          — the running example end to end
@@ -572,29 +574,7 @@ func BenchmarkShardedSearchThroughput(b *testing.B) {
 func BenchmarkShardedApplyThroughput(b *testing.B) {
 	const batch = 100
 	st := workloadState(b, "Q2")
-	bound, err := st.app.Bound()
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec, err := fragindex.SpecFromBound(bound)
-	if err != nil {
-		b.Fatal(err)
-	}
-	counts := make(map[string]map[string]int64)
-	for kw, ps := range st.out.Inverted {
-		for _, p := range ps {
-			m, ok := counts[p.FragKey]
-			if !ok {
-				m = make(map[string]int64)
-				counts[p.FragKey] = m
-			}
-			m[kw] = p.TF
-		}
-	}
-	ids, err := st.out.Fragments()
-	if err != nil {
-		b.Fatal(err)
-	}
+	spec, ids, counts := corpusFragments(b, st)
 	for _, shards := range []int{0, 1, 4, 16} { // 0 = single-index baseline
 		name := "single"
 		if shards > 0 {
@@ -646,6 +626,112 @@ func BenchmarkShardedApplyThroughput(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/change")
 		})
 	}
+}
+
+// corpusFragments returns a workload's index spec, its crawled fragment
+// identifiers (sorted), and each fragment's keyword counts keyed by
+// fragment key.
+func corpusFragments(b *testing.B, st *benchState) (fragindex.Spec, []fragment.ID, map[string]map[string]int64) {
+	b.Helper()
+	bound, err := st.app.Bound()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := fragindex.SpecFromBound(bound)
+	if err != nil {
+		b.Fatal(err)
+	}
+	counts := make(map[string]map[string]int64)
+	for kw, ps := range st.out.Inverted {
+		for _, p := range ps {
+			m, ok := counts[p.FragKey]
+			if !ok {
+				m = make(map[string]int64)
+				counts[p.FragKey] = m
+			}
+			m[kw] = p.TF
+		}
+	}
+	ids, err := st.out.Fragments()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return spec, ids, counts
+}
+
+// BenchmarkFoldQ2 measures the in-memory fold and publish of a serving
+// writer on the real Q2 corpus: two shards, 8-change applies in the
+// maintenance mix of a closed-loop writer — ≈ 70 % updates that give a
+// crawled fragment another fragment's keyword statistics, 15 % inserts of
+// fresh fragments, 15 % removals of earlier inserts — and a snapshot GC
+// pass (CompactIfNeeded at 1/4) every 32 applies. Real fragments touch a
+// few hundred keywords per apply, so this sees the posting-directory and
+// posting-list copies a publish pays, which BenchmarkApplyPublishCost's
+// two-keyword fragments cannot. B/op is per 8-change apply.
+func BenchmarkFoldQ2(b *testing.B) {
+	const perApply = 8
+	st := workloadState(b, "Q2")
+	spec, ids, counts := corpusFragments(b, st)
+	idx, err := fragindex.Build(st.out, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	live, err := fragindex.NewShardedLive(idx, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(benchSeed))
+	var inserted []fragment.ID
+	nextKey := int64(1) << 40 // past every generated key, so inserts never collide
+	var lists int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var d crawl.Delta
+		var added []fragment.ID
+		touched := make(map[int]bool, perApply)
+		for len(d.Changes) < perApply {
+			donor := ids[rng.Intn(len(ids))].Key()
+			ch := crawl.FragmentChange{TermCounts: counts[donor], TotalTerms: st.out.FragmentTerms[donor]}
+			switch p := rng.Float64(); {
+			case p < 0.15 && len(inserted) > 0:
+				k := rng.Intn(len(inserted))
+				ch = crawl.FragmentChange{Op: crawl.OpRemoveFragment, ID: inserted[k]}
+				inserted[k] = inserted[len(inserted)-1]
+				inserted = inserted[:len(inserted)-1]
+			case p < 0.30:
+				// A fresh first selection value (Q2's is an integer key);
+				// the others are the donor's, so they stay in domain.
+				ch.Op, ch.ID = crawl.OpInsertFragment, append(fragment.ID(nil), ids[rng.Intn(len(ids))]...)
+				ch.ID[0] = relation.Int(nextKey)
+				nextKey++
+				added = append(added, ch.ID)
+			default:
+				ti := rng.Intn(len(ids))
+				if touched[ti] {
+					continue
+				}
+				touched[ti] = true
+				ch.Op, ch.ID = crawl.OpUpdateFragment, ids[ti]
+			}
+			d.Changes = append(d.Changes, ch)
+		}
+		inserted = append(inserted, added...) // removable from the next apply on
+		stats, err := live.Apply(ctx, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lists += stats.Total.ClonedLists
+		if i%32 == 31 {
+			if _, err := live.CompactIfNeeded(ctx, 0.25); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perApply), "ns/change")
+	b.ReportMetric(float64(lists)/float64(b.N), "clonedLists/op")
 }
 
 // BenchmarkAblation_NaiveVsFragment compares §IV's "intuitive approach"

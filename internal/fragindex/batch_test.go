@@ -257,12 +257,12 @@ func TestBatchPublishCostSharesUntouchedChunks(t *testing.T) {
 		t.Errorf("cloned %d chunks for a 2-chunk-touching batch", st.ClonedChunks)
 	}
 	shared := 0
-	for i := range s0.chunks {
-		if i < len(s1.chunks) && s0.chunks[i] == s1.chunks[i] {
+	for i := 0; i < s0.numChunks(); i++ {
+		if i < s1.numChunks() && s0.chunkAt(i) == s1.chunkAt(i) {
 			shared++
 		}
 	}
-	if want := len(s0.chunks) - st.ClonedChunks; shared != want {
-		t.Errorf("%d of %d chunks shared across publish, want %d", shared, len(s0.chunks), want)
+	if want := s0.numChunks() - st.ClonedChunks; shared != want {
+		t.Errorf("%d of %d chunks shared across publish, want %d", shared, s0.numChunks(), want)
 	}
 }

@@ -137,7 +137,7 @@ func TestChunkBoundaryUpdateRemoveInsert(t *testing.T) {
 func TestChunkBoundaryAppendGrowsTable(t *testing.T) {
 	idx := chunkedIndex(t, chunkSize) // exactly one full chunk
 	frozen := idx.Freeze()
-	if got := len(frozen.chunks); got != 1 {
+	if got := frozen.numChunks(); got != 1 {
 		t.Fatalf("full chunk table has %d chunks, want 1", got)
 	}
 	ref, err := idx.InsertFragment(chunkID(chunkSize),
@@ -149,17 +149,72 @@ func TestChunkBoundaryAppendGrowsTable(t *testing.T) {
 		t.Fatalf("boundary insert got ref %d, want %d", ref, chunkSize)
 	}
 	next := idx.Freeze()
-	if len(next.chunks) != 2 || next.NumRefs() != chunkSize+1 {
-		t.Errorf("new table: %d chunks / %d refs, want 2 / %d", len(next.chunks), next.NumRefs(), chunkSize+1)
+	if next.numChunks() != 2 || next.NumRefs() != chunkSize+1 {
+		t.Errorf("new table: %d chunks / %d refs, want 2 / %d", next.numChunks(), next.NumRefs(), chunkSize+1)
 	}
-	if len(frozen.chunks) != 1 || frozen.NumRefs() != chunkSize {
-		t.Errorf("published table grew: %d chunks / %d refs", len(frozen.chunks), frozen.NumRefs())
+	if frozen.numChunks() != 1 || frozen.NumRefs() != chunkSize {
+		t.Errorf("published table grew: %d chunks / %d refs", frozen.numChunks(), frozen.NumRefs())
 	}
 	// The full first chunk was untouched by the append: still shared.
-	if frozen.chunks[0] != next.chunks[0] {
+	if frozen.chunkAt(0) != next.chunkAt(0) {
 		t.Error("untouched full chunk was cloned by a tail append")
 	}
 	checkFragment(t, next, chunkSize, 1)
+}
+
+// TestChunkTablePageBoundary: the ref that opens the chunk table's
+// second page (the first one past the Snapshot's inline page) appends it
+// without disturbing the published snapshot; a later removal confined to
+// the inline page shares the second page, and an append into the second
+// page copies it.
+func TestChunkTablePageBoundary(t *testing.T) {
+	const n = pageSize * chunkSize // exactly the inline page
+	ctx := context.Background()
+	live := NewLive(chunkedIndex(t, n))
+	frozen := live.Snapshot()
+	ins := crawl.Delta{Changes: []crawl.FragmentChange{{Op: crawl.OpInsertFragment, ID: chunkID(n),
+		TermCounts: map[string]int64{fmt.Sprintf("u%d", n): 1}, TotalTerms: 1}}}
+	if _, err := live.Apply(ctx, ins); err != nil {
+		t.Fatal(err)
+	}
+	next := live.Snapshot()
+	if len(frozen.pages) != 0 || frozen.numChunks() != pageSize || len(next.pages) != 1 {
+		t.Fatalf("later pages: published %d (%d chunks), next %d; want 0 (%d), 1",
+			len(frozen.pages), frozen.numChunks(), len(next.pages), pageSize)
+	}
+	checkFragment(t, next, n, 1)
+	if frozen.Has(chunkID(n)) {
+		t.Error("published snapshot sees the new fragment")
+	}
+
+	rm := crawl.Delta{Changes: []crawl.FragmentChange{{Op: crawl.OpRemoveFragment, ID: chunkID(0)}}}
+	if _, err := live.Apply(ctx, rm); err != nil {
+		t.Fatal(err)
+	}
+	removed := live.Snapshot()
+	if removed.pages[0] != next.pages[0] {
+		t.Error("the second page was copied by a removal confined to the inline page")
+	}
+	if removed.chunkAt(0) == next.chunkAt(0) || removed.chunkAt(1) != next.chunkAt(1) {
+		t.Error("want chunk 0 cloned and chunk 1 shared")
+	}
+	if removed.Has(chunkID(0)) {
+		t.Error("removed fragment still resolves")
+	}
+	checkFragment(t, next, 0, 1)
+
+	// Updating fragment 1 appends its new ref to the tail chunk, on the
+	// second page.
+	if _, err := live.Apply(ctx, updateDelta(chunkID(1), map[string]int64{"u1": 3}, 3)); err != nil {
+		t.Fatal(err)
+	}
+	last := live.Snapshot()
+	if last.pages[0] == removed.pages[0] || last.chunkAt(pageSize) == removed.chunkAt(pageSize) {
+		t.Error("the second page or its tail chunk is shared after an append into it")
+	}
+	checkFragment(t, removed, 1, 2)
+	checkFragment(t, last, 1, 3)
+	checkFragment(t, last, n, 1)
 }
 
 // TestChunkBoundaryPartialChunkIsolation: appending into a partially
@@ -183,10 +238,10 @@ func TestChunkBoundaryPartialChunkIsolation(t *testing.T) {
 		t.Error("published snapshot sees the new fragment")
 	}
 	next := idx.Freeze()
-	if next.chunks[0] != frozen.chunks[0] {
+	if next.chunkAt(0) != frozen.chunkAt(0) {
 		t.Error("full chunk cloned by a tail-chunk append")
 	}
-	if next.chunks[1] == frozen.chunks[1] {
+	if next.chunkAt(1) == frozen.chunkAt(1) {
 		t.Error("tail chunk shared after an append into it")
 	}
 	checkFragment(t, next, n, 1)

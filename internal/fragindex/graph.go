@@ -37,6 +37,13 @@ func (idx *Index) InsertFragment(id fragment.ID, termCounts map[string]int64, to
 	if _, ok := s.Lookup(id); ok {
 		return 0, fmt.Errorf("%w: %s", ErrDupFragment, id)
 	}
+	// Restore rejects such postings, so admitting one here would make the
+	// index's own Dump unrecoverable.
+	for kw, tf := range termCounts {
+		if kw == "" || tf <= 0 {
+			return 0, fmt.Errorf("fragindex: %s: keyword %q with term frequency %d (want a non-empty keyword and a positive count)", id, kw, tf)
+		}
+	}
 	idx.beginWrite()
 	s = idx.s
 	g := idx.groupFor(id, true)
@@ -73,6 +80,7 @@ func (idx *Index) InsertFragment(id fragment.ID, termCounts map[string]int64, to
 func (idx *Index) insertPosting(kw string, p Posting) {
 	s := idx.s
 	pl := idx.listForWrite(kw, true)
+	idx.ownPostings(pl)
 	list := pl.ps
 	pos := sort.Search(len(list), func(i int) bool {
 		if list[i].TF != p.TF {
@@ -93,9 +101,11 @@ func (idx *Index) insertPosting(kw string, p Posting) {
 // RemoveFragment deletes a fragment: its group edge pair collapses back into
 // one edge (the reverse of the §VI-A split), and its postings become
 // tombstones. Each affected list's dead counter and precomputed IDF are
-// updated through the forward keyword map, and lists whose dead ratio
-// reaches the compaction threshold are reclaimed on the spot — so the read
-// path never pays for tombstones left behind here.
+// updated through the forward keyword map — a change to the list header
+// only, so under copy-on-write the list keeps sharing its postings with
+// the published snapshot — and lists whose dead ratio reaches the
+// compaction threshold are reclaimed on the spot, so the read path never
+// pays for tombstones left behind here.
 func (idx *Index) RemoveFragment(id fragment.ID) error {
 	ref, ok := idx.s.Lookup(id)
 	if !ok {

@@ -27,11 +27,16 @@
 // builder into copy-on-write mode: the next mutation clones only the
 // top-level pointer tables, and the payloads behind them are cloned lazily
 // where mutations touch them — fragment metadata chunk by chunk (the chunk
-// is the metadata CoW unit), posting lists hash shard by hash shard, and
-// equality groups group by group. Freeze again to publish the next
-// version. LiveIndex wraps this cycle behind an atomic pointer so readers
-// resolve a consistent snapshot per query while a writer applies deltas
-// concurrently (see live.go).
+// is the metadata CoW unit) behind a paged chunk table, the posting and
+// group directories hash shard by hash shard, and equality groups group by
+// group. A posting list is copied in two steps: a tombstone changes only
+// its header (dead count and IDF), so RemoveFragment clones the header and
+// keeps sharing the published postings; the postings are copied — once
+// per publish, with headroom for further inserts — only when an insert or
+// a compaction writes them. Freeze again to publish the next version.
+// LiveIndex wraps this cycle behind an atomic pointer so readers resolve a
+// consistent snapshot per query while a writer applies deltas concurrently
+// (see live.go).
 //
 // # Performance
 //
@@ -50,10 +55,13 @@
 //   - Keywords() is cached sorted and stamped with a mutation epoch; for a
 //     frozen snapshot the cache is built once and reused forever.
 //
-// And the publish path is free of whole-index copies: fragment metadata is
-// chunked (see metaChunk), so a snapshot clone costs the chunk-pointer
-// table plus the dirty chunks — not O(refs) — and there is no per-ref key
-// map to copy (Lookup resolves through the group directory instead).
+// And a publish copies what the delta changes, not the index: fragment
+// metadata is chunked behind a paged table (see metaChunk), so a snapshot
+// clone costs a few fixed-size tables plus the dirty pages and chunks —
+// nothing O(refs); directory shards are sorted slices that clone by
+// memmove (see sortedDir); a tombstone copies a list header, not its
+// postings; and there is no per-ref key map to copy (Lookup resolves
+// through the group directory instead).
 //
 // Concurrency contract: a published Snapshot is immutable and safe for any
 // number of concurrent readers. The Index builder itself follows the
@@ -64,7 +72,7 @@ package fragindex
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 
 	"repro/internal/crawl"
 	"repro/internal/fragment"
@@ -226,14 +234,22 @@ type Index struct {
 	// mutation copies shared structures before writing. The owned* sets
 	// track what has already been copied since the last Freeze — metadata
 	// chunks, posting shards, posting lists, group shards, groups — so a
-	// batch of mutations pays each clone once.
+	// batch of mutations pays each clone once. A posting list is owned in
+	// two steps: ownedLists holds every list header cloned (or created)
+	// since the Freeze, mapped to whether its postings array was copied
+	// too — a tombstone changes only the header, so its list keeps sharing
+	// the published postings until an insert or a compaction writes them.
+	// copiedLists counts the postings copies.
 	cow          bool
 	metaOwned    bool // the Snapshot struct + pointer tables are cloned
+	ownedPages   []bool
 	ownedChunks  []bool
+	clonedChunks int
 	ownedShards  []bool
 	ownedGShards []bool
-	ownedLists   map[string]struct{}
-	ownedGroups  map[string]struct{}
+	ownedLists   map[*postingList]bool
+	copiedLists  int
+	ownedGroups  map[*group]struct{}
 }
 
 // New creates an empty index for incremental construction.
@@ -303,7 +319,14 @@ func Build(out *crawl.Output, spec Spec) (*Index, error) {
 		s.liveTerms += terms
 	}
 	s.liveFrags = s.numRefs
-	for kw, ps := range out.Inverted {
+	// Ascending keyword order appends to each shard's sorted directory.
+	kws := make([]string, 0, len(out.Inverted))
+	for kw := range out.Inverted {
+		kws = append(kws, kw)
+	}
+	slices.Sort(kws)
+	for _, kw := range kws {
+		ps := out.Inverted[kw]
 		list := make([]Posting, 0, len(ps))
 		for _, p := range ps {
 			ref, ok := refOf[p.FragKey]
@@ -318,7 +341,7 @@ func Build(out *crawl.Output, spec Spec) (*Index, error) {
 		}
 		pl := &postingList{ps: list}
 		pl.recompute()
-		s.shards[shardIndex(kw)].lists[kw] = pl
+		s.shards[shardIndex(kw)].put(kw, pl)
 		s.liveKws++
 	}
 	return idx, nil
@@ -352,16 +375,19 @@ func resetBools(b []bool, n int) []bool {
 func (idx *Index) Freeze() *Snapshot {
 	idx.cow = true
 	idx.metaOwned = false
-	idx.ownedChunks = resetBools(idx.ownedChunks, len(idx.s.chunks))
+	idx.ownedPages = resetBools(idx.ownedPages, len(idx.s.pages))
+	idx.ownedChunks = resetBools(idx.ownedChunks, idx.s.numChunks())
+	idx.clonedChunks = 0
 	idx.ownedShards = resetBools(idx.ownedShards, numShards)
 	idx.ownedGShards = resetBools(idx.ownedGShards, numGroupShards)
 	if idx.ownedLists == nil {
-		idx.ownedLists = make(map[string]struct{})
+		idx.ownedLists = make(map[*postingList]bool)
 	} else {
 		clear(idx.ownedLists)
 	}
+	idx.copiedLists = 0
 	if idx.ownedGroups == nil {
-		idx.ownedGroups = make(map[string]struct{})
+		idx.ownedGroups = make(map[*group]struct{})
 	} else {
 		clear(idx.ownedGroups)
 	}
@@ -378,27 +404,25 @@ func (idx *Index) discardTo(s *Snapshot) {
 	idx.Freeze()
 }
 
-// pendingClones reports how many metadata chunks, shard maps, posting
+// pendingClones reports how many metadata chunks, posting shards, posting
 // lists, and groups the builder has copied since the last Freeze — the
-// physical write amplification of the in-progress delta.
+// physical write amplification of the in-progress delta. A list counts
+// once its postings are copied; a header-only clone (a tombstone) does
+// not.
 func (idx *Index) pendingClones() (chunks, shards, lists, groups int) {
-	for _, owned := range idx.ownedChunks {
-		if owned {
-			chunks++
-		}
-	}
 	for _, owned := range idx.ownedShards {
 		if owned {
 			shards++
 		}
 	}
-	return chunks, shards, len(idx.ownedLists), len(idx.ownedGroups)
+	return idx.clonedChunks, shards, idx.copiedLists, len(idx.ownedGroups)
 }
 
 // beginWrite prepares the builder for a mutation: in copy-on-write mode the
 // first mutation after a Freeze clones the Snapshot struct and its pointer
-// tables (the chunk table and the two shard tables); chunk, list, and
-// group payloads are cloned lazily as mutations reach them.
+// tables (the inline first chunk-table page, the table of later pages,
+// and the two shard tables); later-page, chunk, list, and group payloads
+// are cloned lazily as mutations reach them.
 func (idx *Index) beginWrite() {
 	if !idx.cow || idx.metaOwned {
 		return
@@ -407,29 +431,56 @@ func (idx *Index) beginWrite() {
 	idx.metaOwned = true
 }
 
+// pageForWrite returns page pi of the chunk table ready for in-place
+// mutation, copying it if it is shared with a published snapshot. Must
+// run after beginWrite.
+func (idx *Index) pageForWrite(pi int) *chunkPage {
+	if pi == 0 {
+		return &idx.s.page0 // inline: beginWrite copied it with the Snapshot
+	}
+	pi-- // page p ≥ 1 is s.pages[p-1]
+	if idx.cow && !idx.ownedPages[pi] {
+		p := *idx.s.pages[pi]
+		idx.s.pages[pi] = &p
+		idx.ownedPages[pi] = true
+	}
+	return idx.s.pages[pi]
+}
+
 // chunkForWrite returns ref's metadata chunk ready for in-place mutation,
 // cloning it if it is shared with a published snapshot. Must run after
 // beginWrite.
 func (idx *Index) chunkForWrite(ref FragRef) *metaChunk {
 	ci := int(ref) >> chunkShift
-	c := idx.s.chunks[ci]
+	c := idx.s.chunkAt(ci)
 	if idx.cow && !idx.ownedChunks[ci] {
 		c = c.clone()
-		idx.s.chunks[ci] = c
+		idx.pageForWrite(ci >> pageShift)[ci&pageMask] = c
 		idx.ownedChunks[ci] = true
+		idx.clonedChunks++
 	}
 	return c
 }
 
 // appendRef extends the ref space by one fragment with the given group
-// assignment, appending a fresh chunk to the table when the last one is
-// full. Must run after beginWrite (the new last chunk is dirtied).
+// assignment, appending a fresh chunk (and page) to the table when the
+// last one is full. Must run after beginWrite (the new last chunk is
+// dirtied).
 func (idx *Index) appendRef(m Meta, g *group, pos int) FragRef {
-	ref := FragRef(idx.s.numRefs)
-	if int(ref)>>chunkShift == len(idx.s.chunks) {
-		idx.s.chunks = append(idx.s.chunks, &metaChunk{})
+	s := idx.s
+	ref := FragRef(s.numRefs)
+	if ci := s.numRefs >> chunkShift; s.numRefs&chunkMask == 0 { // every chunk is full
+		pi := ci >> pageShift
+		if pi == len(s.pages)+1 {
+			s.pages = append(s.pages, new(chunkPage))
+			if idx.cow {
+				idx.ownedPages = append(idx.ownedPages, true)
+			}
+		}
+		idx.pageForWrite(pi)[ci&pageMask] = &metaChunk{}
 		if idx.cow {
 			idx.ownedChunks = append(idx.ownedChunks, true)
+			idx.clonedChunks++
 		}
 	}
 	c := idx.chunkForWrite(ref)
@@ -437,7 +488,7 @@ func (idx *Index) appendRef(m Meta, g *group, pos int) FragRef {
 	c.kwOf = append(c.kwOf, nil)
 	c.groupOf = append(c.groupOf, g)
 	c.memberAt = append(c.memberAt, pos)
-	idx.s.numRefs++
+	s.numRefs++
 	return ref
 }
 
@@ -458,69 +509,88 @@ func (idx *Index) setGroupOf(ref FragRef, g *group) {
 	idx.chunkForWrite(ref).groupOf[int(ref)&chunkMask] = g
 }
 
-// shardForWrite returns the shard ready for in-place mutation, cloning its
-// map if it is shared with a published snapshot.
+// shardForWrite returns the shard ready for in-place mutation, cloning it
+// if it is shared with a published snapshot.
 func (idx *Index) shardForWrite(si uint32) *shard {
 	sh := idx.s.shards[si]
 	if idx.cow && !idx.ownedShards[si] {
-		sh = &shard{lists: maps.Clone(sh.lists)}
+		sh = sh.clone()
 		idx.s.shards[si] = sh
 		idx.ownedShards[si] = true
 	}
 	return sh
 }
 
-// listForWrite returns kw's posting list ready for in-place mutation,
-// cloning list struct and postings if they are shared with a published
-// snapshot. When the list is absent it is created if create is set, else
-// nil is returned.
+// listForWrite returns kw's posting list with a header ready for in-place
+// mutation, cloning the header if it is shared with a published snapshot.
+// The postings may still be shared: writers of ps call ownPostings first.
+// When the list is absent it is created if create is set, else nil is
+// returned.
 func (idx *Index) listForWrite(kw string, create bool) *postingList {
-	sh := idx.shardForWrite(shardIndex(kw))
-	pl := sh.lists[kw]
-	if pl == nil {
+	si := shardIndex(kw)
+	i, ok := idx.s.shards[si].find(kw)
+	if !ok {
 		if !create {
 			return nil
 		}
-		pl = &postingList{}
-		sh.lists[kw] = pl
+		pl := &postingList{}
+		idx.shardForWrite(si).insertAt(i, kw, pl)
 		if idx.cow {
-			idx.ownedLists[kw] = struct{}{}
+			idx.ownedLists[pl] = true // nothing to copy
 		}
 		return pl
 	}
-	if idx.cow {
-		if _, ok := idx.ownedLists[kw]; !ok {
-			pl = &postingList{ps: append([]Posting(nil), pl.ps...), dead: pl.dead, idf: pl.idf}
-			sh.lists[kw] = pl
-			idx.ownedLists[kw] = struct{}{}
-		}
+	pl := idx.s.shards[si].vals[i]
+	if !idx.cow {
+		return pl
+	}
+	if _, owned := idx.ownedLists[pl]; !owned {
+		pl = &postingList{ps: pl.ps, dead: pl.dead, idf: pl.idf}
+		idx.shardForWrite(si).vals[i] = pl
+		idx.ownedLists[pl] = false
 	}
 	return pl
 }
 
+// ownPostings makes pl's postings (pl from listForWrite) writable in
+// place, copying them unless this version already owns them. The copy
+// has room for an eighth more postings, so the insert that caused it —
+// and usually the other inserts of the same publish — do not reallocate
+// the list a second time.
+func (idx *Index) ownPostings(pl *postingList) {
+	if !idx.cow || idx.ownedLists[pl] {
+		return
+	}
+	pl.ps = append(make([]Posting, 0, grownCap(len(pl.ps))), pl.ps...)
+	idx.ownedLists[pl] = true
+	idx.copiedLists++
+}
+
+// grownCap is the capacity a copied posting list of n entries gets.
+func grownCap(n int) int { return n + n/8 + 1 }
+
 // gshardForWrite returns the group shard ready for in-place mutation,
-// cloning its map if it is shared with a published snapshot.
+// cloning it if it is shared with a published snapshot.
 func (idx *Index) gshardForWrite(gi uint32) *groupShard {
 	gs := idx.s.gshards[gi]
 	if idx.cow && !idx.ownedGShards[gi] {
-		gs = &groupShard{groups: maps.Clone(gs.groups)}
+		gs = gs.clone()
 		idx.s.gshards[gi] = gs
 		idx.ownedGShards[gi] = true
 	}
 	return gs
 }
 
-// groupForWrite returns g ready for in-place mutation, cloning its member
-// slice (and repointing groupOf across the members' chunks) if it is
-// shared with a published snapshot. Must run after beginWrite.
+// groupForWrite returns g (the builder's current version of its group)
+// ready for in-place mutation, cloning its member slice (and repointing
+// groupOf across the members' chunks) if it is shared with a published
+// snapshot. Must run after beginWrite.
 func (idx *Index) groupForWrite(g *group) *group {
 	if !idx.cow {
 		return g
 	}
-	key := g.key
-	gi := groupShardIndex(key)
-	if _, ok := idx.ownedGroups[key]; ok {
-		return idx.s.gshards[gi].groups[key]
+	if _, ok := idx.ownedGroups[g]; ok {
+		return g
 	}
 	ng := &group{
 		key:     g.key,
@@ -528,11 +598,14 @@ func (idx *Index) groupForWrite(g *group) *group {
 		members: append([]FragRef(nil), g.members...),
 		weights: append([]int64(nil), g.weights...),
 	}
-	idx.gshardForWrite(gi).groups[key] = ng
+	gi := groupShardIndex(g.key)
+	gs := idx.gshardForWrite(gi)
+	i, _ := gs.find(g.key)
+	gs.vals[i] = ng
 	for _, ref := range ng.members {
 		idx.setGroupOf(ref, ng)
 	}
-	idx.ownedGroups[key] = struct{}{}
+	idx.ownedGroups[ng] = struct{}{}
 	return ng
 }
 
@@ -546,22 +619,22 @@ func (idx *Index) groupFor(id fragment.ID, create bool) *group {
 	}
 	key := relation.Key(eq)
 	gi := groupShardIndex(key)
-	g, ok := s.gshards[gi].groups[key]
+	pos, ok := s.gshards[gi].find(key)
 	if !ok {
 		if !create {
 			return nil
 		}
-		g = &group{key: key, eqVals: make(map[string]relation.Value, len(eq))}
+		g := &group{key: key, eqVals: make(map[string]relation.Value, len(eq))}
 		for i, v := range eq {
 			g.eqVals[s.spec.EqAttrs[i]] = v
 		}
-		idx.gshardForWrite(gi).groups[key] = g
+		idx.gshardForWrite(gi).insertAt(pos, key, g)
 		if idx.cow {
-			idx.ownedGroups[key] = struct{}{}
+			idx.ownedGroups[g] = struct{}{}
 		}
 		return g
 	}
-	return idx.groupForWrite(g)
+	return idx.groupForWrite(s.gshards[gi].vals[pos])
 }
 
 // Read-path delegation: the builder exposes the full Snapshot read API as a
@@ -622,16 +695,30 @@ func (idx *Index) RangeValue(ref FragRef) (relation.Value, error) {
 }
 
 // CompactPostings drops tombstoned entries from one keyword's inverted
-// list in place, reclaiming their slots. RemoveFragment calls it
-// automatically once a list's dead ratio reaches the compaction threshold;
-// it is exported for callers that want eager reclamation.
+// list, reclaiming their slots: in place when this version already owns
+// the postings, else into a fresh array (one copy, of the live entries
+// only). A list left with no live entry is dropped from the directory.
+// RemoveFragment calls it automatically once a list's dead ratio reaches
+// the compaction threshold; it is exported for callers that want eager
+// reclamation.
 func (idx *Index) CompactPostings(keyword string) {
 	if pl := idx.s.list(keyword); pl == nil || pl.dead == 0 {
 		return // nothing to reclaim; skip copy-on-write entirely
 	}
 	idx.beginWrite()
 	pl := idx.listForWrite(keyword, false)
+	if pl.liveDF() == 0 {
+		sh := idx.s.shards[shardIndex(keyword)] // listForWrite owns it
+		i, _ := sh.find(keyword)
+		sh.deleteAt(i)
+		return
+	}
 	live := pl.ps[:0]
+	if idx.cow && !idx.ownedLists[pl] {
+		live = make([]Posting, 0, grownCap(pl.liveDF()))
+		idx.ownedLists[pl] = true
+		idx.copiedLists++
+	}
 	for _, p := range pl.ps {
 		if idx.s.aliveAt(p.Frag) {
 			live = append(live, p)
@@ -639,7 +726,4 @@ func (idx *Index) CompactPostings(keyword string) {
 	}
 	pl.ps = live
 	pl.dead = 0
-	if len(pl.ps) == 0 {
-		delete(idx.s.shards[shardIndex(keyword)].lists, keyword)
-	}
 }

@@ -127,10 +127,12 @@ type ApplyStats struct {
 	Epoch uint64 `json:"epoch"`
 	// ClonedChunks/ClonedShards/ClonedLists/ClonedGroups count the
 	// copy-on-write work the publish caused: fragment-metadata chunks,
-	// posting-list shard maps, posting lists, and equality groups cloned
-	// for the new version. Everything else is shared with the previous
-	// snapshot, so these four numbers — not the index size — are the
-	// publish cost.
+	// posting-directory shards, posting lists whose postings were copied,
+	// and equality groups cloned for the new version. A tombstone clones
+	// only its list's small header and keeps sharing the postings, so it
+	// does not count as a cloned list. Everything else is shared with the
+	// previous snapshot, so these four numbers — not the index size — are
+	// the publish cost.
 	ClonedChunks int `json:"cloned_chunks"`
 	ClonedShards int `json:"cloned_shards"`
 	ClonedLists  int `json:"cloned_lists"`

@@ -39,9 +39,9 @@ type Dump struct {
 	EqAttrs   []string
 	RangeAttr string
 	Epoch     uint64
-	FragKeys  []string // live fragments, identifier-sorted
-	Terms     []int64  // parallel to FragKeys
-	Keywords  []string // sorted
+	FragKeys  []string    // live fragments, identifier-sorted
+	Terms     []int64     // parallel to FragKeys
+	Keywords  []string    // sorted
 	Postings  [][]Posting // parallel to Keywords; Frag indexes FragKeys
 }
 
@@ -95,9 +95,12 @@ func (idx *Index) Dump() *Dump {
 }
 
 // Restore rebuilds an index from a Dump, validating it as untrusted input:
-// duplicate fragment keys, postings referencing out-of-range fragments, and
-// duplicate postings within one keyword list all return ErrCorruptIndex —
-// each silently corrupts group or document-frequency invariants if accepted.
+// duplicate fragment keys, postings referencing out-of-range fragments,
+// duplicate postings within one keyword list, and lists out of (TF
+// descending, identifier ascending) order or carrying a non-positive TF
+// all return ErrCorruptIndex — each silently corrupts group,
+// document-frequency, or ranking invariants if accepted (insertPosting and
+// the search's TF cutoff binary-search on the list order).
 func Restore(d *Dump) (*Index, error) {
 	if len(d.FragKeys) != len(d.Terms) {
 		return nil, fmt.Errorf("%w: fragment arrays disagree", ErrCorruptIndex)
@@ -136,17 +139,21 @@ func Restore(d *Dump) (*Index, error) {
 		order[i] = FragRef(i)
 	}
 	sortRefsByID(s, order)
+	rank := make([]int, s.numRefs) // ref → position in identifier order
 	for i, ref := range order {
 		m := s.metaAt(ref)
 		if i > 0 && s.metaAt(order[i-1]).ID.Compare(m.ID) == 0 {
 			return nil, fmt.Errorf("%w: duplicate fragment %s", ErrCorruptIndex, m.ID)
 		}
+		rank[ref] = i
 		g := idx.groupFor(m.ID, true)
 		idx.setMemberAt(ref, len(g.members))
 		idx.setGroupOf(ref, g)
 		g.members = append(g.members, ref)
 		g.weights = append(g.weights, m.Terms)
 	}
+	// Dumps list keywords sorted, so each put appends to its shard's sorted
+	// directory.
 	seen := make(map[FragRef]struct{})
 	for i, kw := range d.Keywords {
 		wps := d.Postings[i]
@@ -162,9 +169,18 @@ func Restore(d *Dump) (*Index, error) {
 			if int(p.Frag) < 0 || int(p.Frag) >= s.numRefs {
 				return nil, fmt.Errorf("%w: posting ref out of range", ErrCorruptIndex)
 			}
+			if p.TF <= 0 {
+				return nil, fmt.Errorf("%w: posting TF %d in %q", ErrCorruptIndex, p.TF, kw)
+			}
 			if _, dup := seen[p.Frag]; dup {
 				return nil, fmt.Errorf("%w: duplicate posting for fragment %d in %q",
 					ErrCorruptIndex, p.Frag, kw)
+			}
+			if j > 0 {
+				if q := wps[j-1]; q.TF < p.TF || q.TF == p.TF && rank[q.Frag] > rank[p.Frag] {
+					return nil, fmt.Errorf("%w: postings of %q out of (TF desc, identifier asc) order at %d",
+						ErrCorruptIndex, kw, j)
+				}
 			}
 			seen[p.Frag] = struct{}{}
 			ps[j] = p
@@ -172,10 +188,9 @@ func Restore(d *Dump) (*Index, error) {
 		}
 		pl := &postingList{ps: ps}
 		pl.recompute()
-		if s.shards[shardIndex(kw)].lists[kw] != nil {
+		if !s.shards[shardIndex(kw)].put(kw, pl) {
 			return nil, fmt.Errorf("%w: duplicate keyword %q", ErrCorruptIndex, kw)
 		}
-		s.shards[shardIndex(kw)].lists[kw] = pl
 		s.liveKws++
 	}
 	s.epoch = d.Epoch

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -161,6 +162,149 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	corruptDump(t, "duplicate keyword", func(d *Dump) {
 		d.Keywords[1] = d.Keywords[0]
 	})
+}
+
+// TestRestoreRejectsMisorderedPostings: Restore accepts a posting list only
+// in strict (TF descending, identifier ascending) order with positive TFs —
+// the order insertPosting and the search's TF cutoff binary-search on, so
+// a list out of it would answer wrong without failing.
+func TestRestoreRejectsMisorderedPostings(t *testing.T) {
+	cases := []struct {
+		name string
+		ps   []Posting
+		ok   bool
+	}{
+		{"ordered, tie in identifier order", []Posting{{2, 7}, {0, 2}, {1, 2}}, true},
+		{"reversed, negative TF", []Posting{{0, -5}, {1, 2}, {2, 7}}, false},
+		{"ascending TF", []Posting{{0, 1}, {1, 2}, {2, 3}}, false},
+		{"tie out of identifier order", []Posting{{2, 7}, {1, 2}, {0, 2}}, false},
+		{"zero TF", []Posting{{0, 3}, {1, 0}}, false},
+		{"negative TF alone", []Posting{{1, -1}}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := &Dump{
+				SelAttrs: []string{"c", "v"},
+				EqAttrs:  []string{"c"},
+				FragKeys: []string{
+					fragment.ID{relation.String("a"), relation.Int(1)}.Key(),
+					fragment.ID{relation.String("a"), relation.Int(2)}.Key(),
+					fragment.ID{relation.String("b"), relation.Int(1)}.Key(),
+				},
+				Terms:    []int64{9, 9, 9},
+				Keywords: []string{"kw"},
+				Postings: [][]Posting{tc.ps},
+			}
+			_, err := Restore(d)
+			if tc.ok && err != nil {
+				t.Fatalf("ordered list rejected: %v", err)
+			}
+			if !tc.ok && !errors.Is(err, ErrCorruptIndex) {
+				t.Fatalf("err = %v, want ErrCorruptIndex", err)
+			}
+		})
+	}
+}
+
+// fuzzDump decodes fuzz input into a small Dump over the spec (c, v) with
+// equality attribute c. Every field is drawn from b — up to 7 fragments
+// (group a–c, an int8 range value, int8 terms), then up to 5 keywords ("" or
+// k1–k5), each with up to 4 postings (ref −8…8, TF −7…7) — so the fuzzer
+// reaches every check Restore makes: duplicate or unsorted fragments,
+// duplicate or empty keywords, out-of-range or duplicate refs, misordered
+// lists and non-positive TFs. Input past what is needed is ignored, and
+// missing input reads as zero.
+func fuzzDump(b []byte) *Dump {
+	next := func() int8 {
+		if len(b) == 0 {
+			return 0
+		}
+		v := int8(b[0])
+		b = b[1:]
+		return v
+	}
+	d := &Dump{SelAttrs: []string{"c", "v"}, EqAttrs: []string{"c"}, RangeAttr: "v"}
+	for n := uint8(next()) % 8; n > 0; n-- {
+		g := string(rune('a' + uint8(next())%3))
+		d.FragKeys = append(d.FragKeys, fragment.ID{relation.String(g), relation.Int(int64(next()))}.Key())
+		d.Terms = append(d.Terms, int64(next()))
+	}
+	for n := uint8(next()) % 6; n > 0; n-- {
+		kw := ""
+		if v := uint8(next()) % 6; v > 0 {
+			kw = fmt.Sprintf("k%d", v)
+		}
+		var ps []Posting
+		for m := uint8(next()) % 5; m > 0; m-- {
+			ps = append(ps, Posting{Frag: FragRef(next() % 9), TF: int64(next() % 8)})
+		}
+		d.Keywords = append(d.Keywords, kw)
+		d.Postings = append(d.Postings, ps)
+	}
+	return d
+}
+
+// FuzzRestore: Restore, the decoder behind replica bootstrap and crash
+// recovery, either refuses a dump with ErrCorruptIndex or builds an index
+// whose every posting list is in strict (TF descending, identifier
+// ascending) order with positive TFs, and whose own Dump restores to
+// itself. Seeds live in testdata/fuzz/FuzzRestore.
+func FuzzRestore(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		idx, err := Restore(fuzzDump(b))
+		if err != nil {
+			if !errors.Is(err, ErrCorruptIndex) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		s := idx.Snapshot()
+		s.eachList(func(kw string, pl *postingList) {
+			for i, p := range pl.ps {
+				if p.TF <= 0 {
+					t.Fatalf("%q: accepted TF %d", kw, p.TF)
+				}
+				if i == 0 {
+					continue
+				}
+				q := pl.ps[i-1]
+				if q.TF < p.TF || q.TF == p.TF && s.metaAt(q.Frag).ID.Compare(s.metaAt(p.Frag).ID) >= 0 {
+					t.Fatalf("%q: accepted misordered postings %v", kw, pl.ps)
+				}
+			}
+		})
+		d := idx.Dump()
+		again, err := Restore(d)
+		if err != nil {
+			t.Fatalf("own dump rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again.Dump(), d) {
+			t.Fatal("dump does not round-trip")
+		}
+	})
+}
+
+// TestInsertRejectsUnrestorablePostings: an insert whose statistics Restore
+// would refuse — an empty keyword or a non-positive TF — fails and changes
+// nothing, so an index's own Dump always restores.
+func TestInsertRejectsUnrestorablePostings(t *testing.T) {
+	for name, counts := range map[string]map[string]int64{
+		"zero TF":       {"burger": 1, "fries": 0},
+		"negative TF":   {"burger": -2},
+		"empty keyword": {"": 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			idx := fooddbIndex(t)
+			before := dumpOf(t, idx)
+			id := fragment.ID{relation.String("Nordic"), relation.Int(1)}
+			if _, err := idx.InsertFragment(id, counts, 1); err == nil {
+				t.Fatal("insert accepted")
+			}
+			if !reflect.DeepEqual(dumpOf(t, idx), before) {
+				t.Error("rejected insert changed the index")
+			}
+		})
+	}
 }
 
 // TestSaveLoadCanonicalState: the gob envelope preserves the canonical

@@ -11,23 +11,83 @@ import (
 )
 
 // Posting lists are grouped into a fixed number of hash shards. The shard is
-// the copy-on-write unit between snapshots: publishing a new snapshot clones
-// only the shard maps (and within them, only the posting lists) touched by
-// the delta, so untouched shards — the overwhelming majority of index
-// memory — are shared by pointer across every live snapshot. Shard counts
-// trade the fixed per-publish table copy (numShards+numGroupShards
-// pointers, a few KB) against the per-touched-shard map-clone cost
-// (entries/numShards); the values below keep both in the microseconds even
-// at millions of keywords/groups.
+// the copy-on-write unit of the posting directory between snapshots:
+// publishing a new snapshot clones only the shards (and within them, only
+// the posting-list headers and postings) the delta touched, so untouched
+// shards — the overwhelming majority of index memory — are shared by
+// pointer across every live snapshot. An 8-change apply on the Q2 corpus
+// touches a few hundred keywords and so dirties most of the 256 shards;
+// each shard clone is two memmoves of its keys and list pointers (see
+// sortedDir) rather than a map clone that re-hashes every key.
 const numShards = 256 // power of two; shardIndex masks with numShards-1
 
 // Equality groups hash into their own shard table so a delta that touches
-// one group clones one small map instead of the whole group directory.
+// one group clones one small directory bucket instead of the whole group
+// directory.
 const numGroupShards = 512 // power of two
 
+// sortedDir is one hash bucket of a string-keyed directory — a posting
+// shard (keyword → list) or a group shard (equality key → group): its keys
+// in ascending order, with each key's value in the parallel vals slice.
+// Sorted slices instead of a map make the bucket's copy-on-write clone two
+// memmoves — cloning a map re-hashes every key — at the price of a binary
+// search per lookup.
+type sortedDir[V any] struct {
+	keys []string
+	vals []V
+}
+
 // shard is one hash bucket of the inverted fragment index.
-type shard struct {
-	lists map[string]*postingList
+type shard = sortedDir[*postingList]
+
+// groupShard is one hash bucket of the equality-group directory.
+type groupShard = sortedDir[*group]
+
+// find returns key's position in the bucket (where it would be inserted
+// when absent) and whether it is present.
+func (d *sortedDir[V]) find(key string) (int, bool) { return slices.BinarySearch(d.keys, key) }
+
+// get returns key's value, the zero V when absent.
+func (d *sortedDir[V]) get(key string) V {
+	if i, ok := d.find(key); ok {
+		return d.vals[i]
+	}
+	var zero V
+	return zero
+}
+
+// insertAt places key's value at position i (from find).
+func (d *sortedDir[V]) insertAt(i int, key string, v V) {
+	d.keys = slices.Insert(d.keys, i, key)
+	d.vals = slices.Insert(d.vals, i, v)
+}
+
+// deleteAt drops the key at position i.
+func (d *sortedDir[V]) deleteAt(i int) {
+	d.keys = slices.Delete(d.keys, i, i+1)
+	d.vals = slices.Delete(d.vals, i, i+1)
+}
+
+// put adds key's value at its sorted position; it reports false, changing
+// nothing, when key is already present. Adding keys in ascending order
+// appends, at O(log n) each.
+func (d *sortedDir[V]) put(key string, v V) bool {
+	i, ok := d.find(key)
+	if !ok {
+		d.insertAt(i, key, v)
+	}
+	return !ok
+}
+
+// clone copies the bucket's two slices, with room for one new key so the
+// insert that may follow does not reallocate them again. A clone keeps
+// every key's position.
+func (d *sortedDir[V]) clone() *sortedDir[V] {
+	n := len(d.keys) + 1
+	return &sortedDir[V]{
+		keys: append(make([]string, 0, n), d.keys...),
+		vals: append(make([]V, 0, n), d.vals...),
+	}
 }
 
 // fnv32 hashes a string with FNV-1a.
@@ -48,35 +108,49 @@ func groupShardIndex(key string) uint32 { return fnv32(key) & (numGroupShards - 
 func newShards() []*shard {
 	out := make([]*shard, numShards)
 	for i := range out {
-		out[i] = &shard{lists: make(map[string]*postingList)}
+		out[i] = &shard{}
 	}
 	return out
-}
-
-// groupShard is one hash bucket of the equality-group directory.
-type groupShard struct {
-	groups map[string]*group
 }
 
 func newGroupShards() []*groupShard {
 	out := make([]*groupShard, numGroupShards)
 	for i := range out {
-		out[i] = &groupShard{groups: make(map[string]*group)}
+		out[i] = &groupShard{}
 	}
 	return out
 }
 
 // Fragment metadata is stored in fixed-size chunks of chunkSize refs behind
 // a chunk-pointer table. The chunk is the metadata copy-on-write unit:
-// publishing a new snapshot copies the chunk table (O(refs/chunkSize)
-// pointers) plus only the chunks a delta dirtied, so a single-fragment
-// change on a million-ref index no longer pays an O(refs) metadata copy per
-// publish.
+// publishing a new snapshot copies only the chunks a delta dirtied, so a
+// single-fragment change on a million-ref index does not pay an O(refs)
+// metadata copy per publish. A chunk holds ≈ 80 B of pointer-laden
+// metadata per ref, so a 256-ref chunk clones ≈ 20 KB, and an update
+// dirties two chunks (the removed ref's and the append tail).
+//
+// The chunk table is itself paged: page p holds the pointers of chunks
+// [p<<pageShift, (p+1)<<pageShift), 65 536 refs' worth. The first page
+// lives inline in the Snapshot, so a clone copies it with the struct and
+// the read path of an index that fits in it (the Q2 corpus has ≈ 10 000
+// refs) loads a chunk pointer straight from the Snapshot, as from a flat
+// table. Each later page is shared until a publish replaces one of its
+// chunks, so no part of a publish grows with the ref count: a flat table
+// of 256-ref chunks would copy ≈ 31 KB of pointers per publish at a
+// million refs.
 const (
-	chunkShift = 12
+	chunkShift = 8
 	chunkSize  = 1 << chunkShift // refs per metadata chunk
 	chunkMask  = chunkSize - 1
+
+	pageShift = 8
+	pageSize  = 1 << pageShift // chunk pointers per page of the chunk table
+	pageMask  = pageSize - 1
 )
+
+// chunkPage is one page of the chunk table. A fixed-size array, so the
+// masked index into it needs no bounds check on the read path.
+type chunkPage [pageSize]*metaChunk
 
 // metaChunk holds chunkSize refs' worth of the four per-ref metadata
 // arrays, in parallel: the fragment summary, the builder-side forward
@@ -90,13 +164,17 @@ type metaChunk struct {
 }
 
 // clone returns a deep copy of the chunk's arrays (slice contents such as
-// keyword strings stay shared — they are immutable per ref).
+// keyword strings stay shared — they are immutable per ref). A full chunk
+// is copied exactly; the tail chunk, the only one refs are appended to,
+// gets the headroom a copied posting list gets, so the appends of the
+// publish that cloned it do not reallocate its arrays a second time.
 func (c *metaChunk) clone() *metaChunk {
+	n := min(grownCap(len(c.frags)), chunkSize)
 	return &metaChunk{
-		frags:    append([]Meta(nil), c.frags...),
-		kwOf:     append([][]string(nil), c.kwOf...),
-		groupOf:  append([]*group(nil), c.groupOf...),
-		memberAt: append([]int(nil), c.memberAt...),
+		frags:    append(make([]Meta, 0, n), c.frags...),
+		kwOf:     append(make([][]string, 0, n), c.kwOf...),
+		groupOf:  append(make([]*group, 0, n), c.groupOf...),
+		memberAt: append(make([]int, 0, n), c.memberAt...),
 	}
 }
 
@@ -128,7 +206,8 @@ type Snapshot struct {
 	rangeIdx int
 
 	numRefs int          // ref-space size; chunk i holds refs [i<<chunkShift, ...)
-	chunks  []*metaChunk // per-ref metadata behind the chunk table
+	page0   chunkPage    // chunks [0, pageSize), inline: read without a page load
+	pages   []*chunkPage // the chunk table's later pages: chunks pageSize on
 	shards  []*shard     // inverted index posting shards
 	gshards []*groupShard
 
@@ -144,19 +223,21 @@ type Snapshot struct {
 	kwCache atomic.Pointer[kwCache]
 }
 
-// clone returns a builder-writable copy sharing every chunk, posting shard,
-// and group shard with the receiver. Only the top-level pointer tables are
-// copied — O(refs/chunkSize) for the chunk table plus two fixed-size shard
-// tables — so publish cost is proportional to what the delta then dirties,
-// not to index size. The payloads (chunks, posting lists, groups) are
-// cloned lazily, one by one, only where mutations touch them.
+// clone returns a builder-writable copy sharing every later chunk-table
+// page, posting shard, and group shard with the receiver. Only the
+// top-level tables are copied — the inline first page, the later-page
+// table (O(refs/65 536)) and two fixed-size shard tables — so publish cost
+// is proportional to what the delta then dirties, not to index size. The
+// payloads (later pages, chunks, posting lists, groups) are cloned lazily,
+// one by one, only where mutations touch them.
 func (s *Snapshot) clone() *Snapshot {
 	return &Snapshot{
 		spec:      s.spec,
 		eqIdx:     s.eqIdx,
 		rangeIdx:  s.rangeIdx,
 		numRefs:   s.numRefs,
-		chunks:    append([]*metaChunk(nil), s.chunks...),
+		page0:     s.page0,
+		pages:     append([]*chunkPage(nil), s.pages...),
 		shards:    append([]*shard(nil), s.shards...),
 		gshards:   append([]*groupShard(nil), s.gshards...),
 		liveFrags: s.liveFrags,
@@ -166,30 +247,44 @@ func (s *Snapshot) clone() *Snapshot {
 	}
 }
 
+// chunkAt returns metadata chunk ci.
+func (s *Snapshot) chunkAt(ci int) *metaChunk {
+	if ci < pageSize {
+		return s.page0[ci]
+	}
+	return s.pages[ci>>pageShift-1][ci&pageMask]
+}
+
+// chunkOf returns the metadata chunk holding ref, without bounds checking.
+func (s *Snapshot) chunkOf(ref FragRef) *metaChunk { return s.chunkAt(int(ref) >> chunkShift) }
+
+// numChunks returns the number of metadata chunks.
+func (s *Snapshot) numChunks() int { return (s.numRefs + chunkMask) >> chunkShift }
+
 // metaAt returns a pointer to ref's summary without bounds checking.
 func (s *Snapshot) metaAt(ref FragRef) *Meta {
-	return &s.chunks[ref>>chunkShift].frags[ref&chunkMask]
+	return &s.chunkOf(ref).frags[ref&chunkMask]
 }
 
 // aliveAt reports ref's liveness without bounds checking.
 func (s *Snapshot) aliveAt(ref FragRef) bool {
-	return s.chunks[ref>>chunkShift].frags[ref&chunkMask].Alive
+	return s.chunkOf(ref).frags[ref&chunkMask].Alive
 }
 
 // kwsAt returns ref's forward keyword list without bounds checking.
 func (s *Snapshot) kwsAt(ref FragRef) []string {
-	return s.chunks[ref>>chunkShift].kwOf[ref&chunkMask]
+	return s.chunkOf(ref).kwOf[ref&chunkMask]
 }
 
 // groupAt returns ref's equality group without bounds checking.
 func (s *Snapshot) groupAt(ref FragRef) *group {
-	return s.chunks[ref>>chunkShift].groupOf[ref&chunkMask]
+	return s.chunkOf(ref).groupOf[ref&chunkMask]
 }
 
 // posAt returns ref's position within its group (-1 when dead) without
 // bounds checking.
 func (s *Snapshot) posAt(ref FragRef) int {
-	return s.chunks[ref>>chunkShift].memberAt[ref&chunkMask]
+	return s.chunkOf(ref).memberAt[ref&chunkMask]
 }
 
 // Snapshot returns the receiver, making *Snapshot a search.Source: an
@@ -198,14 +293,14 @@ func (s *Snapshot) Snapshot() *Snapshot { return s }
 
 // list returns the keyword's posting list, nil when absent.
 func (s *Snapshot) list(kw string) *postingList {
-	return s.shards[shardIndex(kw)].lists[kw]
+	return s.shards[shardIndex(kw)].get(kw)
 }
 
 // eachList visits every posting list (any order).
 func (s *Snapshot) eachList(f func(kw string, pl *postingList)) {
 	for _, sh := range s.shards {
-		for kw, pl := range sh.lists {
-			f(kw, pl)
+		for i, kw := range sh.keys {
+			f(kw, sh.vals[i])
 		}
 	}
 }
@@ -214,7 +309,7 @@ func (s *Snapshot) eachList(f func(kw string, pl *postingList)) {
 // member path is currently empty.
 func (s *Snapshot) eachGroup(f func(g *group)) {
 	for _, gs := range s.gshards {
-		for _, g := range gs.groups {
+		for _, g := range gs.vals {
 			f(g)
 		}
 	}
@@ -259,7 +354,7 @@ func (s *Snapshot) NumRefs() int { return s.numRefs }
 // TermsOf returns a fragment's total keyword count without bounds
 // checking. The caller must have validated ref (see NumRefs).
 func (s *Snapshot) TermsOf(ref FragRef) int64 {
-	return s.chunks[ref>>chunkShift].frags[ref&chunkMask].Terms
+	return s.chunkOf(ref).frags[ref&chunkMask].Terms
 }
 
 // AliveRef reports whether ref is within range and not tombstoned.
@@ -308,7 +403,7 @@ func (s *Snapshot) lookupGroup(id fragment.ID) *group {
 		eq[i] = id[j]
 	}
 	key := relation.Key(eq)
-	return s.gshards[groupShardIndex(key)].groups[key]
+	return s.gshards[groupShardIndex(key)].get(key)
 }
 
 // Has reports whether a live fragment with the given identifier exists.
@@ -385,13 +480,11 @@ func (s *Snapshot) Keywords() []string {
 		return c.kws
 	}
 	var out []string
-	for _, sh := range s.shards {
-		for kw, pl := range sh.lists {
-			if pl.liveDF() > 0 {
-				out = append(out, kw)
-			}
+	s.eachList(func(kw string, pl *postingList) {
+		if pl.liveDF() > 0 {
+			out = append(out, kw)
 		}
-	}
+	})
 	sort.Strings(out)
 	s.kwCache.Store(&kwCache{epoch: s.epoch, kws: out})
 	return out
@@ -435,7 +528,7 @@ func (s *Snapshot) Neighbors(ref FragRef) ([]FragRef, error) {
 	if int(ref) < 0 || int(ref) >= s.numRefs {
 		return nil, fmt.Errorf("%w: ref %d", ErrNoFragment, ref)
 	}
-	c := s.chunks[ref>>chunkShift]
+	c := s.chunkOf(ref)
 	i := int(ref) & chunkMask
 	if !c.frags[i].Alive {
 		return nil, fmt.Errorf("%w: ref %d is removed", ErrNoFragment, ref)
@@ -470,7 +563,7 @@ func (s *Snapshot) GroupPath(ref FragRef) (members []FragRef, weights []int64, k
 	if int(ref) < 0 || int(ref) >= s.numRefs {
 		return nil, nil, "", 0, fmt.Errorf("%w: ref %d", ErrNoFragment, ref)
 	}
-	c := s.chunks[ref>>chunkShift]
+	c := s.chunkOf(ref)
 	i := int(ref) & chunkMask
 	if !c.frags[i].Alive {
 		return nil, nil, "", 0, fmt.Errorf("%w: ref %d is removed", ErrNoFragment, ref)
