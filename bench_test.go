@@ -14,6 +14,8 @@ package dash
 //	                                    single vs batched delta applies
 //	BenchmarkFoldQ2                   — a serving writer's fold and publish
 //	                                    on the Q2 corpus, two shards
+//	BenchmarkCheckpointQ2             — a shard's Dump and compaction, and
+//	                                    the 2-way partition, on Q2
 //	BenchmarkAblation_*               — naive vs fragments, reduce tasks,
 //	                                    incremental vs batch graph
 //	BenchmarkExample7_Fooddb          — the running example end to end
@@ -659,19 +661,76 @@ func corpusFragments(b *testing.B, st *benchState) (fragindex.Spec, []fragment.I
 	return spec, ids, counts
 }
 
+// foldStream draws a closed-loop writer's deltas on a crawled corpus:
+// ≈ 70 % updates that give a crawled fragment another fragment's keyword
+// statistics, 15 % inserts of fresh fragments, 15 % removals of earlier
+// inserts. Every update and removal leaves a tombstoned ref behind.
+type foldStream struct {
+	rng      *rand.Rand
+	ids      []fragment.ID
+	counts   map[string]map[string]int64
+	terms    map[string]int64
+	inserted []fragment.ID
+	nextKey  int64
+}
+
+func newFoldStream(b *testing.B, st *benchState) (*foldStream, fragindex.Spec) {
+	spec, ids, counts := corpusFragments(b, st)
+	return &foldStream{
+		rng:     rand.New(rand.NewSource(benchSeed)),
+		ids:     ids,
+		counts:  counts,
+		terms:   st.out.FragmentTerms,
+		nextKey: int64(1) << 40, // past every generated key, so inserts never collide
+	}, spec
+}
+
+// next draws one delta of n changes, each on a distinct fragment.
+func (f *foldStream) next(n int) crawl.Delta {
+	var d crawl.Delta
+	var added []fragment.ID
+	touched := make(map[int]bool, n)
+	for len(d.Changes) < n {
+		donor := f.ids[f.rng.Intn(len(f.ids))].Key()
+		ch := crawl.FragmentChange{TermCounts: f.counts[donor], TotalTerms: f.terms[donor]}
+		switch p := f.rng.Float64(); {
+		case p < 0.15 && len(f.inserted) > 0:
+			k := f.rng.Intn(len(f.inserted))
+			ch = crawl.FragmentChange{Op: crawl.OpRemoveFragment, ID: f.inserted[k]}
+			f.inserted[k] = f.inserted[len(f.inserted)-1]
+			f.inserted = f.inserted[:len(f.inserted)-1]
+		case p < 0.30:
+			// A fresh first selection value (Q2's is an integer key);
+			// the others are the donor's, so they stay in domain.
+			ch.Op, ch.ID = crawl.OpInsertFragment, append(fragment.ID(nil), f.ids[f.rng.Intn(len(f.ids))]...)
+			ch.ID[0] = relation.Int(f.nextKey)
+			f.nextKey++
+			added = append(added, ch.ID)
+		default:
+			ti := f.rng.Intn(len(f.ids))
+			if touched[ti] {
+				continue
+			}
+			touched[ti] = true
+			ch.Op, ch.ID = crawl.OpUpdateFragment, f.ids[ti]
+		}
+		d.Changes = append(d.Changes, ch)
+	}
+	f.inserted = append(f.inserted, added...) // removable from the next delta on
+	return d
+}
+
 // BenchmarkFoldQ2 measures the in-memory fold and publish of a serving
-// writer on the real Q2 corpus: two shards, 8-change applies in the
-// maintenance mix of a closed-loop writer — ≈ 70 % updates that give a
-// crawled fragment another fragment's keyword statistics, 15 % inserts of
-// fresh fragments, 15 % removals of earlier inserts — and a snapshot GC
-// pass (CompactIfNeeded at 1/4) every 32 applies. Real fragments touch a
-// few hundred keywords per apply, so this sees the posting-directory and
-// posting-list copies a publish pays, which BenchmarkApplyPublishCost's
-// two-keyword fragments cannot. B/op is per 8-change apply.
+// writer on the real Q2 corpus: two shards, 8-change applies drawn by
+// foldStream, and a snapshot GC pass (CompactIfNeeded at 1/4) every 32
+// applies. Real fragments touch a few hundred keywords per apply, so this
+// sees the posting-directory and posting-list copies a publish pays, which
+// BenchmarkApplyPublishCost's two-keyword fragments cannot. B/op is per
+// 8-change apply.
 func BenchmarkFoldQ2(b *testing.B) {
 	const perApply = 8
 	st := workloadState(b, "Q2")
-	spec, ids, counts := corpusFragments(b, st)
+	fold, spec := newFoldStream(b, st)
 	idx, err := fragindex.Build(st.out, spec)
 	if err != nil {
 		b.Fatal(err)
@@ -681,44 +740,11 @@ func BenchmarkFoldQ2(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(benchSeed))
-	var inserted []fragment.ID
-	nextKey := int64(1) << 40 // past every generated key, so inserts never collide
 	var lists int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var d crawl.Delta
-		var added []fragment.ID
-		touched := make(map[int]bool, perApply)
-		for len(d.Changes) < perApply {
-			donor := ids[rng.Intn(len(ids))].Key()
-			ch := crawl.FragmentChange{TermCounts: counts[donor], TotalTerms: st.out.FragmentTerms[donor]}
-			switch p := rng.Float64(); {
-			case p < 0.15 && len(inserted) > 0:
-				k := rng.Intn(len(inserted))
-				ch = crawl.FragmentChange{Op: crawl.OpRemoveFragment, ID: inserted[k]}
-				inserted[k] = inserted[len(inserted)-1]
-				inserted = inserted[:len(inserted)-1]
-			case p < 0.30:
-				// A fresh first selection value (Q2's is an integer key);
-				// the others are the donor's, so they stay in domain.
-				ch.Op, ch.ID = crawl.OpInsertFragment, append(fragment.ID(nil), ids[rng.Intn(len(ids))]...)
-				ch.ID[0] = relation.Int(nextKey)
-				nextKey++
-				added = append(added, ch.ID)
-			default:
-				ti := rng.Intn(len(ids))
-				if touched[ti] {
-					continue
-				}
-				touched[ti] = true
-				ch.Op, ch.ID = crawl.OpUpdateFragment, ids[ti]
-			}
-			d.Changes = append(d.Changes, ch)
-		}
-		inserted = append(inserted, added...) // removable from the next apply on
-		stats, err := live.Apply(ctx, d)
+		stats, err := live.Apply(ctx, fold.next(perApply))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -732,6 +758,80 @@ func BenchmarkFoldQ2(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perApply), "ns/change")
 	b.ReportMetric(float64(lists)/float64(b.N), "clonedLists/op")
+}
+
+// BenchmarkCheckpointQ2 measures the three bulk passes over a whole index
+// on the Q2 corpus at S = 2: one shard's Dump (what every checkpoint
+// writes) and one shard's snapshot GC (CompactIfNeeded at ratio 0, so it
+// always rebuilds), each on a shard foldStream has aged to ≈ 20 % dead
+// refs, and the 2-way partition of the freshly built index that Open runs
+// at startup. Each reports ms/op; B/op is per pass.
+func BenchmarkCheckpointQ2(b *testing.B) {
+	const deadShare = 0.2
+	st := workloadState(b, "Q2")
+	fold, spec := newFoldStream(b, st)
+	build := func() *fragindex.Index {
+		idx, err := fragindex.Build(st.out, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return idx
+	}
+	ctx := context.Background()
+	live, err := fragindex.NewShardedLive(build(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shard := live.Shard(0)
+	// age folds deltas until shard 0 holds deadShare tombstoned refs.
+	age := func() {
+		for {
+			s := shard.Snapshot()
+			if float64(s.NumRefs()-s.NumFragments()) >= deadShare*float64(s.NumRefs()) {
+				return
+			}
+			if _, err := live.Apply(ctx, fold.next(8)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	age()
+	ms := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+	}
+	b.Run("dump", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if d := shard.Dump(); len(d.FragKeys) == 0 {
+				b.Fatal("empty dump")
+			}
+		}
+		ms(b)
+	})
+	b.Run("compact", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			age()
+			b.StartTimer()
+			if ran, err := shard.CompactIfNeeded(ctx, 0); err != nil || !ran {
+				b.Fatalf("compaction ran %v: %v", ran, err)
+			}
+		}
+		ms(b)
+	})
+	b.Run("partition", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			idx := build()
+			b.StartTimer()
+			if _, err := fragindex.NewShardedLive(idx, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ms(b)
+	})
 }
 
 // BenchmarkAblation_NaiveVsFragment compares §IV's "intuitive approach"

@@ -317,25 +317,37 @@ func run(args []string, stderr io.Writer) error {
 
 	// Snapshot GC: removals leave tombstoned refs in every later version;
 	// once their share crosses the threshold, publish a compacted snapshot.
-	// Replicas never compact locally: a local GC would advance epochs
-	// outside the leader's sequence — they inherit compaction through
-	// re-bootstrap instead.
+	// A durable engine also checkpoints every shard whose state moved. Each
+	// tick that compacted or checkpointed anything logs what it did and how
+	// long it took. Replicas never compact locally: a local GC would
+	// advance epochs outside the leader's sequence — they inherit
+	// compaction through re-bootstrap instead.
 	if *gcInterval > 0 && *replicaOf == "" {
 		go func() {
 			ticker := time.NewTicker(*gcInterval)
 			defer ticker.Stop()
+			checkpoints := func(st dash.EngineStats) uint64 {
+				if st.Durability == nil {
+					return 0
+				}
+				return st.Durability.Checkpoints
+			}
 			for {
 				select {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
+					start, before := time.Now(), checkpoints(engine.Stats())
 					ran, err := engine.CompactIfNeeded(ctx, *gcRatio)
+					took := time.Since(start).Round(time.Microsecond)
 					if err != nil {
-						log.Printf("snapshot gc: %v", err)
-					} else if ran > 0 {
-						st := engine.Stats()
-						log.Printf("snapshot gc: %d shard(s) compacted to %d fragments (max epoch %d)",
-							ran, st.Fragments, st.MaxEpoch)
+						log.Printf("snapshot gc: %v (after %v)", err, took)
+						continue
+					}
+					st := engine.Stats()
+					if ckpts := checkpoints(st) - before; ran > 0 || ckpts > 0 {
+						log.Printf("snapshot gc: %d shard(s) compacted, %d checkpointed, %d fragments (max epoch %d) in %v",
+							ran, ckpts, st.Fragments, st.MaxEpoch, took)
 					}
 				}
 			}

@@ -119,8 +119,8 @@ func openDurable(ctx context.Context, idx *Index, cfg openConfig) (_ *fragindex.
 	// Write-ahead: each shard's folded delta is appended (and, policy
 	// permitting, fsynced) before the swap acknowledges the publish. The
 	// baseline is the degraded-recovery checkpoint source: a shard's Dump
-	// is always exactly its last acknowledged state, because the builder
-	// rolls failed publishes back.
+	// is cut from its published snapshot, always an acknowledged state,
+	// because a publish whose append failed is rolled back before its swap.
 	for i := 0; i < sl.NumShards(); i++ {
 		shard := i
 		sl.Shard(shard).SetPublishHook(func(ctx context.Context, d Delta, epoch uint64) error {
@@ -134,8 +134,9 @@ func openDurable(ctx context.Context, idx *Index, cfg openConfig) (_ *fragindex.
 }
 
 // Checkpoint writes each shard's current state as a new snapshot
-// generation and rotates its journal; concurrent applies keep their
-// write-ahead guarantee throughout. CompactIfNeeded on a durable handle
+// generation and rotates its journal. Each shard's state is cut from its
+// published snapshot without waiting for the writer; concurrent applies
+// keep their write-ahead guarantee throughout. CompactIfNeeded on a durable handle
 // checkpoints implicitly. Without a data dir there is nothing to persist
 // and it returns nil.
 func (e *ServingEngine) Checkpoint(ctx context.Context) error {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/crawl"
 	"repro/internal/fragindex"
@@ -282,6 +283,108 @@ func TestDurableCompactCheckpoints(t *testing.T) {
 	// An explicit Checkpoint is available too.
 	if err := h2.(*ServingEngine).Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDumpDoesNotWaitOnWriter: a shard's Dump and a Checkpoint are cut
+// from the published snapshot, never behind the writer's lock. An apply
+// parked inside its publish hook — journaled, not yet swapped in, holding
+// the shard's writer lock — blocks neither: both return at the pre-apply
+// epoch, the checkpoint carries the parked record into its new journal,
+// and once the apply is released a reopen recovers exactly what an
+// in-memory twin applying the same deltas holds.
+func TestDumpDoesNotWaitOnWriter(t *testing.T) {
+	ctx := context.Background()
+	_, app, build := fooddbIndex(t)
+	dir := t.TempDir()
+	h, err := Open(ctx, build(), app, WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := Open(ctx, build(), app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := durableDeltas()
+	for _, hd := range []Handle{h, twin} {
+		if _, err := hd.Apply(ctx, deltas[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := h.(*ServingEngine)
+	shard := e.live.Shard(0)
+	pre := shard.Snapshot().Epoch()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var parkedEpoch uint64
+	shard.SetPublishHook(func(ctx context.Context, d Delta, epoch uint64) error {
+		if err := e.store.Append(ctx, 0, d, epoch); err != nil {
+			return err
+		}
+		parkedEpoch = epoch
+		close(parked)
+		<-release
+		return nil
+	})
+	applied := make(chan error, 1)
+	go func() {
+		_, err := h.Apply(ctx, deltas[1])
+		applied <- err
+	}()
+	<-parked
+
+	// within fails the test when f does not return while the writer is parked.
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatalf("%s waited on the parked writer", what)
+		}
+	}
+	var d *fragindex.Dump
+	within("Dump", func() { d = shard.Dump() })
+	if d.Epoch != pre {
+		t.Errorf("Dump epoch = %d while the apply is parked, want the published %d", d.Epoch, pre)
+	}
+	var cerr error
+	within("Checkpoint", func() { cerr = e.Checkpoint(ctx) })
+	if cerr != nil {
+		t.Fatal(cerr)
+	}
+	if ds := durabilityOf(t, h); ds.LastCheckpointEpoch != pre || ds.JournalRecords != 1 {
+		t.Errorf("checkpoint at epoch %d carrying %d journal records, want epoch %d carrying the parked record",
+			ds.LastCheckpointEpoch, ds.JournalRecords, pre)
+	}
+
+	close(release)
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	if got := shard.Snapshot().Epoch(); got != parkedEpoch || got <= pre {
+		t.Errorf("released apply published epoch %d, want the journaled %d past %d", got, parkedEpoch, pre)
+	}
+	if _, err := twin.Apply(ctx, deltas[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.(io.Closer).Close(); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := Open(ctx, nil, app, WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.(io.Closer).Close()
+	if got, want := dumpsOf(t, h2), dumpsOf(t, twin); !reflect.DeepEqual(got, want) {
+		t.Error("recovery lost the record journaled while the checkpoint ran")
+	}
+	if ri := durabilityOf(t, h2).Recovery[0]; ri.SnapshotEpoch != pre || ri.ReplayedRecords != 1 {
+		t.Errorf("recovery %+v, want the epoch-%d snapshot plus the parked record", ri, pre)
 	}
 }
 

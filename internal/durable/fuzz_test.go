@@ -1,17 +1,21 @@
 package durable
 
-// Native fuzz targets for the two decoders that face the network and the
-// disk on the replication path. Seed corpora live under testdata/fuzz/;
-// CI runs each target briefly with -fuzz.
+// Native fuzz targets for the decoders that face the network and the disk
+// on the replication and recovery paths. Seed corpora live under
+// testdata/fuzz/; CI runs each target briefly with -fuzz.
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/fragindex"
 )
 
 // seedFrames is a small valid frame run: an insert, an update, a remove.
@@ -125,6 +129,50 @@ func FuzzJournalScan(f *testing.F) {
 		if c.Records != want.Records || c.Next != want.Next || !bytes.Equal(c.Frames, want.Frames) {
 			t.Fatalf("cursor %d budget %d: shipped %d records to %d, want %d to %d",
 				from, budget, c.Records, c.Next, want.Records, want.Next)
+		}
+	})
+}
+
+// encodeSnapshot writes d to path in the snapshot format and reads the
+// bytes back.
+func encodeSnapshot(t testing.TB, path string, d *fragindex.Dump) []byte {
+	t.Helper()
+	if err := writeSnapshot(context.Background(), faultfs.OS, path, d); err != nil {
+		t.Fatal(err)
+	}
+	b, err := faultfs.OS.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzDecodeSnapshot: the snapshot decoder behind recovery and replica
+// bootstrap never panics, and rejects bytes only with ErrCorruptSnapshot —
+// or, for a well-formed header naming another format version, with the
+// distinct unsupported-version error. Whatever it accepts is a dump
+// Restore accepts, and that encodes back to bytes decoding to the same
+// dump.
+func FuzzDecodeSnapshot(f *testing.F) {
+	dir := f.TempDir()
+	f.Add(encodeSnapshot(f, filepath.Join(dir, "seed.snap"), smallIndex(f, 6).Dump()))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d, err := DecodeSnapshot(b, "fuzz")
+		if err != nil {
+			otherVersion := len(b) >= snapFixedHeader && string(b[:8]) == snapMagic &&
+				binary.LittleEndian.Uint32(b[8:12]) != snapVersion
+			if !errors.Is(err, ErrCorruptSnapshot) && !otherVersion {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		if _, err := fragindex.Restore(d); err != nil {
+			t.Fatalf("decoded a dump Restore rejects: %v", err)
+		}
+		again, err := DecodeSnapshot(encodeSnapshot(t, filepath.Join(dir, "re.snap"), d), "re-encoded")
+		if err != nil || !reflect.DeepEqual(again, d) {
+			t.Fatalf("re-encoded dump does not round-trip: %v", err)
 		}
 	})
 }

@@ -157,55 +157,17 @@ func (idx *Index) UpdateFragment(id fragment.ID, termCounts map[string]int64, to
 	return err
 }
 
-// liveFragmentsByID returns the live refs in identifier order together
-// with per-fragment term counts recovered from the inverted lists — the
-// reconstruction both Compact and the sharded partition pass rebuild
-// from. Identifier order is the order fragindex.Build inserts in, so a
-// rebuild preserves group-path member order and per-list posting order.
-func (s *Snapshot) liveFragmentsByID() ([]FragRef, map[FragRef]map[string]int64) {
-	counts := make(map[FragRef]map[string]int64)
-	s.eachList(func(kw string, pl *postingList) {
-		for _, p := range pl.ps {
-			if !s.aliveAt(p.Frag) {
-				continue
-			}
-			m, ok := counts[p.Frag]
-			if !ok {
-				m = make(map[string]int64)
-				counts[p.Frag] = m
-			}
-			m[kw] += p.TF
-		}
-	})
-	order := make([]FragRef, 0, s.liveFrags)
-	for ref := 0; ref < s.numRefs; ref++ {
-		if s.aliveAt(FragRef(ref)) {
-			order = append(order, FragRef(ref))
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return s.metaAt(order[i]).ID.Compare(s.metaAt(order[j]).ID) < 0
-	})
-	return order, counts
-}
-
 // Compact rebuilds the index without tombstones, reclaiming posting slots
-// and renumbering refs. It returns the compacted index; the receiver is
-// left untouched, and the result shares no storage with it (or with any
-// snapshot it published).
+// and renumbering refs: a Restore of the index's own Dump, so a compacted
+// index is exactly what recovery from that dump would serve, at the same
+// epoch, and keeps the receiver's posting compaction threshold. The
+// receiver is left untouched, and the result shares no storage with it
+// (or with any snapshot it published).
 func (idx *Index) Compact() (*Index, error) {
-	s := idx.s
-	out, err := New(s.spec)
+	out, err := Restore(idx.s.dump(nil))
 	if err != nil {
 		return nil, err
 	}
 	out.compactNum, out.compactDen = idx.compactNum, idx.compactDen
-	order, counts := s.liveFragmentsByID()
-	for _, ref := range order {
-		m := s.metaAt(ref)
-		if _, err := out.InsertFragment(m.ID, counts[ref], m.Terms); err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
 }

@@ -106,14 +106,12 @@ func (l *LiveIndex) SetPublishHook(fn PublishHook) {
 }
 
 // Dump captures the serving index's current logical state in canonical form
-// (see Index.Dump). It serializes with the writer, so the dump is a
-// publish-consistent cut: exactly the state of the latest published
-// snapshot, never a half-applied delta.
-func (l *LiveIndex) Dump() *Dump {
-	l.writeMu.Lock()
-	defer l.writeMu.Unlock()
-	return l.builder.Dump()
-}
+// (see Index.Dump), cut from the latest published snapshot without taking
+// the writer's lock: the dump is exactly a state the index acknowledged,
+// never a half-applied delta, and a publish in flight — folded, even
+// journaled by its publish hook, but not yet swapped in — neither waits
+// for the dump nor shows up in it.
+func (l *LiveIndex) Dump() *Dump { return l.cur.Load().dump(nil) }
 
 // ApplyStats reports what one publish did and what it physically cost.
 type ApplyStats struct {

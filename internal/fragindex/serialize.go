@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/fragment"
@@ -48,51 +49,7 @@ type Dump struct {
 // Dump captures the index's current logical state (see Dump's type doc).
 // Tombstones are compacted away: dumped refs are positions in the
 // identifier-sorted live fragment list, not the builder's ref space.
-func (idx *Index) Dump() *Dump {
-	s := idx.s
-	order, counts := s.liveFragmentsByID()
-	d := &Dump{
-		SelAttrs:  append([]string(nil), s.spec.SelAttrs...),
-		EqAttrs:   append([]string(nil), s.spec.EqAttrs...),
-		RangeAttr: s.spec.RangeAttr,
-		Epoch:     s.epoch,
-		FragKeys:  make([]string, len(order)),
-		Terms:     make([]int64, len(order)),
-	}
-	pos := make(map[FragRef]int, len(order))
-	for i, ref := range order {
-		m := s.metaAt(ref)
-		d.FragKeys[i] = m.ID.Key()
-		d.Terms[i] = m.Terms
-		pos[ref] = i
-	}
-	lists := make(map[string][]Posting)
-	for ref, kws := range counts {
-		if !s.aliveAt(ref) {
-			continue
-		}
-		for kw, tf := range kws {
-			lists[kw] = append(lists[kw], Posting{Frag: FragRef(pos[ref]), TF: tf})
-		}
-	}
-	d.Keywords = make([]string, 0, len(lists))
-	for kw := range lists {
-		d.Keywords = append(d.Keywords, kw)
-	}
-	sort.Strings(d.Keywords)
-	d.Postings = make([][]Posting, len(d.Keywords))
-	for i, kw := range d.Keywords {
-		ps := lists[kw]
-		sort.Slice(ps, func(a, b int) bool {
-			if ps[a].TF != ps[b].TF {
-				return ps[a].TF > ps[b].TF
-			}
-			return ps[a].Frag < ps[b].Frag // dump refs are identifier-sorted
-		})
-		d.Postings[i] = ps
-	}
-	return d
-}
+func (idx *Index) Dump() *Dump { return idx.s.dump(nil) }
 
 // Restore rebuilds an index from a Dump, validating it as untrusted input:
 // duplicate fragment keys, postings referencing out-of-range fragments,
@@ -152,9 +109,26 @@ func Restore(d *Dump) (*Index, error) {
 		g.members = append(g.members, ref)
 		g.weights = append(g.weights, m.Terms)
 	}
+	// Size every ref's forward keyword list up front, carved from one
+	// arena, so the appends below never regrow a list keyword by keyword.
+	nkw := make([]int, s.numRefs)
+	total := 0
+	for _, wps := range d.Postings {
+		for _, p := range wps {
+			if int(p.Frag) >= 0 && int(p.Frag) < s.numRefs {
+				nkw[p.Frag]++
+				total++
+			}
+		}
+	}
+	kwArena := make([]string, total)
+	for ref, n := range nkw {
+		s.chunkOf(FragRef(ref)).kwOf[ref&chunkMask], kwArena = kwArena[:0:n], kwArena[n:]
+	}
 	// Dumps list keywords sorted, so each put appends to its shard's sorted
-	// directory.
-	seen := make(map[FragRef]struct{})
+	// directory. seen stamps each ref with the last list (i+1) that holds
+	// it, so the duplicate check needs no per-list reset.
+	seen := make([]int, s.numRefs)
 	for i, kw := range d.Keywords {
 		wps := d.Postings[i]
 		if len(wps) == 0 {
@@ -163,7 +137,6 @@ func Restore(d *Dump) (*Index, error) {
 		if kw == "" {
 			return nil, fmt.Errorf("%w: empty keyword", ErrCorruptIndex)
 		}
-		clear(seen)
 		ps := make([]Posting, len(wps))
 		for j, p := range wps {
 			if int(p.Frag) < 0 || int(p.Frag) >= s.numRefs {
@@ -172,7 +145,7 @@ func Restore(d *Dump) (*Index, error) {
 			if p.TF <= 0 {
 				return nil, fmt.Errorf("%w: posting TF %d in %q", ErrCorruptIndex, p.TF, kw)
 			}
-			if _, dup := seen[p.Frag]; dup {
+			if seen[p.Frag] == i+1 {
 				return nil, fmt.Errorf("%w: duplicate posting for fragment %d in %q",
 					ErrCorruptIndex, p.Frag, kw)
 			}
@@ -182,7 +155,7 @@ func Restore(d *Dump) (*Index, error) {
 						ErrCorruptIndex, kw, j)
 				}
 			}
-			seen[p.Frag] = struct{}{}
+			seen[p.Frag] = i + 1
 			ps[j] = p
 			idx.appendKw(p.Frag, kw)
 		}
@@ -257,22 +230,13 @@ func Load(r io.Reader) (*Index, error) {
 	return Restore(d)
 }
 
-// sortRefsByID sorts refs by fragment identifier. Saved indexes arrive
-// already sorted, so check first — sort.Slice on sorted input still pays
-// the full O(n log n) comparisons, while a linear scan confirms order in
-// one pass.
+// sortRefsByID sorts refs by fragment identifier. Saved indexes and
+// never-updated builds arrive already sorted, so check first — a sort of
+// sorted input still pays O(n log n) comparisons, while a linear scan
+// confirms order in one pass.
 func sortRefsByID(s *Snapshot, refs []FragRef) {
-	sorted := true
-	for i := 1; i < len(refs); i++ {
-		if s.metaAt(refs[i-1]).ID.Compare(s.metaAt(refs[i]).ID) > 0 {
-			sorted = false
-			break
-		}
+	byID := func(a, b FragRef) int { return s.metaAt(a).ID.Compare(s.metaAt(b).ID) }
+	if !slices.IsSortedFunc(refs, byID) {
+		slices.SortFunc(refs, byID)
 	}
-	if sorted {
-		return
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		return s.metaAt(refs[i]).ID.Compare(s.metaAt(refs[j]).ID) < 0
-	})
 }

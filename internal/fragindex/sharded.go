@@ -63,10 +63,11 @@ type ShardedLiveIndex struct {
 // NewShardedLive partitions a built index across n shards and takes
 // ownership of idx: all further access must go through the returned
 // ShardedLiveIndex. With n == 1 the index is wrapped directly (no copy);
-// for n > 1 the fragments are re-inserted into per-shard builders in
-// identifier order — the same order fragindex.Build uses — so per-shard
-// posting lists and group paths match what building each shard from a
-// routed crawl output would produce.
+// for n > 1 each shard restores the Dump of the fragments routed to it.
+// A Dump is identifier-ordered, so per-shard posting lists and group paths
+// match what building each shard from a routed crawl output would produce;
+// each shard publishes at the count of fragments it holds, the epoch
+// inserting them one by one would reach.
 func NewShardedLive(idx *Index, n int) (*ShardedLiveIndex, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fragindex: shard count %d, want >= 1", n)
@@ -81,23 +82,14 @@ func NewShardedLive(idx *Index, n int) (*ShardedLiveIndex, error) {
 		sl.shards = []*LiveIndex{NewLive(idx)}
 		return sl, nil
 	}
-	builders := make([]*Index, n)
-	for i := range builders {
-		if builders[i], err = New(s.spec); err != nil {
-			return nil, err
-		}
-	}
-	// Re-insert the live fragments into their routed shards, in the same
-	// identifier-ordered reconstruction Compact rebuilds from.
-	order, counts := s.liveFragmentsByID()
 	sl.shards = make([]*LiveIndex, n)
-	for _, ref := range order {
-		m := s.metaAt(ref)
-		if _, err := builders[sl.shardOf(m.ID)].InsertFragment(m.ID, counts[ref], m.Terms); err != nil {
-			return nil, fmt.Errorf("fragindex: partitioning %s: %w", m.ID, err)
+	for i := range sl.shards {
+		d := s.dump(func(ref FragRef) bool { return sl.shardOf(s.metaAt(ref).ID) == i })
+		d.Epoch = uint64(len(d.FragKeys))
+		b, err := Restore(d)
+		if err != nil {
+			return nil, fmt.Errorf("fragindex: partitioning shard %d: %w", i, err)
 		}
-	}
-	for i, b := range builders {
 		sl.shards[i] = NewLive(b)
 	}
 	return sl, nil

@@ -1,6 +1,7 @@
 package fragindex
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -488,6 +489,69 @@ func (s *Snapshot) Keywords() []string {
 	sort.Strings(out)
 	s.kwCache.Store(&kwCache{epoch: s.epoch, kws: out})
 	return out
+}
+
+// dump builds the canonical Dump (see the type) of the snapshot's live
+// fragments that keep admits (all of them when keep is nil) straight from
+// its storage: the fragments sorted by identifier give each its dense dump
+// position, and the lists of the sorted Keywords are filtered and remapped
+// into one shared arena, dropping any left empty. A list keeps its stored
+// order — (TF descending, identifier ascending) whenever it was built or
+// maintained in identifier order — and is re-sorted only when that order
+// does not hold. The snapshot is immutable, so dumping one needs no lock.
+func (s *Snapshot) dump(keep func(FragRef) bool) *Dump {
+	order := make([]FragRef, 0, s.liveFrags)
+	total := 0 // postings kept: the sum of the kept refs' forward keyword lists
+	for ref := FragRef(0); int(ref) < s.numRefs; ref++ {
+		if s.aliveAt(ref) && (keep == nil || keep(ref)) {
+			order = append(order, ref)
+			total += len(s.kwsAt(ref))
+		}
+	}
+	sortRefsByID(s, order)
+	kws := s.Keywords()
+	d := &Dump{
+		SelAttrs:  append([]string(nil), s.spec.SelAttrs...),
+		EqAttrs:   append([]string(nil), s.spec.EqAttrs...),
+		RangeAttr: s.spec.RangeAttr,
+		Epoch:     s.epoch,
+		FragKeys:  make([]string, len(order)),
+		Terms:     make([]int64, len(order)),
+		Keywords:  make([]string, 0, len(kws)),
+		Postings:  make([][]Posting, 0, len(kws)),
+	}
+	pos := make([]int32, s.numRefs) // ref → dump position + 1, 0 when not dumped
+	for i, ref := range order {
+		m := s.metaAt(ref)
+		d.FragKeys[i], d.Terms[i], pos[ref] = m.ID.Key(), m.Terms, int32(i+1)
+	}
+	arena := make([]Posting, 0, total)
+	for _, kw := range kws {
+		start := len(arena)
+		for _, p := range s.list(kw).ps {
+			if at := pos[p.Frag]; at > 0 {
+				arena = append(arena, Posting{Frag: FragRef(at - 1), TF: p.TF})
+			}
+		}
+		if len(arena) == start {
+			continue
+		}
+		ps := arena[start:len(arena):len(arena)]
+		if !slices.IsSortedFunc(ps, comparePostings) {
+			slices.SortFunc(ps, comparePostings)
+		}
+		d.Keywords, d.Postings = append(d.Keywords, kw), append(d.Postings, ps)
+	}
+	return d
+}
+
+// comparePostings orders a dump's postings canonically: TF descending,
+// then dump position — identifier order — ascending.
+func comparePostings(a, b Posting) int {
+	if a.TF != b.TF {
+		return cmp.Compare(b.TF, a.TF)
+	}
+	return cmp.Compare(a.Frag, b.Frag)
 }
 
 // EqValues returns a fragment's equality-attribute values keyed by column.
