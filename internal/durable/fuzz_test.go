@@ -10,8 +10,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -131,6 +134,31 @@ func FuzzJournalScan(f *testing.F) {
 				from, budget, c.Records, c.Next, want.Records, want.Next)
 		}
 	})
+}
+
+// TestDecodeSnapshotTFRange: a posting TF of math.MaxInt32 round-trips
+// through the snapshot format, and the tf-overflow seed — a well-formed
+// snapshot whose one posting carries a TF of 2³¹, past what a posting
+// holds — is ErrCorruptSnapshot, not a truncated TF.
+func TestDecodeSnapshotTFRange(t *testing.T) {
+	d := smallIndex(t, 1).Dump()
+	d.Postings[0][0].TF = math.MaxInt32
+	got, err := DecodeSnapshot(encodeSnapshot(t, filepath.Join(t.TempDir(), "max.snap"), d), "max")
+	if err != nil || !reflect.DeepEqual(got, d) {
+		t.Fatalf("TF math.MaxInt32 does not round-trip: %v", err)
+	}
+	seed, err := os.ReadFile("testdata/fuzz/FuzzDecodeSnapshot/tf-overflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, quoted, _ := strings.Cut(strings.TrimSpace(string(seed)), "\n")
+	b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(quoted, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot([]byte(b), "tf-overflow"); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
+	}
 }
 
 // encodeSnapshot writes d to path in the snapshot format and reads the

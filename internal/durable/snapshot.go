@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -38,9 +39,9 @@ const (
 	kwsPerChunk   = 1024
 	maxSections   = 1 << 20
 
-	snapFixedHeader  = 8 + 4 + 4 // magic + version + section count
-	snapTableEntry   = 8 + 8 + 4 // offset + length + crc
-	snapHeaderTrailer = 4        // header CRC
+	snapFixedHeader   = 8 + 4 + 4 // magic + version + section count
+	snapTableEntry    = 8 + 8 + 4 // offset + length + crc
+	snapHeaderTrailer = 4         // header CRC
 )
 
 // Errors the durable layer classifies corruption with. Both wrap into
@@ -213,7 +214,8 @@ func readSnapshot(ctx context.Context, fsys faultfs.FS, path string) (*fragindex
 
 // DecodeSnapshot verifies and decodes snapshot bytes already in memory —
 // the same full verification ReadSnapshot performs (magic, version, header
-// CRC, per-section CRCs, payload shape). Replicas use it on snapshot bytes
+// CRC, per-section CRCs, payload shape, and posting refs and TFs in the
+// range a fragindex.Posting holds). Replicas use it on snapshot bytes
 // fetched over the replication transport, so a bit flipped in transit is
 // caught exactly like one flipped on disk. name labels errors.
 func DecodeSnapshot(b []byte, name string) (*fragindex.Dump, error) {
@@ -322,7 +324,10 @@ func DecodeSnapshot(b []byte, name string) (*fragindex.Dump, error) {
 					if ref >= numFrags {
 						return nil, corrupt("posting ref %d out of range in %q", ref, kw)
 					}
-					ps = append(ps, fragindex.Posting{Frag: fragindex.FragRef(ref), TF: int64(tf)})
+					if tf > math.MaxInt32 {
+						return nil, corrupt("posting TF %d out of range in %q", tf, kw)
+					}
+					ps = append(ps, fragindex.Posting{Frag: fragindex.FragRef(ref), TF: int32(tf)})
 				}
 			}
 			if cd.err != nil {

@@ -25,7 +25,7 @@ func logicalState(s *Snapshot) map[string]any {
 	}
 	type post struct {
 		ID string
-		TF int64
+		TF int32
 	}
 	for _, kw := range s.Keywords() {
 		ps := s.Postings(kw)

@@ -50,7 +50,7 @@ func checkFragment(t *testing.T, s *Snapshot, i int, wantTF int64) {
 		t.Fatalf("fragment %d resolved to dead ref %d", i, ref)
 	}
 	ps := s.Postings(fmt.Sprintf("u%d", i))
-	if len(ps) != 1 || ps[0].Frag != ref || ps[0].TF != wantTF {
+	if len(ps) != 1 || ps[0].Frag != ref || int64(ps[0].TF) != wantTF {
 		t.Fatalf("fragment %d postings = %+v, want [{%d %d}]", i, ps, ref, wantTF)
 	}
 	members, pos, err := s.GroupMembers(ref)

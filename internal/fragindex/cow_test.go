@@ -3,6 +3,7 @@ package fragindex
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -19,10 +20,7 @@ import (
 // the snapshot shares shows up as a difference.
 func capture(s *Snapshot) map[string]any {
 	out := snapState(s)
-	s.eachList(func(kw string, pl *postingList) {
-		out["raw:"+kw] = append([]Posting(nil), pl.ps...)
-		out["dead:"+kw] = pl.dead
-	})
+	maps.Copy(out, captureLists(s))
 	for ref := FragRef(0); int(ref) < s.NumRefs(); ref++ {
 		m, err := s.Meta(ref)
 		if err != nil {
@@ -39,12 +37,26 @@ func capture(s *Snapshot) map[string]any {
 	return out
 }
 
+// captureLists records each list's raw postings (tombstones included) and
+// dead count, deep-copied: the part of capture a posting write can change.
+func captureLists(s *Snapshot) map[string]any {
+	out := make(map[string]any)
+	s.eachList(func(kw string, pl *postingList) {
+		out["raw:"+kw] = rawPostings(pl)
+		out["dead:"+kw] = pl.dead
+	})
+	return out
+}
+
 // cowModel is the reference a random history runs against: the live
-// fragments and their keyword statistics.
+// fragments and their keyword statistics. When hot is set, every drawn
+// keyword set holds it too unless avoided, so its list grows long enough
+// to span several posting blocks.
 type cowModel struct {
 	r     *rand.Rand
 	frags map[string]cowFrag
 	nextV int64
+	hot   string
 }
 
 type cowFrag struct {
@@ -56,13 +68,17 @@ const cowVocab = 12
 
 func (m *cowModel) kw(i int) string { return fmt.Sprintf("t%d", i%cowVocab) }
 
-// terms draws a keyword set of 1–4 keywords, none of them in avoid.
+// terms draws a keyword set of 1–4 keywords, plus hot, none of them in
+// avoid.
 func (m *cowModel) terms(avoid map[string]int64) map[string]int64 {
 	out := make(map[string]int64)
 	for n := 1 + m.r.Intn(4); len(out) < n; {
 		if kw := m.kw(m.r.Intn(cowVocab)); avoid[kw] == 0 {
 			out[kw] = int64(1 + m.r.Intn(3))
 		}
+	}
+	if m.hot != "" && avoid[m.hot] == 0 {
+		out[m.hot] = int64(1 + m.r.Intn(3))
 	}
 	return out
 }
@@ -217,7 +233,7 @@ func TestCoWIsolationRandomHistories(t *testing.T) {
 			}
 			s := l.Snapshot()
 			prev.eachList(func(kw string, pl *postingList) {
-				if now := s.list(kw); now == nil || len(now.ps) < len(pl.ps) {
+				if now := s.list(kw); now == nil || now.n < pl.n {
 					compacted++
 				}
 			})
@@ -272,7 +288,7 @@ func TestCoWIsolationRandomHistories(t *testing.T) {
 						copies++ // compacted: a fresh array of the live postings
 						continue
 					}
-					if after == before || &after.ps[0] != &before.ps[0] {
+					if after == before || !sameBlocks(after, before) {
 						t.Fatalf("trial %d: tombstone on %q did not clone the header and share the postings", trial, kw)
 					}
 					shared++
@@ -319,4 +335,28 @@ func mustLookup(t *testing.T, s *Snapshot, id fragment.ID) FragRef {
 		t.Fatalf("%s not in the snapshot", id)
 	}
 	return ref
+}
+
+// sameBlocks reports whether a and b hold the same blocks: the same
+// arrays, at the same lengths.
+func sameBlocks(a, b *postingList) bool {
+	if len(a.blocks) != len(b.blocks) {
+		return false
+	}
+	for i := range a.blocks {
+		if &a.blocks[i].ps[0] != &b.blocks[i].ps[0] || len(a.blocks[i].ps) != len(b.blocks[i].ps) {
+			return false
+		}
+	}
+	return true
+}
+
+// rawPostings returns pl's blocks concatenated: the whole list in storage
+// order, tombstones included.
+func rawPostings(pl *postingList) []Posting {
+	var out []Posting
+	for _, b := range pl.blocks {
+		out = append(out, b.ps...)
+	}
+	return out
 }

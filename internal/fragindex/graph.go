@@ -2,6 +2,7 @@ package fragindex
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/fragment"
@@ -40,8 +41,8 @@ func (idx *Index) InsertFragment(id fragment.ID, termCounts map[string]int64, to
 	// Restore rejects such postings, so admitting one here would make the
 	// index's own Dump unrecoverable.
 	for kw, tf := range termCounts {
-		if kw == "" || tf <= 0 {
-			return 0, fmt.Errorf("fragindex: %s: keyword %q with term frequency %d (want a non-empty keyword and a positive count)", id, kw, tf)
+		if _, ok := checkTF(tf); kw == "" || !ok {
+			return 0, fmt.Errorf("fragindex: %s: keyword %q with term frequency %d (want a non-empty keyword and a count in 1..%d)", id, kw, tf, math.MaxInt32)
 		}
 	}
 	idx.beginWrite()
@@ -68,34 +69,11 @@ func (idx *Index) InsertFragment(id fragment.ID, termCounts map[string]int64, to
 
 	// Posting lists: insert keeping TF-descending order.
 	for kw, tf := range termCounts {
-		idx.insertPosting(kw, Posting{Frag: ref, TF: tf})
+		idx.insertPosting(kw, Posting{Frag: ref, TF: int32(tf)})
 		idx.appendKw(ref, kw)
 	}
 	s.epoch++
 	return ref, nil
-}
-
-// insertPosting places p into kw's list preserving (TF desc, id asc) order
-// and refreshes the list's liveness bookkeeping.
-func (idx *Index) insertPosting(kw string, p Posting) {
-	s := idx.s
-	pl := idx.listForWrite(kw, true)
-	idx.ownPostings(pl)
-	list := pl.ps
-	pos := sort.Search(len(list), func(i int) bool {
-		if list[i].TF != p.TF {
-			return list[i].TF < p.TF
-		}
-		return s.metaAt(list[i].Frag).ID.Compare(s.metaAt(p.Frag).ID) >= 0
-	})
-	list = append(list, Posting{})
-	copy(list[pos+1:], list[pos:])
-	list[pos] = p
-	pl.ps = list
-	if pl.liveDF() == 1 { // the list just came (back) to life
-		s.liveKws++
-	}
-	pl.recompute()
 }
 
 // RemoveFragment deletes a fragment: its group edge pair collapses back into
@@ -136,7 +114,7 @@ func (idx *Index) RemoveFragment(id fragment.ID) error {
 			s.liveKws--
 		}
 		pl.recompute()
-		if pl.dead*idx.compactDen >= len(pl.ps)*idx.compactNum {
+		if pl.dead*idx.compactDen >= pl.n*idx.compactNum {
 			idx.CompactPostings(kw)
 		}
 	}

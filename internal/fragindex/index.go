@@ -29,11 +29,15 @@
 // where mutations touch them — fragment metadata chunk by chunk (the chunk
 // is the metadata CoW unit) behind a paged chunk table, the posting and
 // group directories hash shard by hash shard, and equality groups group by
-// group. A posting list is copied in two steps: a tombstone changes only
-// its header (dead count and IDF), so RemoveFragment clones the header and
-// keeps sharing the published postings; the postings are copied — once
-// per publish, with headroom for further inserts — only when an insert or
-// a compaction writes them. Freeze again to publish the next version.
+// group. A posting list is stored as blocks of ≈ 128 postings (see
+// postingList) and copied in three steps: a tombstone changes only its
+// header (dead count and IDF), so RemoveFragment clones the header and
+// keeps sharing the published blocks; the first insert into the list in a
+// publish copies its block directory, one slice header per block; and each
+// block is copied — once per publish, with headroom for further inserts —
+// only when an insert writes it. Every other block stays shared. A
+// compaction recuts the whole list. Freeze again to publish the next
+// version.
 // LiveIndex wraps this cycle behind an atomic pointer so readers resolve a
 // consistent snapshot per query while a writer applies deltas concurrently
 // (see live.go).
@@ -43,8 +47,9 @@
 // The read path is free of whole-index rescans:
 //
 //   - Each posting list carries a dead-posting counter, so Postings and DF
-//     never scan for tombstones on clean lists; a list is returned by
-//     reference when it has no tombstones (the common case).
+//     never scan for tombstones on clean lists. A clean list of one block
+//     is returned by reference; a longer one is concatenated into the
+//     caller's reused buffer (PostingsIDF), a memmove of 8-byte postings.
 //   - RemoveFragment maintains the counters through a per-fragment forward
 //     keyword map, and triggers CompactPostings on any list whose dead
 //     ratio reaches compactDeadNum/compactDeadDen — lazy, amortized-O(1)
@@ -59,9 +64,10 @@
 // metadata is chunked behind a paged table (see metaChunk), so a snapshot
 // clone costs a few fixed-size tables plus the dirty pages and chunks —
 // nothing O(refs); directory shards are sorted slices that clone by
-// memmove (see sortedDir); a tombstone copies a list header, not its
-// postings; and there is no per-ref key map to copy (Lookup resolves
-// through the group directory instead).
+// memmove (see sortedDir); an insert copies a list's block directory and
+// the one block it lands in, not the list; a tombstone copies a list
+// header, not its postings; and there is no per-ref key map to copy
+// (Lookup resolves through the group directory instead).
 //
 // Concurrency contract: a published Snapshot is immutable and safe for any
 // number of concurrent readers. The Index builder itself follows the
@@ -72,6 +78,7 @@ package fragindex
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/crawl"
@@ -96,10 +103,14 @@ var (
 // removed fragments leave tombstones until then.
 type FragRef int32
 
-// Posting is one inverted-list entry.
+// Posting is one inverted-list entry: 8 bytes, so a list copy and the
+// seed walk over a list move half what a 64-bit TF would. A fragment's
+// term frequency fits an int32; every path a TF enters the index by
+// (InsertFragment, Build, Load, the durable snapshot decoder) rejects one
+// past math.MaxInt32 instead of truncating it.
 type Posting struct {
 	Frag FragRef
-	TF   int64
+	TF   int32
 }
 
 // Meta is a fragment's indexed summary: its identifier and total keyword
@@ -108,27 +119,6 @@ type Meta struct {
 	ID    fragment.ID
 	Terms int64
 	Alive bool
-}
-
-// postingList is one keyword's inverted list plus its maintenance state:
-// how many entries are tombstones of removed fragments, and the
-// precomputed IDF (1/liveDF) the search engine reads per query.
-type postingList struct {
-	ps   []Posting // TF-descending; may contain up to `dead` tombstones
-	dead int       // tombstoned entries within ps
-	idf  float64   // 1/liveDF, 0 when the list has no live postings
-}
-
-// liveDF returns the number of live postings in the list.
-func (pl *postingList) liveDF() int { return len(pl.ps) - pl.dead }
-
-// recompute refreshes the precomputed IDF after a liveness change.
-func (pl *postingList) recompute() {
-	if df := pl.liveDF(); df > 0 {
-		pl.idf = 1 / float64(df)
-	} else {
-		pl.idf = 0
-	}
 }
 
 // Lists whose tombstones reach the compaction threshold (dead/len >=
@@ -233,13 +223,14 @@ type Index struct {
 	// cow is set once Freeze has published a snapshot: from then on every
 	// mutation copies shared structures before writing. The owned* sets
 	// track what has already been copied since the last Freeze — metadata
-	// chunks, posting shards, posting lists, group shards, groups — so a
-	// batch of mutations pays each clone once. A posting list is owned in
-	// two steps: ownedLists holds every list header cloned (or created)
-	// since the Freeze, mapped to whether its postings array was copied
-	// too — a tombstone changes only the header, so its list keeps sharing
-	// the published postings until an insert or a compaction writes them.
-	// copiedLists counts the postings copies.
+	// chunks, posting shards, group shards, groups — so a batch of
+	// mutations pays each clone once. Posting lists track it with
+	// generation stamps instead: gen counts Freezes, and a list header,
+	// block directory or block stamped with the current gen was allocated
+	// since the last one, so it is the builder's to write (see
+	// postingList). Checking a stamp is O(1) and a Freeze resets them all
+	// by incrementing gen. copiedLists counts the block directories
+	// copied.
 	cow          bool
 	metaOwned    bool // the Snapshot struct + pointer tables are cloned
 	ownedPages   []bool
@@ -247,7 +238,7 @@ type Index struct {
 	clonedChunks int
 	ownedShards  []bool
 	ownedGShards []bool
-	ownedLists   map[*postingList]bool
+	gen          uint64
 	copiedLists  int
 	ownedGroups  map[*group]struct{}
 }
@@ -333,15 +324,18 @@ func Build(out *crawl.Output, spec Spec) (*Index, error) {
 			if !ok {
 				return nil, fmt.Errorf("%w: posting for unknown fragment", ErrNoFragment)
 			}
-			list = append(list, Posting{Frag: ref, TF: p.TF})
+			tf, ok := checkTF(p.TF)
+			if !ok {
+				return nil, fmt.Errorf("fragindex: posting of %q for %s has term frequency %d (want 1..%d)",
+					kw, p.FragKey, p.TF, math.MaxInt32)
+			}
+			list = append(list, Posting{Frag: ref, TF: tf})
 			idx.appendKw(ref, kw)
 		}
 		if len(list) == 0 {
 			continue
 		}
-		pl := &postingList{ps: list}
-		pl.recompute()
-		s.shards[shardIndex(kw)].put(kw, pl)
+		s.shards[shardIndex(kw)].put(kw, newPostingList(list, idx.gen))
 		s.liveKws++
 	}
 	return idx, nil
@@ -380,11 +374,7 @@ func (idx *Index) Freeze() *Snapshot {
 	idx.clonedChunks = 0
 	idx.ownedShards = resetBools(idx.ownedShards, numShards)
 	idx.ownedGShards = resetBools(idx.ownedGShards, numGroupShards)
-	if idx.ownedLists == nil {
-		idx.ownedLists = make(map[*postingList]bool)
-	} else {
-		clear(idx.ownedLists)
-	}
+	idx.gen++
 	idx.copiedLists = 0
 	if idx.ownedGroups == nil {
 		idx.ownedGroups = make(map[*group]struct{})
@@ -407,8 +397,8 @@ func (idx *Index) discardTo(s *Snapshot) {
 // pendingClones reports how many metadata chunks, posting shards, posting
 // lists, and groups the builder has copied since the last Freeze — the
 // physical write amplification of the in-progress delta. A list counts
-// once its postings are copied; a header-only clone (a tombstone) does
-// not.
+// once its block directory is copied; a header-only clone (a tombstone)
+// does not.
 func (idx *Index) pendingClones() (chunks, shards, lists, groups int) {
 	for _, owned := range idx.ownedShards {
 		if owned {
@@ -520,54 +510,6 @@ func (idx *Index) shardForWrite(si uint32) *shard {
 	}
 	return sh
 }
-
-// listForWrite returns kw's posting list with a header ready for in-place
-// mutation, cloning the header if it is shared with a published snapshot.
-// The postings may still be shared: writers of ps call ownPostings first.
-// When the list is absent it is created if create is set, else nil is
-// returned.
-func (idx *Index) listForWrite(kw string, create bool) *postingList {
-	si := shardIndex(kw)
-	i, ok := idx.s.shards[si].find(kw)
-	if !ok {
-		if !create {
-			return nil
-		}
-		pl := &postingList{}
-		idx.shardForWrite(si).insertAt(i, kw, pl)
-		if idx.cow {
-			idx.ownedLists[pl] = true // nothing to copy
-		}
-		return pl
-	}
-	pl := idx.s.shards[si].vals[i]
-	if !idx.cow {
-		return pl
-	}
-	if _, owned := idx.ownedLists[pl]; !owned {
-		pl = &postingList{ps: pl.ps, dead: pl.dead, idf: pl.idf}
-		idx.shardForWrite(si).vals[i] = pl
-		idx.ownedLists[pl] = false
-	}
-	return pl
-}
-
-// ownPostings makes pl's postings (pl from listForWrite) writable in
-// place, copying them unless this version already owns them. The copy
-// has room for an eighth more postings, so the insert that caused it —
-// and usually the other inserts of the same publish — do not reallocate
-// the list a second time.
-func (idx *Index) ownPostings(pl *postingList) {
-	if !idx.cow || idx.ownedLists[pl] {
-		return
-	}
-	pl.ps = append(make([]Posting, 0, grownCap(len(pl.ps))), pl.ps...)
-	idx.ownedLists[pl] = true
-	idx.copiedLists++
-}
-
-// grownCap is the capacity a copied posting list of n entries gets.
-func grownCap(n int) int { return n + n/8 + 1 }
 
 // gshardForWrite returns the group shard ready for in-place mutation,
 // cloning it if it is shared with a published snapshot.
@@ -692,38 +634,4 @@ func (idx *Index) EqValues(ref FragRef) (map[string]relation.Value, error) {
 // RangeValue returns a fragment's range-attribute value.
 func (idx *Index) RangeValue(ref FragRef) (relation.Value, error) {
 	return idx.s.RangeValue(ref)
-}
-
-// CompactPostings drops tombstoned entries from one keyword's inverted
-// list, reclaiming their slots: in place when this version already owns
-// the postings, else into a fresh array (one copy, of the live entries
-// only). A list left with no live entry is dropped from the directory.
-// RemoveFragment calls it automatically once a list's dead ratio reaches
-// the compaction threshold; it is exported for callers that want eager
-// reclamation.
-func (idx *Index) CompactPostings(keyword string) {
-	if pl := idx.s.list(keyword); pl == nil || pl.dead == 0 {
-		return // nothing to reclaim; skip copy-on-write entirely
-	}
-	idx.beginWrite()
-	pl := idx.listForWrite(keyword, false)
-	if pl.liveDF() == 0 {
-		sh := idx.s.shards[shardIndex(keyword)] // listForWrite owns it
-		i, _ := sh.find(keyword)
-		sh.deleteAt(i)
-		return
-	}
-	live := pl.ps[:0]
-	if idx.cow && !idx.ownedLists[pl] {
-		live = make([]Posting, 0, grownCap(pl.liveDF()))
-		idx.ownedLists[pl] = true
-		idx.copiedLists++
-	}
-	for _, p := range pl.ps {
-		if idx.s.aliveAt(p.Frag) {
-			live = append(live, p)
-		}
-	}
-	pl.ps = live
-	pl.dead = 0
 }

@@ -125,9 +125,11 @@ type ApplyStats struct {
 	Epoch uint64 `json:"epoch"`
 	// ClonedChunks/ClonedShards/ClonedLists/ClonedGroups count the
 	// copy-on-write work the publish caused: fragment-metadata chunks,
-	// posting-directory shards, posting lists whose postings were copied,
-	// and equality groups cloned for the new version. A tombstone clones
-	// only its list's small header and keeps sharing the postings, so it
+	// posting-directory shards, posting lists whose block directory was
+	// copied, and equality groups cloned for the new version. A list's
+	// directory copy is one slice header per block, and it copies only the
+	// blocks it writes, ≈ 128 postings each. A tombstone clones only its
+	// list's small header and keeps sharing the directory and blocks, so it
 	// does not count as a cloned list. Everything else is shared with the
 	// previous snapshot, so these four numbers — not the index size — are
 	// the publish cost.

@@ -21,7 +21,7 @@ func brute(idx *Index) (frags int, terms int64, kws int) {
 	}
 	idx.s.eachList(func(_ string, pl *postingList) {
 		live := 0
-		for _, p := range pl.ps {
+		for _, p := range rawPostings(pl) {
 			if idx.s.aliveAt(p.Frag) {
 				live++
 			}
@@ -134,7 +134,7 @@ func TestCompactPostingsThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(idx.s.list("shared").ps); got != n {
+	if got := idx.s.list("shared").n; got != n {
 		t.Fatalf("list length = %d, want %d", got, n)
 	}
 	// Remove fragments one at a time; the physical list must never carry
@@ -145,8 +145,8 @@ func TestCompactPostingsThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl := idx.s.list("shared")
-		if pl.dead*compactDeadDen >= len(pl.ps)*compactDeadNum {
-			t.Fatalf("after %d removals: %d dead in list of %d not compacted", i+1, pl.dead, len(pl.ps))
+		if pl.dead*compactDeadDen >= pl.n*compactDeadNum {
+			t.Fatalf("after %d removals: %d dead in list of %d not compacted", i+1, pl.dead, pl.n)
 		}
 		if df := idx.DF("shared"); df != n-1-i {
 			t.Fatalf("DF = %d, want %d", df, n-1-i)
@@ -186,12 +186,12 @@ func TestExplicitCompactPostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := idx.s.list("w")
-	if pl.dead != 1 || len(pl.ps) != 10 {
-		t.Fatalf("expected 1 sub-threshold tombstone, got dead=%d len=%d", pl.dead, len(pl.ps))
+	if pl.dead != 1 || pl.n != 10 {
+		t.Fatalf("expected 1 sub-threshold tombstone, got dead=%d len=%d", pl.dead, pl.n)
 	}
 	idx.CompactPostings("w")
-	if pl.dead != 0 || len(pl.ps) != 9 {
-		t.Errorf("after CompactPostings: dead=%d len=%d, want 0/9", pl.dead, len(pl.ps))
+	if pl.dead != 0 || pl.n != 9 {
+		t.Errorf("after CompactPostings: dead=%d len=%d, want 0/9", pl.dead, pl.n)
 	}
 	if idx.DF("w") != 9 {
 		t.Errorf("DF = %d, want 9", idx.DF("w"))

@@ -125,9 +125,12 @@ func Restore(d *Dump) (*Index, error) {
 	for ref, n := range nkw {
 		s.chunkOf(FragRef(ref)).kwOf[ref&chunkMask], kwArena = kwArena[:0:n], kwArena[n:]
 	}
-	// Dumps list keywords sorted, so each put appends to its shard's sorted
-	// directory. seen stamps each ref with the last list (i+1) that holds
-	// it, so the duplicate check needs no per-list reset.
+	// Every list's postings are carved from one arena, each capped at its
+	// own end: a later write copies the block it touches anyway (see
+	// postingList). Dumps list keywords sorted, so each put appends to its
+	// shard's sorted directory. seen stamps each ref with the last list
+	// (i+1) that holds it, so the duplicate check needs no per-list reset.
+	arena := make([]Posting, 0, total)
 	seen := make([]int, s.numRefs)
 	for i, kw := range d.Keywords {
 		wps := d.Postings[i]
@@ -137,7 +140,7 @@ func Restore(d *Dump) (*Index, error) {
 		if kw == "" {
 			return nil, fmt.Errorf("%w: empty keyword", ErrCorruptIndex)
 		}
-		ps := make([]Posting, len(wps))
+		start := len(arena)
 		for j, p := range wps {
 			if int(p.Frag) < 0 || int(p.Frag) >= s.numRefs {
 				return nil, fmt.Errorf("%w: posting ref out of range", ErrCorruptIndex)
@@ -156,12 +159,10 @@ func Restore(d *Dump) (*Index, error) {
 				}
 			}
 			seen[p.Frag] = i + 1
-			ps[j] = p
+			arena = append(arena, p)
 			idx.appendKw(p.Frag, kw)
 		}
-		pl := &postingList{ps: ps}
-		pl.recompute()
-		if !s.shards[shardIndex(kw)].put(kw, pl) {
+		if !s.shards[shardIndex(kw)].put(kw, newPostingList(arena[start:len(arena):len(arena)], idx.gen)) {
 			return nil, fmt.Errorf("%w: duplicate keyword %q", ErrCorruptIndex, kw)
 		}
 		s.liveKws++
@@ -191,7 +192,7 @@ func (idx *Index) Save(w io.Writer) error {
 	for i, kw := range d.Keywords {
 		wps := make([]wirePosting, len(d.Postings[i]))
 		for j, p := range d.Postings[i] {
-			wps[j] = wirePosting{Frag: int32(p.Frag), TF: p.TF}
+			wps[j] = wirePosting{Frag: int32(p.Frag), TF: int64(p.TF)}
 		}
 		wire.Inverted[kw] = wps
 	}
@@ -200,7 +201,8 @@ func (idx *Index) Save(w io.Writer) error {
 
 // Load deserializes an index written by Save, with the same corruption
 // validation as Restore (ErrCorruptIndex on duplicate fragments, duplicate
-// postings, or out-of-range refs).
+// postings, or out-of-range refs). The gob envelope carries TFs as int64;
+// one outside 1..math.MaxInt32 is ErrCorruptIndex too, never truncated.
 func Load(r io.Reader) (*Index, error) {
 	var wire indexWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -223,7 +225,11 @@ func Load(r io.Reader) (*Index, error) {
 		wps := wire.Inverted[kw]
 		ps := make([]Posting, len(wps))
 		for j, p := range wps {
-			ps[j] = Posting{Frag: FragRef(p.Frag), TF: p.TF}
+			tf, ok := checkTF(p.TF)
+			if !ok {
+				return nil, fmt.Errorf("%w: posting TF %d in %q", ErrCorruptIndex, p.TF, kw)
+			}
+			ps[j] = Posting{Frag: FragRef(p.Frag), TF: tf}
 		}
 		d.Postings[i] = ps
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -209,11 +210,11 @@ func TestRestoreRejectsMisorderedPostings(t *testing.T) {
 // fuzzDump decodes fuzz input into a small Dump over the spec (c, v) with
 // equality attribute c. Every field is drawn from b — up to 7 fragments
 // (group a–c, an int8 range value, int8 terms), then up to 5 keywords ("" or
-// k1–k5), each with up to 4 postings (ref −8…8, TF −7…7) — so the fuzzer
-// reaches every check Restore makes: duplicate or unsorted fragments,
-// duplicate or empty keywords, out-of-range or duplicate refs, misordered
-// lists and non-positive TFs. Input past what is needed is ignored, and
-// missing input reads as zero.
+// k1–k5), each with up to 4 postings (ref −8…8, TF from fuzzTF) — so the
+// fuzzer reaches every check Restore makes: duplicate or unsorted
+// fragments, duplicate or empty keywords, out-of-range or duplicate refs,
+// misordered lists and non-positive TFs. Input past what is needed is
+// ignored, and missing input reads as zero.
 func fuzzDump(b []byte) *Dump {
 	next := func() int8 {
 		if len(b) == 0 {
@@ -236,12 +237,27 @@ func fuzzDump(b []byte) *Dump {
 		}
 		var ps []Posting
 		for m := uint8(next()) % 5; m > 0; m-- {
-			ps = append(ps, Posting{Frag: FragRef(next() % 9), TF: int64(next() % 8)})
+			ref, tf := FragRef(next()%9), next()
+			ps = append(ps, Posting{Frag: ref, TF: fuzzTF(tf)})
 		}
 		d.Keywords = append(d.Keywords, kw)
 		d.Postings = append(d.Postings, ps)
 	}
 	return d
+}
+
+// fuzzTF maps a fuzz byte to a TF in −7…7, except at the two extremes: 127
+// is math.MaxInt32, the largest TF a posting holds, and −128 is
+// math.MinInt32, what a TF of 2³¹ becomes if anything truncates it to a
+// posting's int32.
+func fuzzTF(v int8) int32 {
+	switch v {
+	case math.MaxInt8:
+		return math.MaxInt32
+	case math.MinInt8:
+		return math.MinInt32
+	}
+	return int32(v % 8)
 }
 
 // FuzzRestore: Restore, the decoder behind replica bootstrap and crash
@@ -260,16 +276,17 @@ func FuzzRestore(f *testing.F) {
 		}
 		s := idx.Snapshot()
 		s.eachList(func(kw string, pl *postingList) {
-			for i, p := range pl.ps {
+			ps := rawPostings(pl)
+			for i, p := range ps {
 				if p.TF <= 0 {
 					t.Fatalf("%q: accepted TF %d", kw, p.TF)
 				}
 				if i == 0 {
 					continue
 				}
-				q := pl.ps[i-1]
+				q := ps[i-1]
 				if q.TF < p.TF || q.TF == p.TF && s.metaAt(q.Frag).ID.Compare(s.metaAt(p.Frag).ID) >= 0 {
-					t.Fatalf("%q: accepted misordered postings %v", kw, pl.ps)
+					t.Fatalf("%q: accepted misordered postings %v", kw, ps)
 				}
 			}
 		})
@@ -285,13 +302,15 @@ func FuzzRestore(f *testing.F) {
 }
 
 // TestInsertRejectsUnrestorablePostings: an insert whose statistics Restore
-// would refuse — an empty keyword or a non-positive TF — fails and changes
-// nothing, so an index's own Dump always restores.
+// would refuse — an empty keyword or a non-positive TF — or whose TF does
+// not fit a posting's int32 fails and changes nothing, so an index's own
+// Dump always restores and no TF is truncated.
 func TestInsertRejectsUnrestorablePostings(t *testing.T) {
 	for name, counts := range map[string]map[string]int64{
 		"zero TF":       {"burger": 1, "fries": 0},
 		"negative TF":   {"burger": -2},
 		"empty keyword": {"": 1},
+		"TF 2^31":       {"burger": 1, "fries": math.MaxInt32 + 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			idx := fooddbIndex(t)
@@ -304,6 +323,35 @@ func TestInsertRejectsUnrestorablePostings(t *testing.T) {
 				t.Error("rejected insert changed the index")
 			}
 		})
+	}
+}
+
+// TestBuildRejectsTFPastInt32: a crawl output whose TF does not fit a
+// posting's int32 fails to build instead of building truncated postings;
+// math.MaxInt32 itself builds, and dumps and restores exactly.
+func TestBuildRejectsTFPastInt32(t *testing.T) {
+	key := fragment.ID{relation.String("a"), relation.Int(1)}.Key()
+	build := func(tf int64) (*Index, error) {
+		return Build(&crawl.Output{
+			SelAttrs:      cowSpec.SelAttrs,
+			FragmentTerms: map[string]int64{key: tf},
+			Inverted:      map[string][]crawl.Posting{"kw": {{FragKey: key, TF: tf}}},
+		}, cowSpec)
+	}
+	if _, err := build(math.MaxInt32 + 1); err == nil {
+		t.Error("Build accepted TF 2^31")
+	}
+	idx, err := build(math.MaxInt32)
+	if err != nil {
+		t.Fatalf("Build rejected TF math.MaxInt32: %v", err)
+	}
+	if ps := idx.Postings("kw"); len(ps) != 1 || ps[0].TF != math.MaxInt32 {
+		t.Fatalf("postings %v, want one of TF %d", ps, math.MaxInt32)
+	}
+	d := idx.Dump()
+	again, err := Restore(d)
+	if err != nil || !reflect.DeepEqual(again.Dump(), d) {
+		t.Fatalf("dump of TF math.MaxInt32 does not round-trip: %v", err)
 	}
 }
 
@@ -374,6 +422,7 @@ func TestLoadRejectsCorruptFiles(t *testing.T) {
 			w.Inverted["kw"] = append(w.Inverted["kw"], wirePosting{Frag: 0, TF: 1})
 		}},
 		{"terms array mismatch", func(w *indexWire) { w.Terms = w.Terms[:1] }},
+		{"TF 2^31", func(w *indexWire) { w.Inverted["kw"][0].TF = math.MaxInt32 + 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -473,7 +522,7 @@ func TestPublishHookWriteAhead(t *testing.T) {
 	}
 }
 
-func postingTF(s *Snapshot, kw string, id fragment.ID) int64 {
+func postingTF(s *Snapshot, kw string, id fragment.ID) int32 {
 	for _, p := range s.Postings(kw) {
 		if m, err := s.Meta(p.Frag); err == nil && m.ID.Compare(id) == 0 {
 			return p.TF

@@ -14,12 +14,14 @@ import (
 // Posting lists are grouped into a fixed number of hash shards. The shard is
 // the copy-on-write unit of the posting directory between snapshots:
 // publishing a new snapshot clones only the shards (and within them, only
-// the posting-list headers and postings) the delta touched, so untouched
-// shards — the overwhelming majority of index memory — are shared by
-// pointer across every live snapshot. An 8-change apply on the Q2 corpus
-// touches a few hundred keywords and so dirties most of the 256 shards;
-// each shard clone is two memmoves of its keys and list pointers (see
-// sortedDir) rather than a map clone that re-hashes every key.
+// the posting-list headers, block directories and blocks) the delta
+// touched, so untouched shards — the overwhelming majority of index memory
+// — are shared by pointer across every live snapshot. An 8-change apply on
+// the Q2 corpus touches a few hundred keywords and so dirties most of the
+// 256 shards; each shard clone is two memmoves of its keys and list
+// pointers (see sortedDir) rather than a map clone that re-hashes every
+// key. Those clones (≈ 160 KB an apply) are, after the metadata chunks,
+// the largest thing such a publish allocates.
 const numShards = 256 // power of two; shardIndex masks with numShards-1
 
 // Equality groups hash into their own shard table so a delta that touches
@@ -414,9 +416,9 @@ func (s *Snapshot) Has(id fragment.ID) bool {
 }
 
 // Postings returns the live postings of a keyword, sorted by TF descending.
-// The returned slice must not be modified. Lists without tombstones — the
-// common case, since RemoveFragment compacts any list whose dead ratio
-// crosses the threshold — are returned by reference without scanning.
+// The returned slice must not be modified. A list of one block without
+// tombstones is returned by reference without scanning; any other list is
+// gathered into a fresh slice (see PostingsIDF to reuse one).
 func (s *Snapshot) Postings(keyword string) []Posting {
 	ps, _ := s.PostingsIDF(keyword, nil)
 	return ps
@@ -445,27 +447,35 @@ func (s *Snapshot) IDF(keyword string) float64 {
 
 // PostingsIDF returns Postings(keyword) and IDF(keyword) with a single
 // list lookup — the form the search engine's seeding loop uses, so each
-// queried keyword costs one shard hash instead of two. A list with
-// tombstones is filtered into *buf's storage (overwritten from its start,
-// grown when too small) when buf is non-nil, and the result aliases it: a
-// caller that keeps *buf between calls, as the engine's scratch does, pays
-// no allocation per search on a list an update left tombstoned. The result
-// must not be modified when it is the snapshot's own list.
+// queried keyword costs one shard hash instead of two. A clean list of one
+// block is the snapshot's own block, returned by reference; it must not be
+// modified. Any other list — several blocks, or tombstones — is
+// concatenated, tombstones filtered out, into *buf's storage (overwritten
+// from its start, grown when too small) when buf is non-nil, and the
+// result aliases it: a caller that keeps *buf between calls, as the
+// engine's scratch does, pays no allocation per search once *buf has grown
+// to the longest list it reads.
 func (s *Snapshot) PostingsIDF(keyword string, buf *[]Posting) ([]Posting, float64) {
 	pl := s.list(keyword)
 	if pl == nil {
 		return nil, 0
 	}
-	if pl.dead == 0 {
-		return pl.ps, pl.idf
+	if pl.dead == 0 && len(pl.blocks) == 1 {
+		return pl.blocks[0].ps, pl.idf
 	}
 	if buf == nil {
 		buf = new([]Posting)
 	}
 	out := slices.Grow((*buf)[:0], pl.liveDF())
-	for _, p := range pl.ps {
-		if s.aliveAt(p.Frag) {
-			out = append(out, p)
+	for _, b := range pl.blocks {
+		if pl.dead == 0 {
+			out = append(out, b.ps...)
+			continue
+		}
+		for _, p := range b.ps {
+			if s.aliveAt(p.Frag) {
+				out = append(out, p)
+			}
 		}
 	}
 	*buf = out
@@ -528,9 +538,11 @@ func (s *Snapshot) dump(keep func(FragRef) bool) *Dump {
 	arena := make([]Posting, 0, total)
 	for _, kw := range kws {
 		start := len(arena)
-		for _, p := range s.list(kw).ps {
-			if at := pos[p.Frag]; at > 0 {
-				arena = append(arena, Posting{Frag: FragRef(at - 1), TF: p.TF})
+		for _, b := range s.list(kw).blocks {
+			for _, p := range b.ps {
+				if at := pos[p.Frag]; at > 0 {
+					arena = append(arena, Posting{Frag: FragRef(at - 1), TF: p.TF})
+				}
 			}
 		}
 		if len(arena) == start {

@@ -63,8 +63,8 @@
 //     list (GOMAXPROCS entries) that, unlike the sync.Pool behind it,
 //     survives GC cycles, so a steady stream of misses re-uses its arenas
 //     instead of re-making them. A released scratch holds no pointer into
-//     the snapshots it served. A posting list that an update left with
-//     tombstones is filtered into scratch storage too
+//     the snapshots it served. A posting list of several blocks, or one
+//     an update left with tombstones, is gathered into scratch storage too
 //     (Snapshot.PostingsIDF), not into a fresh slice per keyword.
 //   - Page identity is a packed uint64 of the interval's endpoint refs
 //     (FragRefs are int32), not an fmt.Sprintf string.
@@ -305,7 +305,7 @@ type searchScratch struct {
 	snaps    []*fragindex.Snapshot // the pinned set
 	base     []fragindex.FragRef   // per pinned snapshot: its first global ref
 	lists    [][]fragindex.Posting // per pinned snapshot: one keyword's live postings
-	live     [][]fragindex.Posting // per pinned snapshot: a tombstoned list's live postings
+	live     [][]fragindex.Posting // per pinned snapshot: a gathered list's live postings
 	band     []bandEntry           // CandidateLimit's tie band over the pinned set
 	keywords []string
 	idf      []float64
@@ -467,7 +467,7 @@ func (s *searchScratch) seedPostings(si, i int, ps []fragindex.Posting) error {
 			s.seedOcc = s.seedOcc[:len(s.seedOcc)+nk]
 			s.heap = append(s.heap, heapEntry{size: snap.TermsOf(p.Frag), ord: ord - 1})
 		}
-		s.seedOcc[int(ord-1)*nk+i] += p.TF
+		s.seedOcc[int(ord-1)*nk+i] += int64(p.TF)
 	}
 	return nil
 }
@@ -485,8 +485,8 @@ func (s *searchScratch) seedTop(i, limit int) error {
 	need := limit
 	for si, ps := range s.lists {
 		// [a, b) is the band of postings tied at the cutoff TF.
-		a := sort.Search(len(ps), func(j int) bool { return ps[j].TF <= cut })
-		b := sort.Search(len(ps), func(j int) bool { return ps[j].TF < cut })
+		a := sort.Search(len(ps), func(j int) bool { return int64(ps[j].TF) <= cut })
+		b := sort.Search(len(ps), func(j int) bool { return int64(ps[j].TF) < cut })
 		if err := s.seedPostings(si, i, ps[:a]); err != nil {
 			return err
 		}
@@ -523,13 +523,13 @@ func cutoffTF(lists [][]fragindex.Posting, limit int) int64 {
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, ps := range lists {
 		if len(ps) > 0 {
-			lo, hi = min(lo, ps[len(ps)-1].TF), max(hi, ps[0].TF+1)
+			lo, hi = min(lo, int64(ps[len(ps)-1].TF)), max(hi, int64(ps[0].TF)+1)
 		}
 	}
 	for hi-lo > 1 {
 		mid, reach := lo+(hi-lo)/2, 0
 		for _, ps := range lists {
-			reach += sort.Search(len(ps), func(j int) bool { return ps[j].TF < mid })
+			reach += sort.Search(len(ps), func(j int) bool { return int64(ps[j].TF) < mid })
 		}
 		if reach >= limit {
 			lo = mid

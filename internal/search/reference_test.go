@@ -94,7 +94,7 @@ func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
 			if seedOcc[p.Frag] == nil {
 				seedOcc[p.Frag] = make([]int64, len(kws))
 			}
-			seedOcc[p.Frag][i] += p.TF
+			seedOcc[p.Frag][i] += int64(p.TF)
 		}
 	}
 

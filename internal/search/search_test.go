@@ -279,7 +279,7 @@ func TestPropScoresMonotoneNonIncreasing(t *testing.T) {
 				size += meta.Terms
 				for _, p := range e.Index().Postings(kw) {
 					if p.Frag == f {
-						occ += p.TF
+						occ += int64(p.TF)
 					}
 				}
 			}

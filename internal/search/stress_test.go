@@ -167,7 +167,8 @@ func TestSearchAllocsRegression(t *testing.T) {
 // with tombstones (below the compaction threshold) is filtered into
 // scratch-owned storage, so searching it allocates exactly what searching
 // the compacted list does — with and without a CandidateLimit cut, which
-// applies to the live postings.
+// applies to the live postings. The lists span several posting blocks, so
+// they are gathered into scratch storage either way.
 func TestSearchAllocsOnTombstonedLists(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	changes := randomCorpus(r, 30, 40)
@@ -179,10 +180,18 @@ func TestSearchAllocsOnTombstonedLists(t *testing.T) {
 	}
 	kws := []string{"ale", "bun"}
 	for _, kw := range kws {
-		// Postings hands out a filtered copy exactly when the list has
-		// tombstones.
-		if testing.AllocsPerRun(10, func() { idx.Postings(kw) }) == 0 {
-			t.Fatalf("list %q carries no tombstones", kw)
+		// The list was built with one posting per fragment holding kw. The
+		// removals leave fewer than a quarter of them dead — below the
+		// compaction threshold, which they therefore never reached — so a
+		// DF under that raw length counts the tombstones still in the list.
+		raw := 0
+		for _, ch := range changes {
+			if ch.counts[kw] > 0 {
+				raw++
+			}
+		}
+		if df := idx.DF(kw); df >= raw || 4*(raw-df) >= raw {
+			t.Fatalf("list %q: DF %d of %d postings, want tombstones below the compaction threshold", kw, df, raw)
 		}
 	}
 	e := New(idx, nil)
@@ -209,9 +218,6 @@ func TestSearchAllocsOnTombstonedLists(t *testing.T) {
 	}
 	for _, kw := range kws {
 		idx.CompactPostings(kw)
-		if testing.AllocsPerRun(10, func() { idx.Postings(kw) }) != 0 {
-			t.Fatalf("list %q still carries tombstones", kw)
-		}
 	}
 	for i, req := range reqs {
 		compacted, res := measure(req)
