@@ -726,7 +726,9 @@ func (f *foldStream) next(n int) crawl.Delta {
 // applies. Real fragments touch a few hundred keywords per apply, so this
 // sees the posting-directory and posting-list copies a publish pays, which
 // BenchmarkApplyPublishCost's two-keyword fragments cannot. B/op is per
-// 8-change apply.
+// 8-change apply, and so are the copy counts beside it: metadata chunks,
+// posting lists and equality groups cloned (ApplyStats, summed over both
+// shards).
 func BenchmarkFoldQ2(b *testing.B) {
 	const perApply = 8
 	st := workloadState(b, "Q2")
@@ -740,7 +742,7 @@ func BenchmarkFoldQ2(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	var lists int
+	var chunks, lists, groups int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -748,7 +750,9 @@ func BenchmarkFoldQ2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		chunks += stats.Total.ClonedChunks
 		lists += stats.Total.ClonedLists
+		groups += stats.Total.ClonedGroups
 		if i%32 == 31 {
 			if _, err := live.CompactIfNeeded(ctx, 0.25); err != nil {
 				b.Fatal(err)
@@ -757,7 +761,9 @@ func BenchmarkFoldQ2(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perApply), "ns/change")
+	b.ReportMetric(float64(chunks)/float64(b.N), "clonedChunks/op")
 	b.ReportMetric(float64(lists)/float64(b.N), "clonedLists/op")
+	b.ReportMetric(float64(groups)/float64(b.N), "clonedGroups/op")
 }
 
 // BenchmarkCheckpointQ2 measures the three bulk passes over a whole index

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,12 +16,16 @@ import (
 )
 
 // capture records everything a reader of s can observe — snapState, each
-// list's raw postings (tombstones included) and dead count, and every
-// ref's Meta and GroupPath — deep-copied, so a later write into storage
-// the snapshot shares shows up as a difference.
+// list's raw postings (tombstones included) and dead count, every group by
+// id, and every ref's Meta, GroupPath and group slot — deep-copied, so a
+// later write into storage the snapshot shares shows up as a difference.
 func capture(s *Snapshot) map[string]any {
 	out := snapState(s)
 	maps.Copy(out, captureLists(s))
+	for gid := int32(0); int(gid) < s.ngroups; gid++ {
+		g := s.group(gid)
+		out[fmt.Sprintf("group:%d", gid)] = []any{g.key, slices.Clone(g.members), slices.Clone(g.weights)}
+	}
 	for ref := FragRef(0); int(ref) < s.NumRefs(); ref++ {
 		m, err := s.Meta(ref)
 		if err != nil {
@@ -32,6 +37,7 @@ func capture(s *Snapshot) map[string]any {
 			out[fmt.Sprintf("path:%d", ref)] = []any{
 				append([]FragRef(nil), members...), append([]int64(nil), weights...), key, pos,
 			}
+			out[fmt.Sprintf("slot:%d", ref)] = [2]int{int(s.gidAt(ref)), s.posAt(ref)}
 		}
 	}
 	return out
@@ -51,12 +57,17 @@ func captureLists(s *Snapshot) map[string]any {
 // cowModel is the reference a random history runs against: the live
 // fragments and their keyword statistics. When hot is set, every drawn
 // keyword set holds it too unless avoided, so its list grows long enough
-// to span several posting blocks.
+// to span several posting blocks. With fresh set, a third of the keyword
+// sets also hold a keyword never drawn before, and a quarter of the new
+// fragments open a group of their own: the directories then gain keys
+// between publishes, and a list whose one fragment goes away is dropped
+// from a posting shard holding other keywords.
 type cowModel struct {
 	r     *rand.Rand
 	frags map[string]cowFrag
 	nextV int64
 	hot   string
+	fresh bool
 }
 
 type cowFrag struct {
@@ -80,12 +91,20 @@ func (m *cowModel) terms(avoid map[string]int64) map[string]int64 {
 	if m.hot != "" && avoid[m.hot] == 0 {
 		out[m.hot] = int64(1 + m.r.Intn(3))
 	}
+	if m.fresh && m.r.Intn(3) == 0 {
+		m.nextV++
+		out[fmt.Sprintf("n%d", m.nextV)] = int64(1 + m.r.Intn(3))
+	}
 	return out
 }
 
 func (m *cowModel) newID() fragment.ID {
 	m.nextV++
-	return fragment.ID{relation.String(fmt.Sprintf("g%d", m.r.Intn(3))), relation.Int(m.nextV)}
+	g := fmt.Sprintf("g%d", m.r.Intn(3))
+	if m.fresh && m.r.Intn(4) == 0 {
+		g = fmt.Sprintf("g%d", m.nextV)
+	}
+	return fragment.ID{relation.String(g), relation.Int(m.nextV)}
 }
 
 // pick returns a live fragment not in used, preferring one holding kw when
@@ -202,15 +221,17 @@ var cowSpec = Spec{SelAttrs: []string{"g", "v"}, EqAttrs: []string{"g"}, RangeAt
 // may change a capture. The histories mix updates with overlapping and
 // with disjoint keyword sets, fragments gaining and losing a keyword,
 // inserts, removals, and a tombstone followed by an insert on the same
-// keyword both within one publish and across consecutive publishes. After
-// every publish the serving state must also equal a from-scratch build of
-// the model. A tombstone-only publish must share its parent's postings
-// arrays and report no cloned lists.
+// keyword both within one publish and across consecutive publishes, new
+// keywords and new groups, and lists emptied and so dropped from a shard
+// shared with the published snapshot. After every publish the serving
+// state must also equal a from-scratch build of the model. A
+// tombstone-only publish must share its parent's postings arrays and
+// report no cloned lists.
 func TestCoWIsolationRandomHistories(t *testing.T) {
 	ctx := context.Background()
-	var compacted, gcs, shared int
+	var compacted, dropped, newGroups, gcs, shared int
 	for trial := 0; trial < 8; trial++ {
-		m := &cowModel{r: rand.New(rand.NewSource(int64(trial))), frags: make(map[string]cowFrag)}
+		m := &cowModel{r: rand.New(rand.NewSource(int64(trial))), frags: make(map[string]cowFrag), fresh: true}
 		idx, err := New(cowSpec)
 		if err != nil {
 			t.Fatal(err)
@@ -233,10 +254,17 @@ func TestCoWIsolationRandomHistories(t *testing.T) {
 			}
 			s := l.Snapshot()
 			prev.eachList(func(kw string, pl *postingList) {
-				if now := s.list(kw); now == nil || now.n < pl.n {
+				now := s.list(kw)
+				if now == nil {
+					dropped++
+				}
+				if now == nil || now.n < pl.n {
 					compacted++
 				}
 			})
+			if s.ngroups > prev.ngroups {
+				newGroups++
+			}
 			snaps, caps = append(snaps, s), append(caps, capture(s))
 			got, want := l.Dump(), m.reference(t)
 			got.Epoch, want.Epoch = 0, 0
@@ -314,10 +342,164 @@ func TestCoWIsolationRandomHistories(t *testing.T) {
 			}
 		}
 	}
-	if compacted == 0 || gcs == 0 || shared == 0 {
-		t.Errorf("histories missed a path: %d threshold compactions, %d snapshot GCs, %d shared tombstones", compacted, gcs, shared)
+	if compacted == 0 || dropped == 0 || newGroups == 0 || gcs == 0 || shared == 0 {
+		t.Errorf("histories missed a path: %d threshold compactions, %d dropped lists, %d publishes creating groups, %d snapshot GCs, %d shared tombstones",
+			compacted, dropped, newGroups, gcs, shared)
 	}
 }
+
+// TestUpdateKeepsGroupSlot checks the in-place update against what it
+// replaces, a removal followed by an insert: over random histories, an
+// index that updates in place and one that removes and re-inserts hold
+// the same Dump, the same graph edges as identifier pairs, and every live
+// fragment at the same group position, on the same path of identifiers
+// and node weights. And an update in a group whose
+// members span several chunks clones at most two chunks — the old ref's
+// and the append tail — and exactly one group.
+func TestUpdateKeepsGroupSlot(t *testing.T) {
+	edges := func(idx *Index) []string {
+		var out []string
+		for _, e := range idx.Edges() {
+			a, b := idKey(idx, e[0]), idKey(idx, e[1])
+			out = append(out, min(a, b)+"|"+max(a, b))
+		}
+		sort.Strings(out)
+		return out
+	}
+	paths := func(idx *Index) map[string]string {
+		out := make(map[string]string)
+		for ref := FragRef(0); int(ref) < idx.NumRefs(); ref++ {
+			if members, weights, _, pos, err := idx.s.GroupPath(ref); err == nil {
+				ids := make([]string, len(members))
+				for i, m := range members {
+					ids[i] = idKey(idx, m)
+				}
+				out[idKey(idx, ref)] = fmt.Sprint(pos, ids, weights)
+			}
+		}
+		return out
+	}
+	updates := 0
+	for trial := 0; trial < 8; trial++ {
+		m := &cowModel{r: rand.New(rand.NewSource(int64(trial))), frags: make(map[string]cowFrag), fresh: true}
+		inPlace, err := New(cowSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spliced, err := New(cowSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 120; step++ {
+			kind := m.r.Intn(6)
+			if step < 20 {
+				kind = 4 // grow the groups first
+			}
+			ch, ok := m.change(kind, map[string]bool{})
+			if !ok {
+				continue
+			}
+			if err := applyChange(inPlace, ch); err != nil {
+				t.Fatal(err)
+			}
+			op := ch.Op
+			if op == crawl.OpUpdateFragment {
+				updates++
+				if err := spliced.RemoveFragment(ch.ID); err != nil {
+					t.Fatal(err)
+				}
+				ch.Op = crawl.OpInsertFragment
+			}
+			if err := applyChange(spliced, ch); err != nil {
+				t.Fatal(err)
+			}
+			if step%3 == 0 {
+				inPlace.Freeze()
+				spliced.Freeze()
+			}
+			if !reflect.DeepEqual(inPlace.Dump(), spliced.Dump()) {
+				t.Fatalf("trial %d step %d: dumps differ after %s %s", trial, step, op, ch.ID)
+			}
+			if !slices.Equal(edges(inPlace), edges(spliced)) {
+				t.Fatalf("trial %d step %d: edges differ after %s %s", trial, step, op, ch.ID)
+			}
+			if !maps.Equal(paths(inPlace), paths(spliced)) {
+				t.Fatalf("trial %d step %d: group paths differ after %s %s", trial, step, op, ch.ID)
+			}
+		}
+	}
+	if updates == 0 {
+		t.Fatal("histories drew no update")
+	}
+
+	idx, err := New(cowSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(v int) fragment.ID { return fragment.ID{relation.String("g"), relation.Int(int64(v))} }
+	const n = 3*chunkSize + 10 // one group over four chunks
+	for v := 0; v < n; v++ {
+		if _, err := idx.InsertFragment(id(v), map[string]int64{"k": 1}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx.Freeze()
+	if err := idx.UpdateFragment(id(chunkSize+5), map[string]int64{"k": 2, "u": 1}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if chunks, _, _, groups := idx.pendingClones(); chunks > 2 || groups != 1 {
+		t.Errorf("an update in a %d-member group cloned %d chunks and %d groups, want ≤ 2 and 1", n, chunks, groups)
+	}
+	if _, _, _, pos, err := idx.s.GroupPath(mustLookup(t, idx.s, id(chunkSize+5))); err != nil || pos != chunkSize+5 {
+		t.Errorf("the updated fragment sits at position %d (%v), want %d", pos, err, chunkSize+5)
+	}
+}
+
+// TestSortedDirCloneSharesKeys: a directory bucket's clones share its
+// keys, and neither an insert nor a delete through a clone writes them,
+// even where the bucket's keys have spare capacity.
+func TestSortedDirCloneSharesKeys(t *testing.T) {
+	d := &sortedDir[int32]{}
+	for i, k := range []string{"a", "c", "e", "g", "i"} {
+		d.put(k, int32(i))
+	}
+	ins, del := d.clone(), d.clone()
+	if &ins.keys[0] != &d.keys[0] {
+		t.Error("the clone copied the keys")
+	}
+	ins.put("b", 5)
+	del.deleteAt(3)
+	for _, c := range []struct {
+		name string
+		d    *sortedDir[int32]
+		keys []string
+		vals []int32
+	}{
+		{"bucket", d, []string{"a", "c", "e", "g", "i"}, []int32{0, 1, 2, 3, 4}},
+		{"insert", ins, []string{"a", "b", "c", "e", "g", "i"}, []int32{0, 5, 1, 2, 3, 4}},
+		{"delete", del, []string{"a", "c", "e", "i"}, []int32{0, 1, 2, 4}},
+	} {
+		if !slices.Equal(c.d.keys, c.keys) || !slices.Equal(c.d.vals, c.vals) {
+			t.Errorf("%s: %v %v, want %v %v", c.name, c.d.keys, c.d.vals, c.keys, c.vals)
+		}
+	}
+}
+
+// applyChange applies one delta change to idx.
+func applyChange(idx *Index, ch crawl.FragmentChange) error {
+	switch ch.Op {
+	case crawl.OpInsertFragment:
+		_, err := idx.InsertFragment(ch.ID, ch.TermCounts, ch.TotalTerms)
+		return err
+	case crawl.OpUpdateFragment:
+		return idx.UpdateFragment(ch.ID, ch.TermCounts, ch.TotalTerms)
+	default:
+		return idx.RemoveFragment(ch.ID)
+	}
+}
+
+// idKey returns ref's identifier key.
+func idKey(idx *Index, ref FragRef) string { return idx.s.metaAt(ref).ID.Key() }
 
 func sortedKeys(m map[string]int64) []string {
 	out := make([]string, 0, len(m))

@@ -38,19 +38,13 @@ func (idx *Index) InsertFragment(id fragment.ID, termCounts map[string]int64, to
 	if _, ok := s.Lookup(id); ok {
 		return 0, fmt.Errorf("%w: %s", ErrDupFragment, id)
 	}
-	// Restore rejects such postings, so admitting one here would make the
-	// index's own Dump unrecoverable.
-	for kw, tf := range termCounts {
-		if _, ok := checkTF(tf); kw == "" || !ok {
-			return 0, fmt.Errorf("fragindex: %s: keyword %q with term frequency %d (want a non-empty keyword and a count in 1..%d)", id, kw, tf, math.MaxInt32)
-		}
+	if err := checkTerms(id, termCounts); err != nil {
+		return 0, err
 	}
 	idx.beginWrite()
 	s = idx.s
-	g := idx.groupFor(id, true)
-	ref := idx.appendRef(Meta{ID: id, Terms: totalTerms, Alive: true}, g, -1)
-	s.liveFrags++
-	s.liveTerms += totalTerms
+	gid, g := idx.groupFor(id)
+	ref := idx.addRef(id, termCounts, totalTerms, gid, -1)
 
 	// Splice into the group at the range position (weights stay parallel).
 	rv := s.rangeValOf(ref)
@@ -66,14 +60,32 @@ func (idx *Index) InsertFragment(id fragment.ID, termCounts map[string]int64, to
 	for i := pos; i < len(g.members); i++ {
 		idx.setMemberAt(g.members[i], i)
 	}
+	s.epoch++
+	return ref, nil
+}
 
-	// Posting lists: insert keeping TF-descending order.
+// checkTerms rejects a keyword set Restore would reject, so admitting it
+// would make the index's own Dump unrecoverable.
+func checkTerms(id fragment.ID, termCounts map[string]int64) error {
+	for kw, tf := range termCounts {
+		if _, ok := checkTF(tf); kw == "" || !ok {
+			return fmt.Errorf("fragindex: %s: keyword %q with term frequency %d (want a non-empty keyword and a count in 1..%d)", id, kw, tf, math.MaxInt32)
+		}
+	}
+	return nil
+}
+
+// addRef appends a live fragment in group slot (gid, pos) and inserts its
+// postings, each keeping its list's TF-descending order.
+func (idx *Index) addRef(id fragment.ID, termCounts map[string]int64, totalTerms int64, gid int32, pos int) FragRef {
+	ref := idx.appendRef(Meta{ID: id, Terms: totalTerms, Alive: true}, gid, pos)
+	idx.s.liveFrags++
+	idx.s.liveTerms += totalTerms
 	for kw, tf := range termCounts {
 		idx.insertPosting(kw, Posting{Frag: ref, TF: int32(tf)})
 		idx.appendKw(ref, kw)
 	}
-	s.epoch++
-	return ref, nil
+	return ref
 }
 
 // RemoveFragment deletes a fragment: its group edge pair collapses back into
@@ -90,14 +102,22 @@ func (idx *Index) RemoveFragment(id fragment.ID) error {
 		return fmt.Errorf("%w: %s", ErrNoFragment, id)
 	}
 	idx.beginWrite()
-	s := idx.s
-	g := idx.groupForWrite(s.groupAt(ref))
-	pos := s.posAt(ref)
+	g := idx.groupForWrite(idx.s.gidAt(ref))
+	pos := idx.s.posAt(ref)
 	g.members = append(g.members[:pos], g.members[pos+1:]...)
 	g.weights = append(g.weights[:pos], g.weights[pos+1:]...)
 	for i := pos; i < len(g.members); i++ {
 		idx.setMemberAt(g.members[i], i)
 	}
+	idx.tombstone(ref)
+	idx.s.epoch++
+	return nil
+}
+
+// tombstone marks ref dead and its postings tombstones (see
+// RemoveFragment); its group slot is the caller's to clear or reuse.
+func (idx *Index) tombstone(ref FragRef) {
+	s := idx.s
 	c := idx.chunkForWrite(ref)
 	ci := int(ref) & chunkMask
 	c.frags[ci].Alive = false
@@ -119,20 +139,34 @@ func (idx *Index) RemoveFragment(id fragment.ID) error {
 		}
 	}
 	c.kwOf[ci] = nil // the tombstone never revives; free the forward map
-	s.epoch++
-	return nil
 }
 
 // UpdateFragment replaces a fragment's contents after the underlying
-// database changed: remove then re-insert with fresh statistics. This is
-// the efficient partial-update mechanism the paper's future work calls for —
-// only the touched fragment's postings change, not the whole index.
+// database changed: the old ref becomes a tombstone and a fresh ref with
+// the new statistics takes its group slot. This is the efficient
+// partial-update mechanism the paper's future work calls for — only the
+// touched fragment's postings change, not the whole index. An update
+// keeps its identifier and so its range position: the new ref goes into
+// the same members/weights slot, so no other member moves and the publish
+// dirties the old ref's chunk, the append tail and one group, however
+// large the group. The epoch advances by two, as a removal followed by an
+// insert would advance it.
 func (idx *Index) UpdateFragment(id fragment.ID, termCounts map[string]int64, totalTerms int64) error {
-	if err := idx.RemoveFragment(id); err != nil {
+	old, ok := idx.s.Lookup(id)
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoFragment, id)
+	}
+	if err := checkTerms(id, termCounts); err != nil {
 		return err
 	}
-	_, err := idx.InsertFragment(id, termCounts, totalTerms)
-	return err
+	idx.beginWrite()
+	gid, pos := idx.s.gidAt(old), idx.s.posAt(old)
+	idx.tombstone(old)
+	ref := idx.addRef(id, termCounts, totalTerms, gid, pos)
+	g := idx.groupForWrite(gid)
+	g.members[pos], g.weights[pos] = ref, totalTerms
+	idx.s.epoch += 2
+	return nil
 }
 
 // Compact rebuilds the index without tombstones, reclaiming posting slots

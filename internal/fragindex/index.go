@@ -29,15 +29,16 @@
 // where mutations touch them — fragment metadata chunk by chunk (the chunk
 // is the metadata CoW unit) behind a paged chunk table, the posting and
 // group directories hash shard by hash shard, and equality groups group by
-// group. A posting list is stored as blocks of ≈ 128 postings (see
-// postingList) and copied in three steps: a tombstone changes only its
-// header (dead count and IDF), so RemoveFragment clones the header and
-// keeps sharing the published blocks; the first insert into the list in a
-// publish copies its block directory, one slice header per block; and each
-// block is copied — once per publish, with headroom for further inserts —
-// only when an insert writes it. Every other block stays shared. A
-// compaction recuts the whole list. Freeze again to publish the next
-// version.
+// group behind a paged group table, each in the one slot its stable id
+// names, so a group clone touches no member's metadata. A posting list is
+// stored as blocks of ≈ 128 postings (see postingList) and copied in three
+// steps: a tombstone changes only its header (dead count and IDF), so
+// RemoveFragment clones the header and keeps sharing the published blocks;
+// the first insert into the list in a publish copies its block directory,
+// one slice header per block; and each block is copied — once per
+// publish, with headroom for further inserts — only when an insert writes
+// it. Every other block stays shared. A compaction recuts the whole list.
+// Freeze again to publish the next version.
 // LiveIndex wraps this cycle behind an atomic pointer so readers resolve a
 // consistent snapshot per query while a writer applies deltas concurrently
 // (see live.go).
@@ -62,12 +63,15 @@
 //
 // And a publish copies what the delta changes, not the index: fragment
 // metadata is chunked behind a paged table (see metaChunk), so a snapshot
-// clone costs a few fixed-size tables plus the dirty pages and chunks —
-// nothing O(refs); directory shards are sorted slices that clone by
-// memmove (see sortedDir); an insert copies a list's block directory and
-// the one block it lands in, not the list; a tombstone copies a list
-// header, not its postings; and there is no per-ref key map to copy
-// (Lookup resolves through the group directory instead).
+// clone costs a few small tables (the largest, the group-page table, one
+// pointer per 256 groups) plus the dirty pages and chunks; an update
+// keeps its group slot, so it dirties its old ref's chunk, the append
+// tail, and one group with its table page;
+// directory shards are sorted slices whose clones copy the values and
+// share the keys (see sortedDir); an insert copies a list's block
+// directory and the one block it lands in, not the list; a tombstone
+// copies a list header, not its postings; and there is no per-ref key map
+// to copy (Lookup resolves through the group directory instead).
 //
 // Concurrency contract: a published Snapshot is immutable and safe for any
 // number of concurrent readers. The Index builder itself follows the
@@ -202,12 +206,15 @@ func (s Spec) indices() (eqIdx []int, rangeIdx int, err error) {
 // use. eqVals holds the same values keyed by column: built once when the
 // group is created, shared by every copy-on-write clone of the group and
 // handed out read-only by Snapshot.EqValues, so the search path does not
-// build a map per result.
+// build a map per result. gen stamps the builder generation that
+// allocated the group, as postingList.gen does: the builder writes a
+// group in place only within that generation.
 type group struct {
 	key     string
 	eqVals  map[string]relation.Value
 	members []FragRef // sorted ascending by range value
 	weights []int64   // members[i]'s Meta.Terms
+	gen     uint64
 }
 
 // Index is the builder half of the fragment index: a snapshot-in-progress
@@ -222,15 +229,15 @@ type Index struct {
 
 	// cow is set once Freeze has published a snapshot: from then on every
 	// mutation copies shared structures before writing. The owned* sets
-	// track what has already been copied since the last Freeze — metadata
-	// chunks, posting shards, group shards, groups — so a batch of
-	// mutations pays each clone once. Posting lists track it with
-	// generation stamps instead: gen counts Freezes, and a list header,
-	// block directory or block stamped with the current gen was allocated
-	// since the last one, so it is the builder's to write (see
-	// postingList). Checking a stamp is O(1) and a Freeze resets them all
-	// by incrementing gen. copiedLists counts the block directories
-	// copied.
+	// track what has already been copied since the last Freeze — table
+	// pages, metadata chunks, posting shards, group shards — so a batch of
+	// mutations pays each clone once. Posting lists and groups track it
+	// with generation stamps instead: gen counts Freezes, and a list
+	// header, block directory, block or group stamped with the current gen
+	// was allocated since the last one, so it is the builder's to write
+	// (see postingList). Checking a stamp is O(1) and a Freeze resets them
+	// all by incrementing gen. copiedLists counts the block directories
+	// copied, clonedGroups the groups cloned or created.
 	cow          bool
 	metaOwned    bool // the Snapshot struct + pointer tables are cloned
 	ownedPages   []bool
@@ -238,9 +245,10 @@ type Index struct {
 	clonedChunks int
 	ownedShards  []bool
 	ownedGShards []bool
+	ownedGPages  []bool
 	gen          uint64
 	copiedLists  int
-	ownedGroups  map[*group]struct{}
+	clonedGroups int
 }
 
 // New creates an empty index for incremental construction.
@@ -302,8 +310,8 @@ func Build(out *crawl.Output, spec Spec) (*Index, error) {
 	for _, id := range ids {
 		key := id.Key()
 		terms := out.FragmentTerms[key]
-		g := idx.groupFor(id, true)
-		ref := idx.appendRef(Meta{ID: id, Terms: terms, Alive: true}, g, len(g.members))
+		gid, g := idx.groupFor(id)
+		ref := idx.appendRef(Meta{ID: id, Terms: terms, Alive: true}, gid, len(g.members))
 		g.members = append(g.members, ref)
 		g.weights = append(g.weights, terms)
 		refOf[key] = ref
@@ -374,13 +382,10 @@ func (idx *Index) Freeze() *Snapshot {
 	idx.clonedChunks = 0
 	idx.ownedShards = resetBools(idx.ownedShards, numShards)
 	idx.ownedGShards = resetBools(idx.ownedGShards, numGroupShards)
+	idx.ownedGPages = resetBools(idx.ownedGPages, len(idx.s.gpages))
 	idx.gen++
 	idx.copiedLists = 0
-	if idx.ownedGroups == nil {
-		idx.ownedGroups = make(map[*group]struct{})
-	} else {
-		clear(idx.ownedGroups)
-	}
+	idx.clonedGroups = 0
 	return idx.s
 }
 
@@ -405,14 +410,14 @@ func (idx *Index) pendingClones() (chunks, shards, lists, groups int) {
 			shards++
 		}
 	}
-	return idx.clonedChunks, shards, idx.copiedLists, len(idx.ownedGroups)
+	return idx.clonedChunks, shards, idx.copiedLists, idx.clonedGroups
 }
 
 // beginWrite prepares the builder for a mutation: in copy-on-write mode the
 // first mutation after a Freeze clones the Snapshot struct and its pointer
-// tables (the inline first chunk-table page, the table of later pages,
-// and the two shard tables); later-page, chunk, list, and group payloads
-// are cloned lazily as mutations reach them.
+// tables (the inline first chunk-table page, the tables of later pages
+// and of group pages, and the two shard tables); later-page, chunk, list,
+// group-page and group payloads are cloned lazily as mutations reach them.
 func (idx *Index) beginWrite() {
 	if !idx.cow || idx.metaOwned {
 		return
@@ -453,10 +458,9 @@ func (idx *Index) chunkForWrite(ref FragRef) *metaChunk {
 }
 
 // appendRef extends the ref space by one fragment with the given group
-// assignment, appending a fresh chunk (and page) to the table when the
-// last one is full. Must run after beginWrite (the new last chunk is
-// dirtied).
-func (idx *Index) appendRef(m Meta, g *group, pos int) FragRef {
+// slot, appending a fresh chunk (and page) to the table when the last one
+// is full. Must run after beginWrite (the new last chunk is dirtied).
+func (idx *Index) appendRef(m Meta, gid int32, pos int) FragRef {
 	s := idx.s
 	ref := FragRef(s.numRefs)
 	if ci := s.numRefs >> chunkShift; s.numRefs&chunkMask == 0 { // every chunk is full
@@ -476,8 +480,8 @@ func (idx *Index) appendRef(m Meta, g *group, pos int) FragRef {
 	c := idx.chunkForWrite(ref)
 	c.frags = append(c.frags, m)
 	c.kwOf = append(c.kwOf, nil)
-	c.groupOf = append(c.groupOf, g)
-	c.memberAt = append(c.memberAt, pos)
+	c.groupOf = append(c.groupOf, gid)
+	c.memberAt = append(c.memberAt, int32(pos))
 	s.numRefs++
 	return ref
 }
@@ -491,12 +495,7 @@ func (idx *Index) appendKw(ref FragRef, kw string) {
 
 // setMemberAt updates ref's position within its group.
 func (idx *Index) setMemberAt(ref FragRef, pos int) {
-	idx.chunkForWrite(ref).memberAt[int(ref)&chunkMask] = pos
-}
-
-// setGroupOf repoints ref's group.
-func (idx *Index) setGroupOf(ref FragRef, g *group) {
-	idx.chunkForWrite(ref).groupOf[int(ref)&chunkMask] = g
+	idx.chunkForWrite(ref).memberAt[int(ref)&chunkMask] = int32(pos)
 }
 
 // shardForWrite returns the shard ready for in-place mutation, cloning it
@@ -523,37 +522,42 @@ func (idx *Index) gshardForWrite(gi uint32) *groupShard {
 	return gs
 }
 
-// groupForWrite returns g (the builder's current version of its group)
-// ready for in-place mutation, cloning its member slice (and repointing
-// groupOf across the members' chunks) if it is shared with a published
-// snapshot. Must run after beginWrite.
-func (idx *Index) groupForWrite(g *group) *group {
-	if !idx.cow {
-		return g
+// gpageForWrite returns page pi of the group table ready for in-place
+// mutation, copying it if it is shared with a published snapshot. Must
+// run after beginWrite.
+func (idx *Index) gpageForWrite(pi int32) *groupPage {
+	if idx.cow && !idx.ownedGPages[pi] {
+		p := *idx.s.gpages[pi]
+		idx.s.gpages[pi] = &p
+		idx.ownedGPages[pi] = true
 	}
-	if _, ok := idx.ownedGroups[g]; ok {
-		return g
-	}
-	ng := &group{
-		key:     g.key,
-		eqVals:  g.eqVals,
-		members: append([]FragRef(nil), g.members...),
-		weights: append([]int64(nil), g.weights...),
-	}
-	gi := groupShardIndex(g.key)
-	gs := idx.gshardForWrite(gi)
-	i, _ := gs.find(g.key)
-	gs.vals[i] = ng
-	for _, ref := range ng.members {
-		idx.setGroupOf(ref, ng)
-	}
-	idx.ownedGroups[ng] = struct{}{}
-	return ng
+	return idx.s.gpages[pi]
 }
 
-// groupFor locates (optionally creating) the group of an identifier,
-// returned ready for mutation.
-func (idx *Index) groupFor(id fragment.ID, create bool) *group {
+// groupForWrite returns group gid ready for in-place mutation, cloning it
+// into its table slot unless this generation allocated it. The members
+// keep naming the group by id, so the clone touches none of their chunks.
+// Must run after beginWrite.
+func (idx *Index) groupForWrite(gid int32) *group {
+	g := idx.s.group(gid)
+	if g.gen == idx.gen {
+		return g
+	}
+	g = &group{
+		key:     g.key,
+		eqVals:  g.eqVals,
+		members: slices.Clone(g.members),
+		weights: slices.Clone(g.weights),
+		gen:     idx.gen,
+	}
+	idx.gpageForWrite(gid >> pageShift)[gid&pageMask] = g
+	idx.clonedGroups++
+	return g
+}
+
+// groupFor locates the group of an identifier, creating it when absent,
+// and returns its id and the group ready for mutation.
+func (idx *Index) groupFor(id fragment.ID) (int32, *group) {
 	s := idx.s
 	eq := make([]relation.Value, len(s.eqIdx))
 	for i, j := range s.eqIdx {
@@ -562,21 +566,26 @@ func (idx *Index) groupFor(id fragment.ID, create bool) *group {
 	key := relation.Key(eq)
 	gi := groupShardIndex(key)
 	pos, ok := s.gshards[gi].find(key)
-	if !ok {
-		if !create {
-			return nil
-		}
-		g := &group{key: key, eqVals: make(map[string]relation.Value, len(eq))}
-		for i, v := range eq {
-			g.eqVals[s.spec.EqAttrs[i]] = v
-		}
-		idx.gshardForWrite(gi).insertAt(pos, key, g)
-		if idx.cow {
-			idx.ownedGroups[g] = struct{}{}
-		}
-		return g
+	if ok {
+		gid := s.gshards[gi].vals[pos]
+		return gid, idx.groupForWrite(gid)
 	}
-	return idx.groupForWrite(s.gshards[gi].vals[pos])
+	g := &group{key: key, eqVals: make(map[string]relation.Value, len(eq)), gen: idx.gen}
+	for i, v := range eq {
+		g.eqVals[s.spec.EqAttrs[i]] = v
+	}
+	gid := int32(s.ngroups)
+	if gid&pageMask == 0 { // every page is full
+		s.gpages = append(s.gpages, new(groupPage))
+		if idx.cow {
+			idx.ownedGPages = append(idx.ownedGPages, true)
+		}
+	}
+	idx.gpageForWrite(gid >> pageShift)[gid&pageMask] = g
+	s.ngroups++
+	idx.gshardForWrite(gi).insertAt(pos, key, gid)
+	idx.clonedGroups++
+	return gid, g
 }
 
 // Read-path delegation: the builder exposes the full Snapshot read API as a

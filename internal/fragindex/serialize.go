@@ -82,7 +82,7 @@ func Restore(d *Dump) (*Index, error) {
 		if len(id) != len(d.SelAttrs) {
 			return nil, fmt.Errorf("%w: fragment arity", ErrCorruptIndex)
 		}
-		idx.appendRef(Meta{ID: id, Terms: d.Terms[i], Alive: true}, nil, -1)
+		idx.appendRef(Meta{ID: id, Terms: d.Terms[i], Alive: true}, 0, -1)
 		s.liveTerms += d.Terms[i]
 	}
 	s.liveFrags = s.numRefs
@@ -103,9 +103,9 @@ func Restore(d *Dump) (*Index, error) {
 			return nil, fmt.Errorf("%w: duplicate fragment %s", ErrCorruptIndex, m.ID)
 		}
 		rank[ref] = i
-		g := idx.groupFor(m.ID, true)
-		idx.setMemberAt(ref, len(g.members))
-		idx.setGroupOf(ref, g)
+		gid, g := idx.groupFor(m.ID)
+		c := s.chunkOf(ref)
+		c.groupOf[ref&chunkMask], c.memberAt[ref&chunkMask] = gid, int32(len(g.members))
 		g.members = append(g.members, ref)
 		g.weights = append(g.weights, m.Terms)
 	}

@@ -18,23 +18,24 @@ import (
 // touched, so untouched shards — the overwhelming majority of index memory
 // — are shared by pointer across every live snapshot. An 8-change apply on
 // the Q2 corpus touches a few hundred keywords and so dirties most of the
-// 256 shards; each shard clone is two memmoves of its keys and list
-// pointers (see sortedDir) rather than a map clone that re-hashes every
-// key. Those clones (≈ 160 KB an apply) are, after the metadata chunks,
-// the largest thing such a publish allocates.
+// 256 shards; each shard clone copies its list pointers and shares its
+// keys (see sortedDir) rather than a map clone that re-hashes every key.
+// Those clones cost ≈ 60 KB an apply, after the posting blocks and
+// metadata chunks it writes.
 const numShards = 256 // power of two; shardIndex masks with numShards-1
 
-// Equality groups hash into their own shard table so a delta that touches
-// one group clones one small directory bucket instead of the whole group
+// Equality keys hash into their own shard table, mapping each key to its
+// group's id (see groupPage): the directory changes only when a group is
+// created, and then clones one small bucket instead of the whole
 // directory.
 const numGroupShards = 512 // power of two
 
 // sortedDir is one hash bucket of a string-keyed directory — a posting
-// shard (keyword → list) or a group shard (equality key → group): its keys
-// in ascending order, with each key's value in the parallel vals slice.
-// Sorted slices instead of a map make the bucket's copy-on-write clone two
-// memmoves — cloning a map re-hashes every key — at the price of a binary
-// search per lookup.
+// shard (keyword → list) or a group shard (equality key → group id): its
+// keys in ascending order, with each key's value in the parallel vals
+// slice. Sorted slices instead of a map make the bucket's copy-on-write
+// clone one memmove — cloning a map re-hashes every key — at the price of
+// a binary search per lookup.
 type sortedDir[V any] struct {
 	keys []string
 	vals []V
@@ -44,7 +45,7 @@ type sortedDir[V any] struct {
 type shard = sortedDir[*postingList]
 
 // groupShard is one hash bucket of the equality-group directory.
-type groupShard = sortedDir[*group]
+type groupShard = sortedDir[int32]
 
 // find returns key's position in the bucket (where it would be inserted
 // when absent) and whether it is present.
@@ -59,15 +60,17 @@ func (d *sortedDir[V]) get(key string) V {
 	return zero
 }
 
-// insertAt places key's value at position i (from find).
+// insertAt places key's value at position i (from find). A clone's keys
+// are shared and capped at their length, so inserting reallocates them.
 func (d *sortedDir[V]) insertAt(i int, key string, v V) {
 	d.keys = slices.Insert(d.keys, i, key)
 	d.vals = slices.Insert(d.vals, i, v)
 }
 
-// deleteAt drops the key at position i.
+// deleteAt drops the key at position i, copying the keys first: a clone
+// shares them with the bucket it was cloned from.
 func (d *sortedDir[V]) deleteAt(i int) {
-	d.keys = slices.Delete(d.keys, i, i+1)
+	d.keys = append(d.keys[:i:i], d.keys[i+1:]...)
 	d.vals = slices.Delete(d.vals, i, i+1)
 }
 
@@ -82,14 +85,15 @@ func (d *sortedDir[V]) put(key string, v V) bool {
 	return !ok
 }
 
-// clone copies the bucket's two slices, with room for one new key so the
-// insert that may follow does not reallocate them again. A clone keeps
+// clone copies the bucket's values, with room for one new key so the
+// insert that may follow does not reallocate them again, and shares its
+// keys, capped at their length: most clones only repoint a value, and the
+// keys — 16 bytes each — are the larger half of a bucket. A clone keeps
 // every key's position.
 func (d *sortedDir[V]) clone() *sortedDir[V] {
-	n := len(d.keys) + 1
 	return &sortedDir[V]{
-		keys: append(make([]string, 0, n), d.keys...),
-		vals: append(make([]V, 0, n), d.vals...),
+		keys: d.keys[:len(d.keys):len(d.keys)],
+		vals: append(make([]V, 0, len(d.vals)+1), d.vals...),
 	}
 }
 
@@ -128,9 +132,9 @@ func newGroupShards() []*groupShard {
 // a chunk-pointer table. The chunk is the metadata copy-on-write unit:
 // publishing a new snapshot copies only the chunks a delta dirtied, so a
 // single-fragment change on a million-ref index does not pay an O(refs)
-// metadata copy per publish. A chunk holds ≈ 80 B of pointer-laden
-// metadata per ref, so a 256-ref chunk clones ≈ 20 KB, and an update
-// dirties two chunks (the removed ref's and the append tail).
+// metadata copy per publish. A chunk holds ≈ 72 B of metadata per ref, so
+// a 256-ref chunk clones ≈ 18 KB, and an update dirties two chunks (the
+// old ref's and the append tail).
 //
 // The chunk table is itself paged: page p holds the pointers of chunks
 // [p<<pageShift, (p+1)<<pageShift), 65 536 refs' worth. The first page
@@ -155,15 +159,23 @@ const (
 // masked index into it needs no bounds check on the read path.
 type chunkPage [pageSize]*metaChunk
 
+// groupPage is one page of the group table: the groups with ids
+// [p<<pageShift, (p+1)<<pageShift). A group's id is dense and never
+// changes, so a chunk names a ref's group by id and a group clone
+// replaces one slot of one page — no member's chunk. A publish copies the
+// table of pages (one pointer per 256 groups) and the pages it writes.
+type groupPage [pageSize]*group
+
 // metaChunk holds chunkSize refs' worth of the four per-ref metadata
 // arrays, in parallel: the fragment summary, the builder-side forward
-// keyword map, the equality-group pointer, and the position within the
-// group (-1 when dead).
+// keyword map, the equality-group id, and the position within the group
+// (-1 when dead). Only an insert or removal in a group shifts positions,
+// so only those rewrite other members' chunks; an update keeps its slot.
 type metaChunk struct {
 	frags    []Meta
 	kwOf     [][]string
-	groupOf  []*group
-	memberAt []int
+	groupOf  []int32
+	memberAt []int32
 }
 
 // clone returns a deep copy of the chunk's arrays (slice contents such as
@@ -176,8 +188,8 @@ func (c *metaChunk) clone() *metaChunk {
 	return &metaChunk{
 		frags:    append(make([]Meta, 0, n), c.frags...),
 		kwOf:     append(make([][]string, 0, n), c.kwOf...),
-		groupOf:  append(make([]*group, 0, n), c.groupOf...),
-		memberAt: append(make([]int, 0, n), c.memberAt...),
+		groupOf:  append(make([]int32, 0, n), c.groupOf...),
+		memberAt: append(make([]int32, 0, n), c.memberAt...),
 	}
 }
 
@@ -195,9 +207,10 @@ func (c *metaChunk) clone() *metaChunk {
 // Every per-ref structure is behind a copy-on-write table so publishing a
 // new version costs only what the delta touched: fragment metadata lives in
 // fixed-size chunks behind a chunk-pointer table (the chunk is the metadata
-// CoW unit — see metaChunk), posting lists hash into shards, and equality
-// groups hash into their own shard table. Untouched chunks, shards, lists,
-// and groups are shared by pointer across every live snapshot.
+// CoW unit — see metaChunk), posting lists hash into shards, equality
+// groups live in a paged table by id (see groupPage), and their keys hash
+// into their own shard table. Untouched chunks, shards, lists, pages and
+// groups are shared by pointer across every live snapshot.
 //
 // A Snapshot obtained from Index.Snapshot on an index that has never been
 // frozen is a live view, not an isolated version: it shares the index's
@@ -213,6 +226,8 @@ type Snapshot struct {
 	pages   []*chunkPage // the chunk table's later pages: chunks pageSize on
 	shards  []*shard     // inverted index posting shards
 	gshards []*groupShard
+	gpages  []*groupPage // the group table: page p holds ids p<<pageShift on
+	ngroups int
 
 	// Live counters: maintained on insert/remove so the Table IV stats
 	// (NumFragments, AvgTermsPerFragment, NumKeywords) are O(1).
@@ -227,12 +242,13 @@ type Snapshot struct {
 }
 
 // clone returns a builder-writable copy sharing every later chunk-table
-// page, posting shard, and group shard with the receiver. Only the
-// top-level tables are copied — the inline first page, the later-page
-// table (O(refs/65 536)) and two fixed-size shard tables — so publish cost
-// is proportional to what the delta then dirties, not to index size. The
-// payloads (later pages, chunks, posting lists, groups) are cloned lazily,
-// one by one, only where mutations touch them.
+// page, posting shard, group shard and group page with the receiver. Only
+// the top-level tables are copied — the inline first page, the later-page
+// table (O(refs/65 536)), the group-page table (O(groups/256)) and two
+// fixed-size shard tables — so publish cost is proportional to what the
+// delta then dirties. The payloads (later pages, chunks, posting lists,
+// group pages, groups) are cloned lazily, one by one, only where mutations
+// touch them.
 func (s *Snapshot) clone() *Snapshot {
 	return &Snapshot{
 		spec:      s.spec,
@@ -243,6 +259,8 @@ func (s *Snapshot) clone() *Snapshot {
 		pages:     append([]*chunkPage(nil), s.pages...),
 		shards:    append([]*shard(nil), s.shards...),
 		gshards:   append([]*groupShard(nil), s.gshards...),
+		gpages:    append([]*groupPage(nil), s.gpages...),
+		ngroups:   s.ngroups,
 		liveFrags: s.liveFrags,
 		liveTerms: s.liveTerms,
 		liveKws:   s.liveKws,
@@ -279,15 +297,16 @@ func (s *Snapshot) kwsAt(ref FragRef) []string {
 	return s.chunkOf(ref).kwOf[ref&chunkMask]
 }
 
-// groupAt returns ref's equality group without bounds checking.
-func (s *Snapshot) groupAt(ref FragRef) *group {
-	return s.chunkOf(ref).groupOf[ref&chunkMask]
-}
+// group returns the group with id gid without bounds checking.
+func (s *Snapshot) group(gid int32) *group { return s.gpages[gid>>pageShift][gid&pageMask] }
+
+// gidAt returns ref's equality-group id without bounds checking.
+func (s *Snapshot) gidAt(ref FragRef) int32 { return s.chunkOf(ref).groupOf[ref&chunkMask] }
 
 // posAt returns ref's position within its group (-1 when dead) without
 // bounds checking.
 func (s *Snapshot) posAt(ref FragRef) int {
-	return s.chunkOf(ref).memberAt[ref&chunkMask]
+	return int(s.chunkOf(ref).memberAt[ref&chunkMask])
 }
 
 // Snapshot returns the receiver, making *Snapshot a search.Source: an
@@ -311,10 +330,8 @@ func (s *Snapshot) eachList(f func(kw string, pl *postingList)) {
 // eachGroup visits every equality group (any order), including groups whose
 // member path is currently empty.
 func (s *Snapshot) eachGroup(f func(g *group)) {
-	for _, gs := range s.gshards {
-		for _, g := range gs.vals {
-			f(g)
-		}
+	for gid := 0; gid < s.ngroups; gid++ {
+		f(s.group(int32(gid)))
 	}
 }
 
@@ -406,7 +423,11 @@ func (s *Snapshot) lookupGroup(id fragment.ID) *group {
 		eq[i] = id[j]
 	}
 	key := relation.Key(eq)
-	return s.gshards[groupShardIndex(key)].get(key)
+	gs := s.gshards[groupShardIndex(key)]
+	if i, ok := gs.find(key); ok {
+		return s.group(gs.vals[i])
+	}
+	return nil
 }
 
 // Has reports whether a live fragment with the given identifier exists.
@@ -573,7 +594,7 @@ func (s *Snapshot) EqValues(ref FragRef) (map[string]relation.Value, error) {
 	if int(ref) < 0 || int(ref) >= s.numRefs {
 		return nil, fmt.Errorf("%w: ref %d", ErrNoFragment, ref)
 	}
-	return s.groupAt(ref).eqVals, nil
+	return s.group(s.gidAt(ref)).eqVals, nil
 }
 
 // RangeValue returns a fragment's range-attribute value (NULL when the
@@ -609,7 +630,7 @@ func (s *Snapshot) Neighbors(ref FragRef) ([]FragRef, error) {
 	if !c.frags[i].Alive {
 		return nil, fmt.Errorf("%w: ref %d is removed", ErrNoFragment, ref)
 	}
-	g, pos := c.groupOf[i], c.memberAt[i]
+	g, pos := s.group(c.groupOf[i]), int(c.memberAt[i])
 	var out []FragRef
 	if pos > 0 {
 		out = append(out, g.members[pos-1])
@@ -644,8 +665,8 @@ func (s *Snapshot) GroupPath(ref FragRef) (members []FragRef, weights []int64, k
 	if !c.frags[i].Alive {
 		return nil, nil, "", 0, fmt.Errorf("%w: ref %d is removed", ErrNoFragment, ref)
 	}
-	g := c.groupOf[i]
-	return g.members, g.weights, g.key, c.memberAt[i], nil
+	g := s.group(c.groupOf[i])
+	return g.members, g.weights, g.key, int(c.memberAt[i]), nil
 }
 
 // Edges enumerates all fragment-graph edges as (smaller, larger) ref pairs,
