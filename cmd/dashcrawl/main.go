@@ -1,5 +1,6 @@
 // Command dashcrawl crawls a database for one web application and writes
-// the fragment index to disk:
+// the fragment index to disk, in the durable layer's checksummed snapshot
+// format (the file a data directory's checkpoints use):
 //
 //	dashcrawl -dataset fooddb -out search.idx
 //	dashcrawl -dataset medium -query Q2 -alg stepwise -out q2.idx
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/crawl"
+	"repro/internal/durable"
 	"repro/internal/harness"
 	"repro/internal/relation"
 	"repro/internal/tpch"
@@ -79,16 +81,7 @@ func run(args []string) error {
 		idx.NumFragments(), idx.NumKeywords(), idx.NumEdges(),
 		graphRow.BuildTime.Round(time.Millisecond))
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	//lint:ignore droppederr error-path backstop only; the success path checks the explicit Close below
-	defer f.Close()
-	if err := idx.Save(f); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := durable.WriteSnapshot(context.Background(), *out, idx.Dump()); err != nil {
 		return err
 	}
 	info, err := os.Stat(*out)

@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/fragindex"
 	"repro/internal/harness"
 	"repro/internal/relation"
@@ -46,13 +47,11 @@ func run(args []string) error {
 		return fmt.Errorf("no keywords given")
 	}
 
-	f, err := os.Open(*indexPath)
+	d, err := durable.ReadSnapshot(context.Background(), *indexPath)
 	if err != nil {
 		return err
 	}
-	//lint:ignore droppederr file is opened read-only; Close cannot lose data
-	defer f.Close()
-	idx, err := fragindex.Load(f)
+	idx, err := fragindex.Restore(d)
 	if err != nil {
 		return err
 	}

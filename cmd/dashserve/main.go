@@ -146,6 +146,10 @@ func main() {
 	}
 }
 
+// gcDeadRatio is the share of tombstoned refs at which the snapshot GC
+// tick compacts a shard.
+const gcDeadRatio = 0.25
+
 // run serves until SIGINT/SIGTERM. Everything logged — the standard
 // logger's lines and the access log — goes to stderr through one sink,
 // flushed before run returns.
@@ -160,7 +164,6 @@ func run(args []string, stderr io.Writer) error {
 	query := fs.String("query", "Q2", "application query for TPC-H datasets")
 	seed := fs.Int64("seed", 42, "dataset generator seed")
 	gcInterval := fs.Duration("gc-interval", 30*time.Second, "snapshot GC period (0 disables)")
-	gcRatio := fs.Float64("gc-ratio", 0.25, "tombstoned-ref share that triggers snapshot GC")
 	shards := fs.Int("shards", 1, "serving index shard count (partitioned by equality-group key)")
 	searchTimeout := fs.Duration("search-timeout", 10*time.Second,
 		"per-request search budget (0 disables; ?timeout_ms= may shrink it per request, never raise it)")
@@ -316,7 +319,7 @@ func run(args []string, stderr io.Writer) error {
 	defer stop()
 
 	// Snapshot GC: removals leave tombstoned refs in every later version;
-	// once their share crosses the threshold, publish a compacted snapshot.
+	// once their share reaches gcDeadRatio, publish a compacted snapshot.
 	// A durable engine also checkpoints every shard whose state moved. Each
 	// tick that compacted or checkpointed anything logs what it did and how
 	// long it took. Replicas never compact locally: a local GC would
@@ -338,7 +341,7 @@ func run(args []string, stderr io.Writer) error {
 					return
 				case <-ticker.C:
 					start, before := time.Now(), checkpoints(engine.Stats())
-					ran, err := engine.CompactIfNeeded(ctx, *gcRatio)
+					ran, err := engine.CompactIfNeeded(ctx, gcDeadRatio)
 					took := time.Since(start).Round(time.Microsecond)
 					if err != nil {
 						log.Printf("snapshot gc: %v (after %v)", err, took)

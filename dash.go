@@ -97,7 +97,6 @@ package dash
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/crawl"
@@ -262,9 +261,3 @@ func Build(ctx context.Context, db *Database, app *Application, opts BuildOption
 	}
 	return idx, stats, nil
 }
-
-// SaveIndex serializes an index (gob encoding).
-func SaveIndex(idx *Index, w io.Writer) error { return idx.Save(w) }
-
-// LoadIndex deserializes an index written by SaveIndex.
-func LoadIndex(r io.Reader) (*Index, error) { return fragindex.Load(r) }

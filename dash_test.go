@@ -1,8 +1,8 @@
 package dash
 
 import (
-	"bytes"
 	"context"
+	"io"
 	"testing"
 
 	"repro/internal/fooddb"
@@ -77,6 +77,9 @@ func TestFacadeUnboundApplication(t *testing.T) {
 	}
 }
 
+// TestFacadeSaveLoad: an index opened over a data directory is saved
+// there, and a handle reopened from the directory alone loads it and
+// answers as the built index did.
 func TestFacadeSaveLoad(t *testing.T) {
 	db := fooddb.New()
 	app, _ := Analyze(fooddb.ServletSource, fooddb.BaseURL)
@@ -87,21 +90,25 @@ func TestFacadeSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveIndex(idx, &buf); err != nil {
-		t.Fatalf("SaveIndex: %v", err)
-	}
-	loaded, err := LoadIndex(&buf)
+	dir := t.TempDir()
+	h, err := Open(context.Background(), idx, app, WithDataDir(dir))
 	if err != nil {
-		t.Fatalf("LoadIndex: %v", err)
+		t.Fatal(err)
 	}
-	engine := search.New(loaded, app)
-	results, err := engine.Search(context.Background(), Request{Keywords: []string{"coffee"}, K: 1, SizeThreshold: 5})
+	if err := h.(io.Closer).Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Open(context.Background(), nil, app, WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.(io.Closer).Close()
+	results, err := loaded.Search(context.Background(), Request{Keywords: []string{"coffee"}, K: 1, SizeThreshold: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 1 || results[0].QueryString != "c=American&l=9&u=9" {
-		t.Errorf("results over loaded index = %+v", results)
+		t.Errorf("results over the reopened index = %+v", results)
 	}
 }
 

@@ -6,12 +6,12 @@ package dash
 // algorithms, with serialization in the middle.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -128,8 +128,9 @@ func TestIntegrationSearchResultsConsistentAcrossAlgorithms(t *testing.T) {
 	}
 }
 
-// TestIntegrationSaveLoadServeRoundTrip: build on TPC-H, serialize, reload,
-// search, then fetch the resulting URL from a live HTTP server.
+// TestIntegrationSaveLoadServeRoundTrip: build on TPC-H, save through a
+// data directory, reopen from it, search, then fetch the resulting URL
+// from a live HTTP server.
 func TestIntegrationSaveLoadServeRoundTrip(t *testing.T) {
 	wl := harness.Workload{Scale: integrationScale, Seed: 31, Query: "Q1"}
 	db, app, err := wl.Setup()
@@ -140,26 +141,29 @@ func TestIntegrationSaveLoadServeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveIndex(idx, &buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndex(&buf)
+	want := idx.Dump()
+	kw := harness.KeywordBands(idx.Snapshot(), 2).Hot[0]
+	dir := t.TempDir()
+	h, err := Open(context.Background(), idx, app, WithDataDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumFragments() != idx.NumFragments() || loaded.NumEdges() != idx.NumEdges() {
-		t.Fatalf("round trip changed index: %d/%d vs %d/%d",
-			loaded.NumFragments(), loaded.NumEdges(), idx.NumFragments(), idx.NumEdges())
+	if err := h.(io.Closer).Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Open(context.Background(), nil, app, WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.(io.Closer).Close()
+	if got := dumpsOf(t, loaded); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatal("the reopened index's dump differs from the built index's")
 	}
 
 	srv := httptest.NewServer(app.Handler())
 	defer srv.Close()
 
-	engine := search.New(loaded, app)
-	bands := harness.KeywordBands(loaded.Snapshot(), 2)
-	kw := bands.Hot[0]
-	results, err := engine.Search(context.Background(), Request{Keywords: []string{kw}, K: 2, SizeThreshold: 100})
+	results, err := loaded.Search(context.Background(), Request{Keywords: []string{kw}, K: 2, SizeThreshold: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

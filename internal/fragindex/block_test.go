@@ -18,12 +18,16 @@ import (
 // block lengths. When prev is the snapshot s was published after, it also
 // checks that every block of s not stamped gen (the generation that built
 // s) is one of prev's blocks of the same list, array and length, and that
-// no block stamped gen is. It returns the longest list's block count and
-// how many lists the publish split a block of: lists holding more blocks
-// than in prev while still sharing some, which a recut (a compaction, or
-// a list new in s) never does.
+// no block stamped gen is; and checkStamps holds every other
+// copy-on-write unit to the same rule. It returns the longest list's
+// block count and how many lists the publish split a block of: lists
+// holding more blocks than in prev while still sharing some, which a
+// recut (a compaction, or a list new in s) never does.
 func checkBlocks(t *testing.T, prev, s *Snapshot, gen uint64) (maxBlocks, splits int) {
 	t.Helper()
+	if prev != nil {
+		checkStamps(t, prev, s, gen)
+	}
 	s.eachList(func(kw string, pl *postingList) {
 		n := 0
 		var last Posting
@@ -77,6 +81,65 @@ func checkBlocks(t *testing.T, prev, s *Snapshot, gen uint64) (maxBlocks, splits
 		}
 	})
 	return maxBlocks, splits
+}
+
+// checkStamps checks the copy-on-write units of s — the Snapshot struct,
+// later chunk-table pages, metadata chunks, posting and group shards,
+// group pages, groups and posting-list headers — against prev, the
+// snapshot s was published after: a unit stamped gen was allocated by the
+// publish, so prev must not reach it; any other unit must be prev's unit
+// in the same slot. A clone that forgets its stamp fails the second rule.
+func checkStamps(t *testing.T, prev, s *Snapshot, gen uint64) {
+	t.Helper()
+	type unit struct {
+		what  string
+		slot  any
+		u     any
+		stamp uint64
+	}
+	units := func(s *Snapshot) []unit {
+		out := []unit{{"snapshot", 0, s, s.gen}}
+		for i, p := range s.pages {
+			out = append(out, unit{"chunk page", i, p, p.gen})
+		}
+		for ci := 0; ci < s.numChunks(); ci++ {
+			c := s.chunkAt(ci)
+			out = append(out, unit{"chunk", ci, c, c.gen})
+		}
+		for i, sh := range s.shards {
+			out = append(out, unit{"posting shard", i, sh, sh.gen})
+		}
+		for i, gs := range s.gshards {
+			out = append(out, unit{"group shard", i, gs, gs.gen})
+		}
+		for i, p := range s.gpages {
+			out = append(out, unit{"group page", i, p, p.gen})
+		}
+		for gid := 0; gid < s.ngroups; gid++ {
+			g := s.group(int32(gid))
+			out = append(out, unit{"group", gid, g, g.gen})
+		}
+		s.eachList(func(kw string, pl *postingList) {
+			out = append(out, unit{"list header", kw, pl, pl.gen})
+		})
+		return out
+	}
+	had := make(map[any]bool) // every unit prev reaches
+	was := make(map[unit]any) // prev's unit in each slot, by kind and slot
+	for _, u := range units(prev) {
+		had[u.u] = true
+		was[unit{what: u.what, slot: u.slot}] = u.u
+	}
+	for _, u := range units(s) {
+		switch {
+		case u.stamp > gen:
+			t.Fatalf("%s %v is stamped %d, past the publish's generation %d", u.what, u.slot, u.stamp, gen)
+		case u.stamp == gen && had[u.u]:
+			t.Fatalf("%s %v is stamped by the publish but reachable from the previous snapshot", u.what, u.slot)
+		case u.stamp < gen && was[unit{what: u.what, slot: u.slot}] != u.u:
+			t.Fatalf("%s %v is not stamped by the publish but is not the previous snapshot's", u.what, u.slot)
+		}
+	}
 }
 
 // TestPostingBlocksRandomHistories runs TestCoWIsolationRandomHistories'

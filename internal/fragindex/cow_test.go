@@ -17,14 +17,20 @@ import (
 
 // capture records everything a reader of s can observe — snapState, each
 // list's raw postings (tombstones included) and dead count, every group by
-// id, and every ref's Meta, GroupPath and group slot — deep-copied, so a
-// later write into storage the snapshot shares shows up as a difference.
+// id, the group directory, and every ref's Meta, GroupPath and group
+// slot — deep-copied, so a later write into storage the snapshot shares
+// shows up as a difference.
 func capture(s *Snapshot) map[string]any {
 	out := snapState(s)
 	maps.Copy(out, captureLists(s))
 	for gid := int32(0); int(gid) < s.ngroups; gid++ {
 		g := s.group(gid)
 		out[fmt.Sprintf("group:%d", gid)] = []any{g.key, slices.Clone(g.members), slices.Clone(g.weights)}
+	}
+	for _, gs := range s.gshards {
+		for i, key := range gs.keys {
+			out["gdir:"+key] = gs.vals[i]
+		}
 	}
 	for ref := FragRef(0); int(ref) < s.NumRefs(); ref++ {
 		m, err := s.Meta(ref)
@@ -463,7 +469,7 @@ func TestSortedDirCloneSharesKeys(t *testing.T) {
 	for i, k := range []string{"a", "c", "e", "g", "i"} {
 		d.put(k, int32(i))
 	}
-	ins, del := d.clone(), d.clone()
+	ins, del := d.clone(1), d.clone(1)
 	if &ins.keys[0] != &d.keys[0] {
 		t.Error("the clone copied the keys")
 	}

@@ -134,7 +134,7 @@ func (idx *Index) tombstone(ref FragRef) {
 			s.liveKws--
 		}
 		pl.recompute()
-		if pl.dead*idx.compactDen >= pl.n*idx.compactNum {
+		if pl.dead*compactDeadDen >= pl.n*compactDeadNum {
 			idx.CompactPostings(kw)
 		}
 	}
@@ -172,14 +172,6 @@ func (idx *Index) UpdateFragment(id fragment.ID, termCounts map[string]int64, to
 // Compact rebuilds the index without tombstones, reclaiming posting slots
 // and renumbering refs: a Restore of the index's own Dump, so a compacted
 // index is exactly what recovery from that dump would serve, at the same
-// epoch, and keeps the receiver's posting compaction threshold. The
-// receiver is left untouched, and the result shares no storage with it
-// (or with any snapshot it published).
-func (idx *Index) Compact() (*Index, error) {
-	out, err := Restore(idx.s.dump(nil))
-	if err != nil {
-		return nil, err
-	}
-	out.compactNum, out.compactDen = idx.compactNum, idx.compactDen
-	return out, nil
-}
+// epoch. The receiver is left untouched, and the result shares no storage
+// with it (or with any snapshot it published).
+func (idx *Index) Compact() (*Index, error) { return Restore(idx.s.dump(nil)) }

@@ -21,24 +21,32 @@
 // and the mutation API (InsertFragment, RemoveFragment, UpdateFragment,
 // CompactPostings).
 //
-// A fresh Index mutates its snapshot in place — the classic exclusive-
-// mutation contract, with zero copy-on-write overhead. Calling Freeze
-// publishes the current state as an immutable Snapshot and switches the
-// builder into copy-on-write mode: the next mutation clones only the
-// top-level pointer tables, and the payloads behind them are cloned lazily
-// where mutations touch them — fragment metadata chunk by chunk (the chunk
-// is the metadata CoW unit) behind a paged chunk table, the posting and
-// group directories hash shard by hash shard, and equality groups group by
-// group behind a paged group table, each in the one slot its stable id
-// names, so a group clone touches no member's metadata. A posting list is
-// stored as blocks of ≈ 128 postings (see postingList) and copied in three
-// steps: a tombstone changes only its header (dead count and IDF), so
+// Ownership follows one rule. Every copy-on-write unit — the Snapshot
+// struct with its tables, each later chunk-table page, metadata chunk,
+// directory shard, group page, group, posting-list header, block
+// directory and posting block — carries the builder generation that
+// allocated it. The builder writes a unit in place only when the stamp
+// equals its current generation; otherwise it copies the unit, stamps the
+// copy and puts it in the unit's slot. Freeze publishes the current state
+// as an immutable Snapshot by incrementing the generation, in O(1), so
+// the next mutation copies the Snapshot struct and its pointer tables, and
+// the payloads behind them are copied lazily where mutations touch them.
+// A fresh Index is at generation 0 and owns everything it builds, so it
+// mutates in place with zero copy-on-write overhead. The rule's
+// precondition is that no unit is shared between two builders: Restore,
+// Compact and NewShardedLive each build into storage of their own.
+//
+// Fragment metadata is chunked behind a paged chunk table, the posting
+// and group directories are hash shards, and equality groups live in a
+// paged group table, each in the one slot its stable id names, so a group
+// clone touches no member's metadata. A posting list is stored as blocks
+// of ≈ 128 postings (see postingList) and copied in three steps: a
+// tombstone changes only its header (dead count and IDF), so
 // RemoveFragment clones the header and keeps sharing the published blocks;
 // the first insert into the list in a publish copies its block directory,
 // one slice header per block; and each block is copied — once per
 // publish, with headroom for further inserts — only when an insert writes
 // it. Every other block stays shared. A compaction recuts the whole list.
-// Freeze again to publish the next version.
 // LiveIndex wraps this cycle behind an atomic pointer so readers resolve a
 // consistent snapshot per query while a writer applies deltas concurrently
 // (see live.go).
@@ -110,7 +118,7 @@ type FragRef int32
 // Posting is one inverted-list entry: 8 bytes, so a list copy and the
 // seed walk over a list move half what a 64-bit TF would. A fragment's
 // term frequency fits an int32; every path a TF enters the index by
-// (InsertFragment, Build, Load, the durable snapshot decoder) rejects one
+// (InsertFragment, Build, Restore, the durable snapshot decoder) rejects one
 // past math.MaxInt32 instead of truncating it.
 type Posting struct {
 	Frag FragRef
@@ -126,14 +134,9 @@ type Meta struct {
 }
 
 // Lists whose tombstones reach the compaction threshold (dead/len >=
-// num/den, default compactDeadNum/compactDeadDen) are compacted on the
-// spot; below the threshold Postings filters a copy. Each compaction is
-// O(list) after Ω(list) removals, so tombstone reclamation is amortized
-// O(1) per removal. Every serving index runs at the default; only the
-// package's own tests and threshold micro-benchmark vary it (through
-// setPostingCompaction): a lower ratio keeps lists cleaner (cheaper
-// Postings reads while tombstones linger) at the cost of more frequent
-// O(list) rewrites on removal-heavy churn.
+// compactDeadNum/compactDeadDen) are compacted on the spot; below it
+// Postings filters a copy. Each compaction is O(list) after Ω(list)
+// removals, so tombstone reclamation is amortized O(1) per removal.
 const (
 	compactDeadNum = 1
 	compactDeadDen = 4
@@ -218,48 +221,33 @@ type group struct {
 }
 
 // Index is the builder half of the fragment index: a snapshot-in-progress
-// plus the copy-on-write bookkeeping that isolates published snapshots from
+// plus the one copy-on-write rule that isolates published snapshots from
 // later mutations (see the package comment).
 type Index struct {
 	s *Snapshot
 
-	// compactNum/compactDen is the posting-list compaction threshold
-	// (see setPostingCompaction); defaults to compactDeadNum/Den.
-	compactNum, compactDen int
+	// gen counts Freezes. The builder writes a copy-on-write unit in
+	// place only when the unit is stamped gen, and otherwise copies it
+	// and stamps the copy (the package comment's one rule), so a batch of
+	// mutations pays each copy once. The rule holds only while no unit is
+	// shared between two builders, which Restore, Compact and
+	// NewShardedLive guarantee by building from a Dump into storage of
+	// their own.
+	gen uint64
 
-	// cow is set once Freeze has published a snapshot: from then on every
-	// mutation copies shared structures before writing. The owned* sets
-	// track what has already been copied since the last Freeze — table
-	// pages, metadata chunks, posting shards, group shards — so a batch of
-	// mutations pays each clone once. Posting lists and groups track it
-	// with generation stamps instead: gen counts Freezes, and a list
-	// header, block directory, block or group stamped with the current gen
-	// was allocated since the last one, so it is the builder's to write
-	// (see postingList). Checking a stamp is O(1) and a Freeze resets them
-	// all by incrementing gen. copiedLists counts the block directories
-	// copied, clonedGroups the groups cloned or created.
-	cow          bool
-	metaOwned    bool // the Snapshot struct + pointer tables are cloned
-	ownedPages   []bool
-	ownedChunks  []bool
-	clonedChunks int
-	ownedShards  []bool
-	ownedGShards []bool
-	ownedGPages  []bool
-	gen          uint64
-	copiedLists  int
-	clonedGroups int
+	// What the builder copied since the last Freeze (see pendingClones).
+	clonedChunks, clonedShards, copiedLists, clonedGroups int
 }
 
-// New creates an empty index for incremental construction.
+// New creates an empty index for incremental construction. It is at
+// generation 0 and owns everything it builds, so it mutates in place
+// until its first Freeze.
 func New(spec Spec) (*Index, error) {
 	eqIdx, rangeIdx, err := spec.indices()
 	if err != nil {
 		return nil, err
 	}
 	return &Index{
-		compactNum: compactDeadNum,
-		compactDen: compactDeadDen,
 		s: &Snapshot{
 			spec:     spec,
 			eqIdx:    eqIdx,
@@ -268,21 +256,6 @@ func New(spec Spec) (*Index, error) {
 			gshards:  newGroupShards(),
 		},
 	}, nil
-}
-
-// setPostingCompaction tunes the lazy posting-list compaction threshold:
-// a list is rewritten without its tombstones once dead entries reach
-// num/den of its length. Lower ratios compact more eagerly (cleaner lists
-// for the read path, more O(list) rewrites under removal churn); higher
-// ratios defer the rewrite but make Postings pay a filtered copy while
-// tombstones linger. The default is 1/4. Requires 0 < num <= den. Like any
-// mutation, it must not race with other builder calls.
-func (idx *Index) setPostingCompaction(num, den int) error {
-	if num <= 0 || den <= 0 || num > den {
-		return fmt.Errorf("fragindex: invalid posting compaction threshold %d/%d", num, den)
-	}
-	idx.compactNum, idx.compactDen = num, den
-	return nil
 }
 
 // Build constructs the index from a crawl output in one pass: fragments are
@@ -357,35 +330,16 @@ func Build(out *crawl.Output, spec Spec) (*Index, error) {
 // immutable version use Freeze or a LiveIndex.
 func (idx *Index) Snapshot() *Snapshot { return idx.s }
 
-// resetBools returns b resized to n entries, all false.
-func resetBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	b = b[:n]
-	clear(b)
-	return b
-}
-
-// Freeze publishes the builder's current state as an immutable Snapshot
-// and switches the builder into copy-on-write mode: later mutations build
-// the next version without disturbing the returned one. Freeze is a
-// mutation for concurrency purposes — it requires the same exclusive
-// access as InsertFragment. Single-writer callers typically reach it
-// through LiveIndex, which wraps the freeze/publish cycle behind an atomic
-// pointer.
+// Freeze publishes the builder's current state as an immutable Snapshot:
+// it increments the generation, so later mutations copy every unit they
+// write and build the next version without disturbing the returned one.
+// Freeze is a mutation for concurrency purposes — it requires the same
+// exclusive access as InsertFragment. Single-writer callers typically
+// reach it through LiveIndex, which wraps the freeze/publish cycle behind
+// an atomic pointer.
 func (idx *Index) Freeze() *Snapshot {
-	idx.cow = true
-	idx.metaOwned = false
-	idx.ownedPages = resetBools(idx.ownedPages, len(idx.s.pages))
-	idx.ownedChunks = resetBools(idx.ownedChunks, idx.s.numChunks())
-	idx.clonedChunks = 0
-	idx.ownedShards = resetBools(idx.ownedShards, numShards)
-	idx.ownedGShards = resetBools(idx.ownedGShards, numGroupShards)
-	idx.ownedGPages = resetBools(idx.ownedGPages, len(idx.s.gpages))
 	idx.gen++
-	idx.copiedLists = 0
-	idx.clonedGroups = 0
+	idx.clonedChunks, idx.clonedShards, idx.copiedLists, idx.clonedGroups = 0, 0, 0, 0
 	return idx.s
 }
 
@@ -405,53 +359,37 @@ func (idx *Index) discardTo(s *Snapshot) {
 // once its block directory is copied; a header-only clone (a tombstone)
 // does not.
 func (idx *Index) pendingClones() (chunks, shards, lists, groups int) {
-	for _, owned := range idx.ownedShards {
-		if owned {
-			shards++
-		}
-	}
-	return idx.clonedChunks, shards, idx.copiedLists, idx.clonedGroups
+	return idx.clonedChunks, idx.clonedShards, idx.copiedLists, idx.clonedGroups
 }
 
-// beginWrite prepares the builder for a mutation: in copy-on-write mode the
-// first mutation after a Freeze clones the Snapshot struct and its pointer
-// tables (the inline first chunk-table page, the tables of later pages
-// and of group pages, and the two shard tables); later-page, chunk, list,
-// group-page and group payloads are cloned lazily as mutations reach them.
+// beginWrite prepares the builder for a mutation: the first mutation of a
+// generation clones the Snapshot struct and its pointer tables (the inline
+// first chunk-table page, the tables of later pages and of group pages,
+// and the two shard tables); later-page, chunk, list, group-page and group
+// payloads are cloned lazily as mutations reach them.
 func (idx *Index) beginWrite() {
-	if !idx.cow || idx.metaOwned {
-		return
+	if idx.s.gen != idx.gen {
+		idx.s = idx.s.clone(idx.gen)
 	}
-	idx.s = idx.s.clone()
-	idx.metaOwned = true
 }
 
-// pageForWrite returns page pi of the chunk table ready for in-place
-// mutation, copying it if it is shared with a published snapshot. Must
-// run after beginWrite.
-func (idx *Index) pageForWrite(pi int) *chunkPage {
+// chunkPageForWrite returns page pi of the chunk table ready for in-place
+// mutation. Must run after beginWrite.
+func (idx *Index) chunkPageForWrite(pi int) *[pageSize]*metaChunk {
 	if pi == 0 {
 		return &idx.s.page0 // inline: beginWrite copied it with the Snapshot
 	}
-	pi-- // page p ≥ 1 is s.pages[p-1]
-	if idx.cow && !idx.ownedPages[pi] {
-		p := *idx.s.pages[pi]
-		idx.s.pages[pi] = &p
-		idx.ownedPages[pi] = true
-	}
-	return idx.s.pages[pi]
+	return writablePage(&idx.s.pages[pi-1], idx.gen) // page p ≥ 1 is s.pages[p-1]
 }
 
-// chunkForWrite returns ref's metadata chunk ready for in-place mutation,
-// cloning it if it is shared with a published snapshot. Must run after
-// beginWrite.
+// chunkForWrite returns ref's metadata chunk ready for in-place mutation.
+// Must run after beginWrite.
 func (idx *Index) chunkForWrite(ref FragRef) *metaChunk {
 	ci := int(ref) >> chunkShift
 	c := idx.s.chunkAt(ci)
-	if idx.cow && !idx.ownedChunks[ci] {
-		c = c.clone()
-		idx.pageForWrite(ci >> pageShift)[ci&pageMask] = c
-		idx.ownedChunks[ci] = true
+	if c.gen != idx.gen {
+		c = c.clone(idx.gen)
+		idx.chunkPageForWrite(ci >> pageShift)[ci&pageMask] = c
 		idx.clonedChunks++
 	}
 	return c
@@ -466,16 +404,10 @@ func (idx *Index) appendRef(m Meta, gid int32, pos int) FragRef {
 	if ci := s.numRefs >> chunkShift; s.numRefs&chunkMask == 0 { // every chunk is full
 		pi := ci >> pageShift
 		if pi == len(s.pages)+1 {
-			s.pages = append(s.pages, new(chunkPage))
-			if idx.cow {
-				idx.ownedPages = append(idx.ownedPages, true)
-			}
+			s.pages = append(s.pages, &chunkPage{gen: idx.gen})
 		}
-		idx.pageForWrite(pi)[ci&pageMask] = &metaChunk{}
-		if idx.cow {
-			idx.ownedChunks = append(idx.ownedChunks, true)
-			idx.clonedChunks++
-		}
+		idx.chunkPageForWrite(pi)[ci&pageMask] = &metaChunk{gen: idx.gen}
+		idx.clonedChunks++
 	}
 	c := idx.chunkForWrite(ref)
 	c.frags = append(c.frags, m)
@@ -498,40 +430,13 @@ func (idx *Index) setMemberAt(ref FragRef, pos int) {
 	idx.chunkForWrite(ref).memberAt[int(ref)&chunkMask] = int32(pos)
 }
 
-// shardForWrite returns the shard ready for in-place mutation, cloning it
-// if it is shared with a published snapshot.
+// shardForWrite returns posting shard si ready for in-place mutation.
 func (idx *Index) shardForWrite(si uint32) *shard {
-	sh := idx.s.shards[si]
-	if idx.cow && !idx.ownedShards[si] {
-		sh = sh.clone()
-		idx.s.shards[si] = sh
-		idx.ownedShards[si] = true
+	sh, cloned := writableDir(&idx.s.shards[si], idx.gen)
+	if cloned {
+		idx.clonedShards++
 	}
 	return sh
-}
-
-// gshardForWrite returns the group shard ready for in-place mutation,
-// cloning it if it is shared with a published snapshot.
-func (idx *Index) gshardForWrite(gi uint32) *groupShard {
-	gs := idx.s.gshards[gi]
-	if idx.cow && !idx.ownedGShards[gi] {
-		gs = gs.clone()
-		idx.s.gshards[gi] = gs
-		idx.ownedGShards[gi] = true
-	}
-	return gs
-}
-
-// gpageForWrite returns page pi of the group table ready for in-place
-// mutation, copying it if it is shared with a published snapshot. Must
-// run after beginWrite.
-func (idx *Index) gpageForWrite(pi int32) *groupPage {
-	if idx.cow && !idx.ownedGPages[pi] {
-		p := *idx.s.gpages[pi]
-		idx.s.gpages[pi] = &p
-		idx.ownedGPages[pi] = true
-	}
-	return idx.s.gpages[pi]
 }
 
 // groupForWrite returns group gid ready for in-place mutation, cloning it
@@ -550,7 +455,7 @@ func (idx *Index) groupForWrite(gid int32) *group {
 		weights: slices.Clone(g.weights),
 		gen:     idx.gen,
 	}
-	idx.gpageForWrite(gid >> pageShift)[gid&pageMask] = g
+	writablePage(&idx.s.gpages[gid>>pageShift], idx.gen)[gid&pageMask] = g
 	idx.clonedGroups++
 	return g
 }
@@ -576,14 +481,12 @@ func (idx *Index) groupFor(id fragment.ID) (int32, *group) {
 	}
 	gid := int32(s.ngroups)
 	if gid&pageMask == 0 { // every page is full
-		s.gpages = append(s.gpages, new(groupPage))
-		if idx.cow {
-			idx.ownedGPages = append(idx.ownedGPages, true)
-		}
+		s.gpages = append(s.gpages, &groupPage{gen: idx.gen})
 	}
-	idx.gpageForWrite(gid >> pageShift)[gid&pageMask] = g
+	writablePage(&s.gpages[gid>>pageShift], idx.gen)[gid&pageMask] = g
 	s.ngroups++
-	idx.gshardForWrite(gi).insertAt(pos, key, gid)
+	gs, _ := writableDir(&s.gshards[gi], idx.gen)
+	gs.insertAt(pos, key, gid)
 	idx.clonedGroups++
 	return gid, g
 }

@@ -1,30 +1,11 @@
 package fragindex
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"slices"
-	"sort"
 
 	"repro/internal/fragment"
 )
-
-// indexWire is the gob-serialized form of an Index. Only live fragments are
-// written; groups are rebuilt on load.
-type indexWire struct {
-	SelAttrs  []string
-	EqAttrs   []string
-	RangeAttr string
-	FragKeys  []string
-	Terms     []int64
-	Inverted  map[string][]wirePosting
-}
-
-type wirePosting struct {
-	Frag int32
-	TF   int64
-}
 
 // Dump is an index's complete logical state in canonical, storage-neutral
 // form: live fragments sorted by identifier, keywords sorted, and each
@@ -178,65 +159,7 @@ func Restore(d *Dump) (*Index, error) {
 // any mutation, it requires exclusive builder access.
 func (idx *Index) SetEpoch(e uint64) { idx.s.epoch = e }
 
-// Save serializes the index. Tombstoned fragments are compacted away.
-func (idx *Index) Save(w io.Writer) error {
-	d := idx.Dump()
-	wire := indexWire{
-		SelAttrs:  d.SelAttrs,
-		EqAttrs:   d.EqAttrs,
-		RangeAttr: d.RangeAttr,
-		FragKeys:  d.FragKeys,
-		Terms:     d.Terms,
-		Inverted:  make(map[string][]wirePosting, len(d.Keywords)),
-	}
-	for i, kw := range d.Keywords {
-		wps := make([]wirePosting, len(d.Postings[i]))
-		for j, p := range d.Postings[i] {
-			wps[j] = wirePosting{Frag: int32(p.Frag), TF: int64(p.TF)}
-		}
-		wire.Inverted[kw] = wps
-	}
-	return gob.NewEncoder(w).Encode(&wire)
-}
-
-// Load deserializes an index written by Save, with the same corruption
-// validation as Restore (ErrCorruptIndex on duplicate fragments, duplicate
-// postings, or out-of-range refs). The gob envelope carries TFs as int64;
-// one outside 1..math.MaxInt32 is ErrCorruptIndex too, never truncated.
-func Load(r io.Reader) (*Index, error) {
-	var wire indexWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptIndex, err)
-	}
-	d := &Dump{
-		SelAttrs:  wire.SelAttrs,
-		EqAttrs:   wire.EqAttrs,
-		RangeAttr: wire.RangeAttr,
-		FragKeys:  wire.FragKeys,
-		Terms:     wire.Terms,
-		Keywords:  make([]string, 0, len(wire.Inverted)),
-	}
-	for kw := range wire.Inverted {
-		d.Keywords = append(d.Keywords, kw)
-	}
-	sort.Strings(d.Keywords)
-	d.Postings = make([][]Posting, len(d.Keywords))
-	for i, kw := range d.Keywords {
-		wps := wire.Inverted[kw]
-		ps := make([]Posting, len(wps))
-		for j, p := range wps {
-			tf, ok := checkTF(p.TF)
-			if !ok {
-				return nil, fmt.Errorf("%w: posting TF %d in %q", ErrCorruptIndex, p.TF, kw)
-			}
-			ps[j] = Posting{Frag: FragRef(p.Frag), TF: tf}
-		}
-		d.Postings[i] = ps
-	}
-	return Restore(d)
-}
-
-// sortRefsByID sorts refs by fragment identifier. Saved indexes and
+// sortRefsByID sorts refs by fragment identifier. Dumps and
 // never-updated builds arrive already sorted, so check first — a sort of
 // sorted input still pays O(n log n) comparisons, while a linear scan
 // confirms order in one pass.

@@ -1,9 +1,7 @@
 package fragindex
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -352,92 +350,6 @@ func TestBuildRejectsTFPastInt32(t *testing.T) {
 	again, err := Restore(d)
 	if err != nil || !reflect.DeepEqual(again.Dump(), d) {
 		t.Fatalf("dump of TF math.MaxInt32 does not round-trip: %v", err)
-	}
-}
-
-// TestSaveLoadCanonicalState: the gob envelope preserves the canonical
-// dump exactly (the broader round-trip lives in TestSaveLoadRoundTrip).
-func TestSaveLoadCanonicalState(t *testing.T) {
-	idx := fooddbIndex(t)
-	var buf bytes.Buffer
-	if err := idx.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, d2 := idx.Dump(), got.Dump()
-	// Save does not carry the epoch; everything else must survive.
-	d1.Epoch, d2.Epoch = 0, 0
-	if !reflect.DeepEqual(d1, d2) {
-		t.Error("Save/Load changed the logical state")
-	}
-}
-
-// loadWire gob-encodes a hand-built wire struct and runs it through Load —
-// corruption below the Dump level, as a damaged or malicious file would
-// carry it.
-func loadWire(t *testing.T, wire *indexWire) error {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(&buf)
-	return err
-}
-
-// TestLoadRejectsCorruptFiles: Load refuses wire-level corruption with
-// ErrCorruptIndex instead of building a broken index — duplicate fragment
-// keys, out-of-range postings, and duplicate postings were previously
-// accepted silently.
-func TestLoadRejectsCorruptFiles(t *testing.T) {
-	base := func() *indexWire {
-		return &indexWire{
-			SelAttrs: []string{"c", "v"},
-			EqAttrs:  []string{"c"},
-			FragKeys: []string{
-				fragment.ID{relation.String("a"), relation.Int(1)}.Key(),
-				fragment.ID{relation.String("a"), relation.Int(2)}.Key(),
-			},
-			Terms: []int64{3, 4},
-			Inverted: map[string][]wirePosting{
-				"kw": {{Frag: 0, TF: 2}, {Frag: 1, TF: 1}},
-			},
-		}
-	}
-	if err := loadWire(t, base()); err != nil {
-		t.Fatalf("baseline wire rejected: %v", err)
-	}
-	cases := []struct {
-		name   string
-		damage func(w *indexWire)
-	}{
-		{"truncated gob", nil}, // handled separately below
-		{"duplicate fragment key", func(w *indexWire) { w.FragKeys[1] = w.FragKeys[0] }},
-		{"posting ref out of range", func(w *indexWire) { w.Inverted["kw"][1].Frag = 2 }},
-		{"negative posting ref", func(w *indexWire) { w.Inverted["kw"][1].Frag = -1 }},
-		{"duplicate posting", func(w *indexWire) {
-			w.Inverted["kw"] = append(w.Inverted["kw"], wirePosting{Frag: 0, TF: 1})
-		}},
-		{"terms array mismatch", func(w *indexWire) { w.Terms = w.Terms[:1] }},
-		{"TF 2^31", func(w *indexWire) { w.Inverted["kw"][0].TF = math.MaxInt32 + 1 }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var err error
-			if tc.damage == nil {
-				_, err = Load(bytes.NewReader([]byte{0x01, 0x02, 0x03}))
-			} else {
-				w := base()
-				tc.damage(w)
-				err = loadWire(t, w)
-			}
-			if !errors.Is(err, ErrCorruptIndex) {
-				t.Errorf("err = %v, want ErrCorruptIndex", err)
-			}
-		})
 	}
 }
 

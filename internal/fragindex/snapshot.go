@@ -35,10 +35,12 @@ const numGroupShards = 512 // power of two
 // keys in ascending order, with each key's value in the parallel vals
 // slice. Sorted slices instead of a map make the bucket's copy-on-write
 // clone one memmove — cloning a map re-hashes every key — at the price of
-// a binary search per lookup.
+// a binary search per lookup. gen stamps the builder generation that
+// allocated the bucket (see Index.gen).
 type sortedDir[V any] struct {
 	keys []string
 	vals []V
+	gen  uint64
 }
 
 // shard is one hash bucket of the inverted fragment index.
@@ -89,12 +91,24 @@ func (d *sortedDir[V]) put(key string, v V) bool {
 // insert that may follow does not reallocate them again, and shares its
 // keys, capped at their length: most clones only repoint a value, and the
 // keys — 16 bytes each — are the larger half of a bucket. A clone keeps
-// every key's position.
-func (d *sortedDir[V]) clone() *sortedDir[V] {
+// every key's position and is stamped gen.
+func (d *sortedDir[V]) clone(gen uint64) *sortedDir[V] {
 	return &sortedDir[V]{
 		keys: d.keys[:len(d.keys):len(d.keys)],
 		vals: append(make([]V, 0, len(d.vals)+1), d.vals...),
+		gen:  gen,
 	}
+}
+
+// writableDir returns the bucket in *slot ready for in-place mutation,
+// cloning it into the slot unless generation gen allocated it; cloned
+// reports whether it did.
+func writableDir[V any](slot **sortedDir[V], gen uint64) (d *sortedDir[V], cloned bool) {
+	if d = *slot; d.gen != gen {
+		d, cloned = d.clone(gen), true
+		*slot = d
+	}
+	return d, cloned
 }
 
 // fnv32 hashes a string with FNV-1a.
@@ -155,41 +169,66 @@ const (
 	pageMask  = pageSize - 1
 )
 
-// chunkPage is one page of the chunk table. A fixed-size array, so the
-// masked index into it needs no bounds check on the read path.
-type chunkPage [pageSize]*metaChunk
+// page is one page of a paged table — the chunk table or the group table:
+// pageSize slots in a fixed-size array, so the masked index into it needs
+// no bounds check on the read path, stamped with the builder generation
+// that allocated it (see Index.gen).
+type page[T any] struct {
+	slots [pageSize]*T
+	gen   uint64
+}
+
+// writablePage returns the slots of the page in *slot ready for in-place
+// mutation, copying the page into the slot unless generation gen
+// allocated it.
+func writablePage[T any](slot **page[T], gen uint64) *[pageSize]*T {
+	if p := *slot; p.gen != gen {
+		c := *p
+		c.gen = gen
+		*slot = &c
+	}
+	return &(*slot).slots
+}
+
+// chunkPage is one later page of the chunk table: chunks
+// [p<<pageShift, (p+1)<<pageShift) for p ≥ 1.
+type chunkPage = page[metaChunk]
 
 // groupPage is one page of the group table: the groups with ids
 // [p<<pageShift, (p+1)<<pageShift). A group's id is dense and never
 // changes, so a chunk names a ref's group by id and a group clone
 // replaces one slot of one page — no member's chunk. A publish copies the
 // table of pages (one pointer per 256 groups) and the pages it writes.
-type groupPage [pageSize]*group
+type groupPage = page[group]
 
 // metaChunk holds chunkSize refs' worth of the four per-ref metadata
 // arrays, in parallel: the fragment summary, the builder-side forward
 // keyword map, the equality-group id, and the position within the group
 // (-1 when dead). Only an insert or removal in a group shifts positions,
 // so only those rewrite other members' chunks; an update keeps its slot.
+// gen stamps the builder generation that allocated the chunk.
 type metaChunk struct {
 	frags    []Meta
 	kwOf     [][]string
 	groupOf  []int32
 	memberAt []int32
+	gen      uint64
 }
 
-// clone returns a deep copy of the chunk's arrays (slice contents such as
-// keyword strings stay shared — they are immutable per ref). A full chunk
-// is copied exactly; the tail chunk, the only one refs are appended to,
-// gets the headroom a copied posting list gets, so the appends of the
-// publish that cloned it do not reallocate its arrays a second time.
-func (c *metaChunk) clone() *metaChunk {
+// clone returns a deep copy of the chunk's arrays, stamped gen (slice
+// contents such as keyword strings stay shared — they are immutable per
+// ref). A full chunk is copied exactly; the tail chunk, the only one refs
+// are appended to, gets the headroom a copied posting list gets, so the
+// appends of the publish that cloned it do not reallocate its arrays a
+// second time.
+func (c *metaChunk) clone(gen uint64) *metaChunk {
 	n := min(grownCap(len(c.frags)), chunkSize)
 	return &metaChunk{
 		frags:    append(make([]Meta, 0, n), c.frags...),
 		kwOf:     append(make([][]string, 0, n), c.kwOf...),
 		groupOf:  append(make([]int32, 0, n), c.groupOf...),
 		memberAt: append(make([]int32, 0, n), c.memberAt...),
+		gen:      gen,
 	}
 }
 
@@ -221,13 +260,17 @@ type Snapshot struct {
 	eqIdx    []int
 	rangeIdx int
 
-	numRefs int          // ref-space size; chunk i holds refs [i<<chunkShift, ...)
-	page0   chunkPage    // chunks [0, pageSize), inline: read without a page load
-	pages   []*chunkPage // the chunk table's later pages: chunks pageSize on
-	shards  []*shard     // inverted index posting shards
+	numRefs int                  // ref-space size; chunk i holds refs [i<<chunkShift, ...)
+	page0   [pageSize]*metaChunk // chunks [0, pageSize), inline: read without a page load
+	pages   []*chunkPage         // the chunk table's later pages: chunks pageSize on
+	shards  []*shard             // inverted index posting shards
 	gshards []*groupShard
 	gpages  []*groupPage // the group table: page p holds ids p<<pageShift on
 	ngroups int
+
+	// gen stamps the builder generation that allocated the struct and its
+	// tables, page0 included (see Index.gen).
+	gen uint64
 
 	// Live counters: maintained on insert/remove so the Table IV stats
 	// (NumFragments, AvgTermsPerFragment, NumKeywords) are O(1).
@@ -241,16 +284,17 @@ type Snapshot struct {
 	kwCache atomic.Pointer[kwCache]
 }
 
-// clone returns a builder-writable copy sharing every later chunk-table
-// page, posting shard, group shard and group page with the receiver. Only
-// the top-level tables are copied — the inline first page, the later-page
+// clone returns a copy stamped gen sharing every later chunk-table page,
+// posting shard, group shard and group page with the receiver. Only the
+// top-level tables are copied — the inline first page, the later-page
 // table (O(refs/65 536)), the group-page table (O(groups/256)) and two
 // fixed-size shard tables — so publish cost is proportional to what the
 // delta then dirties. The payloads (later pages, chunks, posting lists,
 // group pages, groups) are cloned lazily, one by one, only where mutations
 // touch them.
-func (s *Snapshot) clone() *Snapshot {
+func (s *Snapshot) clone(gen uint64) *Snapshot {
 	return &Snapshot{
+		gen:       gen,
 		spec:      s.spec,
 		eqIdx:     s.eqIdx,
 		rangeIdx:  s.rangeIdx,
@@ -273,7 +317,7 @@ func (s *Snapshot) chunkAt(ci int) *metaChunk {
 	if ci < pageSize {
 		return s.page0[ci]
 	}
-	return s.pages[ci>>pageShift-1][ci&pageMask]
+	return s.pages[ci>>pageShift-1].slots[ci&pageMask]
 }
 
 // chunkOf returns the metadata chunk holding ref, without bounds checking.
@@ -298,7 +342,7 @@ func (s *Snapshot) kwsAt(ref FragRef) []string {
 }
 
 // group returns the group with id gid without bounds checking.
-func (s *Snapshot) group(gid int32) *group { return s.gpages[gid>>pageShift][gid&pageMask] }
+func (s *Snapshot) group(gid int32) *group { return s.gpages[gid>>pageShift].slots[gid&pageMask] }
 
 // gidAt returns ref's equality-group id without bounds checking.
 func (s *Snapshot) gidAt(ref FragRef) int32 { return s.chunkOf(ref).groupOf[ref&chunkMask] }
