@@ -24,12 +24,16 @@ vet:
 lint:
 	$(GO) run ./cmd/dashvet ./...
 
-# loc prints the non-test Go line counts of the root package and of the
-# whole repo: tracked .go files, leaving out _test.go files and testdata/.
+# loc prints the Go line counts of the root package and of the whole
+# repo, over tracked .go files outside testdata/: the non-test lines, then
+# the test lines (_test.go files).
 GOSRC = git ls-files '*.go' | grep -v -e '_test\.go$$' -e 'testdata/'
+GOTEST = git ls-files '*_test.go' | grep -v 'testdata/'
 loc:
 	@echo "root $$($(GOSRC) | grep -v / | xargs cat | wc -l)"
 	@echo "repo $$($(GOSRC) | xargs cat | wc -l)"
+	@echo "root tests $$($(GOTEST) | grep -v / | xargs cat | wc -l)"
+	@echo "repo tests $$($(GOTEST) | xargs cat | wc -l)"
 
 # bench regenerates the tracked search-path performance snapshot: the
 # Fig. 11 top-k sweep, the context-overhead guard (the cooperative

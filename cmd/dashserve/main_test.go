@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -217,6 +218,10 @@ func TestRequestContextClamp(t *testing.T) {
 	deadlineWithin("&timeout_ms=3600000", s.cfg.searchTimeout, 100*time.Millisecond)
 	// No budget (admin): the explicit value is honored.
 	deadlineWithin("&timeout_ms=3600000", 0, time.Hour)
+	// A count of milliseconds past math.MaxInt64 nanoseconds neither lifts
+	// the ceiling nor, wrapping negative, drops the deadline.
+	deadlineWithin("&timeout_ms=9223372036855", s.cfg.searchTimeout, 100*time.Millisecond)
+	deadlineWithin("&timeout_ms=9223372036855", 0, math.MaxInt64)
 	r := httptest.NewRequest(http.MethodGet, "/v1/admin/apply", nil)
 	ctx, cancel, err := s.requestContext(r, r.URL.Query(), 0)
 	if err != nil {
@@ -319,9 +324,22 @@ func TestV1ApplyHandler(t *testing.T) {
 	if rec := postJSON(t, mux, "/v1/admin/apply", bad); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("unknown op: status %d, want 422", rec.Code)
 	}
+	// A total outside 0…math.MaxInt32 enters no index: a negative one
+	// broke the ranking of the engine's bucketed queue. The whole request
+	// is refused, the valid change routed to the other shard included.
+	before := engine.Stats()
+	for _, total := range []string{"-5", "2147483648"} {
+		body := `{"changes":[{"op":"insert","id":["Nordic","3"],"terms":{"herring":1},"total":1},
+			{"op":"insert","id":["Thai","11"],"terms":{"burger":1},"total":` + total + `}]}`
+		if rec := postJSON(t, mux, "/v1/admin/apply", body); rec.Code != http.StatusUnprocessableEntity || errorCode(t, rec) != "validation_failed" {
+			t.Errorf("total %s: status %d (%s), want 422 validation_failed", total, rec.Code, rec.Body.String())
+		}
+	}
+	if got := engine.Stats().Publishes; got != before.Publishes {
+		t.Errorf("refused applies published %d snapshots", got-before.Publishes)
+	}
 
 	// One explicit update publishes one snapshot.
-	before := engine.Stats()
 	upd := `{"changes":[{"op":"update","id":["American","10"],"terms":{"burger":3},"total":3}]}`
 	rec = postJSON(t, mux, "/v1/admin/apply", upd)
 	if rec.Code != http.StatusOK {

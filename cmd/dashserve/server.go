@@ -11,6 +11,7 @@ import (
 	"html/template"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -193,13 +194,15 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 func (s *server) requestContext(r *http.Request, q url.Values, budget time.Duration) (context.Context, context.CancelFunc, error) {
 	timeout := budget
 	if raw := q.Get("timeout_ms"); raw != "" {
-		ms, err := strconv.Atoi(raw)
+		ms, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || ms <= 0 {
 			return nil, nil, fmt.Errorf("invalid timeout_ms parameter %q: want a positive integer", raw)
 		}
-		asked := time.Duration(ms) * time.Millisecond
-		if budget <= 0 || asked < budget {
-			timeout = asked
+		// Compare before multiplying: a count of milliseconds past
+		// math.MaxInt64 nanoseconds would wrap negative and drop the
+		// deadline altogether.
+		if ms = min(ms, math.MaxInt64/int64(time.Millisecond)); budget <= 0 || ms < budget.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
 	if timeout <= 0 {
@@ -651,9 +654,31 @@ func parseDelta(changes []changeJSON, kinds []relation.Kind) (dash.Delta, error)
 		default:
 			return dash.Delta{}, fmt.Errorf("unknown op %q", ch.Op)
 		}
+		if fc.Op != dash.OpRemoveFragment {
+			if err := checkTerms(ch); err != nil {
+				return dash.Delta{}, err
+			}
+		}
 		d.Changes = append(d.Changes, fc)
 	}
 	return d, nil
+}
+
+// checkTerms rejects what the index refuses of an insert or update
+// whatever its state — a total outside 0…math.MaxInt32, an empty keyword,
+// a TF outside 1…math.MaxInt32 — before the delta is routed: on a sharded
+// server, a change one shard refuses would otherwise leave the changes
+// routed to the other shards published.
+func checkTerms(ch changeJSON) error {
+	if ch.Total < 0 || ch.Total > math.MaxInt32 {
+		return fmt.Errorf("id %v: total %d out of range 0..%d", ch.ID, ch.Total, math.MaxInt32)
+	}
+	for kw, tf := range ch.Terms {
+		if kw == "" || tf < 1 || tf > math.MaxInt32 {
+			return fmt.Errorf("id %v: keyword %q with term frequency %d (want a non-empty keyword and a count in 1..%d)", ch.ID, kw, tf, math.MaxInt32)
+		}
+	}
+	return nil
 }
 
 // parseID converts string selection values into a typed fragment

@@ -3,6 +3,7 @@ package durable
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/crawl"
@@ -124,8 +125,9 @@ func appendDelta(dst []byte, del crawl.Delta) []byte {
 }
 
 // decodeDelta decodes a journal delta payload, validating structure (ops,
-// identifier keys, exact consumption) but not index semantics — replay
-// against the index is the semantic check.
+// identifier keys, insert and update totals in 0…math.MaxInt32, exact
+// consumption) but not index semantics — replay against the index is the
+// semantic check. A removal's total is carried as written and never read.
 func decodeDelta(b []byte) (crawl.Delta, error) { return walkDelta(b, true) }
 
 // checkDelta runs every check decodeDelta runs without materializing the
@@ -160,6 +162,9 @@ func walkDelta(b []byte, keep bool) (crawl.Delta, error) {
 		nkw := d.uvarint()
 		if d.err != nil {
 			break
+		}
+		if total > math.MaxInt32 && op != crawl.OpRemoveFragment {
+			return crawl.Delta{}, fmt.Errorf("total term count %d out of range", total)
 		}
 		if nkw > uint64(len(d.b))+1 {
 			d.fail()

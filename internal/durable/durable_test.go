@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,6 +117,21 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeDelta(append(b1, 0)); err == nil {
 		t.Error("trailing byte decoded successfully")
+	}
+	// A total past math.MaxInt32 — a negative one encodes as a uvarint of
+	// 2⁶³ or more — is refused, not decoded into a negative count.
+	for _, total := range []int64{-5, math.MaxInt32 + 1} {
+		bad := crawl.Delta{Changes: []crawl.FragmentChange{{Op: crawl.OpUpdateFragment, ID: fid("c", 3),
+			TermCounts: map[string]int64{"z": 1}, TotalTerms: total}}}
+		if _, err := decodeDelta(appendDelta(nil, bad)); err == nil {
+			t.Errorf("total %d decoded", total)
+		}
+	}
+	// A removal never reads its total, so one out of range still decodes:
+	// the journal holds removals as the caller gave them.
+	rm := crawl.Delta{Changes: []crawl.FragmentChange{{Op: crawl.OpRemoveFragment, ID: fid("c", 3), TotalTerms: -5}}}
+	if got, err := decodeDelta(appendDelta(nil, rm)); err != nil || !reflect.DeepEqual(got.Changes, rm.Changes) {
+		t.Errorf("removal with total -5: decoded %+v, %v", got, err)
 	}
 }
 
@@ -350,6 +366,8 @@ func TestStoreInitRecover(t *testing.T) {
 		insDelta(fid("new", 100), map[string]int64{"fresh": 2}, 2),
 		updDelta(fid("p0", 0), map[string]int64{"common": 5}, 5),
 		rmDelta(fid("p1", 1)),
+		// A removal's total is never read; one out of range still recovers.
+		{Changes: []crawl.FragmentChange{{Op: crawl.OpRemoveFragment, ID: fid("p2", 2), TotalTerms: -5}}},
 	}
 	for _, d := range deltas {
 		epoch := applyTracked(t, track, d)

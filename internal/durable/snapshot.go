@@ -214,10 +214,11 @@ func readSnapshot(ctx context.Context, fsys faultfs.FS, path string) (*fragindex
 
 // DecodeSnapshot verifies and decodes snapshot bytes already in memory —
 // the same full verification ReadSnapshot performs (magic, version, header
-// CRC, per-section CRCs, payload shape, and posting refs and TFs in the
-// range a fragindex.Posting holds). Replicas use it on snapshot bytes
-// fetched over the replication transport, so a bit flipped in transit is
-// caught exactly like one flipped on disk. name labels errors.
+// CRC, per-section CRCs, payload shape, posting refs and TFs in the range
+// a fragindex.Posting holds, and fragment totals in 0…math.MaxInt32).
+// Replicas use it on snapshot bytes fetched over the replication
+// transport, so a bit flipped in transit is caught exactly like one
+// flipped on disk. name labels errors.
 func DecodeSnapshot(b []byte, name string) (*fragindex.Dump, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s: %s", ErrCorruptSnapshot, name, fmt.Sprintf(format, args...))
@@ -291,7 +292,11 @@ func DecodeSnapshot(b []byte, name string) (*fragindex.Dump, error) {
 		}
 		for i := uint64(0); i < n && cd.err == nil; i++ {
 			d.FragKeys = append(d.FragKeys, cd.str())
-			d.Terms = append(d.Terms, int64(cd.uvarint()))
+			total := cd.uvarint()
+			if total > math.MaxInt32 {
+				return nil, corrupt("total term count %d out of range in fragment chunk %d", total, c)
+			}
+			d.Terms = append(d.Terms, int64(total))
 		}
 		if cd.err != nil || !cd.done() {
 			return nil, corrupt("malformed fragment chunk %d", c)

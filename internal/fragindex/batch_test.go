@@ -5,47 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/crawl"
 	"repro/internal/fragment"
 	"repro/internal/relation"
 )
-
-// logicalState captures everything a reader can observe about a snapshot
-// keyed by fragment identifier rather than ref, so index versions that
-// reached the same content along different mutation paths (and therefore
-// different ref numberings) compare equal.
-func logicalState(s *Snapshot) map[string]any {
-	out := map[string]any{
-		"fragments": s.NumFragments(),
-		"keywords":  s.NumKeywords(),
-		"avg":       s.AvgTermsPerFragment(),
-	}
-	type post struct {
-		ID string
-		TF int32
-	}
-	for _, kw := range s.Keywords() {
-		ps := s.Postings(kw)
-		posts := make([]post, len(ps))
-		for i, p := range ps {
-			posts[i] = post{ID: s.metaAt(p.Frag).ID.String(), TF: p.TF}
-		}
-		sort.Slice(posts, func(i, j int) bool { return posts[i].ID < posts[j].ID })
-		out["ps:"+kw] = posts
-		out["df:"+kw] = s.DF(kw)
-		out["idf:"+kw] = s.IDF(kw)
-	}
-	var edges []string
-	for _, e := range s.Edges() {
-		edges = append(edges, s.metaAt(e[0]).ID.String()+"|"+s.metaAt(e[1]).ID.String())
-	}
-	sort.Strings(edges)
-	out["edges"] = edges
-	return out
-}
 
 // TestLiveApplyEmptyDeltaNoOp: an empty delta publishes nothing — same
 // snapshot pointer, same epoch, untouched counters, zero copy-on-write

@@ -2,7 +2,7 @@ package fragindex
 
 import (
 	"context"
-	"math/rand"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -23,24 +23,31 @@ import (
 // block count and how many lists the publish split a block of: lists
 // holding more blocks than in prev while still sharing some, which a
 // recut (a compaction, or a list new in s) never does.
-func checkBlocks(t *testing.T, prev, s *Snapshot, gen uint64) (maxBlocks, splits int) {
-	t.Helper()
+func checkBlocks(prev, s *Snapshot, gen uint64) (maxBlocks, splits int, err error) {
 	if prev != nil {
-		checkStamps(t, prev, s, gen)
+		if err := checkStamps(prev, s, gen); err != nil {
+			return 0, 0, err
+		}
+	}
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf(format, args...)
+		}
 	}
 	s.eachList(func(kw string, pl *postingList) {
 		n := 0
 		var last Posting
 		for bi, b := range pl.blocks {
 			if len(b.ps) == 0 || len(b.ps) > maxBlock {
-				t.Fatalf("%q: block %d holds %d postings, want 1…%d", kw, bi, len(b.ps), maxBlock)
+				fail("%q: block %d holds %d postings, want 1…%d", kw, bi, len(b.ps), maxBlock)
+				return
 			}
 			for j, p := range b.ps {
 				if n+j > 0 {
 					c := s.metaAt(last.Frag).ID.Compare(s.metaAt(p.Frag).ID)
 					tie := c == 0 && !(s.aliveAt(last.Frag) && s.aliveAt(p.Frag))
 					if last.TF < p.TF || last.TF == p.TF && c >= 0 && !tie {
-						t.Fatalf("%q: block %d posting %d %v after %v breaks (TF desc, identifier asc) order", kw, bi, j, p, last)
+						fail("%q: block %d posting %d %v after %v breaks (TF desc, identifier asc) order", kw, bi, j, p, last)
 					}
 				}
 				last = p
@@ -48,7 +55,7 @@ func checkBlocks(t *testing.T, prev, s *Snapshot, gen uint64) (maxBlocks, splits
 			n += len(b.ps)
 		}
 		if n != pl.n {
-			t.Fatalf("%q: count %d, blocks hold %d", kw, pl.n, n)
+			fail("%q: count %d, blocks hold %d", kw, pl.n, n)
 		}
 		maxBlocks = max(maxBlocks, len(pl.blocks))
 		if prev == nil {
@@ -65,150 +72,79 @@ func checkBlocks(t *testing.T, prev, s *Snapshot, gen uint64) (maxBlocks, splits
 		shared := 0
 		for bi, b := range pl.blocks {
 			l, ok := had[&b.ps[0]]
-			if b.gen == gen {
-				if ok {
-					t.Fatalf("%q: block %d was written by the publish in an array the previous snapshot holds", kw, bi)
-				}
-				continue
+			switch {
+			case b.gen == gen && ok:
+				fail("%q: block %d was written by the publish in an array the previous snapshot holds", kw, bi)
+			case b.gen != gen && (!ok || l != len(b.ps)):
+				fail("%q: block %d was not written by the publish but is not the previous snapshot's", kw, bi)
+			case b.gen != gen:
+				shared++
 			}
-			if !ok || l != len(b.ps) {
-				t.Fatalf("%q: block %d was not written by the publish but is not the previous snapshot's", kw, bi)
-			}
-			shared++
 		}
 		if shared > 0 && len(pl.blocks) > len(before) {
 			splits++
 		}
 	})
-	return maxBlocks, splits
+	return maxBlocks, splits, err
 }
 
 // checkStamps checks the copy-on-write units of s — the Snapshot struct,
 // later chunk-table pages, metadata chunks, posting and group shards,
 // group pages, groups and posting-list headers — against prev, the
-// snapshot s was published after: a unit stamped gen was allocated by the
-// publish, so prev must not reach it; any other unit must be prev's unit
-// in the same slot. A clone that forgets its stamp fails the second rule.
-func checkStamps(t *testing.T, prev, s *Snapshot, gen uint64) {
-	t.Helper()
-	type unit struct {
-		what  string
-		slot  any
-		u     any
-		stamp uint64
-	}
-	units := func(s *Snapshot) []unit {
-		out := []unit{{"snapshot", 0, s, s.gen}}
-		for i, p := range s.pages {
-			out = append(out, unit{"chunk page", i, p, p.gen})
-		}
-		for ci := 0; ci < s.numChunks(); ci++ {
-			c := s.chunkAt(ci)
-			out = append(out, unit{"chunk", ci, c, c.gen})
-		}
-		for i, sh := range s.shards {
-			out = append(out, unit{"posting shard", i, sh, sh.gen})
-		}
-		for i, gs := range s.gshards {
-			out = append(out, unit{"group shard", i, gs, gs.gen})
-		}
-		for i, p := range s.gpages {
-			out = append(out, unit{"group page", i, p, p.gen})
-		}
-		for gid := 0; gid < s.ngroups; gid++ {
-			g := s.group(int32(gid))
-			out = append(out, unit{"group", gid, g, g.gen})
-		}
-		s.eachList(func(kw string, pl *postingList) {
-			out = append(out, unit{"list header", kw, pl, pl.gen})
-		})
-		return out
-	}
-	had := make(map[any]bool) // every unit prev reaches
-	was := make(map[unit]any) // prev's unit in each slot, by kind and slot
-	for _, u := range units(prev) {
-		had[u.u] = true
-		was[unit{what: u.what, slot: u.slot}] = u.u
-	}
-	for _, u := range units(s) {
+// snapshot s was published after, slot by slot: a unit stamped gen was
+// allocated by the publish, so prev must not reach it in that slot; any
+// other unit must be prev's unit in the same slot. A clone that forgets
+// its stamp fails the second rule; a slot written in place in a shared
+// table, the first.
+func checkStamps(prev, s *Snapshot, gen uint64) (err error) {
+	check := func(what string, slot any, was, now any, stamp uint64) {
 		switch {
-		case u.stamp > gen:
-			t.Fatalf("%s %v is stamped %d, past the publish's generation %d", u.what, u.slot, u.stamp, gen)
-		case u.stamp == gen && had[u.u]:
-			t.Fatalf("%s %v is stamped by the publish but reachable from the previous snapshot", u.what, u.slot)
-		case u.stamp < gen && was[unit{what: u.what, slot: u.slot}] != u.u:
-			t.Fatalf("%s %v is not stamped by the publish but is not the previous snapshot's", u.what, u.slot)
+		case err != nil:
+		case stamp > gen:
+			err = fmt.Errorf("%s %v is stamped %d, past the publish's generation %d", what, slot, stamp, gen)
+		case stamp == gen && was == now:
+			err = fmt.Errorf("%s %v is stamped by the publish but reachable from the previous snapshot", what, slot)
+		case stamp < gen && was != now:
+			err = fmt.Errorf("%s %v is not stamped by the publish but is not the previous snapshot's", what, slot)
 		}
 	}
-}
-
-// TestPostingBlocksRandomHistories runs TestCoWIsolationRandomHistories'
-// generator over a corpus whose hot keyword spans several posting blocks,
-// and checks the block invariants (checkBlocks) after every publish —
-// threshold compactions included — and every snapshot GC, and that no
-// later publish changes an earlier capture of the lists (captureLists). The histories must split
-// blocks and must reach a list of at least four.
-func TestPostingBlocksRandomHistories(t *testing.T) {
-	ctx := context.Background()
-	var maxBlocks, splits, gcs int
-	for trial := 0; trial < 3; trial++ {
-		m := &cowModel{r: rand.New(rand.NewSource(int64(trial))), frags: make(map[string]cowFrag), hot: "hot"}
-		idx, err := New(cowSpec)
-		if err != nil {
-			t.Fatal(err)
+	check("snapshot", 0, prev, s, s.gen)
+	for i, p := range s.pages {
+		var was any
+		if i < len(prev.pages) {
+			was = prev.pages[i]
 		}
-		for i := 0; i < 1000; i++ {
-			ch, _ := m.change(4, map[string]bool{})
-			if _, err := idx.InsertFragment(ch.ID, ch.TermCounts, ch.TotalTerms); err != nil {
-				t.Fatal(err)
-			}
-		}
-		l := NewLive(idx)
-		snaps := []*Snapshot{l.Snapshot()}
-		caps := []map[string]any{captureLists(l.Snapshot())}
-		check := func(prev *Snapshot) {
-			t.Helper()
-			s := l.Snapshot()
-			mb, sp := checkBlocks(t, prev, s, l.builder.gen-1)
-			maxBlocks, splits = max(maxBlocks, mb), splits+sp
-			snaps, caps = append(snaps, s), append(caps, captureLists(s))
-		}
-		checkBlocks(t, nil, l.Snapshot(), 0)
-		for step := 0; step < 150; step++ {
-			prev := l.Snapshot()
-			if m.r.Intn(25) == 0 {
-				ran, err := l.CompactIfNeeded(ctx, 0.2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ran {
-					gcs++
-					check(nil) // a fresh lineage: nothing is shared
-				}
-				continue
-			}
-			used := make(map[string]bool)
-			var changes []crawl.FragmentChange
-			for n := 1 + m.r.Intn(8); len(changes) < n; {
-				if ch, ok := m.change(m.r.Intn(6), used); ok {
-					changes = append(changes, ch)
-				}
-			}
-			if _, err := l.Apply(ctx, crawl.Delta{Changes: changes}); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			check(prev)
-		}
-		for i, s := range snaps {
-			if !reflect.DeepEqual(captureLists(s), caps[i]) {
-				t.Fatalf("trial %d: snapshot %d of %d changed after its publish", trial, i, len(snaps))
-			}
-		}
+		check("chunk page", i, was, p, p.gen)
 	}
-	t.Logf("longest list %d blocks, %d splits, %d snapshot GCs", maxBlocks, splits, gcs)
-	if maxBlocks < 4 || splits == 0 || gcs == 0 {
-		t.Errorf("histories missed a path: longest list %d blocks, %d splits, %d snapshot GCs", maxBlocks, splits, gcs)
+	for ci := 0; ci < s.numChunks(); ci++ {
+		var was any
+		if ci < prev.numChunks() {
+			was = prev.chunkAt(ci)
+		}
+		check("chunk", ci, was, s.chunkAt(ci), s.chunkAt(ci).gen)
 	}
+	for i, sh := range s.shards {
+		check("posting shard", i, prev.shards[i], sh, sh.gen)
+	}
+	for i, gs := range s.gshards {
+		check("group shard", i, prev.gshards[i], gs, gs.gen)
+	}
+	for i, p := range s.gpages {
+		var was any
+		if i < len(prev.gpages) {
+			was = prev.gpages[i]
+		}
+		check("group page", i, was, p, p.gen)
+	}
+	for gid := int32(0); int(gid) < s.ngroups; gid++ {
+		var was any
+		if int(gid) < prev.ngroups {
+			was = prev.group(gid)
+		}
+		check("group", gid, was, s.group(gid), s.group(gid).gen)
+	}
+	s.eachList(func(kw string, pl *postingList) { check("list header", kw, prev.list(kw), pl, pl.gen) })
+	return err
 }
 
 // TestPublishCopiesOneBlock: inserting one posting into a list of 10 000

@@ -62,13 +62,6 @@ func checkFragment(t *testing.T, s *Snapshot, i int, wantTF int64) {
 	}
 }
 
-// boundaryRefs are the ref positions the chunked layout must get right:
-// the first ref, both sides of the first chunk boundary, and the last ref
-// of the trailing partial chunk.
-func boundaryRefs(n int) []int {
-	return []int{0, chunkSize - 1, chunkSize, n - 1}
-}
-
 // TestChunkBoundaryUpdateRemoveInsert drives update, remove, and
 // re-insert at every chunk-boundary position of a multi-chunk index,
 // checking the mutated version and the isolation of the previously
@@ -77,7 +70,9 @@ func TestChunkBoundaryUpdateRemoveInsert(t *testing.T) {
 	const n = chunkSize + 40
 	idx := chunkedIndex(t, n)
 	live := NewLive(idx)
-	for _, i := range boundaryRefs(n) {
+	// The first ref, both sides of the first chunk boundary, and the last
+	// ref of the trailing partial chunk.
+	for _, i := range []int{0, chunkSize - 1, chunkSize, n - 1} {
 		i := i
 		t.Run(fmt.Sprintf("ref=%d", i), func(t *testing.T) {
 			id := chunkID(i)
@@ -162,61 +157,6 @@ func TestChunkBoundaryAppendGrowsTable(t *testing.T) {
 	checkFragment(t, next, chunkSize, 1)
 }
 
-// TestChunkTablePageBoundary: the ref that opens the chunk table's
-// second page (the first one past the Snapshot's inline page) appends it
-// without disturbing the published snapshot; a later removal confined to
-// the inline page shares the second page, and an append into the second
-// page copies it.
-func TestChunkTablePageBoundary(t *testing.T) {
-	const n = pageSize * chunkSize // exactly the inline page
-	ctx := context.Background()
-	live := NewLive(chunkedIndex(t, n))
-	frozen := live.Snapshot()
-	ins := crawl.Delta{Changes: []crawl.FragmentChange{{Op: crawl.OpInsertFragment, ID: chunkID(n),
-		TermCounts: map[string]int64{fmt.Sprintf("u%d", n): 1}, TotalTerms: 1}}}
-	if _, err := live.Apply(ctx, ins); err != nil {
-		t.Fatal(err)
-	}
-	next := live.Snapshot()
-	if len(frozen.pages) != 0 || frozen.numChunks() != pageSize || len(next.pages) != 1 {
-		t.Fatalf("later pages: published %d (%d chunks), next %d; want 0 (%d), 1",
-			len(frozen.pages), frozen.numChunks(), len(next.pages), pageSize)
-	}
-	checkFragment(t, next, n, 1)
-	if frozen.Has(chunkID(n)) {
-		t.Error("published snapshot sees the new fragment")
-	}
-
-	rm := crawl.Delta{Changes: []crawl.FragmentChange{{Op: crawl.OpRemoveFragment, ID: chunkID(0)}}}
-	if _, err := live.Apply(ctx, rm); err != nil {
-		t.Fatal(err)
-	}
-	removed := live.Snapshot()
-	if removed.pages[0] != next.pages[0] {
-		t.Error("the second page was copied by a removal confined to the inline page")
-	}
-	if removed.chunkAt(0) == next.chunkAt(0) || removed.chunkAt(1) != next.chunkAt(1) {
-		t.Error("want chunk 0 cloned and chunk 1 shared")
-	}
-	if removed.Has(chunkID(0)) {
-		t.Error("removed fragment still resolves")
-	}
-	checkFragment(t, next, 0, 1)
-
-	// Updating fragment 1 appends its new ref to the tail chunk, on the
-	// second page.
-	if _, err := live.Apply(ctx, updateDelta(chunkID(1), map[string]int64{"u1": 3}, 3)); err != nil {
-		t.Fatal(err)
-	}
-	last := live.Snapshot()
-	if last.pages[0] == removed.pages[0] || last.chunkAt(pageSize) == removed.chunkAt(pageSize) {
-		t.Error("the second page or its tail chunk is shared after an append into it")
-	}
-	checkFragment(t, removed, 1, 2)
-	checkFragment(t, last, 1, 3)
-	checkFragment(t, last, n, 1)
-}
-
 // TestChunkBoundaryPartialChunkIsolation: appending into a partially
 // filled tail chunk after a publish clones that chunk — the published
 // snapshot's view of the shared prefix stays frozen.
@@ -247,40 +187,19 @@ func TestChunkBoundaryPartialChunkIsolation(t *testing.T) {
 	checkFragment(t, next, n, 1)
 }
 
-// TestChunkBoundaryCompact: compaction across chunk boundaries renumbers
-// refs contiguously and preserves every surviving fragment, with removals
-// placed at each boundary position.
+// TestChunkBoundaryCompact: a snapshot GC across chunk boundaries
+// renumbers refs contiguously and preserves every surviving fragment —
+// after random histories, and after removals at each boundary position.
 func TestChunkBoundaryCompact(t *testing.T) {
-	const n = 2*chunkSize + 25
-	idx := chunkedIndex(t, n)
-	live := NewLive(idx)
-	removed := map[int]bool{}
-	var changes []crawl.FragmentChange
-	for _, i := range []int{0, chunkSize - 1, chunkSize, 2 * chunkSize, n - 1} {
-		removed[i] = true
-		changes = append(changes, crawl.FragmentChange{Op: crawl.OpRemoveFragment, ID: chunkID(i)})
+	cfg := modelConfig{name: "chunks", trials: 1, steps: 12, corpus: 3*chunkSize - 100, ops: "pRRg", reach: []string{pathGC}}
+	checkModel(t, cfg)
+	cfg = cfg.withDefaults()
+	m, h, hits := newModel(cfg, 0), history{cfg: cfg.name, steps: []step{{op: opPublish}, {op: opGC}}}, map[string]int{}
+	for _, ref := range []int{0, chunkSize - 1, chunkSize, 2*chunkSize - 1, 2 * chunkSize, cfg.corpus - 1} {
+		f := m.frags[m.keys[ref]] // the corpus loads in key order: its ref is its position
+		h.steps[0].changes = append(h.steps[0].changes, change{crawl.OpRemoveFragment, f.g, f.v, nil})
 	}
-	if _, err := live.Apply(context.Background(), crawl.Delta{Changes: changes}); err != nil {
-		t.Fatal(err)
-	}
-	ran, err := live.CompactIfNeeded(context.Background(), 0.000001) // any tombstone triggers
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("compaction did not run")
-	}
-	s := live.Snapshot()
-	if s.NumRefs() != n-len(removed) || s.NumFragments() != n-len(removed) {
-		t.Fatalf("compacted to %d refs / %d fragments, want %d", s.NumRefs(), s.NumFragments(), n-len(removed))
-	}
-	for i := 0; i < n; i++ {
-		if removed[i] {
-			if s.Has(chunkID(i)) {
-				t.Errorf("removed fragment %d survived compaction", i)
-			}
-			continue
-		}
-		checkFragment(t, s, i, int64(1+i%3))
+	if err := run(cfg, h, hits); err != nil || hits[pathGC] != 1 {
+		t.Fatalf("boundary removals and a GC: %v (%d GCs)", err, hits[pathGC])
 	}
 }

@@ -2,8 +2,6 @@ package fragindex
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -174,104 +172,6 @@ func TestMetaErrors(t *testing.T) {
 	}
 }
 
-// buildIncremental reconstructs an index by inserting the crawl output's
-// fragments one at a time in the given order.
-func buildIncremental(t *testing.T, out *crawl.Output, spec Spec, order []string) *Index {
-	t.Helper()
-	idx, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gather per-fragment term counts from the posting lists.
-	counts := make(map[string]map[string]int64)
-	for kw, ps := range out.Inverted {
-		for _, p := range ps {
-			m, ok := counts[p.FragKey]
-			if !ok {
-				m = make(map[string]int64)
-				counts[p.FragKey] = m
-			}
-			m[kw] = p.TF
-		}
-	}
-	for _, key := range order {
-		id, err := fragment.ParseID(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.InsertFragment(id, counts[key], out.FragmentTerms[key]); err != nil {
-			t.Fatalf("InsertFragment(%s): %v", id, err)
-		}
-	}
-	return idx
-}
-
-// graphShape renders the edge set with human-readable names for comparison.
-func graphShape(t *testing.T, idx *Index) map[string]bool {
-	t.Helper()
-	out := make(map[string]bool)
-	for _, e := range idx.Edges() {
-		a, _ := idx.Meta(e[0])
-		b, _ := idx.Meta(e[1])
-		s1, s2 := a.ID.String(), b.ID.String()
-		if s1 > s2 {
-			s1, s2 = s2, s1
-		}
-		out[s1+"--"+s2] = true
-	}
-	return out
-}
-
-// TestPropIncrementalEqualsBatch: inserting fragments in any order yields
-// the same graph and the same posting lists as the batch construction
-// (§VI-A's incremental algorithm is order-independent).
-func TestPropIncrementalEqualsBatch(t *testing.T) {
-	db := fooddb.New()
-	b, _ := psj.Bind(psj.MustParse(fooddb.SearchSQL), db)
-	out, err := crawl.Reference(db, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := SpecFromBound(b)
-	batch, err := Build(out, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantShape := graphShape(t, batch)
-
-	keys := make([]string, 0, len(out.FragmentTerms))
-	for k := range out.FragmentTerms {
-		keys = append(keys, k)
-	}
-	for trial := 0; trial < 20; trial++ {
-		r := rand.New(rand.NewSource(int64(trial)))
-		order := append([]string(nil), keys...)
-		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		inc := buildIncremental(t, out, spec, order)
-		if got := graphShape(t, inc); !reflect.DeepEqual(got, wantShape) {
-			t.Fatalf("trial %d: graph = %v, want %v (order %v)", trial, got, wantShape, order)
-		}
-		if inc.NumFragments() != batch.NumFragments() {
-			t.Fatalf("trial %d: fragments differ", trial)
-		}
-		// Posting lists agree keyword by keyword (compare by ID+TF).
-		for _, kw := range batch.Keywords() {
-			bp, ip := batch.Postings(kw), inc.Postings(kw)
-			if len(bp) != len(ip) {
-				t.Fatalf("trial %d: %q list lengths differ", trial, kw)
-			}
-			for i := range bp {
-				bm, _ := batch.Meta(bp[i].Frag)
-				im, _ := inc.Meta(ip[i].Frag)
-				if bp[i].TF != ip[i].TF || bm.ID.Compare(im.ID) != 0 {
-					t.Fatalf("trial %d: %q posting %d: (%s,%d) vs (%s,%d)",
-						trial, kw, i, bm.ID, bp[i].TF, im.ID, ip[i].TF)
-				}
-			}
-		}
-	}
-}
-
 func TestInsertErrors(t *testing.T) {
 	idx := fooddbIndex(t)
 	ref := refByName(t, idx, "(Thai,10)")
@@ -356,89 +256,11 @@ func TestUpdateFragment(t *testing.T) {
 	}
 }
 
+// TestCompact: Compact rebuilds without tombstones and keeps the logical
+// state. The checker's GC step compacts the serving index and compares the
+// result's Dump with its source's, and with a from-scratch Build.
 func TestCompact(t *testing.T) {
-	idx := fooddbIndex(t)
-	mid := refByName(t, idx, "(American,12)")
-	m, _ := idx.Meta(mid)
-	if err := idx.RemoveFragment(m.ID); err != nil {
-		t.Fatal(err)
-	}
-	compacted, err := idx.Compact()
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if compacted.NumFragments() != 4 || compacted.NumRefs() != 4 {
-		t.Errorf("compacted fragments = %d/%d, want 4/4",
-			compacted.NumFragments(), compacted.NumRefs())
-	}
-	if compacted.NumEdges() != 2 {
-		t.Errorf("compacted edges = %d, want 2", compacted.NumEdges())
-	}
-	if compacted.DF("burger") != 2 {
-		t.Errorf("compacted burger DF = %d", compacted.DF("burger"))
-	}
-}
-
-// TestPropRandomInsertRemoveInvariants drives a random operation sequence
-// and checks the structural invariants: the graph is always the union of
-// consecutive-member paths, memberAt is consistent, and DF matches live
-// posting counts.
-func TestPropRandomInsertRemoveInvariants(t *testing.T) {
-	spec := Spec{SelAttrs: []string{"g", "v"}, EqAttrs: []string{"g"}, RangeAttr: "v"}
-	for trial := 0; trial < 15; trial++ {
-		r := rand.New(rand.NewSource(int64(trial)))
-		idx, err := New(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := make(map[string]fragment.ID)
-		for step := 0; step < 120; step++ {
-			g := r.Intn(3)
-			v := r.Intn(10)
-			id := fragment.ID{relation.String(fmt.Sprintf("g%d", g)), relation.Int(int64(v))}
-			key := id.Key()
-			if _, ok := live[key]; ok && r.Intn(2) == 0 {
-				if err := idx.RemoveFragment(id); err != nil {
-					t.Fatalf("trial %d step %d: remove: %v", trial, step, err)
-				}
-				delete(live, key)
-			} else if _, ok := live[key]; !ok {
-				counts := map[string]int64{fmt.Sprintf("w%d", r.Intn(5)): int64(1 + r.Intn(3))}
-				if _, err := idx.InsertFragment(id, counts, 3); err != nil {
-					t.Fatalf("trial %d step %d: insert: %v", trial, step, err)
-				}
-				live[key] = id
-			}
-			if idx.NumFragments() != len(live) {
-				t.Fatalf("trial %d step %d: live count %d, want %d",
-					trial, step, idx.NumFragments(), len(live))
-			}
-			// Per-group edges = members-1; all members alive and sorted.
-			edges := 0
-			idx.s.eachGroup(func(grp *group) {
-				if len(grp.members) > 0 {
-					edges += len(grp.members) - 1
-				}
-				for i, ref := range grp.members {
-					if !idx.s.aliveAt(ref) {
-						t.Fatalf("trial %d: dead member in group", trial)
-					}
-					if idx.s.posAt(ref) != i {
-						t.Fatalf("trial %d: memberAt inconsistent", trial)
-					}
-					if i > 0 {
-						prev := idx.s.rangeValOf(grp.members[i-1])
-						if prev.Compare(idx.s.rangeValOf(ref)) >= 0 {
-							t.Fatalf("trial %d: group not sorted", trial)
-						}
-					}
-				}
-			})
-			if idx.NumEdges() != edges {
-				t.Fatalf("trial %d: NumEdges = %d, want %d", trial, idx.NumEdges(), edges)
-			}
-		}
-	}
+	checkModel(t, modelConfig{name: "compact", trials: 2, steps: 20, corpus: 20, ops: "pRg", reach: []string{pathGC}})
 }
 
 // TestNoRangeAttrIndex covers equality-only queries: every fragment is its

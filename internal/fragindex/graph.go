@@ -38,7 +38,7 @@ func (idx *Index) InsertFragment(id fragment.ID, termCounts map[string]int64, to
 	if _, ok := s.Lookup(id); ok {
 		return 0, fmt.Errorf("%w: %s", ErrDupFragment, id)
 	}
-	if err := checkTerms(id, termCounts); err != nil {
+	if err := checkTerms(id, termCounts, totalTerms); err != nil {
 		return 0, err
 	}
 	idx.beginWrite()
@@ -64,9 +64,12 @@ func (idx *Index) InsertFragment(id fragment.ID, termCounts map[string]int64, to
 	return ref, nil
 }
 
-// checkTerms rejects a keyword set Restore would reject, so admitting it
-// would make the index's own Dump unrecoverable.
-func checkTerms(id fragment.ID, termCounts map[string]int64) error {
+// checkTerms rejects a keyword set or a total Restore would reject, so
+// admitting it would make the index's own Dump unrecoverable.
+func checkTerms(id fragment.ID, termCounts map[string]int64, totalTerms int64) error {
+	if !validTotal(totalTerms) {
+		return fmt.Errorf("fragindex: %s: total term count %d (want 0..%d)", id, totalTerms, math.MaxInt32)
+	}
 	for kw, tf := range termCounts {
 		if _, ok := checkTF(tf); kw == "" || !ok {
 			return fmt.Errorf("fragindex: %s: keyword %q with term frequency %d (want a non-empty keyword and a count in 1..%d)", id, kw, tf, math.MaxInt32)
@@ -156,7 +159,7 @@ func (idx *Index) UpdateFragment(id fragment.ID, termCounts map[string]int64, to
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoFragment, id)
 	}
-	if err := checkTerms(id, termCounts); err != nil {
+	if err := checkTerms(id, termCounts, totalTerms); err != nil {
 		return err
 	}
 	idx.beginWrite()

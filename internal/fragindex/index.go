@@ -133,6 +133,13 @@ type Meta struct {
 	Alive bool
 }
 
+// validTotal reports whether a fragment's total keyword count is in
+// 0…math.MaxInt32. The search's bucketed queue assumes scores ≥ 0, so a
+// negative total ranks pages wrongly without failing; every path a total
+// enters the index by (InsertFragment, UpdateFragment, Build, Restore, the
+// durable snapshot and journal decoders) rejects one outside the range.
+func validTotal(total int64) bool { return total >= 0 && total <= math.MaxInt32 }
+
 // Lists whose tombstones reach the compaction threshold (dead/len >=
 // compactDeadNum/compactDeadDen) are compacted on the spot; below it
 // Postings filters a copy. Each compaction is O(list) after Ω(list)
@@ -283,6 +290,9 @@ func Build(out *crawl.Output, spec Spec) (*Index, error) {
 	for _, id := range ids {
 		key := id.Key()
 		terms := out.FragmentTerms[key]
+		if !validTotal(terms) {
+			return nil, fmt.Errorf("fragindex: fragment %s has total term count %d (want 0..%d)", key, terms, math.MaxInt32)
+		}
 		gid, g := idx.groupFor(id)
 		ref := idx.appendRef(Meta{ID: id, Terms: terms, Alive: true}, gid, len(g.members))
 		g.members = append(g.members, ref)

@@ -1,8 +1,6 @@
 package fragindex
 
 import (
-	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -10,162 +8,22 @@ import (
 	"repro/internal/relation"
 )
 
-// brute recomputes the O(1) statistics the hard way, straight from the
-// underlying structures, for cross-checking the maintained counters.
-func brute(idx *Index) (frags int, terms int64, kws int) {
-	for ref := 0; ref < idx.s.numRefs; ref++ {
-		if m := idx.s.metaAt(FragRef(ref)); m.Alive {
-			frags++
-			terms += m.Terms
-		}
-	}
-	idx.s.eachList(func(_ string, pl *postingList) {
-		live := 0
-		for _, p := range rawPostings(pl) {
-			if idx.s.aliveAt(p.Frag) {
-				live++
-			}
-		}
-		if live != pl.liveDF() {
-			panic(fmt.Sprintf("dead counter drifted: %d live vs liveDF %d", live, pl.liveDF()))
-		}
-		if live > 0 {
-			kws++
-		}
-	})
-	return
-}
-
-// TestLiveCountersTrackMutations drives a random insert/remove sequence
-// and asserts NumFragments, AvgTermsPerFragment, and NumKeywords — now
-// counter-backed — always agree with a brute-force recount.
-func TestLiveCountersTrackMutations(t *testing.T) {
-	spec := Spec{SelAttrs: []string{"g", "v"}, EqAttrs: []string{"g"}, RangeAttr: "v"}
-	for trial := 0; trial < 10; trial++ {
-		r := rand.New(rand.NewSource(int64(trial)))
-		idx, err := New(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := make(map[string]fragment.ID)
-		for step := 0; step < 150; step++ {
-			id := fragment.ID{
-				relation.String(fmt.Sprintf("g%d", r.Intn(3))),
-				relation.Int(int64(r.Intn(12))),
-			}
-			key := id.Key()
-			if _, ok := live[key]; ok && r.Intn(2) == 0 {
-				if err := idx.RemoveFragment(id); err != nil {
-					t.Fatal(err)
-				}
-				delete(live, key)
-			} else if _, ok := live[key]; !ok {
-				counts := map[string]int64{
-					fmt.Sprintf("w%d", r.Intn(6)): int64(1 + r.Intn(3)),
-					fmt.Sprintf("w%d", r.Intn(6)): 1,
-				}
-				var total int64
-				for _, tf := range counts {
-					total += tf
-				}
-				if _, err := idx.InsertFragment(id, counts, total); err != nil {
-					t.Fatal(err)
-				}
-				live[key] = id
-			}
-			frags, terms, kws := brute(idx)
-			if idx.NumFragments() != frags {
-				t.Fatalf("trial %d step %d: NumFragments = %d, brute %d", trial, step, idx.NumFragments(), frags)
-			}
-			if kws != idx.NumKeywords() {
-				t.Fatalf("trial %d step %d: NumKeywords = %d, brute %d", trial, step, idx.NumKeywords(), kws)
-			}
-			var wantAvg float64
-			if frags > 0 {
-				wantAvg = float64(terms) / float64(frags)
-			}
-			if idx.AvgTermsPerFragment() != wantAvg {
-				t.Fatalf("trial %d step %d: avg = %v, brute %v", trial, step, idx.AvgTermsPerFragment(), wantAvg)
-			}
-		}
-	}
-}
-
 // TestIDFPrecomputed: IDF always equals 1/DF, through inserts, removals,
-// and compactions.
+// and compactions, and is 0 for a keyword with no list — checkStats
+// recounts both after every step, over keyword sets that gain, lose and
+// swap keywords never drawn before.
 func TestIDFPrecomputed(t *testing.T) {
-	idx := fooddbIndex(t)
-	for _, kw := range idx.Keywords() {
-		if df := idx.DF(kw); df > 0 {
-			if got, want := idx.IDF(kw), 1/float64(df); got != want {
-				t.Errorf("IDF(%q) = %v, want %v", kw, got, want)
-			}
-		}
-	}
-	if idx.IDF("nosuchword") != 0 {
-		t.Error("IDF of unknown word should be 0")
-	}
-	ref := refByName(t, idx, "(American,12)")
-	m, _ := idx.Meta(ref)
-	if err := idx.RemoveFragment(m.ID); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := idx.IDF("burger"), 1/float64(idx.DF("burger")); got != want {
-		t.Errorf("post-removal IDF(burger) = %v, want %v", got, want)
-	}
-	if idx.IDF("fries") != 0 {
-		t.Errorf("IDF of fully tombstoned word = %v, want 0", idx.IDF("fries"))
-	}
+	checkModel(t, modelConfig{name: "idf", trials: 2, steps: 30, corpus: 10, fresh: true, kinds: "iirdl"})
 }
 
 // TestCompactPostingsThreshold: a list accumulating tombstones is
-// compacted in place once the dead ratio crosses the threshold, without
-// changing what Postings returns.
+// compacted in place once the dead ratio reaches the threshold, or dropped
+// once none of it is live: checkStats holds every list under the
+// threshold after every step, and a removal-only publish reports exactly
+// the compactions the rule runs.
 func TestCompactPostingsThreshold(t *testing.T) {
-	spec := Spec{SelAttrs: []string{"g", "v"}, EqAttrs: []string{"g"}, RangeAttr: "v"}
-	idx, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 20
-	for i := 0; i < n; i++ {
-		id := fragment.ID{relation.String("g"), relation.Int(int64(i))}
-		if _, err := idx.InsertFragment(id, map[string]int64{"shared": int64(1 + i%3)}, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := idx.s.list("shared").n; got != n {
-		t.Fatalf("list length = %d, want %d", got, n)
-	}
-	// Remove fragments one at a time; the physical list must never carry
-	// a dead ratio at or above the threshold after RemoveFragment returns.
-	for i := 0; i < n-1; i++ {
-		id := fragment.ID{relation.String("g"), relation.Int(int64(i))}
-		if err := idx.RemoveFragment(id); err != nil {
-			t.Fatal(err)
-		}
-		pl := idx.s.list("shared")
-		if pl.dead*compactDeadDen >= pl.n*compactDeadNum {
-			t.Fatalf("after %d removals: %d dead in list of %d not compacted", i+1, pl.dead, pl.n)
-		}
-		if df := idx.DF("shared"); df != n-1-i {
-			t.Fatalf("DF = %d, want %d", df, n-1-i)
-		}
-		if got := len(idx.Postings("shared")); got != n-1-i {
-			t.Fatalf("Postings = %d live, want %d", got, n-1-i)
-		}
-	}
-	// Removing the last fragment empties and deletes the list.
-	last := fragment.ID{relation.String("g"), relation.Int(int64(n - 1))}
-	if err := idx.RemoveFragment(last); err != nil {
-		t.Fatal(err)
-	}
-	if idx.s.list("shared") != nil {
-		t.Error("fully dead list not reclaimed")
-	}
-	if idx.DF("shared") != 0 || idx.Postings("shared") != nil {
-		t.Error("reclaimed list still visible")
-	}
+	checkModel(t, modelConfig{name: "threshold", trials: 3, steps: 30, corpus: 60, kinds: "rrri", ops: "pR",
+		reach: []string{pathCompaction, pathDropped}})
 }
 
 // TestExplicitCompactPostings: the exported compaction hook reclaims

@@ -33,10 +33,10 @@ type Dump struct {
 func (idx *Index) Dump() *Dump { return idx.s.dump(nil) }
 
 // Restore rebuilds an index from a Dump, validating it as untrusted input:
-// duplicate fragment keys, postings referencing out-of-range fragments,
-// duplicate postings within one keyword list, and lists out of (TF
-// descending, identifier ascending) order or carrying a non-positive TF
-// all return ErrCorruptIndex — each silently corrupts group,
+// duplicate fragment keys, a total term count outside 0…math.MaxInt32,
+// postings referencing out-of-range fragments, duplicate postings within
+// one keyword list, and lists out of (TF descending, identifier ascending)
+// order or carrying a non-positive TF all return ErrCorruptIndex — each silently corrupts group,
 // document-frequency, or ranking invariants if accepted (insertPosting and
 // the search's TF cutoff binary-search on the list order).
 func Restore(d *Dump) (*Index, error) {
@@ -62,6 +62,9 @@ func Restore(d *Dump) (*Index, error) {
 		}
 		if len(id) != len(d.SelAttrs) {
 			return nil, fmt.Errorf("%w: fragment arity", ErrCorruptIndex)
+		}
+		if !validTotal(d.Terms[i]) {
+			return nil, fmt.Errorf("%w: total term count %d", ErrCorruptIndex, d.Terms[i])
 		}
 		idx.appendRef(Meta{ID: id, Terms: d.Terms[i], Alive: true}, 0, -1)
 		s.liveTerms += d.Terms[i]

@@ -13,86 +13,20 @@ import (
 	"repro/internal/relation"
 )
 
-// dumpOf round-trips an index through Dump for comparisons.
-func dumpOf(t *testing.T, idx *Index) *Dump {
-	t.Helper()
-	d := idx.Dump()
-	if len(d.FragKeys) != len(d.Terms) || len(d.Keywords) != len(d.Postings) {
-		t.Fatalf("inconsistent dump: %d/%d frags, %d/%d keywords",
-			len(d.FragKeys), len(d.Terms), len(d.Keywords), len(d.Postings))
-	}
-	return d
-}
-
 // TestDumpRestoreRoundTrip: Restore(Dump()) reproduces the exact logical
-// state — the restored index dumps byte-identically and serves the same
-// postings.
+// state. Every checker step restores the serving Dump and dumps it again,
+// and a 'd' step serves the restored index.
 func TestDumpRestoreRoundTrip(t *testing.T) {
-	idx := fooddbIndex(t)
-	// Mix in mutations so tombstones and updated lists are exercised.
-	id := fragment.ID{relation.String("American"), relation.Int(10)}
-	if err := idx.UpdateFragment(id, map[string]int64{"burger": 3, "shake": 2}, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.RemoveFragment(fragment.ID{relation.String("Thai"), relation.Int(10)}); err != nil {
-		t.Fatal(err)
-	}
-	d := dumpOf(t, idx)
-
-	got, err := Restore(d)
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if !reflect.DeepEqual(got.Dump(), d) {
-		t.Error("restored index dumps differently from its source")
-	}
-	a, b := idx.Freeze(), got.Freeze()
-	if a.Epoch() != b.Epoch() {
-		t.Errorf("epochs differ: %d vs %d", a.Epoch(), b.Epoch())
-	}
-	if a.NumFragments() != b.NumFragments() || a.NumKeywords() != b.NumKeywords() {
-		t.Errorf("cardinality differs: %d/%d vs %d/%d",
-			a.NumFragments(), a.NumKeywords(), b.NumFragments(), b.NumKeywords())
-	}
-	for _, kw := range a.Keywords() {
-		if a.DF(kw) != b.DF(kw) {
-			t.Errorf("%q: DF %d vs %d", kw, a.DF(kw), b.DF(kw))
-		}
-	}
+	checkModel(t, modelConfig{name: "roundtrip", trials: 2, steps: 30, corpus: 10, ops: "ppd"})
 }
 
 // TestDumpCanonical: two indexes reaching the same logical state through
 // different mutation histories dump identically (modulo epoch, which counts
-// mutations) — the recovery-equivalence bedrock.
+// mutations) — the recovery-equivalence bedrock. Every checker step
+// compares the serving index with a twin that updates by removal and
+// insert, and with a from-scratch Build.
 func TestDumpCanonical(t *testing.T) {
-	direct := fooddbIndex(t)
-	id := fragment.ID{relation.String("Nordic"), relation.Int(7)}
-	if _, err := direct.InsertFragment(id, map[string]int64{"herring": 2, "rye": 1}, 3); err != nil {
-		t.Fatal(err)
-	}
-
-	detour := fooddbIndex(t)
-	// Insert wrong, update right, plus an insert/remove pair that must leave
-	// no trace in the canonical form.
-	tmp := fragment.ID{relation.String("Zanzibar"), relation.Int(1)}
-	if _, err := detour.InsertFragment(id, map[string]int64{"lutefisk": 9}, 9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := detour.InsertFragment(tmp, map[string]int64{"clove": 1}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := detour.UpdateFragment(id, map[string]int64{"herring": 2, "rye": 1}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := detour.RemoveFragment(tmp); err != nil {
-		t.Fatal(err)
-	}
-
-	da, db := direct.Dump(), detour.Dump()
-	da.Epoch, db.Epoch = 0, 0
-	if !reflect.DeepEqual(da, db) {
-		t.Error("same logical state dumped differently across mutation histories")
-	}
+	checkModel(t, modelConfig{name: "canonical", trials: 2, steps: 30, corpus: 10, ops: "pppf"})
 }
 
 // TestSetEpoch: the forced epoch is what the next snapshot reports — the
@@ -160,6 +94,12 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	})
 	corruptDump(t, "duplicate keyword", func(d *Dump) {
 		d.Keywords[1] = d.Keywords[0]
+	})
+	corruptDump(t, "negative total", func(d *Dump) {
+		d.Terms[0] = -5
+	})
+	corruptDump(t, "total past int32", func(d *Dump) {
+		d.Terms[0] = math.MaxInt32 + 1
 	})
 }
 
@@ -299,47 +239,58 @@ func FuzzRestore(f *testing.F) {
 	})
 }
 
-// TestInsertRejectsUnrestorablePostings: an insert whose statistics Restore
-// would refuse — an empty keyword or a non-positive TF — or whose TF does
-// not fit a posting's int32 fails and changes nothing, so an index's own
-// Dump always restores and no TF is truncated.
+// TestInsertRejectsUnrestorablePostings: an insert or update whose
+// statistics Restore would refuse — an empty keyword, a non-positive TF, or
+// a total outside 0…math.MaxInt32 — or whose TF does not fit a posting's
+// int32 fails and changes nothing, so an index's own Dump always restores
+// and no TF is truncated.
 func TestInsertRejectsUnrestorablePostings(t *testing.T) {
-	for name, counts := range map[string]map[string]int64{
-		"zero TF":       {"burger": 1, "fries": 0},
-		"negative TF":   {"burger": -2},
-		"empty keyword": {"": 1},
-		"TF 2^31":       {"burger": 1, "fries": math.MaxInt32 + 1},
+	for name, c := range map[string]struct {
+		counts map[string]int64
+		total  int64
+	}{
+		"zero TF":        {map[string]int64{"burger": 1, "fries": 0}, 1},
+		"negative TF":    {map[string]int64{"burger": -2}, 1},
+		"empty keyword":  {map[string]int64{"": 1}, 1},
+		"TF 2^31":        {map[string]int64{"burger": 1, "fries": math.MaxInt32 + 1}, 1},
+		"negative total": {map[string]int64{"burger": 1}, -5},
+		"total 2^31":     {map[string]int64{"burger": 1}, math.MaxInt32 + 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			idx := fooddbIndex(t)
-			before := dumpOf(t, idx)
-			id := fragment.ID{relation.String("Nordic"), relation.Int(1)}
-			if _, err := idx.InsertFragment(id, counts, 1); err == nil {
-				t.Fatal("insert accepted")
+			before := idx.Dump()
+			if _, err := idx.InsertFragment(fragment.ID{relation.String("Nordic"), relation.Int(1)}, c.counts, c.total); err == nil {
+				t.Error("insert accepted")
 			}
-			if !reflect.DeepEqual(dumpOf(t, idx), before) {
-				t.Error("rejected insert changed the index")
+			if err := idx.UpdateFragment(fragment.ID{relation.String("American"), relation.Int(10)}, c.counts, c.total); err == nil {
+				t.Error("update accepted")
+			}
+			if !reflect.DeepEqual(idx.Dump(), before) {
+				t.Error("a rejected change changed the index")
 			}
 		})
 	}
 }
 
 // TestBuildRejectsTFPastInt32: a crawl output whose TF does not fit a
-// posting's int32 fails to build instead of building truncated postings;
-// math.MaxInt32 itself builds, and dumps and restores exactly.
+// posting's int32, or whose fragment total is outside 0…math.MaxInt32,
+// fails to build instead of building truncated postings or a negative
+// node weight; math.MaxInt32 itself builds, and dumps and restores exactly.
 func TestBuildRejectsTFPastInt32(t *testing.T) {
 	key := fragment.ID{relation.String("a"), relation.Int(1)}.Key()
-	build := func(tf int64) (*Index, error) {
+	build := func(tf, total int64) (*Index, error) {
 		return Build(&crawl.Output{
 			SelAttrs:      cowSpec.SelAttrs,
-			FragmentTerms: map[string]int64{key: tf},
+			FragmentTerms: map[string]int64{key: total},
 			Inverted:      map[string][]crawl.Posting{"kw": {{FragKey: key, TF: tf}}},
 		}, cowSpec)
 	}
-	if _, err := build(math.MaxInt32 + 1); err == nil {
-		t.Error("Build accepted TF 2^31")
+	for _, c := range [][2]int64{{math.MaxInt32 + 1, 1}, {1, -5}, {1, math.MaxInt32 + 1}} {
+		if _, err := build(c[0], c[1]); err == nil {
+			t.Errorf("Build accepted TF %d, total %d", c[0], c[1])
+		}
 	}
-	idx, err := build(math.MaxInt32)
+	idx, err := build(math.MaxInt32, math.MaxInt32)
 	if err != nil {
 		t.Fatalf("Build rejected TF math.MaxInt32: %v", err)
 	}

@@ -403,29 +403,10 @@ func TestShardedBadShardCount(t *testing.T) {
 }
 
 // TestCompactionThresholdBehavior: a list compacts once its tombstones
-// reach compactDeadNum/compactDeadDen (1/4) of it. In a list of eight, one
-// removal leaves its tombstone behind, which Postings and DF filter; the
-// second compacts the list on the spot.
+// reach compactDeadNum/compactDeadDen (1/4) of it, and not before: the
+// checker simulates the rule over every removal-only publish of a small
+// corpus (see TestCompactPostingsThreshold).
 func TestCompactionThresholdBehavior(t *testing.T) {
-	idx, err := New(shardedSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 8; v++ {
-		if _, err := idx.InsertFragment(synthID(0, v), map[string]int64{"kw": 1}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, c := range []struct{ n, dead, live int }{{8, 1, 7}, {6, 0, 6}} {
-		if err := idx.RemoveFragment(synthID(0, 3+i)); err != nil {
-			t.Fatal(err)
-		}
-		pl := idx.s.list("kw")
-		if pl == nil || pl.n != c.n || pl.dead != c.dead {
-			t.Fatalf("after %d removals: %+v, want %d postings of which %d dead", i+1, pl, c.n, c.dead)
-		}
-		if got := len(idx.Postings("kw")); got != c.live || idx.DF("kw") != c.live {
-			t.Errorf("after %d removals: Postings %d, DF %d, want %d live", i+1, got, idx.DF("kw"), c.live)
-		}
-	}
+	checkModel(t, modelConfig{name: "small-lists", trials: 3, steps: 20, corpus: 40, kinds: "rri", ops: "pRR",
+		reach: []string{pathCompaction, pathSharedTombstone}})
 }

@@ -13,31 +13,13 @@ import (
 	"repro/internal/relation"
 )
 
-// snapState captures everything a reader can observe about a snapshot, for
-// before/after comparisons across published versions.
-func snapState(s *Snapshot) map[string]any {
-	out := map[string]any{
-		"fragments": s.NumFragments(),
-		"keywords":  s.NumKeywords(),
-		"avg":       s.AvgTermsPerFragment(),
-		"edges":     s.NumEdges(),
-		"epoch":     s.Epoch(),
-	}
-	for _, kw := range s.Keywords() {
-		out["df:"+kw] = s.DF(kw)
-		out["idf:"+kw] = s.IDF(kw)
-		out["ps:"+kw] = append([]Posting(nil), s.Postings(kw)...)
-	}
-	return out
-}
-
 // TestFreezeIsolatesSnapshot: after Freeze, mutations through the builder
 // never change what the frozen snapshot returns, and only touched posting
 // lists are physically cloned — untouched lists stay shared by pointer.
 func TestFreezeIsolatesSnapshot(t *testing.T) {
 	idx := fooddbIndex(t)
 	frozen := idx.Freeze()
-	before := snapState(frozen)
+	before := fingerprint(frozen)
 
 	// "coffee" appears only in (American,9); "burger" elsewhere too. The
 	// update touches burger/queen/10/4.3 lists but not coffee's.
@@ -54,8 +36,8 @@ func TestFreezeIsolatesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := snapState(frozen); !reflect.DeepEqual(got, before) {
-		t.Fatalf("frozen snapshot changed under builder mutations:\nbefore %v\nafter  %v", before, got)
+	if fingerprint(frozen) != before {
+		t.Fatal("frozen snapshot changed under builder mutations")
 	}
 	next := idx.Freeze()
 	if next == frozen {
@@ -94,7 +76,7 @@ func updateDelta(id fragment.ID, counts map[string]int64, total int64) crawl.Del
 func TestLiveApplyPublishesAtomically(t *testing.T) {
 	l := liveFooddb(t)
 	s0 := l.Snapshot()
-	before := snapState(s0)
+	before := fingerprint(s0)
 
 	id := fragment.ID{relation.String("American"), relation.Int(10)}
 	st, err := l.Apply(context.Background(), updateDelta(id, map[string]int64{"burger": 1, "espresso": 4}, 5))
@@ -114,7 +96,7 @@ func TestLiveApplyPublishesAtomically(t *testing.T) {
 	if s1.DF("espresso") != 1 {
 		t.Errorf("new snapshot espresso DF = %d, want 1", s1.DF("espresso"))
 	}
-	if got := snapState(s0); !reflect.DeepEqual(got, before) {
+	if fingerprint(s0) != before {
 		t.Error("pre-apply snapshot changed")
 	}
 	stats := l.Stats()
@@ -129,7 +111,7 @@ func TestLiveApplyPublishesAtomically(t *testing.T) {
 func TestLiveApplyTransactional(t *testing.T) {
 	l := liveFooddb(t)
 	s0 := l.Snapshot()
-	before := snapState(s0)
+	before := fingerprint(s0)
 
 	d := crawl.Delta{Changes: []crawl.FragmentChange{
 		{Op: crawl.OpInsertFragment, ID: fragment.ID{relation.String("Nordic"), relation.Int(1)},
@@ -143,7 +125,7 @@ func TestLiveApplyTransactional(t *testing.T) {
 	if l.Snapshot() != s0 {
 		t.Fatal("failed Apply published a snapshot")
 	}
-	if got := snapState(s0); !reflect.DeepEqual(got, before) {
+	if fingerprint(s0) != before {
 		t.Error("failed Apply changed the serving snapshot")
 	}
 	if st := l.Stats(); st.DeltasApplied != 0 || st.Inserted != 0 {
