@@ -335,6 +335,17 @@ func TestV1ApplyHandler(t *testing.T) {
 			t.Errorf("total %s: status %d (%s), want 422 validation_failed", total, rec.Code, rec.Body.String())
 		}
 	}
+	// A change one shard refuses for its state — (Thai,10) is present —
+	// publishes nothing on either shard: (Nordic,3), routed to the other
+	// shard, must not be served afterwards.
+	dup := `{"changes":[{"op":"insert","id":["Nordic","3"],"terms":{"herring":1},"total":1},
+		{"op":"insert","id":["Thai","10"],"terms":{"burger":1},"total":1}]}`
+	if rec := postJSON(t, mux, "/v1/admin/apply", dup); rec.Code != http.StatusUnprocessableEntity {
+		t.Errorf("insert of a present fragment: status %d (%s), want 422", rec.Code, rec.Body.String())
+	}
+	if rec := get(t, mux, "/v1/search?q=herring&k=5&s=20"); !strings.Contains(rec.Body.String(), `"results":[]`) {
+		t.Errorf("a refused apply published (Nordic,3): %s", rec.Body.String())
+	}
 	if got := engine.Stats().Publishes; got != before.Publishes {
 		t.Errorf("refused applies published %d snapshots", got-before.Publishes)
 	}

@@ -22,7 +22,7 @@ var wireStatsKeys = []string{
 	"topology", "shards", "fragments", "keywords", "tombstoned_refs",
 	"avg_terms_per_fragment", "max_epoch", "deltas_applied", "publishes",
 	"queued_deltas", "fragments_inserted", "fragments_removed",
-	"fragments_updated", "compactions",
+	"fragments_updated", "compactions", "seeding",
 }
 
 // wireTotalKeys is the key set of an apply report's "total" block.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/crawl"
@@ -12,10 +13,13 @@ import (
 )
 
 // checkBlocks checks every posting list of s against the block invariants:
-// each block holds 1…maxBlock postings, their concatenation is in (TF
-// descending, identifier ascending) order — a tombstone may tie with the
-// live posting that replaced it — and the list's count is the sum of its
-// block lengths. When prev is the snapshot s was published after, it also
+// each block holds 1…maxBlock postings, their concatenation is in stored
+// order — impact (TF over the fragment's total, exact) descending, then
+// identifier ascending; a tombstone may tie with the live posting that
+// replaced it — and the list's count is the sum of its block lengths; and
+// every ref's compact total (TermsOf, which the search's cursors read)
+// and liveness (aliveAt, off the group-position column) are its
+// summary's. When prev is the snapshot s was published after, it also
 // checks that every block of s not stamped gen (the generation that built
 // s) is one of prev's blocks of the same list, array and length, and that
 // no block stamped gen is; and checkStamps holds every other
@@ -37,6 +41,7 @@ func checkBlocks(prev, s *Snapshot, gen uint64) (maxBlocks, splits int, err erro
 	s.eachList(func(kw string, pl *postingList) {
 		n := 0
 		var last Posting
+		var live, raw []Posting
 		for bi, b := range pl.blocks {
 			if len(b.ps) == 0 || len(b.ps) > maxBlock {
 				fail("%q: block %d holds %d postings, want 1…%d", kw, bi, len(b.ps), maxBlock)
@@ -44,18 +49,44 @@ func checkBlocks(prev, s *Snapshot, gen uint64) (maxBlocks, splits int, err erro
 			}
 			for j, p := range b.ps {
 				if n+j > 0 {
-					c := s.metaAt(last.Frag).ID.Compare(s.metaAt(p.Frag).ID)
-					tie := c == 0 && !(s.aliveAt(last.Frag) && s.aliveAt(p.Frag))
-					if last.TF < p.TF || last.TF == p.TF && c >= 0 && !tie {
-						fail("%q: block %d posting %d %v after %v breaks (TF desc, identifier asc) order", kw, bi, j, p, last)
+					lm, pm := s.metaAt(last.Frag), s.metaAt(p.Frag)
+					imp := compareImpact(last.TF, lm.Terms, p.TF, pm.Terms)
+					c := lm.ID.Compare(pm.ID)
+					tie := c == 0 && !(lm.Alive && pm.Alive)
+					if imp > 0 || imp == 0 && c >= 0 && !tie {
+						fail("%q: block %d posting %d %v after %v breaks (impact desc, identifier asc) order", kw, bi, j, p, last)
 					}
 				}
 				last = p
+				if raw = append(raw, p); s.aliveAt(p.Frag) {
+					live = append(live, p)
+				}
 			}
 			n += len(b.ps)
 		}
 		if n != pl.n {
 			fail("%q: count %d, blocks hold %d", kw, pl.n, n)
+		}
+		// A Cursor hands out exactly the live postings, in stored order, each
+		// with its fragment's total; its Blocks, exactly the raw ones.
+		c, df := s.Cursor(kw)
+		var got []Posting
+		for p, terms, ok := c.Next(); ok; p, terms, ok = c.Next() {
+			if terms != s.metaAt(p.Frag).Terms {
+				fail("%q: cursor hands out %v with total %d, want %d", kw, p, terms, s.metaAt(p.Frag).Terms)
+			}
+			got = append(got, p)
+		}
+		if !slices.Equal(got, live) || df != len(live) {
+			fail("%q: cursor hands out %v (DF %d), want the live postings %v", kw, got, df, live)
+		}
+		got = got[:0]
+		c, _ = s.Cursor(kw)
+		for ps := c.Block(); ps != nil; ps = c.Block() {
+			got = append(got, ps...)
+		}
+		if !slices.Equal(got, raw) {
+			fail("%q: cursor blocks hold %v, want %v", kw, got, raw)
 		}
 		maxBlocks = max(maxBlocks, len(pl.blocks))
 		if prev == nil {
@@ -85,6 +116,14 @@ func checkBlocks(prev, s *Snapshot, gen uint64) (maxBlocks, splits int, err erro
 			splits++
 		}
 	})
+	for ref := FragRef(0); int(ref) < s.numRefs; ref++ {
+		if got, want := s.TermsOf(ref), s.metaAt(ref).Terms; got != want {
+			fail("ref %d: compact total %d, its summary's %d", ref, got, want)
+		}
+		if s.aliveAt(ref) != s.metaAt(ref).Alive {
+			fail("ref %d: group position %d disagrees with liveness %v", ref, s.posAt(ref), s.metaAt(ref).Alive)
+		}
+	}
 	return maxBlocks, splits, err
 }
 

@@ -1,6 +1,8 @@
 // Package fragindex implements Dash's fragment index (paper §V–§VI): the
 // inverted fragment index, which maps keywords to the fragments containing
-// them sorted by term frequency, and the fragment graph, whose nodes are
+// them ordered by impact (term frequency over the fragment's total, the
+// order a threshold-bounded search reads them in; see Cursor), and the
+// fragment graph, whose nodes are
 // fragments weighted by their total keyword counts and whose edges connect
 // fragments that can combine into a db-page with nothing in between
 // (Fig. 9).
@@ -56,9 +58,8 @@
 // The read path is free of whole-index rescans:
 //
 //   - Each posting list carries a dead-posting counter, so Postings and DF
-//     never scan for tombstones on clean lists. A clean list of one block
-//     is returned by reference; a longer one is concatenated into the
-//     caller's reused buffer (PostingsIDF), a memmove of 8-byte postings.
+//     never scan for tombstones on clean lists. The search reads lists
+//     through a Cursor, block by block where they lie, and stops early.
 //   - RemoveFragment maintains the counters through a per-fragment forward
 //     keyword map, and triggers CompactPostings on any list whose dead
 //     ratio reaches compactDeadNum/compactDeadDen — lazy, amortized-O(1)
@@ -134,8 +135,9 @@ type Meta struct {
 }
 
 // validTotal reports whether a fragment's total keyword count is in
-// 0…math.MaxInt32. The search's bucketed queue assumes scores ≥ 0, so a
-// negative total ranks pages wrongly without failing; every path a total
+// 0…math.MaxInt32. The search's threshold bound assumes scores ≥ 0 and
+// the impact order exact int64 cross-products, so a negative total ranks
+// pages wrongly without failing; every path a total
 // enters the index by (InsertFragment, UpdateFragment, Build, Restore, the
 // durable snapshot and journal decoders) rejects one outside the range.
 func validTotal(total int64) bool { return total >= 0 && total <= math.MaxInt32 }
@@ -266,8 +268,9 @@ func New(spec Spec) (*Index, error) {
 }
 
 // Build constructs the index from a crawl output in one pass: fragments are
-// pre-sorted by identifier (the paper's §VI-A optimization), grouped, and
-// the crawl's already-sorted posting lists are adopted directly.
+// pre-sorted by identifier (the paper's §VI-A optimization) and grouped,
+// and each of the crawl's posting lists is put into stored order (impact
+// descending, identifier ascending).
 func Build(out *crawl.Output, spec Spec) (*Index, error) {
 	if len(spec.SelAttrs) != len(out.SelAttrs) {
 		return nil, fmt.Errorf("%w: spec has %v, crawl output has %v",
@@ -307,6 +310,7 @@ func Build(out *crawl.Output, spec Spec) (*Index, error) {
 		kws = append(kws, kw)
 	}
 	slices.Sort(kws)
+	var sorter impactSorter
 	for _, kw := range kws {
 		ps := out.Inverted[kw]
 		list := make([]Posting, 0, len(ps))
@@ -326,6 +330,8 @@ func Build(out *crawl.Output, spec Spec) (*Index, error) {
 		if len(list) == 0 {
 			continue
 		}
+		// Refs were appended in identifier order, so they rank like it.
+		sorter.sort(list, s.TermsOf, func(ref FragRef) int { return int(ref) })
 		s.shards[shardIndex(kw)].put(kw, newPostingList(list, idx.gen))
 		s.liveKws++
 	}
@@ -421,6 +427,7 @@ func (idx *Index) appendRef(m Meta, gid int32, pos int) FragRef {
 	}
 	c := idx.chunkForWrite(ref)
 	c.frags = append(c.frags, m)
+	c.tot = append(c.tot, int32(m.Terms)) // validTotal: it fits
 	c.kwOf = append(c.kwOf, nil)
 	c.groupOf = append(c.groupOf, gid)
 	c.memberAt = append(c.memberAt, int32(pos))
@@ -536,7 +543,8 @@ func (idx *Index) AliveRef(ref FragRef) bool { return idx.s.AliveRef(ref) }
 // Lookup resolves a fragment identifier to its ref.
 func (idx *Index) Lookup(id fragment.ID) (FragRef, bool) { return idx.s.Lookup(id) }
 
-// Postings returns the live postings of a keyword, sorted by TF descending.
+// Postings returns the live postings of a keyword in stored order (see
+// Snapshot.Postings).
 func (idx *Index) Postings(keyword string) []Posting { return idx.s.Postings(keyword) }
 
 // DF returns the document frequency of a keyword.

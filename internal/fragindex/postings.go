@@ -1,14 +1,18 @@
 package fragindex
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
 )
 
 // A posting list is stored as blocks: non-empty runs of postings whose
-// concatenation is the list in (TF descending, identifier ascending)
-// order. The block is the posting copy-on-write unit: a publish copies the
+// concatenation is the list in stored order — impact descending, then
+// identifier ascending (see compareImpact). A fragment's impact on a
+// keyword is tf/Terms, the score a one-fragment page of it would earn per
+// unit of IDF; within a publish a ref's TF and total never change (an
+// update mints a new ref), so the order is static. The block is the posting copy-on-write unit: a publish copies the
 // list's block directory (one slice header per block) and the blocks it
 // writes, and shares every other block by pointer with the snapshot it
 // was built from — so an insert into a hot list copies ≈ blockSize
@@ -169,20 +173,68 @@ func (idx *Index) blockForWrite(pl *postingList, bi int) []Posting {
 // grownCap is the capacity a copied posting block of n entries gets.
 func grownCap(n int) int { return n + n/8 + 1 }
 
-// insertPosting places p into kw's list preserving (TF desc, id asc) order
-// and refreshes the list's liveness bookkeeping. A binary search over the
-// blocks' first postings picks the block, a second one the position
-// within it; a block grown past maxBlock splits in two.
+// compareImpact orders two postings by impact, descending: it is negative
+// when tfA/termsA exceeds tfB/termsB. Impacts compare exactly, as int64
+// cross-products (TF and totals are at most math.MaxInt32, so neither
+// product overflows), and a fragment of total 0 has impact 0, as its
+// score is 0.
+func compareImpact(tfA int32, termsA int64, tfB int32, termsB int64) int {
+	na, nb := int64(tfA), int64(tfB)
+	if termsA == 0 {
+		na, termsA = 0, 1
+	}
+	if termsB == 0 {
+		nb, termsB = 0, 1
+	}
+	return cmp.Compare(nb*termsA, na*termsB)
+}
+
+// impactSorter puts lists into stored order: impact descending, then
+// identifier ascending. Each posting's total and identifier rank are read
+// once into a reused key buffer, not once per comparison.
+type impactSorter struct {
+	keys []impactKey
+}
+
+type impactKey struct {
+	p     Posting
+	terms int64
+	rank  int
+}
+
+// sort orders ps, with totals from terms and identifier ranks from rank.
+func (is *impactSorter) sort(ps []Posting, terms func(FragRef) int64, rank func(FragRef) int) {
+	ks := is.keys[:0]
+	for _, p := range ps {
+		ks = append(ks, impactKey{p: p, terms: terms(p.Frag), rank: rank(p.Frag)})
+	}
+	slices.SortFunc(ks, func(a, b impactKey) int {
+		if c := compareImpact(a.p.TF, a.terms, b.p.TF, b.terms); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.rank, b.rank)
+	})
+	for i := range ks {
+		ps[i] = ks[i].p
+	}
+	is.keys = ks
+}
+
+// insertPosting places p into kw's list preserving stored order (impact
+// desc, identifier asc) and refreshes the list's liveness bookkeeping. A
+// binary search over the blocks' first postings picks the block, a second
+// one the position within it; a block grown past maxBlock splits in two.
+// p's fragment metadata must already be in place.
 func (idx *Index) insertPosting(kw string, p Posting) {
 	s := idx.s
 	pl := idx.listForWrite(kw, true)
 	idx.dirForWrite(pl)
-	id := s.metaAt(p.Frag).ID
+	m := s.metaAt(p.Frag)
 	before := func(q Posting) bool { // q sorts before p
-		if q.TF != p.TF {
-			return q.TF > p.TF
+		if c := compareImpact(q.TF, s.TermsOf(q.Frag), p.TF, m.Terms); c != 0 {
+			return c < 0
 		}
-		return s.metaAt(q.Frag).ID.Compare(id) < 0
+		return s.metaAt(q.Frag).ID.Compare(m.ID) < 0
 	}
 	// The last block whose first posting sorts before p takes it; the
 	// first block when none does.
@@ -209,8 +261,8 @@ func (idx *Index) insertPosting(kw string, p Posting) {
 }
 
 // CompactPostings drops tombstoned entries from one keyword's inverted
-// list, reclaiming their slots: the live entries are copied once into a
-// fresh array and cut into blocks of blockSize. A list left with no live
+// list, reclaiming their slots: the live entries are copied once, in
+// stored order, into a fresh array and cut into blocks of blockSize. A list left with no live
 // entry is dropped from the directory. RemoveFragment calls it
 // automatically once a list's dead ratio reaches the compaction threshold;
 // it is exported for callers that want eager reclamation.
@@ -239,4 +291,58 @@ func (idx *Index) CompactPostings(keyword string) {
 	}
 	pl.cut(live, idx.gen)
 	pl.dead = 0
+}
+
+// Cursor walks one keyword's live postings of a snapshot in stored order —
+// impact descending, identifier ascending — reading each block where it
+// lies and skipping tombstones: no posting is copied. The search engine
+// pulls seeds through it lazily (see internal/search). A Cursor holds
+// pointers into its snapshot; the zero Cursor is exhausted.
+type Cursor struct {
+	s      *Snapshot
+	blocks []postingBlock
+	bi, i  int  // the next posting is blocks[bi].ps[i]
+	dead   bool // the list holds tombstones to skip
+}
+
+// Cursor opens a cursor over keyword's list and returns it with the list's
+// live document frequency; an absent keyword yields an exhausted cursor
+// and DF 0.
+func (s *Snapshot) Cursor(keyword string) (Cursor, int) {
+	pl := s.list(keyword)
+	if pl == nil {
+		return Cursor{}, 0
+	}
+	return Cursor{s: s, blocks: pl.blocks, dead: pl.dead > 0}, pl.liveDF()
+}
+
+// Block returns the rest of the cursor's current block as it lies —
+// tombstoned postings included, their refs still valid but dead — and
+// moves the cursor to the next block; nil once the list is exhausted. It
+// is the bulk read for a caller that only looks up live refs afterwards.
+func (c *Cursor) Block() []Posting {
+	if c.bi == len(c.blocks) {
+		return nil
+	}
+	ps := c.blocks[c.bi].ps[c.i:]
+	c.bi, c.i = c.bi+1, 0
+	return ps
+}
+
+// Next returns the next live posting and its fragment's total keyword
+// count; ok is false once the list is exhausted.
+func (c *Cursor) Next() (p Posting, terms int64, ok bool) {
+	for c.bi < len(c.blocks) {
+		ps := c.blocks[c.bi].ps
+		if c.i == len(ps) {
+			c.bi, c.i = c.bi+1, 0
+			continue
+		}
+		p = ps[c.i]
+		c.i++
+		if !c.dead || c.s.aliveAt(p.Frag) {
+			return p, c.s.TermsOf(p.Frag), true
+		}
+	}
+	return Posting{}, 0, false
 }

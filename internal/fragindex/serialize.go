@@ -9,7 +9,12 @@ import (
 
 // Dump is an index's complete logical state in canonical, storage-neutral
 // form: live fragments sorted by identifier, keywords sorted, and each
-// posting list ordered (TF descending, fragment identifier ascending).
+// posting list ordered (TF descending, fragment identifier ascending). That
+// canonical order is not the order an index stores its lists in (impact —
+// TF over the fragment's total — descending; see postingList): Dump
+// re-sorts each list into it, and Restore checks it and then re-sorts each
+// list into stored order, so the format is independent of the engine's
+// read order.
 // Postings reference fragments by their position in FragKeys. Two indexes
 // holding the same logical state produce identical Dumps regardless of the
 // mutation history that led there — the property the durable layer's
@@ -37,8 +42,9 @@ func (idx *Index) Dump() *Dump { return idx.s.dump(nil) }
 // postings referencing out-of-range fragments, duplicate postings within
 // one keyword list, and lists out of (TF descending, identifier ascending)
 // order or carrying a non-positive TF all return ErrCorruptIndex — each silently corrupts group,
-// document-frequency, or ranking invariants if accepted (insertPosting and
-// the search's TF cutoff binary-search on the list order).
+// document-frequency, or ranking invariants if accepted. A list that
+// passes is stored in impact order (insertPosting binary-searches on it,
+// and the search's threshold bound rests on it).
 func Restore(d *Dump) (*Index, error) {
 	if len(d.FragKeys) != len(d.Terms) {
 		return nil, fmt.Errorf("%w: fragment arrays disagree", ErrCorruptIndex)
@@ -116,6 +122,7 @@ func Restore(d *Dump) (*Index, error) {
 	// (i+1) that holds it, so the duplicate check needs no per-list reset.
 	arena := make([]Posting, 0, total)
 	seen := make([]int, s.numRefs)
+	var sorter impactSorter
 	for i, kw := range d.Keywords {
 		wps := d.Postings[i]
 		if len(wps) == 0 {
@@ -146,7 +153,9 @@ func Restore(d *Dump) (*Index, error) {
 			arena = append(arena, p)
 			idx.appendKw(p.Frag, kw)
 		}
-		if !s.shards[shardIndex(kw)].put(kw, newPostingList(arena[start:len(arena):len(arena)], idx.gen)) {
+		ps := arena[start:len(arena):len(arena)]
+		sorter.sort(ps, func(ref FragRef) int64 { return d.Terms[ref] }, func(ref FragRef) int { return rank[ref] })
+		if !s.shards[shardIndex(kw)].put(kw, newPostingList(ps, idx.gen)) {
 			return nil, fmt.Errorf("%w: duplicate keyword %q", ErrCorruptIndex, kw)
 		}
 		s.liveKws++

@@ -41,9 +41,14 @@ import (
 // the same fragment races at the application level.
 //
 // Each per-shard apply is transactional (a failing shard publishes
-// nothing), but cross-shard atomicity is intentionally not provided: when
-// one shard's changes fail, other shards' publishes stand, and the error
-// names the failing shard. A sharded search is likewise internally
+// nothing). Before any shard folds, an apply touching several shards
+// checks every change against its shard's state (checkStates), so a
+// change one shard would refuse — an insert of a present fragment, an
+// update or removal of an absent one, an invalid keyword count — publishes
+// nowhere. Beyond that, cross-shard atomicity is intentionally not
+// provided: when a shard fails for a reason the check cannot see (a
+// cancelled ctx, a publish-hook error), other shards' publishes stand, and
+// the error names the failing shard. A sharded search is likewise internally
 // consistent per shard — each pinned snapshot is immutable — while the
 // pinned set as a whole is an exact point-in-time cut only between
 // publishes.
@@ -226,9 +231,11 @@ func (sl *ShardedLiveIndex) maxEpoch() uint64 {
 
 // Apply routes a delta's changes to their shards and applies them
 // concurrently, one transactional publish per touched shard. Changes for
-// the same fragment keep their order (they route to the same shard).
-// Cross-shard atomicity is not provided: on error the failing shard has
-// published nothing, but other shards' publishes stand. A cancelled ctx
+// the same fragment keep their order (they route to the same shard). A
+// change its shard's state refuses publishes nowhere (see
+// ShardedLiveIndex); past that check cross-shard atomicity is not
+// provided: on error the failing shard has published nothing, but other
+// shards' publishes stand. A cancelled ctx
 // behaves the same way — each shard's apply observes the cancellation
 // independently and rolls its own slice back; an already-cancelled ctx
 // publishes nowhere.
@@ -276,6 +283,9 @@ func (sl *ShardedLiveIndex) applyRouted(ctx context.Context, selAttrs []string, 
 			return ShardedApplyStats{}, err
 		}
 		per[si] = append(per[si], ch)
+	}
+	if err := sl.checkStates(per); err != nil {
+		return ShardedApplyStats{}, err
 	}
 	stats := make([]ApplyStats, len(sl.shards))
 	errs := make([]error, len(sl.shards))
@@ -326,6 +336,66 @@ func (sl *ShardedLiveIndex) applyRouted(ctx context.Context, selAttrs []string, 
 	}
 	sl.deltas.Add(uint64(deltas))
 	return out, nil
+}
+
+// checkStates checks, when changes touch more than one shard, every
+// change against its shard's published state before any shard folds, in
+// delta order per fragment (all of a fragment's changes route to one
+// shard): an insert needs the fragment absent, an update or a removal
+// needs it present, and an insert or update needs keyword counts the
+// index admits. One shard needs no check: its own apply is transactional.
+// The index has one logical writer, so the published state is the state
+// each shard's apply starts from.
+func (sl *ShardedLiveIndex) checkStates(per [][]crawl.FragmentChange) error {
+	touched := 0
+	for _, chs := range per {
+		touched += min(len(chs), 1)
+	}
+	if touched < 2 {
+		return nil
+	}
+	for si, chs := range per {
+		if len(chs) == 0 {
+			continue
+		}
+		snap := sl.shards[si].Snapshot()
+		present := make(map[string]bool, len(chs)) // after this delta's earlier changes
+		for _, ch := range chs {
+			key := ch.ID.Key()
+			has, seen := present[key]
+			if !seen {
+				has = snap.Has(ch.ID)
+			}
+			var err error
+			switch ch.Op {
+			case crawl.OpInsertFragment:
+				if has {
+					err = fmt.Errorf("%w: %s", ErrDupFragment, ch.ID)
+				} else {
+					err = checkTerms(ch.ID, ch.TermCounts, ch.TotalTerms)
+				}
+				has = true
+			case crawl.OpUpdateFragment:
+				if !has {
+					err = fmt.Errorf("%w: %s", ErrNoFragment, ch.ID)
+				} else {
+					err = checkTerms(ch.ID, ch.TermCounts, ch.TotalTerms)
+				}
+			case crawl.OpRemoveFragment:
+				if !has {
+					err = fmt.Errorf("%w: %s", ErrNoFragment, ch.ID)
+				}
+				has = false
+			default:
+				err = fmt.Errorf("fragindex: unknown delta op %v", ch.Op)
+			}
+			if err != nil {
+				return fmt.Errorf("fragindex: shard %d: applying %s %s: %w", si, ch.Op, ch.ID, err)
+			}
+			present[key] = has
+		}
+	}
+	return nil
 }
 
 // CompactIfNeeded runs the snapshot garbage collector on every shard

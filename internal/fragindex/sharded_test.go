@@ -245,14 +245,18 @@ func TestShardedApplyTransactionalPerShard(t *testing.T) {
 	if gBad < 0 {
 		t.Fatal("corpus routed to a single shard")
 	}
+	update := crawl.FragmentChange{Op: crawl.OpUpdateFragment, ID: synthID(gOK, 0), TermCounts: synthCounts(gOK, 5), TotalTerms: 5}
+
+	// A failure the state check cannot see — the bad shard's publish hook
+	// refuses — leaves the other shard's publish standing.
+	sl.Shard(siBad).SetPublishHook(func(context.Context, crawl.Delta, uint64) error { return errors.New("hook refuses") })
 	before := sl.PinAll()
 	_, err = sl.Apply(context.Background(), crawl.Delta{Changes: []crawl.FragmentChange{
-		{Op: crawl.OpUpdateFragment, ID: synthID(gOK, 0), TermCounts: synthCounts(gOK, 5), TotalTerms: 5},
-		// Fails: removing a fragment that does not exist.
-		{Op: crawl.OpRemoveFragment, ID: synthID(gBad, 77)},
+		update,
+		{Op: crawl.OpUpdateFragment, ID: synthID(gBad, 0), TermCounts: synthCounts(gBad, 5), TotalTerms: 5},
 	}})
 	if err == nil {
-		t.Fatal("apply with an impossible removal succeeded")
+		t.Fatal("apply through a refusing publish hook succeeded")
 	}
 	after := sl.PinAll()
 	if after[siBad] != before[siBad] {
@@ -260,6 +264,64 @@ func TestShardedApplyTransactionalPerShard(t *testing.T) {
 	}
 	if after[siOK] == before[siOK] {
 		t.Error("independent shard was rolled back (cross-shard atomicity is not the contract)")
+	}
+}
+
+// TestShardedApplyChecksStatesFirst: a change its shard's state refuses —
+// an insert of a present fragment, a removal or update of an absent one,
+// in delta order per fragment — publishes on no shard, the other shards'
+// valid changes included; a delta whose order makes every change valid
+// (remove, then insert again) applies.
+func TestShardedApplyChecksStatesFirst(t *testing.T) {
+	sl, err := NewShardedLive(buildSynthIndex(t, 16, 2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g0, g1 := 0, 0 // two groups on different shards
+	s0, _ := sl.ShardFor(synthID(g0, 0))
+	for g := 1; g < 16 && g1 == 0; g++ {
+		if si, _ := sl.ShardFor(synthID(g, 0)); si != s0 {
+			g1 = g
+		}
+	}
+	if g1 == 0 {
+		t.Fatal("corpus routed to a single shard")
+	}
+	fresh := crawl.FragmentChange{Op: crawl.OpInsertFragment, ID: synthID(g0, 40), TermCounts: synthCounts(g0, 40), TotalTerms: 3}
+	for _, tc := range []struct {
+		name string
+		bad  []crawl.FragmentChange
+		want error
+	}{
+		{"insert present", []crawl.FragmentChange{{Op: crawl.OpInsertFragment, ID: synthID(g1, 0), TermCounts: synthCounts(g1, 0), TotalTerms: 3}}, ErrDupFragment},
+		{"remove absent", []crawl.FragmentChange{{Op: crawl.OpRemoveFragment, ID: synthID(g1, 77)}}, ErrNoFragment},
+		{"update absent", []crawl.FragmentChange{{Op: crawl.OpUpdateFragment, ID: synthID(g1, 77), TermCounts: synthCounts(g1, 77), TotalTerms: 3}}, ErrNoFragment},
+		{"remove twice", []crawl.FragmentChange{{Op: crawl.OpRemoveFragment, ID: synthID(g1, 1)}, {Op: crawl.OpRemoveFragment, ID: synthID(g1, 1)}}, ErrNoFragment},
+		{"insert after insert", []crawl.FragmentChange{
+			{Op: crawl.OpInsertFragment, ID: synthID(g1, 50), TermCounts: synthCounts(g1, 50), TotalTerms: 3},
+			{Op: crawl.OpInsertFragment, ID: synthID(g1, 50), TermCounts: synthCounts(g1, 50), TotalTerms: 3},
+		}, ErrDupFragment},
+	} {
+		before := sl.PinAll()
+		_, err := sl.Apply(context.Background(), crawl.Delta{Changes: append([]crawl.FragmentChange{fresh}, tc.bad...)})
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		for si, snap := range sl.PinAll() {
+			if snap != before[si] {
+				t.Fatalf("%s: shard %d published", tc.name, si)
+			}
+		}
+	}
+	// Remove, then insert again, on one shard beside an insert on the other.
+	again := crawl.FragmentChange{Op: crawl.OpInsertFragment, ID: synthID(g1, 1), TermCounts: synthCounts(g1, 1), TotalTerms: 3}
+	if _, err := sl.Apply(context.Background(), crawl.Delta{Changes: []crawl.FragmentChange{
+		fresh, {Op: crawl.OpRemoveFragment, ID: synthID(g1, 1)}, again,
+	}}); err != nil {
+		t.Fatalf("valid remove-then-insert: %v", err)
+	}
+	if !sl.Has(fresh.ID) || !sl.Has(again.ID) {
+		t.Fatal("valid apply lost a fragment")
 	}
 }
 

@@ -201,14 +201,17 @@ type chunkPage = page[metaChunk]
 // table of pages (one pointer per 256 groups) and the pages it writes.
 type groupPage = page[group]
 
-// metaChunk holds chunkSize refs' worth of the four per-ref metadata
-// arrays, in parallel: the fragment summary, the builder-side forward
-// keyword map, the equality-group id, and the position within the group
-// (-1 when dead). Only an insert or removal in a group shifts positions,
-// so only those rewrite other members' chunks; an update keeps its slot.
-// gen stamps the builder generation that allocated the chunk.
+// metaChunk holds chunkSize refs' worth of the per-ref metadata arrays, in
+// parallel: the fragment summary, its total keyword count again as an
+// int32 (a compact copy the posting cursors read, ≈ 40 KB on the Q2 corpus
+// where the summaries take a megabyte), the builder-side forward keyword
+// map, the equality-group id, and the position within the group (-1 when
+// dead). Only an insert or removal in a group shifts positions, so only
+// those rewrite other members' chunks; an update keeps its slot. gen
+// stamps the builder generation that allocated the chunk.
 type metaChunk struct {
 	frags    []Meta
+	tot      []int32
 	kwOf     [][]string
 	groupOf  []int32
 	memberAt []int32
@@ -225,6 +228,7 @@ func (c *metaChunk) clone(gen uint64) *metaChunk {
 	n := min(grownCap(len(c.frags)), chunkSize)
 	return &metaChunk{
 		frags:    append(make([]Meta, 0, n), c.frags...),
+		tot:      append(make([]int32, 0, n), c.tot...),
 		kwOf:     append(make([][]string, 0, n), c.kwOf...),
 		groupOf:  append(make([]int32, 0, n), c.groupOf...),
 		memberAt: append(make([]int32, 0, n), c.memberAt...),
@@ -331,9 +335,12 @@ func (s *Snapshot) metaAt(ref FragRef) *Meta {
 	return &s.chunkOf(ref).frags[ref&chunkMask]
 }
 
-// aliveAt reports ref's liveness without bounds checking.
+// aliveAt reports ref's liveness without bounds checking, off the compact
+// group-position column (-1 exactly when the ref is tombstoned) rather
+// than the summary, whose stride is many times larger: the posting cursors
+// check it per posting on a list with tombstones.
 func (s *Snapshot) aliveAt(ref FragRef) bool {
-	return s.chunkOf(ref).frags[ref&chunkMask].Alive
+	return s.chunkOf(ref).memberAt[ref&chunkMask] >= 0
 }
 
 // kwsAt returns ref's forward keyword list without bounds checking.
@@ -418,7 +425,7 @@ func (s *Snapshot) NumRefs() int { return s.numRefs }
 // TermsOf returns a fragment's total keyword count without bounds
 // checking. The caller must have validated ref (see NumRefs).
 func (s *Snapshot) TermsOf(ref FragRef) int64 {
-	return s.chunkOf(ref).frags[ref&chunkMask].Terms
+	return int64(s.chunkOf(ref).tot[ref&chunkMask])
 }
 
 // AliveRef reports whether ref is within range and not tombstoned.
@@ -480,8 +487,10 @@ func (s *Snapshot) Has(id fragment.ID) bool {
 	return ok
 }
 
-// Postings returns the live postings of a keyword, sorted by TF descending.
-// The returned slice must not be modified. A list of one block without
+// Postings returns the live postings of a keyword in stored order: impact
+// (TF over the fragment's total) descending, then identifier ascending —
+// not the canonical (TF descending) order of a Dump. The returned slice
+// must not be modified. A list of one block without
 // tombstones is returned by reference without scanning; any other list is
 // gathered into a fresh slice (see PostingsIDF to reuse one).
 func (s *Snapshot) Postings(keyword string) []Posting {
@@ -511,8 +520,8 @@ func (s *Snapshot) IDF(keyword string) float64 {
 }
 
 // PostingsIDF returns Postings(keyword) and IDF(keyword) with a single
-// list lookup — the form the search engine's seeding loop uses, so each
-// queried keyword costs one shard hash instead of two. A clean list of one
+// list lookup, postings in stored order (see Postings). The search engine
+// does not gather lists; it walks them in place (see Cursor). A clean list of one
 // block is the snapshot's own block, returned by reference; it must not be
 // modified. Any other list — several blocks, or tombstones — is
 // concatenated, tombstones filtered out, into *buf's storage (overwritten
@@ -570,10 +579,11 @@ func (s *Snapshot) Keywords() []string {
 // fragments that keep admits (all of them when keep is nil) straight from
 // its storage: the fragments sorted by identifier give each its dense dump
 // position, and the lists of the sorted Keywords are filtered and remapped
-// into one shared arena, dropping any left empty. A list keeps its stored
-// order — (TF descending, identifier ascending) whenever it was built or
-// maintained in identifier order — and is re-sorted only when that order
-// does not hold. The snapshot is immutable, so dumping one needs no lock.
+// into one shared arena, dropping any left empty. The stored order
+// (impact descending) is not the canonical one (TF descending, identifier
+// ascending), so a remapped list is re-sorted unless it happens to be in
+// canonical order already (every TF equal, every total equal, or one
+// posting). The snapshot is immutable, so dumping one needs no lock.
 func (s *Snapshot) dump(keep func(FragRef) bool) *Dump {
 	order := make([]FragRef, 0, s.liveFrags)
 	total := 0 // postings kept: the sum of the kept refs' forward keyword lists
@@ -711,6 +721,16 @@ func (s *Snapshot) GroupPath(ref FragRef) (members []FragRef, weights []int64, k
 	}
 	g := s.group(c.groupOf[i])
 	return g.members, g.weights, g.key, int(c.memberAt[i]), nil
+}
+
+// GroupSlot returns a live fragment's group key and its position on the
+// group path, without bounds checking: the two fields the search's queue
+// breaks an exact (score, size) tie between unvisited seeds on, read
+// without materialising either path. The caller must have validated ref.
+func (s *Snapshot) GroupSlot(ref FragRef) (key string, pos int) {
+	c := s.chunkOf(ref)
+	i := int(ref) & chunkMask
+	return s.group(c.groupOf[i]).key, int(c.memberAt[i])
 }
 
 // Edges enumerates all fragment-graph edges as (smaller, larger) ref pairs,

@@ -102,7 +102,7 @@ func bigExpansionEngine(t *testing.T, members int) (*Engine, Request) {
 }
 
 // TestSearchCooperativeCancellationBound: a cancellation that fires
-// mid-assembly stops the search within ctxCheckInterval heap pops — the
+// mid-assembly stops the search within ctxCheckInterval units of work — the
 // loop polls Err() once per interval, so after the poll that first fails
 // the search must return without another poll's worth of work.
 func TestSearchCooperativeCancellationBound(t *testing.T) {

@@ -1,30 +1,24 @@
 package search
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/fragindex"
+	"repro/internal/fragment"
+	"repro/internal/relation"
 )
 
-// queueScratch builds a scratch whose queue can run without a snapshot:
-// every seed's candidate is pre-materialised as a one-fragment interval of
-// group keys[ord] at path position ord, so candLess is a total order that
-// never asks the index for a path. The seeds are bucketed the way
-// searchSnapshot buckets them, from their own min/max score bits.
-func queueScratch(scores []float64, sizes []int64, keys []string) *searchScratch {
-	s := &searchScratch{slotOf: make([]int32, len(scores))}
-	minBits, maxBits := uint64(math.MaxUint64), uint64(0)
-	for ord, sc := range scores {
-		s.heap = append(s.heap, heapEntry{score: sc, size: sizes[ord], ord: int32(ord)})
-		s.cands = append(s.cands, candidate{gkey: keys[ord], lo: ord, hi: ord})
-		s.slotOf[ord] = int32(ord) + 1
-		b := math.Float64bits(sc)
-		minBits, maxBits = min(minBits, b), max(maxBits, b)
-	}
-	s.bucketSeeds(minBits, maxBits)
-	return s
+// visit is one queue visit as the assembly loop sees it: the head's score
+// and size, and the global ref of the fragment that seeded it (ordinals
+// depend on the order seeds were registered in; refs do not).
+type visit struct {
+	score float64
+	size  int64
+	ref   fragindex.FragRef
 }
 
 // visitOrder drives a queue the way the assembly loop does — look at the
@@ -33,17 +27,17 @@ func queueScratch(scores []float64, sizes []int64, keys []string) *searchScratch
 // three times: its score raised, lowered, set to exactly another seed's
 // score, or zeroed, its size sometimes grown. The decisions come from r, so
 // two queues that visit in the same order are driven identically.
-func visitOrder(r *rand.Rand, scores []float64, head func() (heapEntry, bool), pop func(), rewrite func(heapEntry)) []heapEntry {
-	var order []heapEntry
-	rewrites := make(map[int32]int)
+func visitOrder(r *rand.Rand, scores []float64, head func() (heapEntry, fragindex.FragRef, bool), pop func(), rewrite func(heapEntry)) []visit {
+	var order []visit
+	rewrites := make(map[fragindex.FragRef]int)
 	for {
-		e, ok := head()
+		e, ref, ok := head()
 		if !ok {
 			return order
 		}
-		order = append(order, e)
-		if rewrites[e.ord] < 3 && r.Intn(2) == 0 {
-			rewrites[e.ord]++
+		order = append(order, visit{e.score, e.size, ref})
+		if rewrites[ref] < 3 && r.Intn(2) == 0 {
+			rewrites[ref]++
 			switch r.Intn(4) {
 			case 0:
 				e.score *= 1 + r.Float64()
@@ -62,128 +56,205 @@ func visitOrder(r *rand.Rand, scores []float64, head func() (heapEntry, bool), p
 	}
 }
 
-// TestLazyQueueVisitsInFullHeapOrder: on random score multisets, the lazily
-// bucketed queue visits entries in exactly the order a queue holding every
-// seed from the start does under candLess — the reference here is a slice
-// scanned for its minimum — while heads are popped, raised and lowered.
-func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
-	// edge is a bit pattern on a bucket boundary of the "bucket edges" case:
-	// its seeds — at least 256, so all 256 buckets are in use — span
-	// [edge-3<<40, edge+3<<40), so the shift is 35 and edge-1 / edge are
-	// adjacent floats in different buckets.
-	edge := math.Float64bits(0.25)
-	cases := []struct {
-		name  string
-		score func(r *rand.Rand, i int) float64
-		size  func(r *rand.Rand) int64
-		lazy  bool // the first visit must leave seeds pending
-	}{
-		{"heavy ties", func(r *rand.Rand, _ int) float64 { return []float64{0.5, 0.25, 0.125}[r.Intn(3)] },
-			func(r *rand.Rand) int64 { return int64(1 + r.Intn(2)) }, true},
-		{"one bucket", func(*rand.Rand, int) float64 { return 0.04 },
-			func(r *rand.Rand) int64 { return int64(1 + r.Intn(3)) }, false},
-		{"bucket edges", func(r *rand.Rand, i int) float64 {
-			if i < 2 { // pin the range
-				return math.Float64frombits(edge - 3<<40 + uint64(i)*(6<<40-1))
+// queueFragment is one fragment of a queue test corpus: its keyword TFs
+// (over queueVocab) and its total.
+type queueFragment struct {
+	tfs   [3]int64
+	total int64
+}
+
+var queueVocab = [3]string{"ale", "bun", "cod"}
+
+// queueIndex indexes fragments in three groups, the i-th at range value i,
+// and returns the pinned set at the given shard count.
+func queueIndex(t *testing.T, frags []queueFragment, shards int) ([]*fragindex.Snapshot, *core) {
+	t.Helper()
+	var changes []corpusChange
+	for i, f := range frags {
+		counts := map[string]int64{}
+		for j, tf := range f.tfs {
+			if tf > 0 {
+				counts[queueVocab[j]] = tf
 			}
-			return math.Float64frombits(edge + uint64(r.Intn(5)-2)<<35 + uint64(r.Intn(3)) - 1)
-		}, func(r *rand.Rand) int64 { return int64(1 + r.Intn(2)) }, true},
-		{"zero scores", func(r *rand.Rand, _ int) float64 {
-			if r.Intn(3) == 0 {
-				return 0
-			}
-			return float64(1+r.Intn(4)) / float64(8+r.Intn(40))
-		}, func(r *rand.Rand) int64 { return int64(r.Intn(3)) }, true},
-		{"wide range", func(r *rand.Rand, _ int) float64 { return math.Exp(-20 * r.Float64()) },
-			func(r *rand.Rand) int64 { return int64(1 + r.Intn(50)) }, true},
-		{"adjacent floats", func(r *rand.Rand, _ int) float64 {
-			return math.Float64frombits(math.Float64bits(0.01) + uint64(r.Intn(200)))
-		}, func(*rand.Rand) int64 { return 7 }, false},
+		}
+		changes = append(changes, corpusChange{
+			id:     fragment.ID{relation.String(fmt.Sprintf("g%d", i%3)), relation.Int(int64(i))},
+			counts: counts,
+			total:  f.total,
+		})
 	}
+	idx := buildFrom(t, changes)
+	if shards == 1 {
+		e := New(idx, nil)
+		return []*fragindex.Snapshot{idx.Snapshot()}, &e.core
+	}
+	live, err := fragindex.NewShardedLive(idx, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := NewSharded(live, nil)
+	return se.Pin(), &se.core
+}
+
+// openQueue borrows a scratch over snaps with the lazy seed source open
+// for all three keywords.
+func openQueue(t *testing.T, e *core, snaps []*fragindex.Snapshot) *searchScratch {
+	t.Helper()
+	s := e.getScratch(snaps)
+	s.keywords = normalizeKeywords(s.keywords, queueVocab[:])
+	if err := s.open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestLazyQueueVisitsInFullHeapOrder: on random corpora, the threshold-
+// bounded queue — seeds pulled in impact order only until the head
+// strictly outscores τ (fill), the rest drained into score buckets once a
+// quarter of the postings are pulled — visits entries in exactly the order
+// a queue holding every seed from the start does under candLess, while
+// heads are popped, raised and lowered. The reference here is every seed,
+// drained up front, in a slice scanned for its minimum. The cases aim at
+// the bound: exact ties at τ, every score equal, scores a few units in
+// the last place apart on either side of τ (where only the margin keeps
+// the bound sound), size-0 fragments scoring 0, and scores across many
+// binades; trials must reach both a first visit with postings unread and a
+// drain.
+func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
+	pick := func(r *rand.Rand, xs ...int64) int64 { return xs[r.Intn(len(xs))] }
+	some := func(r *rand.Rand, f func() int64) (tfs [3]int64) {
+		for tfs == ([3]int64{}) {
+			for j := range tfs {
+				if r.Intn(2) == 0 {
+					tfs[j] = f()
+				}
+			}
+		}
+		return tfs
+	}
+	cases := []struct {
+		name string
+		frag func(r *rand.Rand) queueFragment
+		lazy bool // some trial's first visit must come before a drain, with postings unread
+	}{
+		{"heavy ties", func(r *rand.Rand) queueFragment {
+			return queueFragment{some(r, func() int64 { return pick(r, 1, 2) }), pick(r, 2, 4)}
+		}, true},
+		{"one bucket", func(r *rand.Rand) queueFragment {
+			return queueFragment{[3]int64{1, 0, 0}, 7}
+		}, false},
+		{"bucket edges", func(r *rand.Rand) queueFragment {
+			// Impacts within a few units in the last place of each other,
+			// summed over up to three keywords.
+			return queueFragment{some(r, func() int64 { return 1_000_000 + r.Int63n(3) }), 3_000_000 + r.Int63n(3)}
+		}, true},
+		{"zero scores", func(r *rand.Rand) queueFragment {
+			return queueFragment{some(r, func() int64 { return 1 + r.Int63n(4) }), pick(r, 0, 0, 8+r.Int63n(40))}
+		}, true},
+		{"wide range", func(r *rand.Rand) queueFragment {
+			return queueFragment{some(r, func() int64 { return 1 + r.Int63n(50) }), 1 + r.Int63n(5000)}
+		}, true},
+		{"adjacent floats", func(r *rand.Rand) queueFragment {
+			return queueFragment{some(r, func() int64 { return pick(r, 999_999, 1_000_000, 1_000_001) }), pick(r, 2_999_999, 3_000_000, 3_000_001)}
+		}, false},
+	}
+	drains := 0 // trials, over all cases, whose lazy queue drained
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			early := 0 // trials whose first visit came with postings unread, before any drain
 			r := rand.New(rand.NewSource(71))
 			for trial := 0; trial < 30; trial++ {
 				n := 1 + r.Intn(600)
 				if tc.lazy {
 					n += 40
 				}
-				if tc.name == "bucket edges" {
-					n += numBuckets
+				frags := make([]queueFragment, n)
+				for i := range frags {
+					frags[i] = tc.frag(r)
 				}
-				scores, sizes, keys := make([]float64, n), make([]int64, n), make([]string, n)
-				for i := range scores {
-					scores[i], sizes[i] = tc.score(r, i), tc.size(r)
-					keys[i] = fmt.Sprintf("g%d", r.Intn(3))
-				}
-				s := queueScratch(scores, sizes, keys)
-				if tc.name == "bucket edges" && s.shift != 35 {
-					t.Fatalf("shift = %d, want 35", s.shift)
-				}
-				// The buckets hold every seed exactly once, best bucket first.
-				all := slices.Clone(s.pending)
-				slices.SortFunc(all, func(a, b heapEntry) int { return int(a.ord - b.ord) })
-				if len(all) != n {
-					t.Fatalf("trial %d: %d seeds bucketed into %d entries", trial, n, len(all))
-				}
-				for ord, e := range all {
-					if e != (heapEntry{score: scores[ord], size: sizes[ord], ord: int32(ord)}) {
-						t.Fatalf("trial %d: bucketed ordinal %d is %+v", trial, ord, e)
-					}
-				}
-				for i := 1; i < len(s.pending); i++ {
-					if s.bucketOf(s.pending[i-1].score) < s.bucketOf(s.pending[i].score) {
-						t.Fatalf("trial %d: pending[%d] is in a better bucket than pending[%d]", trial, i, i-1)
+				snaps, e := queueIndex(t, frags, 1+trial%2)
+				df := 0
+				for _, snap := range snaps {
+					for _, w := range queueVocab {
+						df += snap.DF(w)
 					}
 				}
 
+				// The reference: every seed registered before the first visit.
+				full := openQueue(t, e, snaps)
+				if err := full.drain(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				all := slices.Clone(full.pending)
+				if len(all) != n || full.postings != df {
+					t.Fatalf("trial %d: draining registered %d of %d seeds after %d of %d postings", trial, len(all), n, full.postings, df)
+				}
+				scores := make([]float64, len(all))
+				for i, h := range all {
+					scores[i] = h.score
+				}
+
+				lazy := openQueue(t, e, snaps)
 				seed := r.Int63()
 				first := true
 				got := visitOrder(rand.New(rand.NewSource(seed)), scores,
-					func() (heapEntry, bool) {
-						s.refill()
-						if first && tc.lazy && s.queued == len(s.pending) {
-							t.Fatalf("trial %d: all %d seeds queued before the first visit", trial, n)
+					func() (heapEntry, fragindex.FragRef, bool) {
+						if err := lazy.fill(context.Background()); err != nil {
+							t.Fatal(err)
+						}
+						if first && !lazy.drained && lazy.postings < df {
+							early++
 						}
 						first = false
-						if len(s.heap) == 0 {
-							return heapEntry{}, false
+						if len(lazy.heap) == 0 {
+							return heapEntry{}, 0, false
 						}
-						return s.heap[0], true
+						return lazy.heap[0], lazy.refs[lazy.heap[0].ord], true
 					},
-					s.popTop,
-					func(e heapEntry) { s.heap[0] = e; s.siftDown(0) })
-				if s.queued != len(s.pending) {
-					t.Fatalf("trial %d: queue ran empty with %d seeds pending", trial, len(s.pending)-s.queued)
+					lazy.popTop,
+					func(e heapEntry) { lazy.heap[0] = e; lazy.siftDown(0) })
+				if slices.ContainsFunc(lazy.curs, func(c cursor) bool { return !c.done }) {
+					t.Fatalf("trial %d: queue ran empty with postings unread", trial)
+				}
+				if lazy.drained {
+					drains++
 				}
 
 				best := 0
 				want := visitOrder(rand.New(rand.NewSource(seed)), scores,
-					func() (heapEntry, bool) {
+					func() (heapEntry, fragindex.FragRef, bool) {
 						if len(all) == 0 {
-							return heapEntry{}, false
+							return heapEntry{}, 0, false
 						}
 						best = 0
 						for i := range all {
-							if s.candLess(all[i], all[best]) {
+							if full.candLess(all[i], all[best]) {
 								best = i
 							}
 						}
-						return all[best], true
+						return all[best], full.refs[all[best].ord], true
 					},
 					func() { all = slices.Delete(all, best, best+1) },
 					func(e heapEntry) { all[best] = e })
+				e.putScratch(lazy)
+				e.putScratch(full)
 
 				if !slices.Equal(got, want) {
 					for i := range want {
 						if i >= len(got) || got[i] != want[i] {
-							t.Fatalf("trial %d (%d seeds, shift %d): visit %d differs\n lazy %+v\n full %+v",
-								trial, n, s.shift, i, got[min(i, len(got)-1)], want[i])
+							t.Fatalf("trial %d (%d seeds, S=%d): visit %d differs\n lazy %+v\n full %+v",
+								trial, n, len(snaps), i, got[min(i, len(got)-1)], want[i])
 						}
 					}
 					t.Fatalf("trial %d: lazy queue made %d visits, full queue %d", trial, len(got), len(want))
 				}
 			}
+			if tc.lazy && early == 0 {
+				t.Fatal("no trial visited before every posting was read")
+			}
 		})
+	}
+	if drains == 0 {
+		t.Fatal("no trial drained")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -259,10 +260,10 @@ func retainedScratch(t *testing.T, e *core, when string) *searchScratch {
 
 // checkScratchClean inspects the scratch the last search returned to the
 // engine's free list (either engine's): no global dense-table entry may
-// still be set, no seed may still be queued or pending, the seed arena must
-// be zero through its whole capacity, and nothing may still point into a
-// snapshot — neither the pinned set, nor a posting list, nor a tie band's
-// identifiers, nor a group path.
+// still be set, no seed may still be queued, the seed arena must be zero
+// through its whole capacity, and nothing may still point into a snapshot
+// — neither the pinned set, nor a posting cursor, nor a tie band's
+// postings or identifiers, nor a group path.
 func checkScratchClean(t *testing.T, e *core, when string) {
 	t.Helper()
 	s := retainedScratch(t, e, when)
@@ -276,10 +277,13 @@ func checkScratchClean(t *testing.T, e *core, when string) {
 			t.Fatalf("%s: stale used[%d]", when, ref)
 		}
 	}
-	if s.err != nil || len(s.refs)+len(s.usedRefs)+len(s.seen) != 0 {
+	if s.err != nil || len(s.refs)+len(s.misses)+len(s.usedRefs)+len(s.seen)+len(s.fresh) != 0 {
 		t.Fatalf("%s: released scratch still holds query state", when)
 	}
-	if len(s.snaps)+len(s.base)+len(s.lists)+len(s.band) != 0 {
+	if len(s.slotOf)+len(s.consumed) != 0 || s.work+s.postings+s.tabulated+s.probes+s.pushes != 0 {
+		t.Fatalf("%s: released scratch still holds per-seed state or counts", when)
+	}
+	if len(s.snaps)+len(s.base)+len(s.curs)+len(s.band) != 0 {
 		t.Fatalf("%s: released scratch still holds a pinned set", when)
 	}
 	for _, snap := range s.snaps[:cap(s.snaps)] {
@@ -287,19 +291,26 @@ func checkScratchClean(t *testing.T, e *core, when string) {
 			t.Fatalf("%s: released scratch still points to a pinned snapshot", when)
 		}
 	}
-	for _, ps := range s.lists[:cap(s.lists)] {
-		if ps != nil {
-			t.Fatalf("%s: released scratch still points to a posting list", when)
+	for _, c := range s.curs[:cap(s.curs)] {
+		if !reflect.ValueOf(c).IsZero() {
+			t.Fatalf("%s: released scratch still holds a posting cursor", when)
 		}
 	}
 	for _, b := range s.band[:cap(s.band)] {
-		if b.id != nil {
-			t.Fatalf("%s: released scratch still points to a band identifier", when)
+		if !reflect.ValueOf(b).IsZero() {
+			t.Fatalf("%s: released scratch still holds a band entry", when)
 		}
 	}
-	if len(s.pending)+len(s.heap)+s.queued != 0 {
-		t.Fatalf("%s: released scratch still holds %d seeds bucketed (%d queued), %d heaped",
-			when, len(s.pending), s.queued, len(s.heap))
+	if len(s.heap)+len(s.pool)+len(s.pending)+s.queued != 0 || s.drained || s.eager {
+		t.Fatalf("%s: released scratch still holds %d heaped, %d pooled and %d pending seeds", when, len(s.heap), len(s.pool), len(s.pending))
+	}
+	if len(s.tabs) != 0 {
+		t.Fatalf("%s: released scratch still holds TF tables", when)
+	}
+	for j, tab := range s.tabBufs {
+		if i := slices.IndexFunc(tab, func(e uint64) bool { return uint32(e>>32) > s.stamp }); i >= 0 {
+			t.Fatalf("%s: TF table %d carries a stamp past the scratch's at ref %d", when, j, i)
+		}
 	}
 	if len(s.seedOcc) != 0 {
 		t.Fatalf("%s: released scratch still holds %d seed occurrences", when, len(s.seedOcc))
@@ -411,19 +422,28 @@ func TestReferenceScratchReuse(t *testing.T) {
 	}
 }
 
-// TestReferenceAfterMidAssemblyCancel cancels a search at its first
-// assembly-loop poll — ctxCheckInterval queue visits in, hundreds of pages
-// accepted and their fragments marked used — and requires the next answers
-// from the same engine to equal the reference's.
+// TestReferenceAfterMidAssemblyCancel cancels a search mid-assembly —
+// every posting pulled (1 500 seeds tie on one score, so none is visited
+// before the last is read), then hundreds of pages accepted and their
+// fragments marked used — and requires the next answers from the same
+// engine to equal the reference's.
 func TestReferenceAfterMidAssemblyCancel(t *testing.T) {
 	e, req := bigExpansionEngine(t, 1500)
 	req.AllowOverlap = false
 	req.SizeThreshold = 4 // two-fragment pages: accepted from the first visits on
 	snap := e.Snapshot()
+	checkAgainstReference(t, e, snap, req, "warm-up")
 
-	// Polls: Search entry, searchSnapshot entry, one keyword, then the loop.
-	if _, err := e.Search(newErrAfter(3), req); !errors.Is(err, errDeadline) {
+	// Polls: Search entry, searchSnapshot entry, one keyword, then one per
+	// ctxCheckInterval pulls and visits. Every seed ties, so the smaller
+	// one-fragment pages expand (and absorb) before any two-fragment page
+	// is emitted: the 4 096th unit of work falls among the emissions.
+	probe := &cancelProbe{Context: context.Background(), failAt: 7, s: retainedScratch(t, &e.core, "warm-up")}
+	if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
 		t.Fatalf("err = %v, want the simulated deadline", err)
+	}
+	if probe.read != 1500 || probe.accepted < 200 {
+		t.Fatalf("cancelled with %d postings read and %d fragments in accepted pages, want all read and hundreds accepted", probe.read, probe.accepted)
 	}
 	checkScratchClean(t, &e.core, "after mid-assembly cancel")
 	for _, s := range []int{4, 6, 1} {
@@ -434,7 +454,7 @@ func TestReferenceAfterMidAssemblyCancel(t *testing.T) {
 
 // spreadEngine indexes one group of fragments that all carry "kw" once but
 // differ in size (2 … 98 keywords), so seed scores spread over five binades
-// and dozens of score buckets.
+// and the impact-ordered list hands them out in score order.
 func spreadEngine(t *testing.T, members int) *Engine {
 	t.Helper()
 	idx, err := fragindex.New(corpusSpec)
@@ -451,19 +471,24 @@ func spreadEngine(t *testing.T, members int) *Engine {
 }
 
 // TestReferenceEveryBucketDrains asks for more results than there are
-// pages, so K is never reached and every score bucket must be queued before
-// the search may end — while the heap runs empty between buckets (at s = 1
-// nothing expands: the head beats the next bucket until it is popped).
+// pages, so K is never reached and every posting must be pulled before the
+// search may end — while the heap runs empty between pulls (at s = 1
+// nothing expands: each head is emitted and popped, and the next pull
+// refills the queue).
 func TestReferenceEveryBucketDrains(t *testing.T) {
 	e := spreadEngine(t, 400)
 	snap := e.Snapshot()
 	all := Request{Keywords: []string{"kw"}, K: 1 << 30, SizeThreshold: 1, AllowOverlap: true}
+	before := e.SeedStats()
 	got, err := e.SearchSnapshot(context.Background(), snap, all)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 400 {
 		t.Fatalf("%d results, want one single-fragment page per seed (400)", len(got))
+	}
+	if st := e.SeedStats(); st.Postings-before.Postings != 400 || st.Seeds-before.Seeds != 400 {
+		t.Fatalf("read %d postings and registered %d seeds, want all 400", st.Postings-before.Postings, st.Seeds-before.Seeds)
 	}
 	checkAgainstReference(t, e, snap, all, "one page per seed")
 
@@ -482,13 +507,14 @@ func TestReferenceEveryBucketDrains(t *testing.T) {
 }
 
 // cancelProbe is a context whose Err() fails from the given poll on and, at
-// the first failing poll, records how much of a scratch's queue had been
-// built and consumed.
+// the first failing poll, records how far a scratch's seed source had
+// been read, how many seeds were queued (heap and pool) and how many fragments accepted
+// pages held.
 type cancelProbe struct {
 	context.Context
-	polls, failAt   int
-	s               *searchScratch
-	pending, heaped int
+	polls, failAt          int
+	s                      *searchScratch
+	read, heaped, accepted int
 }
 
 func (c *cancelProbe) Err() error {
@@ -497,33 +523,34 @@ func (c *cancelProbe) Err() error {
 		return nil
 	}
 	if c.polls == c.failAt {
-		c.pending, c.heaped = len(c.s.pending)-c.s.queued, len(c.s.heap)
+		c.read, c.heaped, c.accepted = c.s.postings, len(c.s.heap)+len(c.s.pool), len(c.s.usedRefs)
 	}
 	return errDeadline
 }
 
-// TestReferenceAfterMidRefillCancel cancels a search at its first
-// assembly-loop poll while most score buckets are still pending, and
-// requires the scratch to come back empty and the next answers to equal
-// the reference's.
+// TestReferenceAfterMidRefillCancel cancels a search at its first work
+// poll while most postings are still unread — a cancel during a pull —
+// and requires the scratch to come back empty and the next answers to
+// equal the reference's.
 func TestReferenceAfterMidRefillCancel(t *testing.T) {
 	e := spreadEngine(t, 3000)
 	snap := e.Snapshot()
 	req := Request{Keywords: []string{"kw"}, K: 1 << 30, SizeThreshold: 1}
 	checkAgainstReference(t, e, snap, req, "warm-up")
 
-	// Polls: Search entry, searchSnapshot entry, one keyword, then the loop.
+	// Polls: Search entry, searchSnapshot entry, one keyword, then the
+	// first work poll, ctxCheckInterval pulls and visits in.
 	probe := &cancelProbe{Context: context.Background(), failAt: 4, s: retainedScratch(t, &e.core, "warm-up")}
 	if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
 		t.Fatalf("err = %v, want the simulated deadline", err)
 	}
-	if probe.pending < 1000 || probe.heaped == 0 {
-		t.Fatalf("cancelled with %d seeds pending and %d heaped, want a part-built queue", probe.pending, probe.heaped)
+	if probe.read > 2000 || probe.heaped == 0 {
+		t.Fatalf("cancelled with %d of 3000 postings read and %d heaped, want a part-read source", probe.read, probe.heaped)
 	}
-	checkScratchClean(t, &e.core, "after mid-refill cancel")
+	checkScratchClean(t, &e.core, "after mid-pull cancel")
 	for _, s := range []int{1, 40, 300} {
 		req.SizeThreshold = s
-		checkAgainstReference(t, e, snap, req, fmt.Sprintf("s=%d after mid-refill cancel", s))
+		checkAgainstReference(t, e, snap, req, fmt.Sprintf("s=%d after mid-pull cancel", s))
 	}
 }
 
@@ -617,5 +644,170 @@ func TestShardedSameLocalRefs(t *testing.T) {
 		if len(got) != len(changes) {
 			t.Fatalf("overlap=%t: %d results, want one page per fragment (%d)", overlap, len(got), len(changes))
 		}
+	}
+}
+
+// TestReferenceLazyProperty checks the lazy engine — seeds pulled in
+// impact order under the threshold bound — against the naive reference on
+// seeded random histories: tie-heavy impacts (TF 1–2 over totals drawn
+// from a few values, 0 among them), inserts, updates that change a
+// fragment's total and keywords, and removals that leave tombstones in
+// the lists; at S ∈ {1, 2, 3}, with RequireAll, AllowOverlap, truncating
+// K and CandidateLimit drawn per request. The single index is searched
+// with its tombstones in place; the shards, a partition of a compaction of
+// it, are checked against the reference over that compaction. After each round one search is cancelled during a
+// pull (a ctx failing at the first work poll, on a corpus large enough to
+// reach it), and the engine's next answer must still be the reference's.
+// The histories must reach TF probes, and with them the keywords' tables.
+func TestReferenceLazyProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	frag := func(groups, serial int) corpusChange {
+		ch := tieFragment(r, groups, serial)
+		ch.total = []int64{0, 2, 4, 8, 8}[r.Intn(5)]
+		return ch
+	}
+	var probed, tabulated uint64 // TF probes and tables must be reached
+	reached := func(st SeedStats) { probed, tabulated = probed+st.Probes, tabulated+st.Tabulated }
+	for trial := 0; trial < 6; trial++ {
+		idx, err := fragindex.New(tieSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := 2 + r.Intn(5)
+		var live []corpusChange
+		serial := 0
+		for round := 0; round < 4; round++ {
+			for n := 10 + r.Intn(60); n > 0; n-- {
+				ch := frag(groups, serial)
+				serial++
+				if _, err := idx.InsertFragment(ch.id, ch.counts, ch.total); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, ch)
+			}
+			for n := r.Intn(8); n > 0 && len(live) > 1; n-- {
+				i := r.Intn(len(live))
+				if r.Intn(2) == 0 {
+					if err := idx.RemoveFragment(live[i].id); err != nil {
+						t.Fatal(err)
+					}
+					live = slices.Delete(live, i, i+1)
+					continue
+				}
+				upd := frag(groups, serial)
+				live[i].counts, live[i].total = upd.counts, upd.total
+				if err := idx.UpdateFragment(live[i].id, upd.counts, upd.total); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := idx.Freeze()
+			e := New(snap, nil)
+			for _, shards := range []int{1, 2, 3} {
+				when := fmt.Sprintf("trial %d round %d S=%d", trial, round, shards)
+				if shards == 1 {
+					for q := 0; q < 20; q++ {
+						checkAgainstReference(t, e, snap, tieRequest(r), when)
+					}
+					reached(e.SeedStats())
+					continue
+				}
+				// Restore orders a group's duplicate range values by
+				// identifier, insertion by history, so the shards are
+				// checked against a restored single index.
+				flat, err := fragindex.Restore(idx.Dump()) // idx holds snap: nothing changed since the Freeze
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := fragindex.Restore(idx.Dump())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sl, err := fragindex.NewShardedLive(b, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				se := NewSharded(sl, nil)
+				for q := 0; q < 20; q++ {
+					req := tieRequest(r)
+					got, err := se.Search(context.Background(), req)
+					if err != nil {
+						t.Fatalf("%s: %+v: %v", when, req, err)
+					}
+					if d := diffResults(refSearch(t, flat.Snapshot(), req), got); d != "" {
+						t.Fatalf("%s: %+v: sharded engine and reference disagree: %s", when, req, d)
+					}
+					checkScratchClean(t, &se.core, when)
+				}
+				reached(se.SeedStats())
+			}
+		}
+
+		// A cancel during a pull, then one during a drain: 4 200
+		// fragments carry "ale" and "bun" on equal terms, so a search for
+		// "ale" must pull until it drains, at a quarter of the list, and
+		// one for both hot keywords drains before its first pull.
+		big, err := fragindex.New(tieSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4200; i++ {
+			ch := frag(groups, i)
+			ch.counts["ale"], ch.counts["bun"], ch.total = 1, 1, 8
+			if _, err := big.InsertFragment(ch.id, ch.counts, ch.total); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := New(big, nil)
+		req := Request{Keywords: []string{"ale"}, K: 5, SizeThreshold: 20, RequireAll: r.Intn(2) == 0, AllowOverlap: r.Intn(2) == 0}
+		checkAgainstReference(t, e, big.Snapshot(), req, "warm-up")
+		// Polls: Search entry, the core's entry, one keyword, then the
+		// first work poll, ctxCheckInterval pulls in.
+		probe := &cancelProbe{Context: context.Background(), failAt: 4, s: retainedScratch(t, &e.core, "warm-up")}
+		if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
+			t.Fatalf("trial %d: err = %v, want the simulated deadline", trial, err)
+		}
+		if probe.read != ctxCheckInterval {
+			t.Fatalf("trial %d: cancelled after reading %d postings, want a cancel during a pull", trial, probe.read)
+		}
+		checkScratchClean(t, &e.core, "after a cancel during a pull")
+		req.Keywords = append(req.Keywords, "bun")
+		checkAgainstReference(t, e, big.Snapshot(), req, "after a cancel during a pull")
+		// Polls: Search entry, the core's entry, two keywords, then the
+		// drain's first cursor.
+		probe = &cancelProbe{Context: context.Background(), failAt: 5, s: retainedScratch(t, &e.core, "both keywords")}
+		if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
+			t.Fatalf("trial %d: err = %v, want the simulated deadline", trial, err)
+		}
+		if probe.read != 2 { // the cursors' heads: no pull came first
+			t.Fatalf("trial %d: cancelled after reading %d postings, want a cancel as the drain starts", trial, probe.read)
+		}
+		checkScratchClean(t, &e.core, "after a cancel during a drain")
+		checkAgainstReference(t, e, big.Snapshot(), req, "after a cancel during a drain")
+	}
+	if probed == 0 || tabulated == 0 {
+		t.Fatalf("histories made %d TF probes and tabulated %d postings; want both", probed, tabulated)
+	}
+}
+
+// TestTFTableStampWrap: a scratch's TF tables are retired by stamp, not
+// cleared, so when the stamps wrap the tables must be cleared — or an
+// entry a search wrote 2³² searches earlier, for another keyword at the
+// same table index, would read as current.
+func TestTFTableStampWrap(t *testing.T) {
+	r := rand.New(rand.NewSource(83))
+	idx := buildFrom(t, randomCorpus(r, 12, 40))
+	e := New(idx, nil)
+	snap := idx.Snapshot()
+	before := e.SeedStats()
+	req := Request{Keywords: corpusVocab[:2], K: 1 << 30, SizeThreshold: 6}
+	checkAgainstReference(t, e, snap, req, "first search")
+	if st := retainedScratch(t, &e.core, "first search"); st.stamp != 1 {
+		t.Fatalf("first search ran at stamp %d, want 1", st.stamp)
+	}
+	retainedScratch(t, &e.core, "first search").stamp = math.MaxUint32
+	req.Keywords = corpusVocab[2:4]
+	checkAgainstReference(t, e, snap, req, "after the stamps wrap")
+	if st := e.SeedStats(); st.Tabulated == before.Tabulated {
+		t.Fatal("no keyword was tabulated")
 	}
 }

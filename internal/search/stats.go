@@ -27,6 +27,9 @@ type Stats struct {
 	Removed        uint64  `json:"fragments_removed"`
 	Updated        uint64  `json:"fragments_updated"`
 	Compactions    uint64  `json:"compactions"`
+	// Seeding sums the scoring core's seeding work over every search that
+	// reached it (cache misses; see SeedStats).
+	Seeding SeedStats `json:"seeding"`
 	// PerShard carries each shard's own serving stats (epoch, publish
 	// counters) in shard order; nil with one shard.
 	PerShard []fragindex.LiveStats `json:"per_shard,omitempty"`
@@ -37,11 +40,29 @@ type Stats struct {
 	Admission *AdmissionStats `json:"admission,omitempty"`
 }
 
+// SeedStats counts what the scoring core read to seed its queue, summed
+// over searches: the Drains among them (searches that stopped pulling and
+// walked the rest of their lists), Postings read off the posting lists'
+// cursors (pulled, drained, or walked by a CandidateLimit cut), postings
+// Tabulated into per-keyword TF tables, TF Probes of those tables (a
+// seed's other keywords, an expansion neighbour's), Seeds registered as
+// candidates, and queue Pushes. Divided by Searches they are the per-miss
+// costs the threshold bound keeps down.
+type SeedStats struct {
+	Searches  uint64 `json:"searches"`
+	Drains    uint64 `json:"drains"`
+	Postings  uint64 `json:"postings_read"`
+	Tabulated uint64 `json:"postings_tabulated"`
+	Probes    uint64 `json:"tf_probes"`
+	Seeds     uint64 `json:"seeds_registered"`
+	Pushes    uint64 `json:"heap_pushes"`
+}
+
 // Stats folds the per-shard LiveStats rows into the unified shape. One
 // shard reports the "live" topology without per-shard detail.
 func (se *ShardedEngine) Stats() Stats {
 	rows, deltas := se.live.Stats()
-	st := Stats{Topology: TopologyLive, Shards: len(rows), DeltasApplied: deltas}
+	st := Stats{Topology: TopologyLive, Shards: len(rows), DeltasApplied: deltas, Seeding: se.SeedStats()}
 	if len(rows) > 1 {
 		st.Topology, st.PerShard = TopologySharded, rows
 	}
