@@ -2,10 +2,9 @@
 // inverted fragment index, which maps keywords to the fragments containing
 // them ordered by impact (term frequency over the fragment's total, the
 // order a threshold-bounded search reads them in; see Cursor), and the
-// fragment graph, whose nodes are
-// fragments weighted by their total keyword counts and whose edges connect
-// fragments that can combine into a db-page with nothing in between
-// (Fig. 9).
+// fragment graph, whose nodes are fragments weighted by their total keyword
+// counts and whose edges connect fragments that can combine into a db-page
+// with nothing in between (Fig. 9).
 //
 // Fragments whose equality attributes agree form a group; within a group
 // fragments are ordered by their range-attribute value, and the graph

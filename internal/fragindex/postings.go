@@ -12,13 +12,13 @@ import (
 // identifier ascending (see compareImpact). A fragment's impact on a
 // keyword is tf/Terms, the score a one-fragment page of it would earn per
 // unit of IDF; within a publish a ref's TF and total never change (an
-// update mints a new ref), so the order is static. The block is the posting copy-on-write unit: a publish copies the
-// list's block directory (one slice header per block) and the blocks it
-// writes, and shares every other block by pointer with the snapshot it
-// was built from — so an insert into a hot list copies ≈ blockSize
-// postings, not the whole list. Build, Restore and CompactPostings cut a
-// list into blocks of blockSize; an insert splits a block that grows past
-// maxBlock into two halves.
+// update mints a new ref), so the order is static. The block is the posting
+// copy-on-write unit: a publish copies the list's block directory (one
+// slice header per block) and the blocks it writes, and shares every other
+// block by pointer with the snapshot it was built from — so an insert into
+// a hot list copies ≈ blockSize postings, not the whole list. Build,
+// Restore and CompactPostings cut a list into blocks of blockSize; an
+// insert splits a block that grows past maxBlock into two halves.
 const (
 	blockSize = 128
 	maxBlock  = 2 * blockSize
@@ -261,9 +261,9 @@ func (idx *Index) insertPosting(kw string, p Posting) {
 }
 
 // CompactPostings drops tombstoned entries from one keyword's inverted
-// list, reclaiming their slots: the live entries are copied once, in
-// stored order, into a fresh array and cut into blocks of blockSize. A list left with no live
-// entry is dropped from the directory. RemoveFragment calls it
+// list, reclaiming their slots: the live entries are copied once, in stored
+// order, into a fresh array and cut into blocks of blockSize. A list left
+// with no live entry is dropped from the directory. RemoveFragment calls it
 // automatically once a list's dead ratio reaches the compaction threshold;
 // it is exported for callers that want eager reclamation.
 func (idx *Index) CompactPostings(keyword string) {

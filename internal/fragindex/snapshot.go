@@ -208,7 +208,11 @@ type groupPage = page[group]
 // map, the equality-group id, and the position within the group (-1 when
 // dead). Only an insert or removal in a group shifts positions, so only
 // those rewrite other members' chunks; an update keeps its slot. gen
-// stamps the builder generation that allocated the chunk.
+// stamps the builder generation that allocated the chunk. The cursors read
+// totals and liveness off the compact columns because reading them off
+// the summaries raised replica_ryw's search p95, whose serial misses find
+// cold caches, from +24 % to +38 % over an engine that walked every list
+// (higher in 10 of 10 alternating pairs).
 type metaChunk struct {
 	frags    []Meta
 	tot      []int32
@@ -519,11 +523,11 @@ func (s *Snapshot) IDF(keyword string) float64 {
 	return pl.idf
 }
 
-// PostingsIDF returns Postings(keyword) and IDF(keyword) with a single
-// list lookup, postings in stored order (see Postings). The search engine
-// does not gather lists; it walks them in place (see Cursor). A clean list of one
-// block is the snapshot's own block, returned by reference; it must not be
-// modified. Any other list — several blocks, or tombstones — is
+// PostingsIDF returns Postings(keyword) and IDF(keyword) with a single list
+// lookup, postings in stored order (see Postings). The search engine does
+// not gather lists; it walks them in place (see Cursor). A clean list of
+// one block is the snapshot's own block, returned by reference; it must not
+// be modified. Any other list — several blocks, or tombstones — is
 // concatenated, tombstones filtered out, into *buf's storage (overwritten
 // from its start, grown when too small) when buf is non-nil, and the
 // result aliases it: a caller that keeps *buf between calls, as the

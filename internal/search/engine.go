@@ -46,10 +46,11 @@
 //     does, and a query whose expanded pages score far below its single
 //     fragments does not settle early. Once a search has pulled a quarter
 //     of its lists' postings — or at once, when every keyword of a
-//     several-keyword query is hot — drain walks the rest block by block,
-//     registers what it finds with no probe, and counting-sorts every seed
-//     not yet heaped into score buckets that refill moves into the heap
-//     best first.
+//     several-keyword query is hot, or when it has more keywords than a
+//     scratch keeps TF tables for (maxTables) — drain walks the rest block
+//     by block, registers what it finds with no probe, and counting-sorts
+//     every seed not yet heaped into score buckets that refill moves into
+//     the heap best first.
 //   - A two-level queue. Registered seeds wait in a pool ordered by
 //     (score, size) alone; one moves into the candLess heap only once it
 //     is not strictly worse than the heap's head on those two. So only
@@ -366,7 +367,7 @@ type searchScratch struct {
 	eager     bool                 // every keyword is hot: drain before the first pull (see hotDF)
 	drained   bool                 // drain ran: the seeds not in heap are in pending
 	tabs      [][]uint64           // lazy seeding: per keyword, its stamped TF per global ref once tabulated, else nil
-	tabBufs   [][]uint64           // per keyword index: storage for tabs (see tabulate)
+	tabBufs   [][]uint64           // per keyword index, at most maxTables: storage for tabs (see tabulate)
 	stamp     uint32               // this search's table stamp; no table entry carries a later one
 	refs      []fragindex.FragRef  // candidate global ref per ordinal
 	ordOf     []int32              // per global ref: ordinal+1, 0 when unknown, -1 when probed irrelevant
@@ -540,9 +541,6 @@ func (s *searchScratch) open(ctx context.Context) error {
 			df += n
 		}
 		s.tabs = append(s.tabs, nil)
-		if len(s.tabBufs) == i {
-			s.tabBufs = append(s.tabBufs, nil)
-		}
 		s.idf, s.dfSum = append(s.idf, idfOf(df)), s.dfSum+df
 		s.eager = s.eager && df >= hotDF
 		for ci := i * ns; ci < (i+1)*ns; ci++ {
@@ -583,7 +581,9 @@ func (s *searchScratch) advance(ci int) {
 // every visit: expansion rewrites the head in place and can move its
 // score either way. Each round first promotes the pool's contenders, so
 // the head it tests is the best registered seed. Each pull advances the
-// cursor with the largest bound, the one that lowers τ most.
+// cursor with the largest bound, the one that lowers τ most; a search that
+// has pulled too much, whose keywords are all hot, or whose probes would
+// need more tables than a scratch keeps, drains instead (see drainRatio).
 func (s *searchScratch) fill(ctx context.Context) error {
 	ns, batch := len(s.snaps), 1
 	for {
@@ -610,7 +610,7 @@ func (s *searchScratch) fill(ctx context.Context) error {
 		if next < 0 || len(s.heap) > 0 && s.heap[0].score > tau+tau*s.margin {
 			return nil
 		}
-		if s.eager || s.postings*drainRatio > s.dfSum {
+		if s.eager || s.postings*drainRatio > s.dfSum || len(s.keywords) > maxTables {
 			if err := s.drain(ctx); err != nil {
 				return err
 			}
@@ -637,6 +637,11 @@ func (s *searchScratch) fill(ctx context.Context) error {
 // pulled 1/drainRatio of its lists' postings, drain reads the rest in one
 // pass; and a query of several keywords that are all hot — each in at
 // least hotDF fragments of the pinned set — drains before its first pull.
+// The early drain is what keeps the slowest misses near a bulk walk's
+// cost: on replica_ryw, whose serial misses find cold caches, it cut the
+// search p95 from +24 % to +8 % over an engine that walked every list
+// (lower in 10 of 10 alternating pairs), and it moved search_uncached's
+// cpu_ms_per_op by under 2 % (two batches of 10 pairs, one each way).
 const (
 	drainRatio = 4
 	hotDF      = 1000
@@ -645,11 +650,11 @@ const (
 // drain reads every posting still behind the cursors, block by block,
 // registers every live fragment they hold that is not registered yet, and
 // hands every seed not in the heap — the pool's and the new ones — to
-// bucketSeeds. A fragment no cursor had reached has all its postings
-// behind the cursors, so its occurrence vector comes whole from the walk,
-// with no probe; one registered before the drain is complete already.
-// Afterwards every cursor is exhausted, so fill pulls nothing more, no
-// probe can register a seed, and refill orders what is left. The ctx is
+// bucketSeeds. A fragment no cursor had reached has all its postings behind
+// the cursors, so its occurrence vector comes whole from the walk, with no
+// probe; one registered before the drain is complete already. Afterwards
+// every cursor is exhausted, so fill pulls nothing more, no probe looks up
+// a table or registers a seed, and refill orders what is left. The ctx is
 // polled once per cursor, as open polls once per keyword.
 func (s *searchScratch) drain(ctx context.Context) error {
 	ns, nk, first, pooled := len(s.snaps), len(s.keywords), int32(len(s.refs)), len(s.pool)
@@ -702,7 +707,9 @@ func (s *searchScratch) drain(ctx context.Context) error {
 // The seeds a drain leaves are counting-sorted into at most numBuckets
 // score buckets: a full walk registers every fragment of the lists, most of
 // which never reach the head, and a bucket costs them two passes where a
-// heap would cost each a sift.
+// heap would cost each a sift. (Heapifying them into the pool instead, in
+// one O(n) pass, then sifting each promotion out of it, left small/Q2's
+// miss mix a quarter slower at the 99th percentile.)
 const (
 	bucketBits = 8
 	numBuckets = 1 << bucketBits
@@ -827,6 +834,15 @@ func (s *searchScratch) tf(j, si int, ref fragindex.FragRef, terms int64) int64 
 	return 0
 }
 
+// maxTables bounds the TF tables one search fills, and with them what a
+// retained scratch keeps: a table costs 8 B per ref of the pinned set,
+// beside the 5 B per ref of ordOf and used. A query of more keywords
+// drains before its first pull (see fill), so no probe of it looks a table
+// up, and a scratch never holds more than maxTables of them, however many
+// keywords the queries it served carried. The search_uncached mix has at
+// most three.
+const maxTables = 4
+
 // tabulate copies keyword j's TF per global ref over the pinned set into a
 // dense table, which answers j's probes, and returns it. Each entry
 // carries the search's stamp above its TF, so an entry an earlier search
@@ -835,6 +851,9 @@ func (s *searchScratch) tf(j, si int, ref fragindex.FragRef, terms int64) int64 
 // copied too: only live refs are ever probed. Its postings count as
 // tabulated, not as pulled.
 func (s *searchScratch) tabulate(j int) []uint64 {
+	for len(s.tabBufs) <= j {
+		s.tabBufs = append(s.tabBufs, nil)
+	}
 	t := s.tabBufs[j]
 	if len(t) < len(s.ordOf) {
 		t = make([]uint64, len(s.ordOf))

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -109,17 +110,19 @@ func openQueue(t *testing.T, e *core, snaps []*fragindex.Snapshot) *searchScratc
 }
 
 // TestLazyQueueVisitsInFullHeapOrder: on random corpora, the threshold-
-// bounded queue — seeds pulled in impact order only until the head
-// strictly outscores τ (fill), the rest drained into score buckets once a
-// quarter of the postings are pulled — visits entries in exactly the order
-// a queue holding every seed from the start does under candLess, while
-// heads are popped, raised and lowered. The reference here is every seed,
-// drained up front, in a slice scanned for its minimum. The cases aim at
-// the bound: exact ties at τ, every score equal, scores a few units in
-// the last place apart on either side of τ (where only the margin keeps
-// the bound sound), size-0 fragments scoring 0, and scores across many
-// binades; trials must reach both a first visit with postings unread and a
-// drain.
+// bounded queue — seeds pulled in impact order only until the head strictly
+// outscores τ (fill), the rest drained into score buckets once a quarter of
+// the postings are pulled — visits entries in exactly the order a queue
+// holding every seed from the start does under candLess, while heads are
+// popped, raised and lowered. The reference here is every seed, drained up
+// front, in a slice scanned for its minimum; that drain must bucket every
+// seed exactly once, scored, best bucket first (see checkBuckets;
+// TestBucketQueueEdges drives the buckets on their edges directly). The
+// cases aim at the bound: exact ties at τ, every score equal, scores a few
+// units in the last place apart on either side of τ (where only the margin
+// keeps the bound sound), size-0 fragments scoring 0, and scores across
+// many binades; trials must reach both a first visit with postings unread
+// and a drain.
 func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
 	pick := func(r *rand.Rand, xs ...int64) int64 { return xs[r.Intn(len(xs))] }
 	some := func(r *rand.Rand, f func() int64) (tfs [3]int64) {
@@ -189,6 +192,12 @@ func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
 				if len(all) != n || full.postings != df {
 					t.Fatalf("trial %d: draining registered %d of %d seeds after %d of %d postings", trial, len(all), n, full.postings, df)
 				}
+				seeds := make([]heapEntry, n)
+				for ord := range seeds {
+					size := full.sizeOf(int32(ord))
+					seeds[ord] = heapEntry{score: score(full.occOf(int32(ord)), size, full.idf), size: size, ord: int32(ord)}
+				}
+				checkBuckets(t, full, seeds, fmt.Sprintf("trial %d", trial))
 				scores := make([]float64, len(all))
 				for i, h := range all {
 					scores[i] = h.score
@@ -256,5 +265,107 @@ func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
 	}
 	if drains == 0 {
 		t.Fatal("no trial drained")
+	}
+}
+
+// checkBuckets requires s's pending buckets to hold exactly the entries
+// want, indexed by ordinal — every seed once, with its score and size —
+// grouped best bucket first.
+func checkBuckets(t *testing.T, s *searchScratch, want []heapEntry, when string) {
+	t.Helper()
+	got := slices.Clone(s.pending)
+	slices.SortFunc(got, func(a, b heapEntry) int { return int(a.ord - b.ord) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: the buckets hold %d entries, want every one of %d seeds once, scored", when, len(got), len(want))
+	}
+	for i := 1; i < len(s.pending); i++ {
+		if s.bucketOf(s.pending[i-1].score) < s.bucketOf(s.pending[i].score) {
+			t.Fatalf("%s: pending[%d] is in a better bucket than pending[%d]", when, i, i-1)
+		}
+	}
+}
+
+// TestBucketQueueEdges drives bucketSeeds and refill directly, with scores
+// pinned on a bucket boundary: at least 256 seeds spanning
+// [edge-3<<40, edge+3<<40) make the shift 35, so edge-1 and edge are
+// adjacent floats in different buckets, and most seeds sit within two
+// units in the last place of a boundary. Every seed's candidate is
+// materialised up front, as a one-fragment interval of a group at path
+// position ord, so candLess never reads an index. The buckets must hold
+// every seed once, best bucket first, and refill must visit in exactly the
+// order a slice scanned for its candLess minimum does while heads are
+// popped, raised and lowered.
+func TestBucketQueueEdges(t *testing.T) {
+	edge := math.Float64bits(0.25)
+	r := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 30; trial++ {
+		n := numBuckets + 40 + r.Intn(600)
+		s := &searchScratch{slotOf: make([]int32, n), consumed: make([]bool, n)}
+		want := make([]heapEntry, n)
+		minBits, maxBits := uint64(math.MaxUint64), uint64(0)
+		for ord := range want {
+			b := edge + uint64(r.Intn(5)-2)<<35 + uint64(r.Intn(3)) - 1
+			if ord < 2 { // pin the range
+				b = edge - 3<<40 + uint64(ord)*(6<<40-1)
+			}
+			e := heapEntry{score: math.Float64frombits(b), size: int64(1 + r.Intn(2)), ord: int32(ord)}
+			want[ord] = e
+			s.pool = append(s.pool, e)
+			s.cands = append(s.cands, candidate{gkey: fmt.Sprintf("g%d", r.Intn(3)), lo: ord, hi: ord})
+			s.slotOf[ord] = int32(ord) + 1
+			minBits, maxBits = min(minBits, b), max(maxBits, b)
+		}
+		s.bucketSeeds(minBits, maxBits)
+		if s.shift != 35 {
+			t.Fatalf("trial %d: shift = %d, want 35", trial, s.shift)
+		}
+		if s.bucketOf(math.Float64frombits(edge-1)) == s.bucketOf(math.Float64frombits(edge)) {
+			t.Fatalf("trial %d: edge-1 and edge share a bucket", trial)
+		}
+		when := fmt.Sprintf("trial %d", trial)
+		checkBuckets(t, s, want, when)
+
+		scores := make([]float64, n)
+		for i, e := range want {
+			scores[i] = e.score
+		}
+		seed := r.Int63()
+		first := true
+		got := visitOrder(rand.New(rand.NewSource(seed)), scores,
+			func() (heapEntry, fragindex.FragRef, bool) {
+				s.refill()
+				if first && s.queued == len(s.pending) {
+					t.Fatalf("%s: all %d seeds queued before the first visit", when, n)
+				}
+				first = false
+				if len(s.heap) == 0 {
+					return heapEntry{}, 0, false
+				}
+				return s.heap[0], fragindex.FragRef(s.heap[0].ord), true
+			},
+			s.popTop,
+			func(e heapEntry) { s.heap[0] = e; s.siftDown(0) })
+		if s.queued != len(s.pending) {
+			t.Fatalf("%s: queue ran empty with %d seeds pending", when, len(s.pending)-s.queued)
+		}
+		all, best := want, 0
+		wantOrder := visitOrder(rand.New(rand.NewSource(seed)), scores,
+			func() (heapEntry, fragindex.FragRef, bool) {
+				if len(all) == 0 {
+					return heapEntry{}, 0, false
+				}
+				best = 0
+				for i := range all {
+					if s.candLess(all[i], all[best]) {
+						best = i
+					}
+				}
+				return all[best], fragindex.FragRef(all[best].ord), true
+			},
+			func() { all = slices.Delete(all, best, best+1) },
+			func(e heapEntry) { all[best] = e })
+		if !slices.Equal(got, wantOrder) {
+			t.Fatalf("%s: the buckets visit %d entries, a full queue %d, in another order", when, len(got), len(wantOrder))
+		}
 	}
 }

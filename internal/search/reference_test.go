@@ -307,6 +307,9 @@ func checkScratchClean(t *testing.T, e *core, when string) {
 	if len(s.tabs) != 0 {
 		t.Fatalf("%s: released scratch still holds TF tables", when)
 	}
+	if len(s.tabBufs) > maxTables {
+		t.Fatalf("%s: released scratch keeps %d TF tables, want at most %d", when, len(s.tabBufs), maxTables)
+	}
 	for j, tab := range s.tabBufs {
 		if i := slices.IndexFunc(tab, func(e uint64) bool { return uint32(e>>32) > s.stamp }); i >= 0 {
 			t.Fatalf("%s: TF table %d carries a stamp past the scratch's at ref %d", when, j, i)
@@ -471,10 +474,10 @@ func spreadEngine(t *testing.T, members int) *Engine {
 }
 
 // TestReferenceEveryBucketDrains asks for more results than there are
-// pages, so K is never reached and every posting must be pulled before the
-// search may end — while the heap runs empty between pulls (at s = 1
-// nothing expands: each head is emitted and popped, and the next pull
-// refills the queue).
+// pages, so K is never reached and every posting must be pulled or drained
+// before the search may end — while the heap runs empty between pulls (at
+// s = 1 nothing expands: each head is emitted and popped, and the next
+// pull refills the queue).
 func TestReferenceEveryBucketDrains(t *testing.T) {
 	e := spreadEngine(t, 400)
 	snap := e.Snapshot()
@@ -742,10 +745,11 @@ func TestReferenceLazyProperty(t *testing.T) {
 			}
 		}
 
-		// A cancel during a pull, then one during a drain: 4 200
+		// A cancel during a pull, then two as a drain starts: 4 200
 		// fragments carry "ale" and "bun" on equal terms, so a search for
-		// "ale" must pull until it drains, at a quarter of the list, and
-		// one for both hot keywords drains before its first pull.
+		// "ale" must pull until it drains, at a quarter of the list, while
+		// one for both hot keywords, and one of more keywords than
+		// maxTables, drain before their first pull.
 		big, err := fragindex.New(tieSpec)
 		if err != nil {
 			t.Fatal(err)
@@ -783,6 +787,24 @@ func TestReferenceLazyProperty(t *testing.T) {
 		}
 		checkScratchClean(t, &e.core, "after a cancel during a drain")
 		checkAgainstReference(t, e, big.Snapshot(), req, "after a cancel during a drain")
+		req.Keywords = append(slices.Clone(tieVocab), "eel") // eel: no list
+		heads := 0
+		for _, w := range req.Keywords {
+			if big.Snapshot().DF(w) > 0 {
+				heads++
+			}
+		}
+		// Polls: Search entry, the core's entry, one per keyword, then the
+		// drain's first cursor.
+		probe = &cancelProbe{Context: context.Background(), failAt: 3 + len(req.Keywords), s: retainedScratch(t, &e.core, "after a drain")}
+		if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
+			t.Fatalf("trial %d: err = %v, want the simulated deadline", trial, err)
+		}
+		if probe.read != heads { // the cursors' heads: no pull came first
+			t.Fatalf("trial %d: cancelled after reading %d postings, want a cancel as the drain starts (%d heads)", trial, probe.read, heads)
+		}
+		checkScratchClean(t, &e.core, "after a cancel during a drain")
+		checkAgainstReference(t, e, big.Snapshot(), req, "after a cancel during a drain")
 	}
 	if probed == 0 || tabulated == 0 {
 		t.Fatalf("histories made %d TF probes and tabulated %d postings; want both", probed, tabulated)
@@ -810,4 +832,60 @@ func TestTFTableStampWrap(t *testing.T) {
 	if st := e.SeedStats(); st.Tabulated == before.Tabulated {
 		t.Fatal("no keyword was tabulated")
 	}
+}
+
+// TestTFTablesBounded: a query may name any number of keywords, but a
+// scratch fills at most maxTables TF tables, each 8 B per ref of the pinned
+// set, and keeps no more once released. On a corpus of 300 keywords, none
+// hot, a query naming all of them drains before its first pull and fills
+// no table; queries of up to maxTables keywords fill tables and leave at
+// most maxTables behind; every answer is the reference's.
+func TestTFTablesBounded(t *testing.T) {
+	r := rand.New(rand.NewSource(89))
+	vocab := make([]string, 300)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("w%03d", i)
+	}
+	var changes []corpusChange
+	for g := 0; g < 20; g++ {
+		for v := 0; v < 40; v++ {
+			counts := make(map[string]int64)
+			for n := 1 + r.Intn(4); n > 0; n-- {
+				counts[vocab[r.Intn(len(vocab))]] = int64(1 + r.Intn(3))
+			}
+			changes = append(changes, corpusChange{
+				id:     fragment.ID{relation.String(fmt.Sprintf("g%03d", g)), relation.Int(int64(v))},
+				counts: counts,
+				total:  int64(4 + r.Intn(20)),
+			})
+		}
+	}
+	idx := buildFrom(t, changes)
+	e := New(idx, nil)
+	snap := idx.Snapshot()
+	wide := func(when string) {
+		t.Helper()
+		before := e.SeedStats()
+		checkAgainstReference(t, e, snap, Request{Keywords: vocab, K: 10, SizeThreshold: 30}, when)
+		if st := e.SeedStats(); st.Drains != before.Drains+1 || st.Tabulated != before.Tabulated || st.Probes != before.Probes {
+			t.Fatalf("%s: %d drains, %d postings tabulated and %d TF probes, want one drain and no table",
+				when, st.Drains-before.Drains, st.Tabulated-before.Tabulated, st.Probes-before.Probes)
+		}
+		if n := len(retainedScratch(t, &e.core, when).tabBufs); n > maxTables {
+			t.Fatalf("%s: the scratch keeps %d TF tables, want at most %d", when, n, maxTables)
+		}
+	}
+	wide("a query of every keyword")
+	before := e.SeedStats()
+	for q := 0; q < 60; q++ {
+		req := Request{K: 1 + r.Intn(20), SizeThreshold: 1 + r.Intn(60)}
+		for n := 1 + r.Intn(maxTables); n > 0; n-- {
+			req.Keywords = append(req.Keywords, vocab[r.Intn(len(vocab))])
+		}
+		checkAgainstReference(t, e, snap, req, fmt.Sprintf("query %d", q))
+	}
+	if st := e.SeedStats(); st.Tabulated == before.Tabulated {
+		t.Fatal("no query of up to maxTables keywords filled a TF table")
+	}
+	wide("a query of every keyword, after tables were filled")
 }
