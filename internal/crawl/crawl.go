@@ -16,7 +16,9 @@
 package crawl
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 
 	"repro/internal/fragment"
 	"repro/internal/mapreduce"
@@ -73,8 +75,10 @@ type Output struct {
 	// FragmentTerms maps fragment key -> total keyword count (the node
 	// weights of the fragment graph, Fig. 9).
 	FragmentTerms map[string]int64
-	// Inverted maps keyword -> postings sorted by TF descending
-	// (ties broken by fragment key ascending), as in Fig. 6.
+	// Inverted maps keyword -> postings sorted by TF descending, ties
+	// broken by fragment identifier order, as in Fig. 6. The order is made
+	// once, as the output is assembled (sortInverted): the MapReduce jobs
+	// before that emit postings in no particular order.
 	Inverted map[string][]Posting
 	Phases   []Phase
 }
@@ -89,7 +93,7 @@ func (o *Output) Fragments() ([]fragment.ID, error) {
 		}
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Compare(ids[j]) < 0 })
+	slices.SortFunc(ids, fragment.ID.Compare)
 	return ids, nil
 }
 
@@ -141,30 +145,51 @@ func Reference(db *relation.Database, b *psj.Bound) (*Output, error) {
 			out.Inverted[kw] = append(out.Inverted[kw], Posting{FragKey: key, TF: int64(n)})
 		}
 	}
-	for kw := range out.Inverted {
-		sortPostings(out.Inverted[kw])
+	if err := sortInverted(out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// sortPostings orders postings by TF descending, breaking ties by fragment
-// identifier order (the semantic ordering fragindex uses, not raw key
-// bytes — varint length prefixes would invert it).
-func sortPostings(ps []Posting) {
-	ids := make(map[string]fragment.ID, len(ps))
-	for _, p := range ps {
-		if _, ok := ids[p.FragKey]; !ok {
-			id, err := fragment.ParseID(p.FragKey)
-			if err != nil {
-				id = nil // corrupt keys sort first; callers surface the error later
+// sortInverted sorts each inverted list once, by TF descending and then
+// fragment identifier order — the semantic ordering fragindex uses, not raw
+// key bytes: varint length prefixes would invert it. The fragments are
+// parsed and ranked once, so the sorts compare integers. A key that does
+// not parse, or a posting naming a fragment FragmentTerms lacks, is corrupt.
+func sortInverted(out *Output) error {
+	ids, err := out.Fragments()
+	if err != nil {
+		return fmt.Errorf("%w: fragment key: %v", ErrCorruptPosting, err)
+	}
+	keys := make([]string, len(ids))
+	rank := make(map[string]int, len(ids))
+	for i, id := range ids {
+		keys[i] = id.Key()
+		rank[keys[i]] = i
+	}
+	type ranked struct {
+		tf   int64
+		rank int
+	}
+	var rs []ranked
+	for kw, ps := range out.Inverted {
+		rs = rs[:0]
+		for _, p := range ps {
+			r, ok := rank[p.FragKey]
+			if !ok {
+				return fmt.Errorf("%w: keyword %q names fragment %q, which has no size", ErrCorruptPosting, kw, p.FragKey)
 			}
-			ids[p.FragKey] = id
+			rs = append(rs, ranked{p.TF, r})
+		}
+		slices.SortFunc(rs, func(a, b ranked) int {
+			if a.tf != b.tf {
+				return cmp.Compare(b.tf, a.tf)
+			}
+			return a.rank - b.rank
+		})
+		for i, r := range rs {
+			ps[i] = Posting{FragKey: keys[r.rank], TF: r.tf}
 		}
 	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].TF != ps[j].TF {
-			return ps[i].TF > ps[j].TF
-		}
-		return ids[ps[i].FragKey].Compare(ids[ps[j].FragKey]) < 0
-	})
+	return nil
 }

@@ -1,14 +1,19 @@
 package crawl
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/fooddb"
 	"repro/internal/fragment"
+	"repro/internal/mapreduce"
 	"repro/internal/psj"
 	"repro/internal/relation"
 )
@@ -406,16 +411,202 @@ func TestIntegratedShufflesFewerBytes(t *testing.T) {
 	}
 }
 
+// decodeAll collects what decodePostings decodes.
+func decodeAll(b []byte) ([]Posting, error) {
+	var ps []Posting
+	err := decodePostings(b, func(fragKey []byte, tf int64) {
+		ps = append(ps, Posting{FragKey: string(fragKey), TF: tf})
+	})
+	return ps, err
+}
+
+// corruptPostingSeeds are TestDecodePostingsCorrupt's inputs, and
+// FuzzDecodePostings's seeds. hugeKey claims a key of 2⁶⁴−1 bytes, which
+// is −1 as an int.
+func corruptPostingSeeds() (truncVarint, ok, truncKey, hugeKey []byte) {
+	ok = appendPosting(nil, "frag", 3)
+	hugeKey = binary.AppendUvarint([]byte{3}, math.MaxUint64)
+	return []byte{0x80}, ok, ok[:len(ok)-2], append(hugeKey, "frag"...)
+}
+
 func TestDecodePostingsCorrupt(t *testing.T) {
-	if _, err := decodePostings([]byte{0x80}); err == nil {
+	truncVarint, blob, truncKey, hugeKey := corruptPostingSeeds()
+	if _, err := decodeAll(truncVarint); err == nil {
 		t.Error("truncated varint should fail")
 	}
-	blob := appendPosting(nil, "frag", 3)
-	if ps, err := decodePostings(blob); err != nil || len(ps) != 1 || ps[0].TF != 3 {
+	if _, err := decodeAll(hugeKey); err == nil {
+		t.Error("a key longer than the input should fail")
+	}
+	if ps, err := decodeAll(blob); err != nil || len(ps) != 1 || ps[0].TF != 3 {
 		t.Errorf("round trip = %v, %v", ps, err)
 	}
-	if _, err := decodePostings(blob[:len(blob)-2]); err == nil {
+	if _, err := decodeAll(truncKey); err == nil {
 		t.Error("truncated key should fail")
+	}
+	// 0x83 0x00 is 3 in two bytes: decodable, but not what appendPosting
+	// writes, so it is not a posting.
+	if _, err := decodeAll(append([]byte{0x83, 0x00}, blob[1:]...)); err == nil {
+		t.Error("non-minimal TF varint should fail")
+	}
+	if _, err := decodeAll(append([]byte{3, 0x84, 0x00}, blob[2:]...)); err == nil {
+		t.Error("non-minimal key length varint should fail")
+	}
+}
+
+// FuzzDecodePostings: decoding never panics, and whatever it accepts is
+// exactly what appendPosting writes for the decoded postings.
+func FuzzDecodePostings(f *testing.F) {
+	truncVarint, blob, truncKey, hugeKey := corruptPostingSeeds()
+	for _, seed := range [][]byte{truncVarint, blob, truncKey, hugeKey, append(blob, blob...)} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ps, err := decodeAll(b)
+		if err != nil {
+			return
+		}
+		var again []byte
+		for _, p := range ps {
+			again = appendPosting(again, p.FragKey, p.TF)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("decoded %v from %x, which re-encodes to %x", ps, b, again)
+		}
+	})
+}
+
+// TestAssembleOutputRejectsCorruptPostings: a posting whose fragment key
+// does not decode, or names a fragment no size record names, is an error
+// wrapping ErrCorruptPosting — never a posting ranked first by default.
+func TestAssembleOutputRejectsCorruptPostings(t *testing.T) {
+	key := func(s string) string { return fragment.ID{relation.String(s)}.Key() }
+	size := func(fragKey string, n uint64) mapreduce.KV {
+		return mapreduce.KV{Key: sizeKeyPrefix + fragKey, Value: binary.AppendUvarint(nil, n)}
+	}
+	kw := func(fragKeys ...string) mapreduce.KV {
+		var blob []byte
+		for _, fk := range fragKeys {
+			blob = appendPosting(blob, fk, 1)
+		}
+		return mapreduce.KV{Key: keywordKeyPrefix + "kiwi", Value: blob}
+	}
+	const undecodable = "\xff" // no value kind is 0xff
+	for _, tc := range []struct {
+		name string
+		kvs  []mapreduce.KV
+	}{
+		{"size record key does not decode", []mapreduce.KV{size(key("a"), 1), size(undecodable, 1), kw(key("a"))}},
+		{"posting key does not decode", []mapreduce.KV{size(key("a"), 1), kw(key("a"), undecodable)}},
+		{"posting key has no size record", []mapreduce.KV{kw(key("a"), key("b")), size(key("a"), 1)}},
+	} {
+		if _, err := assembleOutput(AlgIntegrated, nil, tc.kvs, nil); !errors.Is(err, ErrCorruptPosting) {
+			t.Errorf("%s: err = %v, want ErrCorruptPosting", tc.name, err)
+		}
+	}
+	out, err := assembleOutput(AlgIntegrated, nil,
+		[]mapreduce.KV{kw(key("b"), key("a")), size(key("b"), 1), size(key("a"), 1)}, nil)
+	if err != nil {
+		t.Fatalf("well-formed pairs: %v", err)
+	}
+	if got := out.Inverted["kiwi"]; len(got) != 2 || got[0].FragKey != key("a") || got[1].FragKey != key("b") {
+		t.Errorf("kiwi postings = %v, want a then b", got)
+	}
+}
+
+// TestTiesListInIdentifierOrder: two fragments tie on TF, and the byte
+// order of their keys ("b" < "ab": the uvarint length prefix comes first)
+// is the reverse of their identifier order ("ab" < "b"). Every algorithm,
+// at any reduce-task count, lists them in identifier order.
+func TestTiesListInIdentifierOrder(t *testing.T) {
+	db := relation.NewDatabase("ties")
+	tbl := relation.NewTable(relation.MustSchema("t",
+		relation.Column{Name: "s", Kind: relation.KindString},
+		relation.Column{Name: "x", Kind: relation.KindString},
+	))
+	for _, r := range [][2]string{{"b", "kiwi fig fig"}, {"ab", "kiwi"}, {"ab", "fig"}} {
+		if err := tbl.Append(relation.Row{relation.String(r[0]), relation.String(r[1])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.AddTable(tbl)
+	b, err := psj.Bind(psj.MustParse("SELECT x FROM t WHERE s = $s"), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := func(s string) string { return fragment.ID{relation.String(s)}.Key() }; key("b") >= key("ab") {
+		t.Fatal("fixture: the key of b must sort before the key of ab")
+	}
+	// fig: TF decides before identifier order does.
+	want := map[string][]string{"kiwi": {"(ab)", "(b)"}, "fig": {"(b)", "(ab)"}}
+	for _, reduceTasks := range []int{1, 3} {
+		opts := Options{Parallelism: 2, ReduceTasks: reduceTasks}
+		outs := map[string]func() (*Output, error){
+			"reference":  func() (*Output, error) { return Reference(db, b) },
+			"stepwise":   func() (*Output, error) { return Stepwise(context.Background(), db, b, opts) },
+			"integrated": func() (*Output, error) { return Integrated(context.Background(), db, b, opts) },
+		}
+		for name, run := range outs {
+			out, err := run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := make(map[string][]string)
+			for kw, ps := range out.Inverted {
+				for _, p := range ps {
+					id, err := fragment.ParseID(p.FragKey)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[kw] = append(got[kw], id.String())
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d reduce tasks: postings = %v, want %v", name, reduceTasks, got, want)
+			}
+		}
+	}
+}
+
+// TestFooddbPhaseVolumesPinned pins every phase's record and byte counts on
+// fooddb, so Fig. 10's shuffle volumes cannot drift. It runs one map task:
+// INT-Ext emits each group's keywords in map order, so at more map tasks
+// INT-Cnsd's splits, and what its combiner merges, vary from run to run.
+func TestFooddbPhaseVolumesPinned(t *testing.T) {
+	type volumes struct {
+		name                     string
+		inRec, inB, midRec, midB int64
+		outRec, outB             int64
+	}
+	db, b := fooddbBound(t)
+	opts := Options{Parallelism: 2, MapTasks: 1, ReduceTasks: 3}
+	for _, tc := range []struct {
+		run  func() (*Output, error)
+		want []volumes
+	}{
+		{func() (*Output, error) { return Stepwise(context.Background(), db, b, opts) }, []volumes{
+			{"SW-Jn", 26, 1362, 26, 1699, 16, 1291},
+			{"SW-Grp", 8, 666, 8, 554, 5, 501},
+			{"SW-Idx", 5, 501, 41, 1169, 41, 1169},
+		}},
+		{func() (*Output, error) { return Integrated(context.Background(), db, b, opts) }, []volumes{
+			{"INT-Jn", 42, 1580, 41, 1505, 31, 1244},
+			{"INT-Ext", 39, 1947, 39, 1832, 63, 1543},
+			{"INT-Cnsd", 63, 1543, 41, 1169, 41, 1169},
+		}},
+	} {
+		out, err := tc.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]volumes, len(out.Phases))
+		for i, p := range out.Phases {
+			m := p.Metrics
+			got[i] = volumes{p.Name, m.MapInputRecords, m.MapInputBytes,
+				m.IntermediateRecords, m.IntermediateBytes, m.OutputRecords, m.OutputBytes}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("phase volumes = %+v, want %+v", got, tc.want)
+		}
 	}
 }
 

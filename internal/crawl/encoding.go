@@ -33,24 +33,25 @@ func appendPosting(dst []byte, fragKey string, tf int64) []byte {
 	return append(dst, fragKey...)
 }
 
-// decodePostings decodes a concatenation of postings.
-func decodePostings(b []byte) ([]Posting, error) {
-	var out []Posting
+// decodePostings decodes a concatenation of postings, calling fn on each in
+// order; fragKey aliases b. Only the canonical encoding, minimal varints as
+// appendPosting writes them, is accepted.
+func decodePostings(b []byte, fn func(fragKey []byte, tf int64)) error {
 	for len(b) > 0 {
 		tf, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, ErrCorruptPosting
+		if n <= 0 || n > 1 && b[n-1] == 0 {
+			return ErrCorruptPosting
 		}
 		b = b[n:]
 		l, n := binary.Uvarint(b)
-		if n <= 0 || int(l) > len(b)-n {
-			return nil, ErrCorruptPosting
+		if n <= 0 || n > 1 && b[n-1] == 0 || l > uint64(len(b)-n) {
+			return ErrCorruptPosting
 		}
 		b = b[n:]
-		out = append(out, Posting{FragKey: string(b[:l]), TF: int64(tf)})
+		fn(b[:l], int64(tf))
 		b = b[l:]
 	}
-	return out, nil
+	return nil
 }
 
 // tableToKVs encodes a table's rows as untagged MR input pairs.
@@ -102,7 +103,8 @@ func joinKeyFor(row relation.Row, idx []int, buf []relation.Value) (key string, 
 
 // assembleOutput converts the final indexing job's output pairs into the
 // crawl Output maps. Both algorithms' last jobs emit the same format:
-// "k"+keyword -> sorted posting list, "s"+fragKey -> uvarint total terms.
+// "k"+keyword -> posting list in any order, "s"+fragKey -> uvarint total
+// terms; the lists are sorted here, once.
 func assembleOutput(alg Algorithm, selAttrs []string, kvs []mapreduce.KV, phases []Phase) (*Output, error) {
 	out := &Output{
 		Algorithm:     alg,
@@ -114,8 +116,10 @@ func assembleOutput(alg Algorithm, selAttrs []string, kvs []mapreduce.KV, phases
 	for _, kv := range kvs {
 		switch {
 		case len(kv.Key) > 0 && kv.Key[0] == keywordKeyPrefix[0]:
-			ps, err := decodePostings(kv.Value)
-			if err != nil {
+			var ps []Posting
+			if err := decodePostings(kv.Value, func(fragKey []byte, tf int64) {
+				ps = append(ps, Posting{FragKey: string(fragKey), TF: tf})
+			}); err != nil {
 				return nil, err
 			}
 			out.Inverted[kv.Key[1:]] = ps
@@ -128,6 +132,9 @@ func assembleOutput(alg Algorithm, selAttrs []string, kvs []mapreduce.KV, phases
 		default:
 			return nil, fmt.Errorf("crawl: internal: unexpected output key %q", kv.Key)
 		}
+	}
+	if err := sortInverted(out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -27,7 +27,7 @@ const thetaPrefix = "θ_"
 //	          factor Θᵢ = (Π θx)/θᵢ — how many joined rows the record
 //	          appears in;
 //	INT-Cnsd: consolidates per-keyword counts per fragment and sorts each
-//	          inverted list.
+//	          inverted list (once, as the output is assembled).
 func Integrated(ctx context.Context, db *relation.Database, b *psj.Bound, opts Options) (*Output, error) {
 	jnMetrics := mapreduce.Metrics{Job: "INT-Jn"}
 
@@ -77,7 +77,7 @@ func Integrated(ctx context.Context, db *relation.Database, b *psj.Bound, opts O
 		extOutput = append(extOutput, res.Output...)
 	}
 
-	// ---- Phase INT-Cnsd: consolidate and sort ----
+	// ---- Phase INT-Cnsd: consolidate (assembleOutput sorts) ----
 	cnsdJob := mapreduce.Job{
 		Name:  "INT-Cnsd",
 		Input: extOutput,

@@ -276,27 +276,27 @@ func mrJoin(ctx context.Context, name string, left, right []mapreduce.KV,
 	return mapreduce.Run(ctx, job)
 }
 
-// indexReducer is the shared final reducer of both algorithms: keyword keys
-// merge per-fragment counts and sort postings by TF descending; size keys
-// sum term counts.
+// indexReducer is the shared final reducer and combiner of both
+// algorithms: keyword keys merge per-fragment counts, in first-seen order
+// (assembleOutput sorts each list once); size keys sum term counts.
 func indexReducer(key string, values [][]byte, emit mapreduce.Emit) error {
 	switch key[0] {
 	case keywordKeyPrefix[0]:
-		sums := make(map[string]int64)
+		at := make(map[string]int)
+		var merged []Posting
 		for _, v := range values {
-			ps, err := decodePostings(v)
-			if err != nil {
+			if err := decodePostings(v, func(fragKey []byte, tf int64) {
+				if i, ok := at[string(fragKey)]; ok {
+					merged[i].TF += tf
+					return
+				}
+				k := string(fragKey)
+				at[k] = len(merged)
+				merged = append(merged, Posting{FragKey: k, TF: tf})
+			}); err != nil {
 				return err
 			}
-			for _, p := range ps {
-				sums[p.FragKey] += p.TF
-			}
 		}
-		merged := make([]Posting, 0, len(sums))
-		for fk, tf := range sums {
-			merged = append(merged, Posting{FragKey: fk, TF: tf})
-		}
-		sortPostings(merged)
 		var blob []byte
 		for _, p := range merged {
 			blob = appendPosting(blob, p.FragKey, p.TF)

@@ -5,8 +5,11 @@
 // A Job runs in two phases. In the map phase, input (key,value) pairs are
 // split across parallel map tasks; each task's emitted pairs are hash
 // partitioned across reduce tasks. In the reduce phase, each partition's
-// pairs are sorted by key, grouped, and passed to the reducer. An optional
-// combiner pre-aggregates each map task's output before shuffle.
+// pairs are grouped by key and the groups passed to the reducer in key
+// order, each key's values in map-task order, then emit order. An optional
+// combiner pre-aggregates each map task's output before shuffle, grouped
+// the same way; the order in which it emits is free, since the shuffle
+// regroups whatever it emits.
 //
 // The paper ran on a 4-node Hadoop cluster; here tasks are goroutines and
 // the shuffle is an in-memory exchange. The engine still materializes and
@@ -21,7 +24,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -188,26 +191,19 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 	reduceStart := time.Now()
 	outputs := make([][]KV, reduceTasks)
 	reduceErr := runTasks(ctx, par, reduceTasks, func(r int) error {
-		part := parts[r]
-		sort.SliceStable(part, func(i, j int) bool { return part[i].Key < part[j].Key })
 		var out []KV
 		emit := func(kv KV) { out = append(out, kv) }
-		for i := 0; i < len(part); {
+		err := groupByKey(parts[r], func(key string, values [][]byte) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			j := i
-			for j < len(part) && part[j].Key == part[i].Key {
-				j++
+			if err := job.Reduce(key, values, emit); err != nil {
+				return fmt.Errorf("mapreduce: %s: reduce task %d key %q: %w", job.Name, r, key, err)
 			}
-			values := make([][]byte, 0, j-i)
-			for k := i; k < j; k++ {
-				values = append(values, part[k].Value)
-			}
-			if err := job.Reduce(part[i].Key, values, emit); err != nil {
-				return fmt.Errorf("mapreduce: %s: reduce task %d key %q: %w", job.Name, r, part[i].Key, err)
-			}
-			i = j
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		outputs[r] = out
 		return nil
@@ -233,27 +229,35 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 	return &Result{Output: final, Metrics: metrics}, nil
 }
 
-// combinePartition sorts and groups one map task's partition output and runs
-// the combiner over each group.
+// combinePartition groups one map task's partition output and runs the
+// combiner over each group.
 func combinePartition(combine Reducer, part []KV) ([]KV, error) {
-	sort.SliceStable(part, func(i, j int) bool { return part[i].Key < part[j].Key })
 	var out []KV
 	emit := func(kv KV) { out = append(out, kv) }
-	for i := 0; i < len(part); {
-		j := i
-		for j < len(part) && part[j].Key == part[i].Key {
-			j++
+	err := groupByKey(part, func(key string, values [][]byte) error { return combine(key, values, emit) })
+	return out, err
+}
+
+// groupByKey calls fn once per distinct key of part, in key order, with the
+// key's values in arrival order. It groups by hashing, so only the distinct
+// keys are sorted.
+func groupByKey(part []KV, fn func(key string, values [][]byte) error) error {
+	groups := make(map[string][][]byte)
+	var keys []string
+	for _, kv := range part {
+		vs, ok := groups[kv.Key]
+		if !ok {
+			keys = append(keys, kv.Key)
 		}
-		values := make([][]byte, 0, j-i)
-		for k := i; k < j; k++ {
-			values = append(values, part[k].Value)
-		}
-		if err := combine(part[i].Key, values, emit); err != nil {
-			return nil, err
-		}
-		i = j
+		groups[kv.Key] = append(vs, kv.Value)
 	}
-	return out, nil
+	slices.Sort(keys)
+	for _, k := range keys {
+		if err := fn(k, groups[k]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // splitInput partitions input into up to n contiguous splits.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -249,55 +248,63 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 
 func TestReduceValuesOrderDeterministic(t *testing.T) {
 	// Values for one key must arrive in map-task order then emit order,
-	// independent of scheduling.
+	// independent of scheduling, with a combiner and without one. Every
+	// key is emitted by all five map tasks, interleaved with the others.
 	input := make([]KV, 20)
 	for i := range input {
 		input[i] = KV{Key: strconv.Itoa(i), Value: []byte(strconv.Itoa(i))}
 	}
-	job := Job{
-		Name:  "order",
-		Input: input,
-		Map: func(in KV, emit Emit) error {
-			emit(KV{Key: "all", Value: in.Value})
-			return nil
-		},
-		Reduce: func(key string, values [][]byte, emit Emit) error {
-			var parts []string
-			for _, v := range values {
-				parts = append(parts, string(v))
-			}
-			emit(KV{Key: key, Value: []byte(strings.Join(parts, ","))})
-			return nil
-		},
-		MapTasks:    5,
-		ReduceTasks: 3,
-		Parallelism: 5,
+	concat := func(key string, values [][]byte, emit Emit) error {
+		// A reducer may append to its values: the next group's must
+		// not change.
+		values = append(values, []byte("x"))
+		var parts []string
+		for _, v := range values[:len(values)-1] {
+			parts = append(parts, string(v))
+		}
+		emit(KV{Key: key, Value: []byte(strings.Join(parts, ","))})
+		return nil
 	}
-	var first string
-	for trial := 0; trial < 5; trial++ {
-		res, err := Run(context.Background(), job)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if len(res.Output) != 1 {
-			t.Fatalf("output = %v", res.Output)
-		}
-		got := string(res.Output[0].Value)
-		if trial == 0 {
-			first = got
-			// Within a split, input order is preserved; splits are
-			// contiguous, so the overall order is the input order.
-			want := make([]string, 20)
-			for i := range want {
-				want[i] = strconv.Itoa(i)
+	keyOf := func(i int) string { return []string{"fizz", "rest", "rest"}[i%3] }
+	// Within a split, input order is preserved; splits are contiguous,
+	// so the overall order is the input order.
+	want := make(map[string]string)
+	for i := range input {
+		for _, k := range []string{"all", keyOf(i)} {
+			if want[k] != "" {
+				want[k] += ","
 			}
-			if got != strings.Join(want, ",") {
-				t.Errorf("value order = %s", got)
-			}
-			continue
+			want[k] += strconv.Itoa(i)
 		}
-		if got != first {
-			t.Errorf("trial %d order differs: %s vs %s", trial, got, first)
+	}
+	for _, combine := range []Reducer{nil, concat} {
+		job := Job{
+			Name:  "order",
+			Input: input,
+			Map: func(in KV, emit Emit) error {
+				i, _ := strconv.Atoi(in.Key)
+				emit(KV{Key: "all", Value: in.Value})
+				emit(KV{Key: keyOf(i), Value: in.Value})
+				return nil
+			},
+			Combine:     combine,
+			Reduce:      concat,
+			MapTasks:    5,
+			ReduceTasks: 3,
+			Parallelism: 5,
+		}
+		for trial := 0; trial < 5; trial++ {
+			res, err := Run(context.Background(), job)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			got := make(map[string]string)
+			for _, kv := range res.Output {
+				got[kv.Key] = string(kv.Value)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("combiner %v, trial %d: values = %v, want %v", combine != nil, trial, got, want)
+			}
 		}
 	}
 }
@@ -377,18 +384,37 @@ func TestPropMRWordCountMatchesSequential(t *testing.T) {
 }
 
 func TestOutputSortedWithinPartition(t *testing.T) {
-	job := wordCountJob([]string{"e d c b a", "b d f"}, 3)
-	job.ReduceTasks = 1
-	res, err := Run(context.Background(), job)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	keys := make([]string, len(res.Output))
-	for i, kv := range res.Output {
-		keys[i] = kv.Key
-	}
-	if !sort.StringsAreSorted(keys) {
-		t.Errorf("single-partition output not key-sorted: %v", keys)
+	// Output is ordered by (partition, key). The words repeat across
+	// all map tasks, so each partition's groups gather from every task.
+	docs := []string{"e d c b a", "b d f", "a f e", "f a b", "c c e"}
+	want := map[string]int{"a": 3, "b": 3, "c": 3, "d": 2, "e": 3, "f": 3}
+	for _, combined := range []bool{false, true} {
+		for _, reduceTasks := range []int{1, 3} {
+			job := wordCountJob(docs, 2)
+			job.MapTasks = len(docs)
+			job.ReduceTasks = reduceTasks
+			if combined {
+				job.Combine = func(key string, values [][]byte, emit Emit) error {
+					emit(KV{Key: key, Value: []byte{byte(len(values))}})
+					return nil
+				}
+			}
+			res, err := Run(context.Background(), job)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			for i := 1; i < len(res.Output); i++ {
+				a, b := res.Output[i-1].Key, res.Output[i].Key
+				pa, pb := partition(a, reduceTasks), partition(b, reduceTasks)
+				if pa > pb || (pa == pb && a >= b) {
+					t.Errorf("combiner %v, %d partitions: %q (partition %d) before %q (partition %d)",
+						combined, reduceTasks, a, pa, b, pb)
+				}
+			}
+			if got := countsFrom(res); !reflect.DeepEqual(got, want) {
+				t.Errorf("combiner %v, %d partitions: counts = %v, want %v", combined, reduceTasks, got, want)
+			}
+		}
 	}
 }
 

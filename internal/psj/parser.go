@@ -362,13 +362,16 @@ func (p *parser) parseCondition() ([]Condition, error) {
 	}
 }
 
-// parseParam accepts $name, "$name", or '$name'.
+// parseParam accepts $name, "$name", or '$name'. Quoted or not, name lexes
+// as one identifier, so a query's String() parses back to the same query.
 func (p *parser) parseParam() (string, error) {
 	t := p.peek()
 	if t.kind == tokString {
 		p.pos++
 		name := strings.TrimSpace(t.text)
-		if !strings.HasPrefix(name, "$") || len(name) < 2 {
+		toks, err := lex(strings.TrimPrefix(name, "$"))
+		if !strings.HasPrefix(name, "$") || err != nil || len(toks) != 1 ||
+			toks[0].kind != tokIdent || len(toks[0].text) != len(name)-1 {
 			return "", p.errorf("expected quoted parameter like \"$p\", got %q", t.text)
 		}
 		return name[1:], nil

@@ -154,3 +154,32 @@ func TestParseWhitespaceInsensitive(t *testing.T) {
 		t.Errorf("whitespace changed parse:\n%s\n%s", qa, qb)
 	}
 }
+
+// FuzzParse: Parse never panics, and an accepted query's String()
+// re-parses to the same String().
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		searchSQL,
+		`select * from (customer join orders) join (lineitem join part) where customer.custkey = $r and qty between $min and $max`,
+		`SELECT a FROM x JOIN y ON k = k WHERE a = $p`,
+		`SELECT * FROM (x LEFT OUTER JOIN y) INNER JOIN z ON k, j WHERE (a = '$p' AND b >= $l) AND b <= $h`,
+		`SELECT * FROM x WHERE a = "p"`,
+		`SELECT * FROM x WHERE a > $p`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		q, err := Parse(sql)
+		if err != nil {
+			return
+		}
+		text := q.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) renders %q, which does not parse: %v", sql, text, err)
+		}
+		if again.String() != text {
+			t.Fatalf("Parse(%q) renders %q, which renders %q", sql, text, again.String())
+		}
+	})
+}

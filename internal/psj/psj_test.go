@@ -97,8 +97,10 @@ func TestParseErrors(t *testing.T) {
 		`SELECT * FROM x WHERE a BETWEEN $l`,
 		`SELECT * FROM x WHERE (a = $p`,
 		`SELECT * FROM x extra`,
-		`SELECT * FROM x WHERE a = "p"`, // quoted non-parameter
-		`SELECT * FROM x WHERE a = $`,   // missing name
+		`SELECT * FROM x WHERE a = "p"`,  // quoted non-parameter
+		`SELECT * FROM x WHERE a = "$0"`, // quoted, but no identifier
+		`SELECT * FROM x WHERE a = "$ p"`,
+		`SELECT * FROM x WHERE a = $`, // missing name
 		"SELECT * FROM x WHERE a = 'unterminated",
 	}
 	for _, sql := range bad {
