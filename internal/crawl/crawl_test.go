@@ -568,9 +568,10 @@ func TestTiesListInIdentifierOrder(t *testing.T) {
 }
 
 // TestFooddbPhaseVolumesPinned pins every phase's record and byte counts on
-// fooddb, so Fig. 10's shuffle volumes cannot drift. It runs one map task:
-// INT-Ext emits each group's keywords in map order, so at more map tasks
-// INT-Cnsd's splits, and what its combiner merges, vary from run to run.
+// fooddb, so Fig. 10's shuffle volumes cannot drift, at one map task, and
+// INT-Cnsd's at two: INT-Ext emits each group's keywords in keyword order,
+// so INT-Cnsd's input splits, and what its combiner merges, are the same
+// from run to run.
 func TestFooddbPhaseVolumesPinned(t *testing.T) {
 	type volumes struct {
 		name                     string
@@ -607,6 +608,17 @@ func TestFooddbPhaseVolumesPinned(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("phase volumes = %+v, want %+v", got, tc.want)
 		}
+	}
+	opts.MapTasks = 2
+	out, err := Integrated(context.Background(), db, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := out.Phases[2].Metrics
+	got := volumes{out.Phases[2].Name, m.MapInputRecords, m.MapInputBytes,
+		m.IntermediateRecords, m.IntermediateBytes, m.OutputRecords, m.OutputBytes}
+	if want := (volumes{"INT-Cnsd", 63, 1543, 48, 1283, 41, 1169}); got != want {
+		t.Errorf("at 2 map tasks, INT-Cnsd's volumes = %+v, want %+v", got, want)
 	}
 }
 

@@ -3,8 +3,10 @@ package faultfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -289,9 +291,66 @@ func TestParseSchedule(t *testing.T) {
 	if rules[3].Op != OpAny || rules[3].After != 7 {
 		t.Fatalf("rule 3 = %+v", rules[3])
 	}
-	for _, bad := range []string{"", "sync", "sync@-1", "sync@2x0", "warp@1", "sync.lol@1"} {
+	for _, bad := range parseScheduleRejects {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted, want error", bad)
 		}
 	}
+}
+
+var parseScheduleRejects = []string{"", "sync", "sync@-1", "sync@2x0", "warp@1", "sync.lol@1"}
+
+// formatSchedule prints rules in ParseSchedule's syntax.
+func formatSchedule(rules []Rule) string {
+	var b strings.Builder
+	for i, r := range rules {
+		if i > 0 {
+			b.WriteString(";")
+		}
+		op := string(r.Op)
+		if r.Op == OpAny {
+			op = "any"
+		}
+		b.WriteString(op)
+		switch {
+		case r.Torn:
+			b.WriteString(".torn")
+		case errors.Is(r.Err, syscall.ENOSPC):
+			b.WriteString(".enospc")
+		case r.Err != nil:
+			b.WriteString(".eio")
+		}
+		if r.Path != "" {
+			b.WriteString("~" + r.Path)
+		}
+		fmt.Fprintf(&b, "@%d", r.After)
+		if r.Count > 0 {
+			fmt.Fprintf(&b, "x%d", r.Count)
+		}
+	}
+	return b.String()
+}
+
+// FuzzParseSchedule: parsing never panics, and an accepted schedule,
+// printed by formatSchedule, parses back to the same rules.
+func FuzzParseSchedule(f *testing.F) {
+	f.Add("sync@5; write.torn@3x1; write.enospc~shard-0000@0x2; any@7")
+	f.Add("read.eio~a.b~c x@+05x1;;")
+	for _, bad := range parseScheduleRejects {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseSchedule(spec)
+		if err != nil {
+			return
+		}
+		printed := formatSchedule(rules)
+		again, err := ParseSchedule(printed)
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, printed as %q, which fails: %v", spec, rules, printed, err)
+		}
+		if !reflect.DeepEqual(again, rules) {
+			t.Fatalf("%q parsed to %+v, printed as %q, which parses to %+v", spec, rules, printed, again)
+		}
+	})
 }

@@ -58,10 +58,10 @@ func DecodeValue(b []byte) (Value, int, error) {
 			return Value{}, 0, ErrCorruptRow
 		}
 		start := 1 + sz
-		end := start + int(n)
-		if end > len(b) {
+		if n > uint64(len(b)-start) { // compared unsigned: int(n) may be negative
 			return Value{}, 0, ErrCorruptRow
 		}
+		end := start + int(n)
 		return String(string(b[start:end])), end, nil
 	default:
 		return Value{}, 0, fmt.Errorf("%w: unknown kind byte %d", ErrCorruptRow, b[0])

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -232,4 +234,44 @@ func TestDecodeCorrupt(t *testing.T) {
 	if _, err := DecodeKey(string([]byte{byte(KindString), 200})); err == nil {
 		t.Error("truncated string should fail")
 	}
+	// A string length of 2⁶³ overflows int: 12 bytes that once panicked
+	// slicing instead of failing.
+	huge := append(binary.AppendUvarint([]byte{byte(KindString)}, 1<<63), 'x')
+	if _, _, err := DecodeValue(huge); !errors.Is(err, ErrCorruptRow) {
+		t.Errorf("string length 2^63 in %d bytes: err = %v, want ErrCorruptRow", len(huge), err)
+	}
+}
+
+// sameValue reports whether a and b are the same value of the same kind,
+// a float bit for bit (so NaN equals itself).
+func sameValue(a, b Value) bool {
+	if a.Kind() == KindFloat && b.Kind() == KindFloat {
+		return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+	}
+	return a.Kind() == b.Kind() && a.Compare(b) == 0
+}
+
+// FuzzDecodeValue: decoding never panics, consumes no more than it is
+// given, and whatever value it accepts encodes to bytes that decode back
+// to that value, consuming all of them.
+func FuzzDecodeValue(f *testing.F) {
+	for _, v := range []Value{Null(), Int(-7), Float(math.NaN()), String(""), String("American")} {
+		f.Add(AppendValue(nil, v))
+	}
+	f.Add(append(binary.AppendUvarint([]byte{byte(KindString)}, 1<<63), 'x'))
+	f.Add([]byte{byte(KindString), 0x80, 0x00}) // a non-minimal length
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, n, err := DecodeValue(b)
+		if err != nil {
+			return
+		}
+		if n <= 0 || n > len(b) {
+			t.Fatalf("DecodeValue(%x) consumed %d bytes", b, n)
+		}
+		enc := AppendValue(nil, v)
+		again, m, err := DecodeValue(enc)
+		if err != nil || m != len(enc) || !sameValue(again, v) {
+			t.Fatalf("%v from %x re-encodes to %x, which decodes to %v, %d, %v", v, b, enc, again, m, err)
+		}
+	})
 }

@@ -77,49 +77,40 @@ func missQueries(snap *fragindex.Snapshot, seed int64, n int) [][]string {
 // TestMissSeedingReads: on the benchmark corpus, 4 096 distinct queries of
 // the search_uncached mix (missQueries at k = 10, s = 200) answer exactly
 // what the reference does (every 64th is checked), and the threshold bound
-// earns its keep, by the engine's own SeedStats: at least half the
-// searches settle without a drain (≈ 54 %), and those pull at most a fifth
-// of the postings their keywords' lists hold (Σ DF; ≈ 4 %).
+// earns its keep, by the engine's own SeedStats: over all the misses, the
+// walk reads at most a fifth of the postings their keywords' lists hold
+// (Σ DF; ≈ 10 %).
 func TestMissSeedingReads(t *testing.T) {
 	idx, _ := smallQ2Index(t)
 	e := New(idx, nil)
 	snap := idx.Snapshot()
-	var settled, drained, settledDF, settledRead uint64
+	df := uint64(0)
 	for i, q := range missQueries(snap, 1, 4096) {
 		req := Request{Keywords: q, K: 10, SizeThreshold: 200}
-		before := e.SeedStats()
 		if i%64 == 0 {
 			checkAgainstReference(t, e, snap, req, fmt.Sprintf("query %d", i))
 		} else if _, err := e.Search(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
-		after := e.SeedStats()
-		if after.Drains > before.Drains {
-			drained++
-			continue
-		}
-		settled++
-		settledRead += after.Postings - before.Postings
 		for _, w := range normalizeKeywords(nil, q) {
-			settledDF += uint64(snap.DF(w))
+			df += uint64(snap.DF(w))
 		}
 	}
-	t.Logf("%d searches settled: %d of %d postings pulled (%.1f %%); %d drained",
-		settled, settledRead, settledDF, 100*float64(settledRead)/float64(settledDF), drained)
-	if settled < drained {
-		t.Fatalf("%d searches drained, %d settled: want at least half to settle", drained, settled)
-	}
-	if settledRead*5 > settledDF {
-		t.Fatalf("settled searches pulled %d postings of %d, want at most a fifth", settledRead, settledDF)
+	st := e.SeedStats()
+	t.Logf("%d searches read %d of %d postings (%.1f %%) and tabulated %d; %d read every list",
+		st.Searches, st.Postings, df, 100*float64(st.Postings)/float64(df), st.Tabulated, st.Drains)
+	if st.Postings*5 > df {
+		t.Fatalf("the searches read %d postings of %d, want at most a fifth", st.Postings, df)
 	}
 }
 
 // BenchmarkSearchMissQ2 is a result-cache miss on the benchmark corpus:
 // distinct 1–3-keyword queries from small/Q2's fragments at k = 10,
 // s = 200, the search_uncached mix, straight into the engine. Beside
-// ns/op it reports the seeding counts per search (SeedStats): drains,
-// postings read and tabulated, TF probes and seeds registered, and the
-// Σ DF of the queried keywords for scale.
+// ns/op it reports the seeding counts per search (SeedStats): postings
+// read and tabulated, TF probes, seeds registered and the share of
+// searches that read every list, and the Σ DF of the queried keywords for
+// scale.
 func BenchmarkSearchMissQ2(b *testing.B) {
 	idx, app := smallQ2Index(b)
 	e := New(idx, app)
@@ -140,7 +131,7 @@ func BenchmarkSearchMissQ2(b *testing.B) {
 	}
 	b.StopTimer()
 	st, n := e.SeedStats(), float64(b.N)
-	b.ReportMetric(float64(st.Drains-before.Drains)/n, "drains/op")
+	b.ReportMetric(float64(st.Drains-before.Drains)/n, "readall/op")
 	b.ReportMetric(float64(st.Postings-before.Postings)/n, "postings/op")
 	b.ReportMetric(float64(st.Tabulated-before.Tabulated)/n, "tabulated/op")
 	b.ReportMetric(float64(st.Probes-before.Probes)/n, "probes/op")

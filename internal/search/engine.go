@@ -17,11 +17,10 @@
 //
 // # Performance
 //
-// About half the cache misses settle after pulling a few percent of the
-// postings their keywords' lists hold; the rest, whose pages score far
-// below their single fragments, switch to one bulk walk. The scoring core
-// allocates nothing in steady state. Each query borrows a searchScratch
-// holding every transient structure Algorithm 1 needs:
+// A cache miss reads about a tenth of the postings its keywords' lists
+// hold, through one seeding walk, and the scoring core allocates nothing
+// in steady state. Each query borrows a searchScratch holding every
+// transient structure Algorithm 1 needs:
 //
 //   - Seeds on demand. Posting lists are stored impact-descending (tf
 //     over the fragment's total; see fragindex.Cursor), and open makes
@@ -29,33 +28,33 @@
 //     impact of its next posting — caps what anything behind it adds to
 //     a one-fragment page's score. A fragment no cursor has reached
 //     therefore scores at most τ, the sum over keywords of the largest
-//     bound, and before every visit of the head fill pulls postings until
-//     the head lies strictly above τ (by a few units in the last place,
-//     since τ must bound the computed score) or every cursor is
-//     exhausted. Such a head is the candLess minimum over all seeds,
-//     registered or not, so the loop visits entries in exactly the order
-//     a queue over all of them would. A fragment is registered on first
-//     sight with its full occurrence vector and pooled once; its other
-//     keywords' TFs are 0 where the cursor positions prove it, and are
-//     otherwise probed in a dense TF-per-ref table of the keyword, which
-//     the first probe fills from the keyword's lists (see tf). An
-//     expansion prices a neighbour no cursor has reached the same way.
-//     Under CandidateLimit, whose cut needs every posting, seedTop walks
-//     the lists, cuts and pools every kept seed up front instead.
-//   - Drains. A pull costs several times what a posting of a bulk walk
-//     does, and a query whose expanded pages score far below its single
-//     fragments does not settle early. Once a search has pulled a quarter
-//     of its lists' postings — or at once, when every keyword of a
-//     several-keyword query is hot, or when it has more keywords than a
-//     scratch keeps TF tables for (maxTables) — drain walks the rest block
-//     by block, registers what it finds with no probe, and counting-sorts
-//     every seed not yet heaped into score buckets that refill moves into
-//     the heap best first.
-//   - A two-level queue. Registered seeds wait in a pool ordered by
-//     (score, size) alone; one moves into the candLess heap only once it
-//     is not strictly worse than the heap's head on those two. So only
-//     seeds that can be visited next ever meet the tie-break, which reads
-//     group keys, and the heap stays as small as the contested band.
+//     bound, and before every visit of the head fill reads blocks — the
+//     head and the rest of its block, from the cursor with the largest
+//     bound — until the head lies strictly above τ (by a few units in
+//     the last place, since τ must bound the computed score) or every
+//     cursor is exhausted. Such a head is the candLess minimum over all
+//     seeds, registered or not, so the loop visits entries in exactly
+//     the order a queue over all of them would.
+//   - Lazily completed seeds. A fragment is registered when a block
+//     first holds it. Its TF for another keyword is 0 where that
+//     keyword's cursor proves it, and otherwise unknown until a later
+//     block holds it, or until the seed is completed: a probe of a dense
+//     TF-per-ref table of the keyword, which the first probe fills from
+//     the keyword's lists (see tf). Until then the seed waits under an
+//     upper bound on its score. An expansion prices a neighbour the same
+//     way. A query that never settles reads every block and so completes
+//     every seed with no probe; one of more keywords than a scratch keeps
+//     TF tables for (maxTables) reads every list at open. Under
+//     CandidateLimit, whose cut needs every posting, seedTop walks the
+//     lists and queues every kept seed, exact, up front instead.
+//   - One deferred queue. Registered seeds wait in score buckets over
+//     fixed ranges of float bits, counted down from τ at open, sixteen to
+//     a power of two; a push is an append. Before the τ test refill moves
+//     the best bucket into the candLess heap while the head does not lie
+//     above it, completing the seeds queued
+//     under a bound on the way (one whose exact score falls to a worse
+//     bucket goes there). Heap entries are exact, most seeds never leave
+//     their bucket, and the heap stays as small as the contested band.
 //   - Dense ref-indexed tables. Candidate fragments get dense ordinals in
 //     registration order; ordOf maps a global ref (a shard's base plus
 //     its FragRef) to its ordinal through a flat []int32 sized from the
@@ -82,8 +81,8 @@
 //
 // Only per-result work (URL formulation, the returned slice) allocates, and
 // the returned slice's capacity never exceeds K. SeedStats counts what the
-// searches read: drains, postings read and tabulated, TF probes, seeds
-// registered and queue pushes.
+// searches read: postings read and tabulated, TF probes, seeds registered,
+// heap pushes, and the searches that read every list to the end.
 //
 // # Cancellation
 //
@@ -93,7 +92,7 @@
 // cancellation or deadline that arrives mid-search is observed
 // cooperatively — ctx.Err() is polled once per keyword while the cursors
 // open, then once every ctxCheckInterval queue visits and postings
-// pulled, so a runaway query on a hot keyword stops
+// read, so a runaway query on a hot keyword stops
 // within a bounded amount of work after the deadline instead of running to
 // completion. The poll allocates nothing, so the scoring core stays
 // alloc-free, and the interval keeps its cost below measurement noise on
@@ -118,7 +117,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -221,8 +219,8 @@ func (e *core) getScratch(snaps []*fragindex.Snapshot) *searchScratch {
 func (e *core) putScratch(s *searchScratch) {
 	c := &e.seeding
 	c.searches.Add(1)
-	if s.drained {
-		c.drains.Add(1)
+	if len(s.curs) > 0 && !slices.ContainsFunc(s.curs, func(c cursor) bool { return !c.done }) {
+		c.drains.Add(1) // the walk read every list to the end
 	}
 	c.postings.Add(uint64(s.postings))
 	c.tabulated.Add(uint64(s.tabulated))
@@ -352,6 +350,15 @@ type cursor struct {
 	done  bool              // exhausted (and zeroed: no pointer into the snapshot)
 }
 
+// deferredEntry is a seed waiting in a score bucket: its queue entry,
+// keyed by its exact score or, while bound is set, by an upper bound on it,
+// and the bucket's next entry.
+type deferredEntry struct {
+	heapEntry
+	next  int32 // index+1 in deferred of the bucket's next entry, 0 at its end
+	bound bool  // score bounds an occurrence vector that had unknown TFs
+}
+
 // searchScratch holds every transient structure one Search needs. It is
 // retained between queries so the scoring core allocates nothing in steady
 // state; reset un-sets what the query wrote and keeps all capacity.
@@ -362,37 +369,31 @@ type searchScratch struct {
 	band      []bandEntry           // CandidateLimit: one keyword's live postings over the pinned set
 	keywords  []string
 	idf       []float64
-	margin    float64              // τ's relative widening (see fill)
-	dfSum     int                  // lazy seeding: Σ DF over keywords and the pinned set, what a full walk reads
-	eager     bool                 // every keyword is hot: drain before the first pull (see hotDF)
-	drained   bool                 // drain ran: the seeds not in heap are in pending
-	tabs      [][]uint64           // lazy seeding: per keyword, its stamped TF per global ref once tabulated, else nil
-	tabBufs   [][]uint64           // per keyword index, at most maxTables: storage for tabs (see tabulate)
-	stamp     uint32               // this search's table stamp; no table entry carries a later one
-	refs      []fragindex.FragRef  // candidate global ref per ordinal
-	ordOf     []int32              // per global ref: ordinal+1, 0 when unknown, -1 when probed irrelevant
-	misses    []fragindex.FragRef  // the global refs probed irrelevant
-	used      []bool               // per global ref: in an accepted result
-	usedRefs  []fragindex.FragRef  // the global refs set in used
-	seedOcc   []int64              // pristine occ vectors, ord-major; all zero past its length
-	probeOcc  []int64              // one neighbour's probed occ vector
-	fresh     []int32              // ordinals an expansion registered, to pool after it
-	heap      []heapEntry          // by-value candLess priority queue over the promoted seeds
-	pool      []heapEntry          // registered seeds not yet promoted, a heap by (score, size) only
-	pending   []heapEntry          // after a drain: the seeds not yet in heap, by score bucket, best first
-	queued    int                  // pending[:queued] have entered heap
-	minBits   uint64               // smallest pending score's bit pattern
-	shift     uint                 // bucket = (score bits - minBits) >> shift
-	one       [1]fragindex.Posting // drain's view of a cursor's head as a block
-	slotOf    []int32              // per ordinal: index+1 into cands, 0 when not materialised
-	tkey      []string             // per ordinal: the group key, once an exact tie has read it
-	tpos      []int32              // per ordinal: the path position read with tkey, -1 before
-	consumed  []bool               // per ordinal: absorbed by expansion
-	cands     []candidate          // materialised candidates, in first-use order
-	candOcc   []int64              // their expansion-mutated occ vectors, slot-major
-	seen      map[uint64]struct{}  // emitted page signatures (global refs)
-	work      int                  // queue visits plus postings pulled: paces the ctx polls
-	postings  int                  // this search's seeding counts (see SeedStats)
+	margin    float64             // τ's relative widening (see fill)
+	tabs      [][]uint64          // lazy seeding: per keyword, its stamped TF per global ref once tabulated, else nil
+	tabBufs   [][]uint64          // per keyword index, at most maxTables: storage for tabs (see tabulate)
+	stamp     uint32              // this search's table stamp; no table entry carries a later one
+	refs      []fragindex.FragRef // candidate global ref per ordinal
+	ordOf     []int32             // per global ref: ordinal+1, 0 when unknown, -1 when probed irrelevant
+	misses    []fragindex.FragRef // the global refs probed irrelevant
+	used      []bool              // per global ref: in an accepted result
+	usedRefs  []fragindex.FragRef // the global refs set in used
+	seedOcc   []int64             // pristine occ vectors, ord-major, -1 for an unknown TF; all zero past its length
+	probeOcc  []int64             // one neighbour's probed occ vector
+	heap      []heapEntry         // by-value candLess priority queue; exact scores only
+	deferred  []deferredEntry     // the seeds pushed to the score buckets, linked per bucket
+	buckets   [numBuckets]int32   // per bucket: index+1 in deferred of its last push, 0 when empty
+	best      int                 // no bucket before it holds a seed
+	topBits   uint64              // τ at open, widened, as float bits: bucket 0 holds it and every score above
+	slotOf    []int32             // per ordinal: index+1 into cands, 0 when not materialised
+	tkey      []string            // per ordinal: the group key, once an exact tie has read it
+	tpos      []int32             // per ordinal: the path position read with tkey, -1 before
+	consumed  []bool              // per ordinal: absorbed by expansion
+	cands     []candidate         // materialised candidates, in first-use order
+	candOcc   []int64             // their expansion-mutated occ vectors, slot-major
+	seen      map[uint64]struct{} // emitted page signatures (global refs)
+	work      int                 // queue visits plus postings read: paces the ctx polls
+	postings  int                 // this search's seeding counts (see SeedStats)
 	tabulated int
 	probes    int
 	pushes    int
@@ -461,8 +462,8 @@ func (s *searchScratch) reset() {
 	s.usedRefs = s.usedRefs[:0]
 	clear(s.seedOcc) // the arena stays all zero past its length
 	s.seedOcc = s.seedOcc[:0]
-	s.fresh = s.fresh[:0]
-	s.heap, s.pool = s.heap[:0], s.pool[:0]
+	s.heap, s.deferred = s.heap[:0], s.deferred[:0]
+	s.buckets, s.best = [numBuckets]int32{}, numBuckets
 	s.slotOf, s.consumed = s.slotOf[:0], s.consumed[:0]
 	clear(s.tkey)
 	s.tkey, s.tpos = s.tkey[:0], s.tpos[:0]
@@ -470,12 +471,10 @@ func (s *searchScratch) reset() {
 	s.candOcc = s.candOcc[:0]
 	clear(s.tabs)
 	s.tabs = s.tabs[:0]
-	s.pending, s.queued = s.pending[:0], 0
-	s.work, s.postings, s.tabulated, s.probes, s.pushes, s.dfSum = 0, 0, 0, 0, 0, 0
-	s.eager, s.drained = false, false
+	s.work, s.postings, s.tabulated, s.probes, s.pushes = 0, 0, 0, 0, 0
 }
 
-// tick counts one unit of work — a queue visit or a posting pulled — and
+// tick counts one unit of work — a queue visit or a posting read — and
 // polls ctx once every ctxCheckInterval units.
 func (s *searchScratch) tick(ctx context.Context) error {
 	if s.work++; s.work%ctxCheckInterval == 0 {
@@ -512,9 +511,12 @@ func (s *searchScratch) occOf(ord int32) []int64 {
 }
 
 // open is Algorithm 1's line 1 on demand: it opens one cursor per (keyword,
-// pinned snapshot), records each keyword's IDF, 1/ΣDF, and primes every
-// cursor with its first posting. No posting past the first is read here;
-// fill pulls the rest as the queue needs them.
+// pinned snapshot), records each keyword's IDF, 1/ΣDF, primes every cursor
+// with its first posting and sets the buckets' top to τ. No posting past
+// the first is read here — fill reads the rest as the queue needs them —
+// unless the query has more keywords than a scratch keeps TF tables for:
+// then no probe could be priced, so open reads every list to the end, and
+// every TF is known or proven 0 before the first seed is completed.
 func (s *searchScratch) open(ctx context.Context) error {
 	nk, ns := len(s.keywords), len(s.snaps)
 	// The score and τ sums each round at most nk+1 times (nk products or
@@ -522,7 +524,6 @@ func (s *searchScratch) open(ctx context.Context) error {
 	// relative 2(nk+1) units in the last place bounds their disagreement;
 	// twice that, plus slack for widening τ itself, is the margin.
 	s.margin = float64(4*nk+16) * 0x1p-53
-	s.eager = nk >= 2
 	if s.stamp++; s.stamp == 0 { // the stamps wrapped: no old entry may match
 		for _, t := range s.tabBufs {
 			clear(t)
@@ -541,10 +542,20 @@ func (s *searchScratch) open(ctx context.Context) error {
 			df += n
 		}
 		s.tabs = append(s.tabs, nil)
-		s.idf, s.dfSum = append(s.idf, idfOf(df)), s.dfSum+df
-		s.eager = s.eager && df >= hotDF
+		s.idf = append(s.idf, idfOf(df))
 		for ci := i * ns; ci < (i+1)*ns; ci++ {
 			s.advance(ci)
+		}
+	}
+	tau, _ := s.tau()
+	s.topBits = math.Float64bits(tau + tau*s.margin)
+	if nk > maxTables {
+		for ci := range s.curs {
+			for !s.curs[ci].done {
+				if err := s.read(ctx, ci); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
@@ -568,247 +579,143 @@ func (s *searchScratch) advance(ci int) {
 	}
 }
 
-// fill pulls seeds until the queue's head strictly outscores every seed
+// tau returns τ = Σ_w max over shards of the cursor bounds, which no
+// fragment no cursor has reached outscores, and the cursor with the
+// largest bound, the one whose block lowers τ most (-1 once every cursor
+// is exhausted).
+func (s *searchScratch) tau() (tau float64, next int) {
+	ns, next, nextBound := len(s.snaps), -1, 0.0
+	for first := 0; first < len(s.curs); first += ns { // per keyword; none under CandidateLimit
+		top := 0.0
+		for ci := first; ci < first+ns; ci++ {
+			c := &s.curs[ci]
+			if c.done {
+				continue
+			}
+			top = max(top, c.bound)
+			if next < 0 || c.bound > nextBound {
+				next, nextBound = ci, c.bound
+			}
+		}
+		tau += top
+	}
+	return tau, next
+}
+
+// fill reads blocks until the queue's head strictly outscores every seed
 // not yet registered, or every cursor is exhausted. A fragment no cursor
 // has reached has each of its postings at or behind its list's cursor, so
-// its score is at most τ = Σ_w max over shards of the cursor bounds; the
-// head must lie strictly above τ, because on an equal score the tie-break
-// (size, group key, path position) decides, and above it by a few units
-// in the last place (margin), because τ must bound the *computed* score,
-// which rounds differently from τ's own sum. Such a head is the candLess
-// minimum over all seeds, registered or not, so the loop visits exactly
-// what a queue holding every seed from the start would. fill runs before
-// every visit: expansion rewrites the head in place and can move its
-// score either way. Each round first promotes the pool's contenders, so
-// the head it tests is the best registered seed. Each pull advances the
-// cursor with the largest bound, the one that lowers τ most; a search that
-// has pulled too much, whose keywords are all hot, or whose probes would
-// need more tables than a scratch keeps, drains instead (see drainRatio).
+// its score is at most τ; the head must lie strictly above τ, because on
+// an equal score the tie-break (size, group key, path position) decides,
+// and above it by a few units in the last place (margin), because τ must
+// bound the *computed* score, which rounds differently from τ's own sum.
+// refill has made the head the candLess minimum over every registered
+// seed, so such a head is the minimum over all seeds, registered or not,
+// and the loop visits exactly what a queue holding every seed from the
+// start would. fill runs before every visit:
+// expansion rewrites the head in place and can move its score either way.
+// A query that never settles reads every block, and then completes every
+// seed with no probe.
 func (s *searchScratch) fill(ctx context.Context) error {
-	ns, batch := len(s.snaps), 1
 	for {
-		s.promote()
 		s.refill()
-		if len(s.curs) == 0 {
-			return nil // CandidateLimit pooled every seed up front
-		}
-		tau, next, nextBound := 0.0, -1, 0.0
-		for i := range s.keywords {
-			top := 0.0
-			for ci := i * ns; ci < (i+1)*ns; ci++ {
-				c := &s.curs[ci]
-				if c.done {
-					continue
-				}
-				top = max(top, c.bound)
-				if next < 0 || c.bound > nextBound {
-					next, nextBound = ci, c.bound
-				}
-			}
-			tau += top
-		}
+		tau, next := s.tau()
 		if next < 0 || len(s.heap) > 0 && s.heap[0].score > tau+tau*s.margin {
 			return nil
 		}
-		if s.eager || s.postings*drainRatio > s.dfSum || len(s.keywords) > maxTables {
-			if err := s.drain(ctx); err != nil {
-				return err
-			}
-			continue
+		if err := s.read(ctx, next); err != nil {
+			return err
 		}
-		for n := batch; n > 0 && !s.curs[next].done; n-- {
-			if err := s.tick(ctx); err != nil {
-				return err
-			}
-			s.pull(next)
-		}
-		batch = min(2*batch, maxBatch)
 	}
 }
 
-// drainRatio and hotDF decide when pulling stops paying. A pull costs
-// several times what a posting of a bulk walk does — the bound, TF
-// probes, a queue push — and the bound settles most queries within a small
-// share of their lists. A query whose expanded pages score far below its
-// single fragments does not settle: hot keywords only, or a rare keyword
-// whose few pages leave K to fill from a hot one. Pulling most of its
-// lists one posting at a time would cost it up to twice what a bulk walk
-// does (measured on small/Q2's heaviest queries), so once a search has
-// pulled 1/drainRatio of its lists' postings, drain reads the rest in one
-// pass; and a query of several keywords that are all hot — each in at
-// least hotDF fragments of the pinned set — drains before its first pull.
-// The early drain is what keeps the slowest misses near a bulk walk's
-// cost: on replica_ryw, whose serial misses find cold caches, it cut the
-// search p95 from +24 % to +8 % over an engine that walked every list
-// (lower in 10 of 10 alternating pairs), and it moved search_uncached's
-// cpu_ms_per_op by under 2 % (two batches of 10 pairs, one each way).
-const (
-	drainRatio = 4
-	hotDF      = 1000
-)
-
-// drain reads every posting still behind the cursors, block by block,
-// registers every live fragment they hold that is not registered yet, and
-// hands every seed not in the heap — the pool's and the new ones — to
-// bucketSeeds. A fragment no cursor had reached has all its postings behind
-// the cursors, so its occurrence vector comes whole from the walk, with no
-// probe; one registered before the drain is complete already. Afterwards
-// every cursor is exhausted, so fill pulls nothing more, no probe looks up
-// a table or registers a seed, and refill orders what is left. The ctx is
-// polled once per cursor, as open polls once per keyword.
-func (s *searchScratch) drain(ctx context.Context) error {
-	ns, nk, first, pooled := len(s.snaps), len(s.keywords), int32(len(s.refs)), len(s.pool)
-	for ci := range s.curs {
-		c := &s.curs[ci]
-		if c.done {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
+// read takes cursor ci's head and the rest of its block — the block as it
+// lies, tombstones included — hands each posting to see, and advances the
+// cursor. Every posting is a unit of work for the ctx polls.
+func (s *searchScratch) read(ctx context.Context, ci int) error {
+	i, si := ci/len(s.snaps), ci%len(s.snaps)
+	head, rest := s.curs[ci].head, s.curs[ci].c.Block()
+	s.postings += len(rest)
+	if err := s.tick(ctx); err != nil {
+		return err
+	}
+	s.see(i, si, head)
+	for _, p := range rest {
+		if err := s.tick(ctx); err != nil {
 			return err
 		}
-		i, si := ci/ns, ci%ns
-		snap, base := s.snaps[si], s.base[si]
-		s.one[0] = c.head
-		for ps := s.one[:]; ps != nil; ps = c.c.Block() {
-			s.postings += len(ps)
-			for _, p := range ps {
-				g := base + p.Frag
-				ord := s.ordOf[g] - 1
-				if ord == -1 {
-					if !snap.AliveRef(p.Frag) {
-						continue
-					}
-					ord = s.register(g)
-					s.pool = append(s.pool, heapEntry{size: snap.TermsOf(p.Frag), ord: ord})
-				} else if ord < first {
-					continue // registered before the drain: its vector is complete
-				}
-				s.seedOcc[int(ord)*nk+i] = int64(p.TF)
-			}
-		}
-		s.postings-- // advance counted the head
-		*c = cursor{done: true}
+		s.see(i, si, p)
 	}
-	minBits, maxBits := uint64(math.MaxUint64), uint64(0)
-	for k := range s.pool {
-		h := &s.pool[k]
-		if k >= pooled {
-			h.score = score(s.occOf(h.ord), h.size, s.idf)
-		}
-		b := math.Float64bits(h.score)
-		minBits, maxBits = min(minBits, b), max(maxBits, b)
-	}
-	s.pushes += len(s.pool) - pooled
-	s.bucketSeeds(minBits, maxBits)
-	s.drained = true
+	s.advance(ci)
 	return nil
 }
 
-// The seeds a drain leaves are counting-sorted into at most numBuckets
-// score buckets: a full walk registers every fragment of the lists, most of
-// which never reach the head, and a bucket costs them two passes where a
-// heap would cost each a sift. (Heapifying them into the pool instead, in
-// one O(n) pass, then sifting each promotion out of it, left small/Q2's
-// miss mix a quarter slower at the 99th percentile.)
-const (
-	bucketBits = 8
-	numBuckets = 1 << bucketBits
-)
-
-// bucketOf maps a score to its bucket, 0 (the worst) up: scores are
-// non-negative and finite, and such floats order like their bit patterns.
-// A seed lands in [0, numBuckets); a head that expansion rewrote below
-// every pending score lands in bucket 0.
-func (s *searchScratch) bucketOf(score float64) uint64 {
-	b := math.Float64bits(score)
-	if b < s.minBits {
-		return 0
-	}
-	return (b - s.minBits) >> s.shift
-}
-
-// bucketSeeds moves the pool, in no order once a drain rewrote it, into
-// s.pending with one counting sort: grouped by bucket, best bucket first,
-// buckets splitting [minBits, maxBits] evenly, and no more of them than
-// seeds (rounded up to a power of two).
-func (s *searchScratch) bucketSeeds(minBits, maxBits uint64) {
-	nb := min(bucketBits, bits.Len(uint(len(s.pool))))
-	s.minBits = minBits
-	s.shift = uint(max(0, bits.Len64(maxBits-minBits)-nb))
-	var next [numBuckets]int32 // per bucket: its seed count, then its next free slot
-	for i := range s.pool {
-		next[s.bucketOf(s.pool[i].score)]++
-	}
-	at := int32(0)
-	for b := 1<<nb - 1; b >= 0; b-- {
-		next[b], at = at, at+next[b]
-	}
-	s.pending = slices.Grow(s.pending[:0], len(s.pool))[:len(s.pool)]
-	for _, e := range s.pool {
-		b := s.bucketOf(e.score)
-		s.pending[next[b]] = e
-		next[b]++
-	}
-	s.pool, s.queued = s.pool[:0], 0
-}
-
-// refill moves pending buckets into the heap, best first, until the head's
-// bucket lies above the next pending one: the head then strictly outscores
-// every seed still pending, so it is the candLess minimum over all seeds.
-// A seed an expansion absorbed is dropped on the way.
-func (s *searchScratch) refill() {
-	for s.queued < len(s.pending) {
-		b := s.bucketOf(s.pending[s.queued].score)
-		if len(s.heap) > 0 && s.bucketOf(s.heap[0].score) > b {
-			return
-		}
-		for ; s.queued < len(s.pending) && s.bucketOf(s.pending[s.queued].score) == b; s.queued++ {
-			if e := s.pending[s.queued]; !s.consumed[e.ord] {
-				s.push(e)
-			}
-		}
-	}
-}
-
-// maxBatch caps how many postings fill pulls from one cursor between two
-// tests of the bound. Each round that leaves the head at or below τ
-// doubles the batch, so a query that must read deep into its lists
-// recomputes τ and promotes once per batch, not once per posting, while
-// one that settles after a few pulls reads at most about twice what it
-// needs.
-const maxBatch = 64
-
-// pull takes cursor ci's head posting and advances the cursor. A fragment
-// seen for the first time is registered with its full occurrence vector —
-// the posting's TF plus one probe per other keyword — and pooled once; a
-// fragment already registered (seen on another keyword's list, or probed
-// as a neighbour) adds nothing.
-func (s *searchScratch) pull(ci int) {
-	ns := len(s.snaps)
-	i, si := ci/ns, ci%ns
-	p, terms := s.curs[ci].head, s.curs[ci].terms
-	s.advance(ci)
+// see takes posting p of keyword i's list in pinned snapshot si. A
+// registered fragment gets its TF for i filled in, with no probe (if it
+// was known, it is this TF). A live fragment seen for the first time is
+// registered: its TF for another keyword j is 0 where j's cursor proves it
+// (see zeroTF) and otherwise unknown, -1. It is queued under its exact
+// score when every TF is known, and otherwise under an upper bound: the
+// known part plus each unknown keyword's cursor bound, widened by τ's
+// margin — j's posting of the fragment lies at or behind that cursor.
+func (s *searchScratch) see(i, si int, p fragindex.Posting) {
+	nk, ns := len(s.keywords), len(s.snaps)
 	g := s.base[si] + p.Frag
-	if s.ordOf[g] != 0 {
+	if ord := s.ordOf[g]; ord > 0 {
+		s.seedOcc[int(ord-1)*nk+i] = int64(p.TF)
+		return
+	} else if ord < 0 || !s.snaps[si].AliveRef(p.Frag) {
 		return
 	}
 	ord := s.register(g)
+	terms := s.snaps[si].TermsOf(p.Frag)
 	occ := s.occOf(ord)
 	occ[i] = int64(p.TF)
-	for j := range s.keywords {
-		if j != i {
-			occ[j] = s.tf(j, si, p.Frag, terms)
+	known, rest, bound := float64(p.TF)*s.idf[i], 0.0, false
+	for j := range occ {
+		if j == i || s.zeroTF(j, si, terms) {
+			continue
 		}
+		occ[j], rest, bound = -1, rest+s.curs[j*ns+si].bound, true
 	}
-	s.queue(heapEntry{score: score(occ, terms, s.idf), size: terms, ord: ord})
+	e := heapEntry{size: terms, ord: ord}
+	switch {
+	case !bound:
+		e.score = score(occ, terms, s.idf)
+	case terms > 0:
+		ub := known/float64(terms) + rest
+		e.score = ub + ub*s.margin
+	}
+	s.enqueue(e, bound)
 }
 
-// tf returns keyword j's TF in an unregistered fragment ref of pinned
-// snapshot si whose total is terms. A fragment no cursor has reached that
-// holds j has its posting at or behind cursor (j, si), at impact at least
-// 1/terms; so when that cursor is exhausted, or its head's impact is
-// already below 1/terms (compared exactly, as head.TF × terms <
-// head.terms), the TF is 0 without a look. Otherwise it probes j's table,
+// zeroTF reports whether keyword j's cursor over pinned snapshot si proves
+// that a fragment of total terms, whose posting for j no block read so far
+// held, has TF 0 for j: its posting would lie at or behind the cursor, at
+// impact at least 1/terms, so it has none when the cursor is exhausted or
+// its head's impact is already below 1/terms (compared exactly, as
+// head.TF × terms < head.terms).
+func (s *searchScratch) zeroTF(j, si int, terms int64) bool {
+	c := &s.curs[j*len(s.snaps)+si]
+	return c.done || terms > 0 && int64(c.head.TF)*terms < c.terms
+}
+
+// complete fills in ordinal ord's unknown TFs (see tf); size is its
+// fragment's total.
+func (s *searchScratch) complete(ord int32, size int64) {
+	occ := s.occOf(ord)
+	for j, n := range occ {
+		if n < 0 {
+			g := s.refs[ord]
+			si := s.shardOf(g)
+			occ[j] = s.tf(j, si, g-s.base[si], size)
+		}
+	}
+}
+
+// tf returns keyword j's TF in a fragment ref of pinned snapshot si, of
+// total terms, whose posting for j no block read so far held: 0 where the
+// cursor proves it (zeroTF), and otherwise a probe of j's table,
 // tabulating j on its first probe.
 //
 // A table, not the fragment's forward map, answers probes because a cache
@@ -820,7 +727,7 @@ func (s *searchScratch) pull(ci int) {
 // fallback past a share of the DF) left more server CPU per miss than
 // tabulating every probed keyword outright.
 func (s *searchScratch) tf(j, si int, ref fragindex.FragRef, terms int64) int64 {
-	if c := &s.curs[j*len(s.snaps)+si]; c.done || terms > 0 && int64(c.head.TF)*terms < c.terms {
+	if s.zeroTF(j, si, terms) {
 		return 0
 	}
 	s.probes++
@@ -836,11 +743,10 @@ func (s *searchScratch) tf(j, si int, ref fragindex.FragRef, terms int64) int64 
 
 // maxTables bounds the TF tables one search fills, and with them what a
 // retained scratch keeps: a table costs 8 B per ref of the pinned set,
-// beside the 5 B per ref of ordOf and used. A query of more keywords
-// drains before its first pull (see fill), so no probe of it looks a table
-// up, and a scratch never holds more than maxTables of them, however many
-// keywords the queries it served carried. The search_uncached mix has at
-// most three.
+// beside the 5 B per ref of ordOf and used. A query of more keywords reads
+// every list at open, so no probe of it looks a table up, and a scratch
+// never holds more than maxTables of them, however many keywords the
+// queries it served carried. The search_uncached mix has at most three.
 const maxTables = 4
 
 // tabulate copies keyword j's TF per global ref over the pinned set into a
@@ -849,7 +755,7 @@ const maxTables = 4
 // wrote reads as 0 and no table is ever cleared; the stamps restart, and
 // the tables are cleared, once in 2³² searches. Tombstoned postings are
 // copied too: only live refs are ever probed. Its postings count as
-// tabulated, not as pulled.
+// tabulated, not as read.
 func (s *searchScratch) tabulate(j int) []uint64 {
 	for len(s.tabBufs) <= j {
 		s.tabBufs = append(s.tabBufs, nil)
@@ -873,14 +779,84 @@ func (s *searchScratch) tabulate(j int) []uint64 {
 	return t
 }
 
+// The deferred queue is numBuckets score buckets over fixed ranges of
+// float bits, counted down from τ at open (topBits), 1<<(52-bucketShift)
+// of them per power of two; the last one also holds every score below.
+// Scores are non-negative and finite, and such floats order like their
+// bit patterns, so a seed in a lower-numbered bucket outscores every seed
+// in a higher-numbered one. A push is an append; a bucket is ordered only
+// once refill moves it into the heap. Most seeds never reach the head, and
+// a bucket costs them an append where a heap would cost each a sift.
+const (
+	numBuckets  = 256
+	bucketShift = 48
+)
+
+// bucketOf maps a score to its bucket, 0 (the best) up.
+func (s *searchScratch) bucketOf(score float64) int {
+	d := s.topBits - min(math.Float64bits(score), s.topBits)
+	return int(min(d>>bucketShift, numBuckets-1))
+}
+
+// enqueue pushes a registered seed into its score's bucket.
+func (s *searchScratch) enqueue(e heapEntry, bound bool) {
+	s.deferred = append(s.deferred, deferredEntry{heapEntry: e, bound: bound})
+	s.link(len(s.deferred) - 1)
+}
+
+// link puts deferred[k] at the front of its score's bucket.
+func (s *searchScratch) link(k int) {
+	d := &s.deferred[k]
+	b := s.bucketOf(d.score)
+	d.next, s.buckets[b] = s.buckets[b], int32(k+1)
+	s.best = min(s.best, b)
+}
+
+// refill moves the best bucket into the heap, again and again, until the
+// head's bucket lies above every bucket still holding a seed: the head
+// then strictly outscores every seed still deferred, so it is the candLess
+// minimum over all registered seeds. A seed an expansion absorbed is
+// dropped on the way. One queued under a
+// bound is completed first (see complete), and goes back to the bucket of
+// its exact score when that bucket is a worse one; so every heap entry is
+// exact.
+func (s *searchScratch) refill() {
+	for ; s.best < numBuckets; s.best++ {
+		at := s.buckets[s.best]
+		if at == 0 {
+			continue
+		}
+		if len(s.heap) > 0 && s.bucketOf(s.heap[0].score) < s.best {
+			return
+		}
+		s.buckets[s.best] = 0
+		for at != 0 {
+			d := s.deferred[at-1]
+			at = d.next
+			if s.consumed[d.ord] {
+				continue
+			}
+			if d.bound {
+				s.complete(d.ord, d.size)
+				if d.score = score(s.occOf(d.ord), d.size, s.idf); s.bucketOf(d.score) > s.best {
+					s.enqueue(d.heapEntry, false)
+					continue
+				}
+			}
+			s.push(d.heapEntry)
+		}
+	}
+}
+
 // seedTop is Algorithm 1's line 1 under CandidateLimit: for each keyword it
 // walks every live posting of the pinned set, keeps the limit that sort
 // highest by (TF descending, fragment identifier ascending) — the paper's
 // partial inverted-list read (§II), exactly as a single index over the
 // union reads it — and seeds them. Occurrence vectors hold only what the
 // kept postings carry, and expansion probes nothing, so the cut means
-// what it always has. The seeds are scored and pooled once every IDF is
-// known. The ctx is polled once per keyword.
+// what it always has. Once every IDF is known, the seeds are scored and
+// pushed into the buckets, counted down from the best score. The ctx is
+// polled once per keyword.
 func (s *searchScratch) seedTop(ctx context.Context, limit int) error {
 	for i, w := range s.keywords {
 		if err := ctx.Err(); err != nil {
@@ -905,21 +881,23 @@ func (s *searchScratch) seedTop(ctx context.Context, limit int) error {
 			ord := s.ordOf[g] - 1
 			if ord < 0 {
 				ord = s.register(g)
-				s.pool = append(s.pool, heapEntry{size: e.terms, ord: ord})
+				s.deferred = append(s.deferred, deferredEntry{heapEntry: heapEntry{size: e.terms, ord: ord}})
 			}
 			s.occOf(ord)[i] += int64(e.p.TF)
 		}
 		clear(s.band)
 		s.band = s.band[:0]
 	}
-	for j := range s.pool {
-		h := &s.pool[j]
-		h.score = score(s.occOf(h.ord), h.size, s.idf)
+	top := 0.0
+	for k := range s.deferred {
+		d := &s.deferred[k]
+		d.score = score(s.occOf(d.ord), d.size, s.idf)
+		top = max(top, d.score)
 	}
-	for j := len(s.pool)/2 - 1; j >= 0; j-- {
-		s.poolDown(j)
+	s.topBits = math.Float64bits(top)
+	for k := range s.deferred {
+		s.link(k)
 	}
-	s.pushes += len(s.pool)
 	return nil
 }
 
@@ -1037,11 +1015,11 @@ func (s *searchScratch) tieKey(ord int32) (key string, lo, hi int) {
 
 // path returns the slot in cands of ord's candidate, materialising it on
 // first use: the seed's group path in its shard's snapshot with the
-// single-fragment interval, and a mutable copy of its occurrence vector.
-// Every ref was read live off a posting list or a group path, so GroupPath
-// cannot fail; were it to, the error sticks in s.err (which the assembly
-// loop checks before it walks any path) and the candidate stays an empty
-// interval.
+// single-fragment interval, and a mutable copy of its occurrence vector
+// (complete: only heap entries are visited). Every ref was read live off a
+// posting list or a group path, so GroupPath cannot fail; were it to, the
+// error sticks in s.err (which the assembly loop checks before it walks
+// any path) and the candidate stays an empty interval.
 func (s *searchScratch) path(ord int32) int {
 	if slot := s.slotOf[ord]; slot != 0 {
 		return int(slot) - 1
@@ -1080,89 +1058,9 @@ func (s *searchScratch) siftDown(i int) {
 	h[i] = e
 }
 
-// poolLess orders the pool: best score first, then smaller size. Unlike
-// candLess it never reads a tie key.
-func poolLess(a, b heapEntry) bool {
-	if a.score != b.score {
-		return a.score > b.score
-	}
-	return a.size < b.size
-}
-
-// queue adds a registered seed and counts the push: into the heap when it
-// is not strictly worse than the head on (score, size) — promote would
-// move it there before the next visit anyway — and into the pool
-// otherwise.
-func (s *searchScratch) queue(e heapEntry) {
-	s.pushes++
-	if len(s.heap) > 0 && poolLess(s.heap[0], e) {
-		s.poolPush(e)
-	} else {
-		s.push(e)
-	}
-}
-
-// poolPush adds a registered seed to the pool.
-func (s *searchScratch) poolPush(e heapEntry) {
-	s.pool = append(s.pool, e)
-	h := s.pool
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !poolLess(e, h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = e
-}
-
-// poolDown restores the pool's heap order below position i — popping its
-// best and the up-front heapify of seedTop share it.
-func (s *searchScratch) poolDown(i int) {
-	h := s.pool
-	e := h[i]
-	for {
-		child := 2*i + 1
-		if child >= len(h) {
-			break
-		}
-		if r := child + 1; r < len(h) && poolLess(h[r], h[child]) {
-			child = r
-		}
-		if !poolLess(h[child], e) {
-			break
-		}
-		h[i] = h[child]
-		i = child
-	}
-	h[i] = e
-}
-
-// promote moves pool seeds into the heap until the pool's best is strictly
-// worse than the heap's head on (score, size) — so the head is the candLess
-// minimum over both — dropping seeds an expansion absorbed on the way.
-func (s *searchScratch) promote() {
-	for len(s.pool) > 0 {
-		e := s.pool[0]
-		if !s.consumed[e.ord] && len(s.heap) > 0 && poolLess(s.heap[0], e) {
-			return
-		}
-		n := len(s.pool) - 1
-		s.pool[0] = s.pool[n]
-		s.pool = s.pool[:n]
-		if n > 1 {
-			s.poolDown(0)
-		}
-		if !s.consumed[e.ord] {
-			s.push(e)
-		}
-	}
-}
-
-// push adds an entry to the heap and sifts it up.
+// push adds an entry to the heap, sifts it up and counts the push.
 func (s *searchScratch) push(e heapEntry) {
+	s.pushes++
 	s.heap = append(s.heap, e)
 	h := s.heap
 	i := len(h) - 1
@@ -1187,29 +1085,10 @@ func (s *searchScratch) popTop() {
 	}
 }
 
-// pushFresh pools the seeds the last expansion registered by probing; a
-// seed the expansion absorbed is left out — its entry would only be
-// dropped.
-func (s *searchScratch) pushFresh() {
-	for _, ord := range s.fresh {
-		if !s.consumed[ord] {
-			s.queue(heapEntry{score: score(s.occOf(ord), s.sizeOf(ord), s.idf), size: s.sizeOf(ord), ord: ord})
-		}
-	}
-	s.fresh = s.fresh[:0]
-}
-
-// sizeOf returns ordinal ord's fragment total.
-func (s *searchScratch) sizeOf(ord int32) int64 {
-	g := s.refs[ord]
-	si := s.shardOf(g)
-	return s.snaps[si].TermsOf(g - s.base[si])
-}
-
 // ctxCheckInterval is how many units of work — queue visits and postings
-// pulled — the search runs between cooperative ctx.Err() polls. A poll is
+// read — the search runs between cooperative ctx.Err() polls. A poll is
 // cheap but not free — the standard cancelCtx takes an uncontended mutex
-// in Err() — and a visit or a pull is a few nanoseconds, so polling too
+// in Err() — and a visit or a posting is a few nanoseconds, so polling too
 // densely shows up on the Fig11 hot band. 1024 keeps the poll below
 // measurement noise (BenchmarkSearchContextOverhead pins this) while still
 // bounding how far past a cancellation a search can run to microseconds
@@ -1268,11 +1147,11 @@ func (e *core) search(ctx context.Context, req Request, snaps ...*fragindex.Snap
 	nk := len(s.keywords)
 
 	// Lines 1-2: the relevant fragments and their single-fragment pages.
-	// Without a CandidateLimit they are registered on demand — fill pulls
-	// postings in impact order until the head outscores everything unread
-	// — each with its full occurrence vector and one queue entry sized from
-	// its metadata; the group path waits until the page is visited. With
-	// one, the cut needs every posting, so all seeds are pooled up front.
+	// Without a CandidateLimit they are registered on demand — fill reads
+	// blocks in impact order until the head outscores everything unread —
+	// each with one queue entry sized from its metadata; unknown TFs and
+	// the group path wait until the seed nears the head. With one, the cut
+	// needs every posting, so all seeds are queued up front.
 	var err error
 	if req.CandidateLimit > 0 {
 		err = s.seedTop(ctx, req.CandidateLimit)
@@ -1286,8 +1165,8 @@ func (e *core) search(ctx context.Context, req Request, snaps ...*fragindex.Snap
 	var out []Result
 
 	// Lines 4-9: assemble pages best-first. A visit to the queue's head
-	// either expands a page or retires one; visits and pulls share the
-	// cooperative cancellation poll.
+	// either expands a page or retires one; visits and postings read share
+	// the cooperative cancellation poll.
 	for len(out) < req.K {
 		if err := s.fill(ctx); err != nil {
 			return nil, err
@@ -1311,12 +1190,11 @@ func (e *core) search(ctx context.Context, req Request, snaps ...*fragindex.Snap
 		}
 		c, occ := &s.cands[slot], s.candOcc[slot*nk:(slot+1)*nk]
 		if expandable(c, top.size, req.SizeThreshold) {
-			// Expand and reinsert: rewrite the head in place, sift it down,
-			// then queue any neighbour the expansion registered.
+			// Expand and reinsert: rewrite the head in place and sift it
+			// down.
 			size := top.size + s.expand(c, occ)
 			s.heap[0].size, s.heap[0].score = size, score(occ, size, s.idf)
 			s.siftDown(0)
-			s.pushFresh()
 			continue
 		}
 		// Line 6-7: not expandable — emit.
@@ -1425,14 +1303,18 @@ func expandable(c *candidate, size int64, s int) bool {
 // path (0 when the fragment carries none of the queried keywords) and its
 // dense ordinal (-1 when it is not a candidate). A neighbour no cursor has
 // reached yet is probed: if it holds a queried keyword it is registered —
-// a seed like any other, queued by pushFresh after the expansion — and
-// otherwise remembered as irrelevant. Under CandidateLimit nothing is
-// probed: a fragment the cut left out is not a candidate.
+// a seed like any other — and
+// otherwise remembered as irrelevant. A registered one still waiting in a
+// bucket under a bound has its vector completed. Under CandidateLimit
+// nothing is probed: a fragment the cut left out is not a candidate.
 func (s *searchScratch) gainOf(c *candidate, at int) (float64, int32) {
 	ref := c.members[at]
 	g := s.base[c.shard] + ref
 	ord := s.ordOf[g] - 1
-	if ord == -1 && len(s.curs) > 0 {
+	switch {
+	case ord >= 0:
+		s.complete(ord, c.weights[at])
+	case ord == -1 && len(s.curs) > 0:
 		ord = s.probe(c.shard, ref, g, c.weights[at])
 	}
 	if ord < 0 {
@@ -1441,9 +1323,10 @@ func (s *searchScratch) gainOf(c *candidate, at int) (float64, int32) {
 	return weighted(s.occOf(ord), s.idf), ord
 }
 
-// probe reads a neighbour's occurrence vector (see tf) and registers it
-// when any entry is non-zero; it returns the ordinal, or -1 (recording the
-// miss) when the fragment holds no queried keyword.
+// probe reads a neighbour's occurrence vector (see tf) and, when any entry
+// is non-zero, registers it and queues it under its exact score (if the
+// expansion absorbs it, refill drops the entry); it returns the ordinal,
+// or -1 (recording the miss) when the fragment holds no queried keyword.
 func (s *searchScratch) probe(si int, ref, g fragindex.FragRef, terms int64) int32 {
 	s.probeOcc = s.probeOcc[:0]
 	hit := false
@@ -1459,7 +1342,7 @@ func (s *searchScratch) probe(si int, ref, g fragindex.FragRef, terms int64) int
 	}
 	ord := s.register(g)
 	copy(s.occOf(ord), s.probeOcc)
-	s.fresh = append(s.fresh, ord)
+	s.enqueue(heapEntry{score: score(s.probeOcc, terms, s.idf), size: terms, ord: ord}, false)
 	return ord
 }
 

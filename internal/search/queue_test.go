@@ -109,20 +109,76 @@ func openQueue(t *testing.T, e *core, snaps []*fragindex.Snapshot) *searchScratc
 	return s
 }
 
-// TestLazyQueueVisitsInFullHeapOrder: on random corpora, the threshold-
-// bounded queue — seeds pulled in impact order only until the head strictly
-// outscores τ (fill), the rest drained into score buckets once a quarter of
-// the postings are pulled — visits entries in exactly the order a queue
-// holding every seed from the start does under candLess, while heads are
-// popped, raised and lowered. The reference here is every seed, drained up
-// front, in a slice scanned for its minimum; that drain must bucket every
-// seed exactly once, scored, best bucket first (see checkBuckets;
-// TestBucketQueueEdges drives the buckets on their edges directly). The
-// cases aim at the bound: exact ties at τ, every score equal, scores a few
-// units in the last place apart on either side of τ (where only the margin
-// keeps the bound sound), size-0 fragments scoring 0, and scores across
-// many binades; trials must reach both a first visit with postings unread
-// and a drain.
+// readAll reads every block of every cursor of s, as a query that never
+// settles does, completes every seed — with no probe, since every cursor
+// is exhausted — and returns each seed's exact entry, indexed by ordinal.
+func readAll(t *testing.T, s *searchScratch) []heapEntry {
+	t.Helper()
+	for ci := range s.curs {
+		for !s.curs[ci].done {
+			if err := s.read(context.Background(), ci); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	seeds := make([]heapEntry, len(s.refs))
+	for ord := range seeds {
+		g := s.refs[ord]
+		si := s.shardOf(g)
+		size := s.snaps[si].TermsOf(g - s.base[si])
+		s.complete(int32(ord), size)
+		seeds[ord] = heapEntry{score: score(s.occOf(int32(ord)), size, s.idf), size: size, ord: int32(ord)}
+	}
+	if s.probes != 0 {
+		t.Fatalf("completing after every list was read made %d TF probes, want none", s.probes)
+	}
+	return seeds
+}
+
+// checkBuckets requires s's buckets to hold every seed of want (indexed by
+// ordinal) exactly once, with its size, in the bucket of its key, keyed by
+// its exact score or, if queued under a bound, by one no lower; and no
+// bucket before s.best may hold one.
+func checkBuckets(t *testing.T, s *searchScratch, want []heapEntry, when string) {
+	t.Helper()
+	seen := make([]bool, len(want))
+	for b, at := range s.buckets {
+		if at != 0 && b < s.best {
+			t.Fatalf("%s: bucket %d holds seeds, but the best is %d", when, b, s.best)
+		}
+		for ; at != 0; at = s.deferred[at-1].next {
+			d := s.deferred[at-1]
+			w := want[d.ord]
+			switch {
+			case seen[d.ord]:
+				t.Fatalf("%s: seed %d is queued twice", when, d.ord)
+			case s.bucketOf(d.score) != b:
+				t.Fatalf("%s: seed %d, key %v, is in bucket %d, not %d", when, d.ord, d.score, b, s.bucketOf(d.score))
+			case d.size != w.size || d.score < w.score || !d.bound && d.score != w.score:
+				t.Fatalf("%s: seed %d is queued as %+v (bound %t), want %+v", when, d.ord, d.heapEntry, d.bound, w)
+			}
+			seen[d.ord] = true
+		}
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Fatalf("%s: seed %d of %d is not queued", when, i, len(want))
+	}
+}
+
+// TestLazyQueueVisitsInFullHeapOrder: on random corpora, the one seeding
+// walk — blocks read from the cursor of the largest bound only until the
+// head strictly outscores τ (fill), seeds queued in score buckets under
+// upper bounds where a TF is unknown and completed as their bucket moves
+// into the heap — visits entries in exactly the order a queue holding
+// every seed from the start does under candLess, while heads are popped,
+// raised and lowered. The reference here is every seed, read up front
+// (every block of every list, each queued once under a key no lower than
+// its exact score; see checkBuckets), in a slice scanned for its minimum.
+// The cases aim at the bound: exact ties at τ, every score equal, scores a
+// few units in the last place apart on either side of τ (where only the
+// margin keeps the bound sound), size-0 fragments scoring 0, and scores
+// across many binades; trials must reach a first visit with postings
+// unread, and a seed completed by a TF probe.
 func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
 	pick := func(r *rand.Rand, xs ...int64) int64 { return xs[r.Intn(len(xs))] }
 	some := func(r *rand.Rand, f func() int64) (tfs [3]int64) {
@@ -138,7 +194,7 @@ func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
 	cases := []struct {
 		name string
 		frag func(r *rand.Rand) queueFragment
-		lazy bool // some trial's first visit must come before a drain, with postings unread
+		lazy bool // some trial's first visit must come with postings unread
 	}{
 		{"heavy ties", func(r *rand.Rand) queueFragment {
 			return queueFragment{some(r, func() int64 { return pick(r, 1, 2) }), pick(r, 2, 4)}
@@ -161,10 +217,10 @@ func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
 			return queueFragment{some(r, func() int64 { return pick(r, 999_999, 1_000_000, 1_000_001) }), pick(r, 2_999_999, 3_000_000, 3_000_001)}
 		}, false},
 	}
-	drains := 0 // trials, over all cases, whose lazy queue drained
+	probes := 0 // over all cases: TF probes that completed a seed
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			early := 0 // trials whose first visit came with postings unread, before any drain
+			early := 0 // trials whose first visit came with postings unread
 			r := rand.New(rand.NewSource(71))
 			for trial := 0; trial < 30; trial++ {
 				n := 1 + r.Intn(600)
@@ -185,19 +241,12 @@ func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
 
 				// The reference: every seed registered before the first visit.
 				full := openQueue(t, e, snaps)
-				if err := full.drain(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				all := slices.Clone(full.pending)
-				if len(all) != n || full.postings != df {
-					t.Fatalf("trial %d: draining registered %d of %d seeds after %d of %d postings", trial, len(all), n, full.postings, df)
-				}
-				seeds := make([]heapEntry, n)
-				for ord := range seeds {
-					size := full.sizeOf(int32(ord))
-					seeds[ord] = heapEntry{score: score(full.occOf(int32(ord)), size, full.idf), size: size, ord: int32(ord)}
+				seeds := readAll(t, full)
+				if len(seeds) != n || full.postings != df {
+					t.Fatalf("trial %d: reading every list registered %d of %d seeds after %d of %d postings", trial, len(seeds), n, full.postings, df)
 				}
 				checkBuckets(t, full, seeds, fmt.Sprintf("trial %d", trial))
+				all := slices.Clone(seeds)
 				scores := make([]float64, len(all))
 				for i, h := range all {
 					scores[i] = h.score
@@ -211,7 +260,7 @@ func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
 						if err := lazy.fill(context.Background()); err != nil {
 							t.Fatal(err)
 						}
-						if first && !lazy.drained && lazy.postings < df {
+						if first && lazy.postings < df {
 							early++
 						}
 						first = false
@@ -225,9 +274,7 @@ func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
 				if slices.ContainsFunc(lazy.curs, func(c cursor) bool { return !c.done }) {
 					t.Fatalf("trial %d: queue ran empty with postings unread", trial)
 				}
-				if lazy.drained {
-					drains++
-				}
+				probes += lazy.probes
 
 				best := 0
 				want := visitOrder(rand.New(rand.NewSource(seed)), scores,
@@ -263,64 +310,64 @@ func TestLazyQueueVisitsInFullHeapOrder(t *testing.T) {
 			}
 		})
 	}
-	if drains == 0 {
-		t.Fatal("no trial drained")
+	if probes == 0 {
+		t.Fatal("no trial completed a seed by a TF probe")
 	}
 }
 
-// checkBuckets requires s's pending buckets to hold exactly the entries
-// want, indexed by ordinal — every seed once, with its score and size —
-// grouped best bucket first.
-func checkBuckets(t *testing.T, s *searchScratch, want []heapEntry, when string) {
-	t.Helper()
-	got := slices.Clone(s.pending)
-	slices.SortFunc(got, func(a, b heapEntry) int { return int(a.ord - b.ord) })
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s: the buckets hold %d entries, want every one of %d seeds once, scored", when, len(got), len(want))
-	}
-	for i := 1; i < len(s.pending); i++ {
-		if s.bucketOf(s.pending[i-1].score) < s.bucketOf(s.pending[i].score) {
-			t.Fatalf("%s: pending[%d] is in a better bucket than pending[%d]", when, i, i-1)
+// TestBucketQueueEdges drives the score buckets directly. bucketOf must
+// put topBits itself, and every score above it, in bucket 0, whose floor
+// is one bucket width below topBits, with sixteen buckets to a power of
+// two and the last bucket taking every score below. Then, on trials of
+// seeds pinned within two units in the last place of a bucket edge — some
+// queued under a bound zero to two buckets above their exact score, so
+// that completing them drops them to a lower bucket — refill must hand out
+// exactly the order a slice of the exact entries scanned for its candLess
+// minimum does while heads are popped, raised and lowered.
+// Every seed's candidate is materialised up front, as a one-fragment
+// interval of a group at path position ord, so candLess never reads an
+// index; a bound seed k's exact score is carried by its own keyword k, so
+// completing it probes nothing.
+func TestBucketQueueEdges(t *testing.T) {
+	const width = uint64(1) << bucketShift
+	top := math.Float64bits(0.25)
+	edges := &searchScratch{topBits: top}
+	for _, c := range []struct {
+		bits uint64
+		want int
+	}{
+		{math.Float64bits(math.MaxFloat64), 0}, {top + 1, 0}, {top, 0}, {top - width + 1, 0},
+		{top - width, 1}, {top - 2*width + 1, 1}, {top - 2*width, 2},
+		{math.Float64bits(0.125), 16},
+		{top - (numBuckets-1)*width, numBuckets - 1}, {top - numBuckets*width, numBuckets - 1}, {0, numBuckets - 1},
+	} {
+		if got := edges.bucketOf(math.Float64frombits(c.bits)); got != c.want {
+			t.Errorf("bucketOf(%v) = %d, want %d", math.Float64frombits(c.bits), got, c.want)
 		}
 	}
-}
 
-// TestBucketQueueEdges drives bucketSeeds and refill directly, with scores
-// pinned on a bucket boundary: at least 256 seeds spanning
-// [edge-3<<40, edge+3<<40) make the shift 35, so edge-1 and edge are
-// adjacent floats in different buckets, and most seeds sit within two
-// units in the last place of a boundary. Every seed's candidate is
-// materialised up front, as a one-fragment interval of a group at path
-// position ord, so candLess never reads an index. The buckets must hold
-// every seed once, best bucket first, and refill must visit in exactly the
-// order a slice scanned for its candLess minimum does while heads are
-// popped, raised and lowered.
-func TestBucketQueueEdges(t *testing.T) {
-	edge := math.Float64bits(0.25)
+	const nb = 8 // seeds queued under a bound, per trial
 	r := rand.New(rand.NewSource(73))
+	dropped := 0 // bound seeds completed into a lower bucket
 	for trial := 0; trial < 30; trial++ {
-		n := numBuckets + 40 + r.Intn(600)
-		s := &searchScratch{slotOf: make([]int32, n), consumed: make([]bool, n)}
+		n := nb + 40 + r.Intn(600)
+		s := &searchScratch{topBits: top, best: numBuckets, keywords: make([]string, nb), idf: make([]float64, nb),
+			slotOf: make([]int32, n), consumed: make([]bool, n), seedOcc: make([]int64, n*nb)}
 		want := make([]heapEntry, n)
-		minBits, maxBits := uint64(math.MaxUint64), uint64(0)
 		for ord := range want {
-			b := edge + uint64(r.Intn(5)-2)<<35 + uint64(r.Intn(3)) - 1
-			if ord < 2 { // pin the range
-				b = edge - 3<<40 + uint64(ord)*(6<<40-1)
-			}
+			b := top - uint64(r.Intn(6))*width + uint64(r.Intn(5)) - 2
 			e := heapEntry{score: math.Float64frombits(b), size: int64(1 + r.Intn(2)), ord: int32(ord)}
 			want[ord] = e
-			s.pool = append(s.pool, e)
 			s.cands = append(s.cands, candidate{gkey: fmt.Sprintf("g%d", r.Intn(3)), lo: ord, hi: ord})
 			s.slotOf[ord] = int32(ord) + 1
-			minBits, maxBits = min(minBits, b), max(maxBits, b)
-		}
-		s.bucketSeeds(minBits, maxBits)
-		if s.shift != 35 {
-			t.Fatalf("trial %d: shift = %d, want 35", trial, s.shift)
-		}
-		if s.bucketOf(math.Float64frombits(edge-1)) == s.bucketOf(math.Float64frombits(edge)) {
-			t.Fatalf("trial %d: edge-1 and edge share a bucket", trial)
+			if ord < nb {
+				s.idf[ord] = e.score
+				s.occOf(int32(ord))[ord] = e.size // scores size × idf / size: exactly idf
+				e.score = math.Float64frombits(b + uint64(r.Intn(3))*width)
+				s.enqueue(e, true)
+				continue
+			}
+			s.enqueue(e, false)
 		}
 		when := fmt.Sprintf("trial %d", trial)
 		checkBuckets(t, s, want, when)
@@ -330,14 +377,9 @@ func TestBucketQueueEdges(t *testing.T) {
 			scores[i] = e.score
 		}
 		seed := r.Int63()
-		first := true
 		got := visitOrder(rand.New(rand.NewSource(seed)), scores,
 			func() (heapEntry, fragindex.FragRef, bool) {
 				s.refill()
-				if first && s.queued == len(s.pending) {
-					t.Fatalf("%s: all %d seeds queued before the first visit", when, n)
-				}
-				first = false
 				if len(s.heap) == 0 {
 					return heapEntry{}, 0, false
 				}
@@ -345,9 +387,10 @@ func TestBucketQueueEdges(t *testing.T) {
 			},
 			s.popTop,
 			func(e heapEntry) { s.heap[0] = e; s.siftDown(0) })
-		if s.queued != len(s.pending) {
-			t.Fatalf("%s: queue ran empty with %d seeds pending", when, len(s.pending)-s.queued)
+		if s.best != numBuckets {
+			t.Fatalf("%s: queue ran empty with bucket %d holding seeds", when, s.best)
 		}
+		dropped += len(s.deferred) - n
 		all, best := want, 0
 		wantOrder := visitOrder(rand.New(rand.NewSource(seed)), scores,
 			func() (heapEntry, fragindex.FragRef, bool) {
@@ -367,5 +410,8 @@ func TestBucketQueueEdges(t *testing.T) {
 		if !slices.Equal(got, wantOrder) {
 			t.Fatalf("%s: the buckets visit %d entries, a full queue %d, in another order", when, len(got), len(wantOrder))
 		}
+	}
+	if dropped == 0 {
+		t.Fatal("no seed queued under a bound fell to a lower bucket")
 	}
 }

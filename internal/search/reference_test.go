@@ -277,7 +277,7 @@ func checkScratchClean(t *testing.T, e *core, when string) {
 			t.Fatalf("%s: stale used[%d]", when, ref)
 		}
 	}
-	if s.err != nil || len(s.refs)+len(s.misses)+len(s.usedRefs)+len(s.seen)+len(s.fresh) != 0 {
+	if s.err != nil || len(s.refs)+len(s.misses)+len(s.usedRefs)+len(s.seen) != 0 {
 		t.Fatalf("%s: released scratch still holds query state", when)
 	}
 	if len(s.slotOf)+len(s.consumed) != 0 || s.work+s.postings+s.tabulated+s.probes+s.pushes != 0 {
@@ -301,8 +301,8 @@ func checkScratchClean(t *testing.T, e *core, when string) {
 			t.Fatalf("%s: released scratch still holds a band entry", when)
 		}
 	}
-	if len(s.heap)+len(s.pool)+len(s.pending)+s.queued != 0 || s.drained || s.eager {
-		t.Fatalf("%s: released scratch still holds %d heaped, %d pooled and %d pending seeds", when, len(s.heap), len(s.pool), len(s.pending))
+	if len(s.heap)+len(s.deferred) != 0 || s.buckets != [numBuckets]int32{} || s.best != numBuckets {
+		t.Fatalf("%s: released scratch still holds %d heaped and %d deferred seeds", when, len(s.heap), len(s.deferred))
 	}
 	if len(s.tabs) != 0 {
 		t.Fatalf("%s: released scratch still holds TF tables", when)
@@ -426,7 +426,7 @@ func TestReferenceScratchReuse(t *testing.T) {
 }
 
 // TestReferenceAfterMidAssemblyCancel cancels a search mid-assembly —
-// every posting pulled (1 500 seeds tie on one score, so none is visited
+// every posting read (1 500 seeds tie on one score, so none is visited
 // before the last is read), then hundreds of pages accepted and their
 // fragments marked used — and requires the next answers from the same
 // engine to equal the reference's.
@@ -438,7 +438,7 @@ func TestReferenceAfterMidAssemblyCancel(t *testing.T) {
 	checkAgainstReference(t, e, snap, req, "warm-up")
 
 	// Polls: Search entry, searchSnapshot entry, one keyword, then one per
-	// ctxCheckInterval pulls and visits. Every seed ties, so the smaller
+	// ctxCheckInterval postings read and visits. Every seed ties, so the smaller
 	// one-fragment pages expand (and absorb) before any two-fragment page
 	// is emitted: the 4 096th unit of work falls among the emissions.
 	probe := &cancelProbe{Context: context.Background(), failAt: 7, s: retainedScratch(t, &e.core, "warm-up")}
@@ -474,10 +474,10 @@ func spreadEngine(t *testing.T, members int) *Engine {
 }
 
 // TestReferenceEveryBucketDrains asks for more results than there are
-// pages, so K is never reached and every posting must be pulled or drained
-// before the search may end — while the heap runs empty between pulls (at
-// s = 1 nothing expands: each head is emitted and popped, and the next
-// pull refills the queue).
+// pages, so K is never reached and every block must be read and every
+// bucket emptied before the search may end — while the heap runs empty
+// between block reads (at s = 1 nothing expands: each head is emitted and
+// popped, and the next block refills the queue).
 func TestReferenceEveryBucketDrains(t *testing.T) {
 	e := spreadEngine(t, 400)
 	snap := e.Snapshot()
@@ -511,8 +511,8 @@ func TestReferenceEveryBucketDrains(t *testing.T) {
 
 // cancelProbe is a context whose Err() fails from the given poll on and, at
 // the first failing poll, records how far a scratch's seed source had
-// been read, how many seeds were queued (heap and pool) and how many fragments accepted
-// pages held.
+// been read, how many seeds had been queued (heap and buckets) and how
+// many fragments accepted pages held.
 type cancelProbe struct {
 	context.Context
 	polls, failAt          int
@@ -526,15 +526,15 @@ func (c *cancelProbe) Err() error {
 		return nil
 	}
 	if c.polls == c.failAt {
-		c.read, c.heaped, c.accepted = c.s.postings, len(c.s.heap)+len(c.s.pool), len(c.s.usedRefs)
+		c.read, c.heaped, c.accepted = c.s.postings, len(c.s.heap)+len(c.s.deferred), len(c.s.usedRefs)
 	}
 	return errDeadline
 }
 
 // TestReferenceAfterMidRefillCancel cancels a search at its first work
-// poll while most postings are still unread — a cancel during a pull —
-// and requires the scratch to come back empty and the next answers to
-// equal the reference's.
+// poll while most postings are still unread — between visits and block
+// reads — and requires the scratch to come back empty and the next
+// answers to equal the reference's.
 func TestReferenceAfterMidRefillCancel(t *testing.T) {
 	e := spreadEngine(t, 3000)
 	snap := e.Snapshot()
@@ -542,7 +542,7 @@ func TestReferenceAfterMidRefillCancel(t *testing.T) {
 	checkAgainstReference(t, e, snap, req, "warm-up")
 
 	// Polls: Search entry, searchSnapshot entry, one keyword, then the
-	// first work poll, ctxCheckInterval pulls and visits in.
+	// first work poll, ctxCheckInterval postings read and visits in.
 	probe := &cancelProbe{Context: context.Background(), failAt: 4, s: retainedScratch(t, &e.core, "warm-up")}
 	if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
 		t.Fatalf("err = %v, want the simulated deadline", err)
@@ -550,10 +550,10 @@ func TestReferenceAfterMidRefillCancel(t *testing.T) {
 	if probe.read > 2000 || probe.heaped == 0 {
 		t.Fatalf("cancelled with %d of 3000 postings read and %d heaped, want a part-read source", probe.read, probe.heaped)
 	}
-	checkScratchClean(t, &e.core, "after mid-pull cancel")
+	checkScratchClean(t, &e.core, "after a mid-seeding cancel")
 	for _, s := range []int{1, 40, 300} {
 		req.SizeThreshold = s
-		checkAgainstReference(t, e, snap, req, fmt.Sprintf("s=%d after mid-pull cancel", s))
+		checkAgainstReference(t, e, snap, req, fmt.Sprintf("s=%d after a mid-seeding cancel", s))
 	}
 }
 
@@ -650,7 +650,7 @@ func TestShardedSameLocalRefs(t *testing.T) {
 	}
 }
 
-// TestReferenceLazyProperty checks the lazy engine — seeds pulled in
+// TestReferenceLazyProperty checks the lazy engine — blocks read in
 // impact order under the threshold bound — against the naive reference on
 // seeded random histories: tie-heavy impacts (TF 1–2 over totals drawn
 // from a few values, 0 among them), inserts, updates that change a
@@ -658,10 +658,12 @@ func TestShardedSameLocalRefs(t *testing.T) {
 // the lists; at S ∈ {1, 2, 3}, with RequireAll, AllowOverlap, truncating
 // K and CandidateLimit drawn per request. The single index is searched
 // with its tombstones in place; the shards, a partition of a compaction of
-// it, are checked against the reference over that compaction. After each round one search is cancelled during a
-// pull (a ctx failing at the first work poll, on a corpus large enough to
-// reach it), and the engine's next answer must still be the reference's.
-// The histories must reach TF probes, and with them the keywords' tables.
+// it, are checked against the reference over that compaction. After each
+// trial, searches of one, two and more than maxTables keywords are
+// cancelled during a block read (a ctx failing at the first work poll, on
+// a corpus large enough to reach it), and the engine's next answers must
+// still be the reference's. The histories must reach TF probes, and with
+// them the keywords' tables.
 func TestReferenceLazyProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	frag := func(groups, serial int) corpusChange {
@@ -745,11 +747,14 @@ func TestReferenceLazyProperty(t *testing.T) {
 			}
 		}
 
-		// A cancel during a pull, then two as a drain starts: 4 200
-		// fragments carry "ale" and "bun" on equal terms, so a search for
-		// "ale" must pull until it drains, at a quarter of the list, while
-		// one for both hot keywords, and one of more keywords than
-		// maxTables, drain before their first pull.
+		// Three cancels during a block read: 4 200 fragments carry "ale"
+		// and "bun" on equal terms, so every seed ties with τ and nothing
+		// is visited before every list is read — for "ale", for both, and
+		// for a query of more keywords than maxTables, which reads every
+		// list at open. Polls: Search entry, the core's entry, one per
+		// keyword, then the first work poll, ctxCheckInterval postings
+		// into the reads (no visit can come first while postings are
+		// unread).
 		big, err := fragindex.New(tieSpec)
 		if err != nil {
 			t.Fatal(err)
@@ -764,47 +769,19 @@ func TestReferenceLazyProperty(t *testing.T) {
 		e := New(big, nil)
 		req := Request{Keywords: []string{"ale"}, K: 5, SizeThreshold: 20, RequireAll: r.Intn(2) == 0, AllowOverlap: r.Intn(2) == 0}
 		checkAgainstReference(t, e, big.Snapshot(), req, "warm-up")
-		// Polls: Search entry, the core's entry, one keyword, then the
-		// first work poll, ctxCheckInterval pulls in.
-		probe := &cancelProbe{Context: context.Background(), failAt: 4, s: retainedScratch(t, &e.core, "warm-up")}
-		if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
-			t.Fatalf("trial %d: err = %v, want the simulated deadline", trial, err)
-		}
-		if probe.read != ctxCheckInterval {
-			t.Fatalf("trial %d: cancelled after reading %d postings, want a cancel during a pull", trial, probe.read)
-		}
-		checkScratchClean(t, &e.core, "after a cancel during a pull")
-		req.Keywords = append(req.Keywords, "bun")
-		checkAgainstReference(t, e, big.Snapshot(), req, "after a cancel during a pull")
-		// Polls: Search entry, the core's entry, two keywords, then the
-		// drain's first cursor.
-		probe = &cancelProbe{Context: context.Background(), failAt: 5, s: retainedScratch(t, &e.core, "both keywords")}
-		if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
-			t.Fatalf("trial %d: err = %v, want the simulated deadline", trial, err)
-		}
-		if probe.read != 2 { // the cursors' heads: no pull came first
-			t.Fatalf("trial %d: cancelled after reading %d postings, want a cancel as the drain starts", trial, probe.read)
-		}
-		checkScratchClean(t, &e.core, "after a cancel during a drain")
-		checkAgainstReference(t, e, big.Snapshot(), req, "after a cancel during a drain")
-		req.Keywords = append(slices.Clone(tieVocab), "eel") // eel: no list
-		heads := 0
-		for _, w := range req.Keywords {
-			if big.Snapshot().DF(w) > 0 {
-				heads++
+		for _, kws := range [][]string{{"ale"}, {"ale", "bun"}, append(slices.Clone(tieVocab), "eel")} { // eel: no list
+			req.Keywords = kws
+			when := fmt.Sprintf("trial %d: a cancel during a block read of %d keywords", trial, len(kws))
+			probe := &cancelProbe{Context: context.Background(), failAt: 3 + len(kws), s: retainedScratch(t, &e.core, when)}
+			if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
+				t.Fatalf("%s: err = %v, want the simulated deadline", when, err)
 			}
+			if probe.heaped == 0 || probe.read < ctxCheckInterval || probe.read >= 4200*len(kws) {
+				t.Fatalf("%s: cancelled after reading %d postings with %d seeds queued, want a part-read source", when, probe.read, probe.heaped)
+			}
+			checkScratchClean(t, &e.core, when)
+			checkAgainstReference(t, e, big.Snapshot(), req, "after "+when)
 		}
-		// Polls: Search entry, the core's entry, one per keyword, then the
-		// drain's first cursor.
-		probe = &cancelProbe{Context: context.Background(), failAt: 3 + len(req.Keywords), s: retainedScratch(t, &e.core, "after a drain")}
-		if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
-			t.Fatalf("trial %d: err = %v, want the simulated deadline", trial, err)
-		}
-		if probe.read != heads { // the cursors' heads: no pull came first
-			t.Fatalf("trial %d: cancelled after reading %d postings, want a cancel as the drain starts (%d heads)", trial, probe.read, heads)
-		}
-		checkScratchClean(t, &e.core, "after a cancel during a drain")
-		checkAgainstReference(t, e, big.Snapshot(), req, "after a cancel during a drain")
 	}
 	if probed == 0 || tabulated == 0 {
 		t.Fatalf("histories made %d TF probes and tabulated %d postings; want both", probed, tabulated)
@@ -836,10 +813,11 @@ func TestTFTableStampWrap(t *testing.T) {
 
 // TestTFTablesBounded: a query may name any number of keywords, but a
 // scratch fills at most maxTables TF tables, each 8 B per ref of the pinned
-// set, and keeps no more once released. On a corpus of 300 keywords, none
-// hot, a query naming all of them drains before its first pull and fills
-// no table; queries of up to maxTables keywords fill tables and leave at
-// most maxTables behind; every answer is the reference's.
+// set, and keeps no more once released. On a corpus of 300 keywords, a
+// query naming all of them reads every list to the end — every posting,
+// counted as one search that read every list — and fills no table;
+// queries of up to maxTables keywords fill tables and leave at most
+// maxTables behind; every answer is the reference's.
 func TestTFTablesBounded(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	vocab := make([]string, 300)
@@ -863,13 +841,21 @@ func TestTFTablesBounded(t *testing.T) {
 	idx := buildFrom(t, changes)
 	e := New(idx, nil)
 	snap := idx.Snapshot()
+	df := 0
+	for _, w := range vocab {
+		df += snap.DF(w)
+	}
 	wide := func(when string) {
 		t.Helper()
 		before := e.SeedStats()
 		checkAgainstReference(t, e, snap, Request{Keywords: vocab, K: 10, SizeThreshold: 30}, when)
-		if st := e.SeedStats(); st.Drains != before.Drains+1 || st.Tabulated != before.Tabulated || st.Probes != before.Probes {
-			t.Fatalf("%s: %d drains, %d postings tabulated and %d TF probes, want one drain and no table",
-				when, st.Drains-before.Drains, st.Tabulated-before.Tabulated, st.Probes-before.Probes)
+		st := e.SeedStats()
+		if st.Drains != before.Drains+1 || st.Postings-before.Postings != uint64(df) {
+			t.Fatalf("%s: read %d of %d postings, %d searches read every list; want every posting, one search",
+				when, st.Postings-before.Postings, df, st.Drains-before.Drains)
+		}
+		if st.Tabulated != before.Tabulated || st.Probes != before.Probes {
+			t.Fatalf("%s: %d postings tabulated and %d TF probes, want no table", when, st.Tabulated-before.Tabulated, st.Probes-before.Probes)
 		}
 		if n := len(retainedScratch(t, &e.core, when).tabBufs); n > maxTables {
 			t.Fatalf("%s: the scratch keeps %d TF tables, want at most %d", when, n, maxTables)

@@ -41,13 +41,13 @@ type Stats struct {
 }
 
 // SeedStats counts what the scoring core read to seed its queue, summed
-// over searches: the Drains among them (searches that stopped pulling and
-// walked the rest of their lists), Postings read off the posting lists'
-// cursors (pulled, drained, or walked by a CandidateLimit cut), postings
-// Tabulated into per-keyword TF tables, TF Probes of those tables (a
-// seed's other keywords, an expansion neighbour's), Seeds registered as
-// candidates, and queue Pushes. Divided by Searches they are the per-miss
-// costs the threshold bound keeps down.
+// over searches: the Drains among them (searches whose walk read every
+// list to the end; the wire key keeps its name), Postings read off the
+// posting lists' cursors (by the walk, or by a CandidateLimit cut),
+// postings Tabulated into per-keyword TF tables, TF Probes of those tables
+// (completing a seed's unknown TFs, pricing an expansion neighbour), Seeds
+// registered as candidates, and Pushes into the candLess heap. Divided by
+// Searches they are the per-miss costs the threshold bound keeps down.
 type SeedStats struct {
 	Searches  uint64 `json:"searches"`
 	Drains    uint64 `json:"drains"`
