@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/fragment"
 	"repro/internal/mapreduce"
@@ -428,21 +427,17 @@ func extractRelation(ctx context.Context, db *relation.Database, b *psj.Bound,
 			}
 			// In keyword order, not map order: the records' order decides
 			// INT-Cnsd's input splits, and with them its shuffle volume.
-			type kwCount struct {
-				kw string
-				n  int64
+			kws := make([]string, 0, len(counts))
+			for kw := range counts {
+				kws = append(kws, kw)
 			}
-			kws := make([]kwCount, 0, len(counts))
-			for kw, n := range counts {
-				kws = append(kws, kwCount{kw, n})
-			}
-			slices.SortFunc(kws, func(a, b kwCount) int { return strings.Compare(a.kw, b.kw) })
-			for _, c := range kws {
+			slices.Sort(kws)
+			for _, kw := range kws {
 				var blob []byte
 				for _, fk := range fragOrder {
-					blob = appendPosting(blob, fk, c.n*fragTheta[fk])
+					blob = appendPosting(blob, fk, counts[kw]*fragTheta[fk])
 				}
-				emit(mapreduce.KV{Key: keywordKeyPrefix + c.kw, Value: blob})
+				emit(mapreduce.KV{Key: keywordKeyPrefix + kw, Value: blob})
 			}
 			for _, fk := range fragOrder {
 				emit(mapreduce.KV{

@@ -136,5 +136,6 @@ func BenchmarkSearchMissQ2(b *testing.B) {
 	b.ReportMetric(float64(st.Tabulated-before.Tabulated)/n, "tabulated/op")
 	b.ReportMetric(float64(st.Probes-before.Probes)/n, "probes/op")
 	b.ReportMetric(float64(st.Seeds-before.Seeds)/n, "seeds/op")
+	b.ReportMetric(float64(st.Pushes-before.Pushes)/n, "pushes/op")
 	b.ReportMetric(float64(df)/float64(len(qs)), "df/op")
 }

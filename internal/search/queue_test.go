@@ -377,9 +377,14 @@ func TestBucketQueueEdges(t *testing.T) {
 			scores[i] = e.score
 		}
 		seed := r.Int63()
+		first := true
 		got := visitOrder(rand.New(rand.NewSource(seed)), scores,
 			func() (heapEntry, fragindex.FragRef, bool) {
 				s.refill()
+				if first && s.best == numBuckets {
+					t.Fatalf("%s: every bucket moved into the heap before the first visit", when)
+				}
+				first = false
 				if len(s.heap) == 0 {
 					return heapEntry{}, 0, false
 				}
