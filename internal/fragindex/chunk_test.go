@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/crawl"
+	"repro/internal/fragindex/fragtest"
 	"repro/internal/fragment"
 	"repro/internal/relation"
 )
@@ -191,13 +192,12 @@ func TestChunkBoundaryPartialChunkIsolation(t *testing.T) {
 // renumbers refs contiguously and preserves every surviving fragment —
 // after random histories, and after removals at each boundary position.
 func TestChunkBoundaryCompact(t *testing.T) {
-	cfg := modelConfig{name: "chunks", trials: 1, steps: 12, corpus: 3*chunkSize - 100, ops: "pRRg", reach: []string{pathGC}}
+	cfg := modelConfig{Config: fragtest.Config{Name: "chunks", Steps: 12, Corpus: 3*chunkSize - 100, Ops: "pRRg"}, trials: 1, reach: []string{pathGC}}
 	checkModel(t, cfg)
-	cfg = cfg.withDefaults()
-	m, h, hits := newModel(cfg, 0), history{cfg: cfg.name, steps: []step{{op: opPublish}, {op: opGC}}}, map[string]int{}
-	for _, ref := range []int{0, chunkSize - 1, chunkSize, 2*chunkSize - 1, 2 * chunkSize, cfg.corpus - 1} {
-		f := m.frags[m.keys[ref]] // the corpus loads in key order: its ref is its position
-		h.steps[0].changes = append(h.steps[0].changes, change{crawl.OpRemoveFragment, f.g, f.v, nil})
+	m, h, hits := fragtest.NewModel(cfg.Config, 0), fragtest.History{Cfg: cfg.Name, Steps: []fragtest.Step{{Op: fragtest.Publish}, {Op: fragtest.GC}}}, map[string]int{}
+	for _, ref := range []int{0, chunkSize - 1, chunkSize, 2*chunkSize - 1, 2 * chunkSize, cfg.Corpus - 1} {
+		f := m.Frags[m.Keys[ref]] // the corpus loads in key order: its ref is its position
+		h.Steps[0].Changes = append(h.Steps[0].Changes, fragtest.Change{Op: crawl.OpRemoveFragment, G: f.G, V: f.V})
 	}
 	if err := run(cfg, h, hits); err != nil || hits[pathGC] != 1 {
 		t.Fatalf("boundary removals and a GC: %v (%d GCs)", err, hits[pathGC])

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/crawl"
 	"repro/internal/fooddb"
+	"repro/internal/fragindex/fragtest"
 	"repro/internal/fragment"
 	"repro/internal/psj"
 	"repro/internal/relation"
@@ -260,7 +261,7 @@ func TestUpdateFragment(t *testing.T) {
 // state. The checker's GC step compacts the serving index and compares the
 // result's Dump with its source's, and with a from-scratch Build.
 func TestCompact(t *testing.T) {
-	checkModel(t, modelConfig{name: "compact", trials: 2, steps: 20, corpus: 20, ops: "pRg", reach: []string{pathGC}})
+	checkModel(t, modelConfig{Config: fragtest.Config{Name: "compact", Steps: 20, Corpus: 20, Ops: "pRg"}, trials: 2, reach: []string{pathGC}})
 }
 
 // TestNoRangeAttrIndex covers equality-only queries: every fragment is its

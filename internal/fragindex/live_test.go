@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fragindex/fragtest"
 	"repro/internal/fragment"
 	"repro/internal/relation"
 )
@@ -13,7 +14,7 @@ import (
 // recounts both after every step, over keyword sets that gain, lose and
 // swap keywords never drawn before.
 func TestIDFPrecomputed(t *testing.T) {
-	checkModel(t, modelConfig{name: "idf", trials: 2, steps: 30, corpus: 10, fresh: true, kinds: "iirdl"})
+	checkModel(t, modelConfig{Config: fragtest.Config{Name: "idf", Steps: 30, Corpus: 10, Fresh: true, Kinds: "iirdl"}, trials: 2})
 }
 
 // TestCompactPostingsThreshold: a list accumulating tombstones is
@@ -22,7 +23,7 @@ func TestIDFPrecomputed(t *testing.T) {
 // threshold after every step, and a removal-only publish reports exactly
 // the compactions the rule runs.
 func TestCompactPostingsThreshold(t *testing.T) {
-	checkModel(t, modelConfig{name: "threshold", trials: 3, steps: 30, corpus: 60, kinds: "rrri", ops: "pR",
+	checkModel(t, modelConfig{Config: fragtest.Config{Name: "threshold", Steps: 30, Corpus: 60, Kinds: "rrri", Ops: "pR"}, trials: 3,
 		reach: []string{pathCompaction, pathDropped}})
 }
 

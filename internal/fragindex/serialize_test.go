@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/crawl"
+	"repro/internal/fragindex/fragtest"
 	"repro/internal/fragment"
 	"repro/internal/relation"
 )
@@ -17,7 +18,7 @@ import (
 // state. Every checker step restores the serving Dump and dumps it again,
 // and a 'd' step serves the restored index.
 func TestDumpRestoreRoundTrip(t *testing.T) {
-	checkModel(t, modelConfig{name: "roundtrip", trials: 2, steps: 30, corpus: 10, ops: "ppd"})
+	checkModel(t, modelConfig{Config: fragtest.Config{Name: "roundtrip", Steps: 30, Corpus: 10, Ops: "ppd"}, trials: 2})
 }
 
 // TestDumpCanonical: two indexes reaching the same logical state through
@@ -26,7 +27,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 // compares the serving index with a twin that updates by removal and
 // insert, and with a from-scratch Build.
 func TestDumpCanonical(t *testing.T) {
-	checkModel(t, modelConfig{name: "canonical", trials: 2, steps: 30, corpus: 10, ops: "pppf"})
+	checkModel(t, modelConfig{Config: fragtest.Config{Name: "canonical", Steps: 30, Corpus: 10, Ops: "pppf"}, trials: 2})
 }
 
 // TestSetEpoch: the forced epoch is what the next snapshot reports — the

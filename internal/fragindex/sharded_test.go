@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/crawl"
+	"repro/internal/fragindex/fragtest"
 	"repro/internal/fragment"
 	"repro/internal/relation"
 )
@@ -469,6 +470,6 @@ func TestShardedBadShardCount(t *testing.T) {
 // checker simulates the rule over every removal-only publish of a small
 // corpus (see TestCompactPostingsThreshold).
 func TestCompactionThresholdBehavior(t *testing.T) {
-	checkModel(t, modelConfig{name: "small-lists", trials: 3, steps: 20, corpus: 40, kinds: "rri", ops: "pRR",
+	checkModel(t, modelConfig{Config: fragtest.Config{Name: "small-lists", Steps: 20, Corpus: 40, Kinds: "rri", Ops: "pRR"}, trials: 3,
 		reach: []string{pathCompaction, pathSharedTombstone}})
 }

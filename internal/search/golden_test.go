@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -124,10 +125,10 @@ func goldenRequests(kws []string, set int, p Request) []Request {
 	return out
 }
 
-// goldenDigest runs one parameter set's requests and hashes every answer:
-// per request the keywords and result count, per result the URL, score
-// bits, size and fragment refs.
-func goldenDigest(t *testing.T, e *Engine, kws []string, set int, p Request) string {
+// goldenDigest runs one parameter set's requests through search and hashes
+// every answer: per request the keywords and result count, per result the
+// URL, score bits, size and fragment refs.
+func goldenDigest(t *testing.T, search func(context.Context, Request) ([]Result, error), kws []string, set int, p Request) string {
 	h := sha256.New()
 	var num [8]byte
 	put := func(v uint64) {
@@ -135,7 +136,7 @@ func goldenDigest(t *testing.T, e *Engine, kws []string, set int, p Request) str
 		h.Write(num[:])
 	}
 	for _, req := range goldenRequests(kws, set, p) {
-		res, err := e.Search(context.Background(), req)
+		res, err := search(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%s %v: %v", goldenLabel(p), req.Keywords, err)
 		}
@@ -167,7 +168,7 @@ func TestGoldenAnswers(t *testing.T) {
 
 	var got []string
 	for i, p := range goldenParams() {
-		got = append(got, goldenLabel(p)+" "+goldenDigest(t, e, kws, i, p))
+		got = append(got, goldenLabel(p)+" "+goldenDigest(t, e.Search, kws, i, p))
 	}
 
 	if *updateGolden {
@@ -180,14 +181,7 @@ func TestGoldenAnswers(t *testing.T) {
 		return
 	}
 
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(want) != len(got) {
-		t.Fatalf("%s has %d parameter sets, test computes %d", goldenPath, len(want), len(got))
-	}
+	want := goldenFile(t)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("answers changed:\n  got  %s\n  want %s", got[i], want[i])
@@ -195,44 +189,55 @@ func TestGoldenAnswers(t *testing.T) {
 	}
 }
 
+// goldenFile reads the recorded digests, one line a parameter set.
+func goldenFile(t *testing.T) []string {
+	raw, err := os.ReadFile(goldenPath)
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if err != nil || len(want) != len(goldenParams()) {
+		t.Fatalf("%s has %d parameter sets, the test computes %d (%v)", goldenPath, len(want), len(goldenParams()), err)
+	}
+	return want
+}
+
 // TestGoldenShardedMatchesSingle replays the golden requests — 144
 // parameter sets, 5 760 requests, truncating K and CandidateLimit included
-// — over the benchmark corpus split into S ∈ {2, 4} shards. Every answer
-// must equal the single index's (whose digests the golden file pins)
-// request by request on URL, score bits, size and fragment count.
+// — over the benchmark corpus split into S ∈ {2, 4} shards, each answer's
+// fragments rewritten as refs of the single index, and checks each set's
+// digest against the file TestGoldenAnswers checks at S = 1. Only a set
+// whose digest differs is run on the single index, to name the first
+// request that differs.
 func TestGoldenShardedMatchesSingle(t *testing.T) {
 	idx, app := smallQ2Index(t)
-	single := New(idx, app)
 	kws := keywordsByDF(idx.Snapshot())
+	want := goldenFile(t)
 	for _, shards := range []int{2, 4} {
 		live, err := fragindex.NewShardedLive(idx, shards) // reads idx, builds new shards
 		if err != nil {
 			t.Fatal(err)
 		}
-		se := NewSharded(live, app)
+		se, pinned := NewSharded(live, app), live.PinAll()
+		sharded := func(ctx context.Context, req Request) ([]Result, error) {
+			res, err := se.SearchPinned(ctx, pinned, req)
+			if err == nil {
+				err = singleRefs(live, pinned, idx.Snapshot(), res)
+			}
+			return res, err
+		}
 		for set, p := range goldenParams() {
+			if goldenLabel(p)+" "+goldenDigest(t, sharded, kws, set, p) == want[set] {
+				continue
+			}
+			single := New(idx, app)
 			for _, req := range goldenRequests(kws, set, p) {
-				want, err := single.Search(context.Background(), req)
+				w, err := single.Search(context.Background(), req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := se.Search(context.Background(), req)
-				if err != nil {
-					t.Fatalf("S=%d %s %v: %v", shards, goldenLabel(p), req.Keywords, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("S=%d %s %v: %d results, want %d", shards, goldenLabel(p), req.Keywords, len(got), len(want))
-				}
-				for i := range want {
-					w, g := want[i], got[i]
-					if g.URL != w.URL || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
-						g.Size != w.Size || len(g.Fragments) != len(w.Fragments) {
-						t.Fatalf("S=%d %s %v result %d: got %s %v size %d frags %d, want %s %v size %d frags %d",
-							shards, goldenLabel(p), req.Keywords, i, g.URL, g.Score, g.Size, len(g.Fragments),
-							w.URL, w.Score, w.Size, len(w.Fragments))
-					}
+				if g, _ := sharded(context.Background(), req); !reflect.DeepEqual(g, w) {
+					t.Fatalf("S=%d %s %v:\n got  %+v\n want %+v", shards, goldenLabel(p), req.Keywords, g, w)
 				}
 			}
+			t.Fatalf("S=%d %s: every answer is the single index's, but the digest is not %s's (see TestGoldenAnswers)", shards, goldenLabel(p), goldenPath)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/crawl"
 	"repro/internal/fooddb"
 	"repro/internal/fragindex"
+	"repro/internal/fragindex/fragtest"
 	"repro/internal/fragment"
 	"repro/internal/relation"
 	"repro/internal/webapp"
@@ -145,68 +146,13 @@ func TestConcurrentSearchWithLiveApply(t *testing.T) {
 }
 
 // TestPinnedSnapshotPropertyIdenticalResults is the repeatable-reads
-// property test: results computed on a pinned snapshot are byte-identical
-// before and after arbitrary later mutations are published, while fresh
-// snapshots see the new contents.
+// property: the search checker re-asks every step's pinned view after the
+// next step, which must answer byte for byte as it did, while the fresh
+// view's answers are the reference's over the new contents. This
+// configuration runs the serving writer's mix — updates carrying a donor's
+// keyword set, inserts, removals of earlier inserts — with GCs and
+// Restores, at S ∈ {1, 2}.
 func TestPinnedSnapshotPropertyIdenticalResults(t *testing.T) {
-	e, live := fooddbLiveEngine(t)
-	queries := stressQueries()
-
-	pinned := live.Snapshot()
-	want := make([][]Result, len(queries))
-	for i, q := range queries {
-		rs, err := e.SearchSnapshot(context.Background(), pinned, q)
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		want[i] = rs
-	}
-
-	// Publish a pile of mutations: update every fragment, insert new ones,
-	// remove one, compact.
-	for i := 0; i < pinned.NumRefs(); i++ {
-		m, err := pinned.Meta(fragindex.FragRef(i))
-		if err != nil || !m.Alive {
-			continue
-		}
-		d := crawl.Delta{Changes: []crawl.FragmentChange{{
-			Op: crawl.OpUpdateFragment, ID: m.ID,
-			TermCounts: map[string]int64{"rewritten": 3, "burger": 1}, TotalTerms: 4,
-		}}}
-		if _, err := live.Apply(context.Background(), d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := crawl.Delta{Changes: []crawl.FragmentChange{
-		{Op: crawl.OpInsertFragment, ID: fragment.ID{relation.String("Fusion"), relation.Int(1)},
-			TermCounts: map[string]int64{"burger": 9}, TotalTerms: 9},
-		{Op: crawl.OpRemoveFragment, ID: fragment.ID{relation.String("Thai"), relation.Int(10)}},
-	}}
-	if _, err := live.Apply(context.Background(), d); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := live.CompactIfNeeded(context.Background(), 0.01); err != nil {
-		t.Fatal(err)
-	}
-
-	for i, q := range queries {
-		rs, err := e.SearchSnapshot(context.Background(), pinned, q)
-		if err != nil {
-			t.Fatalf("query %d after mutations: %v", i, err)
-		}
-		if !reflect.DeepEqual(rs, want[i]) {
-			t.Errorf("query %d: pinned snapshot results changed after publications", i)
-		}
-	}
-	// Sanity: the live view did change.
-	fresh, err := e.Search(context.Background(), Request{Keywords: []string{"rewritten"}, K: 10, SizeThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh) == 0 {
-		t.Error("published mutations invisible to fresh snapshots")
-	}
-	if got, _ := e.SearchSnapshot(context.Background(), pinned, Request{Keywords: []string{"rewritten"}, K: 10, SizeThreshold: 1}); len(got) != 0 {
-		t.Error("pinned snapshot sees post-pin keyword")
-	}
+	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "pinned", Steps: 30, Corpus: 40, Changes: 8, Exact: true,
+		Kinds: "WWWWWWWWWWWWWWIIIEEE", Ops: "ppppgd"}, trials: 2, shards: []int{1, 2}, reach: []string{pathGC, pathRestore}})
 }

@@ -2,16 +2,9 @@ package search
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
-	"reflect"
-	"sort"
-	"strings"
 	"testing"
 
-	"repro/internal/crawl"
-	"repro/internal/fragindex"
-	"repro/internal/fragment"
+	"repro/internal/fragindex/fragtest"
 	"repro/internal/relation"
 )
 
@@ -43,186 +36,39 @@ func TestCandidateLimitPrefix(t *testing.T) {
 	}
 }
 
+// TestCandidateLimitLargerThanListIsNoop: a CandidateLimit at or above a
+// list's length cuts nothing; a third of the keyword sets hold a keyword
+// never drawn before, so many lists are shorter than any limit drawn.
 func TestCandidateLimitLargerThanListIsNoop(t *testing.T) {
-	e := fooddbEngine(t)
-	limited, err := e.Search(context.Background(), Request{
-		Keywords: []string{"burger"}, K: 5, SizeThreshold: 20, CandidateLimit: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := e.Search(context.Background(), Request{Keywords: []string{"burger"}, K: 5, SizeThreshold: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(limited) != len(full) {
-		t.Fatalf("limited = %d results, full = %d", len(limited), len(full))
-	}
-	for i := range full {
-		if limited[i].URL != full[i].URL || limited[i].Score != full[i].Score {
-			t.Errorf("result %d differs: %v vs %v", i, limited[i], full[i])
-		}
-	}
+	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "short-lists", Steps: 15, Corpus: 10, Fresh: true},
+		trials: 2, shards: []int{1}, reach: []string{pathUncut}})
 }
 
-// TestCandidateLimitDeterministicTies: when the cutoff TF is tied across
-// more postings than the limit admits, the kept prefix is the documented
-// (TF desc, identifier asc) total order — not whatever order the tie band
-// happens to sit in, and not ref order — so truncated searches are a
-// function of content. The index is built with insertion order
-// deliberately opposed to identifier order, so the tie band's smallest
-// identifiers hold its largest refs.
+// TestCandidateLimitDeterministicTies: a CandidateLimit cut keeps the
+// documented (TF descending, identifier ascending) prefix of each list —
+// the reference's order — not the order the tie band sits in, nor ref
+// order: the histories' lists are tie-heavy, and their refs run against
+// identifier order (duplicate range values told apart by insertion serials).
 func TestCandidateLimitDeterministicTies(t *testing.T) {
-	idx, err := fragindex.New(fragindex.Spec{
-		SelAttrs: []string{"g", "v"}, EqAttrs: []string{"g"}, RangeAttr: "v",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ten single-fragment groups sharing keyword "w" at TF 1; descending
-	// identifier insertion gives ref 0 the largest identifier.
-	const n = 10
-	for i := 0; i < n; i++ {
-		id := fragment.ID{relation.String(fmt.Sprintf("g%d", n-1-i)), relation.Int(0)}
-		if _, err := idx.InsertFragment(id, map[string]int64{"w": 1}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := New(idx, nil)
-	req := Request{Keywords: []string{"w"}, K: n, SizeThreshold: 1, CandidateLimit: 3}
-	results, err := e.Search(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("results = %d, want 3", len(results))
-	}
-	seeded := map[fragindex.FragRef]bool{}
-	for _, r := range results {
-		for _, ref := range r.Fragments {
-			seeded[ref] = true
-		}
-	}
-	// The contract keeps the smallest identifiers of the tie band: g0, g1
-	// and g2, inserted last.
-	for ref := fragindex.FragRef(n - 3); ref < n; ref++ {
-		if !seeded[ref] {
-			t.Errorf("ref %d missing from the truncated candidate set: %v", ref, seeded)
-		}
-	}
-	// Repeated identical searches return identical results.
-	again, err := e.Search(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(results, again) {
-		t.Errorf("truncated search not repeatable:\nfirst %+v\nagain %+v", results, again)
-	}
-	// A partial tie band — cutoff TF tied but some higher-TF postings
-	// above it — keeps all higher-TF postings plus the smallest tied
-	// identifiers.
-	top := fragment.ID{relation.String("zz-top"), relation.Int(0)}
-	if _, err := idx.InsertFragment(top, map[string]int64{"w": 5}, 1); err != nil {
-		t.Fatal(err)
-	}
-	topRef, _ := idx.Lookup(top)
-	results, err = e.Search(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded = map[fragindex.FragRef]bool{}
-	for _, r := range results {
-		for _, ref := range r.Fragments {
-			seeded[ref] = true
-		}
-	}
-	if !seeded[topRef] || !seeded[n-1] || !seeded[n-2] {
-		t.Errorf("partial band kept %v, want {%d, %d, %d}", seeded, topRef, n-1, n-2)
-	}
+	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "cut-ties", Steps: 20, Corpus: 40, Ties: true, Dups: true},
+		trials: 2, shards: []int{1}, reach: []string{pathCut}})
 }
 
 // TestCandidateLimitStableUnderCompaction: the tie band is cut by
-// identifier, so renumbering refs cannot move the cut. A fragment inserted
-// after the build gets the highest ref although its identifier sorts
-// first in the band; compaction renumbers refs in identifier order. The
-// truncated answer must be the same before and after.
+// identifier, so a GC renumbering refs cannot move the cut; the histories
+// remove and collect often, and insert mid-group.
 func TestCandidateLimitStableUnderCompaction(t *testing.T) {
-	var changes []corpusChange
-	for g := 1; g <= 9; g++ {
-		changes = append(changes, corpusChange{
-			id:     fragment.ID{relation.String(fmt.Sprintf("g%02d", g)), relation.Int(0)},
-			counts: map[string]int64{"w": 1},
-			total:  2,
-		})
-	}
-	live := fragindex.NewLive(buildFrom(t, changes))
-	ctx := context.Background()
-	first := fragment.ID{relation.String("g00"), relation.Int(0)}
-	if _, err := live.Apply(ctx, crawl.Delta{Changes: []crawl.FragmentChange{{
-		Op: crawl.OpInsertFragment, ID: first, TermCounts: map[string]int64{"w": 1}, TotalTerms: 2,
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-	e := New(live, nil)
-	req := Request{Keywords: []string{"w"}, K: 10, SizeThreshold: 1, CandidateLimit: 3}
-	before, err := e.Search(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := live.CompactIfNeeded(ctx, 0); err != nil || !ok {
-		t.Fatalf("CompactIfNeeded = %v, %v; want a compaction", ok, err)
-	}
-	after, err := e.Search(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffResults(before, after); d != "" {
-		t.Fatalf("truncated answer moved under compaction: %s", d)
-	}
-	var kept []string
-	for _, r := range before {
-		kept = append(kept, r.EqValues["g"].Text())
-	}
-	if got := strings.Join(kept, " "); got != "g00 g01 g02" {
-		t.Errorf("kept the pages of %s, want g00 g01 g02", got)
-	}
+	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "cut-gc", Steps: 20, Corpus: 40, Ops: "pppRRgd"},
+		trials: 2, shards: []int{1, 2}, reach: []string{pathCut, pathGC, pathRestore}})
 }
 
-// TestSelectSmallestIDsProperty: quickselect keeps exactly the need
-// smallest identifiers for random bands, matching a reference sort.
+// TestSelectSmallestIDsProperty: with one total for every fragment and TFs
+// of 1 or 2, a list's tie band is most of the list, so the cut's
+// quickselect (selectSmallestIDs) keeps exactly the smallest identifiers of
+// long bands, as the reference's sort does.
 func TestSelectSmallestIDsProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		m := 1 + r.Intn(60)
-		band := make([]bandEntry, m)
-		seen := map[int]bool{}
-		for i := range band {
-			v := r.Intn(1000)
-			for seen[v] {
-				v = r.Intn(1000)
-			}
-			seen[v] = true
-			band[i] = bandEntry{id: fragment.ID{relation.String("g"), relation.Int(int64(v))}, p: fragindex.Posting{Frag: fragindex.FragRef(i), TF: 1}}
-		}
-		need := 1 + r.Intn(m)
-		sorted := append([]bandEntry(nil), band...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].id.Compare(sorted[j].id) < 0 })
-		want := map[fragindex.FragRef]bool{}
-		for _, e := range sorted[:need] {
-			want[e.p.Frag] = true
-		}
-		selectSmallestIDs(band, need)
-		for _, e := range band[:need] {
-			if !want[e.p.Frag] {
-				t.Fatalf("trial %d (m=%d need=%d): %v kept, not among smallest",
-					trial, m, need, e.id)
-			}
-			delete(want, e.p.Frag)
-		}
-		if len(want) != 0 {
-			t.Fatalf("trial %d: smallest identifiers missing: %v", trial, want)
-		}
-	}
+	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "cut-band", Steps: 20, Corpus: 60, Ties: true, Totals: []int64{4}},
+		trials: 2, shards: []int{1}, reach: []string{pathCut}})
 }
 
 // TestRequireAllConjunctive: "burger fries" with RequireAll only returns

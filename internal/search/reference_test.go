@@ -1,9 +1,11 @@
 package search
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/fragindex"
+	"repro/internal/fragindex/fragtest"
 	"repro/internal/fragment"
 	"repro/internal/relation"
 )
@@ -62,13 +65,33 @@ func refScore(occ []int64, size int64, idf []float64) float64 {
 	return refWeighted(occ, idf) / float64(size)
 }
 
-// refSearch is a deliberately naive Algorithm 1 — maps for every lookup, a
-// slice scanned linearly for the queue's head, group paths fetched eagerly
-// for every seed — that shares no scoring-core code with the engine (only
-// keyword normalisation and the canonical result order). It answers valid
-// requests on engines without an application.
-func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
+// refQueue is the reference's queue, a container/heap ordered by refLess.
+type refQueue []*refPage
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return refLess(q[i], q[j]) }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)        { *q = append(*q, x.(*refPage)) }
+func (q *refQueue) Pop() any {
+	p := (*q)[len(*q)-1]
+	*q = (*q)[:len(*q)-1]
+	return p
+}
+
+// refSearch is a deliberately naive Algorithm 1 — maps for every lookup,
+// group paths fetched eagerly for every seed — that shares no scoring-core
+// code with the engine (only keyword normalisation and the canonical
+// result order). It answers valid requests on engines without an
+// application. Unless hits is nil, it counts the search checker's paths it
+// takes: a size-0 seed, a CandidateLimit cut or a limit that cuts nothing,
+// a RequireAll rejection.
+func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request, hits map[string]int) []Result {
 	t.Helper()
+	reach := func(path string) {
+		if hits != nil {
+			hits[path]++
+		}
+	}
 	kws := normalizeKeywords(nil, req.Keywords)
 	idf := make([]float64, len(kws))
 	seedOcc := map[fragindex.FragRef][]int64{}
@@ -90,6 +113,9 @@ func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
 				return id(ps[a].Frag).Compare(id(ps[b].Frag)) < 0
 			})
 			ps = ps[:req.CandidateLimit]
+			reach(pathCut)
+		} else if req.CandidateLimit > 0 && len(ps) > 0 {
+			reach(pathUncut)
 		}
 		for _, p := range ps {
 			if seedOcc[p.Frag] == nil {
@@ -99,7 +125,7 @@ func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
 		}
 	}
 
-	var queue []*refPage
+	var queue refQueue
 	for ref, occ := range seedOcc {
 		members, weights, gkey, pos, err := snap.GroupPath(ref)
 		if err != nil {
@@ -109,7 +135,11 @@ func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
 			seed: ref, occ: slices.Clone(occ), size: weights[pos]}
 		p.score = refScore(p.occ, p.size, idf)
 		queue = append(queue, p)
+		if p.size == 0 {
+			reach(pathZeroSize)
+		}
 	}
+	heap.Init(&queue)
 
 	gain := func(ref fragindex.FragRef) float64 { return refWeighted(seedOcc[ref], idf) }
 	consumed := map[fragindex.FragRef]bool{}
@@ -117,14 +147,7 @@ func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
 	seen := map[[2]fragindex.FragRef]bool{}
 	var out []Result
 	for len(queue) > 0 && len(out) < req.K {
-		best := 0
-		for i := range queue {
-			if refLess(queue[i], queue[best]) {
-				best = i
-			}
-		}
-		p := queue[best]
-		queue = slices.Delete(queue, best, best+1)
+		p := heap.Pop(&queue).(*refPage)
 		if p.lo == p.hi && consumed[p.seed] {
 			continue
 		}
@@ -149,7 +172,7 @@ func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
 				consumed[p.members[at]] = true
 			}
 			p.score = refScore(p.occ, p.size, idf)
-			queue = append(queue, p)
+			heap.Push(&queue, p)
 			continue
 		}
 		page := p.members[p.lo : p.hi+1]
@@ -159,6 +182,7 @@ func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
 		}
 		seen[sig] = true
 		if req.RequireAll && slices.Contains(p.occ, 0) {
+			reach(pathRejected)
 			continue
 		}
 		if !req.AllowOverlap {
@@ -191,43 +215,6 @@ func refSearch(t *testing.T, snap *fragindex.Snapshot, req Request) []Result {
 // value — distinct pages that share a parameter box.
 var tieSpec = fragindex.Spec{SelAttrs: []string{"g", "v", "x"}, EqAttrs: []string{"g"}, RangeAttr: "v"}
 
-var tieVocab = []string{"ale", "bun", "cod", "dip"}
-
-// tieFragment draws a fragment of a tie-heavy corpus: TF 1 or 2 on each of
-// a few keywords, the same total size for every fragment, range values from
-// a small set (duplicates within a group are common).
-func tieFragment(r *rand.Rand, groups int, serial int) corpusChange {
-	counts := make(map[string]int64)
-	for _, kw := range tieVocab {
-		if r.Intn(2) == 0 {
-			counts[kw] = int64(1 + r.Intn(2))
-		}
-	}
-	return corpusChange{
-		id: fragment.ID{
-			relation.String(fmt.Sprintf("g%02d", r.Intn(groups))),
-			relation.Int(int64(r.Intn(6))),
-			relation.Int(int64(serial)),
-		},
-		counts: counts,
-		total:  8,
-	}
-}
-
-func tieRequest(r *rand.Rand) Request {
-	req := Request{
-		K:              []int{1, 3, 10, 1000}[r.Intn(4)],
-		SizeThreshold:  []int{1, 8, 20, 60, 10000}[r.Intn(5)],
-		CandidateLimit: []int{0, 0, 3, 10}[r.Intn(4)],
-		RequireAll:     r.Intn(3) == 0,
-		AllowOverlap:   r.Intn(3) == 0,
-	}
-	for n := 1 + r.Intn(3); n > 0; n-- {
-		req.Keywords = append(req.Keywords, tieVocab[r.Intn(len(tieVocab))])
-	}
-	return req
-}
-
 // checkAgainstReference runs req on the engine, pinned to snap, and on the
 // reference, and requires deeply equal answers; afterwards the scratch the
 // engine retained must be fully un-set.
@@ -237,7 +224,7 @@ func checkAgainstReference(t *testing.T, e *Engine, snap *fragindex.Snapshot, re
 	if err != nil {
 		t.Fatalf("%s: %+v: %v", when, req, err)
 	}
-	want := refSearch(t, snap, req)
+	want := refSearch(t, snap, req, nil)
 	if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 		t.Fatalf("%s: %+v: engine and reference disagree\n engine    %+v\n reference %+v", when, req, got, want)
 	}
@@ -258,171 +245,100 @@ func retainedScratch(t *testing.T, e *core, when string) *searchScratch {
 	}
 }
 
-// checkScratchClean inspects the scratch the last search returned to the
-// engine's free list (either engine's): no global dense-table entry may
+// checkScratchClean fails t unless the scratch the last search returned to
+// the engine's free list (either engine's) is clean (scratchErr).
+func checkScratchClean(t *testing.T, e *core, when string) {
+	t.Helper()
+	if err := scratchErr(retainedScratch(t, e, when)); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+}
+
+// scratchErr inspects a released scratch: no global dense-table entry may
 // still be set, no seed may still be queued, the seed arena must be zero
 // through its whole capacity, and nothing may still point into a snapshot
 // — neither the pinned set, nor a posting cursor, nor a tie band's
 // postings or identifiers, nor a group path.
-func checkScratchClean(t *testing.T, e *core, when string) {
-	t.Helper()
-	s := retainedScratch(t, e, when)
+func scratchErr(s *searchScratch) error {
 	for ref, ord := range s.ordOf {
 		if ord != 0 {
-			t.Fatalf("%s: stale ordOf[%d] = %d", when, ref, ord)
+			return fmt.Errorf("stale ordOf[%d] = %d", ref, ord)
 		}
 	}
 	for ref, u := range s.used {
 		if u {
-			t.Fatalf("%s: stale used[%d]", when, ref)
+			return fmt.Errorf("stale used[%d]", ref)
 		}
 	}
 	if s.err != nil || len(s.refs)+len(s.misses)+len(s.usedRefs)+len(s.seen) != 0 {
-		t.Fatalf("%s: released scratch still holds query state", when)
+		return errors.New("released scratch still holds query state")
 	}
 	if len(s.slotOf)+len(s.consumed) != 0 || s.work+s.postings+s.tabulated+s.probes+s.pushes != 0 {
-		t.Fatalf("%s: released scratch still holds per-seed state or counts", when)
+		return errors.New("released scratch still holds per-seed state or counts")
 	}
 	if len(s.snaps)+len(s.base)+len(s.curs)+len(s.band) != 0 {
-		t.Fatalf("%s: released scratch still holds a pinned set", when)
+		return errors.New("released scratch still holds a pinned set")
 	}
 	for _, snap := range s.snaps[:cap(s.snaps)] {
 		if snap != nil {
-			t.Fatalf("%s: released scratch still points to a pinned snapshot", when)
+			return errors.New("released scratch still points to a pinned snapshot")
 		}
 	}
 	for _, c := range s.curs[:cap(s.curs)] {
 		if !reflect.ValueOf(c).IsZero() {
-			t.Fatalf("%s: released scratch still holds a posting cursor", when)
+			return errors.New("released scratch still holds a posting cursor")
 		}
 	}
 	for _, b := range s.band[:cap(s.band)] {
 		if !reflect.ValueOf(b).IsZero() {
-			t.Fatalf("%s: released scratch still holds a band entry", when)
+			return errors.New("released scratch still holds a band entry")
 		}
 	}
 	if len(s.heap)+len(s.deferred) != 0 || s.buckets != [numBuckets]int32{} || s.best != numBuckets {
-		t.Fatalf("%s: released scratch still holds %d heaped and %d deferred seeds", when, len(s.heap), len(s.deferred))
+		return fmt.Errorf("released scratch still holds %d heaped and %d deferred seeds", len(s.heap), len(s.deferred))
 	}
 	if len(s.tabs) != 0 {
-		t.Fatalf("%s: released scratch still holds TF tables", when)
+		return errors.New("released scratch still holds TF tables")
 	}
 	if len(s.tabBufs) > maxTables {
-		t.Fatalf("%s: released scratch keeps %d TF tables, want at most %d", when, len(s.tabBufs), maxTables)
+		return fmt.Errorf("released scratch keeps %d TF tables, want at most %d", len(s.tabBufs), maxTables)
 	}
 	for j, tab := range s.tabBufs {
 		if i := slices.IndexFunc(tab, func(e uint64) bool { return uint32(e>>32) > s.stamp }); i >= 0 {
-			t.Fatalf("%s: TF table %d carries a stamp past the scratch's at ref %d", when, j, i)
+			return fmt.Errorf("TF table %d carries a stamp past the scratch's at ref %d", j, i)
 		}
 	}
 	if len(s.seedOcc) != 0 {
-		t.Fatalf("%s: released scratch still holds %d seed occurrences", when, len(s.seedOcc))
+		return fmt.Errorf("released scratch still holds %d seed occurrences", len(s.seedOcc))
 	}
 	for i, n := range s.seedOcc[:cap(s.seedOcc)] {
 		if n != 0 {
-			t.Fatalf("%s: seed arena not zero past its length: [%d] = %d", when, i, n)
+			return fmt.Errorf("seed arena not zero past its length: [%d] = %d", i, n)
 		}
 	}
 	for _, c := range s.cands[:cap(s.cands)] {
 		if c.members != nil || c.weights != nil || c.gkey != "" {
-			t.Fatalf("%s: released scratch still points into a snapshot", when)
+			return errors.New("released scratch still points into a snapshot")
 		}
 	}
+	return nil
 }
 
-// TestReferenceTieHeavy compares the engine with the naive reference on
-// random tie-heavy corpora: TF in {1,2}, equal fragment sizes, duplicate
-// range values, several equality groups — so exact (score, size) ties, the
+// TestReferenceTieHeavy: tie-heavy histories — TF 1 or 2, one total for
+// every fragment, duplicate range values — so exact (score, size) ties, the
 // content tie-break, page dedup and overlap exclusion all decide answers.
 func TestReferenceTieHeavy(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 8; trial++ {
-		idx, err := fragindex.New(tieSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups := 2 + r.Intn(5)
-		for i, n := 0, 20+r.Intn(100); i < n; i++ {
-			ch := tieFragment(r, groups, i)
-			if _, err := idx.InsertFragment(ch.id, ch.counts, ch.total); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e := New(idx, nil)
-		for q := 0; q < 60; q++ {
-			checkAgainstReference(t, e, idx.Snapshot(), tieRequest(r), fmt.Sprintf("trial %d query %d", trial, q))
-		}
-	}
+	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "ties", Steps: 20, Corpus: 60, Ties: true, Totals: []int64{8}, Dups: true},
+		trials: 3, shards: []int{1}, reach: []string{pathProbes, pathTables, pathCut, pathRejected}})
 }
 
-// TestReferenceScratchReuse drives one Engine — and so one retained scratch
-// — across snapshots whose ref space grows (and whose fragments come and
-// go) between queries, interleaved with searches that end early: cancelled
-// during seeding, cancelled mid-assembly with pages already accepted, no
-// relevant fragments, an invalid request. Every following answer must
-// still equal the reference's, and the scratch must come back un-set.
+// TestReferenceScratchReuse: one Engine, and so one retained scratch, over
+// histories whose ref space grows twentyfold — past the dense tables'
+// headroom — while every step also runs a cancelled search and an invalid
+// request and re-reads the last step's snapshot through the grown tables.
 func TestReferenceScratchReuse(t *testing.T) {
-	r := rand.New(rand.NewSource(67))
-	idx, err := fragindex.New(tieSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(idx, nil)
-	var live []fragment.ID
-	var snaps []*fragindex.Snapshot
-	serial := 0
-	for round := 0; round < 14; round++ {
-		// Grow by about a third (past the tables' headroom every round or
-		// two), then remove a few fragments.
-		for n := 6 + len(live)/3; n > 0; n-- {
-			ch := tieFragment(r, 2+round/3, serial)
-			serial++
-			if _, err := idx.InsertFragment(ch.id, ch.counts, ch.total); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, ch.id)
-		}
-		for n := r.Intn(4); n > 0 && len(live) > 1; n-- {
-			i := r.Intn(len(live))
-			if err := idx.RemoveFragment(live[i]); err != nil {
-				t.Fatal(err)
-			}
-			live = slices.Delete(live, i, i+1)
-		}
-		snap := idx.Freeze()
-		snaps = append(snaps, snap)
-		when := fmt.Sprintf("round %d (%d refs)", round, snap.NumRefs())
-
-		for q := 0; q < 6; q++ {
-			checkAgainstReference(t, e, snap, tieRequest(r), when)
-		}
-		// An older, smaller snapshot through the same, now larger, tables.
-		checkAgainstReference(t, e, snaps[r.Intn(len(snaps))], tieRequest(r), when+" old snapshot")
-
-		// Cancelled after the first keyword was seeded (polls: entry, then
-		// one per keyword).
-		req := tieRequest(r)
-		req.Keywords = []string{"ale", "bun"}
-		if _, err := e.SearchSnapshot(newErrAfter(2), snap, req); !errors.Is(err, errDeadline) {
-			t.Fatalf("%s: seeding cancel: err = %v", when, err)
-		}
-		checkScratchClean(t, &e.core, when+" after seeding cancel")
-		checkAgainstReference(t, e, snap, tieRequest(r), when+" after seeding cancel")
-
-		// No relevant fragments, then an invalid request.
-		if res, err := e.SearchSnapshot(context.Background(), snap, Request{Keywords: []string{"zzz"}, K: 3, SizeThreshold: 20}); err != nil || len(res) != 0 {
-			t.Fatalf("%s: absent keyword: %v, %v", when, res, err)
-		}
-		checkScratchClean(t, &e.core, when+" after empty answer")
-		checkAgainstReference(t, e, snap, tieRequest(r), when+" after empty answer")
-		if _, err := e.SearchSnapshot(context.Background(), snap, Request{Keywords: []string{"ale"}}); !errors.Is(err, ErrBadK) {
-			t.Fatalf("%s: K=0: err = %v", when, err)
-		}
-		checkAgainstReference(t, e, snap, tieRequest(r), when+" after invalid request")
-	}
-	if first, last := snaps[0].NumRefs(), snaps[len(snaps)-1].NumRefs(); last < 20*first {
-		t.Fatalf("ref space grew only %d -> %d", first, last)
-	}
+	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "growth", Steps: 40, Corpus: 4, Changes: 8, Kinds: "iiiir", Ops: "pppppppppg"},
+		trials: 2, shards: []int{1}, reach: []string{pathGrown, pathGC}})
 }
 
 // TestReferenceAfterMidAssemblyCancel cancels a search mid-assembly —
@@ -494,19 +410,6 @@ func TestReferenceEveryBucketDrains(t *testing.T) {
 		t.Fatalf("read %d postings and registered %d seeds, want all 400", st.Postings-before.Postings, st.Seeds-before.Seeds)
 	}
 	checkAgainstReference(t, e, snap, all, "one page per seed")
-
-	r := rand.New(rand.NewSource(73))
-	idx := buildFrom(t, randomCorpus(r, 12, 40))
-	e = New(idx, nil)
-	for q := 0; q < 40; q++ {
-		req := tieRequest(r)
-		req.K = 1 << 30
-		req.Keywords = req.Keywords[:0]
-		for n := 1 + r.Intn(3); n > 0; n-- {
-			req.Keywords = append(req.Keywords, corpusVocab[r.Intn(len(corpusVocab))])
-		}
-		checkAgainstReference(t, e, idx.Snapshot(), req, fmt.Sprintf("unreachable K, query %d", q))
-	}
 }
 
 // cancelProbe is a context whose Err() fails from the given poll on and, at
@@ -557,15 +460,14 @@ func TestReferenceAfterMidRefillCancel(t *testing.T) {
 	}
 }
 
-// TestShardedScratchHygiene runs the scratch checks over a pinned shard
-// set: after a normal sharded search, a mid-assembly cancel and a seeding
-// cancel, the retained scratch holds no global table entry and no pointer
-// into the pinned set, and the next answers still equal the single
-// index's.
+// TestShardedScratchHygiene cancels a sharded search mid-assembly — 60
+// groups of 30 members all carrying "kw", so two-fragment pages are
+// accepted from the first visits on and the loop crosses the poll
+// interval — and requires the retained scratch to hold no global table
+// entry and no pointer into the pinned set, and the next answer to be the
+// reference's. (The search checker inspects the scratch after every other
+// sharded search, cancelled ones included.)
 func TestShardedScratchHygiene(t *testing.T) {
-	// 60 groups of 30 members, every member carrying "kw" and "ale": two-
-	// fragment pages are accepted from the first visits on, and the loop
-	// crosses the ctx poll interval.
 	var changes []corpusChange
 	for g := 0; g < 60; g++ {
 		for v := 0; v < 30; v++ {
@@ -576,215 +478,85 @@ func TestShardedScratchHygiene(t *testing.T) {
 			})
 		}
 	}
-	single := New(buildFrom(t, changes), nil)
 	live, err := fragindex.NewShardedLive(buildFrom(t, changes), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	se := NewSharded(live, nil)
-	check := func(req Request, when string) {
-		t.Helper()
-		want, err := single.Search(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := se.Search(context.Background(), req)
-		if err != nil {
-			t.Fatalf("%s: %v", when, err)
-		}
-		if d := diffResults(want, got); d != "" {
-			t.Fatalf("%s: %+v: sharded diverges: %s", when, req, d)
-		}
-		checkScratchClean(t, &se.core, when)
-	}
 	req := Request{Keywords: []string{"kw"}, K: 1 << 20, SizeThreshold: 4}
-	check(req, "normal search")
-	check(Request{Keywords: []string{"kw", "ale"}, K: 7, SizeThreshold: 6, CandidateLimit: 50}, "truncated band")
-
 	// Polls: Search entry, the core's entry, one keyword, then the loop.
 	if _, err := se.Search(newErrAfter(3), req); !errors.Is(err, errDeadline) {
 		t.Fatalf("mid-assembly cancel: err = %v", err)
 	}
 	checkScratchClean(t, &se.core, "after mid-assembly cancel")
-	check(req, "after mid-assembly cancel")
-
-	// Polls: the core's entry, the first keyword, then the second fails.
-	req.Keywords = []string{"ale", "kw"}
-	if _, err := se.SearchPinned(newErrAfter(2), se.Pin(), req); !errors.Is(err, errDeadline) {
-		t.Fatalf("seeding cancel: err = %v", err)
-	}
-	checkScratchClean(t, &se.core, "after seeding cancel")
-	check(req, "after seeding cancel")
-}
-
-// TestShardedSameLocalRefs: every shard numbers its refs from 0, so pages
-// in different shards share local (lo, hi) refs. Both must be emitted — a
-// dedup or overlap table keyed by local refs would drop one.
-func TestShardedSameLocalRefs(t *testing.T) {
-	var changes []corpusChange
-	for g := 0; g < 8; g++ {
-		changes = append(changes, corpusChange{
-			id:     fragment.ID{relation.String(fmt.Sprintf("g%03d", g)), relation.Int(0)},
-			counts: map[string]int64{"w": 1},
-			total:  2,
-		})
-	}
-	live, err := fragindex.NewShardedLive(buildFrom(t, changes), 2)
+	pinned := se.Pin()
+	flat, err := flatten(pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if live.Shard(i).Snapshot().NumFragments() == 0 {
-			t.Fatalf("shard %d is empty: no two pages share local refs", i)
-		}
+	got, err := se.SearchPinned(context.Background(), pinned, req)
+	if err == nil {
+		err = singleRefs(live, pinned, flat.Snapshot(), got)
 	}
-	for _, overlap := range []bool{false, true} {
-		got, err := NewSharded(live, nil).Search(context.Background(),
-			Request{Keywords: []string{"w"}, K: 8, SizeThreshold: 1, AllowOverlap: overlap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(changes) {
-			t.Fatalf("overlap=%t: %d results, want one page per fragment (%d)", overlap, len(got), len(changes))
-		}
+	if want := refSearch(t, flat.Snapshot(), req, nil); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after mid-assembly cancel (%v): engine and reference disagree\n engine    %+v\n reference %+v", err, got, want)
 	}
+	checkScratchClean(t, &se.core, "after mid-assembly cancel")
+}
+
+// TestShardedSameLocalRefs: every shard numbers its refs from 0, so pages in
+// different shards share local (lo, hi) refs; a dedup or overlap table keyed
+// by them would drop one. A quarter of the new fragments open a group.
+func TestShardedSameLocalRefs(t *testing.T) {
+	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "local-refs", Steps: 15, Corpus: 30, Fresh: true, Ops: "pppg"},
+		trials: 2, shards: []int{2}})
 }
 
 // TestReferenceLazyProperty checks the lazy engine — blocks read in
 // impact order under the threshold bound — against the naive reference on
-// seeded random histories: tie-heavy impacts (TF 1–2 over totals drawn
-// from a few values, 0 among them), inserts, updates that change a
-// fragment's total and keywords, and removals that leave tombstones in
-// the lists; at S ∈ {1, 2, 3}, with RequireAll, AllowOverlap, truncating
-// K and CandidateLimit drawn per request. The single index is searched
-// with its tombstones in place; the shards, a partition of a compaction of
-// it, are checked against the reference over that compaction. After each
-// trial, searches of one, two and more than maxTables keywords are
-// cancelled during a block read (a ctx failing at the first work poll, on
-// a corpus large enough to reach it), and the engine's next answers must
-// still be the reference's. The histories must reach TF probes, and with
-// them the keywords' tables.
+// histories of tie-heavy impacts (TF 1–2 over totals drawn from a few
+// values, 0 among them) and duplicate range values, with removals leaving
+// tombstones in the lists, at S ∈ {1, 2, 3}. Then searches of one, two and
+// more than maxTables keywords are cancelled during a block read, and the
+// engine's next answers must still be the reference's.
 func TestReferenceLazyProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(79))
-	frag := func(groups, serial int) corpusChange {
-		ch := tieFragment(r, groups, serial)
-		ch.total = []int64{0, 2, 4, 8, 8}[r.Intn(5)]
-		return ch
-	}
-	var probed, tabulated uint64 // TF probes and tables must be reached
-	reached := func(st SeedStats) { probed, tabulated = probed+st.Probes, tabulated+st.Tabulated }
-	for trial := 0; trial < 6; trial++ {
-		idx, err := fragindex.New(tieSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups := 2 + r.Intn(5)
-		var live []corpusChange
-		serial := 0
-		for round := 0; round < 4; round++ {
-			for n := 10 + r.Intn(60); n > 0; n-- {
-				ch := frag(groups, serial)
-				serial++
-				if _, err := idx.InsertFragment(ch.id, ch.counts, ch.total); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, ch)
-			}
-			for n := r.Intn(8); n > 0 && len(live) > 1; n-- {
-				i := r.Intn(len(live))
-				if r.Intn(2) == 0 {
-					if err := idx.RemoveFragment(live[i].id); err != nil {
-						t.Fatal(err)
-					}
-					live = slices.Delete(live, i, i+1)
-					continue
-				}
-				upd := frag(groups, serial)
-				live[i].counts, live[i].total = upd.counts, upd.total
-				if err := idx.UpdateFragment(live[i].id, upd.counts, upd.total); err != nil {
-					t.Fatal(err)
-				}
-			}
-			snap := idx.Freeze()
-			e := New(snap, nil)
-			for _, shards := range []int{1, 2, 3} {
-				when := fmt.Sprintf("trial %d round %d S=%d", trial, round, shards)
-				if shards == 1 {
-					for q := 0; q < 20; q++ {
-						checkAgainstReference(t, e, snap, tieRequest(r), when)
-					}
-					reached(e.SeedStats())
-					continue
-				}
-				// Restore orders a group's duplicate range values by
-				// identifier, insertion by history, so the shards are
-				// checked against a restored single index.
-				flat, err := fragindex.Restore(idx.Dump()) // idx holds snap: nothing changed since the Freeze
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := fragindex.Restore(idx.Dump())
-				if err != nil {
-					t.Fatal(err)
-				}
-				sl, err := fragindex.NewShardedLive(b, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				se := NewSharded(sl, nil)
-				for q := 0; q < 20; q++ {
-					req := tieRequest(r)
-					got, err := se.Search(context.Background(), req)
-					if err != nil {
-						t.Fatalf("%s: %+v: %v", when, req, err)
-					}
-					if d := diffResults(refSearch(t, flat.Snapshot(), req), got); d != "" {
-						t.Fatalf("%s: %+v: sharded engine and reference disagree: %s", when, req, d)
-					}
-					checkScratchClean(t, &se.core, when)
-				}
-				reached(se.SeedStats())
-			}
-		}
+	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "lazy", Steps: 30, Corpus: 40, Ties: true, Totals: []int64{0, 2, 4, 8, 8}, Dups: true},
+		trials: 4, shards: []int{1, 2, 3}, reach: []string{pathProbes, pathTables, pathSplit, pathRestore, pathGC, pathZeroSize, pathCut, pathRejected}})
 
-		// Three cancels during a block read: 4 200 fragments carry "ale"
-		// and "bun" on equal terms, so every seed ties with τ and nothing
-		// is visited before every list is read — for "ale", for both, and
-		// for a query of more keywords than maxTables, which reads every
-		// list at open. Polls: Search entry, the core's entry, one per
-		// keyword, then the first work poll, ctxCheckInterval postings
-		// into the reads (no visit can come first while postings are
-		// unread).
-		big, err := fragindex.New(tieSpec)
-		if err != nil {
+	// 4 200 fragments carry "ale" and "bun" on equal terms, so every seed
+	// ties with τ and nothing is visited before every list is read — for
+	// "ale", for both, and for a query of more keywords than maxTables,
+	// which reads every list at open. Polls: Search entry, the core's
+	// entry, one per keyword, then the first work poll, ctxCheckInterval
+	// postings into the reads (no visit can come first while postings are
+	// unread).
+	big, err := fragindex.New(tieSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4200; i++ {
+		id := fragment.ID{relation.String(fmt.Sprint("g", i%5)), relation.Int(int64(i % 6)), relation.Int(int64(i))}
+		counts := map[string]int64{"ale": 1, "bun": 1, "cod": int64(i % 3), "dip": int64(i % 2)}
+		maps.DeleteFunc(counts, func(_ string, tf int64) bool { return tf == 0 })
+		if _, err := big.InsertFragment(id, counts, 8); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4200; i++ {
-			ch := frag(groups, i)
-			ch.counts["ale"], ch.counts["bun"], ch.total = 1, 1, 8
-			if _, err := big.InsertFragment(ch.id, ch.counts, ch.total); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e := New(big, nil)
-		req := Request{Keywords: []string{"ale"}, K: 5, SizeThreshold: 20, RequireAll: r.Intn(2) == 0, AllowOverlap: r.Intn(2) == 0}
-		checkAgainstReference(t, e, big.Snapshot(), req, "warm-up")
-		for _, kws := range [][]string{{"ale"}, {"ale", "bun"}, append(slices.Clone(tieVocab), "eel")} { // eel: no list
-			req.Keywords = kws
-			when := fmt.Sprintf("trial %d: a cancel during a block read of %d keywords", trial, len(kws))
-			probe := &cancelProbe{Context: context.Background(), failAt: 3 + len(kws), s: retainedScratch(t, &e.core, when)}
-			if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
-				t.Fatalf("%s: err = %v, want the simulated deadline", when, err)
-			}
-			if probe.heaped == 0 || probe.read < ctxCheckInterval || probe.read >= 4200*len(kws) {
-				t.Fatalf("%s: cancelled after reading %d postings with %d seeds queued, want a part-read source", when, probe.read, probe.heaped)
-			}
-			checkScratchClean(t, &e.core, when)
-			checkAgainstReference(t, e, big.Snapshot(), req, "after "+when)
-		}
 	}
-	if probed == 0 || tabulated == 0 {
-		t.Fatalf("histories made %d TF probes and tabulated %d postings; want both", probed, tabulated)
+	e := New(big, nil)
+	req := Request{Keywords: []string{"ale"}, K: 5, SizeThreshold: 20, RequireAll: true}
+	checkAgainstReference(t, e, big.Snapshot(), req, "warm-up")
+	for _, kws := range [][]string{{"ale"}, {"ale", "bun"}, {"ale", "bun", "cod", "dip", "eel"}} { // eel: no list
+		req.Keywords = kws
+		when := fmt.Sprintf("a cancel during a block read of %d keywords", len(kws))
+		probe := &cancelProbe{Context: context.Background(), failAt: 3 + len(kws), s: retainedScratch(t, &e.core, when)}
+		if _, err := e.Search(probe, req); !errors.Is(err, errDeadline) {
+			t.Fatalf("%s: err = %v, want the simulated deadline", when, err)
+		}
+		if probe.heaped == 0 || probe.read < ctxCheckInterval || probe.read >= 4200*len(kws) {
+			t.Fatalf("%s: cancelled after reading %d postings with %d seeds queued, want a part-read source", when, probe.read, probe.heaped)
+		}
+		checkScratchClean(t, &e.core, when)
+		checkAgainstReference(t, e, big.Snapshot(), req, "after "+when)
 	}
 }
 
@@ -813,65 +585,11 @@ func TestTFTableStampWrap(t *testing.T) {
 
 // TestTFTablesBounded: a query may name any number of keywords, but a
 // scratch fills at most maxTables TF tables, each 8 B per ref of the pinned
-// set, and keeps no more once released. On a corpus of 300 keywords, a
-// query naming all of them reads every list to the end — every posting,
-// counted as one search that read every list — and fills no table;
-// queries of up to maxTables keywords fill tables and leave at most
-// maxTables behind; every answer is the reference's.
+// set, and keeps no more once released (scratchErr, after every search of
+// the search checker). A query of more than maxTables keywords — one of the
+// checker's fixed queries — reads every list to the end at open and fills
+// no table (searchRun.seeding); queries of fewer fill tables.
 func TestTFTablesBounded(t *testing.T) {
-	r := rand.New(rand.NewSource(89))
-	vocab := make([]string, 300)
-	for i := range vocab {
-		vocab[i] = fmt.Sprintf("w%03d", i)
-	}
-	var changes []corpusChange
-	for g := 0; g < 20; g++ {
-		for v := 0; v < 40; v++ {
-			counts := make(map[string]int64)
-			for n := 1 + r.Intn(4); n > 0; n-- {
-				counts[vocab[r.Intn(len(vocab))]] = int64(1 + r.Intn(3))
-			}
-			changes = append(changes, corpusChange{
-				id:     fragment.ID{relation.String(fmt.Sprintf("g%03d", g)), relation.Int(int64(v))},
-				counts: counts,
-				total:  int64(4 + r.Intn(20)),
-			})
-		}
-	}
-	idx := buildFrom(t, changes)
-	e := New(idx, nil)
-	snap := idx.Snapshot()
-	df := 0
-	for _, w := range vocab {
-		df += snap.DF(w)
-	}
-	wide := func(when string) {
-		t.Helper()
-		before := e.SeedStats()
-		checkAgainstReference(t, e, snap, Request{Keywords: vocab, K: 10, SizeThreshold: 30}, when)
-		st := e.SeedStats()
-		if st.Drains != before.Drains+1 || st.Postings-before.Postings != uint64(df) {
-			t.Fatalf("%s: read %d of %d postings, %d searches read every list; want every posting, one search",
-				when, st.Postings-before.Postings, df, st.Drains-before.Drains)
-		}
-		if st.Tabulated != before.Tabulated || st.Probes != before.Probes {
-			t.Fatalf("%s: %d postings tabulated and %d TF probes, want no table", when, st.Tabulated-before.Tabulated, st.Probes-before.Probes)
-		}
-		if n := len(retainedScratch(t, &e.core, when).tabBufs); n > maxTables {
-			t.Fatalf("%s: the scratch keeps %d TF tables, want at most %d", when, n, maxTables)
-		}
-	}
-	wide("a query of every keyword")
-	before := e.SeedStats()
-	for q := 0; q < 60; q++ {
-		req := Request{K: 1 + r.Intn(20), SizeThreshold: 1 + r.Intn(60)}
-		for n := 1 + r.Intn(maxTables); n > 0; n-- {
-			req.Keywords = append(req.Keywords, vocab[r.Intn(len(vocab))])
-		}
-		checkAgainstReference(t, e, snap, req, fmt.Sprintf("query %d", q))
-	}
-	if st := e.SeedStats(); st.Tabulated == before.Tabulated {
-		t.Fatal("no query of up to maxTables keywords filled a TF table")
-	}
-	wide("a query of every keyword, after tables were filled")
+	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "wide", Steps: 15, Corpus: 60, Ops: "ppppRg"},
+		trials: 2, shards: []int{1, 2}, reach: []string{pathWide, pathTables, pathGC}})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -88,8 +89,8 @@ func TestConcurrentShardedSearchWithWriters(t *testing.T) {
 					errc <- fmt.Errorf("searcher %d re-run: %v", g, err)
 					return
 				}
-				if d := diffResults(first, again); d != "" {
-					errc <- fmt.Errorf("searcher %d: pinned set not repeatable: %s", g, d)
+				if !reflect.DeepEqual(first, again) {
+					errc <- fmt.Errorf("searcher %d: pinned set not repeatable", g)
 					return
 				}
 				if _, err := se.Search(context.Background(), req); err != nil {
