@@ -8,41 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/crawl"
-	"repro/internal/fooddb"
 	"repro/internal/fragindex"
 	"repro/internal/fragindex/fragtest"
 	"repro/internal/fragment"
 	"repro/internal/relation"
-	"repro/internal/webapp"
 )
 
 // fooddbLiveEngine builds a LiveIndex-backed engine over the fooddb stack.
 func fooddbLiveEngine(t *testing.T) (*Engine, *fragindex.LiveIndex) {
 	t.Helper()
-	db := fooddb.New()
-	app, err := webapp.Analyze(fooddb.ServletSource, fooddb.BaseURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := app.Bind(db); err != nil {
-		t.Fatal(err)
-	}
-	bound, err := app.Bound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := crawl.Reference(db, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := fragindex.SpecFromBound(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := fragindex.Build(out, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx, app := fooddbIndex(t)
 	live := fragindex.NewLive(idx)
 	return New(live, app), live
 }

@@ -47,8 +47,9 @@ func TestCandidateLimitLargerThanListIsNoop(t *testing.T) {
 // TestCandidateLimitDeterministicTies: a CandidateLimit cut keeps the
 // documented (TF descending, identifier ascending) prefix of each list —
 // the reference's order — not the order the tie band sits in, nor ref
-// order: the histories' lists are tie-heavy, and their refs run against
-// identifier order (duplicate range values told apart by insertion serials).
+// order: the histories' lists are tie-heavy, and their refs follow
+// identifier order only among one range value's duplicates (told apart by
+// insertion serials), not across range values nor after a GC.
 func TestCandidateLimitDeterministicTies(t *testing.T) {
 	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "cut-ties", Steps: 20, Corpus: 40, Ties: true, Dups: true},
 		trials: 2, shards: []int{1}, reach: []string{pathCut}})

@@ -20,7 +20,8 @@ import (
 // The search checker replays the fragment index checker's histories
 // (fragtest) through a LiveIndex at S = 1 or a ShardedLiveIndex at S ≥ 2,
 // taking publishes, snapshot GCs, Dump → Restores and 2-way splits as they
-// come, and checks every step's answers (searchRun.check). A failing
+// come, and after every step checks the fragments served against the
+// model and every answer against the reference (searchRun.check). A failing
 // history is shrunk and printed as a literal for searchRegressions. Each
 // configuration is a test.
 
@@ -75,16 +76,18 @@ func checkSearch(t *testing.T, cfg searchConfig) {
 	})
 }
 
-// searchRun is the state of one replay: the index served, the engines over
-// it, the previous step's pinned view with its answers, and the paths
-// reached.
+// searchRun is the state of one replay: the model, the index served, the
+// engines over it, the first and the previous step's pinned views with
+// their answers, and the paths reached.
 type searchRun struct {
 	t     *testing.T
 	cfg   searchConfig
 	r     *rand.Rand
+	m     *fragtest.Model
 	sl    *fragindex.ShardedLiveIndex
 	e     *Engine // searches every single snapshot of the run
 	se    *ShardedEngine
+	first *view
 	held  *view
 	after string // the path the last step took, if any
 	start int    // the corpus's refs
@@ -112,14 +115,11 @@ func replay(t *testing.T, cfg searchConfig, shards int, h fragtest.History, hits
 		}
 	}()
 	m := fragtest.NewModel(cfg.Config, h.Seed)
-	idx, _ := fragindex.New(tieSpec)
-	for _, k := range m.Keys {
-		f := m.Frags[k]
-		if _, err := idx.InsertFragment(id(f), f.Terms, f.Total); err != nil {
-			return err
-		}
+	idx, err := build(m)
+	if err != nil {
+		return err
 	}
-	c := &searchRun{t: t, cfg: cfg, r: rand.New(rand.NewSource(h.Seed)), e: New(idx, nil), start: idx.NumRefs(), hits: hits}
+	c := &searchRun{t: t, cfg: cfg, r: rand.New(rand.NewSource(h.Seed)), m: m, e: New(idx, nil), start: idx.NumRefs(), hits: hits}
 	if c.sl, err = fragindex.NewShardedLive(idx, shards); err != nil {
 		return err
 	}
@@ -133,6 +133,17 @@ func replay(t *testing.T, cfg searchConfig, shards int, h fragtest.History, hits
 		}
 	}
 	return nil
+}
+
+// build indexes the model's live fragments, in its key order.
+func build(m *fragtest.Model) (*fragindex.Index, error) {
+	idx, err := fragindex.New(tieSpec)
+	for _, k := range m.Keys {
+		if f := m.Frags[k]; err == nil {
+			_, err = idx.InsertFragment(id(f), f.Terms, f.Total)
+		}
+	}
+	return idx, err
 }
 
 // serve makes sl the index served, with a sharded engine over it at S ≥ 2.
@@ -180,7 +191,7 @@ func (c *searchRun) step(m *fragtest.Model, st fragtest.Step) (string, error) {
 		}
 		return pathRestore, err
 	case fragtest.Split:
-		flat, err := flatten(c.sl.PinAll())
+		flat, err := flatten(c.sl, c.sl.PinAll())
 		if err == nil {
 			var sl *fragindex.ShardedLiveIndex
 			if sl, err = fragindex.NewShardedLive(flat, 2); err == nil {
@@ -192,25 +203,27 @@ func (c *searchRun) step(m *fragtest.Model, st fragtest.Step) (string, error) {
 	return "", nil
 }
 
-// check asks the served view the fixed and the drawn queries, and each
-// answer must equal the naive reference's (refSearch) byte for byte: over
-// the snapshot served at S = 1, over one index of the shards' fragments
-// (flatten) at S ≥ 2. It re-asks the previous step's pinned view, which
-// must answer as it did, runs a cancelled search and an invalid request,
-// and requires every search to leave its scratch clean.
+// check holds the fragments served — the snapshot at S = 1, one index of
+// the shards' fragments (flatten) at S ≥ 2 — to the model's, identifier,
+// terms and total each. It asks the served view the fixed and the drawn
+// queries, and each answer must equal the naive reference's (refSearch)
+// over those fragments byte for byte. It re-asks the first and the
+// previous step's pinned views, which must answer as they did, runs a
+// cancelled search and an invalid request, and requires every search to
+// leave its scratch clean.
 func (c *searchRun) check() error {
 	ctx := context.Background()
 	pinned := c.sl.PinAll()
-	ref, e := pinned[0], &c.e.core
+	ref, e, dump := pinned[0], &c.e.core, c.sl.Shard(0).Dump
 	v := &view{search: func(ctx context.Context, req Request) ([]Result, error) {
 		return c.e.SearchSnapshot(ctx, pinned[0], req)
 	}}
 	if len(pinned) > 1 {
-		flat, err := flatten(pinned)
+		flat, err := flatten(c.sl, pinned)
 		if err != nil {
 			return err
 		}
-		ref, e = flat.Snapshot(), &c.se.core
+		ref, e, dump = flat.Snapshot(), &c.se.core, flat.Dump
 		sl, se := c.sl, c.se
 		v.search = func(ctx context.Context, req Request) ([]Result, error) {
 			res, err := se.SearchPinned(ctx, pinned, req)
@@ -225,6 +238,14 @@ func (c *searchRun) check() error {
 	if c.after != "" {
 		c.hits[c.after]++
 	}
+	model, err := build(c.m)
+	if err != nil {
+		return err
+	}
+	got, want := dump(), model.Dump()
+	if want.Epoch = got.Epoch; !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("the fragments served differ from the model's\n served %+v\n model  %+v", got, want)
+	}
 	v.reqs = append(slices.Clone(fixedQueries), c.draw(ref.Keywords())...)
 	for _, req := range v.reqs {
 		before := e.SeedStats()
@@ -235,19 +256,21 @@ func (c *searchRun) check() error {
 		if want := refSearch(c.t, ref, req, c.hits); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("%+v: engine and reference disagree\n engine    %+v\n reference %+v", req, got, want)
 		}
-		if err := errors.Join(c.seeding(req, ref, before, e.SeedStats()), scratchErr(retainedScratch(c.t, e, "search checker")), c.cfg.fault(c, got)); err != nil {
+		if err := errors.Join(c.seeding(req, pinned, before, e.SeedStats()), scratchErr(retainedScratch(c.t, e, "search checker")), c.cfg.fault(c, got)); err != nil {
 			return fmt.Errorf("%+v: %w", req, err)
 		}
 		v.answers = append(v.answers, got)
 	}
-	if old := c.held; old != nil {
-		for i, req := range old.reqs {
-			if got, err := old.search(ctx, req); err != nil || !reflect.DeepEqual(got, old.answers[i]) {
-				return fmt.Errorf("%+v: the previous step's pinned view answers differently now (%v)", req, err)
+	for _, old := range []*view{c.first, c.held} {
+		for i := 0; old != nil && i < len(old.reqs); i++ {
+			if got, err := old.search(ctx, old.reqs[i]); err != nil || !reflect.DeepEqual(got, old.answers[i]) {
+				return fmt.Errorf("%+v: an earlier step's pinned view answers differently now (%v)", old.reqs[i], err)
 			}
 		}
 	}
-	c.held = v
+	if c.held = v; c.first == nil {
+		c.first = v
+	}
 	req := v.reqs[c.r.Intn(len(v.reqs))]
 	if _, err := v.search(newErrAfter(int64(c.r.Intn(8))), req); err != nil && !errors.Is(err, errDeadline) {
 		return fmt.Errorf("%+v, cancelled: %w", req, err)
@@ -260,27 +283,35 @@ func (c *searchRun) check() error {
 
 // seeding counts the TF probes and tabulated postings of one search, and
 // holds a query of more than maxTables keywords to reading every list at
-// open: every live posting (and the tombstones among them), counted as one
-// search that read every list, and no TF table.
-func (c *searchRun) seeding(req Request, ref *fragindex.Snapshot, before, st SeedStats) error {
+// open: exactly the postings a Next then Block walk of each pinned list
+// hands out — every block as it lies, tombstones included, but those Next
+// skips before a block's first live posting — counted as one search that
+// read every list, and no TF table.
+func (c *searchRun) seeding(req Request, pinned []*fragindex.Snapshot, before, st SeedStats) error {
 	c.hits[pathProbes] += int(st.Probes - before.Probes)
 	c.hits[pathTables] += int(st.Tabulated - before.Tabulated)
-	kws, df := normalizeKeywords(nil, req.Keywords), 0
+	kws, n := normalizeKeywords(nil, req.Keywords), 0
 	if len(kws) <= maxTables {
 		return nil
 	}
-	for _, kw := range kws {
-		df += ref.DF(kw)
+	for _, s := range pinned {
+		for _, kw := range kws {
+			cur, _ := s.Cursor(kw)
+			for _, _, ok := cur.Next(); ok; _, _, ok = cur.Next() {
+				n += 1 + len(cur.Block())
+			}
+		}
 	}
-	if c.hits[pathWide]++; st.Drains != before.Drains+1 || st.Postings-before.Postings < uint64(df) || st.Probes+st.Tabulated != before.Probes+before.Tabulated {
-		return fmt.Errorf("read %d postings of %d live, %d TF probes, %d tabulated; want every posting, no table",
-			st.Postings-before.Postings, df, st.Probes-before.Probes, st.Tabulated-before.Tabulated)
+	if c.hits[pathWide]++; st.Drains != before.Drains+1 || st.Postings-before.Postings != uint64(n) || st.Probes+st.Tabulated != before.Probes+before.Tabulated {
+		return fmt.Errorf("read %d postings of %d, %d TF probes, %d tabulated; want every posting, no table",
+			st.Postings-before.Postings, n, st.Probes-before.Probes, st.Tabulated-before.Tabulated)
 	}
 	return nil
 }
 
 // draw draws four requests: 1–3 of the live keywords kws, K truncating or
-// exhaustive, CandidateLimit off or cutting at 1–5, RequireAll and
+// exhaustive, CandidateLimit off, 1–5 or 1–60 (past a tie band's end, so
+// a cut's quickselect may keep all of a band), RequireAll and
 // AllowOverlap a third of the time each.
 func (c *searchRun) draw(kws []string) []Request {
 	if len(kws) == 0 {
@@ -291,7 +322,7 @@ func (c *searchRun) draw(kws []string) []Request {
 		out[i] = Request{
 			K:              []int{1, 3, 10, 1 << 30}[c.r.Intn(4)],
 			SizeThreshold:  []int{1, 8, 20, 60, 10000}[c.r.Intn(5)],
-			CandidateLimit: []int{0, 1 + c.r.Intn(5)}[c.r.Intn(2)],
+			CandidateLimit: []int{0, 1 + c.r.Intn(5), 1 + c.r.Intn(60)}[c.r.Intn(3)],
 			RequireAll:     c.r.Intn(3) == 0,
 			AllowOverlap:   c.r.Intn(3) == 0,
 		}
@@ -307,9 +338,9 @@ func (c *searchRun) draw(kws []string) []Request {
 // its range value, so each path is inserted last member first. (A Restore
 // would order a group's duplicate range values by identifier, where the
 // shards keep the order their history inserted them in.)
-func flatten(snaps []*fragindex.Snapshot) (*fragindex.Index, error) {
+func flatten(sl *fragindex.ShardedLiveIndex, snaps []*fragindex.Snapshot) (*fragindex.Index, error) {
 	idx, err := fragindex.New(snaps[0].Spec())
-	for _, s := range snaps {
+	for si, s := range snaps {
 		terms := make(map[fragindex.FragRef]map[string]int64)
 		for _, kw := range s.Keywords() {
 			for _, p := range s.Postings(kw) {
@@ -324,7 +355,11 @@ func flatten(snaps []*fragindex.Snapshot) (*fragindex.Index, error) {
 			members, weights, _, pos, _ := s.GroupPath(ref)
 			for i := len(members) - 1; i >= 0 && pos == len(members)-1 && err == nil; i-- {
 				m, _ := s.Meta(members[i])
-				_, err = idx.InsertFragment(m.ID, terms[members[i]], weights[i])
+				if _, err = idx.InsertFragment(m.ID, terms[members[i]], weights[i]); err == nil {
+					if to, _ := sl.ShardFor(m.ID); to != si {
+						err = fmt.Errorf("%v lies in shard %d; it routes to shard %d", m.ID, si, to)
+					}
+				}
 			}
 		}
 	}

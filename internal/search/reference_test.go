@@ -335,7 +335,8 @@ func TestReferenceTieHeavy(t *testing.T) {
 // TestReferenceScratchReuse: one Engine, and so one retained scratch, over
 // histories whose ref space grows twentyfold — past the dense tables'
 // headroom — while every step also runs a cancelled search and an invalid
-// request and re-reads the last step's snapshot through the grown tables.
+// request and re-reads the first and the last step's snapshots — the
+// first up to twenty times smaller — through the grown tables.
 func TestReferenceScratchReuse(t *testing.T) {
 	checkSearch(t, searchConfig{Config: fragtest.Config{Name: "growth", Steps: 40, Corpus: 4, Changes: 8, Kinds: "iiiir", Ops: "pppppppppg"},
 		trials: 2, shards: []int{1}, reach: []string{pathGrown, pathGC}})
@@ -490,7 +491,7 @@ func TestShardedScratchHygiene(t *testing.T) {
 	}
 	checkScratchClean(t, &se.core, "after mid-assembly cancel")
 	pinned := se.Pin()
-	flat, err := flatten(pinned)
+	flat, err := flatten(live, pinned)
 	if err != nil {
 		t.Fatal(err)
 	}

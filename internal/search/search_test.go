@@ -21,6 +21,13 @@ import (
 // engine.
 func fooddbEngine(t *testing.T) *Engine {
 	t.Helper()
+	return New(fooddbIndex(t))
+}
+
+// fooddbIndex crawls and indexes fooddb, returning the index and the bound
+// application.
+func fooddbIndex(t *testing.T) (*fragindex.Index, *webapp.Application) {
+	t.Helper()
 	db := fooddb.New()
 	app, err := webapp.Analyze(fooddb.ServletSource, fooddb.BaseURL)
 	if err != nil {
@@ -45,7 +52,7 @@ func fooddbEngine(t *testing.T) *Engine {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	return New(idx, app)
+	return idx, app
 }
 
 // TestExample7 reproduces the paper's top-k walk-through: keyword "burger",

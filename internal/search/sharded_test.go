@@ -10,12 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/crawl"
-	"repro/internal/fooddb"
 	"repro/internal/fragindex"
 	"repro/internal/fragindex/fragtest"
 	"repro/internal/fragment"
 	"repro/internal/relation"
-	"repro/internal/webapp"
 )
 
 // corpusSpec is the synthetic shape used by the equivalence tests: groups
@@ -93,35 +91,8 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 // formulation bound, so equivalence covers the full Result surface.
 func fooddbSharded(t *testing.T, shards int) (*Engine, *ShardedEngine) {
 	t.Helper()
-	build := func() (*fragindex.Index, *webapp.Application) {
-		db := fooddb.New()
-		app, err := webapp.Analyze(fooddb.ServletSource, fooddb.BaseURL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := app.Bind(db); err != nil {
-			t.Fatal(err)
-		}
-		bound, err := app.Bound()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := crawl.Reference(db, bound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec, err := fragindex.SpecFromBound(bound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := fragindex.Build(out, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx, app
-	}
-	idx1, app1 := build()
-	idx2, app2 := build()
+	idx1, app1 := fooddbIndex(t)
+	idx2, app2 := fooddbIndex(t)
 	live, err := fragindex.NewShardedLive(idx2, shards)
 	if err != nil {
 		t.Fatal(err)
